@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    started = time.time()
+    started = time.perf_counter()
     try:
         result = args.func(args)
     except CapExceededError as e:
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "config": config,
         "result": result,
-        "meta": {"version": __version__, "elapsed_s": round(time.time() - started, 6)},
+        "meta": {"version": __version__, "elapsed_s": round(time.perf_counter() - started, 6)},
     }
     print(json.dumps(report, sort_keys=True))
     return 0

@@ -100,90 +100,109 @@ def _split_time(t: int, k: int) -> int:
     return max(t - 2**k, 0)
 
 
+def _step(row: dict[int, int], Q: list[list[tuple[int, int]]]) -> dict[int, int]:
+    """One step of a sparse integer row vector through the scaled rows Q."""
+    out: dict[int, int] = {}
+    for a, y in row.items():
+        for b, q in Q[a]:
+            out[b] = out.get(b, 0) + y * q
+    return out
+
+
+def _pair_sum(row: dict[int, int], at: list[int], N: list[list[int]]) -> int:
+    """sum over states a, b of row[a] row[b] N[at[a]][at[b]], with the
+    weights first pooled on the metric points."""
+    z: dict[int, int] = {}
+    for a, y in row.items():
+        x = at[a]
+        z[x] = z.get(x, 0) + y
+    items = list(z.items())
+    total = 0
+    for x, zx in items:
+        Nx = N[x]
+        total += zx * sum(zy * Nx[y] for y, zy in items)
+    return total
+
+
 def exact_convexity(
     chain: MarkovChain, mmap: MetricMap, space: MetricSpace, p: int
 ) -> ConvexityEstimate:
-    """Exact rational evaluation by dynamic programming over matrix powers:
-    conditioned on the split-time state, the chain and its re-randomized
-    copy are independent runs of the same transition law."""
+    """Exact rational evaluation by dynamic programming over sparse matrix
+    powers: conditioned on the split-time state, the chain and its
+    re-randomized copy are independent runs of the same transition law.
+
+    The DP runs on integers.  With D the lcm of the transition denominators
+    and E that of the distances between mapped points, D^s pi_s and row u of
+    D^j P^j are integer vectors, E d is an integer table, and each sum is
+    one Fraction over a power product of D, E and 2.  Row u of P^j is only
+    pushed as far as the largest j that a split at u needs."""
     if not isinstance(p, int) or p < 1:
         raise ValidationError("exact mode needs integer p >= 1")
     if len(mmap.point_of_state) != chain.n_states:
         raise ValidationError("metric map must cover every state")
-    n = chain.n_states
     T = chain.horizon
-    P = [list(row) for row in chain.transition]
-    dp = [
-        [space.d(mmap(a), mmap(b)) ** p for b in range(n)] for a in range(n)
+    K = _k_max(T)
+    D = math.lcm(*{q.denominator for row in chain.transition for q in row})
+    Q = [
+        [(v, q.numerator * (D // q.denominator)) for v, q in enumerate(row) if q]
+        for row in chain.transition
     ]
 
-    # powers[j] = P^j for j = 1..T
-    powers = [None, P]
-    for _ in range(2, T + 1):
-        prev = powers[-1]
-        powers.append(
-            [
-                [
-                    sum((prev[u][m] * P[m][v] for m in range(n) if prev[u][m]), Fraction(0))
-                    for v in range(n)
-                ]
-                for u in range(n)
-            ]
-        )
+    # N[x][y] = (E d(x, y))^p between the mapped points; at[a] = point of a
+    points = sorted(set(mmap.point_of_state))
+    where = {x: i for i, x in enumerate(points)}
+    at = [where[x] for x in mmap.point_of_state]
+    dist = [[row[y] for y in points] for row in (space.dist[x] for x in points)]
+    E = math.lcm(*{d.denominator for row in dist for d in row})
+    N = [[(d.numerator * (E // d.denominator)) ** p for d in row] for row in dist]
 
-    # pi[s] = distribution at time s
-    start_row = [Fraction(0)] * n
-    start_row[chain.start] = Fraction(1)
-    pi = [start_row]
-    for s in range(1, T + 1):
-        prev = pi[-1]
-        pi.append(
-            [
-                sum((prev[u] * P[u][v] for u in range(n) if prev[u]), Fraction(0))
-                for v in range(n)
-            ]
-        )
+    # Pi[s] = D^s pi_s for the split times s = 0..T-1
+    Pi = [{chain.start: 1}]
+    for _ in range(1, T):
+        Pi.append(_step(Pi[-1], Q))
 
-    # w[j][u] = E[ d(f(A), f(B))^p ] for two independent j-step runs from u
-    w = [None] + [
-        [
-            sum(
-                (
-                    powers[j][u][a] * powers[j][u][b] * dp[a][b]
-                    for a in range(n)
-                    if powers[j][u][a]
-                    for b in range(n)
-                    if powers[j][u][b] and dp[a][b]
-                ),
-                Fraction(0),
-            )
-            for u in range(n)
-        ]
-        for j in range(1, T + 1)
-    ]
-
-    lhs = Fraction(0)
-    for k in range(_k_max(T) + 1):
-        denom = Fraction(2) ** (k * p)
+    # coef[s][j] = sum of 2^((K-k)p) over the terms (k, t) with split time
+    # s = t - j; the lhs puts 2^(kp) in the denominator of term (k, t)
+    coef: list[dict[int, int]] = [{} for _ in range(T)]
+    for k in range(K + 1):
         for t in range(1, T + 1):
             s = _split_time(t, k)
-            j = t - s
-            term = sum((pi[s][u] * w[j][u] for u in range(n) if pi[s][u]), Fraction(0))
-            lhs += term / denom
+            coef[s][t - s] = coef[s].get(t - s, 0) + 2 ** ((K - k) * p)
 
-    rhs = Fraction(0)
+    # W[u][j] = D^(2j) E^p E[d(f(A), f(B))^p] for two independent j-step
+    # runs A, B from u, for every j that a split at u needs
+    needs: dict[int, set[int]] = {}
+    for s, pi in enumerate(Pi):
+        for u in pi:
+            needs.setdefault(u, set()).update(coef[s])
+    W: dict[int, dict[int, int]] = {}
+    for u, js in needs.items():
+        row = {u: 1}
+        Wu = W[u] = {}
+        for j in range(1, max(js) + 1):
+            row = _step(row, Q)
+            if j in js:
+                Wu[j] = _pair_sum(row, at, N)
+
+    # term (s, j) sits over D^(s + 2j) E^p 2^(kp); lift all to D^(2T) E^p 2^(Kp)
+    lhs = 0
+    for s, pi in enumerate(Pi):
+        for j, c in coef[s].items():
+            lhs += c * D ** (2 * T - s - 2 * j) * sum(y * W[u][j] for u, y in pi.items())
+
+    # step t from pi_{t-1} sits over D^t E^p; lift all to D^T E^p
+    step_sum = {u: sum(q * N[at[u]][at[v]] for v, q in Q[u]) for u in needs}
+    rhs = 0
     for t in range(1, T + 1):
-        rhs += sum(
-            (
-                pi[t - 1][u] * P[u][v] * dp[u][v]
-                for u in range(n)
-                if pi[t - 1][u]
-                for v in range(n)
-                if P[u][v] and dp[u][v]
-            ),
-            Fraction(0),
-        )
-    return ConvexityEstimate(float(p), lhs, rhs, MethodInfo("exactDP"))
+        rhs += D ** (T - t) * sum(y * step_sum[u] for u, y in Pi[t - 1].items())
+
+    Ep = E**p
+    return ConvexityEstimate(
+        float(p),
+        Fraction(lhs, D ** (2 * T) * Ep * 2 ** (K * p)),
+        Fraction(rhs, D**T * Ep),
+        MethodInfo("exactDP"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +397,20 @@ def downhill_walk(
 ) -> WalkBundle:
     """From every non-sink vertex move uniformly to a neighbor strictly
     closer to the sink; the sink is absorbing.  Default horizon is the hop
-    count of a source-to-sink geodesic."""
+    count of a source-to-sink geodesic, so every edge must have the same
+    length (ValidationError names the first edge that differs)."""
     graph = family.graph
+    edge_len = graph.edges[0][2]
+    for u, v, w in graph.edges:
+        if w != edge_len:
+            raise ValidationError(
+                f"downhill walk needs uniform edge lengths: edge ({u},{v}) has "
+                f"length {w}, edge 0 has {edge_len}"
+            )
     space = apsp(graph)
     sink = family.sink
     adj = graph.adjacency()
     n = graph.size
-    edge_len = graph.edges[0][2]
     hops = int(space.d(family.source, sink) / edge_len)
     T = horizon if horizon is not None else hops
     rows = []

@@ -7,10 +7,10 @@ Graphs are undirected with positive rational edge lengths.
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CapExceededError, DisconnectedGraphError, ValidationError
 
@@ -38,11 +38,6 @@ class MetricSpace:
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
-
-    def index_of(self, label: str) -> int:
-        if self.labels is None:
-            raise ValidationError("space has no labels")
-        return self.labels.index(label)
 
     def restrict(self, indices: Sequence[int]) -> "MetricSpace":
         """Subspace on the given points, in the given order."""
@@ -130,9 +125,11 @@ class GeodesicPath:
         return None
 
 
-def _dijkstra(adj: list[list[tuple[int, Fraction]]], src: int) -> list[Optional[Fraction]]:
-    dist: list[Optional[Fraction]] = [None] * len(adj)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), src)]
+def _dijkstra(adj, src):
+    """Single-source distances over adjacency lists of (vertex, length);
+    lengths may be ints or Fractions.  None marks an unreachable vertex."""
+    dist = [None] * len(adj)
+    heap = [(0, src)]
     while heap:
         d, u = heapq.heappop(heap)
         if dist[u] is not None:
@@ -147,17 +144,29 @@ def _dijkstra(adj: list[list[tuple[int, Fraction]]], src: int) -> list[Optional[
 def apsp(graph: WeightedGraph) -> MetricSpace:
     """All-pairs shortest-path metric of a connected graph, exact.
 
+    Dijkstra runs on integer lengths scaled by the lcm of the edge
+    denominators; each distinct distance becomes one Fraction.
     Raises DisconnectedGraphError naming an unreachable pair.
     """
-    adj = graph.adjacency()
-    n = graph.size
+    scale = math.lcm(*(w.denominator for _, _, w in graph.edges))
+    adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
+    for u, v, w in graph.edges:
+        length = w.numerator * (scale // w.denominator)
+        adj[u].append((v, length))
+        adj[v].append((u, length))
+    exact: dict[int, Fraction] = {}
     rows = []
-    for src in range(n):
+    for src in range(graph.size):
         dist = _dijkstra(adj, src)
+        row = []
         for v, d in enumerate(dist):
             if d is None:
                 raise DisconnectedGraphError(src, v)
-        rows.append(tuple(dist))
+            f = exact.get(d)
+            if f is None:
+                f = exact[d] = Fraction(d, scale)
+            row.append(f)
+        rows.append(tuple(row))
     return MetricSpace(tuple(rows), graph.labels())
 
 

@@ -3,10 +3,12 @@
 Each one recomputes a quantity by a route disjoint from the library code it
 checks: Floyd-Warshall for shortest paths, Nelder-Mead coordinate search for
 optimal euclidean distortion, full outcome enumeration for the short
-downward tree walk, and word-product enumeration for Heisenberg balls.
+downward tree walk, dense Fraction matrix powers for the Markov convexity
+sums, and word-product enumeration for Heisenberg balls.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -113,3 +115,78 @@ def heisenberg_ball_by_words(r):
         for g in layer:
             lengths.setdefault(g, step)
     return lengths
+
+
+def dense_exact_convexity(chain, mmap, space, p):
+    """Markov convexity sums (lhs, rhs) by dense Fraction lists of P^j for
+    every j <= T, pi_s, and the pair table w_j for every start state."""
+    n = chain.n_states
+    T = chain.horizon
+    kmax = math.ceil(math.log2(T)) if T > 1 else 0
+    P = [list(row) for row in chain.transition]
+    dp = [[space.d(mmap(a), mmap(b)) ** p for b in range(n)] for a in range(n)]
+
+    powers = [None, P]
+    for _ in range(2, T + 1):
+        prev = powers[-1]
+        powers.append(
+            [
+                [
+                    sum((prev[u][m] * P[m][v] for m in range(n) if prev[u][m]), Fraction(0))
+                    for v in range(n)
+                ]
+                for u in range(n)
+            ]
+        )
+
+    start_row = [Fraction(0)] * n
+    start_row[chain.start] = Fraction(1)
+    pi = [start_row]
+    for s in range(1, T + 1):
+        prev = pi[-1]
+        pi.append(
+            [
+                sum((prev[u] * P[u][v] for u in range(n) if prev[u]), Fraction(0))
+                for v in range(n)
+            ]
+        )
+
+    w = [None] + [
+        [
+            sum(
+                (
+                    powers[j][u][a] * powers[j][u][b] * dp[a][b]
+                    for a in range(n)
+                    if powers[j][u][a]
+                    for b in range(n)
+                    if powers[j][u][b] and dp[a][b]
+                ),
+                Fraction(0),
+            )
+            for u in range(n)
+        ]
+        for j in range(1, T + 1)
+    ]
+
+    lhs = Fraction(0)
+    for k in range(kmax + 1):
+        denom = Fraction(2) ** (k * p)
+        for t in range(1, T + 1):
+            s = max(t - 2**k, 0)
+            j = t - s
+            term = sum((pi[s][u] * w[j][u] for u in range(n) if pi[s][u]), Fraction(0))
+            lhs += term / denom
+
+    rhs = Fraction(0)
+    for t in range(1, T + 1):
+        rhs += sum(
+            (
+                pi[t - 1][u] * P[u][v] * dp[u][v]
+                for u in range(n)
+                if pi[t - 1][u]
+                for v in range(n)
+                if P[u][v] and dp[u][v]
+            ),
+            Fraction(0),
+        )
+    return lhs, rhs

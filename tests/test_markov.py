@@ -1,8 +1,10 @@
 """Markov convexity: exact DP vs oracles, Monte Carlo agreement, built-in walks."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from testspaces.errors import CapExceededError, ValidationError
 from testspaces.generators import UNIT, diamond, diamond_weighting, laakso, laakso_weighting
@@ -17,9 +19,10 @@ from testspaces.markov import (
     tree_walk_convexity_exact,
     tree_walk_convexity_mc,
 )
-from testspaces.metric_core import MetricSpace
+from testspaces.metric_core import MetricSpace, WeightedGraph, apsp
 
-from _oracles import tree_walk_m1_exact
+from _oracles import dense_exact_convexity, tree_walk_m1_exact
+from _strategies import random_connected_graph
 
 
 def test_chain_validation():
@@ -122,19 +125,19 @@ def test_downhill_l1_positive_lhs():
 
 
 def test_downhill_diamond_regression_and_monotonicity():
-    expected = {1: F(5, 4), 2: F(73, 32), 3: F(793, 256)}
+    expected = {1: F(5, 4), 2: F(73, 32), 3: F(793, 256), 4: F(7769, 2048)}
     ratios = {}
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         wb = downhill_walk(diamond(n, diamond_weighting()))
         est = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
         ratios[n] = est.ratio
         assert est.ratio == expected[n]
-    assert ratios[1] < ratios[2] < ratios[3]  # piLower nondecreasing in n
+    assert ratios[1] < ratios[2] < ratios[3] < ratios[4]  # piLower nondecreasing in n
 
 
 def test_downhill_laakso_regression():
-    expected = {1: F(21, 32), 2: F(2595, 2048)}
-    for n in (1, 2):
+    expected = {1: F(21, 32), 2: F(2595, 2048), 3: F(232329, 131072)}
+    for n in (1, 2, 3):
         wb = downhill_walk(laakso(n, laakso_weighting()))
         est = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
         assert est.ratio == expected[n]
@@ -172,3 +175,44 @@ def test_downhill_default_horizon_is_hop_count():
     wb = downhill_walk(diamond(2, diamond_weighting()))
     assert wb.chain.horizon == 4
     assert downhill_walk(laakso(1, laakso_weighting())).chain.horizon == 4
+
+
+def test_downhill_rejects_nonuniform_edge_lengths():
+    fam = diamond(1, UNIT)
+    u, v, w = fam.graph.edges[2]
+    edges = list(fam.graph.edges)
+    edges[2] = (u, v, 2 * w)
+    bent = dataclasses.replace(
+        fam, graph=WeightedGraph(fam.graph.vertices, tuple(edges))
+    )
+    with pytest.raises(ValidationError) as exc:
+        downhill_walk(bent)
+    assert f"({u},{v})" in str(exc.value)
+
+
+@st.composite
+def _random_chain_setup(draw):
+    """A chain on n <= 6 states with horizon T <= 6 whose rows have
+    denominators 1..6, any start state, and a metric map into the apsp space
+    of a random rational graph (points may repeat)."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        q = draw(st.integers(1, 6))
+        cuts = sorted(draw(st.lists(st.integers(0, q), min_size=n - 1, max_size=n - 1)))
+        bounds = [0, *cuts, q]
+        rows.append(tuple(F(bounds[i + 1] - bounds[i], q) for i in range(n)))
+    chain = MarkovChain(tuple(rows), draw(st.integers(0, n - 1)), draw(st.integers(1, 6)))
+    space = apsp(random_connected_graph(draw))
+    points = st.integers(0, space.size - 1)
+    mmap = MetricMap(tuple(draw(st.lists(points, min_size=n, max_size=n))))
+    return chain, mmap, space, draw(st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_chain_setup())
+def test_exact_dp_matches_dense_oracle(setup):
+    chain, mmap, space, p = setup
+    est = exact_convexity(chain, mmap, space, p)
+    lhs, rhs = dense_exact_convexity(chain, mmap, space, p)
+    assert est.lhs == lhs and est.rhs == rhs

@@ -18,6 +18,7 @@ from testspaces.metric_core import (
 )
 
 from _oracles import floyd_warshall
+from _strategies import random_connected_graph
 
 
 def test_apsp_single_edge():
@@ -117,38 +118,10 @@ def test_geodesic_same_endpoint_rejected():
         enumerate_geodesic_paths(g, 1, 1)
 
 
-def _random_connected_graph(draw):
-    n = draw(st.integers(min_value=2, max_value=10))
-    extra = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1),
-                st.integers(0, n - 1),
-                st.integers(1, 12),
-                st.integers(1, 4),
-            ),
-            max_size=12,
-        )
-    )
-    edges = {}
-    for i in range(1, n):
-        parent = draw(st.integers(0, i - 1))
-        edges[(parent, i)] = F(draw(st.integers(1, 12)), draw(st.integers(1, 4)))
-    for u, v, num, den in extra:
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        edges.setdefault(key, F(num, den))
-    return WeightedGraph(
-        tuple(PointId(i) for i in range(n)),
-        tuple((u, v, w) for (u, v), w in sorted(edges.items())),
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_apsp_matches_floyd_warshall_and_is_metric(data):
-    graph = _random_connected_graph(data.draw)
+    graph = random_connected_graph(data.draw)
     sp = apsp(graph)
     assert verify_metric(sp).valid
     fw = floyd_warshall(graph.size, graph.edges)
@@ -160,7 +133,7 @@ def test_apsp_matches_floyd_warshall_and_is_metric(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_every_enumerated_path_is_shortest(data):
-    graph = _random_connected_graph(data.draw)
+    graph = random_connected_graph(data.draw)
     sp = apsp(graph)
     u, v = 0, graph.size - 1
     if u == v:
