@@ -19,10 +19,8 @@ from . import __version__
 from .errors import CapExceededError, UndecidedError, ValidationError
 from .formats import (
     load_space_arg,
-    parse_rational,
     rational_str,
     read_vectors,
-    space_to_csv,
     write_graph,
     write_space,
 )
@@ -144,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> dict:
     from . import generators as gen
-    from .metric_core import apsp
 
     fam = args.family
     n = args.n
@@ -334,7 +331,6 @@ def cmd_rnp_lines(args) -> dict:
 
 
 def cmd_rnp_martingale(args) -> dict:
-    from . import generators as gen
     from .rnp import (
         diamond_geodesic_family,
         diamond_l1_embedding,
@@ -344,8 +340,7 @@ def cmd_rnp_martingale(args) -> dict:
     )
 
     family = diamond_geodesic_family(args.diamond)
-    fam = gen.diamond(args.diamond, gen.diamond_weighting())
-    emb = diamond_l1_embedding(fam)
+    emb = diamond_l1_embedding(family.family)
     run = martingale_from_embedding(family, emb, args.steps)
     cert = thickness_alpha(family, args.control_budget)
     report = martingale_check(run.martingale)

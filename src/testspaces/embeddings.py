@@ -12,11 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError, CollapsedPairError, ValidationError
+from .generators import binary_tree, common_prefix, tree_labels
 from .metric_core import MetricSpace
 
 Vector = tuple  # tuple of Fraction/int (exact kinds) or float (l2)
@@ -217,21 +218,11 @@ class BourgainLabeling:
     psi: dict
     phi: dict
 
-    def subtree_interval(self, label: str) -> tuple[int, int]:
-        lo = hi = self.phi[label]
-        for ext in self.phi:
-            if ext.startswith(label):
-                lo = min(lo, self.phi[ext])
-                hi = max(hi, self.phi[ext])
-        return lo, hi
-
 
 def bourgain_labeling(n: int) -> BourgainLabeling:
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    labels = [""]
-    for depth in range(1, n + 1):
-        labels.extend("".join(b) for b in itertools.product("01", repeat=depth))
+    labels = tree_labels(n)
     psi = {}
     for lab in labels:
         psi[lab] = sum(
@@ -244,7 +235,6 @@ def bourgain_labeling(n: int) -> BourgainLabeling:
 
 
 def _tree_space(n: int) -> MetricSpace:
-    from .generators import binary_tree
     from .metric_core import apsp
 
     return apsp(binary_tree(n))
@@ -281,11 +271,7 @@ def bourgain_distortion(n: int) -> DistortionReport:
         pa = paths[la]
         for b_idx in range(a_idx + 1, len(labels)):
             lb = labels[b_idx]
-            common = 0
-            for x, y in zip(la, lb):
-                if x != y:
-                    break
-                common += 1
+            common = common_prefix(la, lb)
             d = (len(la) - common) + (len(lb) - common)
             if d == 0:
                 continue

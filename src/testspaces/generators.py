@@ -1,7 +1,10 @@
 """Generators for every test-space family: binary trees, forks, diamonds,
 Laakso graphs, cycles, l1 tree products, and Heisenberg word-metric balls.
 
-Diamond/Laakso constructions keep old vertex indices stable across levels so
+Diamonds and Laakso graphs come from one edge-replacement skeleton: each
+level replaces every edge by a fixed pattern (a quadrilateral, or the 6-vertex
+Laakso gadget) and records each replacement as a `Replacement` in
+`RecursiveFamily.units`.  Old vertex indices stay stable across levels, so
 the level-(n-1) -> level-n injection is the identity on indices; that makes
 the weighted-family isometry checkable by index, not by search.
 """
@@ -12,7 +15,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import CapExceededError, ValidationError
 from .metric_core import MetricSpace, PointId, WeightedGraph, apsp
@@ -54,6 +56,25 @@ def laakso_weighting() -> Weighting:
 # Trees
 # ---------------------------------------------------------------------------
 
+def tree_labels(n: int) -> list[str]:
+    """The 0/1 strings of length <= n, by length and then lexicographically."""
+    labels = [""]
+    for depth in range(1, n + 1):
+        labels.extend("".join(bits) for bits in itertools.product("01", repeat=depth))
+    return labels
+
+
+def common_prefix(a: str, b: str) -> int:
+    """Length of the longest common prefix of two strings: for tree labels,
+    the depth of their lowest common ancestor."""
+    common = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        common += 1
+    return common
+
+
 def binary_tree(n: int, vertex_cap: int = VERTEX_CAP_DEFAULT) -> WeightedGraph:
     """Binary tree of depth n: vertices are 0/1 strings of length <= n,
     edges join a string to its one-letter extensions, unit lengths."""
@@ -61,9 +82,7 @@ def binary_tree(n: int, vertex_cap: int = VERTEX_CAP_DEFAULT) -> WeightedGraph:
         raise ValidationError("depth must be >= 0")
     if 2 ** (n + 1) - 1 > vertex_cap:
         raise CapExceededError(f"binary tree of depth {n} exceeds vertex cap {vertex_cap}")
-    labels = [""]
-    for depth in range(1, n + 1):
-        labels.extend("".join(bits) for bits in itertools.product("01", repeat=depth))
+    labels = tree_labels(n)
     index = {lab: i for i, lab in enumerate(labels)}
     vertices = tuple(PointId(i, lab) for i, lab in enumerate(labels))
     edges = tuple(
@@ -93,27 +112,15 @@ def cycle(m: int) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Quad:
-    """A quadrilateral introduced at some level of a diamond."""
+class Replacement:
+    """One edge replaced at some level: `uid` names it in the vertex chains,
+    `ends` are the replaced edge's endpoints and `middle` the new vertices
+    put between them, in index order."""
 
-    qid: int
-    level: int
-    ends: tuple[int, int]  # the replaced edge's endpoints
-    a: int  # first middle vertex ("side 0")
-    b: int  # second middle vertex ("side 1")
-
-
-@dataclass(frozen=True)
-class Gadget:
-    """One 6-vertex Laakso replacement (two stems, two branches)."""
-
-    gid: int
+    uid: int
     level: int
     ends: tuple[int, int]
-    stem_in: int
-    left: int
-    right: int
-    stem_out: int
+    middle: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -127,36 +134,47 @@ class RecursiveFamily:
     source: int
     sink: int
     vertex_counts: tuple[int, ...]  # V(0), V(1), ..., V(level)
-    quads: tuple[Quad, ...] = ()
-    gadgets: tuple[Gadget, ...] = ()
+    units: tuple[Replacement, ...] = ()
     # vertex index -> chain of (unit_id, side) from outermost to innermost
     chains: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
-def diamond(n: int, w: Weighting = UNIT, vertex_cap: int = VERTEX_CAP_DEFAULT) -> RecursiveFamily:
-    """Level-n diamond: recursively replace each edge by a quadrilateral."""
+# A replacement pattern: the sides of the new vertices in index order, and
+# the edges put in place of one old edge x-y as (end, end, carrier).  Slots 0
+# and 1 are x and y, slots 2, 3, ... the new vertices; the carrier is the new
+# vertex whose chain the edge inherits.
+_QUADRILATERAL = ((0, 1), ((0, 2, 2), (2, 1, 2), (0, 3, 3), (3, 1, 3)))
+# new vertices: stem, left branch (side 0), right branch (side 1), stem;
+# both stems are side 2
+_LAAKSO_GADGET = (
+    (2, 0, 1, 2),
+    ((0, 2, 2), (2, 3, 3), (2, 4, 4), (3, 5, 3), (4, 5, 4), (5, 1, 5)),
+)
+
+
+def _replace_edges(
+    kind: str, n: int, w: Weighting, vertex_cap: int, sides: tuple[int, ...], pattern
+) -> RecursiveFamily:
+    """Start from one edge 0-1 and replace every edge by the pattern n times,
+    appending each edge's new vertices after all existing ones."""
     if n < 0:
         raise ValidationError("level must be >= 0")
     # edge record: (u, v, chain)
     edges: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 1, ())]
     chains: list[tuple[tuple[int, int], ...]] = [(), ()]
     counts = [2]
-    quads: list[Quad] = []
-    nverts = 2
+    units: list[Replacement] = []
     for level in range(1, n + 1):
-        nverts += 2 * len(edges)
-        if nverts > vertex_cap:
-            raise CapExceededError(f"diamond level {n} exceeds vertex cap {vertex_cap}")
+        if len(chains) + len(sides) * len(edges) > vertex_cap:
+            raise CapExceededError(f"{kind} level {n} exceeds vertex cap {vertex_cap}")
         new_edges = []
         for x, y, chain in edges:
-            qid = len(quads)
-            a = len(chains)
-            chains.append(chain + ((qid, 0),))
-            b = len(chains)
-            chains.append(chain + ((qid, 1),))
-            quads.append(Quad(qid, level, (x, y), a, b))
-            ca, cb = chains[a], chains[b]
-            new_edges += [(x, a, ca), (a, y, ca), (x, b, cb), (b, y, cb)]
+            uid = len(units)
+            middle = tuple(range(len(chains), len(chains) + len(sides)))
+            chains += [chain + ((uid, side),) for side in sides]
+            units.append(Replacement(uid, level, (x, y), middle))
+            slot = (x, y) + middle
+            new_edges += [(slot[a], slot[b], chains[slot[c]]) for a, b, c in pattern]
         edges = new_edges
         counts.append(len(chains))
     length = w.edge_length(n)
@@ -164,54 +182,19 @@ def diamond(n: int, w: Weighting = UNIT, vertex_cap: int = VERTEX_CAP_DEFAULT) -
         tuple(PointId(i) for i in range(len(chains))),
         tuple((u, v, length) for u, v, _ in edges),
     )
-    return RecursiveFamily(
-        "diamond", n, w, graph, 0, 1, tuple(counts), tuple(quads), (), tuple(chains)
-    )
+    return RecursiveFamily(kind, n, w, graph, 0, 1, tuple(counts), tuple(units), tuple(chains))
+
+
+def diamond(n: int, w: Weighting = UNIT, vertex_cap: int = VERTEX_CAP_DEFAULT) -> RecursiveFamily:
+    """Level-n diamond: recursively replace each edge by a quadrilateral."""
+    return _replace_edges("diamond", n, w, vertex_cap, *_QUADRILATERAL)
 
 
 def laakso(n: int, w: Weighting = UNIT, vertex_cap: int = VERTEX_CAP_DEFAULT) -> RecursiveFamily:
     """Level-n Laakso graph: recursively replace each edge by the 6-vertex
     gadget (stem, two parallel branches, stem), degree-1 gadget vertices
     identified with the edge's endpoints."""
-    if n < 0:
-        raise ValidationError("level must be >= 0")
-    edges: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 1, ())]
-    chains: list[tuple[tuple[int, int], ...]] = [(), ()]
-    counts = [2]
-    gadgets: list[Gadget] = []
-    for level in range(1, n + 1):
-        if len(chains) + 4 * len(edges) > vertex_cap:
-            raise CapExceededError(f"laakso level {n} exceeds vertex cap {vertex_cap}")
-        new_edges = []
-        for x, y, chain in edges:
-            gid = len(gadgets)
-            # side 0 = left branch, side 1 = right branch, side 2 = stem
-            s1, left, right, s2 = range(len(chains), len(chains) + 4)
-            chains += [
-                chain + ((gid, 2),),
-                chain + ((gid, 0),),
-                chain + ((gid, 1),),
-                chain + ((gid, 2),),
-            ]
-            gadgets.append(Gadget(gid, level, (x, y), s1, left, right, s2))
-            new_edges += [
-                (x, s1, chains[s1]),
-                (s1, left, chains[left]),
-                (s1, right, chains[right]),
-                (left, s2, chains[left]),
-                (right, s2, chains[right]),
-                (s2, y, chains[s2]),
-            ]
-        edges = new_edges
-        counts.append(len(chains))
-    length = w.edge_length(n)
-    graph = WeightedGraph(
-        tuple(PointId(i) for i in range(len(chains))),
-        tuple((u, v, length) for u, v, _ in edges),
-    )
-    return RecursiveFamily(
-        "laakso", n, w, graph, 0, 1, tuple(counts), (), tuple(gadgets), tuple(chains)
-    )
+    return _replace_edges("laakso", n, w, vertex_cap, *_LAAKSO_GADGET)
 
 
 # ---------------------------------------------------------------------------

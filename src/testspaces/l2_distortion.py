@@ -18,6 +18,7 @@ import numpy as np
 
 from .embeddings import DistortionReport, Embedding, NormedTarget, distortion
 from .errors import UndecidedError, ValidationError
+from .generators import common_prefix
 from .metric_core import MetricSpace
 
 STALL_REL = 1e-9
@@ -429,11 +430,7 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     # structural exactness: half distances must equal T_{floor(n/2)} distances
     for a, la in enumerate(new_labels):
         for b, lb in enumerate(new_labels):
-            common = 0
-            for x, y in zip(la, lb):
-                if x != y:
-                    break
-                common += 1
+            common = common_prefix(la, lb)
             expect = (len(la) - common) + (len(lb) - common)
             if half_space.d(a, b) != expect:
                 raise ValidationError("selected set is not isometric to the half tree")

@@ -241,6 +241,21 @@ def _steps(states: np.ndarray, nbrs, cum, rng, count: int) -> np.ndarray:
     return states
 
 
+def _mc_window(seed: int, tag: int, k_max: int, T: int, p: float, sample) -> tuple[float, float]:
+    """Sum over k <= k_max and t = 1..T of 2^{-kp} times the sample mean of
+    sample(rng, s, t), s the split time, each term drawn from its own
+    (seed, tag, k, t) substream; returns the sum and its variance."""
+    total = 0.0
+    var = 0.0
+    for k in range(k_max + 1):
+        w = 2.0 ** (-k * p)
+        for t in range(1, T + 1):
+            vals = sample(_rng_for(seed, tag, k, t), _split_time(t, k), t)
+            total += w * float(vals.mean())
+            var += (w * w) * float(vals.var(ddof=1) if vals.size > 1 else 0.0) / vals.size
+    return total, var
+
+
 def mc_convexity(
     chain: MarkovChain,
     mmap: MetricMap,
@@ -260,32 +275,21 @@ def mc_convexity(
         [[float(space.d(mmap(a), mmap(b))) ** p for b in range(n)] for a in range(n)]
     )
 
-    lhs = 0.0
-    lhs_var = 0.0
-    for k in range(_k_max(T) + 1):
-        w = 2.0 ** (-k * p)
-        for t in range(1, T + 1):
-            s = _split_time(t, k)
-            rng = _rng_for(seed, 1, k, t)
-            states = np.full(samples, chain.start, dtype=np.int64)
-            states = _steps(states, nbrs, cum, rng, s)
-            a = _steps(states.copy(), nbrs, cum, rng, t - s)
-            b = _steps(states, nbrs, cum, rng, t - s)
-            vals = dmat[a, b]
-            lhs += w * float(vals.mean())
-            lhs_var += (w * w) * float(vals.var(ddof=1) if samples > 1 else 0.0) / samples
-
-    rhs = 0.0
-    rhs_var = 0.0
-    for t in range(1, T + 1):
-        rng = _rng_for(seed, 2, 0, t)
+    def split_pair(rng, s, t):
         states = np.full(samples, chain.start, dtype=np.int64)
-        prev = _steps(states, nbrs, cum, rng, t - 1)
-        cur = _steps(prev.copy(), nbrs, cum, rng, 1)
-        vals = dmat[prev, cur]
-        rhs += float(vals.mean())
-        rhs_var += float(vals.var(ddof=1) if samples > 1 else 0.0) / samples
+        states = _steps(states, nbrs, cum, rng, s)
+        a = _steps(states.copy(), nbrs, cum, rng, t - s)
+        b = _steps(states, nbrs, cum, rng, t - s)
+        return dmat[a, b]
 
+    def one_step(rng, s, t):  # k = 0, so s = t - 1
+        states = np.full(samples, chain.start, dtype=np.int64)
+        prev = _steps(states, nbrs, cum, rng, s)
+        cur = _steps(prev.copy(), nbrs, cum, rng, 1)
+        return dmat[prev, cur]
+
+    lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
+    rhs, rhs_var = _mc_window(seed, 2, 0, T, p, one_step)
     info = MethodInfo("monteCarlo", seed, samples, math.sqrt(lhs_var), math.sqrt(rhs_var))
     return ConvexityEstimate(float(p), lhs, rhs, info)
 
@@ -366,26 +370,22 @@ def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> Convexi
     if m < 1 or samples < 1:
         raise ValidationError("need m >= 1 and samples >= 1")
     T = 2**m
-    lhs = 0.0
-    lhs_var = 0.0
-    for k in range(_k_max(T) + 1):
-        wgt = 2.0 ** (-k * p)
-        for t in range(1, T + 1):
-            s = _split_time(t, k)
-            rng = _rng_for(seed, 1, k, t)
-            j = t - s
-            alive = np.ones(samples, dtype=bool)
-            dist_steps = np.zeros(samples, dtype=np.int64)
-            for i in range(1, j + 1):
-                a = rng.integers(0, 2, samples)
-                b = rng.integers(0, 2, samples)
-                strike = alive & (a != b)
-                dist_steps[strike] = j - i + 1
-                alive &= ~strike
-            vals = (2.0 * dist_steps) ** p
-            vals[dist_steps == 0] = 0.0
-            lhs += wgt * float(vals.mean())
-            lhs_var += (wgt * wgt) * float(vals.var(ddof=1) if samples > 1 else 0.0) / samples
+
+    def split_pair(rng, s, t):
+        j = t - s
+        alive = np.ones(samples, dtype=bool)
+        dist_steps = np.zeros(samples, dtype=np.int64)
+        for i in range(1, j + 1):
+            a = rng.integers(0, 2, samples)
+            b = rng.integers(0, 2, samples)
+            strike = alive & (a != b)
+            dist_steps[strike] = j - i + 1
+            alive &= ~strike
+        vals = (2.0 * dist_steps) ** p
+        vals[dist_steps == 0] = 0.0
+        return vals
+
+    lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
     # within the horizon every step moves distance exactly 1
     rhs = float(T)
     info = MethodInfo("monteCarlo", seed, samples, math.sqrt(lhs_var), 0.0)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .embeddings import Embedding, NormedTarget, distortion
 from .errors import CapExceededError, ValidationError
 from .exactlp import solve_lp
-from .generators import RecursiveFamily
+from .generators import RecursiveFamily, tree_labels
 from .metric_core import GeodesicPath, MetricSpace, apsp, enumerate_geodesic_paths
 
 Vec = tuple
@@ -66,7 +66,7 @@ def rademacher_tree(n: int, depth_cap: int = 12) -> DeltaTree:
         return 1 if (atom >> (n - k)) & 1 == 0 else -1
 
     vectors = {"": tuple(1 for _ in range(atoms))}
-    for lab in _labels_through(n)[1:]:
+    for lab in tree_labels(n)[1:]:
         parent = vectors[lab[:-1]]
         eps = 2 * int(lab[-1]) - 1
         k = len(lab)
@@ -74,13 +74,6 @@ def rademacher_tree(n: int, depth_cap: int = 12) -> DeltaTree:
             parent[a] * (1 + eps * sign(k, a)) for a in range(atoms)
         )
     return DeltaTree(n, atoms, vectors, Fraction(1))
-
-
-def _labels_through(n: int) -> list[str]:
-    out = [""]
-    for d in range(1, n + 1):
-        out.extend("".join(bits) for bits in itertools.product("01", repeat=d))
-    return out
 
 
 def verify_delta_tree(tree: DeltaTree) -> None:
@@ -121,9 +114,9 @@ def tree_to_bush(tree: DeltaTree) -> DeltaBush:
     levels = []
     blocks: list = [()]
     weights: list = [()]
+    labels = tree_labels(tree.depth)
     for d in range(tree.depth + 1):
-        labs = [lab for lab in _labels_through(tree.depth) if len(lab) == d]
-        labs.sort()
+        labs = [lab for lab in labels if len(lab) == d]
         levels.append(tuple(tree.vectors[lab] for lab in labs))
         if d >= 1:
             blocks.append(tuple((2 * k, 2 * k + 1) for k in range(len(labs) // 2)))
@@ -196,10 +189,6 @@ class GaugeNorm:
 def bush_gauge(bush: DeltaBush) -> GaugeNorm:
     gens = tuple(vec for level in bush.levels for vec in level)
     return GaugeNorm(bush.atoms, gens)
-
-
-def gauge_eval(g: GaugeNorm, v: Vec) -> Fraction:
-    return g.evaluate(v)
 
 
 def bush_gauge_delta(bush: DeltaBush, gauge: GaugeNorm) -> Fraction:
@@ -529,7 +518,7 @@ def diamond_l1_embedding(fam: RecursiveFamily) -> Embedding:
     space = apsp(fam.graph)
     h = space.dist[fam.source]
     spans = []
-    for quad in fam.quads:
+    for quad in fam.units:
         x, y = quad.ends
         lo, hi = min(h[x], h[y]), max(h[x], h[y])
         spans.append((lo, hi))
@@ -537,15 +526,15 @@ def diamond_l1_embedding(fam: RecursiveFamily) -> Embedding:
     for v in range(fam.graph.size):
         coord = [h[v]]
         chain = dict(fam.chains[v])
-        for quad, (lo, hi) in zip(fam.quads, spans):
-            side = chain.get(quad.qid)
+        for quad, (lo, hi) in zip(fam.units, spans):
+            side = chain.get(quad.uid)
             if side is None or not (lo < h[v] < hi):
                 coord.append(Fraction(0))
             else:
                 tent = min(h[v] - lo, hi - h[v])
                 coord.append(tent if side == 0 else -tent)
         vectors.append(tuple(coord))
-    return Embedding(space, tuple(vectors), NormedTarget("l1", 1 + len(fam.quads)))
+    return Embedding(space, tuple(vectors), NormedTarget("l1", 1 + len(fam.units)))
 
 
 # ---------------------------------------------------------------------------

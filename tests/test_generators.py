@@ -1,5 +1,6 @@
 """Generator families: counts, labels, isometric injections, Heisenberg balls."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -103,6 +104,82 @@ def test_weighted_injections_are_isometric(maker, weighting):
         prev = apsp(fam.graph) if n <= 3 else None
 
 
+# SHA-256 of the canonical structure of D_0..D_5 and L_0..L_4, recorded from
+# the separate diamond and Laakso constructions that preceded the shared
+# edge-replacement skeleton.  Downhill walks, the tent embedding, geodesic
+# families and `gen --out` files all read these indices, edge orders and chains.
+FAMILY_DIGESTS = {
+    "diamond": {
+        "unit": (
+            "336fa7e1473a6a466327fc1f9233284031dd55919d2a062320eadcff35a79f0f",
+            "40845e7568cf90740dd76956cf18d43bfe04e5c3471951fab72f8111dbf3935c",
+            "83e8d04ae64220bc40aad331f5df96db6c5cdd5065258432c3e4a6c269681faf",
+            "5f14fabf9a8650678484664fd2bee47101cc492fdedb3d473e7e357d287e455f",
+            "eed3b69fa564c75072faea8891130f427bb4d7e9003e5c4a5310449f87436e38",
+            "bbf293802339f410f2b9402858833436d82da1d8be3ceedf752133b56cec04ef",
+        ),
+        "scaled": (
+            "336fa7e1473a6a466327fc1f9233284031dd55919d2a062320eadcff35a79f0f",
+            "104fe67f2b5246a510e87e18322913ae1ebfeaf5626c41dd596d391aa42a1b03",
+            "3ea7d87cfb816134be40014ca94ac1d8cefb2ede214099918e55a4ae251ac7e7",
+            "f3a21942ffb3561893b8e06b6f31e2465af17bffbb9b9e2fdccaf4b46abc891f",
+            "8ab4ee287e06d20294a7dfc54c451c808b8bbaa9b97a6de6f1ceaba2694586a2",
+            "94d22a668e6bb27eb3c8686554912d6d1d4522535d609186a3aa4dccf8bd2365",
+        ),
+    },
+    "laakso": {
+        "unit": (
+            "dd9a6c075eb6a378b537f1434c1bf36fcb89ab25ce3cab9e288f513f874f1129",
+            "63f30aaac1a65c602d4507d520c5797ac61e9325a549e398684023078833e432",
+            "f1b601e05aca880effc3c2a552476087489e3f394cae6f05ec555e4572371bf9",
+            "45c044e23059b39273b404a87b1e3cdeeb92f31dbde3bb742dfb584099250bbc",
+            "852589198aa06e06fdd75ef35bd1bd28b8912ff3412c04e95f272afa103d2c3f",
+        ),
+        "scaled": (
+            "dd9a6c075eb6a378b537f1434c1bf36fcb89ab25ce3cab9e288f513f874f1129",
+            "6c8bcd57c612ff9ae7309d24b84d25a13bc0a8552fefa8eeb40953e61d30e93a",
+            "88ed19b9d4d029f2e7497ddee9db7aafa1ab5383ab13a5732b987db85d6c2736",
+            "7192edd96137aea93feb8cfe99d2f8e5c49b4ebc9f0bb9168aa9287c5f26b7a5",
+            "6a2f5d3c63755270c239526c238ee2d366bb31ef206b14bae0c4c6192d5dd770",
+        ),
+    },
+}
+
+
+def _structure_digest(fam) -> str:
+    canon = (
+        fam.kind,
+        fam.level,
+        fam.source,
+        fam.sink,
+        fam.vertex_counts,
+        tuple((u, v, str(w)) for u, v, w in fam.graph.edges),
+        fam.chains,
+        tuple((unit.level, unit.ends) for unit in fam.units),
+    )
+    return hashlib.sha256(repr(canon).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "maker,scaled", [(diamond, diamond_weighting), (laakso, laakso_weighting)]
+)
+@pytest.mark.parametrize("mode", ["unit", "scaled"])
+def test_family_structure_is_pinned(maker, scaled, mode):
+    w = UNIT if mode == "unit" else scaled()
+    for n, expected in enumerate(FAMILY_DIGESTS[maker.__name__][mode]):
+        assert _structure_digest(maker(n, w)) == expected, (maker.__name__, mode, n)
+
+
+def test_replacement_units_match_chains():
+    for fam, sides in ((diamond(3), (0, 1)), (laakso(2), (2, 0, 1, 2))):
+        assert [u.uid for u in fam.units] == list(range(len(fam.units)))
+        for unit in fam.units:
+            lo, hi = fam.vertex_counts[unit.level - 1], fam.vertex_counts[unit.level]
+            assert all(lo <= v < hi for v in unit.middle)
+            assert tuple(fam.chains[v][-1] for v in unit.middle) == tuple(
+                (unit.uid, side) for side in sides
+            )
+
 def test_cycle_examples():
     sp = apsp(cycle(6))
     assert sp.d(0, 3) == 3
@@ -173,6 +250,13 @@ def test_weighting_validation():
 def test_caps():
     with pytest.raises(CapExceededError):
         diamond(3, UNIT, vertex_cap=20)
+    # D_2 has 12 vertices and L_2 has 30: the cap is inclusive
+    assert diamond(2, UNIT, vertex_cap=12).graph.size == 12
+    with pytest.raises(CapExceededError, match="^diamond level 2 exceeds vertex cap 11$"):
+        diamond(2, UNIT, vertex_cap=11)
+    assert laakso(2, UNIT, vertex_cap=30).graph.size == 30
+    with pytest.raises(CapExceededError, match="^laakso level 2 exceeds vertex cap 29$"):
+        laakso(2, UNIT, vertex_cap=29)
     with pytest.raises(CapExceededError):
         binary_tree(8, vertex_cap=100)
     with pytest.raises(CapExceededError):

@@ -96,6 +96,18 @@ def test_mc_determinism():
     assert m1.lhs == m2.lhs and m1.rhs == m2.rhs
 
 
+def test_mc_outputs_are_pinned():
+    """Exact floats of both Monte Carlo estimators: each (k, t) term keeps
+    its substream, draw order and accumulation order."""
+    wb = downhill_walk(diamond(2, diamond_weighting()))
+    est = mc_convexity(wb.chain, wb.metric_map, wb.space, 2.0, seed=9, samples=500)
+    assert (est.lhs, est.rhs) == (0.57553125, 0.25)
+    assert (est.method.lhs_stderr, est.method.rhs_stderr) == (0.009578075579048797, 0.0)
+    est = tree_walk_convexity_mc(2, 2.0, seed=5, samples=400)
+    assert (est.lhs, est.rhs) == (20.448750000000004, 4.0)
+    assert (est.method.lhs_stderr, est.method.rhs_stderr) == (0.26833104329141577, 0.0)
+
+
 def test_mc_matches_exact_tree():
     exact = tree_walk_convexity_exact(2, 2)
     mc = tree_walk_convexity_mc(2, 2.0, seed=31, samples=20000)

@@ -18,7 +18,6 @@ from testspaces.rnp import (
     bush_gauge_delta,
     diamond_geodesic_family,
     diamond_l1_embedding,
-    gauge_eval,
     martingale_check,
     martingale_from_embedding,
     martingale_l1_diff,
@@ -68,10 +67,10 @@ def test_tree_to_bush_structure(bush3):
 
 def test_gauge_values(bush3, gauge3):
     zero = tuple(F(0) for _ in range(bush3.atoms))
-    assert gauge_eval(gauge3, zero) == 0
+    assert gauge3.evaluate(zero) == 0
     for level in bush3.levels:
         for vec in level:
-            assert gauge_eval(gauge3, vec) == 1  # renormed bush vectors are unit
+            assert gauge3.evaluate(vec) == 1  # renormed bush vectors are unit
     assert bush_gauge_delta(bush3, gauge3) == 1
 
 
@@ -83,11 +82,11 @@ def test_gauge_dominated_by_base_and_norm_axioms(bush3, gauge3):
 
     for _ in range(4):
         v, w = rvec(), rvec()
-        gv, gw = gauge_eval(gauge3, v), gauge_eval(gauge3, w)
+        gv, gw = gauge3.evaluate(v), gauge3.evaluate(w)
         assert gv <= _l1n(v, 8)
-        assert gauge_eval(gauge3, tuple(5 * x for x in v)) == 5 * gv
-        assert gauge_eval(gauge3, tuple(F(-1) * x for x in v)) == gv
-        assert gauge_eval(gauge3, tuple(a + b for a, b in zip(v, w))) <= gv + gw
+        assert gauge3.evaluate(tuple(5 * x for x in v)) == 5 * gv
+        assert gauge3.evaluate(tuple(F(-1) * x for x in v)) == gv
+        assert gauge3.evaluate(tuple(a + b for a, b in zip(v, w))) <= gv + gw
 
 
 def test_broken_line_root_is_single_segment(bush3):
@@ -105,7 +104,7 @@ def test_broken_lines_are_gauge_geodesics(bush3, gauge3):
         assert line.vertices(bush3)[-1][1] == tuple(F(x) for x in root)
     # direct gauge evaluation on a few segments confirms the shortcut
     seg_coef, (lvl, j) = lines["01"].segments[0]
-    direct = gauge_eval(gauge3, tuple(seg_coef * x for x in bush3.levels[lvl][j]))
+    direct = gauge3.evaluate(tuple(seg_coef * x for x in bush3.levels[lvl][j]))
     assert direct == seg_coef
 
 
@@ -279,7 +278,7 @@ def test_gauge_as_normed_target(bush3, gauge3):
     target = NormedTarget("gauge", bush3.atoms, gauge=gauge3)
     assert norm(target, bush3.levels[1][0]) == 1
     diff = _sub(bush3.levels[1][0], bush3.levels[1][1])
-    assert norm(target, diff) == gauge_eval(gauge3, diff)
+    assert norm(target, diff) == gauge3.evaluate(diff)
 
 
 def test_bush_must_sit_on_hyperplane(bush3):
