@@ -250,6 +250,8 @@ def cmd_markov(args) -> dict:
     if args.mode == "mc":
         if args.seed is None or args.samples is None:
             raise ValidationError("--seed and --samples are required in mc mode")
+    if args.horizon is not None and args.walk in ("tree", "path"):
+        raise ValidationError(f"--horizon does not apply to --walk {args.walk}")
     if args.walk == "tree":
         if args.mode == "exact":
             est = mk.tree_walk_convexity_exact(args.n, p)

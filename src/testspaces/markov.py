@@ -1,6 +1,8 @@
 """Markov p-convexity functional: exact dynamic programming, Monte Carlo
 estimation with per-term substreams, and the built-in walks (downward tree
-walk, downhill diamond/Laakso walks, lazy path walk).
+walk, downhill diamond/Laakso walks, lazy path walk).  A chain row lists only
+its moves, as (v, P(u, v)) pairs with P(u, v) > 0 and v strictly increasing,
+so building, checking and reading a row costs time in its moves, not in n.
 
 Time window: t runs over 1..T and k over 0..ceil(log2 T) with the chain
 frozen at its start state for t <= 0.  The truncated left-hand sum is a
@@ -10,6 +12,7 @@ bound for the convexity constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +29,11 @@ TREE_VERTEX_CAP = 100_000
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Finite chain: row-stochastic rational transition matrix, start state,
-    horizon T (time runs 1..T; the chain sits at `start` for t <= 0)."""
+    """Finite chain on states 0..n-1: transition[u] holds the (v, P(u, v))
+    pairs with P(u, v) > 0, v strictly increasing, summing to exactly 1;
+    start state; horizon T (time runs 1..T; the chain sits at `start` for t <= 0)."""
 
-    transition: tuple[tuple[Fraction, ...], ...]
+    transition: tuple[tuple[tuple[int, Fraction], ...], ...]
     start: int
     horizon: int
 
@@ -39,13 +43,14 @@ class MarkovChain:
             raise ValidationError("start state out of range")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
-        for i, row in enumerate(self.transition):
-            if len(row) != n:
-                raise ValidationError("transition matrix must be square")
-            if any(p < 0 for p in row):
-                raise ValidationError(f"negative probability in row {i}")
-            if sum(row, Fraction(0)) != 1:
-                raise ValidationError(f"row {i} does not sum to 1 exactly")
+        for u, row in enumerate(self.transition):
+            targets = [v for v, _ in row]
+            if any(a >= b for a, b in zip([-1, *targets], [*targets, n])):
+                raise ValidationError(f"targets of row {u} must increase within range({n})")
+            if any(q <= 0 for _, q in row):
+                raise ValidationError(f"non-positive probability in row {u}")
+            if sum((q for _, q in row), Fraction(0)) != 1:
+                raise ValidationError(f"row {u} does not sum to 1 exactly")
 
     @property
     def n_states(self) -> int:
@@ -100,6 +105,13 @@ def _split_time(t: int, k: int) -> int:
     return max(t - 2**k, 0)
 
 
+def _check_map(chain: MarkovChain, mmap: MetricMap, space: MetricSpace) -> None:
+    if len(mmap.point_of_state) != chain.n_states:
+        raise ValidationError("metric map must cover every state")
+    if any(not 0 <= x < space.size for x in mmap.point_of_state):
+        raise ValidationError(f"metric map points must lie in range({space.size})")
+
+
 def _step(row: dict[int, int], Q: list[list[tuple[int, int]]]) -> dict[int, int]:
     """One step of a sparse integer row vector through the scaled rows Q."""
     out: dict[int, int] = {}
@@ -138,15 +150,11 @@ def exact_convexity(
     pushed as far as the largest j that a split at u needs."""
     if not isinstance(p, int) or p < 1:
         raise ValidationError("exact mode needs integer p >= 1")
-    if len(mmap.point_of_state) != chain.n_states:
-        raise ValidationError("metric map must cover every state")
+    _check_map(chain, mmap, space)
     T = chain.horizon
     K = _k_max(T)
-    D = math.lcm(*{q.denominator for row in chain.transition for q in row})
-    Q = [
-        [(v, q.numerator * (D // q.denominator)) for v, q in enumerate(row) if q]
-        for row in chain.transition
-    ]
+    D = math.lcm(*{q.denominator for row in chain.transition for _, q in row})
+    Q = [[(v, q.numerator * (D // q.denominator)) for v, q in row] for row in chain.transition]
 
     # N[x][y] = (E d(x, y))^p between the mapped points; at[a] = point of a
     points = sorted(set(mmap.point_of_state))
@@ -214,22 +222,15 @@ def _rng_for(seed: int, tag: int, k: int, t: int) -> np.random.Generator:
 
 
 def _sim_tables(chain: MarkovChain):
+    """Row u's targets and running probability sums, padded with its last
+    move; the sums run in row order, which fixes every Monte Carlo draw."""
     n = chain.n_states
-    deg = max(sum(1 for p in row if p > 0) for row in chain.transition)
+    deg = max(len(row) for row in chain.transition)
     nbrs = np.zeros((n, deg), dtype=np.int64)
-    cum = np.ones((n, deg))
+    cum = np.ones((n, deg))  # the last move of each row and its padding stay at 1
     for u, row in enumerate(chain.transition):
-        acc = 0.0
-        col = 0
-        for v, prob in enumerate(row):
-            if prob > 0:
-                acc += float(prob)
-                nbrs[u, col] = v
-                cum[u, col] = acc
-                col += 1
-        if col:
-            cum[u, col - 1] = 1.0
-        nbrs[u, col:] = nbrs[u, col - 1] if col else u
+        nbrs[u] = [v for v, _ in row] + [row[-1][0]] * (deg - len(row))
+        cum[u, : len(row) - 1] = list(itertools.accumulate(float(q) for _, q in row[:-1]))
     return nbrs, cum
 
 
@@ -268,6 +269,7 @@ def mc_convexity(
     bit-identical for a fixed seed."""
     if samples < 1:
         raise ValidationError("need samples >= 1")
+    _check_map(chain, mmap, space)
     n = chain.n_states
     T = chain.horizon
     nbrs, cum = _sim_tables(chain)
@@ -325,16 +327,14 @@ def downward_tree_walk(m: int, vertex_cap: int = TREE_VERTEX_CAP) -> WalkBundle:
     space = apsp(graph)
     labels = space.labels
     index = {lab: i for i, lab in enumerate(labels)}
-    rows = []
-    for lab in labels:
-        row = [Fraction(0)] * len(labels)
-        if len(lab) == depth:  # leaf: absorbing
-            row[index[lab]] = Fraction(1)
-        else:
-            row[index[lab + "0"]] = Fraction(1, 2)
-            row[index[lab + "1"]] = Fraction(1, 2)
-        rows.append(tuple(row))
-    chain = MarkovChain(tuple(rows), index[""], depth)
+    half = Fraction(1, 2)
+    rows = tuple(
+        ((index[lab], Fraction(1)),)  # leaf: absorbing
+        if len(lab) == depth
+        else ((index[lab + "0"], half), (index[lab + "1"], half))
+        for lab in labels
+    )
+    chain = MarkovChain(rows, index[""], depth)
     mmap = MetricMap(tuple(range(len(labels))))
     return WalkBundle(chain, mmap, space)
 
@@ -415,17 +415,14 @@ def downhill_walk(
     T = horizon if horizon is not None else hops
     rows = []
     for u in range(n):
-        row = [Fraction(0)] * n
         if u == sink:
-            row[u] = Fraction(1)
-        else:
-            downs = sorted(v for v, _ in adj[u] if space.d(v, sink) < space.d(u, sink))
-            if not downs:
-                raise ValidationError(f"vertex {u} has no neighbor closer to the sink")
-            share = Fraction(1, len(downs))
-            for v in downs:
-                row[v] = share
-        rows.append(tuple(row))
+            rows.append(((u, Fraction(1)),))
+            continue
+        downs = sorted(v for v, _ in adj[u] if space.d(v, sink) < space.d(u, sink))
+        if not downs:
+            raise ValidationError(f"vertex {u} has no neighbor closer to the sink")
+        share = Fraction(1, len(downs))
+        rows.append(tuple((v, share) for v in downs))
     chain = MarkovChain(tuple(rows), family.source, T)
     return WalkBundle(chain, MetricMap(tuple(range(n))), space)
 
@@ -438,14 +435,7 @@ def lazy_path_walk(T: int) -> WalkBundle:
     if T < 1:
         raise ValidationError("need horizon >= 1")
     space = apsp(path_graph(T + 1))
-    rows = []
-    for i in range(T + 1):
-        row = [Fraction(0)] * (T + 1)
-        if i == T:
-            row[i] = Fraction(1)
-        else:
-            row[i] = Fraction(1, 2)
-            row[i + 1] = Fraction(1, 2)
-        rows.append(tuple(row))
-    chain = MarkovChain(tuple(rows), 0, T)
+    half = Fraction(1, 2)
+    rows = tuple(((i, half), (i + 1, half)) for i in range(T)) + (((T, Fraction(1)),),)
+    chain = MarkovChain(rows, 0, T)
     return WalkBundle(chain, MetricMap(tuple(range(T + 1))), space)

@@ -445,13 +445,17 @@ class GeodesicFamily:
         return self._index_of[key]
 
 
-def diamond_geodesic_family(n: int, cap: int = 10**6) -> GeodesicFamily:
-    """All source-sink geodesics of the weighted level-n diamond."""
+FAMILY_GEODESIC_CAP = 1000  # keeps GeodesicFamily's pair tables at <= 10^6 entries
+
+
+def diamond_geodesic_family(n: int) -> GeodesicFamily:
+    """All source-sink geodesics of the weighted level-n diamond; more than
+    FAMILY_GEODESIC_CAP of them (D_3 has 128, D_4 32768) raise CapExceededError."""
     from .generators import diamond, diamond_weighting
 
     fam = diamond(n, diamond_weighting())
     space = apsp(fam.graph)
-    geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, cap=cap, space=space)
+    geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, FAMILY_GEODESIC_CAP, space)
     params = geos[0].breakpoints
     return GeodesicFamily(fam, space, tuple(geos), params)
 

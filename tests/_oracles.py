@@ -119,11 +119,15 @@ def heisenberg_ball_by_words(r):
 
 def dense_exact_convexity(chain, mmap, space, p):
     """Markov convexity sums (lhs, rhs) by dense Fraction lists of P^j for
-    every j <= T, pi_s, and the pair table w_j for every start state."""
+    every j <= T, pi_s, and the pair table w_j for every start state; the
+    dense P is filled in from the chain's (v, P(u, v)) rows."""
     n = chain.n_states
     T = chain.horizon
     kmax = math.ceil(math.log2(T)) if T > 1 else 0
-    P = [list(row) for row in chain.transition]
+    P = [[Fraction(0)] * n for _ in range(n)]
+    for u, row in enumerate(chain.transition):
+        for v, q in row:
+            P[u][v] = q
     dp = [[space.d(mmap(a), mmap(b)) ** p for b in range(n)] for a in range(n)]
 
     powers = [None, P]

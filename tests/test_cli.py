@@ -46,6 +46,16 @@ def test_markov_tree_exact_rhs(capsys):
     assert rep["result"]["rhs"] == "8"  # 2^m with m = 3
 
 
+@pytest.mark.parametrize("walk", ["tree", "path"])
+def test_markov_horizon_only_for_downhill_walks(capsys, walk):
+    code, rep = run_cli(
+        capsys, "markov", "--walk", walk, "--n", "2", "--mode", "exact", "--horizon", "99"
+    )
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "--horizon" in rep["error"]["message"]
+
+
 def test_markov_mc_requires_seed(capsys):
     code, rep = run_cli(
         capsys, "markov", "--walk", "tree", "--n", "2", "--p", "2", "--mode", "mc"
@@ -113,6 +123,9 @@ def test_validation_exit_code(tmp_path, capsys):
 
 def test_cap_exit_code(capsys):
     code, rep = run_cli(capsys, "gen", "--family", "heis", "--n", "99")
+    assert code == 3
+    assert rep["error"]["kind"] == "cap_exceeded"
+    code, rep = run_cli(capsys, "rnp", "martingale", "--diamond", "4", "--steps", "1")
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
 

@@ -1,6 +1,11 @@
-"""Source hygiene: no module in the package imports a name it never uses."""
+"""Source hygiene: no module in the package imports a name it never uses,
+and every library function the benchmark traces by name still exists."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +61,47 @@ def test_checker_sees_module_and_local_scopes():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _load_spans():
+    """perfbench/spans.py, imported by path from the repository root."""
+    path = SRC.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_spans_resolve():
+    """The benchmark's traced runs rebind library functions by name and
+    compute counters from their arguments: a rename or a chain-format change
+    must fail here, not only in a traced benchmark run."""
+    from fractions import Fraction as F
+
+    from testspaces.metric_core import MetricSpace
+
+    spans = _load_spans()
+    for entries in spans.LAYERS.values():
+        for mod_name, fn_name, _ in entries:
+            module = importlib.import_module(f"testspaces.{mod_name}")
+            assert inspect.isfunction(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+    markov = importlib.import_module("testspaces.markov")
+    originals = (markov.exact_convexity, markov.mc_convexity)
+    half = F(1, 2)
+    chain = markov.MarkovChain((((0, half), (1, half)), ((1, F(1)),)), 0, 2)
+    space = MetricSpace(((F(0), F(1)), (F(1), F(0))))
+    mmap = markov.MetricMap((0, 1))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        markov.exact_convexity(chain, mmap, space, 2)
+        markov.mc_convexity(chain, mmap, space, 2.0, seed=1, samples=10)
+    finally:
+        tracer.uninstall()
+    assert (markov.exact_convexity, markov.mc_convexity) == originals
+    # n = 2, T = 2: (T-1) n^3 + 2T n^2 + T n^3 = 40 dense multiplies; the
+    # window (k, t) in {0, 1} x {1, 2} simulates 2 + 3 + 2 + 4 steps for the
+    # lhs and 1 + 2 for the rhs, per sample
+    assert spans.counts(tracer.spans) == {"markov.exact.mult_ops": 40, "markov.mc.steps": 140}

@@ -26,18 +26,51 @@ from _strategies import random_connected_graph
 
 
 def test_chain_validation():
-    with pytest.raises(ValidationError):
-        MarkovChain(((F(1, 2), F(1, 3)), (F(0), F(1))), 0, 2)  # row sum != 1
-    with pytest.raises(ValidationError):
-        MarkovChain(((F(1),),), 0, 0)  # horizon < 1
+    half = F(1, 2)
+    bad_first_rows = [
+        ("sum to 1", ((0, F(1, 2)), (1, F(1, 3)))),
+        ("range", ((0, half), (2, half))),  # target out of range
+        ("range", ((-1, half), (0, half))),  # negative target
+        ("increase", ((0, half), (0, half))),  # repeated target
+        ("increase", ((1, half), (0, half))),  # decreasing targets
+        ("non-positive", ((0, F(0)), (1, F(1)))),  # zero probability
+        ("non-positive", ((0, F(-1, 2)), (1, F(3, 2)))),  # negative probability
+        ("sum to 1", ()),  # empty row
+    ]
+    for match, row in bad_first_rows:
+        with pytest.raises(ValidationError, match=match):
+            MarkovChain((row, ((1, F(1)),)), 0, 2)
+    with pytest.raises(ValidationError, match="horizon"):
+        MarkovChain((((0, F(1)),),), 0, 0)
+    with pytest.raises(ValidationError, match="start"):
+        MarkovChain((((0, F(1)),),), 1, 1)
 
 
 def _two_point_space():
     return MetricSpace(((F(0), F(1)), (F(1), F(0))))
 
 
+_HALF_CHAIN = MarkovChain((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)
+_ESTIMATORS = {
+    "exact": lambda chain, mmap, space: exact_convexity(chain, mmap, space, 2),
+    "mc": lambda chain, mmap, space: mc_convexity(chain, mmap, space, 2.0, seed=1, samples=10),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(_ESTIMATORS))
+@pytest.mark.parametrize(
+    "points, match",
+    [((0,), "cover"), ((0, 1, 0), "cover"), ((0, -1), "range"), ((0, 2), "range")],
+)
+def test_metric_map_is_checked(estimator, points, match):
+    """Both estimators reject a map that misses a state or leaves the space
+    (a negative point would otherwise index from the end)."""
+    with pytest.raises(ValidationError, match=match):
+        _ESTIMATORS[estimator](_HALF_CHAIN, MetricMap(points), _two_point_space())
+
+
 def test_constant_map_gives_zero():
-    chain = MarkovChain(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), 0, 3)
+    chain = MarkovChain((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)
     space = _two_point_space()
     est = exact_convexity(chain, MetricMap((0, 0)), space, 2)
     assert est.lhs == 0 and est.rhs == 0
@@ -47,7 +80,7 @@ def test_constant_map_gives_zero():
 
 
 def test_absorbing_start_gives_zero():
-    chain = MarkovChain(((F(1), F(0)), (F(0), F(1))), 0, 4)
+    chain = MarkovChain((((0, F(1)),), ((1, F(1)),)), 0, 4)
     est = exact_convexity(chain, MetricMap((0, 1)), _two_point_space(), 2)
     assert est.lhs == 0 and est.rhs == 0
 
@@ -122,11 +155,9 @@ def test_downhill_d1_reaches_sink_in_two_steps():
     n = wb.chain.n_states
     pi = [F(0)] * n
     pi[wb.chain.start] = F(1)
+    rows = [dict(row) for row in wb.chain.transition]
     for _ in range(2):
-        pi = [
-            sum((pi[u] * wb.chain.transition[u][v] for u in range(n)), F(0))
-            for v in range(n)
-        ]
+        pi = [sum((pi[u] * rows[u].get(v, 0) for u in range(n)), F(0)) for v in range(n)]
     assert pi[fam.sink] == 1
 
 
@@ -205,15 +236,17 @@ def test_downhill_rejects_nonuniform_edge_lengths():
 @st.composite
 def _random_chain_setup(draw):
     """A chain on n <= 6 states with horizon T <= 6 whose rows have
-    denominators 1..6, any start state, and a metric map into the apsp space
-    of a random rational graph (points may repeat)."""
+    denominators 1..6 (a row cuts [0, 1] into n pieces, state v takes piece
+    v, zero-width pieces are no move), any start state, and a metric map into
+    the apsp space of a random rational graph (points may repeat)."""
     n = draw(st.integers(1, 6))
     rows = []
     for _ in range(n):
         q = draw(st.integers(1, 6))
         cuts = sorted(draw(st.lists(st.integers(0, q), min_size=n - 1, max_size=n - 1)))
         bounds = [0, *cuts, q]
-        rows.append(tuple(F(bounds[i + 1] - bounds[i], q) for i in range(n)))
+        widths = [bounds[v + 1] - bounds[v] for v in range(n)]
+        rows.append(tuple((v, F(w, q)) for v, w in enumerate(widths) if w))
     chain = MarkovChain(tuple(rows), draw(st.integers(0, n - 1)), draw(st.integers(1, 6)))
     space = apsp(random_connected_graph(draw))
     points = st.integers(0, space.size - 1)

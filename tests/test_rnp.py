@@ -7,9 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from testspaces.embeddings import distortion
-from testspaces.errors import ValidationError
+from testspaces.errors import CapExceededError, ValidationError
 from testspaces.generators import diamond, diamond_weighting
 from testspaces.rnp import (
+    FAMILY_GEODESIC_CAP,
     BrokenLine,
     Martingale,
     PiecewiseLevel,
@@ -144,6 +145,12 @@ def test_thickness_d3_budget_profile(family3):
     assert values == [F(1), F(3, 4), F(1, 2), F(1, 4), F(0)]
     # alpha is non-increasing as control sets grow
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_geodesic_family_cap_fires_before_pair_tables(family3):
+    assert len(family3.geodesics) == 128 <= FAMILY_GEODESIC_CAP
+    with pytest.raises(CapExceededError):
+        diamond_geodesic_family(4)  # 32768 geodesics, ~1.07e9 pair-table entries
 
 
 def test_thickness_single_geodesic_family():
