@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, CollapsedPairError, ValidationError
-from .generators import binary_tree, common_prefix, tree_labels
-from .metric_core import MetricSpace
+from .generators import binary_tree, tree_labels
+from .metric_core import MetricSpace, scaled_integers
 
 Vector = tuple  # tuple of Fraction/int (exact kinds) or float (l2)
 
@@ -109,10 +109,23 @@ class DistortionReport:
 
 
 def distortion(emb: Embedding) -> DistortionReport:
-    """Exact pairwise maximization of expansion and contraction."""
-    n = emb.space.size
-    if n < 2:
+    """Exact pairwise maximization of expansion and contraction.
+
+    lip and colip are taken at the first maximizing pair in (i, j) order,
+    so every field, value types included, is what a loop over the pairs
+    gives.  Exact vectors in l1, linf or the summing norm are measured in
+    integers and compared by cross-multiplication; float vectors, and l2,
+    in float64 summed in coordinate order.  Gauge targets and vectors mixing
+    exact and float entries are measured pair by pair.
+    """
+    if emb.space.size < 2:
         raise ValidationError("distortion needs at least 2 points")
+    report = _kernel_distortion(emb)
+    return _distortion_by_pairs(emb) if report is None else report
+
+
+def _distortion_by_pairs(emb: Embedding) -> DistortionReport:
+    n = emb.space.size
     lip = None
     colip = None
     lip_w = colip_w = (0, 0)
@@ -131,6 +144,100 @@ def distortion(emb: Embedding) -> DistortionReport:
             if colip is None or rinv > colip:
                 colip, colip_w = rinv, (i, j)
     return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
+
+
+# Row kernels: the norm of each row of a block of difference vectors.  Sums
+# run in coordinate order (cumsum), never pairwise, so float rows agree bit
+# for bit with `norm`.
+_ROW_NORMS = {
+    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
+    "linf": lambda x: np.abs(x).max(axis=1),
+    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
+    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
+}
+
+_FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
+
+
+def _kernel_distortion(emb: Embedding) -> Optional[DistortionReport]:
+    """distortion by the row kernels, or None when the pair loop must decide:
+    gauge targets, mixed entries, negative or float-vanishing distances,
+    exact l2 input too large for float64, or no pair at positive distance.
+    Raises CollapsedPairError for the first collapsed pair, as the loop
+    does."""
+    kind, space, n = emb.target.kind, emb.space, emb.space.size
+    types = {type(x) for vec in emb.vectors for x in vec}
+    exact = all(issubclass(t, (int, Fraction)) for t in types)
+    if kind == "gauge" or not (exact or all(issubclass(t, float) for t in types)):
+        return None
+    pair_d = [d for i, row in enumerate(space.dist) for d in row[i + 1 :]]  # (i, j) order
+    if exact and kind != "l2":
+        if kind == "linf" and any(type(d) is not Fraction for d in pair_d):
+            return None  # int / int ratios would compare as floats in the loop
+        (dist,), d_scale = scaled_integers([pair_d])
+        if (dist < 0).any():
+            return None  # cross-multiplication needs positive denominators
+        valid = dist != 0
+        # a norm numerator is at most 2 * dim * max|V|, times a distance
+        big = max(1, int(np.abs(dist).max()))
+        V, v_scale = scaled_integers(emb.vectors, headroom=2 * emb.target.dim * big)
+        diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
+    else:
+        valid = np.array([d != 0 for d in pair_d])
+        dist = np.array([float(d) for d in pair_d])
+        if (dist[valid] == 0).any():
+            return None  # the loop would divide by float(d) == 0
+        if exact:
+            V, scale = scaled_integers(emb.vectors)
+            if V.dtype == object or np.abs(V).max() >= _FLOAT_EXACT // 2 or scale >= _FLOAT_EXACT:
+                return None
+            # differences are exact below 2^53, so one division rounds them
+            # as float(a - b) does
+            diffs = ((V[i] - V[i + 1 :]) / float(scale) for i in range(n - 1))
+        else:
+            V = np.array(emb.vectors, dtype=float)
+            diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
+    if not valid.any():
+        return None
+    row_norm = _ROW_NORMS[kind]
+    norms = np.concatenate([row_norm(x) for x in diffs])
+    collapsed = np.flatnonzero(valid & (norms == 0))
+    if collapsed.size:
+        raise CollapsedPairError(*_pair(n, collapsed[0]))
+    at = np.flatnonzero(valid)
+    num, den = norms[at], dist[at]
+    if norms.dtype == float:
+        # dn / d and d / dn of the loop, which divides by float(d)
+        a, b = at[np.argmax(num / den)], at[np.argmax(den / num)]
+        lip = float(norms[a]) / float(dist[a])
+        colip = float(dist[b]) / float(norms[b])
+    else:
+        a, b = at[_first_max(num, den)], at[_first_max(den, num)]
+        lip = Fraction(int(norms[a]) * d_scale, int(dist[a]) * v_scale)
+        colip = Fraction(int(dist[b]) * v_scale, int(norms[b]) * d_scale)
+    return DistortionReport(lip, colip, lip * colip, _pair(n, a), _pair(n, b))
+
+
+def _pair(n: int, k: int) -> tuple[int, int]:
+    """The k-th pair i < j of range(n) in (i, j) order."""
+    i = 0
+    while k >= n - 1 - i:
+        k -= n - 1 - i
+        i += 1
+    return i, i + 1 + int(k)
+
+
+def _first_max(num: np.ndarray, den: np.ndarray) -> int:
+    """Index of the first maximum of num[k] / den[k] (every den[k] > 0),
+    compared exactly by cross-multiplication in a knockout where the later
+    entry of each match wins only when strictly larger."""
+    idx = np.arange(len(num))
+    while idx.size > 1:
+        m = idx.size // 2 * 2
+        a, b = idx[0:m:2], idx[1:m:2]
+        later = num[b] * den[a] > num[a] * den[b]
+        idx = np.concatenate((np.where(later, b, a), idx[m:]))
+    return int(idx[0])
 
 
 def map_distortion(source: MetricSpace, target_space: MetricSpace, mapping: Sequence[int]):
@@ -257,42 +364,76 @@ def bourgain_embed(n: int) -> Embedding:
     return Embedding(space, tuple(vectors), NormedTarget("summing", dim))
 
 
+_PAIR_BLOCK = 1024  # label pairs per bourgain_distortion block
+
+
 def bourgain_distortion(n: int) -> DistortionReport:
     """Exact distortion of the depth-n summing-norm tree embedding, computed
-    sparsely from ancestor coordinate lists (feasible through n = 10)."""
+    sparsely from ancestor coordinate lists.
+
+    For a pair (a, b) the difference of the images is +1 at a's ancestors
+    and -1 at b's ancestors below their common prefix; its summing norm is
+    the largest |running sum| of these signs sorted by coordinate.  Pairs go
+    through in (a, b) order in blocks of _PAIR_BLOCK, and lip and colip are
+    reduced block by block, so memory stays bounded (n = 10 runs in seconds).
+    """
+    if n < 1:
+        raise ValidationError("depth must be >= 1")
     labeling = bourgain_labeling(n)
     labels = sorted(labeling.phi, key=lambda L: (len(L), L))
-    paths = {lab: [labeling.phi[lab[:k]] for k in range(len(lab) + 1)] for lab in labels}
-    lip = None
-    colip = None
-    lip_w = colip_w = ("", "")
-    for a_idx in range(len(labels)):
-        la = labels[a_idx]
-        pa = paths[la]
-        for b_idx in range(a_idx + 1, len(labels)):
-            lb = labels[b_idx]
-            common = common_prefix(la, lb)
-            d = (len(la) - common) + (len(lb) - common)
-            if d == 0:
-                continue
-            pb = paths[lb]
-            signed = [(pos, 1) for pos in pa[common + 1 :]] + [
-                (pos, -1) for pos in pb[common + 1 :]
-            ]
-            signed.sort()
-            run = 0
-            sup = 0
-            for _, sign in signed:
-                run += sign
-                if abs(run) > sup:
-                    sup = abs(run)
-            r = Fraction(sup, d)
-            if lip is None or r > lip:
-                lip, lip_w = r, (la, lb)
-            rinv = Fraction(d, sup)
-            if colip is None or rinv > colip:
-                colip, colip_w = rinv, (la, lb)
-    return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
+    size = len(labels)
+    depth = np.array([len(lab) for lab in labels])
+    # anc[a, k]: coordinate phi of a's depth-k ancestor, 0 below a's depth
+    anc = np.zeros((size, n + 1), dtype=np.int32)
+    for a, lab in enumerate(labels):
+        anc[a, : len(lab) + 1] = [labeling.phi[lab[:k]] for k in range(len(lab) + 1)]
+    lip = colip = None  # (norm, distance, pair) of the current maxima
+    for first, second in _pair_blocks(size):
+        A, B = anc[first], anc[second]
+        common = (A == B) & (A > 0)
+        # sort key 4 * coordinate + (sign + 1); masked entries sort first
+        # with sign 0
+        keys = np.concatenate(
+            (np.where((A > 0) & ~common, 4 * A + 2, 1), np.where((B > 0) & ~common, 4 * B, 1)),
+            axis=1,
+        )
+        keys.sort(axis=1)
+        signs = np.remainder(keys, 4, out=keys)  # in place: blocks stay small
+        signs -= 1
+        sup = np.abs(np.cumsum(signs, axis=1, dtype=np.int32)).max(axis=1)
+        dist = depth[first] + depth[second] - 2 * (common.sum(axis=1) - 1)
+        k = _first_max(sup, dist)
+        if lip is None or sup[k] * lip[1] > lip[0] * dist[k]:
+            lip = (int(sup[k]), int(dist[k]), (first[k], second[k]))
+        k = _first_max(dist, sup)
+        if colip is None or dist[k] * colip[0] > colip[1] * sup[k]:
+            colip = (int(sup[k]), int(dist[k]), (first[k], second[k]))
+    lip_v, colip_v = Fraction(lip[0], lip[1]), Fraction(colip[1], colip[0])
+    return DistortionReport(
+        lip_v,
+        colip_v,
+        lip_v * colip_v,
+        tuple(labels[a] for a in lip[2]),
+        tuple(labels[a] for a in colip[2]),
+    )
+
+
+def _pair_blocks(size: int):
+    """Index arrays (a, b) of the pairs a < b of range(size) in (a, b)
+    order, in blocks of whole rows a holding about _PAIR_BLOCK pairs."""
+    start = 0
+    while start < size - 1:
+        stop, count = start, 0
+        while stop < size - 1 and count < _PAIR_BLOCK:
+            count += size - 1 - stop
+            stop += 1
+        heads = np.arange(start, stop)
+        lengths = size - 1 - heads
+        first = np.repeat(heads, lengths)
+        offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        second = first + 1 + np.arange(first.size) - offsets
+        yield first, second
+        start = stop
 
 
 # ---------------------------------------------------------------------------

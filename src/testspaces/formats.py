@@ -123,9 +123,16 @@ def read_vectors(path: str) -> tuple[tuple, ...]:
 
 
 def load_space_arg(path: str) -> MetricSpace:
-    """A --space argument: a graph JSON (apsp is applied) or a distance CSV."""
-    from .metric_core import apsp
+    """A --space argument: a graph JSON (apsp is applied) or a distance CSV,
+    which must satisfy the metric axioms (else ValidationError naming the
+    first violation)."""
+    from .metric_core import apsp, verify_metric
 
     if path.endswith(".json"):
         return apsp(read_graph(path))
-    return read_space(path)
+    space = read_space(path)
+    report = verify_metric(space)
+    if not report.valid:
+        first = report.violations[0]
+        raise ValidationError(f"{path} is not a metric: {first.kind} violation, {first.detail}")
+    return space

@@ -270,25 +270,27 @@ def mc_convexity(
     if samples < 1:
         raise ValidationError("need samples >= 1")
     _check_map(chain, mmap, space)
-    n = chain.n_states
     T = chain.horizon
     nbrs, cum = _sim_tables(chain)
-    dmat = np.array(
-        [[float(space.d(mmap(a), mmap(b))) ** p for b in range(n)] for a in range(n)]
-    )
+    # d^p over the distinct mapped points, read through the state -> point map
+    points = sorted(set(mmap.point_of_state))
+    rows = [space.dist[x] for x in points]
+    dpow = np.array([[float(row[y]) ** p for y in points] for row in rows])
+    slot = {x: i for i, x in enumerate(points)}
+    at = np.array([slot[x] for x in mmap.point_of_state])
 
     def split_pair(rng, s, t):
         states = np.full(samples, chain.start, dtype=np.int64)
         states = _steps(states, nbrs, cum, rng, s)
         a = _steps(states.copy(), nbrs, cum, rng, t - s)
         b = _steps(states, nbrs, cum, rng, t - s)
-        return dmat[a, b]
+        return dpow[at[a], at[b]]
 
     def one_step(rng, s, t):  # k = 0, so s = t - 1
         states = np.full(samples, chain.start, dtype=np.int64)
         prev = _steps(states, nbrs, cum, rng, s)
         cur = _steps(prev.copy(), nbrs, cum, rng, 1)
-        return dmat[prev, cur]
+        return dpow[at[prev], at[cur]]
 
     lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
     rhs, rhs_var = _mc_window(seed, 2, 0, T, p, one_step)

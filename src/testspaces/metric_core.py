@@ -1,7 +1,8 @@
 """Exact finite metric spaces and shortest-path machinery.
 
 All distances are Fractions; floating point never enters this module.
-Graphs are undirected with positive rational edge lengths.
+Graphs are undirected with positive rational edge lengths.  Pairwise
+kernels work on integer numerators over one common scale (`scaled_integers`).
 """
 
 from __future__ import annotations
@@ -12,9 +13,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import CapExceededError, DisconnectedGraphError, ValidationError
 
 GEODESIC_CAP_DEFAULT = 10**6
+INT64_MAX = 2**63 - 1
+TRIANGLE_BLOCK = 2**12  # triples per verify_metric pass (small temporaries)
+
+
+def scaled_integers(rows, headroom: int = 1) -> tuple[np.ndarray, int]:
+    """Integer numerators N and the lcm S of the denominators of a table of
+    Fraction/int entries, with rows[i][j] == N[i, j] / S exactly.
+
+    N is int64 when `headroom` times the largest magnitude fits in int64
+    (callers pass the growth of the sums and cross-products they form);
+    otherwise it is an object array of Python ints, so no kernel built on it
+    can overflow.
+    """
+    nums = [x.numerator for row in rows for x in row]
+    dens = [x.denominator for row in rows for x in row]
+    scale = math.lcm(*set(dens))
+    if scale != 1:
+        nums = [p * (scale // q) for p, q in zip(nums, dens)]
+    big = max(max(nums, default=0), -min(nums, default=0))
+    dtype = np.int64 if big * headroom <= INT64_MAX else object
+    return np.array(nums, dtype=dtype).reshape(len(rows), len(rows[0]) if rows else 0), scale
 
 
 @dataclass(frozen=True)
@@ -184,36 +208,51 @@ class MetricReport:
 
 
 def verify_metric(space: MetricSpace) -> MetricReport:
-    """Report every violated metric-axiom instance (never raises)."""
+    """Report every violated metric-axiom instance (never raises).
+
+    Identity and symmetry come first, then the triangle inequality over the
+    integer numerators, one vectorized pass per block of first indices i
+    (about TRIANGLE_BLOCK triples); violations are listed in (i, j, k)
+    order.
+    """
     d = space.dist
     n = space.size
     out: list[MetricViolation] = []
-    for i in range(n):
-        if d[i][i] != 0:
-            out.append(MetricViolation("identity", (i, i), f"d({i},{i}) = {d[i][i]} != 0"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
-                out.append(
-                    MetricViolation("symmetry", (i, j), f"d({i},{j}) = {d[i][j]} != d({j},{i}) = {d[j][i]}")
+    if n == 0:
+        return MetricReport(valid=True, violations=())
+    D, _ = scaled_integers(d, headroom=2)
+    for i in np.flatnonzero(D.diagonal()).tolist():
+        out.append(MetricViolation("identity", (i, i), f"d({i},{i}) = {d[i][i]} != 0"))
+    # the zero diagonal shows up here too and is skipped
+    for i, j in zip(*(a.tolist() for a in np.nonzero((D != D.T) | (D <= 0)))):
+        if i >= j:
+            continue
+        if d[i][j] != d[j][i]:
+            out.append(
+                MetricViolation("symmetry", (i, j), f"d({i},{j}) = {d[i][j]} != d({j},{i}) = {d[j][i]}")
+            )
+        if d[i][j] <= 0:
+            out.append(MetricViolation("identity", (i, j), f"d({i},{j}) = {d[i][j]} not positive"))
+    DT = np.ascontiguousarray(D.T)
+    idx = np.arange(n)
+    distinct = idx[:, None] != idx[None, :]
+    step = max(1, TRIANGLE_BLOCK // (n * n))
+    for start in range(0, n, step):
+        first = idx[start : start + step, None, None]
+        rows = D[start : start + step]
+        # bad[b, j, k]: d(i,j) > d(i,k) + d(k,j) for i = start + b, with
+        # i, j, k distinct
+        bad = rows[:, :, None] > rows[:, None, :] + DT
+        bad &= distinct & (first != idx[:, None]) & (first != idx)
+        for b, j, k in zip(*(a.tolist() for a in np.nonzero(bad))):
+            i = start + b
+            out.append(
+                MetricViolation(
+                    "triangle",
+                    (i, j, k),
+                    f"d({i},{j}) = {d[i][j]} > d({i},{k}) + d({k},{j}) = {d[i][k] + d[k][j]}",
                 )
-            if d[i][j] <= 0:
-                out.append(MetricViolation("identity", (i, j), f"d({i},{j}) = {d[i][j]} not positive"))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if d[i][j] > d[i][k] + d[k][j]:
-                    out.append(
-                        MetricViolation(
-                            "triangle",
-                            (i, j, k),
-                            f"d({i},{j}) = {d[i][j]} > d({i},{k}) + d({k},{j}) = {d[i][k] + d[k][j]}",
-                        )
-                    )
+            )
     return MetricReport(valid=not out, violations=tuple(out))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .embeddings import Embedding, NormedTarget, distortion
 from .errors import CapExceededError, ValidationError
@@ -349,12 +349,11 @@ class GeodesicFamily:
             ]
             for a in range(n)
         ]
-        self._total = [
-            [self._bubble_total(self._dev[a][b])[0] for b in range(n)] for a in range(n)
-        ]
-        self._nbubbles = [
-            [self._bubble_total(self._dev[a][b])[1] for b in range(n)] for a in range(n)
-        ]
+        self._total, self._nbubbles = [], []
+        for row in self._dev:
+            totals, counts = zip(*(self._bubble_total(profile) for profile in row))
+            self._total.append(totals)
+            self._nbubbles.append(counts)
 
     @staticmethod
     def _bubble_total(profile) -> tuple[Fraction, int]:
@@ -513,13 +512,15 @@ def thickness_alpha(
 # Diamond l1 embedding (height + one signed tent per quadrilateral)
 # ---------------------------------------------------------------------------
 
-def diamond_l1_embedding(fam: RecursiveFamily) -> Embedding:
+def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = None) -> Embedding:
     """Cut-style l1 embedding: distance-from-source plus, per quadrilateral,
     a tent coordinate signed by the side of the quad the vertex lies on.
-    Not isometric; the martingale construction measures its ell."""
+    Not isometric; the martingale construction measures its ell.  `space`
+    may pass the precomputed apsp table of `fam.graph`."""
     if fam.kind != "diamond":
         raise ValidationError("tent embedding is defined for diamonds")
-    space = apsp(fam.graph)
+    if space is None:
+        space = apsp(fam.graph)
     h = space.dist[fam.source]
     spans = []
     for quad in fam.units:

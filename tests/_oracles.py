@@ -4,7 +4,8 @@ Each one recomputes a quantity by a route disjoint from the library code it
 checks: Floyd-Warshall for shortest paths, Nelder-Mead coordinate search for
 optimal euclidean distortion, full outcome enumeration for the short
 downward tree walk, dense Fraction matrix powers for the Markov convexity
-sums, and word-product enumeration for Heisenberg balls.
+sums, word-product enumeration for Heisenberg balls, and plain loops over
+pairs and triples for distortion and the metric axioms.
 """
 
 import itertools
@@ -194,3 +195,68 @@ def dense_exact_convexity(chain, mmap, space, p):
             Fraction(0),
         )
     return lhs, rhs
+
+
+def pairwise_distortion(emb):
+    """Distortion by the loop over pairs i < j, measuring each pair with
+    `Embedding.diff_norm`; lip and colip keep the first strict maximum."""
+    from testspaces.embeddings import DistortionReport
+    from testspaces.errors import CollapsedPairError
+
+    n = emb.space.size
+    lip = None
+    colip = None
+    lip_w = colip_w = (0, 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = emb.space.d(i, j)
+            if d == 0:
+                continue
+            dn = emb.diff_norm(i, j)
+            if dn == 0:
+                raise CollapsedPairError(i, j)
+            r = dn / d
+            if lip is None or r > lip:
+                lip, lip_w = r, (i, j)
+            rinv = d / dn
+            if colip is None or rinv > colip:
+                colip, colip_w = rinv, (i, j)
+    return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
+
+
+def triple_metric_violations(space):
+    """Every violated metric-axiom instance by the O(n^3) loop over entries:
+    diagonal identity, then symmetry and positivity per pair i < j, then the
+    triangle inequality for every ordered (i, j) and k."""
+    from testspaces.metric_core import MetricViolation
+
+    d = space.dist
+    n = space.size
+    out = []
+    for i in range(n):
+        if d[i][i] != 0:
+            out.append(MetricViolation("identity", (i, i), f"d({i},{i}) = {d[i][i]} != 0"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                out.append(
+                    MetricViolation("symmetry", (i, j), f"d({i},{j}) = {d[i][j]} != d({j},{i}) = {d[j][i]}")
+                )
+            if d[i][j] <= 0:
+                out.append(MetricViolation("identity", (i, j), f"d({i},{j}) = {d[i][j]} not positive"))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if d[i][j] > d[i][k] + d[k][j]:
+                    out.append(
+                        MetricViolation(
+                            "triangle",
+                            (i, j, k),
+                            f"d({i},{j}) = {d[i][j]} > d({i},{k}) + d({k},{j}) = {d[i][k] + d[k][j]}",
+                        )
+                    )
+    return tuple(out)

@@ -91,6 +91,19 @@ def test_l2min_three_points(tmp_path, capsys):
     assert abs(rep["result"]["c_star"] - 1.0) <= 1e-4
 
 
+@pytest.mark.parametrize("command", ["distort", "l2min"])
+def test_space_csv_must_be_a_metric(tmp_path, capsys, command):
+    space = tmp_path / "bent.csv"
+    space.write_text("0,1,3\n1,0,1\n3,1,0\n")  # d(0,2) = 3 > d(0,1) + d(1,2)
+    vectors = tmp_path / "vec.csv"
+    vectors.write_text("0\n1\n2\n")
+    extra = ["--vectors", str(vectors), "--target", "l1"] if command == "distort" else []
+    code, rep = run_cli(capsys, command, "--space", str(space), *extra)
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "triangle violation, d(0,2) = 3 > d(0,1) + d(1,2) = 2" in rep["error"]["message"]
+
+
 def test_rnp_commands(capsys):
     code, rep = run_cli(capsys, "rnp", "tree", "--n", "4")
     assert code == 0 and rep["result"]["identities"] == "exact"

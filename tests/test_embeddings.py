@@ -4,6 +4,7 @@ active pairs, cycle-into-tree oracle."""
 import itertools
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,9 @@ from testspaces.embeddings import (
 )
 from testspaces.errors import CollapsedPairError, ValidationError
 from testspaces.generators import binary_tree, cycle, heisenberg_ball
-from testspaces.metric_core import MetricSpace, apsp
+from testspaces.metric_core import MetricSpace, apsp, scaled_integers
+
+from _oracles import pairwise_distortion
 
 
 def test_norm_examples():
@@ -123,12 +126,18 @@ def test_bourgain_embedding_lip_and_uniform_bound():
     assert bourgain_distortion(2).distortion == 3
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_bourgain_sparse_matches_dense(n):
-    dense = distortion(bourgain_embed(n))
+    emb = bourgain_embed(n)
+    dense = distortion(emb)
     sparse = bourgain_distortion(n)
     assert dense.distortion == sparse.distortion
     assert dense.lip == sparse.lip
+    assert dense.colip == sparse.colip
+    # same first maximizing pairs, in label form (n = 6 spans several blocks)
+    labels = emb.space.labels
+    assert tuple(labels[i] for i in dense.lip_witness) == sparse.lip_witness
+    assert tuple(labels[i] for i in dense.colip_witness) == sparse.colip_witness
 
 
 def test_bourgain_two_sided_bounds_small():
@@ -227,3 +236,104 @@ def test_norm_axioms_on_random_triples(vectors):
         assert norm(tgt, tuple(-x for x in v)) == norm(tgt, v)
     a, b = vs[0], vs[1]
     assert norm(tgt, tuple(x + y for x, y in zip(a, b))) <= norm(tgt, a) + norm(tgt, b)
+
+
+def _outcome(measure, emb):
+    """repr of the report (so value types count), or the collapsed pair."""
+    try:
+        return repr(measure(emb))
+    except CollapsedPairError as exc:
+        return ("collapsed", exc.pair)
+
+
+@st.composite
+def _embeddings(draw):
+    """Random embeddings whose ties, zero distances and collapsed pairs are
+    frequent: small entries; int, Fraction or float vectors; all four
+    exact-or-float norms; `huge` scales push the integer kernels onto
+    object arrays."""
+    n = draw(st.integers(2, 7))
+    dim = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["l1", "linf", "summing", "l2"]))
+    entry = draw(st.sampled_from(["int", "fraction", "float"]))
+    huge = draw(st.booleans())
+    dists = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = F(draw(st.integers(0, 4)), draw(st.integers(1, 3)))
+            dists[i, j] = dists[j, i] = d / 10**30 if huge else d
+    table = tuple(tuple(dists.get((i, j), F(0)) for j in range(n)) for i in range(n))
+    vectors = []
+    for _ in range(n):
+        vec = []
+        for _ in range(dim):
+            x = draw(st.integers(-3, 3))
+            if entry == "int":
+                vec.append(x * 10**25 if huge else x)
+            elif entry == "fraction":
+                vec.append(F(x, draw(st.integers(1, 3)) * (10**25 if huge else 1)))
+            else:
+                # quarters tie exactly; thirds and tenths round, so the
+                # summation order shows
+                vec.append(x / draw(st.sampled_from([4, 3, 10])) * (1e20 if huge else 1.0))
+        vectors.append(tuple(vec))
+    emb = Embedding(MetricSpace(table), tuple(vectors), NormedTarget(kind, dim))
+    # huge exact vectors are too large for float64, so l2 measures them pair
+    # by pair
+    return emb, not (huge and kind == "l2" and entry != "float")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_embeddings())
+def test_distortion_kernels_match_pair_loop(drawn):
+    from testspaces.embeddings import _kernel_distortion
+
+    emb, by_kernel = drawn
+    if any(emb.space.d(i, j) for i in range(emb.space.size) for j in range(i)):
+        # a pair at positive distance exists, so the kernels decide
+        try:
+            assert (_kernel_distortion(emb) is not None) == by_kernel
+        except CollapsedPairError:
+            pass
+        assert _outcome(distortion, emb) == _outcome(pairwise_distortion, emb)
+    else:
+        with pytest.raises(TypeError):
+            pairwise_distortion(emb)
+        with pytest.raises(TypeError):
+            distortion(emb)
+
+
+def test_distortion_kernel_object_route():
+    # numerators beyond int64: the kernels switch to Python ints and stay exact
+    big = 3**45
+    sp = MetricSpace(((F(0), F(big), F(1)), (F(big), F(0), F(big)), (F(1), F(big), F(0))))
+    vecs = ((F(0), F(1, big)), (F(big), F(0)), (F(1), F(1, 7)))
+    for kind in ("l1", "linf", "summing"):
+        emb = Embedding(sp, vecs, NormedTarget(kind, 2))
+        assert repr(distortion(emb)) == repr(pairwise_distortion(emb))
+    nums, scale = scaled_integers(vecs)
+    assert nums.dtype == object and scale == big * 7
+    assert all(F(int(x), scale) == v for row, vr in zip(nums, vecs) for x, v in zip(row, vr))
+    assert scaled_integers(((F(1, 2), 2**61),))[0].dtype == np.int64
+    assert scaled_integers(((F(1, 2), 2**61),), headroom=2)[0].dtype == object
+
+
+def test_distortion_float_vanishing_distance_fails_as_pair_loop():
+    # float(d) == 0 for a positive d: the loop divides by 0.0 and raises at
+    # pair (0, 1), before it reaches the collapsed pair (1, 2)
+    tiny = F(1, 10**400)
+    sp = MetricSpace(((F(0), tiny, F(1)), (tiny, F(0), F(1)), (F(1), F(1), F(0))))
+    emb = Embedding(sp, ((0.0,), (1.0,), (1.0,)), NormedTarget("l2", 1))
+    with pytest.raises(ZeroDivisionError):
+        pairwise_distortion(emb)
+    with pytest.raises(ZeroDivisionError):
+        distortion(emb)
+
+
+@pytest.mark.parametrize("kind", ["l1", "summing", "l2"])
+def test_distortion_mixed_entries_match_pair_loop(kind):
+    # vectors mixing Fraction and float entries are measured pair by pair
+    sp = apsp(cycle(4))
+    vecs = ((F(0), 0.0), (F(1, 2), 1.0), (F(1), 0.5), (0.25, F(1, 3)))
+    emb = Embedding(sp, vecs, NormedTarget(kind, 2))
+    assert repr(distortion(emb)) == repr(pairwise_distortion(emb))

@@ -17,7 +17,7 @@ from testspaces.metric_core import (
     verify_metric,
 )
 
-from _oracles import floyd_warshall
+from _oracles import floyd_warshall, triple_metric_violations
 from _strategies import random_connected_graph
 
 
@@ -141,3 +141,36 @@ def test_every_enumerated_path_is_shortest(data):
     for path in enumerate_geodesic_paths(graph, u, v, cap=10000, space=sp):
         assert path.length == sp.d(u, v)
         assert path.vertices[0] == u and path.vertices[-1] == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(
+                    st.tuples(st.integers(-1, 6), st.integers(1, 3)), min_size=n, max_size=n
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            st.booleans(),
+            st.booleans(),
+        )
+    )
+)
+def test_verify_metric_matches_triple_loop(drawn):
+    # random non-metrics: zero, negative and asymmetric entries and broken
+    # triangles; `huge` moves the numerators onto object arrays
+    entries, symmetric, huge = drawn
+    n = len(entries)
+    scale = F(10**20) if huge else F(1)
+    rows = [[F(a, b) * scale for a, b in row] for row in entries]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] if i != j else F(0) for j in range(n)] for i in range(n)]
+    sp = MetricSpace(tuple(tuple(r) for r in rows))
+    report = verify_metric(sp)
+    expected = triple_metric_violations(sp)
+    assert report.violations == expected
+    assert report.valid == (not expected)
+    assert all(type(x) is int for v in report.violations for x in v.where)

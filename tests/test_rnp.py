@@ -31,6 +31,8 @@ from testspaces.rnp import (
     _sub,
 )
 
+from _oracles import pairwise_distortion
+
 
 @pytest.fixture(scope="module")
 def bush3():
@@ -189,6 +191,13 @@ def test_tent_embedding_measured_constants(family3):
     assert verify_metric_vectors_injective(emb)
 
 
+def test_tent_embedding_reuses_family_space(family3):
+    # the family's apsp table gives the embedding a one-argument call builds
+    assert diamond_l1_embedding(family3.family, family3.space) == diamond_l1_embedding(
+        family3.family
+    )
+
+
 def verify_metric_vectors_injective(emb):
     return len(set(emb.vectors)) == len(emb.vectors)
 
@@ -286,6 +295,17 @@ def test_gauge_as_normed_target(bush3, gauge3):
     assert norm(target, bush3.levels[1][0]) == 1
     diff = _sub(bush3.levels[1][0], bush3.levels[1][1])
     assert norm(target, diff) == gauge3.evaluate(diff)
+
+
+def test_gauge_distortion_matches_pair_loop(bush3, gauge3):
+    # gauge targets are measured pair by pair
+    from testspaces.embeddings import Embedding, NormedTarget
+    from testspaces.metric_core import apsp, path_graph
+
+    vecs = (bush3.levels[0][0], bush3.levels[1][0], bush3.levels[1][1])
+    target = NormedTarget("gauge", bush3.atoms, gauge=gauge3)
+    emb = Embedding(apsp(path_graph(3)), vecs, target)
+    assert repr(distortion(emb)) == repr(pairwise_distortion(emb))
 
 
 def test_bush_must_sit_on_hyperplane(bush3):
