@@ -10,6 +10,7 @@ produce byte-identical payloads; only meta.elapsed_s varies.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -67,7 +68,11 @@ def _fail(command, config, kind, message, code) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    call: parsing does not change it and every default is immutable.
+    Callers must not add to it."""
     p = argparse.ArgumentParser(
         prog="testspaces",
         description="finite metric test spaces and their embedding invariants",

@@ -4,7 +4,9 @@ bisection, and the fork-selection self-improvement pipeline.
 The feasibility problem for distortion c: find a Gram matrix Q >= 0 with
 d(i,j)^2 <= Q_ii + Q_jj - 2 Q_ij <= c^2 d(i,j)^2 for all pairs.  It is solved
 by alternating projection: clip the pair constraints (a Jacobi sweep), then
-project onto the PSD cone by eigenvalue clipping.
+project onto the PSD cone by eigenvalue clipping.  The fork gap behind the
+self-improvement bound is the Hilbert-space one, in closed form and rounded
+outward.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ def _distance_squares(space: MetricSpace) -> np.ndarray:
     return np.array([[float(d) ** 2 for d in row] for row in space.dist])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is reported, not warned
 def sdp_feasible(
     space: MetricSpace,
     c: float,
@@ -57,16 +60,18 @@ def sdp_feasible(
 
     Outcomes: "feasible" (certificate at tol), "stalled" (relative progress
     below 1e-9: treated as infeasible at this c), "undecided" (iteration cap
-    hit while still progressing).
+    hit while still progressing, or a non-finite start or iterate: the
+    projections can diverge, and that decides nothing about c).
     """
-    if c < 1:
-        raise ValidationError("distortion bound must be >= 1")
+    if not 1 <= c < math.inf:
+        raise ValidationError("distortion bound must be finite and >= 1")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     n = space.size
     D2 = _distance_squares(space)
+    # d(i, i) = 0 makes both bounds 0 on the diagonal, where E(Q) is exactly
+    # 0 for finite Q: the sweep keeps diag(Q) as it is
     lo, hi = D2, (c * c) * D2
-    off = ~np.eye(n, dtype=bool)
 
     if warm_start is not None:
         Q = warm_start.copy()
@@ -78,26 +83,34 @@ def sdp_feasible(
     best_residual = math.inf
     last_check = math.inf
     it = 0
+    # each residual step hands its diagonal sums and pair table to the next sweep
+    diag = np.diag(Q)
+    dd = diag[:, None] + diag[None, :]
+    E = dd - 2.0 * Q
     while it < max_iter:
         it += 1
-        # pair-constraint sweep (diagonal untouched)
-        diag = np.diag(Q)
-        E = diag[:, None] + diag[None, :] - 2.0 * Q
-        Ec = np.clip(E, lo, hi)
-        Qnew = (diag[:, None] + diag[None, :] - Ec) / 2.0
-        Q = np.where(off, Qnew, Q)
+        # pair-constraint sweep
+        Q = (dd - np.clip(E, lo, hi)) / 2.0
+        if it == 1:
+            # later sweeps start from a finite, symmetric PSD iterate
+            if not np.isfinite(Q).all():
+                return SdpOutcome("undecided", None, it, best_residual)
+            if not np.array_equal(Q, Q.T):
+                Q = (Q + Q.T) / 2.0
         # PSD projection
-        w, V = np.linalg.eigh((Q + Q.T) / 2.0)
+        w, V = np.linalg.eigh(Q)
         psd_violation = max(0.0, float(-w[0]))
         w = np.clip(w, 0.0, None)
         Q = (V * w) @ V.T
         Q = (Q + Q.T) / 2.0
         # residual: how far the PSD iterate is from the pair constraints
         diag = np.diag(Q)
-        E = diag[:, None] + diag[None, :] - 2.0 * Q
-        viol = np.maximum(lo - E, E - hi)
-        np.fill_diagonal(viol, 0.0)
-        constraint_violation = max(0.0, float(viol.max()))
+        dd = diag[:, None] + diag[None, :]
+        E = dd - 2.0 * Q
+        below, above = float((lo - E).max()), float((E - hi).max())
+        if not (math.isfinite(below) and math.isfinite(above)):
+            return SdpOutcome("undecided", None, it, best_residual)
+        constraint_violation = max(0.0, below, above)
         residual = max(constraint_violation, psd_violation)
         if residual <= tol:
             return SdpOutcome(
@@ -222,24 +235,6 @@ def l2_modulus() -> ConvexityModulus:
 
 
 @dataclass(frozen=True)
-class ForkGapParams:
-    D: float
-    q: float
-    K: float
-
-
-# fork distances: a0-a1 = 1, a1-a2 = a1-a2' = 1, a0-a2 = a0-a2' = 2, a2-a2' = 2
-_FORK_PAIRS = (
-    ((0, 1), 1.0),
-    ((1, 2), 1.0),
-    ((1, 3), 1.0),
-    ((0, 2), 2.0),
-    ((0, 3), 2.0),
-    ((2, 3), 2.0),
-)
-
-
-@dataclass(frozen=True)
 class ForkGapEstimate:
     D: float
     q: float
@@ -250,95 +245,63 @@ class ForkGapEstimate:
     warning: Optional[str]
 
 
+def _fork_sup_upper(D: Fraction) -> float:
+    """A float s >= sqrt(2 D^2 + 2 D sqrt(D^2 - 1)): the float formula,
+    stepped up one ulp at a time until s^2 - 2 D^2 >= 0 and
+    (s^2 - 2 D^2)^2 >= 4 D^2 (D^2 - 1) hold exactly."""
+    d = float(D)
+    s = math.sqrt(2.0 * d * d + 2.0 * d * math.sqrt(d * d - 1.0))
+    while True:
+        excess = Fraction(s) ** 2 - 2 * D * D
+        if excess >= 0 and excess * excess >= 4 * D * D * (D * D - 1):
+            return s
+        s = math.nextafter(s, math.inf)
+
+
 def fork_gap_estimate(
     D: float,
     q: float = 2.0,
     modulus: Optional[ConvexityModulus] = None,
-    n_starts: int = 16,
-    seed: int = 20240,
 ) -> ForkGapEstimate:
-    """Numerically maximize min(|x2|, |x2'|) over D-Lipschitz non-contractive
-    fork images in R^3 (deterministic multi-start SLSQP); the gap is
-    D - max/2, scaled to K = gap * D^(q-1).
+    """Hilbert-space fork gap in closed form, rounded outward.
 
-    The convexity modulus sets the analytic rate behind the gap; the
-    numeric route measures the gap directly, so the modulus only
+    Over D-Lipschitz non-contractive images of the fork (x0 = 0), the
+    parallelogram law gives sup min(|x2|, |x2'|) = sqrt(2 D^2 + 2 D
+    sqrt(D^2 - 1)) = sqrt((D + sqrt(D^2 - 1))^2 + 1), attained with
+    |x1| = D, |x2 - x1| = |x2' - x1| = D and |x2 - x2'| = 2.  The gap is
+    D - sup/2, scaled to K = gap * D^(q-1).  The reported sup is a float
+    certified in exact arithmetic to lie at or above the true value, and
+    the gap is rounded down from it, so the gap never overstates the
+    per-round improvement.
+
+    The convexity modulus sets the analytic rate behind the gap; the gap
+    itself is the Euclidean one whatever q is, so the modulus only
     documents which geometry (c, q) the estimate instantiates.
 
-    At D = 1 the constraint set is empty (an isometric l2 fork would force
-    x2 = x2'), reported as feasible=False with gap = +inf.
+    Such forks exist exactly when 3 D^2 >= 4 (D >= 2/sqrt(3)), tested on
+    the exact rational value of D.  Below that, D = 1 included (an
+    isometric l2 fork would force x2 = x2'), the result is feasible=False
+    with gap = +inf.
     """
-    from scipy.optimize import minimize
-
-    if D < 1:
-        raise ValidationError("D must be >= 1")
+    if not 1 <= D <= 2**500:  # so that D^2 stays a finite float
+        raise ValidationError("D must lie in [1, 2^500]")
     if modulus is None:
         modulus = l2_modulus()
     if abs(modulus.q - q) > 1e-12:
         raise ValidationError("exponent q must match the modulus exponent")
 
-    # variables: x1 (3), x2 (3), x2' (3), t;  maximize t
-    img = {0: None, 1: slice(0, 3), 2: slice(3, 6), 3: slice(6, 9)}
-
-    def point(z, idx):
-        if idx == 0:
-            return np.zeros(3)
-        return z[img[idx]]
-
-    cons = []
-    for (i, j), dij in _FORK_PAIRS:
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": (lambda z, i=i, j=j, dij=dij: np.linalg.norm(point(z, i) - point(z, j)) - dij),
-            }
-        )
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": (lambda z, i=i, j=j, dij=dij: D * dij - np.linalg.norm(point(z, i) - point(z, j))),
-            }
-        )
-    cons.append({"type": "ineq", "fun": lambda z: np.linalg.norm(z[3:6]) - z[9]})
-    cons.append({"type": "ineq", "fun": lambda z: np.linalg.norm(z[6:9]) - z[9]})
-
-    rng = np.random.default_rng(seed)
-    best_t = None
-    any_feasible = False
-    for _ in range(n_starts):
-        x1 = np.array([D, 0.0, 0.0]) + 0.2 * rng.standard_normal(3)
-        w = rng.standard_normal(3)
-        w /= np.linalg.norm(w)
-        z0 = np.concatenate([x1, x1 + D * w, x1 - D * w, [1.5 * D]])
-        res = minimize(
-            lambda z: -z[9],
-            z0,
-            constraints=cons,
-            method="SLSQP",
-            options={"maxiter": 400, "ftol": 1e-12},
-        )
-        z = res.x
-        feas_violation = max(
-            max(
-                np.linalg.norm(point(z, i) - point(z, j)) - D * dij,
-                dij - np.linalg.norm(point(z, i) - point(z, j)),
-            )
-            for (i, j), dij in _FORK_PAIRS
-        )
-        if feas_violation <= 1e-7:
-            any_feasible = True
-            t = min(np.linalg.norm(z[3:6]), np.linalg.norm(z[6:9]))
-            if best_t is None or t > best_t:
-                best_t = t
-    if not any_feasible:
+    exact = Fraction(D)
+    if 3 * exact * exact < 4:
         return ForkGapEstimate(D, q, math.inf, math.inf, 0.0, False, None)
-    if best_t is None or best_t <= 0:
-        return ForkGapEstimate(D, q, 0.0, 0.0, 0.0, True, "optimizer stalled; widest valid lower bound 0")
-    gap = D - best_t / 2.0
-    if gap < 0:
-        gap = 0.0
+    sup = _fork_sup_upper(exact)
+    low = exact - Fraction(sup) / 2
+    gap = float(low)
+    if gap > low:
+        gap = math.nextafter(gap, -math.inf)
+    # sup < 2D, so 0 is always a valid lower bound
+    gap = max(gap, 0.0)
     K = gap * D ** (q - 1.0)
-    return ForkGapEstimate(D, q, K, gap, best_t, True, None)
+    return ForkGapEstimate(D, q, K, gap, sup, True, None)
 
 
 def kloeckner_bound(n: int, K: float, q: float = 2.0) -> float:

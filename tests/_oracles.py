@@ -4,8 +4,10 @@ Each one recomputes a quantity by a route disjoint from the library code it
 checks: Floyd-Warshall for shortest paths, Nelder-Mead coordinate search for
 optimal euclidean distortion, full outcome enumeration for the short
 downward tree walk, dense Fraction matrix powers for the Markov convexity
-sums, word-product enumeration for Heisenberg balls, and plain loops over
-pairs and triples for distortion and the metric axioms.
+sums, word-product enumeration for Heisenberg balls, plain loops over
+pairs and triples for distortion and the metric axioms, the original
+alternating-projection loop for the SDP feasibility probe, and a multi-start
+SLSQP search for the Hilbert fork gap.
 """
 
 import itertools
@@ -260,3 +262,147 @@ def triple_metric_violations(space):
                         )
                     )
     return tuple(out)
+
+
+def sdp_feasible_loop(space, c, tol=1e-7, max_iter=50_000, warm_start=None):
+    """The alternating-projection probe as first written: every sweep
+    recomputes the diagonal and the pair table, restores the diagonal with
+    a mask and symmetrizes before `eigh`.  It reads the stall constants from
+    `l2_distortion` at call time, so a monkeypatch reaches both routes."""
+    from testspaces import l2_distortion as l2
+
+    if c < 1:
+        raise ValueError("distortion bound must be >= 1")
+    n = space.size
+    D2 = l2._distance_squares(space)
+    lo, hi = D2, (c * c) * D2
+    off = ~np.eye(n, dtype=bool)
+
+    if warm_start is not None:
+        Q = warm_start.copy()
+    else:
+        # classical MDS double-centering as the starting Gram matrix
+        J = np.eye(n) - np.ones((n, n)) / n
+        Q = -0.5 * J @ D2 @ J
+
+    best_residual = math.inf
+    last_check = math.inf
+    it = 0
+    while it < max_iter:
+        it += 1
+        # pair-constraint sweep (diagonal untouched)
+        diag = np.diag(Q)
+        E = diag[:, None] + diag[None, :] - 2.0 * Q
+        Ec = np.clip(E, lo, hi)
+        Qnew = (diag[:, None] + diag[None, :] - Ec) / 2.0
+        Q = np.where(off, Qnew, Q)
+        # PSD projection
+        w, V = np.linalg.eigh((Q + Q.T) / 2.0)
+        psd_violation = max(0.0, float(-w[0]))
+        w = np.clip(w, 0.0, None)
+        Q = (V * w) @ V.T
+        Q = (Q + Q.T) / 2.0
+        # residual: how far the PSD iterate is from the pair constraints
+        diag = np.diag(Q)
+        E = diag[:, None] + diag[None, :] - 2.0 * Q
+        viol = np.maximum(lo - E, E - hi)
+        np.fill_diagonal(viol, 0.0)
+        constraint_violation = max(0.0, float(viol.max()))
+        residual = max(constraint_violation, psd_violation)
+        if residual <= tol:
+            return l2.SdpOutcome(
+                "feasible",
+                l2.GramCertificate(Q, c, psd_violation, constraint_violation),
+                it,
+                residual,
+            )
+        best_residual = min(best_residual, residual)
+        if it % l2.STALL_WINDOW == 0:
+            if last_check - best_residual <= l2.STALL_REL * max(best_residual, 1e-300):
+                return l2.SdpOutcome("stalled", None, it, residual)
+            last_check = best_residual
+    return l2.SdpOutcome("undecided", None, it, best_residual)
+
+
+# fork distances: a0-a1 = 1, a1-a2 = a1-a2' = 1, a0-a2 = a0-a2' = 2, a2-a2' = 2
+_FORK_PAIRS = (
+    ((0, 1), 1.0),
+    ((1, 2), 1.0),
+    ((1, 3), 1.0),
+    ((0, 2), 2.0),
+    ((0, 3), 2.0),
+    ((2, 3), 2.0),
+)
+
+
+def fork_gap_slsqp(D, q=2.0, n_starts=16, seed=20240):
+    """Numerically maximize min(|x2|, |x2'|) over D-Lipschitz non-contractive
+    fork images in R^3 (deterministic multi-start SLSQP); the gap is
+    D - max/2, scaled to K = gap * D^(q-1).  At D = 1 the constraint set is
+    empty, reported as feasible=False with gap = +inf."""
+    from scipy.optimize import minimize
+
+    from testspaces.l2_distortion import ForkGapEstimate
+
+    # variables: x1 (3), x2 (3), x2' (3), t;  maximize t
+    img = {0: None, 1: slice(0, 3), 2: slice(3, 6), 3: slice(6, 9)}
+
+    def point(z, idx):
+        if idx == 0:
+            return np.zeros(3)
+        return z[img[idx]]
+
+    cons = []
+    for (i, j), dij in _FORK_PAIRS:
+        cons.append(
+            {
+                "type": "ineq",
+                "fun": (lambda z, i=i, j=j, dij=dij: np.linalg.norm(point(z, i) - point(z, j)) - dij),
+            }
+        )
+        cons.append(
+            {
+                "type": "ineq",
+                "fun": (lambda z, i=i, j=j, dij=dij: D * dij - np.linalg.norm(point(z, i) - point(z, j))),
+            }
+        )
+    cons.append({"type": "ineq", "fun": lambda z: np.linalg.norm(z[3:6]) - z[9]})
+    cons.append({"type": "ineq", "fun": lambda z: np.linalg.norm(z[6:9]) - z[9]})
+
+    rng = np.random.default_rng(seed)
+    best_t = None
+    any_feasible = False
+    for _ in range(n_starts):
+        x1 = np.array([D, 0.0, 0.0]) + 0.2 * rng.standard_normal(3)
+        w = rng.standard_normal(3)
+        w /= np.linalg.norm(w)
+        z0 = np.concatenate([x1, x1 + D * w, x1 - D * w, [1.5 * D]])
+        res = minimize(
+            lambda z: -z[9],
+            z0,
+            constraints=cons,
+            method="SLSQP",
+            options={"maxiter": 400, "ftol": 1e-12},
+        )
+        z = res.x
+        feas_violation = max(
+            max(
+                np.linalg.norm(point(z, i) - point(z, j)) - D * dij,
+                dij - np.linalg.norm(point(z, i) - point(z, j)),
+            )
+            for (i, j), dij in _FORK_PAIRS
+        )
+        if feas_violation <= 1e-7:
+            any_feasible = True
+            t = min(np.linalg.norm(z[3:6]), np.linalg.norm(z[6:9]))
+            if best_t is None or t > best_t:
+                best_t = t
+    if not any_feasible:
+        return ForkGapEstimate(D, q, math.inf, math.inf, 0.0, False, None)
+    if best_t is None or best_t <= 0:
+        return ForkGapEstimate(D, q, 0.0, 0.0, 0.0, True, "optimizer stalled; widest valid lower bound 0")
+    gap = D - best_t / 2.0
+    if gap < 0:
+        gap = 0.0
+    K = gap * D ** (q - 1.0)
+    return ForkGapEstimate(D, q, K, gap, best_t, True, None)

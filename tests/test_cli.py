@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from testspaces.cli import main
+from testspaces.cli import build_parser, main
 from testspaces.formats import read_graph, read_space, vectors_to_csv
 
 
@@ -165,3 +165,15 @@ def test_gen_product_and_heis(tmp_path, capsys):
     assert read_space(str(out)).size == 9
     code, rep = run_cli(capsys, "gen", "--family", "heis", "--n", "2")
     assert code == 0 and rep["result"]["points"] == 17
+
+
+def test_parser_is_built_once_and_calls_stay_independent(capsys):
+    # one shared parser: an override in one call must not leak into the next
+    assert build_parser() is build_parser()
+    argv = ("markov", "--walk", "tree", "--n", "2", "--mode", "exact")
+    _, first = run_cli(capsys, *argv)
+    code, other = run_cli(capsys, *argv, "--p", "3")
+    assert code == 0 and other["config"]["p"] == 3
+    _, again = run_cli(capsys, *argv)
+    assert again["config"] == first["config"] and again["config"]["p"] == 2
+    assert again["result"] == first["result"]

@@ -1,5 +1,6 @@
-"""Source hygiene: no module in the package imports a name it never uses,
-and every library function the benchmark traces by name still exists."""
+"""Source hygiene: no module in the package imports a name it never uses
+or imports scipy, and every library function the benchmark traces by name
+still exists."""
 
 import ast
 import importlib
@@ -61,6 +62,16 @@ def test_checker_sees_module_and_local_scopes():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_src_does_not_import_scipy():
+    # scipy is a test-only dependency: the oracles use it, the library does not
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for _, node in _imports(ast.parse(path.read_text())):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def _load_spans():

@@ -1,13 +1,17 @@
 """Euclidean optimum via SDP feasibility + bisection, and the fork pipeline."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from _oracles import fork_gap_slsqp, sdp_feasible_loop
+from testspaces import l2_distortion
 from testspaces.embeddings import Embedding, NormedTarget, distortion
 from testspaces.errors import ValidationError
-from testspaces.generators import binary_tree, cycle, fork
+from testspaces.generators import binary_tree, cycle, diamond, fork, heisenberg_ball
 from testspaces.l2_distortion import (
     fork_gap_estimate,
     fork_select,
@@ -83,6 +87,157 @@ def test_fork_gap_grid():
     assert all(g > 0 for g in gaps)
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-9  # non-increasing on the sampled grid
+
+
+def _unit_diameter(space):
+    return space.scaled(1 / max(max(row) for row in space.dist))
+
+
+def _mds(space):
+    n = space.size
+    D2 = np.array([[float(d) ** 2 for d in row] for row in space.dist])
+    J = np.eye(n) - np.ones((n, n)) / n
+    return -0.5 * J @ D2 @ J
+
+
+def _asymmetric_warm_start(space, seed):
+    rng = np.random.default_rng(seed)
+    W = _mds(space) + 0.05 * rng.standard_normal((space.size, space.size))
+    assert not np.array_equal(W, W.T)
+    return W
+
+
+def _heis_subset():
+    ball = heisenberg_ball(2)
+    return ball.restrict(range(0, ball.size, 3))
+
+
+SDP_CASES = [
+    # (space, c, max_iter, warm-start seed or None for the cold MDS start)
+    ("C4", 1.2, 50_000, None),
+    ("C4", 1.5, 50_000, None),
+    ("C4", 1.3, 50_000, 1),
+    ("C4", 1.5, 7, 2),
+    ("T3", 1.4, 50_000, None),
+    ("T3", 1.6, 50_000, 3),
+    ("T3", 1.1, 150, None),
+    ("D2", 1.7, 50_000, None),
+    ("D2", 2.0, 50_000, 4),
+    ("heis", 1.3, 50_000, None),
+    ("heis", 1.6, 50_000, 5),
+    ("heis", 1.2, 90, 6),
+]
+
+
+def test_sdp_iteration_matches_oracle():
+    spaces = {
+        "C4": _unit_diameter(apsp(cycle(4))),
+        "T3": _unit_diameter(apsp(binary_tree(3))),
+        "D2": _unit_diameter(apsp(diamond(2).graph)),
+        "heis": _unit_diameter(_heis_subset()),
+    }
+    # the cold starts include an MDS Gram matrix that is not bitwise symmetric
+    assert any(not np.array_equal(_mds(sp), _mds(sp).T) for sp in spaces.values())
+    statuses = set()
+    for name, c, max_iter, seed in SDP_CASES:
+        sp = spaces[name]
+        warm = None if seed is None else _asymmetric_warm_start(sp, seed)
+        got = sdp_feasible(sp, c, max_iter=max_iter, warm_start=warm)
+        want = sdp_feasible_loop(sp, c, max_iter=max_iter, warm_start=warm)
+        case = (name, c, max_iter, seed)
+        assert (got.status, got.iterations) == (want.status, want.iterations), case
+        assert repr(got.residual) == repr(want.residual), case
+        assert (got.certificate is None) == (want.certificate is None), case
+        if got.certificate is not None:
+            assert got.certificate.Q.tobytes() == want.certificate.Q.tobytes(), case
+            assert repr(got.certificate.max_constraint_violation) == repr(
+                want.certificate.max_constraint_violation
+            ), case
+            assert repr(got.certificate.max_psd_violation) == repr(
+                want.certificate.max_psd_violation
+            ), case
+        statuses.add(got.status)
+    assert statuses == {"feasible", "stalled", "undecided"}
+
+
+def test_sdp_divergence_is_undecided(monkeypatch):
+    # without the stall cutoff the projections on unit D_2 at c = 1.74 grow
+    # geometrically until the iterate overflows; eigh would then raise
+    monkeypatch.setattr(l2_distortion, "STALL_WINDOW", 10**9)
+    d2 = _unit_diameter(apsp(diamond(2).graph))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sdp_feasible(d2, 1.74)
+    assert out.status == "undecided"
+    assert out.certificate is None
+    assert 0 < out.iterations < l2_distortion.MAX_ITER_DEFAULT
+    assert math.isfinite(out.residual)
+
+
+def test_sdp_non_finite_start_is_undecided():
+    c4 = _unit_diameter(apsp(cycle(4)))
+    warm = _mds(c4)
+    warm[0, 0] = np.inf
+    out = sdp_feasible(c4, 1.5, warm_start=warm)
+    assert (out.status, out.iterations, out.certificate) == ("undecided", 1, None)
+    # an infinite off-diagonal entry is clipped by the first sweep, as before
+    warm = _mds(c4)
+    warm[0, 1] = np.inf
+    got = sdp_feasible(c4, 1.5, warm_start=warm)
+    want = sdp_feasible_loop(c4, 1.5, warm_start=warm)
+    assert (got.status, got.iterations, repr(got.residual)) == (
+        want.status, want.iterations, repr(want.residual)
+    )
+
+
+@pytest.mark.parametrize("c", [0.5, math.inf, math.nan])
+def test_sdp_bound_is_validated(c):
+    with pytest.raises(ValidationError):
+        sdp_feasible(apsp(cycle(4)), c)
+
+
+def test_fork_gap_closed_form_matches_slsqp():
+    for D in (1.16, 1.2, 1.5, 2.0, 3.0):
+        got, want = fork_gap_estimate(D), fork_gap_slsqp(D)
+        assert got.feasible and want.feasible and got.warning is None
+        assert got.gap == pytest.approx(want.gap, abs=1e-9)
+        assert got.K == pytest.approx(want.K, abs=1e-9)
+        assert got.worst_min_norm == pytest.approx(want.worst_min_norm, abs=1e-9)
+        assert got.gap <= want.gap + 1e-12
+    assert not fork_gap_estimate(1.15).feasible
+    assert not fork_gap_slsqp(1.15).feasible
+    # the exact boundary: forks exist iff 3 D^2 >= 4, i.e. D >= 2/sqrt(3)
+    scale = 10**30
+    below = F(math.isqrt(4 * scale**2 // 3), scale)
+    above = below + F(1, scale)
+    assert 3 * below**2 < 4 < 3 * above**2
+    assert not fork_gap_estimate(below).feasible
+    est = fork_gap_estimate(above)
+    assert est.feasible and est.worst_min_norm >= 2
+    assert 0 <= est.gap <= float(above) - 1
+
+
+@pytest.mark.parametrize(
+    # for float D the gap D - sup/2 is exact (Sterbenz); F(9, 7) needs rounding down
+    "D", [2 / math.sqrt(3) + 1e-15, 1.16, 1.5, 2.0, 3.0, 10.0, 1e8, 2.0**500, F(7, 5), F(9, 7)]
+)
+def test_fork_gap_is_rounded_outward(D):
+    est = fork_gap_estimate(D)
+    exact = F(D)
+    sup = F(est.worst_min_norm)
+    # sup >= sqrt(2 D^2 + 2 D sqrt(D^2 - 1)), checked by squaring twice
+    excess = sup**2 - 2 * exact**2
+    assert excess >= 0 and excess**2 >= 4 * exact**2 * (exact**2 - 1)
+    assert 0 <= F(est.gap) <= exact - sup / 2 or est.gap == 0
+    assert est.K == est.gap * float(D) ** (est.q - 1)
+
+
+def test_fork_gap_validation():
+    for D in (0.5, 2.0**501, F(10) ** 400, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            fork_gap_estimate(D)
+    with pytest.raises(ValidationError):
+        fork_gap_estimate(1.5, q=3.0)
 
 
 def test_fork_min_l2_distortion_between_feasibility_probes():
