@@ -196,7 +196,8 @@ def cmd_apsp(args) -> dict:
     from .metric_core import apsp
 
     space = apsp(read_graph(args.graph))
-    result = {"points": space.size, "diameter": rational_str(max(max(r) for r in space.dist))}
+    diameter = Fraction(int(space.num.max()), space.scale)
+    result = {"points": space.size, "diameter": rational_str(diameter)}
     if args.out:
         write_space(args.out, space)
         result["written"] = args.out

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError, CollapsedPairError, ValidationError
 from .generators import binary_tree, tree_labels
-from .metric_core import MetricSpace, scaled_integers
+from .metric_core import FLOAT_EXACT, MetricSpace, scaled_integers
 
 Vector = tuple  # tuple of Fraction/int (exact kinds) or float (l2)
 
@@ -156,8 +156,6 @@ _ROW_NORMS = {
     "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
 }
 
-_FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
-
 
 def _kernel_distortion(emb: Embedding) -> Optional[DistortionReport]:
     """distortion by the row kernels, or None when the pair loop must decide:
@@ -170,26 +168,23 @@ def _kernel_distortion(emb: Embedding) -> Optional[DistortionReport]:
     exact = all(issubclass(t, (int, Fraction)) for t in types)
     if kind == "gauge" or not (exact or all(issubclass(t, float) for t in types)):
         return None
-    pair_d = [d for i, row in enumerate(space.dist) for d in row[i + 1 :]]  # (i, j) order
+    pairs = np.triu_indices(n, 1)  # (i, j) order
+    dist = space.num[pairs]
+    valid = dist != 0
     if exact and kind != "l2":
-        if kind == "linf" and any(type(d) is not Fraction for d in pair_d):
-            return None  # int / int ratios would compare as floats in the loop
-        (dist,), d_scale = scaled_integers([pair_d])
         if (dist < 0).any():
             return None  # cross-multiplication needs positive denominators
-        valid = dist != 0
         # a norm numerator is at most 2 * dim * max|V|, times a distance
         big = max(1, int(np.abs(dist).max()))
         V, v_scale = scaled_integers(emb.vectors, headroom=2 * emb.target.dim * big)
         diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
     else:
-        valid = np.array([d != 0 for d in pair_d])
-        dist = np.array([float(d) for d in pair_d])
+        dist = space.floats()[pairs]
         if (dist[valid] == 0).any():
             return None  # the loop would divide by float(d) == 0
         if exact:
             V, scale = scaled_integers(emb.vectors)
-            if V.dtype == object or np.abs(V).max() >= _FLOAT_EXACT // 2 or scale >= _FLOAT_EXACT:
+            if V.dtype == object or np.abs(V).max() >= FLOAT_EXACT // 2 or scale >= FLOAT_EXACT:
                 return None
             # differences are exact below 2^53, so one division rounds them
             # as float(a - b) does
@@ -213,8 +208,8 @@ def _kernel_distortion(emb: Embedding) -> Optional[DistortionReport]:
         colip = float(dist[b]) / float(norms[b])
     else:
         a, b = at[_first_max(num, den)], at[_first_max(den, num)]
-        lip = Fraction(int(norms[a]) * d_scale, int(dist[a]) * v_scale)
-        colip = Fraction(int(dist[b]) * v_scale, int(norms[b]) * d_scale)
+        lip = Fraction(int(norms[a]) * space.scale, int(dist[a]) * v_scale)
+        colip = Fraction(int(dist[b]) * v_scale, int(norms[b]) * space.scale)
     return DistortionReport(lip, colip, lip * colip, _pair(n, a), _pair(n, b))
 
 
@@ -264,8 +259,7 @@ def map_distortion(source: MetricSpace, target_space: MetricSpace, mapping: Sequ
 
 def frechet_embed(space: MetricSpace) -> Embedding:
     """point i -> (d(i, 0), ..., d(i, N-1)) in linf: always isometric."""
-    vectors = tuple(tuple(row) for row in space.dist)
-    return Embedding(space, vectors, NormedTarget("linf", space.size))
+    return Embedding(space, space.dist, NormedTarget("linf", space.size))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +492,7 @@ def submetric_check(sub: SubmetricSpace, emb: Embedding) -> SubmetricCheck:
 
 def submetric_space_metric(sub: SubmetricSpace) -> MetricSpace:
     n = len(sub.points)
-    return MetricSpace(tuple(tuple(sub.l1_dist(i, j) for j in range(n)) for i in range(n)))
+    return MetricSpace.from_rows([[sub.l1_dist(i, j) for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +582,7 @@ def cycle_tree_lower_oracle(
     # re-verify the winning map in exact arithmetic
     _, order, edges, mapping = best
     tree_space = _tree_metric_from_edges(order, edges)
-    cyc = MetricSpace(tuple(tuple(Fraction(int(x)) for x in row) for row in dc))
+    cyc = MetricSpace(dc)
     exact = map_distortion(cyc, tree_space, mapping)
     if exact is None:
         raise ValidationError("internal error: winning map collapsed on re-check")

@@ -71,17 +71,14 @@ def read_graph(path: str) -> WeightedGraph:
 def space_to_csv(space: MetricSpace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for row in space.dist:
-        writer.writerow([rational_str(d) for d in row])
+    for row in space.num.tolist():
+        writer.writerow([rational_str(Fraction(x, space.scale)) for x in row])
     return buf.getvalue()
 
 
 def space_from_csv(text: str) -> MetricSpace:
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValidationError("distance table must be square")
-    return MetricSpace(tuple(tuple(parse_rational(x) for x in row) for row in rows))
+    return MetricSpace.from_rows([[parse_rational(x) for x in row] for row in rows])
 
 
 def write_space(path: str, space: MetricSpace) -> None:

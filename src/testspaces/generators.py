@@ -12,9 +12,12 @@ the weighted-family isometry checkable by index, not by search.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .metric_core import MetricSpace, PointId, WeightedGraph, apsp
@@ -205,25 +208,18 @@ def tree_product(depths: list[int], size_cap: int = 20_000) -> MetricSpace:
     """Cartesian product of binary trees with the l1 (sum) metric."""
     if not depths:
         raise ValidationError("need at least one tree depth")
-    spaces = [apsp(binary_tree(d)) for d in depths]
-    total = 1
-    for s in spaces:
-        total *= s.size
+    spaces = [apsp(binary_tree(d)) for d in depths]  # unit edges: each scale is 1
+    total = math.prod(s.size for s in spaces)
     if total > size_cap:
         raise CapExceededError(f"product size {total} exceeds cap {size_cap}")
-    points = list(itertools.product(*[range(s.size) for s in spaces]))
     labels = tuple(
-        "(" + ",".join(spaces[k].labels[p[k]] or "" for k in range(len(spaces))) + ")"
-        for p in points
+        "(" + ",".join(lab or "" for lab in combo) + ")"
+        for combo in itertools.product(*(s.labels for s in spaces))
     )
-    dist = tuple(
-        tuple(
-            sum((spaces[k].d(p[k], q[k]) for k in range(len(spaces))), Fraction(0))
-            for q in points
-        )
-        for p in points
-    )
-    return MetricSpace(dist, labels)
+    num = np.zeros((1, 1), dtype=np.int64)  # l1 sums; the last factor varies fastest
+    for s in spaces:
+        num = (num[:, None, :, None] + s.num[None, :, None, :]).reshape(len(num) * s.size, -1)
+    return MetricSpace(num, 1, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +274,5 @@ def heisenberg_ball(r: int, radius_cap: int = 8) -> MetricSpace:
     ball = sorted(g for g, d in lengths.items() if d <= r)
     ball.sort(key=lambda g: (lengths[g], g))
     labels = tuple(f"{a},{b},{c}" for a, b, c in ball)
-    dist = tuple(
-        tuple(Fraction(lengths[heis_mul(heis_inv(u), v)]) for v in ball) for u in ball
-    )
-    return MetricSpace(dist, labels)
+    num = np.array([[lengths[heis_mul(heis_inv(u), v)] for v in ball] for u in ball], dtype=np.int64)
+    return MetricSpace(num, 1, labels)

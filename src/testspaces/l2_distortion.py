@@ -45,7 +45,7 @@ class SdpOutcome:
 
 
 def _distance_squares(space: MetricSpace) -> np.ndarray:
-    return np.array([[float(d) ** 2 for d in row] for row in space.dist])
+    return np.array([[x**2 for x in row] for row in space.floats().tolist()])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is reported, not warned
@@ -161,15 +161,15 @@ def min_distortion_l2(
         raise ValidationError("need at least 2 points")
 
     # scale to unit diameter for well-conditioned tolerances
-    diam = max(max(row) for row in space.dist)
-    scaled = space.scaled(Fraction(1) / diam)
+    diam = Fraction(int(space.num.max()), space.scale)
+    scaled = space.scaled(1 / diam)
 
     # guaranteed-feasible upper bound: the Frechet rows read as l2 vectors
-    fre = [[float(d) for d in row] for row in scaled.dist]
-    hi_emb = Embedding(scaled, tuple(tuple(r) for r in fre), NormedTarget("l2", space.size))
+    fre = scaled.floats()
+    hi_emb = Embedding(scaled, tuple(map(tuple, fre.tolist())), NormedTarget("l2", space.size))
     hi_rep = distortion(hi_emb)
     hi = float(hi_rep.distortion) * (1.0 + 1e-9) + 1e-9
-    X = np.array(fre) / float(hi_rep.lip)
+    X = fre / float(hi_rep.lip)
     warm = X @ X.T
 
     undecided: list[float] = []
@@ -178,7 +178,7 @@ def min_distortion_l2(
     out = sdp_feasible(scaled, hi, feas_tol, max_iter, warm_start=warm)
     probes += 1
     if out.status != "feasible":
-        # the warm start is an exactly feasible point, so this cannot stall
+        # the warm start fre / lip is contractive, not feasible: C_5 and C_9 stall
         raise UndecidedError(f"solver failed at the guaranteed bracket top {hi}")
     best = out.certificate
 
@@ -385,18 +385,14 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     old_labels = sorted(selected, key=lambda L: (len(L), L))
     new_labels = tuple(selected[L] for L in old_labels)
     idxs = [index[L] for L in old_labels]
-    half_space = MetricSpace(
-        tuple(tuple(space.d(i, j) / 2 for j in idxs) for i in idxs), new_labels
-    )
+    half = space.restrict(idxs).scaled(Fraction(1, 2))
+    half_space = MetricSpace(half.num, half.scale, new_labels)
     sub = Embedding(half_space, tuple(emb.vectors[i] for i in idxs), emb.target)
 
     # structural exactness: half distances must equal T_{floor(n/2)} distances
-    for a, la in enumerate(new_labels):
-        for b, lb in enumerate(new_labels):
-            common = common_prefix(la, lb)
-            expect = (len(la) - common) + (len(lb) - common)
-            if half_space.d(a, b) != expect:
-                raise ValidationError("selected set is not isometric to the half tree")
+    expect = [[len(a) + len(b) - 2 * common_prefix(a, b) for b in new_labels] for a in new_labels]
+    if half_space.scale != 1 or half_space.num.tolist() != expect:
+        raise ValidationError("selected set is not isometric to the half tree")
 
     sub_rep = distortion(sub)
     return ForkSelection(

@@ -144,8 +144,8 @@ def exact_convexity(
     re-randomized copy are independent runs of the same transition law.
 
     The DP runs on integers.  With D the lcm of the transition denominators
-    and E that of the distances between mapped points, D^s pi_s and row u of
-    D^j P^j are integer vectors, E d is an integer table, and each sum is
+    and E the scale of the space's distance numerators, D^s pi_s and row u
+    of D^j P^j are integer vectors, E d is an integer table, and each sum is
     one Fraction over a power product of D, E and 2.  Row u of P^j is only
     pushed as far as the largest j that a split at u needs."""
     if not isinstance(p, int) or p < 1:
@@ -160,9 +160,7 @@ def exact_convexity(
     points = sorted(set(mmap.point_of_state))
     where = {x: i for i, x in enumerate(points)}
     at = [where[x] for x in mmap.point_of_state]
-    dist = [[row[y] for y in points] for row in (space.dist[x] for x in points)]
-    E = math.lcm(*{d.denominator for row in dist for d in row})
-    N = [[(d.numerator * (E // d.denominator)) ** p for d in row] for row in dist]
+    N = [[x**p for x in row] for row in space.num[np.ix_(points, points)].tolist()]
 
     # Pi[s] = D^s pi_s for the split times s = 0..T-1
     Pi = [{chain.start: 1}]
@@ -204,7 +202,7 @@ def exact_convexity(
     for t in range(1, T + 1):
         rhs += D ** (T - t) * sum(y * step_sum[u] for u, y in Pi[t - 1].items())
 
-    Ep = E**p
+    Ep = space.scale**p
     return ConvexityEstimate(
         float(p),
         Fraction(lhs, D ** (2 * T) * Ep * 2 ** (K * p)),
@@ -274,8 +272,7 @@ def mc_convexity(
     nbrs, cum = _sim_tables(chain)
     # d^p over the distinct mapped points, read through the state -> point map
     points = sorted(set(mmap.point_of_state))
-    rows = [space.dist[x] for x in points]
-    dpow = np.array([[float(row[y]) ** p for y in points] for row in rows])
+    dpow = np.array([[x**p for x in row] for row in space.floats()[np.ix_(points, points)].tolist()])
     slot = {x: i for i, x in enumerate(points)}
     at = np.array([slot[x] for x in mmap.point_of_state])
 
@@ -420,7 +417,7 @@ def downhill_walk(
         if u == sink:
             rows.append(((u, Fraction(1)),))
             continue
-        downs = sorted(v for v, _ in adj[u] if space.d(v, sink) < space.d(u, sink))
+        downs = sorted(v for v, _ in adj[u] if space.num[v, sink] < space.num[u, sink])
         if not downs:
             raise ValidationError(f"vertex {u} has no neighbor closer to the sink")
         share = Fraction(1, len(downs))

@@ -1,13 +1,14 @@
 """Exact finite metric spaces and shortest-path machinery.
 
-All distances are Fractions; floating point never enters this module.
-Graphs are undirected with positive rational edge lengths.  Pairwise
-kernels work on integer numerators over one common scale (`scaled_integers`).
+A MetricSpace stores integer distance numerators over one scale; `d(i, j)`
+and `dist` are exact Fraction views, and floats enter only through the
+correctly rounded `floats()`.  Graphs have positive rational edge lengths.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,9 @@ from .errors import CapExceededError, DisconnectedGraphError, ValidationError
 
 GEODESIC_CAP_DEFAULT = 10**6
 INT64_MAX = 2**63 - 1
+FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
 TRIANGLE_BLOCK = 2**12  # triples per verify_metric pass (small temporaries)
+VIOLATION_CAP = 1000  # violations listed by verify_metric
 
 
 def scaled_integers(rows, headroom: int = 1) -> tuple[np.ndarray, int]:
@@ -49,36 +52,83 @@ class PointId:
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSpace:
-    """Finite point set with an exact pairwise distance table."""
+    """Finite point set with exact distances d(i, j) = num[i, j] / scale.
 
-    dist: tuple[tuple[Fraction, ...], ...]
+    `num` is a read-only n x n integer array: int64 when twice its largest
+    magnitude fits, Python ints (object) otherwise.  `scale` is a positive
+    int, and the constructor reduces gcd(num, scale) to 1.
+    """
+
+    num: np.ndarray
+    scale: int = 1
     labels: Optional[tuple[Optional[str], ...]] = None
+
+    def __post_init__(self):
+        num, scale = np.asarray(self.num), self.scale
+        square = num.ndim == 2 and num.shape[0] == num.shape[1] and num.dtype.kind in "iuO"
+        if not square or type(scale) is not int or scale <= 0:
+            raise ValidationError("need a square integer numerator table and a positive int scale")
+        g = math.gcd(scale, int(np.gcd.reduce(num, axis=None)))  # scale when num is all 0
+        if g > 1 and num.any():
+            num = num // g
+        num = np.array(num, dtype=np.int64 if 2 * _magnitude(num) <= INT64_MAX else object)
+        num.flags.writeable = False
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "scale", scale // g)
+
+    @classmethod
+    def from_rows(cls, rows, labels=None) -> "MetricSpace":
+        """The space with distance table rows[i][j] (ints and Fractions)."""
+        if any(len(row) != len(rows) for row in rows):
+            raise ValidationError("distance table must be square")
+        if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+            raise ValidationError("distances must be ints or Fractions")
+        return cls(*scaled_integers(rows), labels)
 
     @property
     def size(self) -> int:
-        return len(self.dist)
+        return self.num.shape[0]
+
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as Fractions, built on each call."""
+        exact = {x: Fraction(x, self.scale) for x in set(self.num.ravel().tolist())}
+        return tuple(tuple(exact[x] for x in row) for row in self.num.tolist())
 
     def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
+        return Fraction(int(self.num[i, j]), self.scale)
+
+    def floats(self) -> np.ndarray:
+        """The table in float64, each entry equal to float(self.d(i, j)): one
+        numpy division below 2^53, where both operands are exact floats."""
+        if self.num.dtype != object and _magnitude(self.num) < FLOAT_EXACT and self.scale < FLOAT_EXACT:
+            return self.num / self.scale
+        return np.array([x / self.scale for x in self.num.ravel().tolist()]).reshape(self.num.shape)
 
     def restrict(self, indices: Sequence[int]) -> "MetricSpace":
         """Subspace on the given points, in the given order."""
-        rows = tuple(
-            tuple(self.dist[i][j] for j in indices) for i in indices
-        )
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in indices)
-        return MetricSpace(rows, labels)
+        idx = np.asarray(indices, dtype=np.intp)
+        labels = None if self.labels is None else tuple(self.labels[i] for i in idx.tolist())
+        return MetricSpace(self.num[np.ix_(idx, idx)], self.scale, labels)
 
-    def scaled(self, factor: Fraction) -> "MetricSpace":
-        if factor <= 0:
-            raise ValidationError("scale factor must be positive")
-        return MetricSpace(
-            tuple(tuple(d * factor for d in row) for row in self.dist), self.labels
-        )
+    def scaled(self, factor) -> "MetricSpace":
+        """Every distance times `factor`, a positive int or Fraction."""
+        if not isinstance(factor, (int, Fraction)) or factor <= 0:
+            raise ValidationError(f"scale factor must be a positive rational, got {factor!r}")
+        p, q = factor.numerator, factor.denominator
+        num = self.num if _magnitude(self.num) * p <= INT64_MAX else self.num.astype(object)
+        return MetricSpace(num * p, self.scale * q, self.labels)
+
+    def __eq__(self, other):
+        same = isinstance(other, MetricSpace) and self.labels == other.labels
+        return same and self.scale == other.scale and np.array_equal(self.num, other.num)
+
+
+def _magnitude(num: np.ndarray) -> int:
+    """Largest |entry| of an integer array, as a Python int."""
+    return max(int(num.max()), -int(num.min())) if num.size else 0
 
 
 @dataclass(frozen=True)
@@ -169,7 +219,7 @@ def apsp(graph: WeightedGraph) -> MetricSpace:
     """All-pairs shortest-path metric of a connected graph, exact.
 
     Dijkstra runs on integer lengths scaled by the lcm of the edge
-    denominators; each distinct distance becomes one Fraction.
+    denominators, and its distances are the numerators of the result.
     Raises DisconnectedGraphError naming an unreachable pair.
     """
     scale = math.lcm(*(w.denominator for _, _, w in graph.edges))
@@ -178,20 +228,16 @@ def apsp(graph: WeightedGraph) -> MetricSpace:
         length = w.numerator * (scale // w.denominator)
         adj[u].append((v, length))
         adj[v].append((u, length))
-    exact: dict[int, Fraction] = {}
     rows = []
     for src in range(graph.size):
-        dist = _dijkstra(adj, src)
-        row = []
-        for v, d in enumerate(dist):
-            if d is None:
-                raise DisconnectedGraphError(src, v)
-            f = exact.get(d)
-            if f is None:
-                f = exact[d] = Fraction(d, scale)
-            row.append(f)
-        rows.append(tuple(row))
-    return MetricSpace(tuple(rows), graph.labels())
+        row = _dijkstra(adj, src)
+        if None in row:
+            raise DisconnectedGraphError(src, row.index(None))
+        rows.append(row)
+    # no distance exceeds the sum of the edge lengths
+    dtype = np.int64 if sum(w for row in adj for _, w in row) <= INT64_MAX else object
+    num = np.array(rows, dtype=dtype).reshape(graph.size, graph.size)
+    return MetricSpace(num, scale, graph.labels())
 
 
 @dataclass(frozen=True)
@@ -205,38 +251,35 @@ class MetricViolation:
 class MetricReport:
     valid: bool
     violations: tuple[MetricViolation, ...]
+    truncated: bool = False  # more violations exist than the VIOLATION_CAP listed
 
 
 def verify_metric(space: MetricSpace) -> MetricReport:
-    """Report every violated metric-axiom instance (never raises).
+    """Report the violated metric-axiom instances (never raises).
 
     Identity and symmetry come first, then the triangle inequality over the
     integer numerators, one vectorized pass per block of first indices i
     (about TRIANGLE_BLOCK triples); violations are listed in (i, j, k)
-    order.
+    order.  The search stops after VIOLATION_CAP of them (`truncated`).
     """
-    d = space.dist
-    n = space.size
-    out: list[MetricViolation] = []
-    if n == 0:
-        return MetricReport(valid=True, violations=())
-    D, _ = scaled_integers(d, headroom=2)
+    found = list(itertools.islice(_violations(space), VIOLATION_CAP + 1))
+    return MetricReport(not found, tuple(found[:VIOLATION_CAP]), len(found) > VIOLATION_CAP)
+
+
+def _violations(space: MetricSpace):
+    D, d, n = space.num, space.d, space.size
     for i in np.flatnonzero(D.diagonal()).tolist():
-        out.append(MetricViolation("identity", (i, i), f"d({i},{i}) = {d[i][i]} != 0"))
-    # the zero diagonal shows up here too and is skipped
-    for i, j in zip(*(a.tolist() for a in np.nonzero((D != D.T) | (D <= 0)))):
-        if i >= j:
-            continue
-        if d[i][j] != d[j][i]:
-            out.append(
-                MetricViolation("symmetry", (i, j), f"d({i},{j}) = {d[i][j]} != d({j},{i}) = {d[j][i]}")
-            )
-        if d[i][j] <= 0:
-            out.append(MetricViolation("identity", (i, j), f"d({i},{j}) = {d[i][j]} not positive"))
+        yield MetricViolation("identity", (i, i), f"d({i},{i}) = {d(i, i)} != 0")
+    for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu((D != D.T) | (D <= 0), 1)))):
+        if D[i, j] != D[j, i]:
+            detail = f"d({i},{j}) = {d(i, j)} != d({j},{i}) = {d(j, i)}"
+            yield MetricViolation("symmetry", (i, j), detail)
+        if D[i, j] <= 0:
+            yield MetricViolation("identity", (i, j), f"d({i},{j}) = {d(i, j)} not positive")
     DT = np.ascontiguousarray(D.T)
     idx = np.arange(n)
     distinct = idx[:, None] != idx[None, :]
-    step = max(1, TRIANGLE_BLOCK // (n * n))
+    step = max(1, TRIANGLE_BLOCK // max(1, n * n))
     for start in range(0, n, step):
         first = idx[start : start + step, None, None]
         rows = D[start : start + step]
@@ -246,14 +289,9 @@ def verify_metric(space: MetricSpace) -> MetricReport:
         bad &= distinct & (first != idx[:, None]) & (first != idx)
         for b, j, k in zip(*(a.tolist() for a in np.nonzero(bad))):
             i = start + b
-            out.append(
-                MetricViolation(
-                    "triangle",
-                    (i, j, k),
-                    f"d({i},{j}) = {d[i][j]} > d({i},{k}) + d({k},{j}) = {d[i][k] + d[k][j]}",
-                )
-            )
-    return MetricReport(valid=not out, violations=tuple(out))
+            via = Fraction(int(D[i, k]) + int(D[k, j]), space.scale)
+            detail = f"d({i},{j}) = {d(i, j)} > d({i},{k}) + d({k},{j}) = {via}"
+            yield MetricViolation("triangle", (i, j, k), detail)
 
 
 def enumerate_geodesic_paths(
@@ -273,7 +311,7 @@ def enumerate_geodesic_paths(
     if space is None:
         space = apsp(graph)
     adj = graph.adjacency()
-    total = space.d(u, v)
+    from_u, to_v = ([Fraction(x, space.scale) for x in space.num[a].tolist()] for a in (u, v))
     results: list[GeodesicPath] = []
 
     # DFS extending only along prefix-shortest edges that can still reach v
@@ -291,7 +329,7 @@ def enumerate_geodesic_paths(
                 )
             continue
         for y, w in sorted(adj[x], reverse=True):
-            if cum + w == space.d(u, y) and cum + w + space.d(y, v) == total:
+            if cum + w == from_u[y] and cum + w + to_v[y] == from_u[v]:
                 stack.append((path + (y,), breaks + (cum + w,)))
     results.sort(key=lambda g: g.vertices)
     return results

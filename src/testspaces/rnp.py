@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .embeddings import Embedding, NormedTarget, distortion
 from .errors import CapExceededError, ValidationError
 from .exactlp import solve_lp
 from .generators import RecursiveFamily, tree_labels
-from .metric_core import GeodesicPath, MetricSpace, apsp, enumerate_geodesic_paths
+from .metric_core import INT64_MAX, GeodesicPath, MetricSpace, apsp, enumerate_geodesic_paths
 
 Vec = tuple
 
@@ -329,46 +331,25 @@ class GeodesicFamily:
         if any(v is None for row in self._vertex_at for v in row):
             raise ValidationError("geodesics do not share a parameter grid")
         self._index_of = {row: i for i, row in enumerate(self._vertex_at)}
-        n = len(self.geodesics)
+        V = np.array(self._vertex_at)
+        dev = self.space.num[V[:, None, :], V[None, :, :]]  # [a, b, t]: d(g_a(t), g_b(t)) * scale
         np_ = len(self.params)
-        self._dev = [
-            [
-                tuple(
-                    self.space.d(self._vertex_at[a][t], self._vertex_at[b][t])
-                    for t in range(np_)
-                )
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        # common-parameter bitmasks for fast control filtering
-        self._common = [
-            [
-                sum(1 << t for t in range(np_) if self._dev[a][b][t] == 0)
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        self._total, self._nbubbles = [], []
-        for row in self._dev:
-            totals, counts = zip(*(self._bubble_total(profile) for profile in row))
-            self._total.append(totals)
-            self._nbubbles.append(counts)
-
-    @staticmethod
-    def _bubble_total(profile) -> tuple[Fraction, int]:
-        total = Fraction(0)
-        bubbles = 0
-        run_max = Fraction(0)
-        for d in profile:
-            if d == 0:
-                total += run_max
-                run_max = Fraction(0)
-            elif d > run_max:
-                if run_max == 0:
-                    bubbles += 1
-                run_max = d
-        return total + run_max, bubbles
+        if int(dev.max()) * np_ > INT64_MAX:
+            dev = dev.astype(object)  # the bubble totals below stay exact
+        # per pair: bitmask of common parameters, sum and count of bubble maxima
+        zero = dev == 0
+        bit = np.array([1 << t for t in range(np_)], dtype=np.int64 if np_ < 63 else object)
+        total, run, bubbles = (np.zeros_like(dev[:, :, 0]) for _ in range(3))
+        for t in range(np_):
+            z = zero[:, :, t]
+            total += np.where(z, run, 0)
+            bubbles += ~z & (run == 0)
+            run = np.where(z, 0, np.maximum(run, dev[:, :, t]))
+        total += run
+        self._dev = dev
+        self._common = (zero * bit).sum(axis=2).tolist()
+        self._total = total.tolist()
+        self._nbubbles = bubbles.tolist()
 
     def vertex_at(self, g: int, param: Fraction) -> int:
         return self._vertex_at[g][self.params.index(param)]
@@ -394,7 +375,7 @@ class GeodesicFamily:
                 best, best_key = cand, key
         if best is None:
             raise ValidationError("no geodesic of the family passes the control points")
-        profile = self._dev[g][best]
+        profile = self._dev[g, best].tolist()
         np_ = len(self.params)
 
         # q: endpoints, controls, and the common flanks of every bubble
@@ -424,9 +405,9 @@ class GeodesicFamily:
                 continue
             s_best = max(inside, key=lambda i: (profile[i], -i))
             s_params.append(self.params[s_best])
-            deviations.append(profile[s_best])
+            deviations.append(Fraction(profile[s_best], self.space.scale))
         total = sum(deviations, Fraction(0))
-        if total != self._total[g][best]:
+        if total != Fraction(self._total[g][best], self.space.scale):
             raise ValidationError("internal error: bubble accounting mismatch")
         return OracleResponse(best, q_params, tuple(s_params), tuple(deviations), total)
 
@@ -505,6 +486,7 @@ def thickness_alpha(
                 worst = (g, tuple(family.params[i] for i in combo))
     if alpha is None:
         raise ValidationError("no admissible configuration found")
+    alpha = Fraction(alpha, family.space.scale)
     return ThicknessCertificate(alpha, control_budget, worst[0], worst[1], configs, partial)
 
 
@@ -521,7 +503,7 @@ def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = No
         raise ValidationError("tent embedding is defined for diamonds")
     if space is None:
         space = apsp(fam.graph)
-    h = space.dist[fam.source]
+    h = [Fraction(x, space.scale) for x in space.num[fam.source].tolist()]
     spans = []
     for quad in fam.units:
         x, y = quad.ends

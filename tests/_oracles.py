@@ -1,13 +1,14 @@
 """Independent oracles used only by tests.
 
 Each one recomputes a quantity by a route disjoint from the library code it
-checks: Floyd-Warshall for shortest paths, Nelder-Mead coordinate search for
-optimal euclidean distortion, full outcome enumeration for the short
-downward tree walk, dense Fraction matrix powers for the Markov convexity
-sums, word-product enumeration for Heisenberg balls, plain loops over
-pairs and triples for distortion and the metric axioms, the original
-alternating-projection loop for the SDP feasibility probe, and a multi-start
-SLSQP search for the Hilbert fork gap.
+checks: Floyd-Warshall and Fraction-valued Dijkstra for shortest paths,
+nested Fraction tuples for subspaces and rescaled metrics, Nelder-Mead
+coordinate search for optimal euclidean distortion, full outcome
+enumeration for the short downward tree walk, dense Fraction matrix powers
+for the Markov convexity sums, word-product enumeration for Heisenberg
+balls, plain loops over pairs and triples for distortion and the metric
+axioms, the original alternating-projection loop for the SDP feasibility
+probe, and a multi-start SLSQP search for the Hilbert fork gap.
 """
 
 import itertools
@@ -39,6 +40,38 @@ def floyd_warshall(n, edges):
                 if dist[i][j] is None or dik + dkj < dist[i][j]:
                     dist[i][j] = dik + dkj
     return dist
+
+
+def apsp_fraction_rows(graph):
+    """Shortest-path table as nested tuples of Fractions, by Dijkstra on the
+    Fraction edge lengths themselves (the representation the library kept
+    before it stored integer numerators)."""
+    import heapq
+
+    adj = graph.adjacency()
+    rows = []
+    for src in range(graph.size):
+        dist = [None] * graph.size
+        heap = [(Fraction(0), src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if dist[u] is None:
+                dist[u] = d
+                for v, w in adj[u]:
+                    if dist[v] is None:
+                        heapq.heappush(heap, (d + w, v))
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def restrict_rows(rows, indices):
+    """The subtable on the given points, in the given order."""
+    return tuple(tuple(rows[i][j] for j in indices) for i in indices)
+
+
+def scaled_rows(rows, factor):
+    """Every entry times factor."""
+    return tuple(tuple(d * factor for d in row) for row in rows)
 
 
 def min_l2_distortion_points(dist_table, dim, seed=7, starts=12, maxiter=20000):

@@ -65,7 +65,7 @@ def test_frechet_is_isometric(space):
 
 
 def test_frechet_two_points():
-    sp = MetricSpace(((F(0), F(5)), (F(5), F(0))))
+    sp = MetricSpace.from_rows(((F(0), F(5)), (F(5), F(0))))
     assert distortion(frechet_embed(sp)).distortion == 1
 
 
@@ -277,7 +277,7 @@ def _embeddings(draw):
                 # summation order shows
                 vec.append(x / draw(st.sampled_from([4, 3, 10])) * (1e20 if huge else 1.0))
         vectors.append(tuple(vec))
-    emb = Embedding(MetricSpace(table), tuple(vectors), NormedTarget(kind, dim))
+    emb = Embedding(MetricSpace.from_rows(table), tuple(vectors), NormedTarget(kind, dim))
     # huge exact vectors are too large for float64, so l2 measures them pair
     # by pair
     return emb, not (huge and kind == "l2" and entry != "float")
@@ -306,7 +306,7 @@ def test_distortion_kernels_match_pair_loop(drawn):
 def test_distortion_kernel_object_route():
     # numerators beyond int64: the kernels switch to Python ints and stay exact
     big = 3**45
-    sp = MetricSpace(((F(0), F(big), F(1)), (F(big), F(0), F(big)), (F(1), F(big), F(0))))
+    sp = MetricSpace.from_rows(((F(0), F(big), F(1)), (F(big), F(0), F(big)), (F(1), F(big), F(0))))
     vecs = ((F(0), F(1, big)), (F(big), F(0)), (F(1), F(1, 7)))
     for kind in ("l1", "linf", "summing"):
         emb = Embedding(sp, vecs, NormedTarget(kind, 2))
@@ -322,7 +322,7 @@ def test_distortion_float_vanishing_distance_fails_as_pair_loop():
     # float(d) == 0 for a positive d: the loop divides by 0.0 and raises at
     # pair (0, 1), before it reaches the collapsed pair (1, 2)
     tiny = F(1, 10**400)
-    sp = MetricSpace(((F(0), tiny, F(1)), (tiny, F(0), F(1)), (F(1), F(1), F(0))))
+    sp = MetricSpace.from_rows(((F(0), tiny, F(1)), (tiny, F(0), F(1)), (F(1), F(1), F(0))))
     emb = Embedding(sp, ((0.0,), (1.0,), (1.0,)), NormedTarget("l2", 1))
     with pytest.raises(ZeroDivisionError):
         pairwise_distortion(emb)

@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses
-or imports scipy, and every library function the benchmark traces by name
-still exists."""
+or imports scipy, only the metric core and the Fréchet embedding read the
+Fraction view of a distance table, and every library function the
+benchmark traces by name still exists."""
 
 import ast
 import importlib
@@ -74,6 +75,37 @@ def test_src_does_not_import_scipy():
     assert found == []
 
 
+# the Fréchet embedding's vectors are the Fraction rows by definition
+DIST_READERS = {("metric_core.py", None), ("embeddings.py", "frechet_embed")}
+
+
+def dist_reads(source: str) -> list[tuple[str, int]]:
+    """(innermost function name, line) of every `.dist` attribute read."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "dist":
+                found.append((scope, child.lineno))
+            visit(child, child.name if isinstance(child, SCOPES) else scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_metric_core_reads_fraction_tables():
+    # consumers read the integer numerators (`num`, `scale`), so the
+    # representation stays known to metric_core alone
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line in dist_reads(path.read_text())
+        if (path.name, None) not in DIST_READERS and (path.name, scope) not in DIST_READERS
+    ]
+    assert found == []
+    assert dist_reads("def f(s):\n    return s.dist[0]\n") == [("f", 2)]
+
+
 def _load_spans():
     """perfbench/spans.py, imported by path from the repository root."""
     path = SRC.parents[1] / "perfbench" / "spans.py"
@@ -102,7 +134,7 @@ def test_benchmark_spans_resolve():
     originals = (markov.exact_convexity, markov.mc_convexity)
     half = F(1, 2)
     chain = markov.MarkovChain((((0, half), (1, half)), ((1, F(1)),)), 0, 2)
-    space = MetricSpace(((F(0), F(1)), (F(1), F(0))))
+    space = MetricSpace.from_rows(((F(0), F(1)), (F(1), F(0))))
     mmap = markov.MetricMap((0, 1))
     tracer = spans.Tracer()
     tracer.install()

@@ -25,7 +25,7 @@ from testspaces.metric_core import MetricSpace, apsp
 
 
 def _triangle(a, b, c):
-    return MetricSpace(
+    return MetricSpace.from_rows(
         ((F(0), F(a), F(b)), (F(a), F(0), F(c)), (F(b), F(c), F(0)))
     )
 
@@ -37,7 +37,7 @@ def test_three_point_spaces_embed_isometrically():
 
 
 def test_two_point_space():
-    sp = MetricSpace(((F(0), F(3)), (F(3), F(0))))
+    sp = MetricSpace.from_rows(((F(0), F(3)), (F(3), F(0))))
     assert min_distortion_l2(sp).c_star == pytest.approx(1.0, abs=1e-4)
 
 

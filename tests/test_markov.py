@@ -47,7 +47,7 @@ def test_chain_validation():
 
 
 def _two_point_space():
-    return MetricSpace(((F(0), F(1)), (F(1), F(0))))
+    return MetricSpace.from_rows(((F(0), F(1)), (F(1), F(0))))
 
 
 _HALF_CHAIN = MarkovChain((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)

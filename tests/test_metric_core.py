@@ -1,13 +1,18 @@
 """Core metric machinery: apsp, axiom verification, geodesic enumeration."""
 
+import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from testspaces.errors import CapExceededError, DisconnectedGraphError, ValidationError
 from testspaces.generators import UNIT, cycle, diamond, diamond_weighting, laakso, laakso_weighting
 from testspaces.metric_core import (
+    INT64_MAX,
+    VIOLATION_CAP,
     GeodesicPath,
     MetricSpace,
     PointId,
@@ -17,7 +22,13 @@ from testspaces.metric_core import (
     verify_metric,
 )
 
-from _oracles import floyd_warshall, triple_metric_violations
+from _oracles import (
+    apsp_fraction_rows,
+    floyd_warshall,
+    restrict_rows,
+    scaled_rows,
+    triple_metric_violations,
+)
 from _strategies import random_connected_graph
 
 
@@ -59,7 +70,7 @@ def test_verify_metric_on_generator_output():
 
 
 def test_verify_metric_triangle_violation():
-    sp = MetricSpace(
+    sp = MetricSpace.from_rows(
         (
             (F(0), F(1), F(3)),
             (F(1), F(0), F(1)),
@@ -74,7 +85,7 @@ def test_verify_metric_triangle_violation():
 
 
 def test_verify_metric_identity_violation():
-    sp = MetricSpace(((F(0), F(0)), (F(0), F(0))))
+    sp = MetricSpace.from_rows(((F(0), F(0)), (F(0), F(0))))
     report = verify_metric(sp)
     assert not report.valid
     assert any(v.kind == "identity" for v in report.violations)
@@ -128,6 +139,7 @@ def test_apsp_matches_floyd_warshall_and_is_metric(data):
     for i in range(sp.size):
         for j in range(sp.size):
             assert sp.d(i, j) == fw[i][j]
+    assert sp.dist == apsp_fraction_rows(graph)
 
 
 @settings(max_examples=30, deadline=None)
@@ -168,9 +180,81 @@ def test_verify_metric_matches_triple_loop(drawn):
     rows = [[F(a, b) * scale for a, b in row] for row in entries]
     if symmetric:
         rows = [[rows[min(i, j)][max(i, j)] if i != j else F(0) for j in range(n)] for i in range(n)]
-    sp = MetricSpace(tuple(tuple(r) for r in rows))
+    sp = MetricSpace.from_rows(tuple(tuple(r) for r in rows))
     report = verify_metric(sp)
     expected = triple_metric_violations(sp)
     assert report.violations == expected
     assert report.valid == (not expected)
+    assert not report.truncated
     assert all(type(x) is int for v in report.violations for x in v.where)
+
+
+def test_verify_metric_caps_violations_at_a_prefix():
+    # random distances on 30 points break the triangle inequality far more
+    # than VIOLATION_CAP times; the report lists the oracle's first ones
+    rng = random.Random(3)
+    n = 30
+    rows = [[0 if i == j else rng.randint(1, 50) for j in range(n)] for i in range(n)]
+    sp = MetricSpace.from_rows(rows)
+    expected = triple_metric_violations(sp)
+    assert len(expected) > VIOLATION_CAP
+    report = verify_metric(sp)
+    assert not report.valid and report.truncated
+    assert report.violations == tuple(expected[:VIOLATION_CAP])
+
+
+_ENTRY = st.one_of(
+    st.integers(0, 9),
+    st.builds(F, st.integers(-3, 30), st.integers(1, 12)),
+    # both sides of the int64 boundary for twice the largest numerator
+    st.integers(INT64_MAX // 2 - 2, INT64_MAX // 2 + 2),
+    st.builds(F, st.integers(1, 5), st.sampled_from([3**40, 2**70])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.integers(0, n - 1), max_size=n + 1),
+            st.builds(F, st.integers(1, 2**64), st.integers(1, 40)),
+            st.integers(1, 2**40),
+        )
+    )
+)
+def test_representation_matches_fraction_tables(drawn):
+    table, idx, factor, k = drawn
+    rows = tuple(tuple(F(x) for x in row) for row in table)
+    labels = tuple(f"p{i}" for i in range(len(rows)))
+    sp = MetricSpace.from_rows(table, labels)
+
+    # one integer table in lowest terms, int64 exactly when 2 max|num| fits
+    nums = sp.num.ravel().tolist()
+    assert sp.num.shape == (len(rows), len(rows)) and not sp.num.flags.writeable
+    assert math.gcd(sp.scale, *nums) == 1
+    assert sp.num.dtype == (np.int64 if 2 * max(map(abs, nums)) <= INT64_MAX else object)
+
+    # the Fraction and float views
+    assert sp.dist == rows
+    assert all(type(x) is F for row in sp.dist for x in row)
+    assert [sp.d(i, j) for i in range(sp.size) for j in range(sp.size)] == [x for r in rows for x in r]
+    assert sp.floats().tolist() == [[float(x) for x in row] for row in rows]
+
+    sub, big = sp.restrict(idx), sp.scaled(factor)
+    assert (sub.dist, sub.labels) == (restrict_rows(rows, idx), tuple(labels[i] for i in idx))
+    assert (big.dist, big.labels) == (scaled_rows(rows, factor), labels)
+
+    # equality is by value: non-reduced numerators, on either side of the
+    # int64 boundary, are brought to the same lowest terms
+    same = MetricSpace(sp.num.astype(object) * k, sp.scale * k, labels)
+    assert same == sp and same.num.dtype == sp.num.dtype
+    assert (big == sp) == (factor == 1 or not any(nums))
+    assert MetricSpace(sp.num, sp.scale) != sp
+
+
+def test_from_rows_rejects_floats_and_ragged_tables():
+    with pytest.raises(ValidationError):
+        MetricSpace.from_rows(((0, 0.5), (0.5, 0)))
+    with pytest.raises(ValidationError):
+        MetricSpace.from_rows(((0, 1), (1,)))
