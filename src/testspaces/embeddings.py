@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import CapExceededError, CollapsedPairError, ValidationError
 from .generators import binary_tree, tree_labels
-from .metric_core import FLOAT_EXACT, MetricSpace, scaled_integers
+from .metric_core import (
+    FLOAT_EXACT,
+    INT64_MAX,
+    MetricSpace,
+    PointId,
+    WeightedGraph,
+    apsp,
+    scaled_integers,
+)
 
 Vector = tuple  # tuple of Fraction/int (exact kinds) or float (l2)
 
@@ -81,12 +89,18 @@ class Embedding:
     def __post_init__(self):
         if len(self.vectors) != self.space.size:
             raise ValidationError("need exactly one vector per point")
+        types = set()
         for vec in self.vectors:
             if len(vec) != self.target.dim:
                 raise ValidationError("vector dimension does not match target")
-            for x in vec:
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise ValidationError("vector entries must be finite")
+            types.update(map(type, vec))
+        if all(issubclass(t, float) for t in types):
+            if self.target.kind == "gauge":
+                raise ValidationError("a gauge target measures exact vectors only")
+            if not all(math.isfinite(x) for vec in self.vectors for x in vec):
+                raise ValidationError("vector entries must be finite")
+        elif not all(issubclass(t, (int, Fraction)) for t in types):
+            raise ValidationError("vector entries must be all exact (int or Fraction) or all float")
 
     def diff_norm(self, i: int, j: int) -> Fraction | float:
         return norm(self.target, tuple(a - b for a, b in zip(self.vectors[i], self.vectors[j])))
@@ -113,88 +127,48 @@ def distortion(emb: Embedding) -> DistortionReport:
 
     lip and colip are taken at the first maximizing pair in (i, j) order,
     so every field, value types included, is what a loop over the pairs
-    gives.  Exact vectors in l1, linf or the summing norm are measured in
-    integers and compared by cross-multiplication; float vectors, and l2,
-    in float64 summed in coordinate order.  Gauge targets and vectors mixing
-    exact and float entries are measured pair by pair.
+    gives.  Exact vectors in l1, linf, the summing norm or a gauge are
+    measured in integers and compared by cross-multiplication; float
+    vectors, and l2, in float64 summed in coordinate order.  Raises
+    ValidationError for a negative distance, for no pair at positive
+    distance, and, when measuring in floats, for a positive distance whose
+    float is 0; CollapsedPairError for the first collapsed pair.
     """
-    if emb.space.size < 2:
-        raise ValidationError("distortion needs at least 2 points")
-    report = _kernel_distortion(emb)
-    return _distortion_by_pairs(emb) if report is None else report
-
-
-def _distortion_by_pairs(emb: Embedding) -> DistortionReport:
-    n = emb.space.size
-    lip = None
-    colip = None
-    lip_w = colip_w = (0, 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = emb.space.d(i, j)
-            if d == 0:
-                continue
-            dn = emb.diff_norm(i, j)
-            if dn == 0:
-                raise CollapsedPairError(i, j)
-            r = dn / d
-            if lip is None or r > lip:
-                lip, lip_w = r, (i, j)
-            rinv = d / dn
-            if colip is None or rinv > colip:
-                colip, colip_w = rinv, (i, j)
-    return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
-
-
-# Row kernels: the norm of each row of a block of difference vectors.  Sums
-# run in coordinate order (cumsum), never pairwise, so float rows agree bit
-# for bit with `norm`.
-_ROW_NORMS = {
-    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
-    "linf": lambda x: np.abs(x).max(axis=1),
-    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
-    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
-}
-
-
-def _kernel_distortion(emb: Embedding) -> Optional[DistortionReport]:
-    """distortion by the row kernels, or None when the pair loop must decide:
-    gauge targets, mixed entries, negative or float-vanishing distances,
-    exact l2 input too large for float64, or no pair at positive distance.
-    Raises CollapsedPairError for the first collapsed pair, as the loop
-    does."""
     kind, space, n = emb.target.kind, emb.space, emb.space.size
-    types = {type(x) for vec in emb.vectors for x in vec}
-    exact = all(issubclass(t, (int, Fraction)) for t in types)
-    if kind == "gauge" or not (exact or all(issubclass(t, float) for t in types)):
-        return None
+    if n < 2:
+        raise ValidationError("distortion needs at least 2 points")
     pairs = np.triu_indices(n, 1)  # (i, j) order
     dist = space.num[pairs]
+    if (dist < 0).any():
+        raise ValidationError("distortion needs nonnegative distances")
     valid = dist != 0
+    if not valid.any():
+        raise ValidationError("distortion needs a pair at positive distance")
+    exact = not isinstance(emb.vectors[0][0], float)  # entries are homogeneous
     if exact and kind != "l2":
-        if (dist < 0).any():
-            return None  # cross-multiplication needs positive denominators
         # a norm numerator is at most 2 * dim * max|V|, times a distance
-        big = max(1, int(np.abs(dist).max()))
-        V, v_scale = scaled_integers(emb.vectors, headroom=2 * emb.target.dim * big)
+        headroom = 2 * emb.target.dim * int(dist.max())
+        V, v_scale = scaled_integers(emb.vectors, headroom=headroom)
         diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
     else:
         dist = space.floats()[pairs]
         if (dist[valid] == 0).any():
-            return None  # the loop would divide by float(d) == 0
+            raise ValidationError("a positive distance is 0.0 in float64")
         if exact:
             V, scale = scaled_integers(emb.vectors)
             if V.dtype == object or np.abs(V).max() >= FLOAT_EXACT // 2 or scale >= FLOAT_EXACT:
-                return None
-            # differences are exact below 2^53, so one division rounds them
+                V = V.astype(object)  # Python ints, divided by Python true division
+            # the differences are exact, so one division rounds each entry
             # as float(a - b) does
-            diffs = ((V[i] - V[i + 1 :]) / float(scale) for i in range(n - 1))
+            diffs = (((V[i] - V[i + 1 :]) / scale).astype(float, copy=False) for i in range(n - 1))
         else:
             V = np.array(emb.vectors, dtype=float)
             diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
-    if not valid.any():
-        return None
-    row_norm = _ROW_NORMS[kind]
+    if kind == "gauge":
+        evaluate = emb.target.gauge.evaluate
+        row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
+    else:
+        row_norm = _ROW_NORMS[kind]
     norms = np.concatenate([row_norm(x) for x in diffs])
     collapsed = np.flatnonzero(valid & (norms == 0))
     if collapsed.size:
@@ -207,10 +181,23 @@ def _kernel_distortion(emb: Embedding) -> Optional[DistortionReport]:
         lip = float(norms[a]) / float(dist[a])
         colip = float(dist[b]) / float(norms[b])
     else:
+        # a gauge norm is a Fraction, the others ints
         a, b = at[_first_max(num, den)], at[_first_max(den, num)]
-        lip = Fraction(int(norms[a]) * space.scale, int(dist[a]) * v_scale)
-        colip = Fraction(int(dist[b]) * v_scale, int(norms[b]) * space.scale)
+        (norm_a, norm_b), (dist_a, dist_b) = norms[[a, b]].tolist(), dist[[a, b]].tolist()
+        lip = Fraction(norm_a) * space.scale / (dist_a * v_scale)
+        colip = Fraction(dist_b * v_scale) / (norm_b * space.scale)
     return DistortionReport(lip, colip, lip * colip, _pair(n, a), _pair(n, b))
+
+
+# Row kernels: the norm of each row of a block of difference vectors.  Sums
+# run in coordinate order (cumsum), never pairwise, so float rows agree bit
+# for bit with `norm`.
+_ROW_NORMS = {
+    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
+    "linf": lambda x: np.abs(x).max(axis=1),
+    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
+    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
+}
 
 
 def _pair(n: int, k: int) -> tuple[int, int]:
@@ -235,26 +222,37 @@ def _first_max(num: np.ndarray, den: np.ndarray) -> int:
     return int(idx[0])
 
 
-def map_distortion(source: MetricSpace, target_space: MetricSpace, mapping: Sequence[int]):
-    """Distortion of a vertex map between two finite metric spaces.
+def map_distortion(
+    source: MetricSpace, target_space: MetricSpace, mapping: Sequence[int]
+) -> Optional[Fraction]:
+    """Distortion of a vertex map between two finite metric spaces, exact:
+    the largest target-to-source and source-to-target distance ratios over
+    the pairs at positive source distance, found by the cross-multiplying
+    reducer of `distortion` on the numerators (the scales cancel).
 
     Returns None when the map collapses a pair (infinite distortion).
+    Raises ValidationError for a negative distance or for no pair at
+    positive source distance.
     """
     n = source.size
-    lip = colip = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = source.d(i, j)
-            if d == 0:
-                continue
-            dt = target_space.d(mapping[i], mapping[j])
-            if dt == 0:
-                return None
-            r = dt / d
-            lip = r if lip is None or r > lip else lip
-            rinv = d / dt
-            colip = rinv if colip is None or rinv > colip else colip
-    return lip * colip
+    if len(mapping) != n:
+        raise ValidationError("need exactly one image per source point")
+    first, second = np.triu_indices(n, 1)
+    image = np.asarray(mapping, dtype=np.intp)
+    src, tgt = source.num[first, second], target_space.num[image[first], image[second]]
+    if (src < 0).any() or (tgt < 0).any():
+        raise ValidationError("map distortion needs nonnegative distances")
+    valid = src != 0
+    if not valid.any():
+        raise ValidationError("map distortion needs a pair at positive distance")
+    src, tgt = src[valid], tgt[valid]
+    if not tgt.all():
+        return None
+    if int(src.max()) * int(tgt.max()) > INT64_MAX:  # the cross-products
+        src, tgt = src.astype(object), tgt.astype(object)
+    a, b = _first_max(tgt, src), _first_max(src, tgt)
+    (tgt_a, tgt_b), (src_a, src_b) = tgt[[a, b]].tolist(), src[[a, b]].tolist()
+    return Fraction(tgt_a * src_b, src_a * tgt_b)
 
 
 def frechet_embed(space: MetricSpace) -> Embedding:
@@ -336,8 +334,6 @@ def bourgain_labeling(n: int) -> BourgainLabeling:
 
 
 def _tree_space(n: int) -> MetricSpace:
-    from .metric_core import apsp
-
     return apsp(binary_tree(n))
 
 
@@ -523,12 +519,18 @@ def cycle_tree_lower_oracle(
 
     if m < 3:
         raise ValidationError("cycle needs m >= 3")
-    total_maps = sum(
-        order**m * sum(1 for _ in nx.nonisomorphic_trees(order)) if order >= 2 else 1
-        for order in range(1, max_tree_vertices + 1)
-    )
-    if total_maps > map_budget:
-        raise CapExceededError(f"{total_maps} maps exceed budget {map_budget}")
+    trees = {}  # order -> edge lists of its unlabeled trees
+    total_maps = 1 if max_tree_vertices >= 1 else 0  # the one-vertex tree
+    for order in range(2, max_tree_vertices + 1):
+        trees[order] = [
+            tuple(sorted(tuple(sorted(e)) for e in tree.edges()))
+            for tree in nx.nonisomorphic_trees(order)
+        ]
+        total_maps += order**m * len(trees[order])
+        if total_maps > map_budget:
+            raise CapExceededError(
+                f"{total_maps} maps into trees on at most {order} vertices exceed budget {map_budget}"
+            )
 
     dc = np.array(
         [[min(abs(i - j), m - abs(i - j)) for j in range(m)] for i in range(m)],
@@ -536,19 +538,16 @@ def cycle_tree_lower_oracle(
     )
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
 
-    best = None  # (distortion float, order, tree_edges, map tuple)
+    best = None  # (distortion float, tree edges, map tuple, tree space)
     searched = 0
     for order in range(1, max_tree_vertices + 1):
         if order == 1:
             searched += 1  # the unique constant map collapses everything
             continue
-        for tree in nx.nonisomorphic_trees(order):
-            td = np.zeros((order, order), dtype=np.int64)
-            lengths = dict(nx.all_pairs_shortest_path_length(tree))
-            for i in range(order):
-                for j in range(order):
-                    td[i, j] = lengths[i][j]
-            edges = tuple(sorted(tuple(sorted(e)) for e in tree.edges()))
+        points = tuple(PointId(i) for i in range(order))
+        for edges in trees[order]:
+            tree_space = apsp(WeightedGraph(points, tuple((u, v, Fraction(1)) for u, v in edges)))
+            td = tree_space.num
             chunk = 200_000
             total = order**m
             searched += total
@@ -573,17 +572,15 @@ def cycle_tree_lower_oracle(
                     dist = np.where(alive, ratio_max / ratio_min, np.inf)
                 k = int(np.argmin(dist))
                 if np.isfinite(dist[k]) and (best is None or dist[k] < best[0]):
-                    best = (float(dist[k]), order, edges, tuple(int(x) for x in maps[k]))
+                    best = (float(dist[k]), edges, tuple(int(x) for x in maps[k]), tree_space)
 
     bound = Fraction(m, 3) - 1
     if best is None:
         return CycleTreeResult(m, max_tree_vertices, None, bound, None, None, searched)
 
     # re-verify the winning map in exact arithmetic
-    _, order, edges, mapping = best
-    tree_space = _tree_metric_from_edges(order, edges)
-    cyc = MetricSpace(dc)
-    exact = map_distortion(cyc, tree_space, mapping)
+    _, edges, mapping, tree_space = best
+    exact = map_distortion(MetricSpace(dc), tree_space, mapping)
     if exact is None:
         raise ValidationError("internal error: winning map collapsed on re-check")
     if exact < bound:
@@ -592,13 +589,3 @@ def cycle_tree_lower_oracle(
             "this contradicts Rabinovich-Raz and indicates a bug"
         )
     return CycleTreeResult(m, max_tree_vertices, exact, bound, edges, mapping, searched)
-
-
-def _tree_metric_from_edges(order: int, edges) -> MetricSpace:
-    from .metric_core import PointId, WeightedGraph, apsp
-
-    g = WeightedGraph(
-        tuple(PointId(i) for i in range(order)),
-        tuple((u, v, Fraction(1)) for u, v in edges),
-    )
-    return apsp(g)

@@ -103,15 +103,16 @@ def vectors_to_csv(vectors: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def vectors_from_csv(text: str, exact: bool = True) -> tuple[tuple, ...]:
+def vectors_from_csv(text: str) -> tuple[tuple, ...]:
+    """The vectors of a CSV file: exact when every entry is a rational
+    string ("p" or "p/q", no decimal point or exponent), floats otherwise."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    out = []
-    for row in rows:
-        if exact and all("." not in x and "e" not in x.lower() for x in row):
-            out.append(tuple(parse_rational(x) for x in row))
-        else:
-            out.append(tuple(float(x) for x in row))
-    return tuple(out)
+    if all("." not in x and "e" not in x.lower() for row in rows for x in row):
+        return tuple(tuple(parse_rational(x) for x in row) for row in rows)
+    try:
+        return tuple(tuple(float(x) for x in row) for row in rows)
+    except ValueError as e:
+        raise ValidationError(f"bad float in vector file: {e}") from None
 
 
 def read_vectors(path: str) -> tuple[tuple, ...]:

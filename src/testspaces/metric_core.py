@@ -140,6 +140,8 @@ class WeightedGraph:
 
     def __post_init__(self):
         n = len(self.vertices)
+        if n == 0:
+            raise ValidationError("a graph needs at least one vertex")
         for k, p in enumerate(self.vertices):
             if p.index != k:
                 raise ValidationError(f"vertex indices must be contiguous, got {p.index} at {k}")

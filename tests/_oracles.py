@@ -6,8 +6,8 @@ nested Fraction tuples for subspaces and rescaled metrics, Nelder-Mead
 coordinate search for optimal euclidean distortion, full outcome
 enumeration for the short downward tree walk, dense Fraction matrix powers
 for the Markov convexity sums, word-product enumeration for Heisenberg
-balls, plain loops over pairs and triples for distortion and the metric
-axioms, the original alternating-projection loop for the SDP feasibility
+balls, plain loops over pairs and triples for distortion, vertex-map
+distortion and the metric axioms, the original alternating-projection loop for the SDP feasibility
 probe, and a multi-start SLSQP search for the Hilbert fork gap.
 """
 
@@ -258,6 +258,26 @@ def pairwise_distortion(emb):
                 colip, colip_w = rinv, (i, j)
     return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
 
+
+
+def pairwise_map_distortion(source, target, mapping):
+    """Distortion of a vertex map by the loop over pairs i < j at positive
+    source distance, in Fractions; None when the map collapses a pair."""
+    n = source.size
+    lip = colip = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = source.d(i, j)
+            if d == 0:
+                continue
+            dt = target.d(mapping[i], mapping[j])
+            if dt == 0:
+                return None
+            r = dt / d
+            lip = r if lip is None or r > lip else lip
+            rinv = d / dt
+            colip = rinv if colip is None or rinv > colip else colip
+    return lip * colip
 
 def triple_metric_violations(space):
     """Every violated metric-axiom instance by the O(n^3) loop over entries:

@@ -134,6 +134,30 @@ def test_validation_exit_code(tmp_path, capsys):
     assert rep["error"]["kind"] == "validation"
 
 
+def test_apsp_rejects_empty_graph(tmp_path, capsys):
+    gpath = tmp_path / "empty.json"
+    gpath.write_text('{"vertices": [], "edges": []}')
+    code, rep = run_cli(capsys, "apsp", "--graph", str(gpath))
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "at least one vertex" in rep["error"]["message"]
+
+
+def test_distort_rejects_float_vanishing_distance(tmp_path, capsys):
+    # a valid metric whose positive distance 1/10^400 is 0.0 in float64
+    space = tmp_path / "tiny.csv"
+    tiny = "1/" + "1" + "0" * 400
+    space.write_text(f"0,{tiny},1\n{tiny},0,1\n1,1,0\n")
+    vectors = tmp_path / "vec.csv"
+    vectors.write_text("0.0\n1.0\n2.0\n")
+    code, rep = run_cli(
+        capsys, "distort", "--space", str(space), "--vectors", str(vectors), "--target", "l1"
+    )
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "0.0 in float64" in rep["error"]["message"]
+
+
 def test_cap_exit_code(capsys):
     code, rep = run_cli(capsys, "gen", "--family", "heis", "--n", "99")
     assert code == 3

@@ -26,9 +26,10 @@ from testspaces.embeddings import (
 )
 from testspaces.errors import CollapsedPairError, ValidationError
 from testspaces.generators import binary_tree, cycle, heisenberg_ball
-from testspaces.metric_core import MetricSpace, apsp, scaled_integers
+from testspaces.metric_core import MetricSpace, apsp, path_graph, scaled_integers
 
-from _oracles import pairwise_distortion
+from _oracles import pairwise_distortion, pairwise_map_distortion
+from _strategies import random_connected_graph
 
 
 def test_norm_examples():
@@ -195,8 +196,6 @@ def test_submetric_violation_reported():
 def test_cycle_into_path_order_map():
     # C_6 into the 6-path by vertex order: lip 5 on the wrap pair, colip 1
     c6 = apsp(cycle(6))
-    from testspaces.metric_core import path_graph
-
     p6 = apsp(path_graph(6))
     assert map_distortion(c6, p6, list(range(6))) == 5
 
@@ -277,29 +276,20 @@ def _embeddings(draw):
                 # summation order shows
                 vec.append(x / draw(st.sampled_from([4, 3, 10])) * (1e20 if huge else 1.0))
         vectors.append(tuple(vec))
-    emb = Embedding(MetricSpace.from_rows(table), tuple(vectors), NormedTarget(kind, dim))
-    # huge exact vectors are too large for float64, so l2 measures them pair
-    # by pair
-    return emb, not (huge and kind == "l2" and entry != "float")
+    return Embedding(MetricSpace.from_rows(table), tuple(vectors), NormedTarget(kind, dim))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_embeddings())
-def test_distortion_kernels_match_pair_loop(drawn):
-    from testspaces.embeddings import _kernel_distortion
-
-    emb, by_kernel = drawn
+def test_distortion_kernels_match_pair_loop(emb):
+    # huge exact vectors in l2 are beyond float64's exact integers, so the
+    # kernel divides Python ints there
     if any(emb.space.d(i, j) for i in range(emb.space.size) for j in range(i)):
-        # a pair at positive distance exists, so the kernels decide
-        try:
-            assert (_kernel_distortion(emb) is not None) == by_kernel
-        except CollapsedPairError:
-            pass
         assert _outcome(distortion, emb) == _outcome(pairwise_distortion, emb)
     else:
         with pytest.raises(TypeError):
             pairwise_distortion(emb)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError, match="positive distance"):
             distortion(emb)
 
 
@@ -318,22 +308,73 @@ def test_distortion_kernel_object_route():
     assert scaled_integers(((F(1, 2), 2**61),), headroom=2)[0].dtype == object
 
 
-def test_distortion_float_vanishing_distance_fails_as_pair_loop():
-    # float(d) == 0 for a positive d: the loop divides by 0.0 and raises at
-    # pair (0, 1), before it reaches the collapsed pair (1, 2)
+def test_distortion_rejects_float_vanishing_distance():
+    # float(d) == 0 for a positive d: measuring in floats would divide by
+    # 0.0, so the space is rejected before the collapsed pair (1, 2) shows
     tiny = F(1, 10**400)
     sp = MetricSpace.from_rows(((F(0), tiny, F(1)), (tiny, F(0), F(1)), (F(1), F(1), F(0))))
-    emb = Embedding(sp, ((0.0,), (1.0,), (1.0,)), NormedTarget("l2", 1))
-    with pytest.raises(ZeroDivisionError):
-        pairwise_distortion(emb)
-    with pytest.raises(ZeroDivisionError):
-        distortion(emb)
+    with pytest.raises(ValidationError, match="0.0 in float64"):
+        distortion(Embedding(sp, ((0.0,), (1.0,), (1.0,)), NormedTarget("l2", 1)))
+    # exact vectors outside l2 are measured in integers, where d stays positive
+    emb = Embedding(sp, ((F(0),), (F(1),), (F(2),)), NormedTarget("l1", 1))
+    assert repr(distortion(emb)) == repr(pairwise_distortion(emb))
+
+
+def test_distortion_rejects_negative_distance():
+    sp = MetricSpace.from_rows(((F(0), F(-1)), (F(-1), F(0))))
+    for vecs in (((F(0),), (F(1),)), ((0.0,), (1.0,))):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            distortion(Embedding(sp, vecs, NormedTarget("l1", 1)))
 
 
 @pytest.mark.parametrize("kind", ["l1", "summing", "l2"])
-def test_distortion_mixed_entries_match_pair_loop(kind):
-    # vectors mixing Fraction and float entries are measured pair by pair
+def test_embedding_rejects_mixed_entries(kind):
     sp = apsp(cycle(4))
     vecs = ((F(0), 0.0), (F(1, 2), 1.0), (F(1), 0.5), (0.25, F(1, 3)))
-    emb = Embedding(sp, vecs, NormedTarget(kind, 2))
-    assert repr(distortion(emb)) == repr(pairwise_distortion(emb))
+    with pytest.raises(ValidationError, match="all exact"):
+        Embedding(sp, vecs, NormedTarget(kind, 2))
+    with pytest.raises(ValidationError, match="all exact"):
+        Embedding(sp, ((0,), (1,), ("2",), (3,)), NormedTarget(kind, 1))
+
+
+@st.composite
+def _vertex_maps(draw):
+    """A random apsp space, a random target apsp space, and a map between
+    them, injective or not.  Scaling by 3^25 keeps the numerators in int64
+    but not their cross-products; by 3^41/7 the numerators leave int64."""
+    factor = draw(st.sampled_from([1, 3**25, F(3**41, 7)]))
+
+    def space():
+        return apsp(random_connected_graph(draw)).scaled(factor)
+
+    source, target = space(), space()
+    images = range(target.size)
+    if source.size <= target.size and draw(st.booleans()):
+        mapping = draw(st.permutations(images))[: source.size]
+    else:
+        mapping = draw(st.lists(st.sampled_from(images), min_size=source.size, max_size=source.size))
+    return source, target, mapping
+
+
+@settings(max_examples=400, deadline=None)
+@given(_vertex_maps())
+def test_map_distortion_matches_pair_loop(drawn):
+    source, target, mapping = drawn
+    value = map_distortion(source, target, mapping)
+    assert value == pairwise_map_distortion(source, target, mapping)
+    assert value is None or type(value) is F
+
+
+def test_map_distortion_object_route():
+    # int64 numerators whose cross-products leave int64 switch to Python ints
+    path = apsp(path_graph(3))
+    a, b = path.scaled(3**30), path.scaled(F(5**20, 7))
+    assert a.num.dtype == b.num.dtype == np.int64
+    for mapping in ([0, 1, 2], [0, 2, 1], [1, 0, 2], [0, 1, 1]):
+        assert map_distortion(a, b, mapping) == pairwise_map_distortion(a, b, mapping)
+    assert map_distortion(a, b, [0, 2, 1]) == 4
+    assert map_distortion(a, b, [0, 1, 1]) is None
+    with pytest.raises(ValidationError, match="positive distance"):
+        map_distortion(MetricSpace.from_rows(((F(0), F(0)), (F(0), F(0)))), path, [0, 1])
+    with pytest.raises(ValidationError, match="one image per source point"):
+        map_distortion(a, b, [0, 1])

@@ -64,3 +64,11 @@ def test_vectors_round_trip_exact_and_float():
     floats = ((1.25, -0.5),)
     back = vectors_from_csv(vectors_to_csv(floats))
     assert back == floats
+
+
+def test_vector_file_is_exact_only_when_all_rational():
+    # one float row makes the whole file float, so no report mixes types
+    assert vectors_from_csv("1,2\n0.5,1\n3,1\n") == ((1.0, 2.0), (0.5, 1.0), (3.0, 1.0))
+    assert vectors_from_csv("1,2/3\n-4,1\n") == ((F(1), F(2, 3)), (F(-4), F(1)))
+    with pytest.raises(ValidationError, match="bad float"):
+        vectors_from_csv("1/2,0.5\n")

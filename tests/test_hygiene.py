@@ -1,7 +1,8 @@
 """Source hygiene: no module in the package imports a name it never uses
-or imports scipy, only the metric core and the Fréchet embedding read the
-Fraction view of a distance table, and every library function the
-benchmark traces by name still exists."""
+or imports scipy, networkx only lists the cycle oracle's trees, only the
+metric core and the Fréchet embedding read the Fraction view of a
+distance table, and every library function the benchmark traces by name
+still exists."""
 
 import ast
 import importlib
@@ -73,6 +74,41 @@ def test_src_does_not_import_scipy():
             names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def networkx_reach(source: str) -> list[tuple[str, str]]:
+    """(innermost function name, networkx name) for every networkx name the
+    source reaches: each name of a `from networkx import ...`, and each
+    attribute read off a name that `import networkx` binds in its scope."""
+    found = []
+    for scope, node in _imports(ast.parse(source)):
+        where = getattr(scope, "name", None)
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "networkx":
+                found += [(where, alias.name) for alias in node.names]
+            continue
+        for alias in node.names:
+            if alias.name.split(".")[0] == "networkx":
+                bound = alias.asname or "networkx"
+                found += [
+                    (where, n.attr)
+                    for n in ast.walk(scope)
+                    if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == bound
+                ]
+    return found
+
+
+def test_networkx_only_enumerates_trees():
+    # the library computes its own shortest paths; networkx only lists the
+    # unlabeled trees the cycle-into-trees oracle searches
+    found = [
+        (path.name, where, name)
+        for path in sorted(SRC.glob("*.py"))
+        for where, name in networkx_reach(path.read_text())
+    ]
+    assert found == [("embeddings.py", "cycle_tree_lower_oracle", "nonisomorphic_trees")]
+    source = "import networkx as nx\nfrom networkx import path_graph\ndef f():\n    return nx.cycle_graph(3)\n"
+    assert networkx_reach(source) == [(None, "cycle_graph"), (None, "path_graph")]
 
 
 # the Fréchet embedding's vectors are the Fraction rows by definition

@@ -298,7 +298,7 @@ def test_gauge_as_normed_target(bush3, gauge3):
 
 
 def test_gauge_distortion_matches_pair_loop(bush3, gauge3):
-    # gauge targets are measured pair by pair
+    # gauge norms of the integer difference rows, compared exactly
     from testspaces.embeddings import Embedding, NormedTarget
     from testspaces.metric_core import apsp, path_graph
 
@@ -306,6 +306,8 @@ def test_gauge_distortion_matches_pair_loop(bush3, gauge3):
     target = NormedTarget("gauge", bush3.atoms, gauge=gauge3)
     emb = Embedding(apsp(path_graph(3)), vecs, target)
     assert repr(distortion(emb)) == repr(pairwise_distortion(emb))
+    with pytest.raises(ValidationError, match="exact vectors only"):
+        Embedding(emb.space, tuple(tuple(float(x) for x in v) for v in vecs), target)
 
 
 def test_bush_must_sit_on_hyperplane(bush3):
