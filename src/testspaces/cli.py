@@ -178,7 +178,10 @@ def cmd_gen(args) -> dict:
     if fam == "product":
         if not args.depths:
             raise ValidationError("--depths required for product")
-        depths = [int(x) for x in args.depths.split(",")]
+        try:
+            depths = [int(x) for x in args.depths.split(",")]
+        except ValueError:
+            raise ValidationError(f"--depths {args.depths!r} is not a comma list of integers") from None
         space = gen.tree_product(depths)
     else:  # heis
         if n is None:

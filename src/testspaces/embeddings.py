@@ -264,6 +264,9 @@ def frechet_embed(space: MetricSpace) -> Embedding:
 # James sequences in the summing norm
 # ---------------------------------------------------------------------------
 
+JAMES_GRID_CAP = 10**6  # coefficient vectors; about 10^5 are scanned per second
+
+
 @dataclass(frozen=True)
 class JamesAlphaResult:
     analytic_bound: Fraction  # 1/3, valid for every coefficient vector
@@ -277,12 +280,15 @@ def james_alpha(m: int, coeff_bound: int = 3) -> JamesAlphaResult:
     worst ratio of the summing norm to the James two-block sum.
 
     The analytic bound 1/3 holds for all real coefficients: |S_j| <= sup_k
-    |S_k| and |S_m - S_j| <= 2 sup_k |S_k|.
+    |S_k| and |S_m - S_j| <= 2 sup_k |S_k|.  A grid of more than
+    JAMES_GRID_CAP vectors raises CapExceededError.
     """
     if m < 2:
         raise ValidationError("need m >= 2")
     if coeff_bound < 1:
         raise ValidationError("empty coefficient grid")
+    if (2 * coeff_bound + 1) ** m > JAMES_GRID_CAP:
+        raise CapExceededError(f"{2 * coeff_bound + 1}^{m} grid points exceed cap {JAMES_GRID_CAP}")
     best: Optional[Fraction] = None
     witness = None
     for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=m):
@@ -510,8 +516,11 @@ def cycle_tree_lower_oracle(
     m: int, max_tree_vertices: int, map_budget: int = 50_000_000
 ) -> CycleTreeResult:
     """Exhaustively search all unlabeled unit-weight trees up to the given
-    order and all vertex maps of the m-cycle into them; return the minimum
-    distortion found (None when every map collapses a pair).
+    order and all injective vertex maps of the m-cycle into them (a map that
+    collapses a pair has infinite distortion, so it cannot win); return the
+    minimum distortion found (None when no tree has m vertices).
+    `maps_searched` and `map_budget` count all order^m maps of every tree,
+    the non-injective ones rejected without being evaluated.
 
     Consistency guard: the Rabinovich-Raz bound m/3 - 1 must never be beaten.
     """
@@ -519,8 +528,10 @@ def cycle_tree_lower_oracle(
 
     if m < 3:
         raise ValidationError("cycle needs m >= 3")
+    if max_tree_vertices < 1:
+        raise ValidationError("need max_tree_vertices >= 1")
     trees = {}  # order -> edge lists of its unlabeled trees
-    total_maps = 1 if max_tree_vertices >= 1 else 0  # the one-vertex tree
+    total_maps = 1  # the constant map into the one-vertex tree
     for order in range(2, max_tree_vertices + 1):
         trees[order] = [
             tuple(sorted(tuple(sorted(e)) for e in tree.edges()))
@@ -539,44 +550,31 @@ def cycle_tree_lower_oracle(
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
 
     best = None  # (distortion float, tree edges, map tuple, tree space)
-    searched = 0
-    for order in range(1, max_tree_vertices + 1):
-        if order == 1:
-            searched += 1  # the unique constant map collapses everything
-            continue
+    for order in range(m, max_tree_vertices + 1):
         points = tuple(PointId(i) for i in range(order))
         for edges in trees[order]:
             tree_space = apsp(WeightedGraph(points, tuple((u, v, Fraction(1)) for u, v in edges)))
             td = tree_space.num
-            chunk = 200_000
-            total = order**m
-            searched += total
-            for start in range(0, total, chunk):
-                idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-                maps = np.empty((idx.size, m), dtype=np.int64)
-                rem = idx
-                for pos in range(m - 1, -1, -1):
-                    maps[:, pos] = rem % order
-                    rem = rem // order
-                ratio_max = np.zeros(idx.size)
-                ratio_min = np.full(idx.size, np.inf)
-                alive = np.ones(idx.size, dtype=bool)
+            injective = itertools.permutations(range(order), m)
+            while True:
+                chunk = itertools.chain.from_iterable(itertools.islice(injective, 200_000))
+                maps = np.fromiter(chunk, dtype=np.int64).reshape(-1, m)
+                if not len(maps):
+                    break
+                ratio_max = np.zeros(len(maps))
+                ratio_min = np.full(len(maps), np.inf)
                 for i, j in pairs:
-                    t = td[maps[:, i], maps[:, j]]
-                    alive &= t > 0
-                    with np.errstate(divide="ignore"):
-                        r = t / dc[i, j]
+                    r = td[maps[:, i], maps[:, j]] / dc[i, j]
                     ratio_max = np.maximum(ratio_max, r)
                     ratio_min = np.minimum(ratio_min, r)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    dist = np.where(alive, ratio_max / ratio_min, np.inf)
+                dist = ratio_max / ratio_min
                 k = int(np.argmin(dist))
-                if np.isfinite(dist[k]) and (best is None or dist[k] < best[0]):
+                if best is None or dist[k] < best[0]:
                     best = (float(dist[k]), edges, tuple(int(x) for x in maps[k]), tree_space)
 
     bound = Fraction(m, 3) - 1
     if best is None:
-        return CycleTreeResult(m, max_tree_vertices, None, bound, None, None, searched)
+        return CycleTreeResult(m, max_tree_vertices, None, bound, None, None, total_maps)
 
     # re-verify the winning map in exact arithmetic
     _, edges, mapping, tree_space = best
@@ -588,4 +586,4 @@ def cycle_tree_lower_oracle(
             f"search found distortion {exact} below the m/3 - 1 bound {bound}; "
             "this contradicts Rabinovich-Raz and indicates a bug"
         )
-    return CycleTreeResult(m, max_tree_vertices, exact, bound, edges, mapping, searched)
+    return CycleTreeResult(m, max_tree_vertices, exact, bound, edges, mapping, total_maps)

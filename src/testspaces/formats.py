@@ -50,7 +50,7 @@ def graph_from_json(data: dict) -> WeightedGraph:
         edges = tuple(
             (int(u), int(v), parse_rational(w)) for u, v, w in data["edges"]
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed graph JSON: {e}") from None
     return WeightedGraph(vertices, edges)
 

@@ -347,12 +347,18 @@ class GeodesicFamily:
             run = np.where(z, 0, np.maximum(run, dev[:, :, t]))
         total += run
         self._dev = dev
-        self._common = (zero * bit).sum(axis=2).tolist()
-        self._total = total.tolist()
-        self._nbubbles = bubbles.tolist()
+        self._common = (zero * bit).sum(axis=2)
+        self._total = total
+        self._nbubbles = bubbles
 
     def vertex_at(self, g: int, param: Fraction) -> int:
         return self._vertex_at[g][self.params.index(param)]
+
+    def _admissible(self, g: int, masks: Sequence[int]) -> np.ndarray:
+        """[k, c]: candidate c meets geodesic g at every parameter in the
+        bitmask masks[k]."""
+        masks = np.array(masks, dtype=self._common.dtype)[:, None]
+        return self._common[g] & masks == masks
 
     def respond(self, g: int, control_params: Sequence[Fraction]) -> OracleResponse:
         """Deviating geodesic through the control points maximizing the total
@@ -365,16 +371,11 @@ class GeodesicFamily:
         if missing:
             raise ValidationError(f"control parameters {missing} are not breakpoints")
         mask = sum(1 << self.params.index(p) for p in controls)
-        best = None
-        best_key = None
-        for cand in range(len(self.geodesics)):
-            if self._common[g][cand] & mask != mask:
-                continue
-            key = (-self._total[g][cand], self._nbubbles[g][cand], cand)
-            if best is None or key < best_key:
-                best, best_key = cand, key
-        if best is None:
+        cands = np.flatnonzero(self._admissible(g, [mask])[0])
+        if not cands.size:
             raise ValidationError("no geodesic of the family passes the control points")
+        keys = zip((-self._total[g, cands]).tolist(), self._nbubbles[g, cands].tolist(), cands.tolist())
+        best = min(keys)[2]
         profile = self._dev[g, best].tolist()
         np_ = len(self.params)
 
@@ -407,7 +408,7 @@ class GeodesicFamily:
             s_params.append(self.params[s_best])
             deviations.append(Fraction(profile[s_best], self.space.scale))
         total = sum(deviations, Fraction(0))
-        if total != Fraction(self._total[g][best], self.space.scale):
+        if total != Fraction(int(self._total[g, best]), self.space.scale):
             raise ValidationError("internal error: bubble accounting mismatch")
         return OracleResponse(best, q_params, tuple(s_params), tuple(deviations), total)
 
@@ -462,32 +463,25 @@ def thickness_alpha(
         for size in range(control_budget + 1)
         for combo in itertools.combinations(range(1, len(family.params) - 1), size)
     ]
-    configs = 0
     partial = False
     if n_geo * len(sets) * n_geo > work_cap:
         sets = sets[: max(1, work_cap // (n_geo * n_geo))]
         partial = True
+    ends = (1 << 0) | (1 << (len(family.params) - 1))
+    masks = [ends | sum(1 << i for i in combo) for combo in sets]
     alpha = None
     worst = (0, ())
     for g in range(n_geo):
-        for combo in sets:
-            mask = (1 << 0) | (1 << (len(family.params) - 1))
-            mask |= sum(1 << i for i in combo)
-            best = None
-            for cand in range(n_geo):
-                if family._common[g][cand] & mask != mask:
-                    continue
-                tot = family._total[g][cand]
-                if best is None or tot > best:
-                    best = tot
-            configs += 1
-            if best is not None and (alpha is None or best < alpha):
-                alpha = best
-                worst = (g, tuple(family.params[i] for i in combo))
+        # best total deviation per control set; g itself (total 0) admits every set
+        best = np.where(family._admissible(g, masks), family._total[g], -1).max(axis=1)
+        k = int(np.argmin(best))
+        if alpha is None or best[k] < alpha:
+            alpha = int(best[k])
+            worst = (g, tuple(family.params[i] for i in sets[k]))
     if alpha is None:
         raise ValidationError("no admissible configuration found")
     alpha = Fraction(alpha, family.space.scale)
-    return ThicknessCertificate(alpha, control_budget, worst[0], worst[1], configs, partial)
+    return ThicknessCertificate(alpha, control_budget, worst[0], worst[1], n_geo * len(sets), partial)
 
 
 # ---------------------------------------------------------------------------

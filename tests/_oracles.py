@@ -8,7 +8,9 @@ enumeration for the short downward tree walk, dense Fraction matrix powers
 for the Markov convexity sums, word-product enumeration for Heisenberg
 balls, plain loops over pairs and triples for distortion, vertex-map
 distortion and the metric axioms, the original alternating-projection loop for the SDP feasibility
-probe, and a multi-start SLSQP search for the Hilbert fork gap.
+probe, a multi-start SLSQP search for the Hilbert fork gap, every vertex map
+(collapsing ones included) for the cycle-into-trees search, and a loop over
+candidates for the thickness constant.
 """
 
 import itertools
@@ -459,3 +461,118 @@ def fork_gap_slsqp(D, q=2.0, n_starts=16, seed=20240):
         gap = 0.0
     K = gap * D ** (q - 1.0)
     return ForkGapEstimate(D, q, K, gap, best_t, True, None)
+
+
+def cycle_tree_all_maps(m, max_tree_vertices, map_budget=50_000_000):
+    """The cycle-into-trees search as first written: every one of the
+    order^m vertex maps of C_m into every tree, decoded from its base-order
+    index, collapsing maps included (their distortion is infinite)."""
+    import networkx as nx
+
+    from testspaces.embeddings import CycleTreeResult, map_distortion
+    from testspaces.errors import CapExceededError, ValidationError
+    from testspaces.metric_core import MetricSpace, PointId, WeightedGraph, apsp
+
+    if m < 3:
+        raise ValidationError("cycle needs m >= 3")
+    trees = {}
+    total_maps = 1 if max_tree_vertices >= 1 else 0
+    for order in range(2, max_tree_vertices + 1):
+        trees[order] = [
+            tuple(sorted(tuple(sorted(e)) for e in tree.edges()))
+            for tree in nx.nonisomorphic_trees(order)
+        ]
+        total_maps += order**m * len(trees[order])
+        if total_maps > map_budget:
+            raise CapExceededError(
+                f"{total_maps} maps into trees on at most {order} vertices exceed budget {map_budget}"
+            )
+
+    dc = np.array(
+        [[min(abs(i - j), m - abs(i - j)) for j in range(m)] for i in range(m)],
+        dtype=np.int64,
+    )
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+    best = None
+    searched = 0
+    for order in range(1, max_tree_vertices + 1):
+        if order == 1:
+            searched += 1
+            continue
+        points = tuple(PointId(i) for i in range(order))
+        for edges in trees[order]:
+            tree_space = apsp(WeightedGraph(points, tuple((u, v, Fraction(1)) for u, v in edges)))
+            td = tree_space.num
+            chunk = 200_000
+            total = order**m
+            searched += total
+            for start in range(0, total, chunk):
+                idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+                maps = np.empty((idx.size, m), dtype=np.int64)
+                rem = idx
+                for pos in range(m - 1, -1, -1):
+                    maps[:, pos] = rem % order
+                    rem = rem // order
+                ratio_max = np.zeros(idx.size)
+                ratio_min = np.full(idx.size, np.inf)
+                alive = np.ones(idx.size, dtype=bool)
+                for i, j in pairs:
+                    t = td[maps[:, i], maps[:, j]]
+                    alive &= t > 0
+                    with np.errstate(divide="ignore"):
+                        r = t / dc[i, j]
+                    ratio_max = np.maximum(ratio_max, r)
+                    ratio_min = np.minimum(ratio_min, r)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    dist = np.where(alive, ratio_max / ratio_min, np.inf)
+                k = int(np.argmin(dist))
+                if np.isfinite(dist[k]) and (best is None or dist[k] < best[0]):
+                    best = (float(dist[k]), edges, tuple(int(x) for x in maps[k]), tree_space)
+
+    bound = Fraction(m, 3) - 1
+    if best is None:
+        return CycleTreeResult(m, max_tree_vertices, None, bound, None, None, searched)
+    _, edges, mapping, tree_space = best
+    exact = map_distortion(MetricSpace(dc), tree_space, mapping)
+    return CycleTreeResult(m, max_tree_vertices, exact, bound, edges, mapping, searched)
+
+
+def thickness_by_pairs(family, control_budget, work_cap=10**7):
+    """`thickness_alpha` as first written: for every geodesic and control set,
+    a loop over all candidates keeping the largest admissible total deviation,
+    read from the family's pair tables as Python ints."""
+    from testspaces.rnp import ThicknessCertificate
+
+    common = family._common.tolist()
+    totals = family._total.tolist()
+    n_geo = len(family.geodesics)
+    sets = [
+        combo
+        for size in range(control_budget + 1)
+        for combo in itertools.combinations(range(1, len(family.params) - 1), size)
+    ]
+    configs = 0
+    partial = False
+    if n_geo * len(sets) * n_geo > work_cap:
+        sets = sets[: max(1, work_cap // (n_geo * n_geo))]
+        partial = True
+    alpha = None
+    worst = (0, ())
+    for g in range(n_geo):
+        for combo in sets:
+            mask = (1 << 0) | (1 << (len(family.params) - 1))
+            mask |= sum(1 << i for i in combo)
+            best = None
+            for cand in range(n_geo):
+                if common[g][cand] & mask != mask:
+                    continue
+                tot = totals[g][cand]
+                if best is None or tot > best:
+                    best = tot
+            configs += 1
+            if best is not None and (alpha is None or best < alpha):
+                alpha = best
+                worst = (g, tuple(family.params[i] for i in combo))
+    alpha = Fraction(alpha, family.space.scale)
+    return ThicknessCertificate(alpha, control_budget, worst[0], worst[1], configs, partial)

@@ -247,12 +247,16 @@ def test_criterion_9_cycle_into_tree_slice():
     # every map of 8 cycle vertices into <= 6 tree vertices collapses a pair,
     # so the minimum is vacuously above the bound; asserted as stated
     assert res.min_distortion is None or res.min_distortion >= bound
-    # non-vacuous companion on C_6: finite minimum, still above m/3 - 1
+    # non-vacuous companions on C_6 and C_7: finite minima, still above m/3 - 1
     res6 = cycle_tree_lower_oracle(6, 6)
     assert res6.min_distortion is not None
     assert res6.min_distortion >= F(6, 3) - 1
+    res7 = cycle_tree_lower_oracle(7, 7)
+    assert res7.min_distortion is not None
+    assert res7.min_distortion >= F(7, 3) - 1
     _report(9, f"C_8/<=6: min = {res.min_distortion} (all maps collapse; "
-               f"{res.maps_searched} maps, {elapsed:.1f}s); C_6/<=6: min = {res6.min_distortion} >= 1")
+               f"{res.maps_searched} maps, {elapsed:.1f}s); C_6/<=6: min = {res6.min_distortion} >= 1; "
+               f"C_7/<=7: min = {res7.min_distortion} >= 4/3")
 
 
 def test_criterion_10_generator_ground_truth():

@@ -134,6 +134,34 @@ def test_validation_exit_code(tmp_path, capsys):
     assert rep["error"]["kind"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "graph",
+    ['{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]}', '{"vertices": [{"id": "a"}], "edges": []}'],
+    ids=["edge-not-a-triple", "vertex-id-not-an-int"],
+)
+def test_apsp_rejects_malformed_graph_json(tmp_path, capsys, graph):
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(graph)
+    code, rep = run_cli(capsys, "apsp", "--graph", str(gpath))
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "malformed graph JSON" in rep["error"]["message"]
+
+
+def test_gen_product_rejects_bad_depths(capsys):
+    code, rep = run_cli(capsys, "gen", "--family", "product", "--depths", "2,x")
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "--depths" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("vertices", ["0", "-3"])
+def test_oracle_cycle_tree_rejects_empty_tree_range(capsys, vertices):
+    code, rep = run_cli(capsys, "oracle", "cycle-tree", "--m", "5", "--max-tree-vertices", vertices)
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+
+
 def test_apsp_rejects_empty_graph(tmp_path, capsys):
     gpath = tmp_path / "empty.json"
     gpath.write_text('{"vertices": [], "edges": []}')
@@ -163,6 +191,10 @@ def test_cap_exit_code(capsys):
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
     code, rep = run_cli(capsys, "rnp", "martingale", "--diamond", "4", "--steps", "1")
+    assert code == 3
+    assert rep["error"]["kind"] == "cap_exceeded"
+    # 7^20 ≈ 8e16 grid points: at 10^5 per second the search would never return
+    code, rep = run_cli(capsys, "oracle", "james-alpha", "--m", "20")
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
 

@@ -28,7 +28,7 @@ from testspaces.errors import CollapsedPairError, ValidationError
 from testspaces.generators import binary_tree, cycle, heisenberg_ball
 from testspaces.metric_core import MetricSpace, apsp, path_graph, scaled_integers
 
-from _oracles import pairwise_distortion, pairwise_map_distortion
+from _oracles import cycle_tree_all_maps, pairwise_distortion, pairwise_map_distortion
 from _strategies import random_connected_graph
 
 
@@ -217,6 +217,21 @@ def test_cycle_tree_budget():
 
     with pytest.raises(CapExceededError):
         cycle_tree_lower_oracle(8, 6, map_budget=1000)
+
+
+_TREES = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}  # unlabeled trees per order
+_ORACLE_SLICES = [
+    (m, v)
+    for m in range(3, 8)
+    for v in range(1, 8)
+    if 1 + sum(order**m * _TREES[order] for order in range(2, v + 1)) <= 2 * 10**6
+]
+
+
+@pytest.mark.parametrize("m,v", _ORACLE_SLICES)
+def test_cycle_tree_oracle_matches_all_maps(m, v):
+    # injective maps only against every map, collapsing ones included
+    assert repr(cycle_tree_lower_oracle(m, v)) == repr(cycle_tree_all_maps(m, v))
 
 
 @settings(max_examples=40, deadline=None)

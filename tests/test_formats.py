@@ -45,6 +45,19 @@ def test_graph_json_validation():
         graph_from_json({"vertices": [{"id": 0}], "edges": [[0, 0, "1"]]})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]},
+        {"vertices": [{"id": "a"}], "edges": []},
+    ],
+    ids=["edge-not-a-triple", "vertex-id-not-an-int"],
+)
+def test_graph_json_rejects_malformed_entries(data):
+    with pytest.raises(ValidationError, match="malformed graph JSON"):
+        graph_from_json(data)
+
+
 def test_space_csv_round_trip():
     sp = apsp(diamond(1, diamond_weighting()).graph)
     text = space_to_csv(sp)

@@ -31,7 +31,7 @@ from testspaces.rnp import (
     _sub,
 )
 
-from _oracles import pairwise_distortion
+from _oracles import pairwise_distortion, thickness_by_pairs
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +140,14 @@ def test_thickness_d1():
 def test_thickness_d2_budget_profile():
     fam = diamond_geodesic_family(2)
     assert [thickness_alpha(fam, b).alpha for b in (0, 1, 2)] == [F(1), F(1, 2), F(0)]
+
+
+def test_thickness_matches_pair_loop(family3):
+    # work_cap=300 truncates the control sets, so `partial` is compared too
+    for fam in [diamond_geodesic_family(n) for n in range(3)] + [family3]:
+        for budget in range(8):
+            for cap in (10**7, 300):
+                assert repr(thickness_alpha(fam, budget, cap)) == repr(thickness_by_pairs(fam, budget, cap))
 
 
 def test_thickness_d3_budget_profile(family3):
