@@ -264,7 +264,7 @@ def frechet_embed(space: MetricSpace) -> Embedding:
 # James sequences in the summing norm
 # ---------------------------------------------------------------------------
 
-JAMES_GRID_CAP = 10**6  # coefficient vectors; about 10^5 are scanned per second
+JAMES_GRID_CAP = 10**6  # coefficient vectors; it also keeps every partial sum within 998
 
 
 @dataclass(frozen=True)
@@ -289,25 +289,35 @@ def james_alpha(m: int, coeff_bound: int = 3) -> JamesAlphaResult:
         raise ValidationError("empty coefficient grid")
     if (2 * coeff_bound + 1) ** m > JAMES_GRID_CAP:
         raise CapExceededError(f"{2 * coeff_bound + 1}^{m} grid points exceed cap {JAMES_GRID_CAP}")
-    best: Optional[Fraction] = None
-    witness = None
-    for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=m):
-        partial = 0
-        partials = []
-        for a in coeffs:
-            partial += a
-            partials.append(partial)
-        sup = max(abs(s) for s in partials)
-        for j in range(1, m):
-            den = abs(partials[j - 1]) + abs(partials[-1] - partials[j - 1])
-            if den == 0:
-                continue
-            ratio = Fraction(sup, den)
-            if best is None or ratio < best:
-                best, witness = ratio, (coeffs, j)
-    if best is None:
+    # partial sums S_1..S_m of every grid vector, rows in itertools.product
+    # order; |S| <= 998 under the cap, so the int32 cross-products below fit
+    S = np.indices((2 * coeff_bound + 1,) * m, dtype=np.int32).reshape(m, -1).T - coeff_bound
+    np.cumsum(S, axis=1, out=S)
+    sup = np.abs(S).max(axis=1)
+    # each vector's largest denominator |S_j| + |S_m - S_j| and its first j:
+    # sup is fixed per vector, so that j gives the vector's least ratio
+    top = np.zeros(len(S), dtype=np.int32)
+    best_j = np.zeros(len(S), dtype=np.int64)
+    for j in range(1, m):
+        den = np.abs(S[:, j - 1]) + np.abs(S[:, -1] - S[:, j - 1])
+        wider = den > top
+        top[wider] = den[wider]
+        best_j[wider] = j
+    usable = top > 0
+    if not usable.any():
         raise ValidationError("no usable coefficient vector in grid")
-    return JamesAlphaResult(Fraction(1, 3), best, witness[0], witness[1])
+    # the least sup over each denominator, then the least of those ratios
+    least = np.full(int(top.max()) + 1, int(sup.max()) + 1, dtype=np.int32)
+    np.minimum.at(least, top[usable], sup[usable])
+    num = den = None
+    for d in np.flatnonzero(least <= sup.max()).tolist():
+        a = int(least[d])
+        if num is None or a * den < num * d:
+            num, den = a, d
+    # the first vector, in grid order, that attains it
+    i = int(np.flatnonzero(usable & (sup * den == top * num))[0])
+    coeffs = tuple(np.diff(S[i], prepend=0).tolist())
+    return JamesAlphaResult(Fraction(1, 3), Fraction(num, den), coeffs, int(best_j[i]))
 
 
 # ---------------------------------------------------------------------------

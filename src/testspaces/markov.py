@@ -1,8 +1,10 @@
 """Markov p-convexity functional: exact dynamic programming, Monte Carlo
-estimation with per-term substreams, and the built-in walks (downward tree
-walk, downhill diamond/Laakso walks, lazy path walk).  A chain row lists only
-its moves, as (v, P(u, v)) pairs with P(u, v) > 0 and v strictly increasing,
-so building, checking and reading a row costs time in its moves, not in n.
+estimation (one shared base trajectory per sample with a branched copy per
+split time, blocks of samples on their own substreams), and the built-in
+walks (downward tree walk, downhill diamond/Laakso walks, lazy path walk).
+A chain row lists only its moves, as (v, P(u, v)) pairs with P(u, v) > 0
+and v strictly increasing, so building, checking and reading a row costs
+time in its moves, not in n.
 
 Time window: t runs over 1..T and k over 0..ceil(log2 T) with the chain
 frozen at its start state for t <= 0.  The truncated left-hand sum is a
@@ -212,8 +214,22 @@ def exact_convexity(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo with independent substreams per (k, t) term
+# Monte Carlo
 # ---------------------------------------------------------------------------
+
+# trajectory cells (samples x (T + 1)) simulated per block of samples; this
+# fixes both the draws and the memory, O(T * block) whatever `samples` is
+MC_BLOCK_CELLS = 2**20
+
+
+def _check_mc_args(p: float, seed: int, samples: int) -> None:
+    if not p >= 1:
+        raise ValidationError("Monte Carlo mode needs p >= 1")
+    if seed < 0:
+        raise ValidationError("need seed >= 0")
+    if samples < 1:
+        raise ValidationError("need samples >= 1")
+
 
 def _rng_for(seed: int, tag: int, k: int, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, tag, k, t]))
@@ -232,12 +248,13 @@ def _sim_tables(chain: MarkovChain):
     return nbrs, cum
 
 
-def _steps(states: np.ndarray, nbrs, cum, rng, count: int) -> np.ndarray:
-    for _ in range(count):
-        u = rng.random(states.size)
-        idx = (u[:, None] > cum[states]).sum(axis=1)
-        states = nbrs[states, idx]
-    return states
+def _move(states: np.ndarray, u: np.ndarray, nbrs, cum) -> np.ndarray:
+    """One step of every state in `states` on the uniforms `u` of the same
+    shape: the move taken is the first whose running sum is not below u."""
+    idx = states * nbrs.shape[1]
+    for col in cum.T[:-1]:  # u < 1 never passes the last sum, which is 1
+        idx += u > col[states]
+    return nbrs.ravel()[idx]
 
 
 def _mc_window(seed: int, tag: int, k_max: int, T: int, p: float, sample) -> tuple[float, float]:
@@ -255,6 +272,11 @@ def _mc_window(seed: int, tag: int, k_max: int, T: int, p: float, sample) -> tup
     return total, var
 
 
+def _mean_and_stderr(totals: np.ndarray) -> tuple[float, float]:
+    se = math.sqrt(float(totals.var(ddof=1)) / totals.size) if totals.size > 1 else 0.0
+    return float(totals.mean()), se
+
+
 def mc_convexity(
     chain: MarkovChain,
     mmap: MetricMap,
@@ -264,9 +286,19 @@ def mc_convexity(
     samples: int,
 ) -> ConvexityEstimate:
     """Unbiased sample means of both convexity sums with standard errors;
-    bit-identical for a fixed seed."""
-    if samples < 1:
-        raise ValidationError("need samples >= 1")
+    bit-identical for a fixed seed.
+
+    Each sample runs one base trajectory X_0..X_T and, for every split time
+    s, one branch copy Y^s from X_s.  Given X_s the two are independent runs
+    of the chain, so every term (k, t) with split time s reads
+    d(f(X_t), f(Y^s_{t-s}))^p, and the rhs reads the base's own steps.  A
+    branch stops after the longest t - s its terms need.  Samples run in
+    blocks of MC_BLOCK_CELLS // (T + 1); block b draws from the substream
+    (seed, b): T uniform vectors for the base, then one uniform array per
+    step for the branches still running, longest first.  Terms share draws
+    and so are correlated: both standard errors come from the per-sample
+    totals."""
+    _check_mc_args(p, seed, samples)
     _check_map(chain, mmap, space)
     T = chain.horizon
     nbrs, cum = _sim_tables(chain)
@@ -276,22 +308,45 @@ def mc_convexity(
     slot = {x: i for i, x in enumerate(points)}
     at = np.array([slot[x] for x in mmap.point_of_state])
 
-    def split_pair(rng, s, t):
-        states = np.full(samples, chain.start, dtype=np.int64)
-        states = _steps(states, nbrs, cum, rng, s)
-        a = _steps(states.copy(), nbrs, cum, rng, t - s)
-        b = _steps(states, nbrs, cum, rng, t - s)
-        return dpow[at[a], at[b]]
+    # W[s, j] = sum of 2^(-kp) over the terms (k, t) with split time s and
+    # t = s + j; the branch from X_s runs to the largest such j
+    W = np.zeros((T, T + 1))
+    length = [0] * T
+    for k in range(_k_max(T) + 1):
+        for t in range(1, T + 1):
+            s = _split_time(t, k)
+            W[s, t - s] += 2.0 ** (-k * p)
+            length[s] = max(length[s], t - s)
+    # branch rows run longest first, so the ones still running are a prefix
+    split = np.array(sorted(range(T), key=lambda s: (-length[s], s)))
+    W = W[split]
+    running = [sum(n >= j for n in length) for j in range(T + 1)]
+    # so are the rows weighted at step j: s = 0 at every j, the rest at powers of two
+    used = [int(np.flatnonzero(W[:, j]).max(initial=-1)) + 1 for j in range(T + 1)]
 
-    def one_step(rng, s, t):  # k = 0, so s = t - 1
-        states = np.full(samples, chain.start, dtype=np.int64)
-        prev = _steps(states, nbrs, cum, rng, s)
-        cur = _steps(prev.copy(), nbrs, cum, rng, 1)
-        return dpow[at[prev], at[cur]]
+    block = max(1, MC_BLOCK_CELLS // (T + 1))
+    lhs_tot, rhs_tot = [], []
+    for b, lo in enumerate(range(0, samples, block)):
+        size = min(block, samples - lo)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+        base = np.empty((T + 1, size), dtype=np.int64)
+        base[0] = chain.start
+        for i in range(1, T + 1):
+            base[i] = _move(base[i - 1], rng.random(size), nbrs, cum)
+        branch = base[split]
+        base = at[base]  # from here on only the base's points are read
+        rhs_tot.append(dpow[base[:-1], base[1:]].sum(axis=0))
+        lhs = np.zeros(size)
+        for j in range(1, T + 1):
+            live = branch[: running[j]]
+            live[...] = _move(live, rng.random(live.shape), nbrs, cum)
+            c = used[j]
+            lhs += (W[:c, j, None] * dpow[base[split[:c] + j], at[branch[:c]]]).sum(axis=0)
+        lhs_tot.append(lhs)
 
-    lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
-    rhs, rhs_var = _mc_window(seed, 2, 0, T, p, one_step)
-    info = MethodInfo("monteCarlo", seed, samples, math.sqrt(lhs_var), math.sqrt(rhs_var))
+    lhs, lhs_se = _mean_and_stderr(np.concatenate(lhs_tot))
+    rhs, rhs_se = _mean_and_stderr(np.concatenate(rhs_tot))
+    info = MethodInfo("monteCarlo", seed, samples, lhs_se, rhs_se)
     return ConvexityEstimate(float(p), lhs, rhs, info)
 
 
@@ -366,8 +421,9 @@ def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> Convexi
     """Monte Carlo for the downward tree walk without materializing the tree:
     simulate child choices as bits; distance is set by the first disagreement
     after the split."""
-    if m < 1 or samples < 1:
-        raise ValidationError("need m >= 1 and samples >= 1")
+    if m < 1:
+        raise ValidationError("need m >= 1")
+    _check_mc_args(p, seed, samples)
     T = 2**m
 
     def split_pair(rng, s, t):

@@ -118,7 +118,8 @@ class MetricSpace:
         if not isinstance(factor, (int, Fraction)) or factor <= 0:
             raise ValidationError(f"scale factor must be a positive rational, got {factor!r}")
         p, q = factor.numerator, factor.denominator
-        num = self.num if _magnitude(self.num) * p <= INT64_MAX else self.num.astype(object)
+        # p itself must fit int64 too, even when every distance is 0
+        num = self.num if max(_magnitude(self.num), 1) * p <= INT64_MAX else self.num.astype(object)
         return MetricSpace(num * p, self.scale * q, self.labels)
 
     def __eq__(self, other):

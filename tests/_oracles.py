@@ -5,9 +5,11 @@ checks: Floyd-Warshall and Fraction-valued Dijkstra for shortest paths,
 nested Fraction tuples for subspaces and rescaled metrics, Nelder-Mead
 coordinate search for optimal euclidean distortion, full outcome
 enumeration for the short downward tree walk, dense Fraction matrix powers
-for the Markov convexity sums, word-product enumeration for Heisenberg
+for the Markov convexity sums, every (k, t) term re-simulated from time 0
+for their Monte Carlo estimate, word-product enumeration for Heisenberg
 balls, plain loops over pairs and triples for distortion, vertex-map
-distortion and the metric axioms, the original alternating-projection loop for the SDP feasibility
+distortion and the metric axioms, one Fraction per (vector, j) for the
+James grid, the original alternating-projection loop for the SDP feasibility
 probe, a multi-start SLSQP search for the Hilbert fork gap, every vertex map
 (collapsing ones included) for the cycle-into-trees search, and a loop over
 candidates for the thickness constant.
@@ -232,6 +234,54 @@ def dense_exact_convexity(chain, mmap, space, p):
             Fraction(0),
         )
     return lhs, rhs
+
+
+def mc_convexity_per_term(chain, mmap, space, p, seed, samples):
+    """Monte Carlo convexity sums with every (k, t) term re-simulated from
+    time 0 on its own (seed, tag, k, t) substream, so the terms are
+    independent and the variances add: the estimator before the library
+    shared one base trajectory per sample.  Returns (lhs, rhs, lhs_stderr,
+    rhs_stderr)."""
+    from testspaces.markov import _k_max, _mc_window, _move, _sim_tables
+
+    T = chain.horizon
+    nbrs, cum = _sim_tables(chain)
+    at = list(mmap.point_of_state)
+    dpow = np.array([[x**p for x in row] for row in space.floats()[np.ix_(at, at)].tolist()])
+
+    def steps(states, rng, count):
+        for _ in range(count):
+            states = _move(states, rng.random(states.size), nbrs, cum)
+        return states
+
+    def split_pair(rng, s, t):
+        states = steps(np.full(samples, chain.start, dtype=np.int64), rng, s)
+        a = steps(states, rng, t - s)
+        b = steps(states, rng, t - s)
+        return dpow[a, b]
+
+    def one_step(rng, s, t):  # k = 0, so s = t - 1
+        prev = steps(np.full(samples, chain.start, dtype=np.int64), rng, s)
+        return dpow[prev, steps(prev, rng, 1)]
+
+    lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
+    rhs, rhs_var = _mc_window(seed, 2, 0, T, p, one_step)
+    return lhs, rhs, math.sqrt(lhs_var), math.sqrt(rhs_var)
+
+
+def james_alpha_by_vectors(m, bound):
+    """(empirical, witness_coeffs, witness_j) of the James grid search by one
+    Fraction per (coefficient vector, j), keeping the first strict minimum
+    in itertools.product order."""
+    best = witness = None
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=m):
+        partials = list(itertools.accumulate(coeffs))
+        sup = max(abs(s) for s in partials)
+        for j in range(1, m):
+            den = abs(partials[j - 1]) + abs(partials[-1] - partials[j - 1])
+            if den and (best is None or Fraction(sup, den) < best):
+                best, witness = Fraction(sup, den), (coeffs, j)
+    return best, witness[0], witness[1]
 
 
 def pairwise_distortion(emb):

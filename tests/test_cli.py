@@ -64,6 +64,22 @@ def test_markov_mc_requires_seed(capsys):
     assert rep["error"]["kind"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "walk, n", [("diamond", "1"), ("laakso", "1"), ("path", "4"), ("tree", "1")]
+)
+@pytest.mark.parametrize(
+    "bad", [("--seed", "-1"), ("--p", "0"), ("--p", "-2")], ids="{0[0]}={0[1]}".format
+)
+def test_markov_mc_rejects_negative_seed_and_p_below_one(capsys, walk, n, bad):
+    # the last --seed given wins
+    code, rep = run_cli(
+        capsys, "markov", "--walk", walk, "--n", n, "--mode", "mc", "--samples", "10",
+        "--seed", "3", *bad,
+    )
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+
+
 def test_distort_bourgain_vectors(tmp_path, capsys):
     from testspaces.embeddings import bourgain_embed
     from testspaces.formats import write_graph

@@ -28,7 +28,12 @@ from testspaces.errors import CollapsedPairError, ValidationError
 from testspaces.generators import binary_tree, cycle, heisenberg_ball
 from testspaces.metric_core import MetricSpace, apsp, path_graph, scaled_integers
 
-from _oracles import cycle_tree_all_maps, pairwise_distortion, pairwise_map_distortion
+from _oracles import (
+    cycle_tree_all_maps,
+    james_alpha_by_vectors,
+    pairwise_distortion,
+    pairwise_map_distortion,
+)
 from _strategies import random_connected_graph
 
 
@@ -80,6 +85,14 @@ def test_james_alpha_values():
     res2 = james_alpha(2)
     assert res2.empirical == F(1, 3)
     assert tuple(abs(c) for c in res2.witness_coeffs) == (1, 2)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("bound", range(1, 4))
+def test_james_alpha_matches_vector_loop(m, bound):
+    res = james_alpha(m, bound)
+    got = (res.empirical, res.witness_coeffs, res.witness_j)
+    assert repr(got) == repr(james_alpha_by_vectors(m, bound))
 
 
 def test_james_alpha_single_ratios():

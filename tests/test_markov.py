@@ -1,11 +1,14 @@
 """Markov convexity: exact DP vs oracles, Monte Carlo agreement, built-in walks."""
 
 import dataclasses
+import math
+import statistics
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from testspaces import markov
 from testspaces.errors import CapExceededError, ValidationError
 from testspaces.generators import UNIT, diamond, diamond_weighting, laakso, laakso_weighting
 from testspaces.markov import (
@@ -21,7 +24,7 @@ from testspaces.markov import (
 )
 from testspaces.metric_core import MetricSpace, WeightedGraph, apsp
 
-from _oracles import dense_exact_convexity, tree_walk_m1_exact
+from _oracles import dense_exact_convexity, mc_convexity_per_term, tree_walk_m1_exact
 from _strategies import random_connected_graph
 
 
@@ -130,15 +133,78 @@ def test_mc_determinism():
 
 
 def test_mc_outputs_are_pinned():
-    """Exact floats of both Monte Carlo estimators: each (k, t) term keeps
-    its substream, draw order and accumulation order."""
+    """Exact floats of both Monte Carlo estimators: mc_convexity keeps its
+    block substreams, draw order and accumulation order, and each (k, t)
+    term of tree_walk_convexity_mc keeps its own substream."""
     wb = downhill_walk(diamond(2, diamond_weighting()))
     est = mc_convexity(wb.chain, wb.metric_map, wb.space, 2.0, seed=9, samples=500)
-    assert (est.lhs, est.rhs) == (0.57553125, 0.25)
-    assert (est.method.lhs_stderr, est.method.rhs_stderr) == (0.009578075579048797, 0.0)
+    assert (est.lhs, est.rhs) == (0.57065625, 0.25)
+    assert (est.method.lhs_stderr, est.method.rhs_stderr) == (0.01334633161188361, 0.0)
     est = tree_walk_convexity_mc(2, 2.0, seed=5, samples=400)
     assert (est.lhs, est.rhs) == (20.448750000000004, 4.0)
     assert (est.method.lhs_stderr, est.method.rhs_stderr) == (0.26833104329141577, 0.0)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [lambda: downhill_walk(diamond(2, diamond_weighting())), lambda: lazy_path_walk(8)],
+    ids=["D2-scaled", "lazy-8"],
+)
+def test_mc_agrees_with_per_term_oracle(walk):
+    """The shared-trajectory estimator and the per-term one estimate the
+    same sums: they differ by at most 3 standard errors of the difference."""
+    wb = walk()
+    est = mc_convexity(wb.chain, wb.metric_map, wb.space, 2.0, seed=4, samples=4000)
+    lhs, rhs, lhs_se, rhs_se = mc_convexity_per_term(
+        wb.chain, wb.metric_map, wb.space, 2.0, seed=4, samples=4000
+    )
+    assert abs(est.lhs - lhs) <= 3 * math.hypot(est.method.lhs_stderr, lhs_se)
+    assert abs(est.rhs - rhs) <= 3 * math.hypot(est.method.rhs_stderr, rhs_se)
+
+
+def test_per_term_oracle_is_the_former_estimator():
+    # the floats mc_convexity gave before it shared a base trajectory
+    wb = downhill_walk(diamond(2, diamond_weighting()))
+    out = mc_convexity_per_term(wb.chain, wb.metric_map, wb.space, 2.0, seed=9, samples=500)
+    assert out == (0.57553125, 0.25, 0.009578075579048797, 0.0)
+
+
+def test_mc_stderr_is_calibrated():
+    """Across 300 seeds the spread of the lhs estimate matches the reported
+    standard error; summing per-term variances of correlated terms would
+    report too small an error."""
+    wb = lazy_path_walk(4)
+    runs = [
+        mc_convexity(wb.chain, wb.metric_map, wb.space, 2.0, seed=seed, samples=200)
+        for seed in range(300)
+    ]
+    spread = statistics.stdev(r.lhs for r in runs)
+    reported = statistics.median(r.method.lhs_stderr for r in runs)
+    assert 0.8 <= spread / reported <= 1.25
+
+
+def test_mc_spans_blocks(monkeypatch):
+    """With blocks of 11 samples a 2000-sample run draws from 182 substreams,
+    the last one short; it still repeats bit for bit and agrees with the DP."""
+    wb = lazy_path_walk(8)
+    args = (wb.chain, wb.metric_map, wb.space, 2.0, 12, 2000)
+    whole = mc_convexity(*args)
+    monkeypatch.setattr(markov, "MC_BLOCK_CELLS", 100)
+    first, again = mc_convexity(*args), mc_convexity(*args)
+    assert first == again
+    assert first.lhs != whole.lhs
+    exact = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+    assert abs(first.lhs - float(exact.lhs)) <= 3 * first.method.lhs_stderr
+    assert abs(first.rhs - float(exact.rhs)) <= 3 * first.method.rhs_stderr
+
+
+@pytest.mark.parametrize("p, seed", [(0.5, 1), (0.0, 1), (-2.0, 1), (math.nan, 1), (2.0, -1)])
+def test_mc_rejects_bad_p_and_seed(p, seed):
+    wb = lazy_path_walk(2)
+    with pytest.raises(ValidationError):
+        mc_convexity(wb.chain, wb.metric_map, wb.space, p, seed, 10)
+    with pytest.raises(ValidationError):
+        tree_walk_convexity_mc(1, p, seed, 10)
 
 
 def test_mc_matches_exact_tree():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from testspaces.errors import CapExceededError, DisconnectedGraphError, ValidationError
 from testspaces.generators import UNIT, cycle, diamond, diamond_weighting, laakso, laakso_weighting
@@ -223,6 +223,7 @@ _ENTRY = st.one_of(
         )
     )
 )
+@example(([[0]], [], F(2**63), 1))  # an all-zero table times a factor beyond int64
 def test_representation_matches_fraction_tables(drawn):
     table, idx, factor, k = drawn
     rows = tuple(tuple(F(x) for x in row) for row in table)
