@@ -1,16 +1,25 @@
-"""Dense exact-rational simplex for small linear programs.
+"""Exact simplex for small linear programs, over integer rows.
 
-min c.x  subject to  A x = b, x >= 0, all entries Fractions.  Bland's rule
-throughout, so the iteration cannot cycle.  Intended for desk-scale
-problems (tens of variables); everything is O(m*n) per pivot.
+min c.x  subject to  A x = b, x >= 0, with int, Fraction or finite float
+entries (a float is read as the rational it is).  Two phases with Bland's
+rule throughout, so the iteration cannot cycle.  Each tableau row is a list
+of Python-int numerators over one positive row denominator, and the reduced
+costs are one more integer row kept up to a positive scale, since only their
+signs are read.  A pivot is an integer multiply-subtract and one gcd per
+row, and the ratio test cross-multiplies; the answer becomes Fractions only
+on return.  Intended for desk-scale problems (tens of variables); everything
+is O(m*n) per pivot.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
+
+Rational = int | Fraction
 
 
 class Infeasible(ValidationError):
@@ -21,29 +30,59 @@ class Unbounded(ValidationError):
     pass
 
 
+def _rational(x) -> Rational:
+    if type(x) is int or type(x) is Fraction:
+        return x
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"LP entry {x!r} is not a finite rational") from exc
+
+
+def _over_lcm(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of `values` over their least common denominator."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
+    values = [_rational(v) for v in values]
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def solve_lp(
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    c: Sequence[Fraction],
+    A: Sequence[Sequence[Rational | float]],
+    b: Sequence[Rational | float],
+    c: Sequence[Rational | float],
 ) -> tuple[Fraction, list[Fraction]]:
     """Two-phase simplex; returns (optimal value, an optimal x)."""
     m = len(A)
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValidationError("inconsistent LP dimensions")
+    cost_nums, _ = _over_lcm(c)
 
-    # phase 1: artificial identity basis on rows with b >= 0
-    T = []
+    # phase 1: artificial identity basis on rows with b >= 0; row i is
+    # T[i] / dens[i], and T[m] holds the reduced costs
+    T: list[list[int]] = []
+    dens: list[int] = []
     for i in range(m):
-        row = [Fraction(x) for x in A[i]] + [Fraction(0)] * m + [Fraction(b[i])]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[n + i] = Fraction(1)
-        T.append(row)
+        nums, d = _over_lcm(A[i])
+        rhs = _rational(b[i])
+        if rhs.denominator != 1:
+            k = rhs.denominator // math.gcd(d, rhs.denominator)
+            nums, d = [x * k for x in nums], d * k
+        nums.append(rhs.numerator * (d // rhs.denominator))
+        if nums[-1] < 0:
+            nums = [-x for x in nums]
+        T.append(nums[:n] + [0] * m + nums[n:])
+        T[i][n + i] = d
+        dens.append(d)
     basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
-    _simplex(T, basis, cost1, allowed=n + m)
-    if sum((cost1[basis[i]] * T[i][-1] for i in range(m)), Fraction(0)) > 0:
+    T.append(_reduced_costs(T, dens, basis, [0] * n + [1] * m))
+    dens.append(1)
+    _simplex(T, dens, basis, allowed=n + m)
+    # every right-hand side stays >= 0, so the phase-1 optimum is 0 iff
+    # each artificial still basic sits at 0
+    if any(T[i][-1] > 0 for i in range(m) if basis[i] >= n):
         raise Infeasible("LP has no feasible point")
 
     # drive leftover artificials out of the basis where possible
@@ -51,54 +90,73 @@ def solve_lp(
         if basis[i] >= n:
             pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
             if pivot_col is not None:
-                _pivot(T, i, pivot_col)
+                _pivot(T, dens, i, pivot_col)
                 basis[i] = pivot_col
     # rows still basic in an artificial variable are redundant (b component 0)
 
-    cost2 = [Fraction(x) for x in c] + [Fraction(0)] * m
-    _simplex(T, basis, cost2, allowed=n)
+    T[m] = _reduced_costs(T[:m], dens, basis, cost_nums + [0] * m)
+    dens[m] = 1
+    _simplex(T, dens, basis, allowed=n)
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = T[i][-1]
-    value = sum((c[j] * x[j] for j in range(n)), Fraction(0))
+            x[basis[i]] = Fraction(T[i][-1], dens[i])
+    value = sum((_rational(c[j]) * x[j] for j in range(n) if x[j]), Fraction(0))
     return value, x
 
 
-def _simplex(T, basis, cost, allowed: int) -> None:
-    m = len(T)
+def _reduced_costs(rows, dens, basis, cost: list[int]) -> list[int]:
+    """cost - sum_i cost[basis[i]] * row_i, times a positive integer, as a
+    row of the tableau's width."""
+    active = [i for i in range(len(basis)) if cost[basis[i]]]
+    scale = math.lcm(*(dens[i] for i in active))
+    z = [cj * scale for cj in cost] + [0]
+    for i in active:
+        w = cost[basis[i]] * (scale // dens[i])
+        z = [a - w * r for a, r in zip(z, rows[i])]
+    return z
+
+
+def _simplex(T, dens, basis, allowed: int) -> None:
+    m = len(basis)
+    z = T[m]
     while True:
-        in_basis = set(basis)
-        enter: Optional[int] = None
-        for j in range(allowed):
-            if j in in_basis:
-                continue
-            reduced = cost[j] - sum(
-                (cost[basis[i]] * T[i][j] for i in range(m) if T[i][j]), Fraction(0)
-            )
-            if reduced < 0:
-                enter = j  # Bland: smallest improving index
-                break
+        # Bland: smallest improving index (basic columns have reduced cost 0)
+        enter = next((j for j in range(allowed) if z[j] < 0), None)
         if enter is None:
             return
         leave = None
-        best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = T[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # T[i][-1] / a against the best ratio, cross-multiplied
+                lhs, rhs = T[i][-1] * T[leave][enter], T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise Unbounded("LP objective is unbounded below")
-        _pivot(T, leave, enter)
+        _pivot(T, dens, leave, enter)
         basis[leave] = enter
+        z = T[m]
 
 
-def _pivot(T, row: int, col: int) -> None:
-    piv = T[row][col]
-    T[row] = [x / piv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col]:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], T[row])]
+def _pivot(T, dens, row: int, col: int) -> None:
+    """Divide T[row] by its col entry and clear column col from every other
+    row: row i becomes (T_i p - T_i[col] R) / (dens_i p), R / p the new
+    pivot row."""
+    R, p = T[row], T[row][col]
+    if p < 0:
+        R, p = [-x for x in R], -p
+    g = math.gcd(*R)
+    T[row], dens[row] = [x // g for x in R], p // g
+    R, p = T[row], dens[row]
+    for i, Ti in enumerate(T):
+        f = Ti[col]
+        if f and i != row:
+            new = [a * p - f * r for a, r in zip(Ti, R)]
+            d = dens[i] * p
+            g = math.gcd(d, *new)
+            T[i], dens[i] = [x // g for x in new], d // g

@@ -89,7 +89,15 @@ class ConvexityEstimate:
     def pi_lower(self) -> Optional[float]:
         if self.rhs <= 0:
             return None
-        return float(self.lhs / self.rhs) ** (1.0 / self.p)
+        ratio = self.lhs / self.rhs
+        try:
+            approx = float(ratio)
+        except OverflowError:
+            approx = math.inf
+        if isinstance(ratio, Fraction) and ratio > 0 and not 0 < approx < math.inf:
+            # an exact ratio beyond float range: take the p-th root in logs
+            return math.exp((math.log(ratio.numerator) - math.log(ratio.denominator)) / self.p)
+        return approx ** (1.0 / self.p)
 
     @property
     def ratio(self) -> Optional[Fraction]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -167,24 +168,30 @@ class GaugeNorm:
     atoms: int
     generators: tuple[Vec, ...]
 
+    @cached_property
+    def _rows(self) -> tuple[tuple, ...]:
+        """Constraint rows over the columns w+ (dim), w- (dim), mu+ (ng),
+        mu- (ng), built once: integer for integer generators."""
+        dim, ng = self.atoms, len(self.generators)
+        rows = []
+        for a in range(dim):
+            row = [0] * (2 * dim + 2 * ng)
+            row[a] = 1
+            row[dim + a] = -1
+            for j, g in enumerate(self.generators):
+                row[2 * dim + j] = g[a]
+                row[2 * dim + ng + j] = -g[a]
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def _costs(self) -> tuple:
+        return (Fraction(1, self.atoms),) * (2 * self.atoms) + (1,) * (2 * len(self.generators))
+
     def evaluate(self, v: Vec) -> Fraction:
         if len(v) != self.atoms:
             raise ValidationError("vector lives in the wrong ambient space")
-        dim, ng = self.atoms, len(self.generators)
-        # columns: w+ (dim), w- (dim), mu+ (ng), mu- (ng)
-        A = []
-        for a in range(dim):
-            row = [Fraction(0)] * (2 * dim + 2 * ng)
-            row[a] = Fraction(1)
-            row[dim + a] = Fraction(-1)
-            for j, g in enumerate(self.generators):
-                row[2 * dim + j] = Fraction(g[a])
-                row[2 * dim + ng + j] = Fraction(-g[a])
-            A.append(row)
-        b = [Fraction(x) for x in v]
-        unit = Fraction(1, self.atoms)
-        c = [unit] * (2 * dim) + [Fraction(1)] * (2 * ng)
-        value, _ = solve_lp(A, b, c)
+        value, _ = solve_lp(self._rows, v, self._costs)
         return value
 
 

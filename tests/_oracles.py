@@ -1,18 +1,19 @@
 """Independent oracles used only by tests.
 
 Each one recomputes a quantity by a route disjoint from the library code it
-checks: Floyd-Warshall and Fraction-valued Dijkstra for shortest paths,
-nested Fraction tuples for subspaces and rescaled metrics, Nelder-Mead
-coordinate search for optimal euclidean distortion, full outcome
-enumeration for the short downward tree walk, dense Fraction matrix powers
-for the Markov convexity sums, every (k, t) term re-simulated from time 0
-for their Monte Carlo estimate, word-product enumeration for Heisenberg
-balls, plain loops over pairs and triples for distortion, vertex-map
-distortion and the metric axioms, one Fraction per (vector, j) for the
-James grid, the original alternating-projection loop for the SDP feasibility
-probe, a multi-start SLSQP search for the Hilbert fork gap, every vertex map
-(collapsing ones included) for the cycle-into-trees search, and a loop over
-candidates for the thickness constant.
+checks: Floyd-Warshall (numpy min-plus steps) and Fraction-valued Dijkstra
+for shortest paths, nested Fraction tuples for subspaces and rescaled
+metrics, Nelder-Mead coordinate search for optimal euclidean distortion,
+full outcome enumeration for the short downward tree walk, dense Fraction
+matrix powers for the Markov convexity sums, every (k, t) term re-simulated
+from time 0 for their Monte Carlo estimate, word-product enumeration for
+Heisenberg balls, plain loops over pairs and triples for distortion,
+vertex-map distortion and the metric axioms, one Fraction per (vector, j)
+for the James grid, the original alternating-projection loop for the SDP
+feasibility probe, a multi-start SLSQP search for the Hilbert fork gap,
+every vertex map (collapsing ones included) for the cycle-into-trees search,
+a loop over candidates for the thickness constant, and a dense Fraction
+tableau for the exact simplex.
 """
 
 import itertools
@@ -23,27 +24,30 @@ import numpy as np
 
 
 def floyd_warshall(n, edges):
-    """Exact all-pairs shortest paths; edges are (u, v, Fraction)."""
-    INF = None
-    dist = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = Fraction(0)
-    for u, v, w in edges:
-        if dist[u][v] is None or w < dist[u][v]:
-            dist[u][v] = w
-            dist[v][u] = w
+    """Exact all-pairs shortest paths; edges are (u, v, Fraction).  The
+    Floyd-Warshall recurrence in numpy: int64 numerators over the lcm of the
+    edge denominators, one vectorized min-plus step per k, and an explicit
+    mask of reached pairs.  Returns Fractions, None where unreachable."""
+    scale = math.lcm(*(Fraction(w).denominator for _, _, w in edges))
+    nums = [(u, v, int(Fraction(w) * scale)) for u, v, w in edges]
+    # every shortest path is a simple path, so its numerator is at most the total
+    assert sum(abs(w) for _, _, w in nums) < 2**62, "edge numerators too large for int64"
+    dist = np.zeros((n, n), dtype=np.int64)
+    reached = np.eye(n, dtype=bool)
+    for u, v, w in nums:
+        if not reached[u, v] or w < dist[u, v]:
+            dist[u, v] = dist[v, u] = w
+            reached[u, v] = reached[v, u] = True
     for k in range(n):
-        for i in range(n):
-            dik = dist[i][k]
-            if dik is None:
-                continue
-            for j in range(n):
-                dkj = dist[k][j]
-                if dkj is None:
-                    continue
-                if dist[i][j] is None or dik + dkj < dist[i][j]:
-                    dist[i][j] = dik + dkj
-    return dist
+        via = reached[:, k, None] & reached[None, k, :]
+        cand = dist[:, k, None] + dist[None, k, :]
+        better = via & (~reached | (cand < dist))
+        dist = np.where(better, cand, dist)
+        reached |= via
+    return [
+        [Fraction(int(dist[i, j]), scale) if reached[i, j] else None for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def apsp_fraction_rows(graph):
@@ -626,3 +630,89 @@ def thickness_by_pairs(family, control_budget, work_cap=10**7):
                 worst = (g, tuple(family.params[i] for i in combo))
     alpha = Fraction(alpha, family.space.scale)
     return ThicknessCertificate(alpha, control_budget, worst[0], worst[1], configs, partial)
+
+
+def solve_lp_fractions(A, b, c):
+    """`exactlp.solve_lp` as first written: the same two-phase Bland simplex
+    over a dense tableau of Fractions.  Returns (optimal value, an optimal x)
+    and raises the library's `Infeasible` / `Unbounded`."""
+    from testspaces.errors import ValidationError
+    from testspaces.exactlp import Infeasible
+
+    m = len(A)
+    n = len(c)
+    if any(len(row) != n for row in A) or len(b) != m:
+        raise ValidationError("inconsistent LP dimensions")
+
+    # phase 1: artificial identity basis on rows with b >= 0
+    T = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]] + [Fraction(0)] * m + [Fraction(b[i])]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        row[n + i] = Fraction(1)
+        T.append(row)
+    basis = [n + i for i in range(m)]
+    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+    _lp_simplex_fractions(T, basis, cost1, allowed=n + m)
+    if sum((cost1[basis[i]] * T[i][-1] for i in range(m)), Fraction(0)) > 0:
+        raise Infeasible("LP has no feasible point")
+
+    # drive leftover artificials out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
+            if pivot_col is not None:
+                _lp_pivot_fractions(T, i, pivot_col)
+                basis[i] = pivot_col
+    # rows still basic in an artificial variable are redundant (b component 0)
+
+    cost2 = [Fraction(x) for x in c] + [Fraction(0)] * m
+    _lp_simplex_fractions(T, basis, cost2, allowed=n)
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][-1]
+    value = sum((c[j] * x[j] for j in range(n)), Fraction(0))
+    return value, x
+
+
+def _lp_simplex_fractions(T, basis, cost, allowed):
+    from testspaces.exactlp import Unbounded
+
+    m = len(T)
+    while True:
+        in_basis = set(basis)
+        enter = None
+        for j in range(allowed):
+            if j in in_basis:
+                continue
+            reduced = cost[j] - sum(
+                (cost[basis[i]] * T[i][j] for i in range(m) if T[i][j]), Fraction(0)
+            )
+            if reduced < 0:
+                enter = j  # Bland: smallest improving index
+                break
+        if enter is None:
+            return
+        leave = None
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise Unbounded("LP objective is unbounded below")
+        _lp_pivot_fractions(T, leave, enter)
+        basis[leave] = enter
+
+
+def _lp_pivot_fractions(T, row, col):
+    piv = T[row][col]
+    T[row] = [x / piv for x in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col]:
+            f = T[i][col]
+            T[i] = [a - f * b for a, b in zip(T[i], T[row])]

@@ -1,6 +1,7 @@
 """CLI: schemas, determinism, exit codes."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +45,20 @@ def test_markov_tree_exact_rhs(capsys):
     )
     assert code == 0
     assert rep["result"]["rhs"] == "8"  # 2^m with m = 3
+
+
+def test_markov_exact_pi_lower_beyond_float_range(capsys):
+    # at p = 2000 the exact lhs/rhs exceeds the float range; the root is
+    # taken in logs instead of overflowing
+    code, rep = run_cli(
+        capsys, "markov", "--walk", "tree", "--n", "3", "--p", "2000", "--mode", "exact"
+    )
+    assert code == 0
+    ratio = F(rep["result"]["lhs"]) / F(rep["result"]["rhs"])
+    log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+    assert log_ratio > 1024 * math.log(2)  # float(ratio) would overflow
+    pi = rep["result"]["piLower"]
+    assert math.isfinite(pi) and pi == pytest.approx(math.exp(log_ratio / 2000), rel=1e-12)
 
 
 @pytest.mark.parametrize("walk", ["tree", "path"])

@@ -1,5 +1,8 @@
-"""Exact simplex vs scipy's float LP on random small instances."""
+"""Exact simplex: bit-identical to the Fraction-tableau oracle on seeded
+random LPs and on every gauge LP of the bush pipelines, and close to
+scipy's float LP on random small instances."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +10,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from testspaces.exactlp import Infeasible, solve_lp
+import testspaces.rnp as rnp
+from testspaces.errors import ValidationError
+from testspaces.exactlp import Infeasible, Unbounded, solve_lp
+
+from _oracles import solve_lp_fractions
 
 
 def test_tiny_known_lp():
@@ -51,3 +58,125 @@ def test_random_instances_match_scipy():
         )
         assert res.success
         assert float(value) == pytest.approx(res.fun, abs=1e-7)
+
+
+def _outcome(solver, A, b, c):
+    try:
+        return solver(A, b, c)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+def _random_lp(rng):
+    """Small LP with rational entries; b is feasible by construction or
+    random (so often negative or infeasible), some rows are zero or a
+    rational multiple of another, and x_feas has zeros, so ratio ties and
+    degenerate pivots are common.  Costs of 0 and 1 leave many optimal
+    vertices, so a changed pivot rule shows in x."""
+    m = rng.randint(1, 4)
+    n = rng.randint(1, 7)
+
+    def q(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
+
+    A = [[q(-4, 4) if rng.random() < 0.7 else F(0) for _ in range(n)] for _ in range(m)]
+    x_feas = [q(0, 3) if rng.random() < 0.5 else F(0) for _ in range(n)]
+    b = [sum(a * x for a, x in zip(row, x_feas)) for row in A]
+    for i in range(m):
+        kind = rng.random()
+        if kind < 0.1:
+            A[i], b[i] = [F(0)] * n, rng.choice((F(0), F(0), q(-2, 2)))
+        elif kind < 0.25 and i > 0:
+            k, f = rng.randrange(i), q(-3, 3) or F(1)
+            A[i], b[i] = [f * a for a in A[k]], f * b[k]
+        elif kind < 0.35:
+            b[i] = q(-4, 4)
+    if rng.random() < 0.4:
+        # many optimal vertices: x then records which pivots were taken
+        c = [rng.choice((F(0), F(0), F(1))) for _ in range(n)]
+    else:
+        c = [q(-2, 6) for _ in range(n)]
+    return A, b, c
+
+
+def test_matches_fraction_oracle_on_random_lps():
+    rng = random.Random(20241)
+    seen = {"optimal": 0, Infeasible: 0, Unbounded: 0}
+    for trial in range(400):
+        A, b, c = _random_lp(rng)
+        got = _outcome(solve_lp, A, b, c)
+        want = _outcome(solve_lp_fractions, A, b, c)
+        assert got == want, (trial, A, b, c)
+        if isinstance(got, tuple):
+            assert type(got[0]) is F and all(type(x) is F for x in got[1])
+        seen["optimal" if isinstance(got, tuple) else got] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "A,b,c,x",
+    [
+        ([[-1, -2, -2, -2], [-2, -2, -2, 1]], [-4, -4], [0, 1, 0, 0], [F(12, 5), 0, 0, F(4, 5)]),
+        ([[1, 2, 2, 0], [2, 1, 2, 1]], [2, 4], [1, 0, 0, 0], [0, 1, 0, 3]),
+        ([[-2, -2, 2, 1, 1], [-2, 0, -1, -2, 0]], [4, -2], [1, 0, 1, 1, 0], [0, 0, 0, 1, 3]),
+    ],
+)
+def test_ratio_ties_follow_the_oracle(A, b, c, x):
+    # several optimal vertices, reached through a tied ratio test: x shows
+    # which row left the basis (the smallest basic index among the tied)
+    got = solve_lp(A, b, c)
+    assert got == solve_lp_fractions(A, b, c)
+    assert got[1] == x
+
+
+def _gauge_lps(depth, all_siblings):
+    """Every (A, b, c) the bush pipeline at this depth hands to the LP."""
+    calls = []
+    original = rnp.solve_lp
+
+    def record(A, b, c):
+        calls.append((A, b, c))
+        return original(A, b, c)
+
+    rnp.solve_lp = record
+    try:
+        bush = rnp.tree_to_bush(rnp.rademacher_tree(depth))
+        gauge = rnp.bush_gauge(bush)
+        for level in bush.levels:
+            for vec in level:
+                gauge.evaluate(vec)
+        rnp.bush_gauge_delta(bush, gauge)
+        lines = rnp.broken_line_family(bush, depth)
+        labels = [lab for lab in lines if len(lab) < depth] if all_siblings else [""]
+        for lab in labels:
+            rnp.sibling_deviation(bush, gauge, lines[lab + "0"], lines[lab + "1"])
+    finally:
+        rnp.solve_lp = original
+    return calls
+
+
+@pytest.mark.parametrize(
+    "depth,all_siblings",
+    # depth 3 as acceptance criterion 7 runs it, depth 4 as `rnp lines` does
+    [(3, True), (4, False)],
+)
+def test_matches_fraction_oracle_on_gauge_lps(depth, all_siblings):
+    calls = _gauge_lps(depth, all_siblings)
+    assert len(calls) >= 30
+    for A, b, c in calls:
+        assert solve_lp(A, b, c) == solve_lp_fractions(A, b, c)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_entries_are_rejected(bad):
+    with pytest.raises(ValidationError):
+        solve_lp([[1.0, bad]], [1.0], [1.0, 1.0])
+    with pytest.raises(ValidationError):
+        solve_lp([[1.0, 1.0]], [bad], [1.0, 1.0])
+    with pytest.raises(ValidationError):
+        solve_lp([[1.0, 1.0]], [1.0], [1.0, bad])
+
+
+def test_finite_floats_are_read_exactly():
+    value, x = solve_lp([[0.5, 1.0]], [0.1], [1.0, 3.0])
+    assert x == [2 * F(0.1), F(0)] and value == 2 * F(0.1)

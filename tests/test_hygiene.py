@@ -1,8 +1,8 @@
 """Source hygiene: no module in the package imports a name it never uses
 or imports scipy, networkx only lists the cycle oracle's trees, only the
 metric core and the Fréchet embedding read the Fraction view of a
-distance table, and every library function the benchmark traces by name
-still exists."""
+distance table, the simplex pivot does integer arithmetic only, and every
+library function the benchmark traces by name still exists."""
 
 import ast
 import importlib
@@ -140,6 +140,41 @@ def test_only_the_metric_core_reads_fraction_tables():
     ]
     assert found == []
     assert dist_reads("def f(s):\n    return s.dist[0]\n") == [("f", 2)]
+
+
+def fraction_work(source: str, function: str) -> list[tuple[int, str]]:
+    """(line, what) for every `Fraction` name or attribute and every true
+    division inside the named top-level function: the ways a pivot builds
+    Fractions, whether by calling the class or by dividing Fractions."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, SCOPES) and node.name == function:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and n.id == "Fraction":
+                    found.append((n.lineno, "Fraction"))
+                elif isinstance(n, ast.Attribute) and n.attr == "Fraction":
+                    found.append((n.lineno, "Fraction"))
+                elif isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div):
+                    found.append((n.lineno, "/"))
+    return found
+
+
+def test_simplex_pivot_builds_no_fractions():
+    # the tableau is integer rows over row denominators; a Fraction table
+    # must not creep back into the pivot
+    source = (SRC / "exactlp.py").read_text()
+    assert "_pivot" in {n.name for n in ast.parse(source).body if isinstance(n, SCOPES)}
+    assert fraction_work(source, "_pivot") == []
+    fraction_pivot = (
+        "import fractions\n"
+        "def _pivot(T, row, col):\n"
+        "    piv = T[row][col]\n"
+        "    T[row] = [x / piv for x in T[row]]\n"
+        "    T[0][0] = fractions.Fraction(1)\n"
+        "def other(x):\n"
+        "    return Fraction(x) / 2\n"
+    )
+    assert fraction_work(fraction_pivot, "_pivot") == [(4, "/"), (5, "Fraction")]
 
 
 def _load_spans():

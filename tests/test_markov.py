@@ -327,3 +327,17 @@ def test_exact_dp_matches_dense_oracle(setup):
     est = exact_convexity(chain, mmap, space, p)
     lhs, rhs = dense_exact_convexity(chain, mmap, space, p)
     assert est.lhs == lhs and est.rhs == rhs
+
+
+def test_pi_lower_outside_float_range():
+    # ordinary ratios keep float(lhs / rhs) ** (1 / p); exact ratios past
+    # the float range take the root in logs rather than overflowing or
+    # flushing to 0
+    def est(lhs, rhs, p):
+        return markov.ConvexityEstimate(p, lhs, rhs, markov.MethodInfo("exactDP")).pi_lower
+
+    assert est(F(9, 2), F(1), 2.0) == float(F(9, 2)) ** 0.5
+    assert est(F(3) ** 4000, F(1), 2000.0) == pytest.approx(9.0, rel=1e-12)
+    assert est(F(1), F(3) ** 4000, 2000.0) == pytest.approx(1 / 9, rel=1e-12)
+    assert est(F(0), F(1), 2.0) == 0.0
+    assert est(F(1), F(0), 2.0) is None

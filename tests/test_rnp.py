@@ -92,6 +92,15 @@ def test_gauge_dominated_by_base_and_norm_axioms(bush3, gauge3):
         assert gauge3.evaluate(tuple(a + b for a, b in zip(v, w))) <= gv + gw
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gauge_rejects_non_finite_entries(bad):
+    gauge = bush_gauge(tree_to_bush(rademacher_tree(2)))
+    with pytest.raises(ValidationError):
+        gauge.evaluate((bad, 0, 0, 0))
+    # a finite float is the rational it is: one atom at 1/2, mass 1/4 each
+    assert gauge.evaluate((0.5, 0, 0, 0)) == F(1, 8)
+
+
 def test_broken_line_root_is_single_segment(bush3):
     lines = broken_line_family(bush3, 0)
     assert lines[""].segments == ((F(1), (0, 0)),)
