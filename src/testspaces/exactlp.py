@@ -119,9 +119,9 @@ def _reduced_costs(rows, dens, basis, cost: list[int]) -> list[int]:
 
 def _simplex(T, dens, basis, allowed: int) -> None:
     m = len(basis)
-    z = T[m]
     while True:
         # Bland: smallest improving index (basic columns have reduced cost 0)
+        z = T[m]
         enter = next((j for j in range(allowed) if z[j] < 0), None)
         if enter is None:
             return
@@ -140,7 +140,6 @@ def _simplex(T, dens, basis, allowed: int) -> None:
             raise Unbounded("LP objective is unbounded below")
         _pivot(T, dens, leave, enter)
         basis[leave] = enter
-        z = T[m]
 
 
 def _pivot(T, dens, row: int, col: int) -> None:
