@@ -6,7 +6,9 @@ level replaces every edge by a fixed pattern (a quadrilateral, or the 6-vertex
 Laakso gadget) and records each replacement as a `Replacement` in
 `RecursiveFamily.units`.  Old vertex indices stay stable across levels, so
 the level-(n-1) -> level-n injection is the identity on indices; that makes
-the weighted-family isometry checkable by index, not by search.
+the weighted-family isometry checkable by index, not by search.  The same
+records give a family's distance table without a shortest-path search
+(`RecursiveFamily.metric_space`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .metric_core import MetricSpace, PointId, WeightedGraph, apsp
+from .metric_core import INT64_MAX, MetricSpace, PointId, WeightedGraph, apsp, check_table_size
 
 VERTEX_CAP_DEFAULT = 200_000
 
@@ -141,6 +143,55 @@ class RecursiveFamily:
     # vertex index -> chain of (unit_id, side) from outermost to innermost
     chains: tuple[tuple[tuple[int, int], ...], ...] = ()
 
+    def metric_space(self) -> MetricSpace:
+        """The exact shortest-path metric of `graph`, built level by level
+        from the construction instead of by search.
+
+        A gadget meets the rest of the graph only at its ends x, y, so with
+        G the gadget's own hop table, f = G[x, y] and H the level-(k-1) hop
+        table, level k's hops are f * H between old vertices, and a new
+        vertex p reaches any vertex through the nearer end: min over the
+        ends e of G[p, e] + (hops from e).  Two new vertices of one gadget
+        also take G[p, q].  Level k's new vertices are the units of level k
+        in order, `len(sides)` per unit.  Raises CapExceededError before
+        allocating a table of more than TABLE_ENTRY_CAP entries."""
+        size = self.graph.size
+        check_table_size(size, f"{self.kind} level {self.level}")
+        sides, pattern = _PATTERNS[self.kind]
+        width = len(sides)
+        G = np.full((width + 2, width + 2), width + 2, dtype=np.int32)  # above any hop count
+        np.fill_diagonal(G, 0)
+        for a, b, _ in pattern:
+            G[a, b] = G[b, a] = 1
+        for c in range(width + 2):
+            np.minimum(G, G[:, c, None] + G[c], out=G)
+        f, to_ends, inner = int(G[0, 1]), G[2:, :2], G[2:, 2:]
+
+        H = np.array([[0, 1], [1, 0]], dtype=np.int32)  # hop counts stay below size
+        done = 0
+        for level in range(1, self.level + 1):
+            old, total = self.vertex_counts[level - 1], self.vertex_counts[level]
+            count = (total - old) // width
+            ends = np.repeat([u.ends for u in self.units[done : done + count]], width, axis=0)
+            offsets = np.tile(to_ends, (count, 1))  # (new vertex, end) -> in-gadget hops
+            done += count
+            nxt = np.empty((total, total), dtype=np.int32)
+            np.multiply(H, f, out=nxt[:old, :old])
+            H = nxt
+            _through_ends(H[:old, :old], ends, offsets, out=H[old:, :old])
+            H[:old, old:] = H[old:, :old].T
+            _through_ends(H[:old, old:], ends, offsets, out=H[old:, old:])
+            block = np.arange(old, total).reshape(count, width)
+            same = (block[:, :, None], block[:, None, :])  # pairs inside one gadget
+            H[same] = np.minimum(H[same], inner)
+
+        length = self.weighting.edge_length(self.level)
+        num = H
+        if length.numerator > 1:
+            exact = size * length.numerator <= INT64_MAX  # hops stay below size
+            num = H.astype(np.int64 if exact else object) * length.numerator
+        return MetricSpace(num, length.denominator, self.graph.labels())
+
 
 # A replacement pattern: the sides of the new vertices in index order, and
 # the edges put in place of one old edge x-y as (end, end, carrier).  Slots 0
@@ -153,6 +204,16 @@ _LAAKSO_GADGET = (
     (2, 0, 1, 2),
     ((0, 2, 2), (2, 3, 3), (2, 4, 4), (3, 5, 3), (4, 5, 4), (5, 1, 5)),
 )
+_PATTERNS = {"diamond": _QUADRILATERAL, "laakso": _LAAKSO_GADGET}
+
+
+def _through_ends(table: np.ndarray, ends: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = min over e in (0, 1) of offsets[i, e] + table[ends[i, e]]:
+    the hops from a new vertex i that leaves its gadget through end e."""
+    np.add(table[ends[:, 0]], offsets[:, :1], out=out)
+    via = table[ends[:, 1]]
+    via += offsets[:, 1:]
+    np.minimum(out, via, out=out)
 
 
 def _replace_edges(

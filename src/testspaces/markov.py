@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -239,6 +240,22 @@ def _check_mc_args(p: float, seed: int, samples: int) -> None:
         raise ValidationError("need samples >= 1")
 
 
+def _check_float_powers(smallest: float, largest: float, p: float) -> None:
+    """Raise ValidationError unless the p-th powers of the positive
+    distances in [smallest, largest] are normal float64 numbers: past that
+    range the Monte Carlo sums would read inf, NaN or 0."""
+    try:
+        high = largest**p  # a float p raises; a numpy p returns inf
+    except OverflowError:
+        high = math.inf
+    bad = largest if high == math.inf else smallest if smallest**p < sys.float_info.min else None
+    if bad is not None:
+        raise ValidationError(
+            f"a distance of {bad} to the power p = {p:g} leaves the float64 range, "
+            "so Monte Carlo cannot evaluate it; use the exact mode (--mode exact)"
+        )
+
+
 def _rng_for(seed: int, tag: int, k: int, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, tag, k, t]))
 
@@ -305,14 +322,19 @@ def mc_convexity(
     (seed, b): T uniform vectors for the base, then one uniform array per
     step for the branches still running, longest first.  Terms share draws
     and so are correlated: both standard errors come from the per-sample
-    totals."""
+    totals.  A positive distance whose p-th power leaves the float64 range
+    raises ValidationError: use `exact_convexity` there."""
     _check_mc_args(p, seed, samples)
     _check_map(chain, mmap, space)
     T = chain.horizon
     nbrs, cum = _sim_tables(chain)
     # d^p over the distinct mapped points, read through the state -> point map
     points = sorted(set(mmap.point_of_state))
-    dpow = np.array([[x**p for x in row] for row in space.floats()[np.ix_(points, points)].tolist()])
+    dists = space.floats()[np.ix_(points, points)]
+    positive = dists[dists > 0]
+    if positive.size:
+        _check_float_powers(float(positive.min()), float(positive.max()), p)
+    dpow = np.array([[x**p for x in row] for row in dists.tolist()])
     slot = {x: i for i, x in enumerate(points)}
     at = np.array([slot[x] for x in mmap.point_of_state])
 
@@ -428,11 +450,12 @@ def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
 def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> ConvexityEstimate:
     """Monte Carlo for the downward tree walk without materializing the tree:
     simulate child choices as bits; distance is set by the first disagreement
-    after the split."""
+    after the split.  Raises ValidationError when (2T)^p overflows float64."""
     if m < 1:
         raise ValidationError("need m >= 1")
     _check_mc_args(p, seed, samples)
     T = 2**m
+    _check_float_powers(2.0, 2.0 * T, p)  # two copies split at most T steps apart
 
     def split_pair(rng, s, t):
         j = t - s
@@ -470,7 +493,7 @@ def downhill_walk(
                 f"downhill walk needs uniform edge lengths: edge ({u},{v}) has "
                 f"length {w}, edge 0 has {edge_len}"
             )
-    space = apsp(graph)
+    space = family.metric_space()
     sink = family.sink
     adj = graph.adjacency()
     n = graph.size

@@ -23,6 +23,7 @@ INT64_MAX = 2**63 - 1
 FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
 TRIANGLE_BLOCK = 2**12  # triples per verify_metric pass (small temporaries)
 VIOLATION_CAP = 1000  # violations listed by verify_metric
+TABLE_ENTRY_CAP = 2**26  # n^2 entries of one distance table (n <= 8192)
 
 
 def scaled_integers(rows, headroom: int = 1) -> tuple[np.ndarray, int]:
@@ -127,6 +128,16 @@ class MetricSpace:
         return same and self.scale == other.scale and np.array_equal(self.num, other.num)
 
 
+def check_table_size(n: int, what: str) -> None:
+    """Raise CapExceededError before an n x n distance table of `what` is
+    allocated when n^2 exceeds TABLE_ENTRY_CAP."""
+    if n * n > TABLE_ENTRY_CAP:
+        raise CapExceededError(
+            f"{what} has {n} points: its {n}x{n} distance table exceeds the cap of "
+            f"{TABLE_ENTRY_CAP} entries"
+        )
+
+
 def _magnitude(num: np.ndarray) -> int:
     """Largest |entry| of an integer array, as a Python int."""
     return max(int(num.max()), -int(num.min())) if num.size else 0
@@ -223,8 +234,11 @@ def apsp(graph: WeightedGraph) -> MetricSpace:
 
     Dijkstra runs on integer lengths scaled by the lcm of the edge
     denominators, and its distances are the numerators of the result.
-    Raises DisconnectedGraphError naming an unreachable pair.
+    Raises DisconnectedGraphError naming an unreachable pair, and
+    CapExceededError before the search when the table would exceed
+    TABLE_ENTRY_CAP entries.
     """
+    check_table_size(graph.size, "the graph")
     scale = math.lcm(*(w.denominator for _, _, w in graph.edges))
     adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
     for u, v, w in graph.edges:

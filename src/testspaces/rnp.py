@@ -21,7 +21,7 @@ from .embeddings import Embedding, NormedTarget, distortion
 from .errors import CapExceededError, ValidationError
 from .exactlp import solve_lp
 from .generators import RecursiveFamily, tree_labels
-from .metric_core import INT64_MAX, GeodesicPath, MetricSpace, apsp, enumerate_geodesic_paths
+from .metric_core import INT64_MAX, GeodesicPath, MetricSpace, enumerate_geodesic_paths
 
 Vec = tuple
 
@@ -442,7 +442,7 @@ def diamond_geodesic_family(n: int) -> GeodesicFamily:
     from .generators import diamond, diamond_weighting
 
     fam = diamond(n, diamond_weighting())
-    space = apsp(fam.graph)
+    space = fam.metric_space()
     geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, FAMILY_GEODESIC_CAP, space)
     params = geos[0].breakpoints
     return GeodesicFamily(fam, space, tuple(geos), params)
@@ -499,11 +499,11 @@ def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = No
     """Cut-style l1 embedding: distance-from-source plus, per quadrilateral,
     a tent coordinate signed by the side of the quad the vertex lies on.
     Not isometric; the martingale construction measures its ell.  `space`
-    may pass the precomputed apsp table of `fam.graph`."""
+    may pass the precomputed distance table of `fam.graph`."""
     if fam.kind != "diamond":
         raise ValidationError("tent embedding is defined for diamonds")
     if space is None:
-        space = apsp(fam.graph)
+        space = fam.metric_space()
     h = [Fraction(x, space.scale) for x in space.num[fam.source].tolist()]
     spans = []
     for quad in fam.units:

@@ -95,6 +95,24 @@ def test_markov_mc_rejects_negative_seed_and_p_below_one(capsys, walk, n, bad):
     assert rep["error"]["kind"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "walk, n, distance",
+    [("path", "4", "4.0"), ("tree", "3", "16.0"), ("laakso", "1", "0.25"), ("diamond", "2", "0.25")],
+)
+def test_markov_mc_rejects_p_beyond_float_range(capsys, walk, n, distance):
+    # at p = 2000, d^p overflows for d > 1 and underflows for d < 1: Monte
+    # Carlo would print a traceback, NaN or lhs = rhs = 0, so it points to
+    # the exact mode instead
+    code, rep = run_cli(
+        capsys, "markov", "--walk", walk, "--n", n, "--p", "2000", "--mode", "mc",
+        "--seed", "1", "--samples", "200",
+    )
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    message = rep["error"]["message"]
+    assert f"distance of {distance} " in message and "--mode exact" in message
+
+
 def test_distort_bourgain_vectors(tmp_path, capsys):
     from testspaces.embeddings import bourgain_embed
     from testspaces.formats import write_graph
@@ -228,6 +246,11 @@ def test_cap_exit_code(capsys):
     code, rep = run_cli(capsys, "oracle", "james-alpha", "--m", "20")
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
+    # D_7 has 10 924 points: its distance table would hold 1.2e8 entries
+    code, rep = run_cli(capsys, "markov", "--walk", "diamond", "--n", "7", "--mode", "exact")
+    assert code == 3
+    assert rep["error"]["kind"] == "cap_exceeded"
+    assert "10924x10924" in rep["error"]["message"]
 
 
 def test_determinism_identical_payloads(capsys):

@@ -170,6 +170,35 @@ def test_family_structure_is_pinned(maker, scaled, mode):
         assert _structure_digest(maker(n, w)) == expected, (maker.__name__, mode, n)
 
 
+WEIGHTINGS = {
+    "unit": lambda maker: UNIT,
+    "scaled": lambda maker: diamond_weighting() if maker is diamond else laakso_weighting(),
+    # numerators hops * 2^n over 3^n, so they differ from the hop counts
+    "scaled-3/2": lambda maker: Weighting("scaled", F(3, 2)),
+}
+
+
+@pytest.mark.parametrize("maker,top", [(diamond, 5), (laakso, 4)], ids=["diamond", "laakso"])
+@pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+def test_metric_space_equals_apsp(maker, top, weighting):
+    # the construction's table against Dijkstra: same numerators, scale,
+    # dtype and labels on every level
+    for n in range(top + 1):
+        fam = maker(n, WEIGHTINGS[weighting](maker))
+        built, searched = fam.metric_space(), apsp(fam.graph)
+        assert built == searched, (n, weighting)
+        assert built.num.dtype == searched.num.dtype and built.labels == fam.graph.labels()
+
+
+def test_metric_space_keeps_python_ints_past_int64():
+    # (2^40 + 1)^n numerators leave int64 at level 2 in both families
+    w = Weighting("scaled", F(2**40 + 1, 2**40))
+    for maker in (diamond, laakso):
+        fam = maker(2, w)
+        built = fam.metric_space()
+        assert built.num.dtype == object and built == apsp(fam.graph)
+
+
 def test_replacement_units_match_chains():
     for fam, sides in ((diamond(3), (0, 1)), (laakso(2), (2, 0, 1, 2))):
         assert [u.uid for u in fam.units] == list(range(len(fam.units)))

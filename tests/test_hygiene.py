@@ -1,8 +1,9 @@
 """Source hygiene: no module in the package imports a name it never uses
 or imports scipy, networkx only lists the cycle oracle's trees, only the
 metric core and the Fréchet embedding read the Fraction view of a
-distance table, the simplex pivot does integer arithmetic only, and every
-library function the benchmark traces by name still exists."""
+distance table, the simplex pivot does integer arithmetic only, the
+diamond and Laakso walks and embeddings never search for shortest paths,
+and every library function the benchmark traces by name still exists."""
 
 import ast
 import importlib
@@ -175,6 +176,35 @@ def test_simplex_pivot_builds_no_fractions():
         "    return Fraction(x) / 2\n"
     )
     assert fraction_work(fraction_pivot, "_pivot") == [(4, "/"), (5, "Fraction")]
+
+
+def calls_in(source: str, function: str) -> set[str]:
+    """Names called inside the named top-level function, as `f(...)` or
+    `module.f(...)`."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, SCOPES) and node.name == function:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Call):
+                    f = n.func
+                    found.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    return found
+
+
+@pytest.mark.parametrize(
+    "module,function",
+    [
+        ("markov.py", "downhill_walk"),
+        ("rnp.py", "diamond_geodesic_family"),
+        ("rnp.py", "diamond_l1_embedding"),
+    ],
+)
+def test_family_tables_come_from_the_construction(module, function):
+    # diamonds and Laakso graphs read RecursiveFamily.metric_space; the
+    # Dijkstra search serves general graphs only
+    calls = calls_in((SRC / module).read_text(), function)
+    assert "metric_space" in calls and "apsp" not in calls
+    assert calls_in("def f(g, mc):\n    return apsp(g), mc.apsp(g)\n", "f") == {"apsp"}
 
 
 def _load_spans():

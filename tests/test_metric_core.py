@@ -12,6 +12,7 @@ from testspaces.errors import CapExceededError, DisconnectedGraphError, Validati
 from testspaces.generators import UNIT, cycle, diamond, diamond_weighting, laakso, laakso_weighting
 from testspaces.metric_core import (
     INT64_MAX,
+    TABLE_ENTRY_CAP,
     VIOLATION_CAP,
     GeodesicPath,
     MetricSpace,
@@ -19,6 +20,7 @@ from testspaces.metric_core import (
     WeightedGraph,
     apsp,
     enumerate_geodesic_paths,
+    path_graph,
     verify_metric,
 )
 
@@ -55,6 +57,12 @@ def test_apsp_unweighted_diamond_source_sink(n):
     assert all(
         sp.d(i, j) == fw[i][j] for i in range(sp.size) for j in range(sp.size)
     )
+
+
+def test_apsp_caps_the_table_before_searching():
+    side = math.isqrt(TABLE_ENTRY_CAP)
+    with pytest.raises(CapExceededError, match=f"{side + 1}x{side + 1}"):
+        apsp(path_graph(side + 1))
 
 
 def test_apsp_disconnected_names_pair():
