@@ -1,7 +1,9 @@
 """Markov p-convexity functional: exact dynamic programming, Monte Carlo
 estimation (one shared base trajectory per sample with a branched copy per
-split time, blocks of samples on their own substreams), and the built-in
-walks (downward tree walk, downhill diamond/Laakso walks, lazy path walk).
+split time; for the downward tree walk, one first-disagreement draw per
+split time instead; both on blocks of samples with their own substreams),
+and the built-in walks (downward tree walk, downhill diamond/Laakso walks,
+lazy path walk).
 A chain row lists only its moves, as (v, P(u, v)) pairs with P(u, v) > 0
 and v strictly increasing, so building, checking and reading a row costs
 time in its moves, not in n.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .generators import RecursiveFamily, binary_tree
-from .metric_core import MetricSpace, apsp, path_graph
+from .metric_core import MetricSpace, apsp, check_table_size, path_graph
 
 TREE_VERTEX_CAP = 100_000
 
@@ -112,8 +114,18 @@ def _k_max(T: int) -> int:
     return max(0, math.ceil(math.log2(T))) if T > 1 else 0
 
 
-def _split_time(t: int, k: int) -> int:
-    return max(t - 2**k, 0)
+def _split_terms(T: int) -> list[tuple[int, int, int]]:
+    """(k, s, j) for every term (k, t) of the window, in k-then-t order:
+    s = max(t - 2^k, 0) is the split time and j = t - s.  Callers tabulate
+    the terms by (s, j), so a horizon whose (T + 1)^2 table exceeds
+    TABLE_ENTRY_CAP raises CapExceededError first."""
+    check_table_size(T + 1, f"the time window 0..{T}")
+    terms = []
+    for k in range(_k_max(T) + 1):
+        for t in range(1, T + 1):
+            s = max(t - 2**k, 0)
+            terms.append((k, s, t - s))
+    return terms
 
 
 def _check_map(chain: MarkovChain, mmap: MetricMap, space: MetricSpace) -> None:
@@ -164,6 +176,7 @@ def exact_convexity(
     _check_map(chain, mmap, space)
     T = chain.horizon
     K = _k_max(T)
+    terms = _split_terms(T)
     D = math.lcm(*{q.denominator for row in chain.transition for _, q in row})
     Q = [[(v, q.numerator * (D // q.denominator)) for v, q in row] for row in chain.transition]
 
@@ -181,10 +194,8 @@ def exact_convexity(
     # coef[s][j] = sum of 2^((K-k)p) over the terms (k, t) with split time
     # s = t - j; the lhs puts 2^(kp) in the denominator of term (k, t)
     coef: list[dict[int, int]] = [{} for _ in range(T)]
-    for k in range(K + 1):
-        for t in range(1, T + 1):
-            s = _split_time(t, k)
-            coef[s][t - s] = coef[s].get(t - s, 0) + 2 ** ((K - k) * p)
+    for k, s, j in terms:
+        coef[s][j] = coef[s].get(j, 0) + 2 ** ((K - k) * p)
 
     # W[u][j] = D^(2j) E^p E[d(f(A), f(B))^p] for two independent j-step
     # runs A, B from u, for every j that a split at u needs
@@ -226,8 +237,8 @@ def exact_convexity(
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-# trajectory cells (samples x (T + 1)) simulated per block of samples; this
-# fixes both the draws and the memory, O(T * block) whatever `samples` is
+# cells (samples x (T + 1)) drawn per block of samples; this fixes both the
+# draws and the memory, O(T * block) whatever `samples` is
 MC_BLOCK_CELLS = 2**20
 
 
@@ -256,10 +267,6 @@ def _check_float_powers(smallest: float, largest: float, p: float) -> None:
         )
 
 
-def _rng_for(seed: int, tag: int, k: int, t: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, tag, k, t]))
-
-
 def _sim_tables(chain: MarkovChain):
     """Row u's targets and running probability sums, padded with its last
     move; the sums run in row order, which fixes every Monte Carlo draw."""
@@ -282,24 +289,25 @@ def _move(states: np.ndarray, u: np.ndarray, nbrs, cum) -> np.ndarray:
     return nbrs.ravel()[idx]
 
 
-def _mc_window(seed: int, tag: int, k_max: int, T: int, p: float, sample) -> tuple[float, float]:
-    """Sum over k <= k_max and t = 1..T of 2^{-kp} times the sample mean of
-    sample(rng, s, t), s the split time, each term drawn from its own
-    (seed, tag, k, t) substream; returns the sum and its variance."""
-    total = 0.0
-    var = 0.0
-    for k in range(k_max + 1):
-        w = 2.0 ** (-k * p)
-        for t in range(1, T + 1):
-            vals = sample(_rng_for(seed, tag, k, t), _split_time(t, k), t)
-            total += w * float(vals.mean())
-            var += (w * w) * float(vals.var(ddof=1) if vals.size > 1 else 0.0) / vals.size
-    return total, var
-
-
 def _mean_and_stderr(totals: np.ndarray) -> tuple[float, float]:
     se = math.sqrt(float(totals.var(ddof=1)) / totals.size) if totals.size > 1 else 0.0
     return float(totals.mean()), se
+
+
+def _block_estimate(p: float, seed: int, samples: int, T: int, draw) -> ConvexityEstimate:
+    """Sample means of both sums with their standard errors.  Samples run in
+    blocks of MC_BLOCK_CELLS // (T + 1); block b draws from the substream
+    (seed, b), and draw(rng, size) returns the lhs and rhs totals of its
+    `size` samples.  Terms share draws within a sample and so are
+    correlated: both standard errors come from the per-sample totals."""
+    block = max(1, MC_BLOCK_CELLS // (T + 1))
+    totals = []
+    for b, lo in enumerate(range(0, samples, block)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+        totals.append(draw(rng, min(block, samples - lo)))
+    (lhs, lhs_se), (rhs, rhs_se) = (_mean_and_stderr(np.concatenate(x)) for x in zip(*totals))
+    info = MethodInfo("monteCarlo", seed, samples, lhs_se, rhs_se)
+    return ConvexityEstimate(float(p), lhs, rhs, info)
 
 
 def mc_convexity(
@@ -317,16 +325,16 @@ def mc_convexity(
     s, one branch copy Y^s from X_s.  Given X_s the two are independent runs
     of the chain, so every term (k, t) with split time s reads
     d(f(X_t), f(Y^s_{t-s}))^p, and the rhs reads the base's own steps.  A
-    branch stops after the longest t - s its terms need.  Samples run in
-    blocks of MC_BLOCK_CELLS // (T + 1); block b draws from the substream
-    (seed, b): T uniform vectors for the base, then one uniform array per
-    step for the branches still running, longest first.  Terms share draws
-    and so are correlated: both standard errors come from the per-sample
-    totals.  A positive distance whose p-th power leaves the float64 range
-    raises ValidationError: use `exact_convexity` there."""
+    branch stops after the longest t - s its terms need.  Each block of
+    samples (see _block_estimate) draws T uniform vectors for the base, then
+    one uniform array per step for the branches still running, longest
+    first.  A positive distance whose p-th power leaves the float64 range
+    raises ValidationError: use `exact_convexity` there; a horizon past the
+    term table cap raises CapExceededError."""
     _check_mc_args(p, seed, samples)
     _check_map(chain, mmap, space)
     T = chain.horizon
+    terms = _split_terms(T)
     nbrs, cum = _sim_tables(chain)
     # d^p over the distinct mapped points, read through the state -> point map
     points = sorted(set(mmap.point_of_state))
@@ -342,11 +350,9 @@ def mc_convexity(
     # t = s + j; the branch from X_s runs to the largest such j
     W = np.zeros((T, T + 1))
     length = [0] * T
-    for k in range(_k_max(T) + 1):
-        for t in range(1, T + 1):
-            s = _split_time(t, k)
-            W[s, t - s] += 2.0 ** (-k * p)
-            length[s] = max(length[s], t - s)
+    for k, s, j in terms:
+        W[s, j] += 2.0 ** (-k * p)
+        length[s] = max(length[s], j)
     # branch rows run longest first, so the ones still running are a prefix
     split = np.array(sorted(range(T), key=lambda s: (-length[s], s)))
     W = W[split]
@@ -354,30 +360,22 @@ def mc_convexity(
     # so are the rows weighted at step j: s = 0 at every j, the rest at powers of two
     used = [int(np.flatnonzero(W[:, j]).max(initial=-1)) + 1 for j in range(T + 1)]
 
-    block = max(1, MC_BLOCK_CELLS // (T + 1))
-    lhs_tot, rhs_tot = [], []
-    for b, lo in enumerate(range(0, samples, block)):
-        size = min(block, samples - lo)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+    def draw(rng, size):
         base = np.empty((T + 1, size), dtype=np.int64)
         base[0] = chain.start
         for i in range(1, T + 1):
             base[i] = _move(base[i - 1], rng.random(size), nbrs, cum)
         branch = base[split]
         base = at[base]  # from here on only the base's points are read
-        rhs_tot.append(dpow[base[:-1], base[1:]].sum(axis=0))
         lhs = np.zeros(size)
         for j in range(1, T + 1):
             live = branch[: running[j]]
             live[...] = _move(live, rng.random(live.shape), nbrs, cum)
             c = used[j]
             lhs += (W[:c, j, None] * dpow[base[split[:c] + j], at[branch[:c]]]).sum(axis=0)
-        lhs_tot.append(lhs)
+        return lhs, dpow[base[:-1], base[1:]].sum(axis=0)
 
-    lhs, lhs_se = _mean_and_stderr(np.concatenate(lhs_tot))
-    rhs, rhs_se = _mean_and_stderr(np.concatenate(rhs_tot))
-    info = MethodInfo("monteCarlo", seed, samples, lhs_se, rhs_se)
-    return ConvexityEstimate(float(p), lhs, rhs, info)
+    return _block_estimate(p, seed, samples, T, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +429,7 @@ def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
     if m < 1 or not isinstance(p, int) or p < 1:
         raise ValidationError("need m >= 1 and integer p >= 1")
     T = 2**m
+    terms = _split_terms(T)
 
     # F[w] = sum_{i=1..w} 2^(i-1) (2i)^p  so  E[d^p | window w] = F[w] / 2^w
     F = [Fraction(0)]
@@ -438,44 +437,41 @@ def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
         F.append(F[-1] + Fraction(2) ** (i - 1) * (2 * i) ** p)
 
     lhs = Fraction(0)
-    for k in range(_k_max(T) + 1):
-        denom = Fraction(2) ** (k * p)
-        for t in range(1, T + 1):
-            w = min(2**k, t)
-            lhs += Fraction(F[w], 2**w) / denom
+    for k, _, j in terms:
+        lhs += Fraction(F[j], 2**j) / Fraction(2) ** (k * p)
     rhs = Fraction(T)  # every step within the horizon moves distance exactly 1
     return ConvexityEstimate(float(p), lhs, rhs, MethodInfo("exactDP(analytic)"))
 
 
 def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> ConvexityEstimate:
-    """Monte Carlo for the downward tree walk without materializing the tree:
-    simulate child choices as bits; distance is set by the first disagreement
-    after the split.  Raises ValidationError when (2T)^p overflows float64."""
+    """Monte Carlo for the downward tree walk without materializing the tree.
+    Within the horizon the walk sits at depth t, and a copy branched from
+    X_s first disagrees with it after G_s ~ Geometric(1/2) steps; each term
+    (k, t) with split time s and j = t - s then reads (2(j - G_s + 1))^p
+    when G_s <= j and 0 otherwise.  So a sample is one geometric draw per
+    split time, looked up in a table of weighted contributions, on the
+    blocks and substreams of mc_convexity.  Every step moves distance
+    exactly 1, so rhs = T with standard error 0.  Raises ValidationError
+    when (2T)^p overflows float64, CapExceededError past the table cap."""
     if m < 1:
         raise ValidationError("need m >= 1")
     _check_mc_args(p, seed, samples)
     T = 2**m
     _check_float_powers(2.0, 2.0 * T, p)  # two copies split at most T steps apart
+    terms = _split_terms(T)
+    # gain[s, g] = sum of 2^(-kp) (2(j - g + 1))^p over the terms with split
+    # time s and j >= g; column T + 1 stands for every g > T and stays 0
+    dpow = (2.0 * np.arange(1, T + 1)) ** p
+    gain = np.zeros((T, T + 2))
+    for k, s, j in terms:
+        gain[s, 1 : j + 1] += 2.0 ** (-k * p) * dpow[j - 1 :: -1]
+    rows = np.arange(T)[:, None]
 
-    def split_pair(rng, s, t):
-        j = t - s
-        alive = np.ones(samples, dtype=bool)
-        dist_steps = np.zeros(samples, dtype=np.int64)
-        for i in range(1, j + 1):
-            a = rng.integers(0, 2, samples)
-            b = rng.integers(0, 2, samples)
-            strike = alive & (a != b)
-            dist_steps[strike] = j - i + 1
-            alive &= ~strike
-        vals = (2.0 * dist_steps) ** p
-        vals[dist_steps == 0] = 0.0
-        return vals
+    def draw(rng, size):
+        first = np.minimum(rng.geometric(0.5, (T, size)), T + 1)
+        return gain[rows, first].sum(axis=0), np.full(size, float(T))
 
-    lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
-    # within the horizon every step moves distance exactly 1
-    rhs = float(T)
-    info = MethodInfo("monteCarlo", seed, samples, math.sqrt(lhs_var), 0.0)
-    return ConvexityEstimate(float(p), lhs, rhs, info)
+    return _block_estimate(p, seed, samples, T, draw)
 
 
 def downhill_walk(

@@ -6,7 +6,8 @@ for shortest paths, nested Fraction tuples for subspaces and rescaled
 metrics, Nelder-Mead coordinate search for optimal euclidean distortion,
 full outcome enumeration for the short downward tree walk, dense Fraction
 matrix powers for the Markov convexity sums, every (k, t) term re-simulated
-from time 0 for their Monte Carlo estimate, word-product enumeration for
+from time 0 on its own substream for their Monte Carlo estimate and for the
+tree walk's (child choices as bits), word-product enumeration for
 Heisenberg balls, plain loops over pairs and triples for distortion,
 vertex-map distortion and the metric axioms, one Fraction per (vector, j)
 for the James grid, the original alternating-projection loop for the SDP
@@ -240,13 +241,33 @@ def dense_exact_convexity(chain, mmap, space, p):
     return lhs, rhs
 
 
+def _rng_for(seed, tag, k, t):
+    return np.random.default_rng(np.random.SeedSequence([seed, tag, k, t]))
+
+
+def _mc_window(seed, tag, k_max, T, p, sample):
+    """Sum over k <= k_max and t = 1..T of 2^{-kp} times the sample mean of
+    sample(rng, s, t), s = max(t - 2^k, 0) the split time, each term drawn
+    from its own (seed, tag, k, t) substream; returns the sum and its
+    variance."""
+    total = 0.0
+    var = 0.0
+    for k in range(k_max + 1):
+        w = 2.0 ** (-k * p)
+        for t in range(1, T + 1):
+            vals = sample(_rng_for(seed, tag, k, t), max(t - 2**k, 0), t)
+            total += w * float(vals.mean())
+            var += (w * w) * float(vals.var(ddof=1) if vals.size > 1 else 0.0) / vals.size
+    return total, var
+
+
 def mc_convexity_per_term(chain, mmap, space, p, seed, samples):
     """Monte Carlo convexity sums with every (k, t) term re-simulated from
     time 0 on its own (seed, tag, k, t) substream, so the terms are
     independent and the variances add: the estimator before the library
     shared one base trajectory per sample.  Returns (lhs, rhs, lhs_stderr,
     rhs_stderr)."""
-    from testspaces.markov import _k_max, _mc_window, _move, _sim_tables
+    from testspaces.markov import _k_max, _move, _sim_tables
 
     T = chain.horizon
     nbrs, cum = _sim_tables(chain)
@@ -271,6 +292,35 @@ def mc_convexity_per_term(chain, mmap, space, p, seed, samples):
     lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
     rhs, rhs_var = _mc_window(seed, 2, 0, T, p, one_step)
     return lhs, rhs, math.sqrt(lhs_var), math.sqrt(rhs_var)
+
+
+def tree_walk_convexity_mc_per_term(m, p, seed, samples):
+    """Monte Carlo for the downward walk on T_{2^m} with every (k, t) term
+    drawn on its own (seed, 1, k, t) substream: both copies simulate their
+    child choices as bits for the t - s steps after the split, and the
+    distance is set by the first disagreement.  The library's estimator
+    before it made one geometric draw per split time.  Returns (lhs, rhs,
+    lhs_stderr, rhs_stderr); every step moves distance 1, so rhs = 2^m."""
+    from testspaces.markov import _k_max
+
+    T = 2**m
+
+    def split_pair(rng, s, t):
+        j = t - s
+        alive = np.ones(samples, dtype=bool)
+        dist_steps = np.zeros(samples, dtype=np.int64)
+        for i in range(1, j + 1):
+            a = rng.integers(0, 2, samples)
+            b = rng.integers(0, 2, samples)
+            strike = alive & (a != b)
+            dist_steps[strike] = j - i + 1
+            alive &= ~strike
+        vals = (2.0 * dist_steps) ** p
+        vals[dist_steps == 0] = 0.0
+        return vals
+
+    lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
+    return lhs, float(T), math.sqrt(lhs_var), 0.0
 
 
 def james_alpha_by_vectors(m, bound):

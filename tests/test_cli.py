@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -251,6 +252,27 @@ def test_cap_exit_code(capsys):
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
     assert "10924x10924" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [["diamond", "--n", "1", "--horizon", "9000"], ["tree", "--n", "13"]],
+    ids=["diamond-horizon-9000", "tree-13"],
+)
+def test_markov_mc_caps_the_term_table(capsys, walk):
+    # (T, T + 1) and (T, T + 2) term tables of 8.1e7 and 6.7e7 float64
+    # entries: the cap fires before either is allocated
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(
+            capsys, "markov", "--walk", *walk, "--mode", "mc", "--seed", "1", "--samples", "10"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert rep["error"]["kind"] == "cap_exceeded"
+    assert peak < 50 * 2**20
 
 
 def test_determinism_identical_payloads(capsys):

@@ -3,7 +3,8 @@ or imports scipy, networkx only lists the cycle oracle's trees, only the
 metric core and the Fréchet embedding read the Fraction view of a
 distance table, the simplex pivot does integer arithmetic only, the
 diamond and Laakso walks and embeddings never search for shortest paths,
-and every library function the benchmark traces by name still exists."""
+the Markov module seeds one Monte Carlo block loop and nothing else, and
+every library function the benchmark traces by name still exists."""
 
 import ast
 import importlib
@@ -249,3 +250,24 @@ def test_benchmark_spans_resolve():
     # window (k, t) in {0, 1} x {1, 2} simulates 2 + 3 + 2 + 4 steps for the
     # lhs and 1 + 2 for the rhs, per sample
     assert spans.counts(tracer.spans) == {"markov.exact.mult_ops": 40, "markov.mc.steps": 140}
+
+
+def calls_named(source: str, name: str) -> list[int]:
+    """Lines of every call to `name(...)` or `module.name(...)`."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+
+
+def test_markov_has_one_monte_carlo_engine():
+    # every estimator draws from the one block loop's substreams; the
+    # per-term substreams belong to the test oracles
+    source = (SRC / "markov.py").read_text()
+    assert len(calls_named(source, "SeedSequence")) == 1
+    defined = {n.name for n in ast.walk(ast.parse(source)) if isinstance(n, SCOPES)}
+    assert defined.isdisjoint({"_mc_window", "_rng_for"})
+    sample = "import numpy as np\nnp.random.SeedSequence(1)\nSeedSequence(2)\n"
+    assert calls_named(sample, "SeedSequence") == [2, 3]
