@@ -22,7 +22,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .metric_core import INT64_MAX, MetricSpace, PointId, WeightedGraph, apsp, check_table_size
+from .metric_core import (
+    INT64_MAX,
+    MetricSpace,
+    PointId,
+    WeightedGraph,
+    apsp,
+    check_table_size,
+    read_only,
+)
 
 VERTEX_CAP_DEFAULT = 200_000
 
@@ -190,7 +198,7 @@ class RecursiveFamily:
         if length.numerator > 1:
             exact = size * length.numerator <= INT64_MAX  # hops stay below size
             num = H.astype(np.int64 if exact else object) * length.numerator
-        return MetricSpace(num, length.denominator, self.graph.labels())
+        return MetricSpace(read_only(num), length.denominator, self.graph.labels())
 
 
 # A replacement pattern: the sides of the new vertices in index order, and
@@ -336,4 +344,4 @@ def heisenberg_ball(r: int, radius_cap: int = 8) -> MetricSpace:
     ball.sort(key=lambda g: (lengths[g], g))
     labels = tuple(f"{a},{b},{c}" for a, b, c in ball)
     num = np.array([[lengths[heis_mul(heis_inv(u), v)] for v in ball] for u in ball], dtype=np.int64)
-    return MetricSpace(num, 1, labels)
+    return MetricSpace(read_only(num), 1, labels)

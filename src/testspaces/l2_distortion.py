@@ -4,9 +4,13 @@ bisection, and the fork-selection self-improvement pipeline.
 The feasibility problem for distortion c: find a Gram matrix Q >= 0 with
 d(i,j)^2 <= Q_ii + Q_jj - 2 Q_ij <= c^2 d(i,j)^2 for all pairs.  It is solved
 by alternating projection: clip the pair constraints (a Jacobi sweep), then
-project onto the PSD cone by eigenvalue clipping.  The fork gap behind the
-self-improvement bound is the Hilbert-space one, in closed form and rounded
-outward.
+project onto the PSD cone by eigenvalue clipping.  Each probe allocates its
+n x n work buffers once and writes every step of the loop into them, and it
+takes the eigendecomposition straight from the LAPACK gufunc behind
+`np.linalg.eigh` (`numpy.linalg._umath_linalg.eigh_lo`, the same bits
+without the wrapper's checks), or from `np.linalg.eigh` itself when that
+private name is missing.  The fork gap behind the self-improvement bound is
+the Hilbert-space one, in closed form and rounded outward.
 """
 
 from __future__ import annotations
@@ -44,11 +48,31 @@ class SdpOutcome:
     residual: float
 
 
+try:  # the LAPACK gufunc inside np.linalg.eigh, without the wrapper's checks
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
+except ImportError:  # a numpy without the private name takes the public route
+    _eigh_lo = None
+
+
+def _eigh(Q: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of the symmetric float64 Q from its lower triangle, w ascending:
+    the bits np.linalg.eigh returns.  The gufunc writes into `out`, the
+    fallback allocates.  A LAPACK failure fills w and V with NaN (the
+    gufunc, under sdp_feasible's errstate) or raises LinAlgError (the
+    fallback)."""
+    if _eigh_lo is None:
+        return np.linalg.eigh(Q)
+    return _eigh_lo(Q, signature="d->dd", out=out)
+
+
 def _distance_squares(space: MetricSpace) -> np.ndarray:
-    return np.array([[x**2 for x in row] for row in space.floats().tolist()])
+    """d(i, j)^2 as the correctly rounded square of each float distance."""
+    return space.floats() ** 2
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence is reported, not warned
+# divergence is reported, not warned; a failed eigh_lo call raises invalid
+# and may raise divide, which np.linalg.eigh catches with its own errstate
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sdp_feasible(
     space: MetricSpace,
     c: float,
@@ -60,8 +84,15 @@ def sdp_feasible(
 
     Outcomes: "feasible" (certificate at tol), "stalled" (relative progress
     below 1e-9: treated as infeasible at this c), "undecided" (iteration cap
-    hit while still progressing, or a non-finite start or iterate: the
-    projections can diverge, and that decides nothing about c).
+    hit while still progressing, a non-finite start or iterate, or an
+    eigendecomposition that fails or is not finite: the projections can
+    diverge, and that decides nothing about c).
+
+    Past the first iteration the loop allocates no array on the gufunc
+    route: every step writes into buffers made once per probe, with the
+    floating-point operations, in their order, of Q = (dd - clip(E, lo,
+    hi)) / 2, Q = V max(w, 0) V^T and the rest written with temporaries, so
+    the outcome is bit for bit theirs.
     """
     if not 1 <= c < math.inf:
         raise ValidationError("distortion bound must be finite and >= 1")
@@ -74,42 +105,57 @@ def sdp_feasible(
     lo, hi = D2, (c * c) * D2
 
     if warm_start is not None:
-        Q = warm_start.copy()
+        Q = np.array(warm_start, dtype=np.float64, order="C")
     else:
         # classical MDS double-centering as the starting Gram matrix
         J = np.eye(n) - np.ones((n, n)) / n
         Q = -0.5 * J @ D2 @ J
 
+    def undecided(it: int) -> SdpOutcome:
+        return SdpOutcome("undecided", None, it, best_residual)
+
+    # Q is the iterate, dd the diagonal sums, E the pair table E(Q), S scratch
+    dd, E, S = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    eig = np.empty(n), np.empty((n, n))
+    diag = Q.diagonal()  # views that follow every write into Q
+    col, row, QT = diag[:, None], diag[None, :], Q.T
     best_residual = math.inf
     last_check = math.inf
     it = 0
     # each residual step hands its diagonal sums and pair table to the next sweep
-    diag = np.diag(Q)
-    dd = diag[:, None] + diag[None, :]
-    E = dd - 2.0 * Q
+    np.add(col, row, out=dd)
+    np.subtract(dd, np.multiply(2.0, Q, out=E), out=E)
     while it < max_iter:
         it += 1
-        # pair-constraint sweep
-        Q = (dd - np.clip(E, lo, hi)) / 2.0
+        # pair-constraint sweep: Q = (dd - clip(E, lo, hi)) / 2
+        np.maximum(E, lo, out=E)
+        np.minimum(E, hi, out=E)
+        np.divide(np.subtract(dd, E, out=Q), 2.0, out=Q)
         if it == 1:
             # later sweeps start from a finite, symmetric PSD iterate
             if not np.isfinite(Q).all():
-                return SdpOutcome("undecided", None, it, best_residual)
-            if not np.array_equal(Q, Q.T):
-                Q = (Q + Q.T) / 2.0
-        # PSD projection
-        w, V = np.linalg.eigh(Q)
+                return undecided(it)
+            if not np.array_equal(Q, QT):
+                np.divide(np.add(Q, QT, out=S), 2.0, out=Q)
+        # PSD projection: Q = V max(w, 0) V^T, symmetrized
+        try:
+            w, V = _eigh(Q, eig)
+        except np.linalg.LinAlgError:
+            return undecided(it)
+        # w ascends, so its ends bound it; a failed eigh_lo fills it with NaN
+        if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+            return undecided(it)
         psd_violation = max(0.0, float(-w[0]))
-        w = np.clip(w, 0.0, None)
-        Q = (V * w) @ V.T
-        Q = (Q + Q.T) / 2.0
+        np.maximum(w, 0.0, out=w)
+        np.matmul(np.multiply(V, w, out=S), V.T, out=Q)
+        np.divide(np.add(Q, QT, out=S), 2.0, out=Q)
         # residual: how far the PSD iterate is from the pair constraints
-        diag = np.diag(Q)
-        dd = diag[:, None] + diag[None, :]
-        E = dd - 2.0 * Q
-        below, above = float((lo - E).max()), float((E - hi).max())
+        np.add(col, row, out=dd)
+        np.subtract(dd, np.multiply(2.0, Q, out=E), out=E)
+        below = float(np.maximum.reduce(np.subtract(lo, E, out=S), axis=None))
+        above = float(np.maximum.reduce(np.subtract(E, hi, out=S), axis=None))
         if not (math.isfinite(below) and math.isfinite(above)):
-            return SdpOutcome("undecided", None, it, best_residual)
+            return undecided(it)
         constraint_violation = max(0.0, below, above)
         residual = max(constraint_violation, psd_violation)
         if residual <= tol:
@@ -124,7 +170,7 @@ def sdp_feasible(
             if last_check - best_residual <= STALL_REL * max(best_residual, 1e-300):
                 return SdpOutcome("stalled", None, it, residual)
             last_check = best_residual
-    return SdpOutcome("undecided", None, it, best_residual)
+    return undecided(it)
 
 
 def embedding_from_gram(space: MetricSpace, Q: np.ndarray) -> Embedding:

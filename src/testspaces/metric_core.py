@@ -59,7 +59,9 @@ class MetricSpace:
 
     `num` is a read-only n x n integer array: int64 when twice its largest
     magnitude fits, Python ints (object) otherwise.  `scale` is a positive
-    int, and the constructor reduces gcd(num, scale) to 1.
+    int, and the constructor reduces gcd(num, scale) to 1.  A table that no
+    one can write to any more (read-only, and viewing only read-only
+    arrays) is kept as it is; any other is copied.
     """
 
     num: np.ndarray
@@ -72,9 +74,10 @@ class MetricSpace:
         if not square or type(scale) is not int or scale <= 0:
             raise ValidationError("need a square integer numerator table and a positive int scale")
         g = math.gcd(scale, int(np.gcd.reduce(num, axis=None)))  # scale when num is all 0
+        copy = isinstance(self.num, np.ndarray) and _writable(num)
         if g > 1 and num.any():
-            num = num // g
-        num = np.array(num, dtype=np.int64 if 2 * _magnitude(num) <= INT64_MAX else object)
+            num, copy = num // g, False
+        num = num.astype(np.int64 if 2 * _magnitude(num) <= INT64_MAX else object, copy=copy)
         num.flags.writeable = False
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "scale", scale // g)
@@ -112,7 +115,7 @@ class MetricSpace:
         """Subspace on the given points, in the given order."""
         idx = np.asarray(indices, dtype=np.intp)
         labels = None if self.labels is None else tuple(self.labels[i] for i in idx.tolist())
-        return MetricSpace(self.num[np.ix_(idx, idx)], self.scale, labels)
+        return MetricSpace(read_only(self.num[np.ix_(idx, idx)]), self.scale, labels)
 
     def scaled(self, factor) -> "MetricSpace":
         """Every distance times `factor`, a positive int or Fraction."""
@@ -121,7 +124,7 @@ class MetricSpace:
         p, q = factor.numerator, factor.denominator
         # p itself must fit int64 too, even when every distance is 0
         num = self.num if max(_magnitude(self.num), 1) * p <= INT64_MAX else self.num.astype(object)
-        return MetricSpace(num * p, self.scale * q, self.labels)
+        return MetricSpace(read_only(num * p), self.scale * q, self.labels)
 
     def __eq__(self, other):
         same = isinstance(other, MetricSpace) and self.labels == other.labels
@@ -129,13 +132,28 @@ class MetricSpace:
 
 
 def check_table_size(n: int, what: str) -> None:
-    """Raise CapExceededError before an n x n distance table of `what` is
-    allocated when n^2 exceeds TABLE_ENTRY_CAP."""
+    """Raise CapExceededError before an n x n table for `what` is allocated
+    when n^2 exceeds TABLE_ENTRY_CAP."""
     if n * n > TABLE_ENTRY_CAP:
         raise CapExceededError(
-            f"{what} has {n} points: its {n}x{n} distance table exceeds the cap of "
-            f"{TABLE_ENTRY_CAP} entries"
+            f"{what} needs {n}x{n} table entries, more than the cap of {TABLE_ENTRY_CAP}"
         )
+
+
+def read_only(num: np.ndarray) -> np.ndarray:
+    """A fresh table, marked read-only so that MetricSpace keeps it uncopied."""
+    num.flags.writeable = False
+    return num
+
+
+def _writable(num: np.ndarray) -> bool:
+    """Whether num's memory can still be written through num or an array it views."""
+    base = num
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    return base is not None  # a buffer that is not an array may be mutable
 
 
 def _magnitude(num: np.ndarray) -> int:
@@ -253,8 +271,7 @@ def apsp(graph: WeightedGraph) -> MetricSpace:
         rows.append(row)
     # no distance exceeds the sum of the edge lengths
     dtype = np.int64 if sum(w for row in adj for _, w in row) <= INT64_MAX else object
-    num = np.array(rows, dtype=dtype).reshape(graph.size, graph.size)
-    return MetricSpace(num, scale, graph.labels())
+    return MetricSpace(read_only(np.array(rows, dtype=dtype)), scale, graph.labels())
 
 
 @dataclass(frozen=True)

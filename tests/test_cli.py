@@ -272,6 +272,8 @@ def test_markov_mc_caps_the_term_table(capsys, walk):
         tracemalloc.stop()
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
+    # the capped table holds the window's split-time terms, not distances
+    assert "distance table" not in rep["error"]["message"]
     assert peak < 50 * 2**20
 
 

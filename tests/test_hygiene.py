@@ -3,8 +3,10 @@ or imports scipy, networkx only lists the cycle oracle's trees, only the
 metric core and the Fréchet embedding read the Fraction view of a
 distance table, the simplex pivot does integer arithmetic only, the
 diamond and Laakso walks and embeddings never search for shortest paths,
-the Markov module seeds one Monte Carlo block loop and nothing else, and
-every library function the benchmark traces by name still exists."""
+the Markov module seeds one Monte Carlo block loop and nothing else,
+numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
+fallback, and every library function the benchmark traces by name still
+exists."""
 
 import ast
 import importlib
@@ -271,3 +273,86 @@ def test_markov_has_one_monte_carlo_engine():
     assert defined.isdisjoint({"_mc_window", "_rng_for"})
     sample = "import numpy as np\nnp.random.SeedSequence(1)\nSeedSequence(2)\n"
     assert calls_named(sample, "SeedSequence") == [2, 3]
+
+
+PRIVATE_NUMPY = "_umath_linalg"
+
+
+def _catches_import_error(handler: ast.ExceptHandler) -> bool:
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(k, ast.Name) and k.id == "ImportError" for k in kinds)
+
+
+def _calls_linalg_eigh(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "eigh"
+        and isinstance(n.func.value, ast.Attribute)
+        and n.func.value.attr == "linalg"
+        for n in ast.walk(node)
+    )
+
+
+def private_numpy_uses(source: str) -> list[tuple[int, bool]]:
+    """(line, guarded) for every mention of numpy's private `_umath_linalg`
+    in code.  A mention is guarded when it is a `from ... import` inside a
+    `try` that catches ImportError, and every function that reads a name it
+    binds also calls `np.linalg.eigh`, the public route."""
+    tree = ast.parse(source)
+    in_try = {
+        id(n)
+        for t in ast.walk(tree)
+        if isinstance(t, ast.Try) and any(_catches_import_error(h) for h in t.handlers)
+        for stmt in t.body
+        for n in ast.walk(stmt)
+    }
+
+    def falls_back(name: str) -> bool:
+        readers = [
+            f for f in ast.walk(tree)
+            if isinstance(f, SCOPES) and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(f))
+        ]
+        return bool(readers) and all(_calls_linalg_eigh(f) for f in readers)
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mentions = PRIVATE_NUMPY in (node.module or "").split(".")
+        elif isinstance(node, ast.Import):
+            mentions = any(PRIVATE_NUMPY in a.name.split(".") for a in node.names)
+        else:
+            mentions = PRIVATE_NUMPY in (getattr(node, "attr", None), getattr(node, "id", None))
+        if mentions:
+            guarded = (
+                isinstance(node, ast.ImportFrom)
+                and id(node) in in_try
+                and all(falls_back(a.asname or a.name) for a in node.names)
+            )
+            found.append((node.lineno, guarded))
+    return sorted(found)
+
+
+def test_private_numpy_only_behind_the_eigh_fallback():
+    # the SDP loop takes eigh_lo straight from numpy's LAPACK gufuncs; a
+    # numpy without that private name must still run on np.linalg.eigh
+    mentioned = [path.name for path in sorted(SRC.glob("*.py")) if PRIVATE_NUMPY in path.read_text()]
+    assert mentioned == ["l2_distortion.py"]
+    uses = private_numpy_uses((SRC / "l2_distortion.py").read_text())
+    assert uses and all(guarded for _, guarded in uses)
+
+    fallback = (
+        "try:\n"
+        "    from numpy.linalg._umath_linalg import eigh_lo\n"
+        "except ImportError:\n"
+        "    eigh_lo = None\n"
+        "def f(q):\n"
+        "    return np.linalg.eigh(q) if eigh_lo is None else eigh_lo(q)\n"
+    )
+    assert private_numpy_uses(fallback) == [(2, True)]
+    no_fallback = fallback.replace("np.linalg.eigh(q) if eigh_lo is None else ", "")
+    assert private_numpy_uses(no_fallback) == [(2, False)]
+    unguarded = "from numpy.linalg._umath_linalg import eigh_lo\ndef f(q):\n    return np.linalg.eigh(q)\n"
+    assert private_numpy_uses(unguarded) == [(1, False)]
+    attribute = "import numpy as np\nw = np.linalg._umath_linalg.eigh_lo(q)\n"
+    assert private_numpy_uses(attribute) == [(2, False)]

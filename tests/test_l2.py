@@ -129,7 +129,17 @@ SDP_CASES = [
 ]
 
 
-def test_sdp_iteration_matches_oracle():
+@pytest.fixture(params=["gufunc", "fallback"])
+def eigh_route(request, monkeypatch):
+    """sdp_feasible on the LAPACK gufunc, or forced onto np.linalg.eigh."""
+    if request.param == "fallback":
+        monkeypatch.setattr(l2_distortion, "_eigh_lo", None)
+    elif l2_distortion._eigh_lo is None:
+        pytest.skip("this numpy has no eigh_lo gufunc")
+    return request.param
+
+
+def test_sdp_iteration_matches_oracle(eigh_route):
     spaces = {
         "C4": _unit_diameter(apsp(cycle(4))),
         "T3": _unit_diameter(apsp(binary_tree(3))),
@@ -158,6 +168,96 @@ def test_sdp_iteration_matches_oracle():
             ), case
         statuses.add(got.status)
     assert statuses == {"feasible", "stalled", "undecided"}
+
+
+def _iterates(space, c, count):
+    """Copies of the first `count` matrices sdp_feasible hands to eigh."""
+    seen = []
+
+    def record(Q, out):
+        if len(seen) < count:
+            seen.append(Q.copy())
+        return eigh(Q, out)
+
+    eigh = l2_distortion._eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l2_distortion, "_eigh", record)
+        sdp_feasible(space, c, max_iter=count)
+    return seen
+
+
+def test_eigh_gufunc_returns_the_bits_of_np_linalg_eigh():
+    if l2_distortion._eigh_lo is None:
+        pytest.skip("this numpy has no eigh_lo gufunc")
+    for space, c in ((apsp(diamond(2).graph), 1.7), (apsp(binary_tree(3)), 1.4)):
+        iterates = _iterates(_unit_diameter(space), c, 40)
+        assert len(iterates) == 40
+        for Q in iterates:
+            n = Q.shape[0]
+            out = np.empty(n), np.empty((n, n))
+            got = l2_distortion._eigh(Q, out)
+            assert got[0] is out[0] and got[1] is out[1]  # written in place
+            want = np.linalg.eigh(Q)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+def _failing_eigh(monkeypatch, at, failure):
+    """Make the at-th eigendecomposition of a probe fail."""
+    calls = []
+    eigh = l2_distortion._eigh
+
+    def fake(Q, out):
+        calls.append(1)
+        return failure(eigh, Q, out) if len(calls) == at else eigh(Q, out)
+
+    monkeypatch.setattr(l2_distortion, "_eigh", fake)
+
+
+def _lapack_failure(eigh, Q, out):
+    # LAPACK cannot decompose an infinite matrix: eigh_lo fills w and V with
+    # NaN and flags invalid and divide, np.linalg.eigh raises LinAlgError
+    return eigh(np.full_like(Q, np.inf), out)
+
+
+def _raise_linalg_error(eigh, Q, out):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _nan_eigenvalues(eigh, Q, out):
+    return np.full(Q.shape[0], np.nan), np.full(Q.shape, np.nan)
+
+
+def _minus_inf_lowest_eigenvalue(eigh, Q, out):
+    # clipped to 0, it would leave a finite iterate and an infinite residual
+    w, V = eigh(Q, out)
+    w[0] = -np.inf
+    return w, V
+
+
+@pytest.mark.parametrize(
+    "failure", [_lapack_failure, _raise_linalg_error, _nan_eigenvalues, _minus_inf_lowest_eigenvalue]
+)
+def test_sdp_failed_eigendecomposition_is_undecided(eigh_route, monkeypatch, failure):
+    c4 = _unit_diameter(apsp(cycle(4)))
+    before = sdp_feasible(c4, 1.2, max_iter=2)
+    _failing_eigh(monkeypatch, 3, failure)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sdp_feasible(c4, 1.2)
+    assert (out.status, out.iterations, out.certificate) == ("undecided", 3, None)
+    # the residual is the best of the two iterations before the failure
+    assert repr(out.residual) == repr(before.residual)
+
+
+def test_distance_squares_are_correctly_rounded():
+    # Python's float ** goes through libm's pow, which on glibc rounds the
+    # square of float(33/41) the wrong way
+    sp = _triangle(F(33, 41), 1, F(2, 3))
+    for space in (sp, _unit_diameter(apsp(binary_tree(4))), apsp(cycle(7)).scaled(F(1, 3))):
+        got = l2_distortion._distance_squares(space)
+        want = [[float(F(x) ** 2) for x in row] for row in space.floats().tolist()]
+        assert got.tolist() == want
 
 
 def test_sdp_divergence_is_undecided(monkeypatch):

@@ -262,6 +262,27 @@ def test_representation_matches_fraction_tables(drawn):
     assert MetricSpace(sp.num, sp.scale) != sp
 
 
+def test_read_only_tables_are_shared_and_writeable_ones_copied():
+    table = np.array([[0, 2], [2, 0]], dtype=np.int64)
+    copied = MetricSpace(table)
+    assert not np.shares_memory(copied.num, table)
+    table[0, 1] = table[1, 0] = 5  # a later write by the caller misses the space
+    assert copied.d(0, 1) == 2
+    table.flags.writeable = False
+    assert np.shares_memory(MetricSpace(table).num, table)
+    # a read-only view of a table the caller can still write is copied too
+    base = np.array([[0, 3], [3, 0]], dtype=np.int64)
+    view = base[:]
+    view.flags.writeable = False
+    viewed = MetricSpace(view)
+    base[0, 1] = 7
+    assert viewed.d(0, 1) == 3
+    # the library's tables are read-only, so spaces built on them share them
+    for space in (apsp(cycle(5)), diamond(2, UNIT).metric_space(), laakso(1, laakso_weighting()).metric_space()):
+        for derived in (space, space.restrict(range(3)), space.scaled(F(2, 3))):
+            assert np.shares_memory(MetricSpace(derived.num, derived.scale).num, derived.num)
+
+
 def test_from_rows_rejects_floats_and_ragged_tables():
     with pytest.raises(ValidationError):
         MetricSpace.from_rows(((0, 0.5), (0.5, 0)))
