@@ -151,22 +151,18 @@ def cmd_gen(args) -> dict:
     fam = args.family
     n = args.n
     result: dict = {"family": fam}
+    if n is None and fam not in ("fork", "product"):
+        raise ValidationError("--n required")
     if fam in ("tree", "fork", "cycle", "diamond", "laakso"):
         if fam == "tree":
-            if n is None:
-                raise ValidationError("--n required")
             graph = gen.binary_tree(n)
         elif fam == "fork":
             graph = gen.fork()
         elif fam == "cycle":
-            if n is None:
-                raise ValidationError("--n required")
             graph = gen.cycle(n)
         else:
-            if n is None:
-                raise ValidationError("--n required")
-            base = Fraction(2) if fam == "diamond" else Fraction(4)
-            w = gen.Weighting(args.weighting, base)
+            scaled = gen.diamond_weighting() if fam == "diamond" else gen.laakso_weighting()
+            w = scaled if args.weighting == "scaled" else gen.UNIT
             rec = gen.diamond(n, w) if fam == "diamond" else gen.laakso(n, w)
             graph = rec.graph
             result.update({"source": rec.source, "sink": rec.sink})
@@ -184,8 +180,6 @@ def cmd_gen(args) -> dict:
             raise ValidationError(f"--depths {args.depths!r} is not a comma list of integers") from None
         space = gen.tree_product(depths)
     else:  # heis
-        if n is None:
-            raise ValidationError("--n required")
         space = gen.heisenberg_ball(n)
     result["points"] = space.size
     if args.out:
@@ -233,13 +227,15 @@ def cmd_l2min(args) -> dict:
     if args.emit_gram:
         import csv as _csv
 
-        vecs = res.embedding.vectors
-        gram = [
-            [repr(sum(a * b for a, b in zip(u, v))) for v in vecs] for u in vecs
-        ]
+        import numpy as np
+
+        # products summed in coordinate order; + 0.0 turns a -0.0 total into
+        # 0.0, as a sum that starts from 0 does
+        vecs = np.array(res.embedding.vectors, dtype=float)
+        gram = np.cumsum(vecs[:, None, :] * vecs[None, :, :], axis=2)[:, :, -1] + 0.0
         with open(args.emit_gram, "w") as fh:
             w = _csv.writer(fh, lineterminator="\n")
-            w.writerows(gram)
+            w.writerows([[repr(x) for x in row] for row in gram.tolist()])
     out = {
         "c_star": res.c_star,
         "bracket": list(res.bracket),

@@ -52,26 +52,32 @@ class NormedTarget:
             raise ValidationError("dimension must be positive")
 
 
+# Row kernels: the norm of each row of a block of vectors, for `norm` (one
+# row) and `distortion` (blocks of differences).  Sums run in coordinate
+# order (cumsum), never pairwise or compensated, on every Python version.
+_ROW_NORMS = {
+    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
+    "linf": lambda x: np.abs(x).max(axis=1),
+    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
+    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
+}
+
+
 def norm(target: NormedTarget, v: Sequence) -> Fraction | float:
-    """Norm of v in the target; exact for rational inputs except l2."""
+    """Norm of v in the target, measured as a one-row block by the row
+    kernels of `distortion`: exact entries (int or Fraction) outside l2 as
+    integer numerators over their common denominator, giving a Fraction;
+    float entries, and l2, as one float64 row summed in coordinate order,
+    giving a float.  A gauge target calls its `evaluate`."""
     if len(v) != target.dim:
         raise ValidationError(f"vector has dim {len(v)}, target wants {target.dim}")
-    if target.kind == "l1":
-        return sum((abs(x) for x in v), Fraction(0)) if _is_exact(v) else float(sum(abs(x) for x in v))
-    if target.kind == "linf":
-        m = max(abs(x) for x in v)
-        return m if _is_exact(v) else float(m)
-    if target.kind == "summing":
-        s = Fraction(0) if _is_exact(v) else 0.0
-        best = abs(s) * 0
-        for x in v:
-            s += x
-            if abs(s) > best:
-                best = abs(s)
-        return best
-    if target.kind == "l2":
-        return math.sqrt(float(sum(float(x) * float(x) for x in v)))
-    return target.gauge.evaluate(tuple(v))  # type: ignore[union-attr]
+    if target.kind == "gauge":
+        return target.gauge.evaluate(tuple(v))  # type: ignore[union-attr]
+    kernel = _ROW_NORMS[target.kind]
+    if target.kind != "l2" and _is_exact(v):
+        row, scale = scaled_integers((v,), headroom=len(v))  # sums of len(v) entries
+        return Fraction(int(kernel(row)[0]), scale)
+    return float(kernel(np.array((v,), dtype=float))[0])
 
 
 def _is_exact(v: Sequence) -> bool:
@@ -129,7 +135,9 @@ def distortion(emb: Embedding) -> DistortionReport:
     so every field, value types included, is what a loop over the pairs
     gives.  Exact vectors in l1, linf, the summing norm or a gauge are
     measured in integers and compared by cross-multiplication; float
-    vectors, and l2, in float64 summed in coordinate order.  Raises
+    vectors, and l2, in float64 summed in coordinate order.  The row
+    kernels are those of `norm`, so each pair's norm equals `norm` of the
+    pair's difference vector.  Raises
     ValidationError for a negative distance, for no pair at positive
     distance, and, when measuring in floats, for a positive distance whose
     float is 0; CollapsedPairError for the first collapsed pair.
@@ -187,17 +195,6 @@ def distortion(emb: Embedding) -> DistortionReport:
         lip = Fraction(norm_a) * space.scale / (dist_a * v_scale)
         colip = Fraction(dist_b * v_scale) / (norm_b * space.scale)
     return DistortionReport(lip, colip, lip * colip, _pair(n, a), _pair(n, b))
-
-
-# Row kernels: the norm of each row of a block of difference vectors.  Sums
-# run in coordinate order (cumsum), never pairwise, so float rows agree bit
-# for bit with `norm`.
-_ROW_NORMS = {
-    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
-    "linf": lambda x: np.abs(x).max(axis=1),
-    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
-    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
-}
 
 
 def _pair(n: int, k: int) -> tuple[int, int]:
@@ -349,16 +346,12 @@ def bourgain_labeling(n: int) -> BourgainLabeling:
     return BourgainLabeling(n, psi, phi)
 
 
-def _tree_space(n: int) -> MetricSpace:
-    return apsp(binary_tree(n))
-
-
 def bourgain_embed(n: int) -> Embedding:
     """Vertex t -> sum over ancestors s <= t of e_{phi(s)}, in the summing
     norm of dimension 2^{n+1} - 1."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    space = _tree_space(n)
+    space = apsp(binary_tree(n))
     labeling = bourgain_labeling(n)
     dim = 2 ** (n + 1) - 1
     vectors = []
@@ -463,15 +456,12 @@ class SubmetricSpace:
         return len(self.points[0])
 
     def l1_dist(self, i: int, j: int) -> Fraction:
-        return sum(
-            (abs(a - b) for a, b in zip(self.points[i], self.points[j])), Fraction(0)
-        )
+        diff = tuple(a - b for a, b in zip(self.points[i], self.points[j]))
+        return norm(NormedTarget("l1", self.dim), diff)
 
     def is_active(self, i: int, j: int) -> bool:
         diff = tuple(a - b for a, b in zip(self.points[i], self.points[j]))
-        l1 = sum((abs(x) for x in diff), Fraction(0))
-        s = norm(NormedTarget("summing", len(diff)), diff)
-        return l1 <= self.delta * s
+        return self.l1_dist(i, j) <= self.delta * norm(NormedTarget("summing", self.dim), diff)
 
     def active_pairs(self) -> list[tuple[int, int]]:
         n = len(self.points)

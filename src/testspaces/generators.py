@@ -77,17 +77,6 @@ def tree_labels(n: int) -> list[str]:
     return labels
 
 
-def common_prefix(a: str, b: str) -> int:
-    """Length of the longest common prefix of two strings: for tree labels,
-    the depth of their lowest common ancestor."""
-    common = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        common += 1
-    return common
-
-
 def binary_tree(n: int, vertex_cap: int = VERTEX_CAP_DEFAULT) -> WeightedGraph:
     """Binary tree of depth n: vertices are 0/1 strings of length <= n,
     edges join a string to its one-letter extensions, unit lengths."""
@@ -277,10 +266,14 @@ def tree_product(depths: list[int], size_cap: int = 20_000) -> MetricSpace:
     """Cartesian product of binary trees with the l1 (sum) metric."""
     if not depths:
         raise ValidationError("need at least one tree depth")
+    if min(depths) < 0:
+        raise ValidationError("depth must be >= 0")
+    # a depth-d tree has 2^(d+1) - 1 vertices; one deeper than the cap's bit
+    # length exceeds the cap alone, so its exponent stops there
+    bits = size_cap.bit_length()
+    if math.prod(2 ** (min(d, bits) + 1) - 1 for d in depths) > size_cap:
+        raise CapExceededError(f"product of trees of depths {depths} exceeds cap {size_cap} points")
     spaces = [apsp(binary_tree(d)) for d in depths]  # unit edges: each scale is 1
-    total = math.prod(s.size for s in spaces)
-    if total > size_cap:
-        raise CapExceededError(f"product size {total} exceeds cap {size_cap}")
     labels = tuple(
         "(" + ",".join(lab or "" for lab in combo) + ")"
         for combo in itertools.product(*(s.labels for s in spaces))
@@ -340,8 +333,7 @@ def heisenberg_ball(r: int, radius_cap: int = 8) -> MetricSpace:
     if r > radius_cap:
         raise CapExceededError(f"radius {r} exceeds cap {radius_cap} (ball grows ~ r^4)")
     lengths = heisenberg_word_lengths(2 * r)
-    ball = sorted(g for g, d in lengths.items() if d <= r)
-    ball.sort(key=lambda g: (lengths[g], g))
+    ball = sorted((g for g, d in lengths.items() if d <= r), key=lambda g: (lengths[g], g))
     labels = tuple(f"{a},{b},{c}" for a, b, c in ball)
     num = np.array([[lengths[heis_mul(heis_inv(u), v)] for v in ball] for u in ball], dtype=np.int64)
     return MetricSpace(read_only(num), 1, labels)

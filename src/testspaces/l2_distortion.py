@@ -24,8 +24,8 @@ import numpy as np
 
 from .embeddings import DistortionReport, Embedding, NormedTarget, distortion
 from .errors import UndecidedError, ValidationError
-from .generators import common_prefix
-from .metric_core import MetricSpace
+from .generators import binary_tree
+from .metric_core import MetricSpace, apsp
 
 STALL_REL = 1e-9
 STALL_WINDOW = 200
@@ -436,8 +436,9 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     sub = Embedding(half_space, tuple(emb.vectors[i] for i in idxs), emb.target)
 
     # structural exactness: half distances must equal T_{floor(n/2)} distances
-    expect = [[len(a) + len(b) - 2 * common_prefix(a, b) for b in new_labels] for a in new_labels]
-    if half_space.scale != 1 or half_space.num.tolist() != expect:
+    tree = apsp(binary_tree(n // 2))
+    at = {lab: i for i, lab in enumerate(tree.labels)}
+    if half_space != tree.restrict([at[lab] for lab in new_labels]):
         raise ValidationError("selected set is not isometric to the half tree")
 
     sub_rep = distortion(sub)

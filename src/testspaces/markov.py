@@ -102,13 +102,6 @@ class ConvexityEstimate:
             return math.exp((math.log(ratio.numerator) - math.log(ratio.denominator)) / self.p)
         return approx ** (1.0 / self.p)
 
-    @property
-    def ratio(self) -> Optional[Fraction]:
-        """lhs/rhs = piLower^p, exact when both sums are exact."""
-        if self.rhs == 0:
-            return None
-        return self.lhs / self.rhs
-
 
 def _k_max(T: int) -> int:
     return max(0, math.ceil(math.log2(T))) if T > 1 else 0

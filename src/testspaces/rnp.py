@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embeddings import Embedding, NormedTarget, distortion
+from .embeddings import Embedding, NormedTarget, distortion, norm
 from .errors import CapExceededError, ValidationError
 from .exactlp import solve_lp
-from .generators import RecursiveFamily, tree_labels
+from .generators import RecursiveFamily, diamond, diamond_weighting, tree_labels
 from .metric_core import INT64_MAX, GeodesicPath, MetricSpace, enumerate_geodesic_paths
 
 Vec = tuple
@@ -439,8 +439,6 @@ FAMILY_GEODESIC_CAP = 1000  # keeps GeodesicFamily's pair tables at <= 10^6 entr
 def diamond_geodesic_family(n: int) -> GeodesicFamily:
     """All source-sink geodesics of the weighted level-n diamond; more than
     FAMILY_GEODESIC_CAP of them (D_3 has 128, D_4 32768) raise CapExceededError."""
-    from .generators import diamond, diamond_weighting
-
     fam = diamond(n, diamond_weighting())
     space = fam.metric_space()
     geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, FAMILY_GEODESIC_CAP, space)
@@ -562,14 +560,12 @@ def _level_from_points(emb: Embedding, params, points) -> PiecewiseLevel:
 
 def martingale_l1_diff(a: PiecewiseLevel, b: PiecewiseLevel, target: NormedTarget) -> Fraction:
     """Bochner L1 norm of a - b on (0,1] (exact for rational targets)."""
-    from .embeddings import norm as tnorm
-
     breaks = sorted(set(a.breaks) | set(b.breaks))
     total = Fraction(0)
     for lo, hi in zip(breaks, breaks[1:]):
         va = a.values[_interval_index(a.breaks, lo)]
         vb = b.values[_interval_index(b.breaks, lo)]
-        total += (hi - lo) * tnorm(target, _sub(va, vb))
+        total += (hi - lo) * norm(target, _sub(va, vb))
     return total
 
 
@@ -616,8 +612,6 @@ def martingale_from_embedding(
     diff_norms: list[Fraction] = []
     checks = 0
 
-    from .embeddings import norm as tnorm
-
     for _ in range(steps):
         controls = v_params[1:-1]
         resp = family.respond(g_cur, controls)
@@ -650,7 +644,7 @@ def martingale_from_embedding(
                 fz = normalized.vectors[zv]
                 left = tuple((x - y) / A for x, y in zip(fz, f_w0))
                 right = tuple((x - y) / B for x, y in zip(f_w1, fz))
-                return tnorm(emb.target, _sub(right, left))
+                return norm(emb.target, _sub(right, left))
 
             jz, jzt = jump(z), jump(zt)
             pick_z = jz > jzt  # ties go to z-tilde
@@ -687,15 +681,13 @@ def martingale_check(mart: Martingale, bound: Fraction = Fraction(1)) -> Marting
     """Exact verification: partitions refine, the length-weighted average of
     each level over a parent interval equals the parent value, and all values
     stay inside the unit ball."""
-    from .embeddings import norm as tnorm
-
     failures: list[str] = []
     refinement = True
     condexp = True
     bounded = True
     for k, level in enumerate(mart.levels):
         for value in level.values:
-            if tnorm(mart.target, value) > bound:
+            if norm(mart.target, value) > bound:
                 bounded = False
                 failures.append(f"level {k}: value norm exceeds {bound}")
         if k == 0:

@@ -8,9 +8,10 @@ full outcome enumeration for the short downward tree walk, dense Fraction
 matrix powers for the Markov convexity sums, every (k, t) term re-simulated
 from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), word-product enumeration for
-Heisenberg balls, plain loops over pairs and triples for distortion,
-vertex-map distortion and the metric axioms, one Fraction per (vector, j)
-for the James grid, the original alternating-projection loop for the SDP
+Heisenberg balls, plain loops over entries for norms and over pairs and
+triples for distortion, vertex-map distortion and the metric axioms, the
+label-prefix formula for tree distances, one Fraction per (vector, j) for
+the James grid, the original alternating-projection loop for the SDP
 feasibility probe, a multi-start SLSQP search for the Hilbert fork gap,
 every vertex map (collapsing ones included) for the cycle-into-trees search,
 a loop over candidates for the thickness constant, and a dense Fraction
@@ -338,9 +339,32 @@ def james_alpha_by_vectors(m, bound):
     return best, witness[0], witness[1]
 
 
+def entry_norm(target, v):
+    """Norm of one vector by loops over its entries, left to right: a
+    Fraction (or int) for exact entries outside l2, a float otherwise, each
+    entry converted once; a gauge target calls its `evaluate`."""
+    kind = target.kind
+    if kind == "gauge":
+        return target.gauge.evaluate(tuple(v))
+    exact = kind != "l2" and all(isinstance(x, (int, Fraction)) for x in v)
+    entries = list(v) if exact else [float(x) for x in v]
+    if kind == "l2":
+        total = 0.0
+        for x in entries:
+            total += x * x
+        return math.sqrt(total)
+    total = partial = best = Fraction(0) if exact else 0.0
+    for x in entries:
+        total += abs(x)
+        partial += x
+        best = max(best, abs(partial) if kind == "summing" else abs(x))
+    return total if kind == "l1" else best
+
+
 def pairwise_distortion(emb):
-    """Distortion by the loop over pairs i < j, measuring each pair with
-    `Embedding.diff_norm`; lip and colip keep the first strict maximum."""
+    """Distortion by the loop over pairs i < j, measuring each pair's
+    difference vector with `entry_norm`; lip and colip keep the first strict
+    maximum."""
     from testspaces.embeddings import DistortionReport
     from testspaces.errors import CollapsedPairError
 
@@ -353,7 +377,8 @@ def pairwise_distortion(emb):
             d = emb.space.d(i, j)
             if d == 0:
                 continue
-            dn = emb.diff_norm(i, j)
+            diff = tuple(a - b for a, b in zip(emb.vectors[i], emb.vectors[j]))
+            dn = entry_norm(emb.target, diff)
             if dn == 0:
                 raise CollapsedPairError(i, j)
             r = dn / d
@@ -363,6 +388,15 @@ def pairwise_distortion(emb):
             if colip is None or rinv > colip:
                 colip, colip_w = rinv, (i, j)
     return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
+
+
+def tree_label_distance(a, b):
+    """Distance of two binary-tree vertices given as 0/1 labels: their
+    depths less twice the depth of their lowest common ancestor."""
+    common = 0
+    while common < min(len(a), len(b)) and a[common] == b[common]:
+        common += 1
+    return len(a) + len(b) - 2 * common
 
 
 

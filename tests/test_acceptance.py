@@ -65,7 +65,7 @@ def test_criterion_1_markov_tree_walk_numbers():
     for m in range(1, 7):
         est = tree_walk_convexity_exact(m, 2)
         assert est.rhs == 2**m, f"rhs != 2^{m}"
-        assert est.ratio >= m, f"piLower < sqrt({m})"
+        assert est.lhs / est.rhs >= m, f"piLower < sqrt({m})"
         pis.append(est.pi_lower)
     elapsed = time.time() - started
     assert elapsed < 60.0

@@ -7,8 +7,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from testspaces import generators
 from testspaces.cli import build_parser, main
-from testspaces.formats import read_graph, read_space, vectors_to_csv
+from testspaces.formats import read_graph, read_space, vectors_to_csv, write_graph, write_space
+from testspaces.l2_distortion import min_distortion_l2
+from testspaces.metric_core import apsp
 
 
 def run_cli(capsys, *argv):
@@ -299,6 +302,55 @@ def test_gen_product_and_heis(tmp_path, capsys):
     assert read_space(str(out)).size == 9
     code, rep = run_cli(capsys, "gen", "--family", "heis", "--n", "2")
     assert code == 0 and rep["result"]["points"] == 17
+
+
+@pytest.mark.parametrize("depths,code", [("12,12", 3), ("1000000000", 3), ("-1,2", 2)])
+def test_gen_product_checks_depths_before_building_factors(monkeypatch, capsys, depths, code):
+    # the depths give the product's size, so no factor table is built first
+    def no_apsp(graph):
+        raise AssertionError("a factor table was built before the size check")
+
+    monkeypatch.setattr(generators, "apsp", no_apsp)
+    got, rep = run_cli(capsys, "gen", "--family", "product", f"--depths={depths}")
+    assert got == code
+    assert rep["error"]["kind"] == ("cap_exceeded" if code == 3 else "validation")
+
+
+@pytest.mark.parametrize("family", ["diamond", "laakso"])
+@pytest.mark.parametrize("weighting", ["unit", "scaled"])
+def test_gen_writes_the_generators_weighting(tmp_path, capsys, family, weighting):
+    out, ref = tmp_path / "cli.json", tmp_path / "ref.json"
+    code, _ = run_cli(
+        capsys, "gen", "--family", family, "--n", "2", "--weighting", weighting, "--out", str(out)
+    )
+    assert code == 0
+    scaled = {"diamond": generators.diamond_weighting, "laakso": generators.laakso_weighting}
+    w = scaled[family]() if weighting == "scaled" else generators.UNIT
+    write_graph(str(ref), getattr(generators, family)(2, w).graph)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["D2", "C4", "C6", "C7", "C8"])
+def test_l2min_gram_sums_in_coordinate_order(tmp_path, capsys, name):
+    # each entry is the left-to-right sum from 0 of the coordinate products,
+    # as the builtin `sum` of Python 3.11 gives it; C_5 and C_9 are left out
+    # because the solver leaves them undecided
+    graph = generators.diamond(2).graph if name == "D2" else generators.cycle(int(name[1:]))
+    space, gram = tmp_path / "space.csv", tmp_path / "gram.csv"
+    write_space(str(space), apsp(graph))
+    code, _ = run_cli(capsys, "l2min", "--space", str(space), "--emit-gram", str(gram))
+    assert code == 0
+    vecs = min_distortion_l2(read_space(str(space))).embedding.vectors  # deterministic
+    lines = []
+    for u in vecs:
+        row = []
+        for v in vecs:
+            total = 0
+            for a, b in zip(u, v):
+                total += a * b
+            row.append(repr(total))
+        lines.append(",".join(row) + "\n")
+    assert gram.read_text() == "".join(lines)
 
 
 def test_parser_is_built_once_and_calls_stay_independent(capsys):

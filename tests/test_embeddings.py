@@ -2,6 +2,8 @@
 active pairs, cycle-into-tree oracle."""
 
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,9 +29,11 @@ from testspaces.embeddings import (
 from testspaces.errors import CollapsedPairError, ValidationError
 from testspaces.generators import binary_tree, cycle, heisenberg_ball
 from testspaces.metric_core import MetricSpace, apsp, path_graph, scaled_integers
+from testspaces.rnp import bush_gauge, rademacher_tree, tree_to_bush
 
 from _oracles import (
     cycle_tree_all_maps,
+    entry_norm,
     james_alpha_by_vectors,
     pairwise_distortion,
     pairwise_map_distortion,
@@ -46,6 +50,44 @@ def test_norm_examples():
     assert norm(NormedTarget("l2", 2), (3.0, 4.0)) == pytest.approx(5.0)
     with pytest.raises(ValidationError):
         norm(s2, (F(1),))
+
+
+def test_norm_sums_in_coordinate_order():
+    # a compensated sum, like the builtin `sum` of floats from Python 3.12 on,
+    # gives 1e16 + 2 and 1e8 + 1 ulp here
+    assert norm(NormedTarget("l1", 3), (1e16, 1.0, 1.0)) == 1e16
+    v = (1e8, 1.0, 1.0, 1.0, 1.0)
+    target = NormedTarget("l2", 5)
+    assert norm(target, v) == 1e8 != math.sqrt(math.fsum(x * x for x in v))
+    # at distance 1 the distortion kernel's lip is the norm of v - 0
+    emb = Embedding(MetricSpace.from_rows(((0, 1), (1, 0))), (v, (0.0,) * 5), target)
+    assert repr(distortion(emb).lip) == repr(norm(target, v))
+
+
+def _random_vector(rng, kind, dim):
+    if kind == "fraction":
+        return tuple(F(rng.randint(-(10**25), 10**25), rng.randint(1, 10**12)) for _ in range(dim))
+    if kind == "int":  # past int64, so the kernels run on Python ints
+        return tuple(rng.choice((-1, 1)) * rng.randint(2**63, 2**70) for _ in range(dim))
+    # floats whose sums absorb and cancel: the summation order shows
+    big = rng.choice((1e16, 1e8, 1.0, 3e-5))
+    return tuple(rng.choice((big, -big, rng.uniform(-1, 1), 1.0, -1.0)) for _ in range(dim))
+
+
+def test_norm_matches_entry_oracle():
+    rng = random.Random(15)
+    gauge = NormedTarget("gauge", 4, bush_gauge(tree_to_bush(rademacher_tree(2))))
+    for k in range(2400):
+        kind = ("fraction", "int", "float")[k % 3]
+        dim = 4 if k % 12 < 3 else rng.randint(1, 9)
+        v = _random_vector(rng, kind, dim)
+        targets = [NormedTarget(name, dim) for name in ("l1", "linf", "summing", "l2")]
+        if dim == 4 and kind != "float":  # a gauge measures exact vectors
+            targets.append(gauge)
+        for target in targets:
+            got, want = norm(target, v), entry_norm(target, v)
+            assert got == want, (target.kind, v)
+            assert isinstance(got, float) == isinstance(want, float), (target.kind, v)
 
 
 def test_distortion_scaling_invariance():

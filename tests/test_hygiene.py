@@ -5,8 +5,9 @@ distance table, the simplex pivot does integer arithmetic only, the
 diamond and Laakso walks and embeddings never search for shortest paths,
 the Markov module seeds one Monte Carlo block loop and nothing else,
 numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
-fallback, and every library function the benchmark traces by name still
-exists."""
+fallback, every library function the benchmark traces by name still
+exists, `norm` measures with the row kernels of `distortion`, and no
+tree-label prefix formula stands beside the tree space."""
 
 import ast
 import importlib
@@ -356,3 +357,35 @@ def test_private_numpy_only_behind_the_eigh_fallback():
     assert private_numpy_uses(unguarded) == [(1, False)]
     attribute = "import numpy as np\nw = np.linalg._umath_linalg.eigh_lo(q)\n"
     assert private_numpy_uses(attribute) == [(2, False)]
+
+
+ENTRY_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def entry_work(source: str, function: str) -> list[tuple[int, str]]:
+    """(line, what) for every call of the builtin `sum` and every loop or
+    comprehension inside the named top-level function."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, SCOPES) and node.name == function:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "sum":
+                    found.append((n.lineno, "sum"))
+                elif isinstance(n, ENTRY_LOOPS):
+                    found.append((n.lineno, "loop"))
+    return sorted(found)
+
+
+def test_norm_and_tree_metric_have_one_route():
+    # `norm` measures a vector with distortion's row kernels, never entry by
+    # entry (the per-entry route is the test oracle); the tree metric is
+    # apsp of the binary tree, with no label-prefix formula beside it
+    source = (SRC / "embeddings.py").read_text()
+    assert entry_work(source, "norm") == []
+    assert "scaled_integers" in calls_in(source, "norm")
+    for function in ("norm", "distortion"):
+        [scope] = [n for n in ast.parse(source).body if isinstance(n, SCOPES) and n.name == function]
+        assert "_ROW_NORMS" in {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}, function
+    sample = "def norm(t, v):\n    s = sum(abs(x) for x in v)\n    for x in v:\n        s = max(s, x)\n"
+    assert entry_work(sample, "norm") == [(2, "loop"), (2, "sum"), (3, "loop")]
+    assert [path.name for path in sorted(SRC.glob("*.py")) if "common_prefix" in path.read_text()] == []

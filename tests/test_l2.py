@@ -7,11 +7,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from _oracles import fork_gap_slsqp, sdp_feasible_loop
+from _oracles import fork_gap_slsqp, sdp_feasible_loop, tree_label_distance
 from testspaces import l2_distortion
 from testspaces.embeddings import Embedding, NormedTarget, distortion
 from testspaces.errors import ValidationError
-from testspaces.generators import binary_tree, cycle, diamond, fork, heisenberg_ball
+from testspaces.generators import binary_tree, cycle, diamond, fork, heisenberg_ball, tree_labels
 from testspaces.l2_distortion import (
     fork_gap_estimate,
     fork_select,
@@ -383,6 +383,18 @@ def test_fork_select_depth_two_keeps_root_and_grandchildren():
     assert sel.new_labels == ("", "0", "1")
     assert sel.selected_labels[0] == ""
     assert all(len(lab) in (0, 2) for lab in sel.selected_labels)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fork_select_frechet_input_gives_half_tree(n):
+    sp = apsp(binary_tree(n))
+    frechet = Embedding(sp, tuple(tuple(map(float, row)) for row in sp.dist), NormedTarget("l2", sp.size))
+    sel = fork_select(n, normalize_noncontractive(frechet)[0])
+    half = sel.embedding.space
+    assert half.labels == sel.new_labels and sorted(half.labels) == sorted(tree_labels(n // 2))
+    assert [[half.d(i, j) for j in range(half.size)] for i in range(half.size)] == [
+        [tree_label_distance(a, b) for b in half.labels] for a in half.labels
+    ]
 
 
 def test_fork_select_rejects_contractive():
