@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -34,7 +35,12 @@ EXIT_UNDECIDED = 4
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    # a non-finite float (--tol nan) is echoed as its repr: JSON has no NaN
+    config = {
+        k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in sorted(vars(args).items())
+        if k != "func"
+    }
     started = time.perf_counter()
     try:
         result = args.func(args)

@@ -4,13 +4,20 @@ bisection, and the fork-selection self-improvement pipeline.
 The feasibility problem for distortion c: find a Gram matrix Q >= 0 with
 d(i,j)^2 <= Q_ii + Q_jj - 2 Q_ij <= c^2 d(i,j)^2 for all pairs.  It is solved
 by alternating projection: clip the pair constraints (a Jacobi sweep), then
-project onto the PSD cone by eigenvalue clipping.  Each probe allocates its
-n x n work buffers once and writes every step of the loop into them, and it
-takes the eigendecomposition straight from the LAPACK gufunc behind
-`np.linalg.eigh` (`numpy.linalg._umath_linalg.eigh_lo`, the same bits
-without the wrapper's checks), or from `np.linalg.eigh` itself when that
-private name is missing.  The fork gap behind the self-improvement bound is
-the Hilbert-space one, in closed form and rounded outward.
+project onto the PSD cone by eigenvalue clipping.  A probe that stops
+improving is "stalled": its best residual fell by no more than STALL_REL,
+relative, over the last STALL_WINDOW = 25 iterations.  The check at
+iteration 25 only sets the baseline, so the earliest verdict comes at
+iteration 50.  Between disjoint convex sets the residual settles at their
+gap distance (Bauschke-Borwein 1994), and here it settles early; a stall is
+not a certificate, and the bisection treats it as infeasible.  Each probe
+allocates its n x n work buffers once and writes every step of the loop
+into them, and it takes the eigendecomposition straight from the LAPACK
+gufunc behind `np.linalg.eigh` (`numpy.linalg._umath_linalg.eigh_lo`, the
+same bits without the wrapper's checks), or from `np.linalg.eigh` itself
+when that private name is missing.  The fork gap behind the
+self-improvement bound is the Hilbert-space one, in closed form and rounded
+outward.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .generators import binary_tree
 from .metric_core import MetricSpace, apsp
 
 STALL_REL = 1e-9
-STALL_WINDOW = 200
+STALL_WINDOW = 25
 MAX_ITER_DEFAULT = 50_000
 
 
@@ -65,6 +72,13 @@ def _eigh(Q: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray
     return _eigh_lo(Q, signature="d->dd", out=out)
 
 
+def _check_tolerance(tol: float, name: str) -> None:
+    # NaN fails every comparison: `tol <= 0` would let it through, and no
+    # residual is ever <= NaN, so every probe would end "stalled"
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"{name} must be finite and > 0")
+
+
 def _distance_squares(space: MetricSpace) -> np.ndarray:
     """d(i, j)^2 as the correctly rounded square of each float distance."""
     return space.floats() ** 2
@@ -82,11 +96,13 @@ def sdp_feasible(
 ) -> SdpOutcome:
     """Alternating-projection feasibility probe at distortion bound c.
 
-    Outcomes: "feasible" (certificate at tol), "stalled" (relative progress
-    below 1e-9: treated as infeasible at this c), "undecided" (iteration cap
-    hit while still progressing, a non-finite start or iterate, or an
-    eigendecomposition that fails or is not finite: the projections can
-    diverge, and that decides nothing about c).
+    Outcomes: "feasible" (certificate at tol), "stalled" (the best residual
+    improved by no more than STALL_REL, relative, over one STALL_WINDOW of
+    25 iterations; the first check only sets the baseline, so the earliest
+    verdict is at iteration 50; treated as infeasible at this c),
+    "undecided" (iteration cap hit while still progressing, a non-finite
+    start or iterate, or an eigendecomposition that fails or is not finite:
+    the projections can diverge, and that decides nothing about c).
 
     Past the first iteration the loop allocates no array on the gufunc
     route: every step writes into buffers made once per probe, with the
@@ -96,8 +112,7 @@ def sdp_feasible(
     """
     if not 1 <= c < math.inf:
         raise ValidationError("distortion bound must be finite and >= 1")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    _check_tolerance(tol, "tolerance")
     n = space.size
     D2 = _distance_squares(space)
     # d(i, i) = 0 makes both bounds 0 on the diagonal, where E(Q) is exactly
@@ -201,8 +216,8 @@ def min_distortion_l2(
     """Bisection over sdp_feasible; the returned c_star is the feasible end
     of the final bracket, and the embedding is reconstructed from its Gram
     certificate."""
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    _check_tolerance(tol, "tolerance")
+    _check_tolerance(feas_tol, "feasibility tolerance")
     if space.size < 2:
         raise ValidationError("need at least 2 points")
 

@@ -13,7 +13,6 @@ import pytest
 from testspaces.embeddings import bourgain_distortion, james_alpha
 from testspaces.generators import (
     UNIT,
-    binary_tree,
     diamond,
     diamond_weighting,
     heisenberg_ball,
@@ -120,7 +119,7 @@ def test_criterion_3_bourgain_uniform_bound():
     _report(3, f"distortion(F_n) <= 3 for n=1..10 (max {worst}); james grid = 1/3")
 
 
-def test_criterion_4_euclidean_optimum():
+def test_criterion_4_euclidean_optimum(tree_l2_optimum):
     """1 on triangles, sqrt(2) on C_4 vs the coordinate-descent oracle,
     monotone c*(T_n)."""
     from testspaces.generators import cycle
@@ -149,7 +148,7 @@ def test_criterion_4_euclidean_optimum():
     cs = []
     for n in range(1, 6):
         startn = time.time()
-        cs.append(min_distortion_l2(apsp(binary_tree(n))).c_star)
+        cs.append(tree_l2_optimum(n).c_star)
         assert time.time() - startn < 120.0
     assert abs(cs[0] - 1.0) <= 1e-4
     for a, b in zip(cs, cs[1:]):
@@ -158,12 +157,12 @@ def test_criterion_4_euclidean_optimum():
                f"c*(T_1..5) = {', '.join(f'{c:.4f}' for c in cs)}")
 
 
-def test_criterion_5_kloeckner_pipeline():
+def test_criterion_5_kloeckner_pipeline(tree_l2_optimum):
     """fork_select halves T_4 and T_6 without worsening distortion; the
     improvement clears the fork-gap estimate at the measured D."""
     notes = []
     for n in (4, 6):
-        res = min_distortion_l2(apsp(binary_tree(n)))
+        res = tree_l2_optimum(n)
         emb, rep = normalize_noncontractive(res.embedding)
         sel = fork_select(n, emb)  # raises unless exactly isometric to T_{n//2}
         d_in = float(sel.input_report.distortion)

@@ -144,6 +144,21 @@ def test_l2min_three_points(tmp_path, capsys):
     assert abs(rep["result"]["c_star"] - 1.0) <= 1e-4
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_l2min_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
+    space = tmp_path / "c6.json"
+    write_graph(str(space), generators.cycle(6))
+    code = main(["l2min", "--space", str(space), f"--tol={tol}"])
+    printed = capsys.readouterr()
+    assert code == 2
+    rep = json.loads(printed.out)  # strict JSON: NaN and Infinity are not
+    assert rep["error"]["kind"] == "validation"
+    value = float(tol)
+    assert rep["config"]["tol"] == (value if math.isfinite(value) else repr(value))
+    for stream in (printed.out, printed.err):
+        assert "NaN" not in stream and "Infinity" not in stream
+
+
 @pytest.mark.parametrize("command", ["distort", "l2min"])
 def test_space_csv_must_be_a_metric(tmp_path, capsys, command):
     space = tmp_path / "bent.csv"

@@ -1,5 +1,6 @@
 """Euclidean optimum via SDP feasibility + bisection, and the fork pipeline."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction as F
@@ -11,7 +12,15 @@ from _oracles import fork_gap_slsqp, sdp_feasible_loop, tree_label_distance
 from testspaces import l2_distortion
 from testspaces.embeddings import Embedding, NormedTarget, distortion
 from testspaces.errors import ValidationError
-from testspaces.generators import binary_tree, cycle, diamond, fork, heisenberg_ball, tree_labels
+from testspaces.generators import (
+    binary_tree,
+    cycle,
+    diamond,
+    fork,
+    heisenberg_ball,
+    laakso,
+    tree_labels,
+)
 from testspaces.l2_distortion import (
     fork_gap_estimate,
     fork_select,
@@ -43,7 +52,9 @@ def test_two_point_space():
 
 def test_c4_feasibility_thresholds():
     c4 = apsp(cycle(4)).scaled(F(1, 2))
-    assert sdp_feasible(c4, 1.2).status == "stalled"
+    stalled = sdp_feasible(c4, 1.2)
+    # the first window sets the baseline, the second gives the verdict
+    assert (stalled.status, stalled.iterations) == ("stalled", 2 * l2_distortion.STALL_WINDOW)
     out = sdp_feasible(c4, 1.5)
     assert out.status == "feasible"
     assert out.certificate.max_psd_violation <= 1e-7
@@ -57,23 +68,33 @@ def test_c4_optimum_is_sqrt2():
     assert float(res.report.distortion) <= res.c_star * (1 + 10 * 1e-4)
 
 
-def test_certificate_reconstruction_invariant():
-    sp = apsp(binary_tree(2))
-    res = min_distortion_l2(sp, tol=1e-4)
+def test_certificate_reconstruction_invariant(tree_l2_optimum):
+    res = tree_l2_optimum(2, tol=1e-4)
     assert float(res.report.distortion) <= res.c_star * (1 + 10 * 1e-4)
 
 
-def test_subspace_monotonicity():
+def test_shared_tree_optimum_cannot_be_mutated(tree_l2_optimum):
+    res = tree_l2_optimum(2)
+    assert tree_l2_optimum(2) is res
+    for obj, field in ((res, "c_star"), (res.embedding, "vectors"), (res.report, "lip")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+    assert all(type(v) is tuple for v in (res.bracket, res.embedding.vectors, *res.embedding.vectors))
+    with pytest.raises(ValueError):
+        res.embedding.space.num[0, 1] = 0
+
+
+def test_subspace_monotonicity(tree_l2_optimum):
     # a subspace cannot be harder to embed than the whole space
     t3 = apsp(binary_tree(3))
     sub = t3.restrict(range(7))  # contains an isometric copy of T_2
-    full = min_distortion_l2(t3).c_star
+    full = tree_l2_optimum(3).c_star
     part = min_distortion_l2(sub).c_star
     assert part <= full + 1e-3
 
 
-def test_tree_optimal_distortions_nondecreasing():
-    values = [min_distortion_l2(apsp(binary_tree(n))).c_star for n in range(1, 5)]
+def test_tree_optimal_distortions_nondecreasing(tree_l2_optimum):
+    values = [tree_l2_optimum(n).c_star for n in range(1, 5)]
     assert values[0] == pytest.approx(1.0, abs=1e-4)
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-3
@@ -120,12 +141,13 @@ SDP_CASES = [
     ("C4", 1.5, 7, 2),
     ("T3", 1.4, 50_000, None),
     ("T3", 1.6, 50_000, 3),
-    ("T3", 1.1, 150, None),
+    # capped before the stall verdict at 2 * STALL_WINDOW: they end undecided
+    ("T3", 1.1, 2 * l2_distortion.STALL_WINDOW - 1, None),
     ("D2", 1.7, 50_000, None),
     ("D2", 2.0, 50_000, 4),
     ("heis", 1.3, 50_000, None),
     ("heis", 1.6, 50_000, 5),
-    ("heis", 1.2, 90, 6),
+    ("heis", 1.2, l2_distortion.STALL_WINDOW + 1, 6),
 ]
 
 
@@ -156,6 +178,8 @@ def test_sdp_iteration_matches_oracle(eigh_route):
         want = sdp_feasible_loop(sp, c, max_iter=max_iter, warm_start=warm)
         case = (name, c, max_iter, seed)
         assert (got.status, got.iterations) == (want.status, want.iterations), case
+        if max_iter < 2 * l2_distortion.STALL_WINDOW and got.status != "feasible":
+            assert (got.status, got.iterations) == ("undecided", max_iter), case
         assert repr(got.residual) == repr(want.residual), case
         assert (got.certificate is None) == (want.certificate is None), case
         if got.certificate is not None:
@@ -296,6 +320,47 @@ def test_sdp_bound_is_validated(c):
         sdp_feasible(apsp(cycle(4)), c)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-4])
+def test_tolerances_must_be_finite_and_positive(tol):
+    # a NaN tolerance used to call the feasible C_4 bound 1.5 "stalled", and
+    # min_distortion_l2 returned the Frechet top after two probes
+    c4 = apsp(cycle(4))
+    with pytest.raises(ValidationError):
+        sdp_feasible(c4.scaled(F(1, 2)), 1.5, tol=tol)
+    with pytest.raises(ValidationError):
+        min_distortion_l2(c4, tol=tol)
+    with pytest.raises(ValidationError):
+        min_distortion_l2(c4, feas_tol=tol)
+
+
+def test_stall_window_keeps_the_optima_of_the_old_window(monkeypatch):
+    # a stalled probe gives no certificate, so a shorter window changes an
+    # L2Result only if some probe's decision flips
+    spaces = [
+        apsp(cycle(4)),
+        apsp(cycle(6)),
+        apsp(diamond(2).graph),
+        laakso(1).metric_space(),
+        apsp(binary_tree(3)),
+        _heis_subset(),
+    ]
+
+    def fields(res):  # repr tells -0.0 from 0.0
+        return repr((
+            res.c_star,
+            res.bracket,
+            res.probes,
+            res.undecided_probes,
+            res.embedding.vectors,
+            res.report.distortion,
+        ))
+
+    got = [fields(min_distortion_l2(sp, tol=1e-4)) for sp in spaces]
+    monkeypatch.setattr(l2_distortion, "STALL_WINDOW", 200)
+    want = [fields(min_distortion_l2(sp, tol=1e-4)) for sp in spaces]
+    assert got == want
+
+
 def test_fork_gap_closed_form_matches_slsqp():
     for D in (1.16, 1.2, 1.5, 2.0, 3.0):
         got, want = fork_gap_estimate(D), fork_gap_slsqp(D)
@@ -357,16 +422,16 @@ def test_kloeckner_bound_closed_form():
         assert b >= (math.floor(math.log2(n)) * K) ** 0.5 - 1e-12
 
 
-def test_kloeckner_bound_below_measured_optima():
+def test_kloeckner_bound_below_measured_optima(tree_l2_optimum):
     K = min(fork_gap_estimate(D).K for D in (1.5, 2.0, 3.0))
     for n in range(2, 7):
         bound = kloeckner_bound(n, K)
-        measured = min_distortion_l2(apsp(binary_tree(n))).c_star
+        measured = tree_l2_optimum(n).c_star
         assert bound <= measured + 1e-3
 
 
-def test_fork_select_structure_and_improvement():
-    res = min_distortion_l2(apsp(binary_tree(4)))
+def test_fork_select_structure_and_improvement(tree_l2_optimum):
+    res = tree_l2_optimum(4)
     emb, rep = normalize_noncontractive(res.embedding)
     sel = fork_select(4, emb)
     assert len(sel.new_labels) == 7  # T_2
@@ -376,8 +441,8 @@ def test_fork_select_structure_and_improvement():
     assert set(sel.new_labels) == {"", "0", "1", "00", "01", "10", "11"}
 
 
-def test_fork_select_depth_two_keeps_root_and_grandchildren():
-    res = min_distortion_l2(apsp(binary_tree(2)))
+def test_fork_select_depth_two_keeps_root_and_grandchildren(tree_l2_optimum):
+    res = tree_l2_optimum(2)
     emb, _ = normalize_noncontractive(res.embedding)
     sel = fork_select(2, emb)  # one selection round: root + two grandchildren
     assert sel.new_labels == ("", "0", "1")
