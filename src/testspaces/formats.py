@@ -2,19 +2,31 @@
 
 Rationals are serialized as "p/q" strings (or "p" when integral); floats as
 shortest round-trip decimals.  All writers emit deterministic byte streams
-for a given value.
+for a given value.  A table holds few distinct values, so readers convert
+each distinct token once, in first-occurrence order (the first bad token is
+the one reported), and writers format each distinct value once.  A distance
+table goes from its tokens to integer numerators over one scale, with no
+Fraction per entry.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
-from .metric_core import MetricSpace, PointId, WeightedGraph
+from .metric_core import (
+    MetricSpace,
+    PointId,
+    WeightedGraph,
+    common_scale,
+    integer_array,
+    read_only,
+)
 
 
 def rational_str(x: Fraction) -> str:
@@ -27,6 +39,17 @@ def parse_rational(s) -> Fraction:
         return Fraction(str(s).strip())
     except (ValueError, ZeroDivisionError) as e:
         raise ValidationError(f"bad rational {s!r}: {e}") from None
+
+
+def _distinct(rows, convert) -> dict:
+    """convert(token) for each distinct token of `rows`, in first-occurrence order."""
+    return {tok: convert(tok) for tok in dict.fromkeys(itertools.chain.from_iterable(rows))}
+
+
+def _csv_lines(rows) -> str:
+    """CSV lines of rows of formatted rationals and floats: no such field
+    needs quoting, so these are csv.writer's bytes."""
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 # --- graphs -----------------------------------------------------------------
@@ -43,22 +66,27 @@ def graph_to_json(graph: WeightedGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> WeightedGraph:
+    # the cache is keyed by str(w): parse_rational reads w only through it
+    exact: dict[str, Fraction] = {}
     try:
         vertices = tuple(
             PointId(int(v["id"]), v.get("label")) for v in data["vertices"]
         )
-        edges = tuple(
-            (int(u), int(v), parse_rational(w)) for u, v, w in data["edges"]
-        )
+        edges = []
+        for u, v, w in data["edges"]:
+            ends = int(u), int(v)
+            if (key := str(w)) not in exact:
+                exact[key] = parse_rational(w)
+            edges.append((*ends, exact[key]))
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed graph JSON: {e}") from None
-    return WeightedGraph(vertices, edges)
+    return WeightedGraph(vertices, tuple(edges))
 
 
 def write_graph(path: str, graph: WeightedGraph) -> None:
+    text = json.dumps(graph_to_json(graph), indent=1, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(graph_to_json(graph), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")  # one write, not one per encoder chunk
 
 
 def read_graph(path: str) -> WeightedGraph:
@@ -69,16 +97,21 @@ def read_graph(path: str) -> WeightedGraph:
 # --- distance tables --------------------------------------------------------
 
 def space_to_csv(space: MetricSpace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in space.num.tolist():
-        writer.writerow([rational_str(Fraction(x, space.scale)) for x in row])
-    return buf.getvalue()
+    rows = space.num.tolist()
+    values = set(itertools.chain.from_iterable(rows))
+    text = {x: rational_str(Fraction(x, space.scale)) for x in values}
+    return _csv_lines([[text[x] for x in row] for row in rows])
 
 
 def space_from_csv(text: str) -> MetricSpace:
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    return MetricSpace.from_rows([[parse_rational(x) for x in row] for row in rows])
+    exact = _distinct(rows, parse_rational)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValidationError("distance table must be square")
+    nums, scale = common_scale(exact.values())
+    num_of = dict(zip(exact, nums))
+    num = integer_array([num_of[tok] for row in rows for tok in row])
+    return MetricSpace(read_only(num.reshape(len(rows), len(rows))), scale)
 
 
 def write_space(path: str, space: MetricSpace) -> None:
@@ -94,13 +127,15 @@ def read_space(path: str) -> MetricSpace:
 # --- vector files -----------------------------------------------------------
 
 def vectors_to_csv(vectors: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for vec in vectors:
-        writer.writerow(
-            [rational_str(x) if isinstance(x, (int, Fraction)) else repr(float(x)) for x in vec]
-        )
-    return buf.getvalue()
+    """Exact entries (int, Fraction) as rational strings, each distinct value
+    formatted once; any other entry as repr(float(x)), which needs no cache
+    (and one keyed by value would merge 0.0 with -0.0)."""
+    exact = (int, Fraction)
+    entries = itertools.chain.from_iterable(vectors)
+    text = {x: rational_str(x) for x in dict.fromkeys(x for x in entries if isinstance(x, exact))}
+    return _csv_lines(
+        [text[x] if isinstance(x, exact) else repr(float(x)) for x in vec] for vec in vectors
+    )
 
 
 def vectors_from_csv(text: str) -> tuple[tuple, ...]:
@@ -108,11 +143,13 @@ def vectors_from_csv(text: str) -> tuple[tuple, ...]:
     string ("p" or "p/q", no decimal point or exponent), floats otherwise."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
     if all("." not in x and "e" not in x.lower() for row in rows for x in row):
-        return tuple(tuple(parse_rational(x) for x in row) for row in rows)
-    try:
-        return tuple(tuple(float(x) for x in row) for row in rows)
-    except ValueError as e:
-        raise ValidationError(f"bad float in vector file: {e}") from None
+        value = _distinct(rows, parse_rational)
+    else:
+        try:
+            value = _distinct(rows, float)
+        except ValueError as e:
+            raise ValidationError(f"bad float in vector file: {e}") from None
+    return tuple(tuple(value[x] for x in row) for row in rows)
 
 
 def read_vectors(path: str) -> tuple[tuple, ...]:

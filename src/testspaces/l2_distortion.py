@@ -52,7 +52,7 @@ class SdpOutcome:
     status: str  # "feasible" | "stalled" | "undecided"
     certificate: Optional[GramCertificate]
     iterations: int
-    residual: float
+    residual: float  # the certificate's when feasible, else the best one seen
 
 
 try:  # the LAPACK gufunc inside np.linalg.eigh, without the wrapper's checks
@@ -102,7 +102,9 @@ def sdp_feasible(
     verdict is at iteration 50; treated as infeasible at this c),
     "undecided" (iteration cap hit while still progressing, a non-finite
     start or iterate, or an eigendecomposition that fails or is not finite:
-    the projections can diverge, and that decides nothing about c).
+    the projections can diverge, and that decides nothing about c).  A
+    stalled or undecided outcome reports the best residual seen, not the
+    last one, which a diverging probe inflates.
 
     Past the first iteration the loop allocates no array on the gufunc
     route: every step writes into buffers made once per probe, with the
@@ -183,7 +185,7 @@ def sdp_feasible(
         best_residual = min(best_residual, residual)
         if it % STALL_WINDOW == 0:
             if last_check - best_residual <= STALL_REL * max(best_residual, 1e-300):
-                return SdpOutcome("stalled", None, it, residual)
+                return SdpOutcome("stalled", None, it, best_residual)
             last_check = best_residual
     return undecided(it)
 

@@ -3,6 +3,8 @@
 A MetricSpace stores integer distance numerators over one scale; `d(i, j)`
 and `dist` are exact Fraction views, and floats enter only through the
 correctly rounded `floats()`.  Graphs have positive rational edge lengths.
+Shortest paths and geodesics are searched on integer lengths over one
+scale; Fractions are made only for the values handed back.
 """
 
 from __future__ import annotations
@@ -35,14 +37,26 @@ def scaled_integers(rows, headroom: int = 1) -> tuple[np.ndarray, int]:
     otherwise it is an object array of Python ints, so no kernel built on it
     can overflow.
     """
-    nums = [x.numerator for row in rows for x in row]
-    dens = [x.denominator for row in rows for x in row]
+    nums, scale = common_scale([x for row in rows for x in row])
+    return integer_array(nums, headroom).reshape(len(rows), len(rows[0]) if rows else 0), scale
+
+
+def common_scale(values) -> tuple[list[int], int]:
+    """The numerators of the rationals `values` over the lcm S of their
+    denominators, and S."""
+    nums = [x.numerator for x in values]
+    dens = [x.denominator for x in values]
     scale = math.lcm(*set(dens))
     if scale != 1:
         nums = [p * (scale // q) for p, q in zip(nums, dens)]
+    return nums, scale
+
+
+def integer_array(nums, headroom: int = 1) -> np.ndarray:
+    """The Python ints `nums` as an array: int64 when `headroom` times the
+    largest magnitude fits, object otherwise."""
     big = max(max(nums, default=0), -min(nums, default=0))
-    dtype = np.int64 if big * headroom <= INT64_MAX else object
-    return np.array(nums, dtype=dtype).reshape(len(rows), len(rows[0]) if rows else 0), scale
+    return np.array(nums, dtype=np.int64 if big * headroom <= INT64_MAX else object)
 
 
 @dataclass(frozen=True)
@@ -217,19 +231,6 @@ class GeodesicPath:
     def length(self) -> Fraction:
         return self.breakpoints[-1]
 
-    def vertex_at(self, t: Fraction) -> Optional[int]:
-        """Vertex sitting exactly at parameter t, or None if t is edge-interior."""
-        lo, hi = 0, len(self.breakpoints) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if self.breakpoints[mid] == t:
-                return self.vertices[mid]
-            if self.breakpoints[mid] < t:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
-
 
 def _dijkstra(adj, src):
     """Single-source distances over adjacency lists of (vertex, length);
@@ -337,36 +338,49 @@ def enumerate_geodesic_paths(
 ) -> list[GeodesicPath]:
     """All distinct shortest u-v vertex paths, sorted by vertex sequence.
 
-    `space` may pass a precomputed apsp table.  Raises CapExceededError when
-    more than `cap` geodesics exist.
+    `space` may pass a precomputed apsp table.  The search runs on integer
+    lengths over `space.scale`: an edge whose length is no multiple of
+    1/scale lies on no geodesic.  Each distinct breakpoint becomes one
+    Fraction, shared by the paths.  Raises CapExceededError when more than
+    `cap` geodesics exist.
     """
     if u == v:
         raise ValidationError("endpoints of a geodesic must differ")
     if space is None:
         space = apsp(graph)
-    adj = graph.adjacency()
-    from_u, to_v = ([Fraction(x, space.scale) for x in space.num[a].tolist()] for a in (u, v))
-    results: list[GeodesicPath] = []
+    scale = space.scale
+    adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
+    for x, y, w in graph.edges:
+        length, rest = divmod(w.numerator * scale, w.denominator)
+        if not rest:
+            adj[x].append((y, length))
+            adj[y].append((x, length))
+    for nbrs in adj:
+        nbrs.sort(reverse=True)
+    from_u, to_v = (space.num[a].tolist() for a in (u, v))
+    total = from_u[v]
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     # DFS extending only along prefix-shortest edges that can still reach v
     # on a geodesic.
-    stack: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = [((u,), (Fraction(0),))]
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((u,), (0,))]
     while stack:
         path, breaks = stack.pop()
         x = path[-1]
         cum = breaks[-1]
         if x == v:
-            results.append(GeodesicPath(path, breaks))
-            if len(results) > cap:
+            found.append((path, breaks))
+            if len(found) > cap:
                 raise CapExceededError(
                     f"more than {cap} geodesics between {u} and {v}"
                 )
             continue
-        for y, w in sorted(adj[x], reverse=True):
-            if cum + w == from_u[y] and cum + w + to_v[y] == from_u[v]:
+        for y, w in adj[x]:
+            if cum + w == from_u[y] and cum + w + to_v[y] == total:
                 stack.append((path + (y,), breaks + (cum + w,)))
-    results.sort(key=lambda g: g.vertices)
-    return results
+    found.sort(key=lambda g: g[0])
+    exact = {b: Fraction(b, scale) for b in {b for _, breaks in found for b in breaks}}
+    return [GeodesicPath(path, tuple(exact[b] for b in breaks)) for path, breaks in found]
 
 
 def path_graph(n: int) -> WeightedGraph:

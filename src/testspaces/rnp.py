@@ -332,9 +332,10 @@ class GeodesicFamily:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
-        self._vertex_at = [
-            tuple(g.vertex_at(p) for p in self.params) for g in self.geodesics
-        ]
+        self._vertex_at = []
+        for g in self.geodesics:
+            at = dict(zip(g.breakpoints, g.vertices))
+            self._vertex_at.append(tuple(at.get(p) for p in self.params))
         if any(v is None for row in self._vertex_at for v in row):
             raise ValidationError("geodesics do not share a parameter grid")
         self._index_of = {row: i for i, row in enumerate(self._vertex_at)}

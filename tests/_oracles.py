@@ -12,12 +12,15 @@ Heisenberg balls, plain loops over entries for norms and over pairs and
 triples for distortion, vertex-map distortion and the metric axioms, the
 label-prefix formula for tree distances, one Fraction per (vector, j) for
 the James grid, the original alternating-projection loop for the SDP
-feasibility probe, a multi-start SLSQP search for the Hilbert fork gap,
+feasibility probe, a depth-first search on Fraction lengths for geodesics,
+one Fraction or float per entry (and csv.writer) for the file formats, a multi-start SLSQP search for the Hilbert fork gap,
 every vertex map (collapsing ones included) for the cycle-into-trees search,
 a loop over candidates for the thickness constant, and a dense Fraction
 tableau for the exact simplex.
 """
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -512,7 +515,7 @@ def sdp_feasible_loop(space, c, tol=1e-7, max_iter=50_000, warm_start=None):
         best_residual = min(best_residual, residual)
         if it % l2.STALL_WINDOW == 0:
             if last_check - best_residual <= l2.STALL_REL * max(best_residual, 1e-300):
-                return l2.SdpOutcome("stalled", None, it, residual)
+                return l2.SdpOutcome("stalled", None, it, best_residual)
             last_check = best_residual
     return l2.SdpOutcome("undecided", None, it, best_residual)
 
@@ -800,3 +803,88 @@ def _lp_pivot_fractions(T, row, col):
         if i != row and T[i][col]:
             f = T[i][col]
             T[i] = [a - f * b for a, b in zip(T[i], T[row])]
+
+
+def geodesic_paths_fractions(graph, u, v, space):
+    """All shortest u-v vertex paths with their Fraction breakpoints, by a
+    depth-first search on the Fraction edge lengths themselves, sorted by
+    vertex sequence."""
+    adj = graph.adjacency()
+    from_u, to_v = space.dist[u], space.dist[v]
+    found = []
+    stack = [((u,), (Fraction(0),))]
+    while stack:
+        path, breaks = stack.pop()
+        if path[-1] == v:
+            found.append((path, breaks))
+            continue
+        for y, w in adj[path[-1]]:
+            cum = breaks[-1] + w
+            if cum == from_u[y] and cum + to_v[y] == from_u[v]:
+                stack.append((path + (y,), breaks + (cum,)))
+    return sorted(found)
+
+
+# file formats with one Fraction or float per entry, and csv.writer's bytes
+
+
+def space_from_csv_per_entry(text):
+    """A distance CSV read one parse_rational per entry, then from_rows."""
+    from testspaces.formats import parse_rational
+    from testspaces.metric_core import MetricSpace
+
+    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    return MetricSpace.from_rows([[parse_rational(x) for x in row] for row in rows])
+
+
+def space_to_csv_per_entry(space):
+    """A distance table written through csv.writer, one Fraction per entry."""
+    from testspaces.formats import rational_str
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in space.num.tolist():
+        writer.writerow([rational_str(Fraction(x, space.scale)) for x in row])
+    return buf.getvalue()
+
+
+def vectors_from_csv_per_entry(text):
+    """A vector CSV read one entry at a time: exact when every entry is a
+    rational string, floats otherwise."""
+    from testspaces.errors import ValidationError
+    from testspaces.formats import parse_rational
+
+    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    if all("." not in x and "e" not in x.lower() for row in rows for x in row):
+        return tuple(tuple(parse_rational(x) for x in row) for row in rows)
+    try:
+        return tuple(tuple(float(x) for x in row) for row in rows)
+    except ValueError as e:
+        raise ValidationError(f"bad float in vector file: {e}") from None
+
+
+def vectors_to_csv_per_entry(vectors):
+    """Vectors written through csv.writer, one formatted string per entry."""
+    from testspaces.formats import rational_str
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for vec in vectors:
+        writer.writerow(
+            [rational_str(x) if isinstance(x, (int, Fraction)) else repr(float(x)) for x in vec]
+        )
+    return buf.getvalue()
+
+
+def graph_from_json_per_entry(data):
+    """A graph JSON read one parse_rational per edge."""
+    from testspaces.errors import ValidationError
+    from testspaces.formats import parse_rational
+    from testspaces.metric_core import PointId, WeightedGraph
+
+    try:
+        vertices = tuple(PointId(int(v["id"]), v.get("label")) for v in data["vertices"])
+        edges = tuple((int(u), int(v), parse_rational(w)) for u, v, w in data["edges"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed graph JSON: {e}") from None
+    return WeightedGraph(vertices, edges)

@@ -2,8 +2,17 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from _oracles import (
+    graph_from_json_per_entry,
+    space_from_csv_per_entry,
+    space_to_csv_per_entry,
+    vectors_from_csv_per_entry,
+    vectors_to_csv_per_entry,
+)
+from testspaces import formats
 from testspaces.errors import ValidationError
 from testspaces.formats import (
     graph_from_json,
@@ -15,8 +24,14 @@ from testspaces.formats import (
     vectors_from_csv,
     vectors_to_csv,
 )
-from testspaces.generators import diamond, diamond_weighting, binary_tree
-from testspaces.metric_core import apsp
+from testspaces.generators import (
+    binary_tree,
+    diamond,
+    diamond_weighting,
+    heisenberg_ball,
+    tree_product,
+)
+from testspaces.metric_core import MetricSpace, apsp
 
 
 def test_rational_strings():
@@ -85,3 +100,147 @@ def test_vector_file_is_exact_only_when_all_rational():
     assert vectors_from_csv("1,2/3\n-4,1\n") == ((F(1), F(2, 3)), (F(-4), F(1)))
     with pytest.raises(ValidationError, match="bad float"):
         vectors_from_csv("1/2,0.5\n")
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ValidationError it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as e:
+        return ValidationError, str(e)
+
+
+def _same_space(got, want):
+    assert (got.num.dtype, got.num.shape, got.scale) == (want.num.dtype, want.num.shape, want.scale)
+    assert got.num.tolist() == want.num.tolist()
+
+
+def _same_entries(got, want):
+    # equal values of equal types: 0.0 and -0.0, or 1 and 1.0, do not pass
+    assert [[(type(x), repr(x)) for x in row] for row in got] == [
+        [(type(x), repr(x)) for x in row] for row in want
+    ]
+
+
+TABLES = {
+    "mixed-denominators": "0,1/2,1/3\n1/2,0,5/6\n1/3,5/6,0\n",
+    "object-numerators": f"0,{2**70},1/3\n{2**70},0,{2**70 + 1}\n1/3,{2**70 + 1},0\n",
+    "near-int64": f"0,{2**62}\n{2**62},0\n",
+    "token-spellings": "0, 1/2,+3\n1/2,0,03\n2/4,3,-0\n",
+    "blank-lines": "\n0,1\n\n1,0\n",
+    "empty": "",
+    "one-point": "0\n",
+    "decimal-tokens": "0,0.5\n1/2,0\n",
+}
+
+
+@pytest.mark.parametrize("text", TABLES.values(), ids=TABLES.keys())
+def test_space_csv_matches_the_per_entry_route(text):
+    got, want = space_from_csv(text), space_from_csv_per_entry(text)
+    _same_space(got, want)
+    assert space_to_csv(got) == space_to_csv_per_entry(want)
+
+
+def test_space_csv_writes_the_per_entry_bytes():
+    spaces = [
+        apsp(diamond(2, diamond_weighting()).graph),
+        apsp(diamond(2, diamond_weighting()).graph).scaled(F(7, 3)),
+        MetricSpace(np.array([[0, -3], [-3, 5]]), 5),  # the writer takes any table
+        heisenberg_ball(2),
+        tree_product([2, 1]),
+        MetricSpace(np.array([[0, 2**70], [2**70, 0]], dtype=object), 3),
+    ]
+    for sp in spaces:
+        text = space_to_csv(sp)
+        assert text == space_to_csv_per_entry(sp)
+        _same_space(space_from_csv(text), sp)
+
+
+BAD_TABLES = {
+    "bad-token-and-ragged": "0,1,x\n1,0\n",
+    "first-bad-token-wins": "0,y,x\nx,0,1\n1,1,0\n",
+    "zero-denominator": "0,1/0\n1/0,0\n",
+    "ragged": "0,1\n1\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_TABLES.values(), ids=BAD_TABLES.keys())
+def test_space_csv_errors_match_the_per_entry_route(text):
+    got = _outcome(space_from_csv, text)
+    assert got[0] is ValidationError
+    assert got == _outcome(space_from_csv_per_entry, text)
+
+
+VECTOR_FILES = {
+    "exact-negative": "1,-2/3\n-4,1\n-4,-2/3\n",
+    "exact-spellings": " 1/2,+3\n03,2/4\n-0,1/2\n",
+    "float": "1.5,-0.5\n-0.0,0.0\n1e-3,-2\n",
+    "float-specials": "inf,-inf\nnan,1E5\n",
+    "float-mixed-with-rationals": "1,2\n0.5,1\n3,1\n",
+    "bad-float": "1/2,0.5\n",
+    "bad-rational": "1,x\ny,1\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", VECTOR_FILES.values(), ids=VECTOR_FILES.keys())
+def test_vectors_csv_matches_the_per_entry_route(text):
+    got, want = _outcome(vectors_from_csv, text), _outcome(vectors_from_csv_per_entry, text)
+    if want[:1] == (ValidationError,):
+        assert got == want
+        return
+    _same_entries(got, want)
+    assert vectors_to_csv(got) == vectors_to_csv_per_entry(want)
+
+
+def test_vectors_to_csv_writes_the_per_entry_bytes():
+    cases = [
+        ((F(1, 3), F(-2)), (0, F(5, 7)), (True, -1)),
+        ((1.0, 1), (0.0, -0.0), (F(1), 1.0)),  # equal values, different text
+        ((np.float64(0.1), np.int64(3)), (float("nan"), float("-inf"))),
+        ((2**70, F(-(2**70), 3)),),
+        ((), (1,)),
+    ]
+    for vectors in cases:
+        assert vectors_to_csv(vectors) == vectors_to_csv_per_entry(vectors)
+
+
+GRAPHS = {
+    "strings": [[0, 1, "1/2"], [1, 2, "2/4"], [0, 2, " 1/2"]],
+    "json-numbers": [[0, 1, 1], [1, 2, 1.5], [0, 2, "1"]],
+    "bool-after-equal-int": [[0, 1, 1], [1, 2, True]],
+    "list-weight": [[0, 1, "1"], [1, 2, [1]]],
+    "bad-end-before-bad-weight": [[0, 1, "1"], ["a", 2, "x"]],
+    "bad-weight-before-bad-edge": [[0, 1, "x"], [1, 2]],
+    "non-positive": [[0, 1, "0"], [1, 2, "1"]],
+}
+
+
+@pytest.mark.parametrize("edges", GRAPHS.values(), ids=GRAPHS.keys())
+def test_graph_json_matches_the_per_entry_route(edges):
+    data = {"vertices": [{"id": k} for k in range(3)], "edges": edges}
+    assert _outcome(graph_from_json, data) == _outcome(graph_from_json_per_entry, data)
+
+
+def test_each_distinct_token_is_parsed_once(monkeypatch):
+    seen = []
+
+    def counting(s):
+        seen.append(s)
+        return parse_rational(s)
+
+    monkeypatch.setattr(formats, "parse_rational", counting)
+    sp = apsp(diamond(2, diamond_weighting()).graph)
+    text = space_to_csv(sp)
+    assert space_from_csv(text).dist == sp.dist
+    tokens = [tok for line in text.splitlines() for tok in line.split(",")]
+    assert seen == list(dict.fromkeys(tokens)) and len(seen) < len(tokens) // 10
+
+    seen.clear()
+    assert vectors_from_csv("1,1/2\n1/2,-1\n1,2/4\n") == ((1, F(1, 2)), (F(1, 2), -1), (1, F(1, 2)))
+    assert seen == ["1", "1/2", "-1", "2/4"]
+
+    seen.clear()
+    data = graph_to_json(diamond(2, diamond_weighting()).graph)
+    graph_from_json(data)
+    assert seen == list(dict.fromkeys(w for _, _, w in data["edges"]))

@@ -298,6 +298,21 @@ def test_sdp_divergence_is_undecided(monkeypatch):
     assert math.isfinite(out.residual)
 
 
+def test_stalled_probe_reports_its_best_residual():
+    # unit T_3 at c = 1.6 from this warm start stalls at iteration 50 while
+    # its iterates grow; the last residual is far above the best one
+    t3 = _unit_diameter(apsp(binary_tree(3)))
+    warm = _asymmetric_warm_start(t3, 3)
+    window = l2_distortion.STALL_WINDOW
+    capped = sdp_feasible(t3, 1.6, max_iter=2 * window - 1, warm_start=warm)
+    stalled = sdp_feasible(t3, 1.6, warm_start=warm)
+    assert (capped.status, stalled.status) == ("undecided", "stalled")
+    assert stalled.iterations == 2 * window
+    assert stalled.residual <= capped.residual < 1
+    oracle = sdp_feasible_loop(t3, 1.6, warm_start=warm)
+    assert (oracle.status, repr(oracle.residual)) == ("stalled", repr(stalled.residual))
+
+
 def test_sdp_non_finite_start_is_undecided():
     c4 = _unit_diameter(apsp(cycle(4)))
     warm = _mds(c4)

@@ -27,6 +27,7 @@ from testspaces.metric_core import (
 from _oracles import (
     apsp_fraction_rows,
     floyd_warshall,
+    geodesic_paths_fractions,
     restrict_rows,
     scaled_rows,
     triple_metric_violations,
@@ -123,6 +124,37 @@ def test_geodesic_lengths_and_breakpoints():
         assert all(a < b for a, b in zip(path.breakpoints, path.breakpoints[1:]))
         for k, v in enumerate(path.vertices):
             assert sp.d(f2.source, v) == path.breakpoints[k]
+
+
+def _geodesics_as_pairs(graph, u, v, space):
+    paths = enumerate_geodesic_paths(graph, u, v, cap=10000, space=space)
+    assert all(type(b) is F for path in paths for b in path.breakpoints)
+    return [(path.vertices, path.breakpoints) for path in paths]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_geodesics_match_the_fraction_search(data):
+    graph = random_connected_graph(data.draw)
+    sp = apsp(graph)
+    u = data.draw(st.integers(0, graph.size - 1))
+    v = data.draw(st.integers(0, graph.size - 1).filter(lambda x: x != u))
+    assert _geodesics_as_pairs(graph, u, v, sp) == geodesic_paths_fractions(graph, u, v, sp)
+
+
+def test_geodesics_skip_edges_off_the_distance_scale():
+    # distances are integers, so the edge of length 7/3 lies on no geodesic
+    g = WeightedGraph(
+        tuple(PointId(i) for i in range(3)), ((0, 1, F(1)), (1, 2, F(1)), (0, 2, F(7, 3)))
+    )
+    sp = apsp(g)
+    assert sp.scale == 1
+    want = [((0, 1, 2), (F(0), F(1), F(2)))]
+    assert _geodesics_as_pairs(g, 0, 2, sp) == want == geodesic_paths_fractions(g, 0, 2, sp)
+    for scale in (F(1, 3), F(2, 7)):
+        scaled = WeightedGraph(g.vertices, tuple((a, b, w * scale) for a, b, w in g.edges))
+        got = _geodesics_as_pairs(scaled, 0, 2, apsp(scaled))
+        assert got == [((0, 1, 2), tuple(b * scale for b in want[0][1]))]
 
 
 def test_geodesic_cap():
