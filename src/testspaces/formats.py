@@ -2,11 +2,11 @@
 
 Rationals are serialized as "p/q" strings (or "p" when integral); floats as
 shortest round-trip decimals.  All writers emit deterministic byte streams
-for a given value.  A table holds few distinct values, so readers convert
-each distinct token once, in first-occurrence order (the first bad token is
-the one reported), and writers format each distinct value once.  A distance
-table goes from its tokens to integer numerators over one scale, with no
-Fraction per entry.
+for a given value.  A table holds few distinct values, so the table readers
+convert each distinct token once, in first-occurrence order (the first bad
+token is the one reported), and the distance-table writer formats each
+distinct numerator once.  A distance table goes from its tokens to integer
+numerators over one scale, with no Fraction per entry.
 """
 
 from __future__ import annotations
@@ -18,15 +18,10 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
-from .metric_core import (
-    MetricSpace,
-    PointId,
-    WeightedGraph,
-    common_scale,
-    integer_array,
-    read_only,
-)
+from .metric_core import MetricSpace, PointId, WeightedGraph, read_only, scaled_integers
 
 
 def rational_str(x: Fraction) -> str:
@@ -66,21 +61,16 @@ def graph_to_json(graph: WeightedGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> WeightedGraph:
-    # the cache is keyed by str(w): parse_rational reads w only through it
-    exact: dict[str, Fraction] = {}
     try:
         vertices = tuple(
             PointId(int(v["id"]), v.get("label")) for v in data["vertices"]
         )
-        edges = []
-        for u, v, w in data["edges"]:
-            ends = int(u), int(v)
-            if (key := str(w)) not in exact:
-                exact[key] = parse_rational(w)
-            edges.append((*ends, exact[key]))
+        edges = tuple(
+            (int(u), int(v), parse_rational(w)) for u, v, w in data["edges"]
+        )
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed graph JSON: {e}") from None
-    return WeightedGraph(vertices, tuple(edges))
+    return WeightedGraph(vertices, edges)
 
 
 def write_graph(path: str, graph: WeightedGraph) -> None:
@@ -108,10 +98,10 @@ def space_from_csv(text: str) -> MetricSpace:
     exact = _distinct(rows, parse_rational)
     if any(len(row) != len(rows) for row in rows):
         raise ValidationError("distance table must be square")
-    nums, scale = common_scale(exact.values())
-    num_of = dict(zip(exact, nums))
-    num = integer_array([num_of[tok] for row in rows for tok in row])
-    return MetricSpace(read_only(num.reshape(len(rows), len(rows))), scale)
+    values, scale = scaled_integers([list(exact.values())])
+    position = {tok: k for k, tok in enumerate(exact)}
+    at = np.array([position[tok] for row in rows for tok in row], dtype=np.intp)
+    return MetricSpace(read_only(values[0, at].reshape(len(rows), len(rows))), scale)
 
 
 def write_space(path: str, space: MetricSpace) -> None:
@@ -127,14 +117,9 @@ def read_space(path: str) -> MetricSpace:
 # --- vector files -----------------------------------------------------------
 
 def vectors_to_csv(vectors: Sequence[Sequence]) -> str:
-    """Exact entries (int, Fraction) as rational strings, each distinct value
-    formatted once; any other entry as repr(float(x)), which needs no cache
-    (and one keyed by value would merge 0.0 with -0.0)."""
-    exact = (int, Fraction)
-    entries = itertools.chain.from_iterable(vectors)
-    text = {x: rational_str(x) for x in dict.fromkeys(x for x in entries if isinstance(x, exact))}
     return _csv_lines(
-        [text[x] if isinstance(x, exact) else repr(float(x)) for x in vec] for vec in vectors
+        [rational_str(x) if isinstance(x, (int, Fraction)) else repr(float(x)) for x in vec]
+        for vec in vectors
     )
 
 

@@ -37,26 +37,14 @@ def scaled_integers(rows, headroom: int = 1) -> tuple[np.ndarray, int]:
     otherwise it is an object array of Python ints, so no kernel built on it
     can overflow.
     """
-    nums, scale = common_scale([x for row in rows for x in row])
-    return integer_array(nums, headroom).reshape(len(rows), len(rows[0]) if rows else 0), scale
-
-
-def common_scale(values) -> tuple[list[int], int]:
-    """The numerators of the rationals `values` over the lcm S of their
-    denominators, and S."""
-    nums = [x.numerator for x in values]
-    dens = [x.denominator for x in values]
+    nums = [x.numerator for row in rows for x in row]
+    dens = [x.denominator for row in rows for x in row]
     scale = math.lcm(*set(dens))
     if scale != 1:
         nums = [p * (scale // q) for p, q in zip(nums, dens)]
-    return nums, scale
-
-
-def integer_array(nums, headroom: int = 1) -> np.ndarray:
-    """The Python ints `nums` as an array: int64 when `headroom` times the
-    largest magnitude fits, object otherwise."""
     big = max(max(nums, default=0), -min(nums, default=0))
-    return np.array(nums, dtype=np.int64 if big * headroom <= INT64_MAX else object)
+    dtype = np.int64 if big * headroom <= INT64_MAX else object
+    return np.array(nums, dtype=dtype).reshape(len(rows), len(rows[0]) if rows else 0), scale
 
 
 @dataclass(frozen=True)

@@ -874,17 +874,3 @@ def vectors_to_csv_per_entry(vectors):
             [rational_str(x) if isinstance(x, (int, Fraction)) else repr(float(x)) for x in vec]
         )
     return buf.getvalue()
-
-
-def graph_from_json_per_entry(data):
-    """A graph JSON read one parse_rational per edge."""
-    from testspaces.errors import ValidationError
-    from testspaces.formats import parse_rational
-    from testspaces.metric_core import PointId, WeightedGraph
-
-    try:
-        vertices = tuple(PointId(int(v["id"]), v.get("label")) for v in data["vertices"])
-        edges = tuple((int(u), int(v), parse_rational(w)) for u, v, w in data["edges"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"malformed graph JSON: {e}") from None
-    return WeightedGraph(vertices, edges)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from _oracles import (
-    graph_from_json_per_entry,
     space_from_csv_per_entry,
     space_to_csv_per_entry,
     vectors_from_csv_per_entry,
@@ -205,23 +204,6 @@ def test_vectors_to_csv_writes_the_per_entry_bytes():
         assert vectors_to_csv(vectors) == vectors_to_csv_per_entry(vectors)
 
 
-GRAPHS = {
-    "strings": [[0, 1, "1/2"], [1, 2, "2/4"], [0, 2, " 1/2"]],
-    "json-numbers": [[0, 1, 1], [1, 2, 1.5], [0, 2, "1"]],
-    "bool-after-equal-int": [[0, 1, 1], [1, 2, True]],
-    "list-weight": [[0, 1, "1"], [1, 2, [1]]],
-    "bad-end-before-bad-weight": [[0, 1, "1"], ["a", 2, "x"]],
-    "bad-weight-before-bad-edge": [[0, 1, "x"], [1, 2]],
-    "non-positive": [[0, 1, "0"], [1, 2, "1"]],
-}
-
-
-@pytest.mark.parametrize("edges", GRAPHS.values(), ids=GRAPHS.keys())
-def test_graph_json_matches_the_per_entry_route(edges):
-    data = {"vertices": [{"id": k} for k in range(3)], "edges": edges}
-    assert _outcome(graph_from_json, data) == _outcome(graph_from_json_per_entry, data)
-
-
 def test_each_distinct_token_is_parsed_once(monkeypatch):
     seen = []
 
@@ -239,8 +221,3 @@ def test_each_distinct_token_is_parsed_once(monkeypatch):
     seen.clear()
     assert vectors_from_csv("1,1/2\n1/2,-1\n1,2/4\n") == ((1, F(1, 2)), (F(1, 2), -1), (1, F(1, 2)))
     assert seen == ["1", "1/2", "-1", "2/4"]
-
-    seen.clear()
-    data = graph_to_json(diamond(2, diamond_weighting()).graph)
-    graph_from_json(data)
-    assert seen == list(dict.fromkeys(w for _, _, w in data["edges"]))
