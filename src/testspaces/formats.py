@@ -16,7 +16,7 @@ import io
 import itertools
 import json
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +47,15 @@ def _csv_lines(rows) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; any other bytes are a ValidationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path} is not UTF-8 text: {e}") from None
+
+
 # --- graphs -----------------------------------------------------------------
 
 def graph_to_json(graph: WeightedGraph) -> dict:
@@ -60,13 +69,28 @@ def graph_to_json(graph: WeightedGraph) -> dict:
     return {"vertices": vertices, "edges": edges}
 
 
+def _json_int(x, what: str) -> int:
+    """x when it is a JSON integer: a float or a bool is no vertex id."""
+    if type(x) is not int:
+        raise TypeError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def _json_label(vertex: dict) -> Optional[str]:
+    label = vertex.get("label")
+    if label is not None and type(label) is not str:
+        raise TypeError(f"label {label!r} is not a string")
+    return label
+
+
 def graph_from_json(data: dict) -> WeightedGraph:
     try:
         vertices = tuple(
-            PointId(int(v["id"]), v.get("label")) for v in data["vertices"]
+            PointId(_json_int(v["id"], "vertex id"), _json_label(v)) for v in data["vertices"]
         )
         edges = tuple(
-            (int(u), int(v), parse_rational(w)) for u, v, w in data["edges"]
+            (_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"), parse_rational(w))
+            for u, v, w in data["edges"]
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed graph JSON: {e}") from None
@@ -80,8 +104,7 @@ def write_graph(path: str, graph: WeightedGraph) -> None:
 
 
 def read_graph(path: str) -> WeightedGraph:
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))
+    return graph_from_json(json.loads(_read_text(path)))
 
 
 # --- distance tables --------------------------------------------------------
@@ -110,8 +133,7 @@ def write_space(path: str, space: MetricSpace) -> None:
 
 
 def read_space(path: str) -> MetricSpace:
-    with open(path) as fh:
-        return space_from_csv(fh.read())
+    return space_from_csv(_read_text(path))
 
 
 # --- vector files -----------------------------------------------------------
@@ -138,8 +160,7 @@ def vectors_from_csv(text: str) -> tuple[tuple, ...]:
 
 
 def read_vectors(path: str) -> tuple[tuple, ...]:
-    with open(path) as fh:
-        return vectors_from_csv(fh.read())
+    return vectors_from_csv(_read_text(path))
 
 
 def load_space_arg(path: str) -> MetricSpace:

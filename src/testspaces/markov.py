@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .generators import RecursiveFamily, binary_tree
-from .metric_core import MetricSpace, apsp, check_table_size, path_graph
+from .metric_core import MetricSpace, apsp, check_table_size, read_only
 
 TREE_VERTEX_CAP = 100_000
 
@@ -509,7 +509,9 @@ def lazy_path_walk(T: int) -> WalkBundle:
     convex)."""
     if T < 1:
         raise ValidationError("need horizon >= 1")
-    space = apsp(path_graph(T + 1))
+    check_table_size(T + 1, "the graph")
+    points = np.arange(T + 1)
+    space = MetricSpace(read_only(abs(points[:, None] - points)), 1, (None,) * (T + 1))
     half = Fraction(1, 2)
     rows = tuple(((i, half), (i + 1, half)) for i in range(T)) + (((T, Fraction(1)),),)
     chain = MarkovChain(rows, 0, T)

@@ -236,31 +236,84 @@ def _dijkstra(adj, src):
     return dist
 
 
+def _hop_counts(n: int, edges) -> np.ndarray:
+    """Edge counts of the shortest paths between all pairs, as a flat int64
+    array indexed source * n + vertex.  Raises DisconnectedGraphError naming
+    the first unreachable pair in that order.
+
+    One breadth-first sweep from every source at once.  Level 1 is the arcs
+    themselves (a WeightedGraph has no loops or repeated edges).  Each later
+    round expands the frontier, the flat pairs reached last, through a CSR
+    neighbour array, so every reached pair is expanded once.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = np.array([len(a) for a in nbrs], dtype=np.intp)
+    tails = np.fromiter(itertools.chain.from_iterable(nbrs), np.intp, 2 * len(edges))
+    heads = np.arange(n).repeat(deg)
+    end = deg.cumsum()  # arcs end[v] - deg[v] ... end[v] - 1 leave v
+    step = tails - heads  # the arc v -> w takes pair (s, v) to (s, w) = flat + w - v
+    hops = np.full(n * n, -1, dtype=np.int64)
+    hops[:: n + 1] = 0
+    frontier = heads * n + tails
+    hops[frontier] = 1
+    left, level = n * n - n - frontier.size, 1
+    while left and frontier.size:
+        level += 1
+        vert = frontier % n
+        d = deg[vert]
+        top = d.cumsum()
+        arcs = (end[vert] - top).repeat(d) + np.arange(top[-1])
+        cand = frontier.repeat(d) + step[arcs]
+        cand = cand[hops[cand] < 0]
+        # de-duplicate without sorting: stamp each candidate's slot with a
+        # distinct negative mark; exactly one copy reads its own mark back
+        mark = np.arange(-2, -2 - cand.size, -1)
+        hops[cand] = mark
+        frontier = cand[hops[cand] == mark]
+        hops[frontier] = level
+        left -= frontier.size
+    if left:
+        raise DisconnectedGraphError(*divmod(int(np.argmin(hops)), n))
+    return hops
+
+
 def apsp(graph: WeightedGraph) -> MetricSpace:
     """All-pairs shortest-path metric of a connected graph, exact.
 
-    Dijkstra runs on integer lengths scaled by the lcm of the edge
-    denominators, and its distances are the numerators of the result.
+    Edge lengths are scaled to integers by the lcm of their denominators.
+    When they are all one integer p, the numerators are p times the hop
+    counts of one all-sources breadth-first sweep; otherwise Dijkstra runs
+    on the integer lengths, and its distances are the numerators.
     Raises DisconnectedGraphError naming an unreachable pair, and
     CapExceededError before the search when the table would exceed
     TABLE_ENTRY_CAP entries.
     """
-    check_table_size(graph.size, "the graph")
+    n = graph.size
+    check_table_size(n, "the graph")
     scale = math.lcm(*(w.denominator for _, _, w in graph.edges))
-    adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
-    for u, v, w in graph.edges:
-        length = w.numerator * (scale // w.denominator)
-        adj[u].append((v, length))
-        adj[v].append((u, length))
-    rows = []
-    for src in range(graph.size):
-        row = _dijkstra(adj, src)
-        if None in row:
-            raise DisconnectedGraphError(src, row.index(None))
-        rows.append(row)
+    lengths = [w.numerator * (scale // w.denominator) for _, _, w in graph.edges]
     # no distance exceeds the sum of the edge lengths
-    dtype = np.int64 if sum(w for row in adj for _, w in row) <= INT64_MAX else object
-    return MetricSpace(read_only(np.array(rows, dtype=dtype)), scale, graph.labels())
+    dtype = np.int64 if 2 * sum(lengths) <= INT64_MAX else object
+    distinct = set(lengths)
+    if len(distinct) <= 1:
+        (p,) = distinct or {1}
+        num = _hop_counts(n, graph.edges).reshape(n, n).astype(dtype, copy=False) * p
+    else:
+        adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
+        for (u, v, _), length in zip(graph.edges, lengths):
+            adj[u].append((v, length))
+            adj[v].append((u, length))
+        rows = []
+        for src in range(n):
+            row = _dijkstra(adj, src)
+            if None in row:
+                raise DisconnectedGraphError(src, row.index(None))
+            rows.append(row)
+        num = np.array(rows, dtype=dtype)
+    return MetricSpace(read_only(num), scale, graph.labels())
 
 
 @dataclass(frozen=True)

@@ -35,3 +35,15 @@ def random_connected_graph(draw):
         tuple(PointId(i) for i in range(n)),
         tuple((u, v, w) for (u, v), w in sorted(edges.items())),
     )
+
+
+def one_length_graph(draw, connected=True):
+    """random_connected_graph's shape with every edge given one drawn length
+    num/den (num in 1..12, den in 1..4), the input of apsp's breadth-first
+    route.  Unless `connected`, a random subset of the edges is kept."""
+    graph = random_connected_graph(draw)
+    length = F(draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+    edges = [(u, v, length) for u, v, _ in graph.edges]
+    if not connected:
+        edges = [e for e in edges if draw(st.booleans())]
+    return WeightedGraph(graph.vertices, tuple(edges))

@@ -204,8 +204,22 @@ def test_validation_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "graph",
-    ['{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]}', '{"vertices": [{"id": "a"}], "edges": []}'],
-    ids=["edge-not-a-triple", "vertex-id-not-an-int"],
+    [
+        '{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]}',
+        '{"vertices": [{"id": "a"}], "edges": []}',
+        '{"vertices": [{"id": 0}, {"id": 1.9}], "edges": [[0, 1, "1"]]}',
+        '{"vertices": [{"id": 0}, {"id": true}], "edges": [[0, 1, "1"]]}',
+        '{"vertices": [{"id": 0}, {"id": 1}, {"id": 2}], "edges": [[0, 2.7, "1"]]}',
+        '{"vertices": [{"id": 0, "label": [1]}], "edges": []}',
+    ],
+    ids=[
+        "edge-not-a-triple",
+        "vertex-id-not-an-int",
+        "vertex-id-float",
+        "vertex-id-bool",
+        "endpoint-float",
+        "label-list",
+    ],
 )
 def test_apsp_rejects_malformed_graph_json(tmp_path, capsys, graph):
     gpath = tmp_path / "bad.json"
@@ -214,6 +228,23 @@ def test_apsp_rejects_malformed_graph_json(tmp_path, capsys, graph):
     assert code == 2
     assert rep["error"]["kind"] == "validation"
     assert "malformed graph JSON" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("reader", ["graph", "space", "vectors"])
+def test_non_utf8_input_is_a_validation_error(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"0,1\n1,\xff\n")
+    good = tmp_path / "good.csv"
+    good.write_text("0,1\n1,0\n")
+    argv = {
+        "graph": ["apsp", "--graph", str(bad)],
+        "space": ["l2min", "--space", str(bad)],
+        "vectors": ["distort", "--space", str(good), "--vectors", str(bad), "--target", "l1"],
+    }[reader]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "is not UTF-8 text" in rep["error"]["message"]
 
 
 def test_gen_product_rejects_bad_depths(capsys):

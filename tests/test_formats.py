@@ -64,8 +64,23 @@ def test_graph_json_validation():
     [
         {"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]},
         {"vertices": [{"id": "a"}], "edges": []},
+        {"vertices": [{"id": 0}, {"id": 1.9}], "edges": [[0, 1, "1"]]},
+        {"vertices": [{"id": 0}, {"id": True}], "edges": [[0, 1, "1"]]},
+        {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}], "edges": [[0, 2.7, "1"]]},
+        {"vertices": [{"id": 0}, {"id": 1}], "edges": [[False, 1, "1"]]},
+        {"vertices": [{"id": 0, "label": [1]}], "edges": []},
+        {"vertices": [{"id": 0, "label": 7}], "edges": []},
     ],
-    ids=["edge-not-a-triple", "vertex-id-not-an-int"],
+    ids=[
+        "edge-not-a-triple",
+        "vertex-id-not-an-int",
+        "vertex-id-float",
+        "vertex-id-bool",
+        "endpoint-float",
+        "endpoint-bool",
+        "label-list",
+        "label-int",
+    ],
 )
 def test_graph_json_rejects_malformed_entries(data):
     with pytest.raises(ValidationError, match="malformed graph JSON"):

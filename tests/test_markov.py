@@ -22,7 +22,7 @@ from testspaces.markov import (
     tree_walk_convexity_exact,
     tree_walk_convexity_mc,
 )
-from testspaces.metric_core import MetricSpace, WeightedGraph, apsp
+from testspaces.metric_core import MetricSpace, WeightedGraph, apsp, path_graph
 
 from _oracles import (
     dense_exact_convexity,
@@ -328,6 +328,13 @@ def test_lazy_path_walk_baseline():
         est = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
         assert est.lhs / est.rhs == ratio
         assert est.pi_lower < 1.5  # stays bounded as the horizon doubles
+
+
+@pytest.mark.parametrize("T", [1, 2, 16, 20])
+def test_lazy_path_space_is_the_path_metric(T):
+    space, path = lazy_path_walk(T).space, apsp(path_graph(T + 1))
+    assert space == path  # num, scale 1 and labels (None,) * (T + 1)
+    assert space.num.dtype == path.num.dtype == "int64"
 
 
 def test_lazy_path_mc_agrees_with_exact():

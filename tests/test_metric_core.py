@@ -32,7 +32,7 @@ from _oracles import (
     scaled_rows,
     triple_metric_violations,
 )
-from _strategies import random_connected_graph
+from _strategies import one_length_graph, random_connected_graph
 
 
 def test_apsp_single_edge():
@@ -180,6 +180,37 @@ def test_apsp_matches_floyd_warshall_and_is_metric(data):
         for j in range(sp.size):
             assert sp.d(i, j) == fw[i][j]
     assert sp.dist == apsp_fraction_rows(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apsp_on_one_edge_length_matches_the_oracles(data):
+    graph = one_length_graph(data.draw)
+    sp = apsp(graph)
+    fw = floyd_warshall(graph.size, graph.edges)
+    assert sp.dist == tuple(map(tuple, fw)) == apsp_fraction_rows(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apsp_on_one_edge_length_names_the_first_unreachable_pair(data):
+    graph = one_length_graph(data.draw, connected=False)
+    fw = floyd_warshall(graph.size, graph.edges)
+    unreachable = [(i, j) for i in range(graph.size) for j in range(graph.size) if fw[i][j] is None]
+    if not unreachable:
+        assert apsp(graph).dist == tuple(map(tuple, fw))
+        return
+    with pytest.raises(DisconnectedGraphError) as exc:
+        apsp(graph)
+    assert exc.value.pair == unreachable[0]
+
+
+def test_apsp_edgeless_pair_is_disconnected():
+    with pytest.raises(DisconnectedGraphError) as exc:
+        apsp(WeightedGraph((PointId(0), PointId(1)), ()))
+    assert exc.value.pair == (0, 1)
+    single = apsp(WeightedGraph((PointId(0, "a"),), ()))
+    assert single.num.tolist() == [[0]] and single.scale == 1 and single.labels == ("a",)
 
 
 @settings(max_examples=30, deadline=None)
