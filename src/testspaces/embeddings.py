@@ -25,6 +25,7 @@ from .metric_core import (
     PointId,
     WeightedGraph,
     apsp,
+    check_table_size,
     scaled_integers,
 )
 
@@ -331,18 +332,20 @@ class BourgainLabeling:
     phi: dict
 
 
+def _bourgain_tree(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Depth, bits (the label read in binary) and phi, the in-order rank, of
+    the labels in tree_labels order, after the table cap; psi = (phi - 2^n) / 2^n."""
+    check_table_size(2 ** (n + 1) - 1, f"the depth-{n} binary tree")
+    depth = np.arange(n + 1).repeat(1 << np.arange(n + 1))
+    bits = np.arange(depth.size) + 1 - (1 << depth)
+    return depth, bits, (bits << (n - depth + 1)) + (1 << (n - depth))
+
+
 def bourgain_labeling(n: int) -> BourgainLabeling:
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    labels = tree_labels(n)
-    psi = {}
-    for lab in labels:
-        psi[lab] = sum(
-            (Fraction(2 * int(ch) - 1, 2 ** (i + 1)) for i, ch in enumerate(lab)),
-            Fraction(0),
-        )
-    ranked = sorted(labels, key=lambda L: psi[L])
-    phi = {lab: k + 1 for k, lab in enumerate(ranked)}
+    phi = dict(zip(tree_labels(n), _bourgain_tree(n)[2].tolist()))
+    psi = {lab: Fraction(rank - 2**n, 2**n) for lab, rank in phi.items()}
     return BourgainLabeling(n, psi, phi)
 
 
@@ -351,62 +354,46 @@ def bourgain_embed(n: int) -> Embedding:
     norm of dimension 2^{n+1} - 1."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
+    phi = bourgain_labeling(n).phi
     space = apsp(binary_tree(n))
-    labeling = bourgain_labeling(n)
     dim = 2 ** (n + 1) - 1
+    zero, one = Fraction(0), Fraction(1)
     vectors = []
     for lab in space.labels:
-        vec = [Fraction(0)] * dim
+        vec = [zero] * dim
         for k in range(len(lab) + 1):
-            vec[labeling.phi[lab[:k]] - 1] = Fraction(1)
+            vec[phi[lab[:k]] - 1] = one
         vectors.append(tuple(vec))
     return Embedding(space, tuple(vectors), NormedTarget("summing", dim))
 
 
-_PAIR_BLOCK = 1024  # label pairs per bourgain_distortion block
+_PAIR_BLOCK = 2**14  # label pairs per bourgain_distortion block
 
 
 def bourgain_distortion(n: int) -> DistortionReport:
-    """Exact distortion of the depth-n summing-norm tree embedding, computed
-    sparsely from ancestor coordinate lists.
+    """Exact distortion of the depth-n summing-norm tree embedding.
 
-    For a pair (a, b) the difference of the images is +1 at a's ancestors
-    and -1 at b's ancestors below their common prefix; its summing norm is
-    the largest |running sum| of these signs sorted by coordinate.  Pairs go
-    through in (a, b) order in blocks of _PAIR_BLOCK, and lip and colip are
-    reduced block by block, so memory stays bounded (n = 10 runs in seconds).
-    """
+    For labels a, b below their longest common prefix c by la and lb edges,
+    f(a) - f(b) is +1 at a's ancestors below c and -1 at b's.  These lie in
+    the subtrees of c's two children and phi is the in-order rank, so one
+    side's coordinates all come first: the running sums climb to l, the
+    length on the side with the smaller phi, then fall by the other's, and
+    the summing norm is max(l, la + lb - 2l), also when c is a or b.  Pairs
+    go through in (a, b) order in blocks of _PAIR_BLOCK, with lip and colip
+    reduced block by block, so memory stays bounded."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    labeling = bourgain_labeling(n)
-    labels = sorted(labeling.phi, key=lambda L: (len(L), L))
-    size = len(labels)
-    depth = np.array([len(lab) for lab in labels])
-    # anc[a, k]: coordinate phi of a's depth-k ancestor, 0 below a's depth
-    anc = np.zeros((size, n + 1), dtype=np.int32)
-    for a, lab in enumerate(labels):
-        anc[a, : len(lab) + 1] = [labeling.phi[lab[:k]] for k in range(len(lab) + 1)]
+    tree = _bourgain_tree(n)
     lip = colip = None  # (norm, distance, pair) of the current maxima
-    for first, second in _pair_blocks(size):
-        A, B = anc[first], anc[second]
-        common = (A == B) & (A > 0)
-        # sort key 4 * coordinate + (sign + 1); masked entries sort first
-        # with sign 0
-        keys = np.concatenate(
-            (np.where((A > 0) & ~common, 4 * A + 2, 1), np.where((B > 0) & ~common, 4 * B, 1)),
-            axis=1,
-        )
-        keys.sort(axis=1)
-        signs = np.remainder(keys, 4, out=keys)  # in place: blocks stay small
-        signs -= 1
-        sup = np.abs(np.cumsum(signs, axis=1, dtype=np.int32)).max(axis=1)
-        dist = depth[first] + depth[second] - 2 * (common.sum(axis=1) - 1)
+    for first, second in _pair_blocks(tree[0].size):
+        sup, dist = _pair_norms(tree, first, second)
         k = _first_max(sup, dist)
         if lip is None or sup[k] * lip[1] > lip[0] * dist[k]:
             lip = (int(sup[k]), int(dist[k]), (first[k], second[k]))
         k = _first_max(dist, sup)
         if colip is None or dist[k] * colip[0] > colip[1] * sup[k]:
             colip = (int(sup[k]), int(dist[k]), (first[k], second[k]))
+    labels = tree_labels(n)
     lip_v, colip_v = Fraction(lip[0], lip[1]), Fraction(colip[1], colip[0])
     return DistortionReport(
         lip_v,
@@ -415,6 +402,17 @@ def bourgain_distortion(n: int) -> DistortionReport:
         tuple(labels[a] for a in lip[2]),
         tuple(labels[a] for a in colip[2]),
     )
+
+
+def _pair_norms(tree, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summing norm and distance of the label pairs first[k] < second[k]."""
+    depth, bits, phi = tree
+    da, db = depth[first], depth[second]
+    # la is the bit length (frexp's exponent) of a XOR b's depth-|a| ancestor
+    la = np.frexp((bits[second] >> (db - da)) ^ bits[first])[1]
+    dist = db - da + 2 * la
+    low = np.where(phi[first] < phi[second], la, dist - la)
+    return np.maximum(low, dist - 2 * low), dist
 
 
 def _pair_blocks(size: int):

@@ -255,10 +255,11 @@ def _hop_counts(n: int, edges) -> np.ndarray:
     heads = np.arange(n).repeat(deg)
     end = deg.cumsum()  # arcs end[v] - deg[v] ... end[v] - 1 leave v
     step = tails - heads  # the arc v -> w takes pair (s, v) to (s, w) = flat + w - v
+    shift = (n * tails.size).bit_length()  # a level stamps fewer than n * 2|E| pairs
     hops = np.full(n * n, -1, dtype=np.int64)
     hops[:: n + 1] = 0
     frontier = heads * n + tails
-    hops[frontier] = 1
+    hops[frontier] = 1 << shift
     left, level = n * n - n - frontier.size, 1
     while left and frontier.size:
         level += 1
@@ -268,16 +269,15 @@ def _hop_counts(n: int, edges) -> np.ndarray:
         arcs = (end[vert] - top).repeat(d) + np.arange(top[-1])
         cand = frontier.repeat(d) + step[arcs]
         cand = cand[hops[cand] < 0]
-        # de-duplicate without sorting: stamp each candidate's slot with a
-        # distinct negative mark; exactly one copy reads its own mark back
-        mark = np.arange(-2, -2 - cand.size, -1)
+        # de-duplicate without sorting: stamp each candidate's slot with a distinct
+        # mark level << shift | i (< 2^53 under the cap); one copy reads its mark back
+        mark = np.arange(level << shift, (level << shift) + cand.size)
         hops[cand] = mark
         frontier = cand[hops[cand] == mark]
-        hops[frontier] = level
         left -= frontier.size
     if left:
         raise DisconnectedGraphError(*divmod(int(np.argmin(hops)), n))
-    return hops
+    return hops >> shift
 
 
 def apsp(graph: WeightedGraph) -> MetricSpace:

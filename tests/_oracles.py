@@ -10,11 +10,14 @@ from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), word-product enumeration for
 Heisenberg balls, plain loops over entries for norms and over pairs and
 triples for distortion, vertex-map distortion and the metric axioms, the
-label-prefix formula for tree distances, one Fraction per (vector, j) for
-the James grid, the original alternating-projection loop for the SDP
-feasibility probe, a depth-first search on Fraction lengths for geodesics,
-one Fraction or float per entry (and csv.writer) for the file formats, a multi-start SLSQP search for the Hilbert fork gap,
-every vertex map (collapsing ones included) for the cycle-into-trees search,
+label-prefix formula for tree distances, a sum of one Fraction per letter
+and a sort for the Bourgain labeling, sorted signed ancestor coordinates
+and their running sums for the Bourgain distortion, one Fraction per
+(vector, j) for the James grid, the original alternating-projection loop
+for the SDP feasibility probe, a depth-first search on Fraction lengths for
+geodesics, one Fraction or float per entry (and csv.writer) for the file
+formats, a multi-start SLSQP search for the Hilbert fork gap, every vertex map
+(collapsing ones included) for the cycle-into-trees search,
 a loop over candidates for the thickness constant, and a dense Fraction
 tableau for the exact simplex.
 """
@@ -401,6 +404,57 @@ def tree_label_distance(a, b):
         common += 1
     return len(a) + len(b) - 2 * common
 
+
+def bourgain_labeling_fractions(n):
+    """(psi, phi) of the depth-n Bourgain labeling: psi as a sum of one
+    Fraction per letter, phi the 1-based rank of psi by sorting."""
+    labels = [""] + [
+        "".join(bits) for d in range(1, n + 1) for bits in itertools.product("01", repeat=d)
+    ]
+    psi = {
+        lab: sum((Fraction(2 * int(ch) - 1, 2 ** (i + 1)) for i, ch in enumerate(lab)), Fraction(0))
+        for lab in labels
+    }
+    ranked = sorted(labels, key=lambda L: psi[L])
+    return psi, {lab: k + 1 for k, lab in enumerate(ranked)}
+
+
+def bourgain_distortion_sorted(n):
+    """Distortion of the depth-n Bourgain embedding over all label pairs at
+    once: each pair's signed ancestor coordinates (+1 for a's, -1 for b's,
+    below their common prefix) sorted by coordinate, the summing norm the
+    largest |running sum|.  The first maximizing pair in (a, b) order is
+    found by argmax of float ratios, exact here because norms and distances
+    are at most 2n.  Memory grows with the 4^n pairs: small n only."""
+    from testspaces.embeddings import DistortionReport
+
+    _, phi = bourgain_labeling_fractions(n)
+    labels = sorted(phi, key=lambda L: (len(L), L))
+    # anc[a, k]: coordinate phi of a's depth-k ancestor, 0 below a's depth
+    anc = np.zeros((len(labels), n + 1), dtype=np.int64)
+    for a, lab in enumerate(labels):
+        anc[a, : len(lab) + 1] = [phi[lab[:k]] for k in range(len(lab) + 1)]
+    first, second = np.triu_indices(len(labels), 1)
+    A, B = anc[first], anc[second]
+    common = (A == B) & (A > 0)
+    # sort key 4 * coordinate + (sign + 1); masked entries sort first with sign 0
+    keys = np.concatenate(
+        (np.where((A > 0) & ~common, 4 * A + 2, 1), np.where((B > 0) & ~common, 4 * B, 1)),
+        axis=1,
+    )
+    keys.sort(axis=1)
+    sup = np.abs(np.cumsum(keys % 4 - 1, axis=1)).max(axis=1)
+    depth = (anc > 0).sum(axis=1) - 1
+    dist = depth[first] + depth[second] - 2 * (common.sum(axis=1) - 1)
+    a, b = np.argmax(sup / dist), np.argmax(dist / sup)
+    lip, colip = Fraction(int(sup[a]), int(dist[a])), Fraction(int(dist[b]), int(sup[b]))
+    return DistortionReport(
+        lip,
+        colip,
+        lip * colip,
+        (labels[first[a]], labels[second[a]]),
+        (labels[first[b]], labels[second[b]]),
+    )
 
 
 def pairwise_map_distortion(source, target, mapping):

@@ -4,6 +4,7 @@ active pairs, cycle-into-tree oracle."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,6 +15,8 @@ from testspaces.embeddings import (
     Embedding,
     NormedTarget,
     SubmetricSpace,
+    _bourgain_tree,
+    _pair_norms,
     bourgain_distortion,
     bourgain_embed,
     bourgain_labeling,
@@ -26,12 +29,14 @@ from testspaces.embeddings import (
     submetric_check,
     submetric_space_metric,
 )
-from testspaces.errors import CollapsedPairError, ValidationError
-from testspaces.generators import binary_tree, cycle, heisenberg_ball
+from testspaces.errors import CapExceededError, CollapsedPairError, ValidationError
+from testspaces.generators import binary_tree, cycle, heisenberg_ball, tree_labels
 from testspaces.metric_core import MetricSpace, apsp, path_graph, scaled_integers
 from testspaces.rnp import bush_gauge, rademacher_tree, tree_to_bush
 
 from _oracles import (
+    bourgain_distortion_sorted,
+    bourgain_labeling_fractions,
     cycle_tree_all_maps,
     entry_norm,
     james_alpha_by_vectors,
@@ -150,6 +155,25 @@ def test_bourgain_psi_phi():
     assert sorted(lab.phi.values()) == list(range(1, 16))
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_bourgain_labeling_matches_fraction_sums(n):
+    psi, phi = bourgain_labeling_fractions(n)
+    lab = bourgain_labeling(n)
+    assert lab.psi == psi and lab.phi == phi
+    assert all(type(v) is F for v in lab.psi.values())
+    assert all(type(v) is int for v in lab.phi.values())
+
+
+@pytest.mark.parametrize("build", [bourgain_labeling, bourgain_embed, bourgain_distortion])
+def test_bourgain_depth_cap_fires_first(build):
+    # 2^14 - 1 vertices exceed TABLE_ENTRY_CAP; unchecked, n = 13 runs for hours
+    started = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        build(13)
+    assert time.perf_counter() - started < 1.0
+    assert len(bourgain_labeling(12).phi) == 2**13 - 1  # the largest depth under the cap
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_bourgain_child_intervals_disjoint(n):
     lab = bourgain_labeling(n)
@@ -194,6 +218,28 @@ def test_bourgain_sparse_matches_dense(n):
     labels = emb.space.labels
     assert tuple(labels[i] for i in dense.lip_witness) == sparse.lip_witness
     assert tuple(labels[i] for i in dense.colip_witness) == sparse.colip_witness
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bourgain_distortion_matches_sorted_oracle(n):
+    assert bourgain_distortion(n) == bourgain_distortion_sorted(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bourgain_pair_norms_closed_form(n):
+    # each pair's closed-form summing norm and distance against the norm of
+    # its difference vector in bourgain_embed(n)
+    emb = bourgain_embed(n)
+    size = emb.space.size
+    assert emb.space.labels == tuple(tree_labels(n))  # the index order of _bourgain_tree
+    pairs = itertools.combinations(range(size), 2)
+    pairs = sorted(random.Random(n).sample(list(pairs), min(300, size * (size - 1) // 2)))
+    first, second = (np.array(x) for x in zip(*pairs))
+    sup, dist = _pair_norms(_bourgain_tree(n), first, second)
+    for (a, b), s, d in zip(pairs, sup.tolist(), dist.tolist()):
+        diff = tuple(x - y for x, y in zip(emb.vectors[a], emb.vectors[b]))
+        assert s == norm(emb.target, diff)
+        assert d == emb.space.d(a, b)
 
 
 def test_bourgain_two_sided_bounds_small():
