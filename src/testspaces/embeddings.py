@@ -209,15 +209,24 @@ def _pair(n: int, k: int) -> tuple[int, int]:
 
 def _first_max(num: np.ndarray, den: np.ndarray) -> int:
     """Index of the first maximum of num[k] / den[k] (every den[k] > 0),
-    compared exactly by cross-multiplication in a knockout where the later
-    entry of each match wins only when strictly larger."""
-    idx = np.arange(len(num))
-    while idx.size > 1:
-        m = idx.size // 2 * 2
-        a, b = idx[0:m:2], idx[1:m:2]
-        later = num[b] * den[a] > num[a] * den[b]
-        idx = np.concatenate((np.where(later, b, a), idx[m:]))
-    return int(idx[0])
+    exact.  Each float ratio is within a relative 2^-50 of the true one, so
+    the indices within a relative 2^-40 of the float maximum hold every
+    exact maximum (entries too large for a float shortlist nothing).  The
+    first candidate then wins unless a later one is strictly larger by
+    cross-multiplication; if some are, the search goes on among those."""
+    try:
+        ratio = num.astype(float) / den.astype(float)
+    except OverflowError:
+        cands = np.arange(len(num))
+    else:
+        top = ratio.max()
+        cands = np.flatnonzero(ratio >= top - abs(top) * 2.0**-40)
+    while True:
+        c = cands[:1]  # an array, so Python-int and int64 entries mix as objects
+        better = cands[num[cands] * den[c] > num[c] * den[cands]]
+        if not better.size:
+            return int(c[0])
+        cands = better
 
 
 def map_distortion(

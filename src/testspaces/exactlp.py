@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationError
 
@@ -52,25 +52,30 @@ def solve_lp(
     A: Sequence[Sequence[Rational | float]],
     b: Sequence[Rational | float],
     c: Sequence[Rational | float],
+    *,
+    basis: Optional[Sequence[int]] = None,
 ) -> tuple[Fraction, list[Fraction]]:
-    """Two-phase simplex; returns (optimal value, an optimal x)."""
+    """Two-phase simplex; returns (optimal value, an optimal x).
+
+    `basis` may name a feasible starting basis, column basis[i] for row i:
+    it is pivoted in row by row, phase 1 is skipped and phase 2 runs the
+    same Bland loop from there.  The optimal value is the same; x may be
+    another optimal vertex.  A basis that is singular in that row order, or
+    whose basic solution has a negative entry, is a ValidationError."""
     m = len(A)
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValidationError("inconsistent LP dimensions")
     cost_nums, _ = _over_lcm(c)
+    if basis is not None:
+        return _solve_from_basis(A, b, c, cost_nums, list(basis))
 
     # phase 1: artificial identity basis on rows with b >= 0; row i is
     # T[i] / dens[i], and T[m] holds the reduced costs
     T: list[list[int]] = []
     dens: list[int] = []
     for i in range(m):
-        nums, d = _over_lcm(A[i])
-        rhs = _rational(b[i])
-        if rhs.denominator != 1:
-            k = rhs.denominator // math.gcd(d, rhs.denominator)
-            nums, d = [x * k for x in nums], d * k
-        nums.append(rhs.numerator * (d // rhs.denominator))
+        nums, d = _integer_row(A[i], b[i])
         if nums[-1] < 0:
             nums = [-x for x in nums]
         T.append(nums[:n] + [0] * m + nums[n:])
@@ -96,11 +101,51 @@ def solve_lp(
 
     T[m] = _reduced_costs(T[:m], dens, basis, cost_nums + [0] * m)
     dens[m] = 1
+    return _phase_two(T, dens, basis, c)
+
+
+def _solve_from_basis(A, b, c, cost_nums, basis):
+    m, n = len(A), len(c)
+    if len(basis) != m or any(not 0 <= k < n for k in basis):
+        raise ValidationError("a starting basis names one column per row")
+    T: list[list[int]] = []
+    dens: list[int] = []
+    for i in range(m):
+        nums, d = _integer_row(A[i], b[i])
+        T.append(nums)
+        dens.append(d)
+    for i, k in enumerate(basis):
+        if T[i][k] == 0:
+            raise ValidationError("starting basis is singular")
+        _pivot(T, dens, i, k)
+    if any(row[-1] < 0 for row in T):
+        raise ValidationError("starting basis is infeasible")
+    T.append(_reduced_costs(T, dens, basis, cost_nums))
+    dens.append(1)
+    return _phase_two(T, dens, basis, c)
+
+
+def _integer_row(a, rhs) -> tuple[list[int], int]:
+    """Constraint row a.x = rhs as integer numerators (rhs last) over one
+    positive denominator."""
+    nums, d = _over_lcm(a)
+    rhs = _rational(rhs)
+    if rhs.denominator != 1:
+        k = rhs.denominator // math.gcd(d, rhs.denominator)
+        nums, d = [x * k for x in nums], d * k
+    nums.append(rhs.numerator * (d // rhs.denominator))
+    return nums, d
+
+
+def _phase_two(T, dens, basis, c) -> tuple[Fraction, list[Fraction]]:
+    """Bland's loop over the real columns from a feasible tableau whose last
+    row holds the reduced costs; returns (value, x)."""
+    n = len(c)
     _simplex(T, dens, basis, allowed=n)
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(T[i][-1], dens[i])
+    for i, k in enumerate(basis):
+        if k < n:
+            x[k] = Fraction(T[i][-1], dens[i])
     value = sum((_rational(c[j]) * x[j] for j in range(n) if x[j]), Fraction(0))
     return value, x
 

@@ -9,7 +9,9 @@ equal mass), where everything stays rational.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -17,26 +19,42 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embeddings import Embedding, NormedTarget, distortion, norm
+from .embeddings import _ROW_NORMS, Embedding, NormedTarget, distortion, norm
 from .errors import CapExceededError, ValidationError
 from .exactlp import solve_lp
 from .generators import RecursiveFamily, diamond, diamond_weighting, tree_labels
-from .metric_core import INT64_MAX, GeodesicPath, MetricSpace, enumerate_geodesic_paths
+from .metric_core import (
+    INT64_MAX,
+    GeodesicPath,
+    MetricSpace,
+    enumerate_geodesic_paths,
+    scaled_integers,
+)
 
 Vec = tuple
 
 
-def _l1n(v: Vec, atoms: int) -> Fraction:
-    """Normalized l1 norm: atoms carry equal mass 1/atoms."""
-    return Fraction(sum(abs(x) for x in v), atoms)
-
-
-def _mean(v: Vec) -> Fraction:
-    return Fraction(sum(v), len(v))
-
-
 def _sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _integer_rows(vectors) -> tuple[list[list[int]], int]:
+    """Python-int numerators of int/Fraction vectors over their common
+    denominator."""
+    try:
+        rows, scale = scaled_integers(tuple(vectors))
+    except AttributeError as exc:  # a float has no numerator
+        raise ValidationError("exact (int or Fraction) entries needed") from exc
+    return rows.tolist(), scale
+
+
+def _l1(row: list[int]) -> int:
+    return sum(map(abs, row))
+
+
+def _below(l1: int, atoms: int, delta) -> bool:
+    """Whether the normalized l1 norm l1 / atoms is below delta."""
+    return l1 * delta.denominator < delta.numerator * atoms
 
 
 # ---------------------------------------------------------------------------
@@ -63,33 +81,32 @@ def rademacher_tree(n: int, depth_cap: int = 12) -> DeltaTree:
     if n > depth_cap:
         raise CapExceededError(f"depth {n} exceeds cap {depth_cap}")
     atoms = 2**n
-
-    def sign(k: int, atom: int) -> int:
-        # k-th pattern flips in blocks of 2^(n-k); +1 on the first block
-        return 1 if (atom >> (n - k)) & 1 == 0 else -1
-
-    vectors = {"": tuple(1 for _ in range(atoms))}
-    for lab in tree_labels(n)[1:]:
-        parent = vectors[lab[:-1]]
-        eps = 2 * int(lab[-1]) - 1
-        k = len(lab)
-        vectors[lab] = tuple(
-            parent[a] * (1 + eps * sign(k, a)) for a in range(atoms)
-        )
+    labels = tree_labels(n)
+    level = np.ones((1, atoms), dtype=np.int64)  # entries stay <= 2^n
+    vectors = {"": tuple(level[0].tolist())}
+    for k in range(1, n + 1):
+        # r_k flips in blocks of 2^(n-k), +1 on the first block; the
+        # children lab + "0", lab + "1" of row i are rows 2i, 2i + 1
+        r = 1 - 2 * ((np.arange(atoms) >> (n - k)) & 1)
+        eps = np.tile([-1, 1], len(level))[:, None]
+        level = np.repeat(level, 2, axis=0) * (1 + eps * r)
+        vectors.update(zip(labels[2**k - 1 : 2 ** (k + 1) - 1], map(tuple, level.tolist())))
     return DeltaTree(n, atoms, vectors, Fraction(1))
 
 
 def verify_delta_tree(tree: DeltaTree) -> None:
-    """Exact midpoint identity, unit norms, and separation >= delta."""
+    """Exact midpoint identity, unit norms, and separation >= delta, on the
+    integer atoms: l1 sums compared with atoms * delta, no Fraction per
+    vector."""
     for lab, vec in tree.vectors.items():
-        if _l1n(vec, tree.atoms) != 1:
+        if _l1(vec) != tree.atoms:
             raise ValidationError(f"||x_{lab or 'root'}|| != 1")
         if len(lab) < tree.depth:
             c0, c1 = tree.vectors[lab + "0"], tree.vectors[lab + "1"]
             if any(2 * v != a + b for v, a, b in zip(vec, c0, c1)):
                 raise ValidationError(f"midpoint identity fails at {lab or 'root'}")
             for child in (c0, c1):
-                if _l1n(_sub(vec, child), tree.atoms) < tree.delta:
+                if _below(_l1(_sub(vec, child)), tree.atoms, tree.delta):
                     raise ValidationError(f"separation fails below {lab or 'root'}")
 
 
@@ -104,11 +121,23 @@ class DeltaBush:
     weights: tuple[tuple[Fraction, ...], ...]  # weights[n][j], n >= 1
     delta: Fraction
 
+    @cached_property
+    def _parents(self) -> tuple[dict[int, int], ...]:
+        """Per level, index j -> the first block k that holds it."""
+        parents = []
+        for blocks in self.blocks:
+            first: dict[int, int] = {}
+            for k, block in enumerate(blocks):
+                for j in block:
+                    first.setdefault(j, k)
+            parents.append(first)
+        return tuple(parents)
+
     def parent_of(self, level: int, j: int) -> int:
-        for k, block in enumerate(self.blocks[level]):
-            if j in block:
-                return k
-        raise ValidationError(f"index {j} missing from level-{level} partition")
+        k = self._parents[level].get(j)
+        if k is None:
+            raise ValidationError(f"index {j} missing from level-{level} partition")
+        return k
 
 
 def tree_to_bush(tree: DeltaTree) -> DeltaBush:
@@ -118,38 +147,45 @@ def tree_to_bush(tree: DeltaTree) -> DeltaBush:
     blocks: list = [()]
     weights: list = [()]
     labels = tree_labels(tree.depth)
+    half = Fraction(1, 2)
     for d in range(tree.depth + 1):
         labs = [lab for lab in labels if len(lab) == d]
         levels.append(tuple(tree.vectors[lab] for lab in labs))
         if d >= 1:
             blocks.append(tuple((2 * k, 2 * k + 1) for k in range(len(labs) // 2)))
-            weights.append(tuple(Fraction(1, 2) for _ in labs))
+            weights.append((half,) * len(labs))
     bush = DeltaBush(tree.atoms, tuple(levels), tuple(blocks), tuple(weights), tree.delta)
     verify_bush(bush)
     return bush
 
 
 def verify_bush(bush: DeltaBush) -> None:
+    """Single root, block weights summing to 1, nonnegative weights,
+    separation >= delta and the block convexity identities, on the integer
+    atoms with each level's weights as integers over their common
+    denominator: no Fraction per vector."""
     if len(bush.levels[0]) != 1:
         raise ValidationError("a bush must start from a single vector (m_0 = 1)")
     for n in range(1, len(bush.levels)):
+        prev, level = bush.levels[n - 1], bush.levels[n]
+        [weights], wscale = _integer_rows((bush.weights[n],))
         seen: set[int] = set()
         for k, block in enumerate(bush.blocks[n]):
             seen.update(block)
-            lam = sum((bush.weights[n][j] for j in block), Fraction(0))
-            if lam != 1:
+            lam = sum(weights[j] for j in block)
+            if lam != wscale:
+                lam = Fraction(lam, wscale)
                 raise ValidationError(f"weights in block ({n},{k}) sum to {lam} != 1")
-            parent = bush.levels[n - 1][k]
-            combo = [Fraction(0)] * bush.atoms
+            parent = prev[k]
+            combo = [0] * bush.atoms
             for j in block:
-                w = bush.weights[n][j]
+                w = weights[j]
                 if w < 0:
                     raise ValidationError("negative weight")
-                for a in range(bush.atoms):
-                    combo[a] += w * bush.levels[n][j][a]
-                if _l1n(_sub(bush.levels[n][j], parent), bush.atoms) < bush.delta:
+                combo = [c + w * x for c, x in zip(combo, level[j])]
+                if _below(_l1(_sub(level[j], parent)), bush.atoms, bush.delta):
                     raise ValidationError(f"separation fails at ({n},{j})")
-            if tuple(combo) != tuple(Fraction(x) for x in parent):
+            if combo != [wscale * x for x in parent]:
                 raise ValidationError(f"convexity identity fails at ({n},{k})")
         if seen != set(range(len(bush.levels[n]))):
             raise ValidationError(f"level-{n} blocks are not a partition")
@@ -189,9 +225,15 @@ class GaugeNorm:
         return (Fraction(1, self.atoms),) * (2 * self.atoms) + (1,) * (2 * len(self.generators))
 
     def evaluate(self, v: Vec) -> Fraction:
+        """The optimal value, from the slack basis: w+_a where v_a >= 0 and
+        w-_a where v_a < 0 is feasible, so phase 1 is skipped.  When every
+        generator lies in the normalized l1 unit ball (unit delta-tree
+        vectors do), no reduced cost there is negative and phase 2 makes no
+        pivot."""
         if len(v) != self.atoms:
             raise ValidationError("vector lives in the wrong ambient space")
-        value, _ = solve_lp(self._rows, v, self._costs)
+        basis = [a if x >= 0 else self.atoms + a for a, x in enumerate(v)]
+        value, _ = solve_lp(self._rows, v, self._costs, basis=basis)
         return value
 
 
@@ -252,39 +294,53 @@ def broken_line_family(bush: DeltaBush, k: int) -> dict[str, BrokenLine]:
         raise ValidationError("label depth exceeds bush depth")
     for level in bush.levels:
         for vec in level:
-            if _mean(vec) != 1:
+            if sum(vec) != len(vec):
                 raise ValidationError(
                     "bush must lie on the mean-1 hyperplane before building lines"
                 )
 
-    # segments in preliminary lines are multiples of midpoints y_{i,j}
-    def preliminary(segments):
-        out = []
-        for coef, (lvl, kidx) in segments:
+    # A segment coef * x_{lvl,kidx} becomes, per child j of its block, the
+    # midpoint multiple coef * lambda_j * y_j, split into two halves along
+    # x_{lvl,kidx} and x_{lvl+1,j} in the order the bit picks.  Segments
+    # carry the id of their coefficient in `coefs`, and weights an id per
+    # distinct value, so each product and half is one Fraction per distinct
+    # (coefficient, weight).
+    weight_id: dict = {}
+    wids = [[weight_id.setdefault(w, len(weight_id)) for w in level] for level in bush.weights]
+    ends = [  # ends[lvl][j]: the (parent, child) positions of y_{lvl+1,j}
+        {j: ((lvl, bush.parent_of(lvl + 1, j)), (lvl + 1, j)) for block in blocks for j in block}
+        for lvl, blocks in enumerate(bush.blocks[1 : k + 1])
+    ]
+    coefs = [Fraction(1)]
+    half_of: dict[tuple[int, int], int] = {}
+
+    def refine(segments, ids):
+        """The two children's segments and their coefficient ids."""
+        out0, out1, out_ids = [], [], []
+        for (_, (lvl, kidx)), cid in zip(segments, ids):
             for j in bush.blocks[lvl + 1][kidx]:
-                out.append((coef * bush.weights[lvl + 1][j], ("y", lvl + 1, j)))
-        return out
+                hid = half_of.get((cid, wids[lvl + 1][j]))
+                if hid is None:
+                    hid = half_of[cid, wids[lvl + 1][j]] = len(coefs)
+                    coefs.append(coefs[cid] * bush.weights[lvl + 1][j] / 2)
+                parent, child = ends[lvl][j]
+                first, second = (coefs[hid], parent), (coefs[hid], child)
+                out0 += (first, second)
+                out1 += (second, first)
+                out_ids += (hid, hid)
+        return tuple(out0), tuple(out1), out_ids
 
-    def finalize(pre, bit: str):
-        out = []
-        for coef, (_, lvl, j) in pre:
-            parent = (lvl - 1, bush.parent_of(lvl, j))
-            child = (lvl, j)
-            first, second = (parent, child) if bit == "0" else (child, parent)
-            out.append((coef / 2, first))
-            out.append((coef / 2, second))
-        return out
-
-    lines = {"": BrokenLine("", ((Fraction(1), (0, 0)),))}
+    lines = {"": BrokenLine("", ((coefs[0], (0, 0)),))}
+    ids = {"": [0]}
     frontier = [""]
     for _ in range(k):
         nxt = []
         for lab in frontier:
-            pre = preliminary(lines[lab].segments)
-            for bit in "01":
-                child = lab + bit
-                lines[child] = BrokenLine(child, tuple(finalize(pre, bit)))
-                nxt.append(child)
+            seg0, seg1, child_ids = refine(lines[lab].segments, ids.pop(lab))
+            for bit, segs in (("0", seg0), ("1", seg1)):
+                lines[lab + bit] = BrokenLine(lab + bit, segs)
+                ids[lab + bit] = child_ids
+                nxt.append(lab + bit)
         frontier = nxt
     return lines
 
@@ -332,10 +388,21 @@ class GeodesicFamily:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
+        # breakpoints as integer positions over the parameters' common
+        # denominator; one off that grid matches no parameter
+        den = math.lcm(*(p.denominator for p in self.params))
+
+        def positions(values):
+            return [
+                p.numerator * (den // p.denominator) if den % p.denominator == 0 else None
+                for p in values
+            ]
+
+        grid = positions(self.params)
         self._vertex_at = []
         for g in self.geodesics:
-            at = dict(zip(g.breakpoints, g.vertices))
-            self._vertex_at.append(tuple(at.get(p) for p in self.params))
+            at = dict(zip(positions(g.breakpoints), g.vertices))
+            self._vertex_at.append(tuple(at.get(p) for p in grid))
         if any(v is None for row in self._vertex_at for v in row):
             raise ValidationError("geodesics do not share a parameter grid")
         self._index_of = {row: i for i, row in enumerate(self._vertex_at)}
@@ -498,28 +565,41 @@ def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = No
     """Cut-style l1 embedding: distance-from-source plus, per quadrilateral,
     a tent coordinate signed by the side of the quad the vertex lies on.
     Not isometric; the martingale construction measures its ell.  `space`
-    may pass the precomputed distance table of `fam.graph`."""
+    may pass the precomputed distance table of `fam.graph`.
+
+    Heights, quad spans and tents are integer numerators over `space.scale`;
+    each distinct numerator becomes one shared Fraction."""
     if fam.kind != "diamond":
         raise ValidationError("tent embedding is defined for diamonds")
     if space is None:
         space = fam.metric_space()
-    h = [Fraction(x, space.scale) for x in space.num[fam.source].tolist()]
-    spans = []
-    for quad in fam.units:
+    elif space.size != fam.graph.size:
+        raise ValidationError(
+            f"distance table has {space.size} points, the diamond {fam.graph.size}"
+        )
+    h = space.num[fam.source].tolist()
+    spans = {}  # uid -> (coordinate, lo, hi)
+    for col, quad in enumerate(fam.units, start=1):
         x, y = quad.ends
-        lo, hi = min(h[x], h[y]), max(h[x], h[y])
-        spans.append((lo, hi))
+        spans[quad.uid] = (col, min(h[x], h[y]), max(h[x], h[y]))
+    exact: dict[int, Fraction] = {}
+
+    def shared(k: int) -> Fraction:
+        f = exact.get(k)
+        if f is None:
+            f = exact[k] = Fraction(k, space.scale)
+        return f
+
+    blank = [shared(0)] * (1 + len(fam.units))
     vectors = []
     for v in range(fam.graph.size):
-        coord = [h[v]]
-        chain = dict(fam.chains[v])
-        for quad, (lo, hi) in zip(fam.units, spans):
-            side = chain.get(quad.uid)
-            if side is None or not (lo < h[v] < hi):
-                coord.append(Fraction(0))
-            else:
+        coord = blank.copy()
+        coord[0] = shared(h[v])
+        for uid, side in fam.chains[v]:
+            col, lo, hi = spans[uid]
+            if lo < h[v] < hi:
                 tent = min(h[v] - lo, hi - h[v])
-                coord.append(tent if side == 0 else -tent)
+                coord[col] = shared(tent if side == 0 else -tent)
         vectors.append(tuple(coord))
     return Embedding(space, tuple(vectors), NormedTarget("l1", 1 + len(fam.units)))
 
@@ -550,31 +630,67 @@ class Martingale:
     target: NormedTarget
 
 
-def _level_from_points(emb: Embedding, params, points) -> PiecewiseLevel:
+def _level_from_points(rows: list[list[int]], den: int, params, points) -> PiecewiseLevel:
+    """The level whose value on (params[i], params[i+1]] is the slope of the
+    map f = rows / den between points[i] and points[i+1], with one Fraction
+    per distinct entry of each slope."""
     values = []
     for i in range(len(points) - 1):
-        num = _sub(emb.vectors[points[i + 1]], emb.vectors[points[i]])
-        den = params[i + 1] - params[i]
-        values.append(tuple(x / den for x in num))
+        dt = params[i + 1] - params[i]
+        scale, q = dt.denominator, den * dt.numerator
+        exact: dict[int, Fraction] = {}
+        value = []
+        for x, y in zip(rows[points[i + 1]], rows[points[i]]):
+            f = exact.get(x - y)
+            if f is None:
+                f = exact[x - y] = Fraction((x - y) * scale, q)
+            value.append(f)
+        values.append(tuple(value))
     return PiecewiseLevel(tuple(params), tuple(values))
 
 
+def _exact_norms(target: NormedTarget, rows) -> list[int]:
+    """Norms of integer rows in an l1, linf or summing target, by the row
+    kernel of `norm`, in Python ints."""
+    if target.kind not in ("l1", "linf", "summing"):
+        raise ValidationError("martingale construction needs an exact rational norm")
+    return _ROW_NORMS[target.kind](np.array(rows, dtype=object).reshape(len(rows), -1)).tolist()
+
+
+def _slope_jumps(target: NormedTarget, rows, den: int, ends, points, gaps) -> list[Fraction]:
+    """Norm of the jump (f(w1) - f(z)) / B - (f(z) - f(w0)) / A of the
+    slopes of f = rows / den at each z in points, for ends (w0, w1) and
+    gaps (A, B) > 0: the integer row (f(w1) - f(z)) A - (f(z) - f(w0)) B,
+    scaled to integers, over den * A.numerator * B.numerator."""
+    (A, B), (w0, w1) = gaps, (rows[end] for end in ends)
+    a, b = A.numerator * B.denominator, B.numerator * A.denominator
+    jumps = [[(y - x) * a - (x - w) * b for w, x, y in zip(w0, rows[z], w1)] for z in points]
+    q = den * A.numerator * B.numerator
+    return [Fraction(n, q) for n in _exact_norms(target, jumps)]
+
+
 def martingale_l1_diff(a: PiecewiseLevel, b: PiecewiseLevel, target: NormedTarget) -> Fraction:
-    """Bochner L1 norm of a - b on (0,1] (exact for rational targets)."""
+    """Bochner L1 norm of a - b on (0,1], exact: each level's values as
+    integer rows over their common denominator, and the difference on each
+    interval of the common refinement measured as one integer row.  The
+    target must be l1, linf or summing."""
     breaks = sorted(set(a.breaks) | set(b.breaks))
-    total = Fraction(0)
-    for lo, hi in zip(breaks, breaks[1:]):
-        va = a.values[_interval_index(a.breaks, lo)]
-        vb = b.values[_interval_index(b.breaks, lo)]
-        total += (hi - lo) * norm(target, _sub(va, vb))
-    return total
+    ra, sa = _integer_rows(a.values)
+    rb, sb = _integer_rows(b.values)
+    diffs = []
+    for lo in breaks[:-1]:
+        va, vb = ra[_interval_index(a.breaks, lo)], rb[_interval_index(b.breaks, lo)]
+        diffs.append([x * sb - y * sa for x, y in zip(va, vb)])
+    norms = _exact_norms(target, diffs)
+    total = sum(((hi - lo) * n for lo, hi, n in zip(breaks, breaks[1:], norms)), Fraction(0))
+    return total / (sa * sb)
 
 
 def _interval_index(breaks, t) -> int:
-    for i in range(len(breaks) - 1):
-        if breaks[i] <= t < breaks[i + 1]:
-            return i
-    raise ValidationError("parameter outside the partition")
+    i = bisect.bisect_right(breaks, t) - 1
+    if not 0 <= i < len(breaks) - 1:
+        raise ValidationError("parameter outside the partition")
+    return i
 
 
 @dataclass(frozen=True)
@@ -600,16 +716,17 @@ def martingale_from_embedding(
         raise ValidationError("martingale construction needs an exact rational norm")
     rep = distortion(emb)
     lip, colip = rep.lip, rep.colip
-    normalized = Embedding(
-        emb.space, tuple(tuple(x / lip for x in v) for v in emb.vectors), emb.target
-    )
+    # the 1-Lipschitz map f = emb / lip is rows / den
+    rows, scale = _integer_rows(emb.vectors)
+    rows = [[x * lip.denominator for x in row] for row in rows]
+    den = scale * lip.numerator
     ell = Fraction(1) / (lip * colip)
 
     params_all = family.params
     g_cur = 0
     v_params: list[Fraction] = [params_all[0], params_all[-1]]
     points = [family.vertex_at(g_cur, p) for p in v_params]
-    levels = [_level_from_points(normalized, v_params, points)]
+    levels = [_level_from_points(rows, den, v_params, points)]
     diff_norms: list[Fraction] = []
     checks = 0
 
@@ -618,14 +735,13 @@ def martingale_from_embedding(
         resp = family.respond(g_cur, controls)
         q = list(resp.q_params)
         w_points = [family.vertex_at(g_cur, p) for p in q]
-        m_odd = _level_from_points(normalized, q, w_points)
+        m_odd = _level_from_points(rows, den, q, w_points)
         levels.append(m_odd)
 
         q_idx = [params_all.index(p) for p in q]
         even_params: list[Fraction] = [q[0]]
         even_points: list[int] = [w_points[0]]
         picks: list[bool] = []
-        contribution = Fraction(0)
         for i in range(len(q) - 1):
             s = resp.s_params[i]
             dev = resp.deviations[i]
@@ -638,29 +754,21 @@ def martingale_from_embedding(
             zt = family.vertex_at(resp.geodesic, s)
             A = s - q[i]
             B = q[i + 1] - s
-            f_w0 = normalized.vectors[w_points[i]]
-            f_w1 = normalized.vectors[w_points[i + 1]]
-
-            def jump(zv):
-                fz = normalized.vectors[zv]
-                left = tuple((x - y) / A for x, y in zip(fz, f_w0))
-                right = tuple((x - y) / B for x, y in zip(f_w1, fz))
-                return norm(emb.target, _sub(right, left))
-
-            jz, jzt = jump(z), jump(zt)
+            jz, jzt = _slope_jumps(
+                emb.target, rows, den, (w_points[i], w_points[i + 1]), (z, zt), (A, B)
+            )
             pick_z = jz > jzt  # ties go to z-tilde
             chosen = z if pick_z else zt
             needed = (ell / 2) * family.space.d(z, zt) * (Fraction(1) / A + Fraction(1) / B)
             if max(jz, jzt) < needed:
                 raise ValidationError("selection inequality failed; embedding is not bilipschitz")
             checks += 1
-            contribution += dev
             picks.append(pick_z is False)
             even_params.extend([s, q[i + 1]])
             even_points.extend([chosen, w_points[i + 1]])
         gap_pairs = list(zip(q_idx, q_idx[1:]))
         g_cur = family.splice(g_cur, resp.geodesic, gap_pairs, picks)
-        m_even = _level_from_points(normalized, even_params, even_points)
+        m_even = _level_from_points(rows, den, even_params, even_points)
         levels.append(m_even)
         diff_norms.append(martingale_l1_diff(m_even, m_odd, emb.target))
         v_params = even_params

@@ -9,7 +9,8 @@ matrix powers for the Markov convexity sums, every (k, t) term re-simulated
 from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), word-product enumeration for
 Heisenberg balls, plain loops over entries for norms and over pairs and
-triples for distortion, vertex-map distortion and the metric axioms, the
+triples for distortion, vertex-map distortion and the metric axioms, an
+exact knockout tournament for the first maximal ratio, the
 label-prefix formula for tree distances, a sum of one Fraction per letter
 and a sort for the Bourgain labeling, sorted signed ancestor coordinates
 and their running sums for the Bourgain distortion, one Fraction per
@@ -18,8 +19,12 @@ for the SDP feasibility probe, a depth-first search on Fraction lengths for
 geodesics, one Fraction or float per entry (and csv.writer) for the file
 formats, a multi-start SLSQP search for the Hilbert fork gap, every vertex map
 (collapsing ones included) for the cycle-into-trees search,
-a loop over candidates for the thickness constant, and a dense Fraction
-tableau for the exact simplex.
+a loop over candidates for the thickness constant, a dense Fraction
+tableau for the exact simplex, and for the RNP pipeline: Fraction sums per
+vector for the delta-tree and bush checks, one Fraction tuple entry per
+(vertex, quadrilateral) for the tent embedding, a scan of the blocks for
+each broken-line segment's parent, Fraction slopes, jumps and interval
+scans for the martingale levels, and the artificial phase 1 for the gauge.
 """
 
 import csv
@@ -394,6 +399,20 @@ def pairwise_distortion(emb):
             if colip is None or rinv > colip:
                 colip, colip_w = rinv, (i, j)
     return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
+
+
+def first_max_knockout(num, den):
+    """Index of the first maximum of num[k] / den[k] (every den[k] > 0), as
+    `embeddings._first_max` first found it: a knockout compared exactly by
+    cross-multiplication, where the later entry of each match wins only
+    when strictly larger."""
+    idx = np.arange(len(num))
+    while idx.size > 1:
+        m = idx.size // 2 * 2
+        a, b = idx[0:m:2], idx[1:m:2]
+        later = num[b] * den[a] > num[a] * den[b]
+        idx = np.concatenate((np.where(later, b, a), idx[m:]))
+    return int(idx[0])
 
 
 def tree_label_distance(a, b):
@@ -928,3 +947,225 @@ def vectors_to_csv_per_entry(vectors):
             [rational_str(x) if isinstance(x, (int, Fraction)) else repr(float(x)) for x in vec]
         )
     return buf.getvalue()
+
+
+def normalized_l1(v, atoms):
+    """Normalized l1 norm: atoms carry equal mass 1/atoms."""
+    return Fraction(sum(abs(x) for x in v), atoms)
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def verify_delta_tree_fractions(tree):
+    """`rnp.verify_delta_tree` as first written: Fraction norms per vector."""
+    from testspaces.errors import ValidationError
+
+    for lab, vec in tree.vectors.items():
+        if normalized_l1(vec, tree.atoms) != 1:
+            raise ValidationError(f"||x_{lab or 'root'}|| != 1")
+        if len(lab) < tree.depth:
+            c0, c1 = tree.vectors[lab + "0"], tree.vectors[lab + "1"]
+            if any(2 * v != a + b for v, a, b in zip(vec, c0, c1)):
+                raise ValidationError(f"midpoint identity fails at {lab or 'root'}")
+            for child in (c0, c1):
+                if normalized_l1(_sub(vec, child), tree.atoms) < tree.delta:
+                    raise ValidationError(f"separation fails below {lab or 'root'}")
+
+
+def verify_bush_fractions(bush):
+    """`rnp.verify_bush` as first written: the convex combinations and the
+    separations in Fractions, entry by entry."""
+    from testspaces.errors import ValidationError
+
+    if len(bush.levels[0]) != 1:
+        raise ValidationError("a bush must start from a single vector (m_0 = 1)")
+    for n in range(1, len(bush.levels)):
+        seen = set()
+        for k, block in enumerate(bush.blocks[n]):
+            seen.update(block)
+            lam = sum((bush.weights[n][j] for j in block), Fraction(0))
+            if lam != 1:
+                raise ValidationError(f"weights in block ({n},{k}) sum to {lam} != 1")
+            parent = bush.levels[n - 1][k]
+            combo = [Fraction(0)] * bush.atoms
+            for j in block:
+                w = bush.weights[n][j]
+                if w < 0:
+                    raise ValidationError("negative weight")
+                for a in range(bush.atoms):
+                    combo[a] += w * bush.levels[n][j][a]
+                if normalized_l1(_sub(bush.levels[n][j], parent), bush.atoms) < bush.delta:
+                    raise ValidationError(f"separation fails at ({n},{j})")
+            if tuple(combo) != tuple(Fraction(x) for x in parent):
+                raise ValidationError(f"convexity identity fails at ({n},{k})")
+        if seen != set(range(len(bush.levels[n]))):
+            raise ValidationError(f"level-{n} blocks are not a partition")
+
+
+def gauge_by_phase_one(gauge, v):
+    """The gauge value as first computed: the default two-phase route, an
+    artificial basis and phase 1 before the Bland loop."""
+    from testspaces.exactlp import solve_lp
+
+    return solve_lp(gauge._rows, v, gauge._costs)[0]
+
+
+def tent_embedding_tuples(fam, space=None):
+    """`rnp.diamond_l1_embedding` as first written: Fraction heights and one
+    Fraction per (vertex, quadrilateral), looked up in each vertex's chain."""
+    from testspaces.embeddings import Embedding, NormedTarget
+
+    if space is None:
+        space = fam.metric_space()
+    h = [Fraction(x, space.scale) for x in space.num[fam.source].tolist()]
+    spans = []
+    for quad in fam.units:
+        x, y = quad.ends
+        spans.append((min(h[x], h[y]), max(h[x], h[y])))
+    vectors = []
+    for v in range(fam.graph.size):
+        coord = [h[v]]
+        chain = dict(fam.chains[v])
+        for quad, (lo, hi) in zip(fam.units, spans):
+            side = chain.get(quad.uid)
+            if side is None or not (lo < h[v] < hi):
+                coord.append(Fraction(0))
+            else:
+                tent = min(h[v] - lo, hi - h[v])
+                coord.append(tent if side == 0 else -tent)
+        vectors.append(tuple(coord))
+    return Embedding(space, tuple(vectors), NormedTarget("l1", 1 + len(fam.units)))
+
+
+def broken_lines_by_scan(bush, k):
+    """`rnp.broken_line_family` as first written: each segment's product
+    and half computed anew, its parent found by scanning the blocks."""
+    from testspaces.rnp import BrokenLine
+
+    def parent_of(level, j):
+        for kidx, block in enumerate(bush.blocks[level]):
+            if j in block:
+                return kidx
+        raise AssertionError(f"index {j} missing from level-{level} partition")
+
+    def preliminary(segments):
+        out = []
+        for coef, (lvl, kidx) in segments:
+            for j in bush.blocks[lvl + 1][kidx]:
+                out.append((coef * bush.weights[lvl + 1][j], ("y", lvl + 1, j)))
+        return out
+
+    def finalize(pre, bit):
+        out = []
+        for coef, (_, lvl, j) in pre:
+            parent = (lvl - 1, parent_of(lvl, j))
+            child = (lvl, j)
+            first, second = (parent, child) if bit == "0" else (child, parent)
+            out.append((coef / 2, first))
+            out.append((coef / 2, second))
+        return out
+
+    lines = {"": BrokenLine("", ((Fraction(1), (0, 0)),))}
+    frontier = [""]
+    for _ in range(k):
+        nxt = []
+        for lab in frontier:
+            pre = preliminary(lines[lab].segments)
+            for bit in "01":
+                child = lab + bit
+                lines[child] = BrokenLine(child, tuple(finalize(pre, bit)))
+                nxt.append(child)
+        frontier = nxt
+    return lines
+
+
+def _interval_index_scan(breaks, t):
+    for i in range(len(breaks) - 1):
+        if breaks[i] <= t < breaks[i + 1]:
+            return i
+    raise AssertionError("parameter outside the partition")
+
+
+def martingale_l1_diff_fractions(a, b, target):
+    """Bochner L1 norm of a - b: one Fraction difference vector and one
+    `norm` call per interval of the common refinement, found by scans."""
+    from testspaces.embeddings import norm
+
+    breaks = sorted(set(a.breaks) | set(b.breaks))
+    total = Fraction(0)
+    for lo, hi in zip(breaks, breaks[1:]):
+        va = a.values[_interval_index_scan(a.breaks, lo)]
+        vb = b.values[_interval_index_scan(b.breaks, lo)]
+        total += (hi - lo) * norm(target, _sub(va, vb))
+    return total
+
+
+def martingale_fractions(family, emb, steps):
+    """`rnp.martingale_from_embedding` as first written: the embedding
+    divided by lip entry by entry, and every slope, jump and level difference
+    a tuple of Fractions."""
+    from testspaces.embeddings import distortion, norm
+    from testspaces.rnp import Martingale, MartingaleRun, PiecewiseLevel
+
+    def level(vectors, params, points):
+        values = []
+        for i in range(len(points) - 1):
+            num = _sub(vectors[points[i + 1]], vectors[points[i]])
+            den = params[i + 1] - params[i]
+            values.append(tuple(x / den for x in num))
+        return PiecewiseLevel(tuple(params), tuple(values))
+
+    rep = distortion(emb)
+    lip, colip = rep.lip, rep.colip
+    normalized = tuple(tuple(x / lip for x in v) for v in emb.vectors)
+    ell = Fraction(1) / (lip * colip)
+    params_all = family.params
+    g_cur = 0
+    v_params = [params_all[0], params_all[-1]]
+    points = [family.vertex_at(g_cur, p) for p in v_params]
+    levels = [level(normalized, v_params, points)]
+    diff_norms = []
+    checks = 0
+    for _ in range(steps):
+        resp = family.respond(g_cur, v_params[1:-1])
+        q = list(resp.q_params)
+        w_points = [family.vertex_at(g_cur, p) for p in q]
+        m_odd = level(normalized, q, w_points)
+        levels.append(m_odd)
+        q_idx = [params_all.index(p) for p in q]
+        even_params, even_points, picks = [q[0]], [w_points[0]], []
+        for i in range(len(q) - 1):
+            s, dev = resp.s_params[i], resp.deviations[i]
+            if dev == 0 or s not in params_all:
+                picks.append(False)
+                even_params.append(q[i + 1])
+                even_points.append(w_points[i + 1])
+                continue
+            z = family.vertex_at(g_cur, s)
+            zt = family.vertex_at(resp.geodesic, s)
+            A, B = s - q[i], q[i + 1] - s
+            f_w0, f_w1 = normalized[w_points[i]], normalized[w_points[i + 1]]
+
+            def jump(zv):
+                fz = normalized[zv]
+                left = tuple((x - y) / A for x, y in zip(fz, f_w0))
+                right = tuple((x - y) / B for x, y in zip(f_w1, fz))
+                return norm(emb.target, _sub(right, left))
+
+            jz, jzt = jump(z), jump(zt)
+            pick_z = jz > jzt
+            chosen = z if pick_z else zt
+            needed = (ell / 2) * family.space.d(z, zt) * (Fraction(1) / A + Fraction(1) / B)
+            assert max(jz, jzt) >= needed, "selection inequality failed"
+            checks += 1
+            picks.append(pick_z is False)
+            even_params.extend([s, q[i + 1]])
+            even_points.extend([chosen, w_points[i + 1]])
+        g_cur = family.splice(g_cur, resp.geodesic, list(zip(q_idx, q_idx[1:])), picks)
+        m_even = level(normalized, even_params, even_points)
+        levels.append(m_even)
+        diff_norms.append(martingale_l1_diff_fractions(m_even, m_odd, emb.target))
+        v_params = even_params
+    return MartingaleRun(Martingale(tuple(levels), emb.target), ell, lip, tuple(diff_norms), checks)

@@ -46,11 +46,10 @@ from testspaces.rnp import (
     thickness_alpha,
     tree_to_bush,
     verify_delta_tree,
-    _l1n,
     _sub,
 )
 
-from _oracles import heisenberg_ball_by_words, min_l2_distortion_points
+from _oracles import heisenberg_ball_by_words, min_l2_distortion_points, normalized_l1
 
 
 def _report(num, text):
@@ -183,9 +182,9 @@ def test_criterion_6_delta_tree_exactness():
         tree = rademacher_tree(n)
         verify_delta_tree(tree)
         for lab, vec in tree.vectors.items():
-            assert _l1n(vec, tree.atoms) == 1
+            assert normalized_l1(vec, tree.atoms) == 1
             if lab:
-                assert _l1n(_sub(vec, tree.vectors[lab[:-1]]), tree.atoms) == 1
+                assert normalized_l1(_sub(vec, tree.vectors[lab[:-1]]), tree.atoms) == 1
     _report(6, "rademacher_tree(n) exact for n = 1..10 (identities, norms, separation)")
 
 

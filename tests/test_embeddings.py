@@ -16,6 +16,7 @@ from testspaces.embeddings import (
     NormedTarget,
     SubmetricSpace,
     _bourgain_tree,
+    _first_max,
     _pair_norms,
     bourgain_distortion,
     bourgain_embed,
@@ -39,6 +40,7 @@ from _oracles import (
     bourgain_labeling_fractions,
     cycle_tree_all_maps,
     entry_norm,
+    first_max_knockout,
     james_alpha_by_vectors,
     pairwise_distortion,
     pairwise_map_distortion,
@@ -494,3 +496,60 @@ def test_map_distortion_object_route():
         map_distortion(MetricSpace.from_rows(((F(0), F(0)), (F(0), F(0)))), path, [0, 1])
     with pytest.raises(ValidationError, match="one image per source point"):
         map_distortion(a, b, [0, 1])
+
+
+def _first_max_cases():
+    """(num, den) arrays: length 1, exact ties, ratios a float cannot tell
+    apart, int64 entries near 2^63 and Python-int (object) entries."""
+    rng = random.Random(41)
+    big = 2**62
+    cases = [
+        ([5], [3]),
+        ([0, 0, 0], [1, 2, 3]),
+        ([2, 4, 6, 1], [1, 2, 3, 1]),  # three tied maxima: the first wins
+        ([3, 1, 3], [2, 1, 2]),
+        ([-3, -1, -2], [1, 1, 1]),  # negative numerators
+        ([big + 1, big], [big, big - 1]),  # 1 + 2^-62 against 1 + ~2^-62
+        ([big - 1, big], [big, big - 1]),
+        ([3 * 2**61, 2**62 + 2**61 + 1], [3, 3]),  # ties below float resolution
+        # the float ratios rank these two the wrong way round
+        ([3328215373057276092, 141626186087543663], [47, 2]),
+        ([2576941492797043917, 2457083748946018618], [43, 41]),
+    ]
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        mag = rng.choice((10, 2**20, 2**61))
+        den = [rng.randint(1, mag) for _ in range(n)]
+        num = [rng.randint(0, mag) for _ in range(n)]
+        if rng.random() < 0.5:  # plant ties with the running maximum
+            k = rng.randrange(n)
+            f = rng.randint(1, 3)
+            num += [num[k] * f]
+            den += [den[k] * f]
+        cases.append((num, den))
+    return cases
+
+
+def test_first_max_matches_knockout():
+    for num, den in _first_max_cases():
+        products_fit = max(map(abs, num)) * max(den) <= 2**63 - 1
+        kinds = [np.array(num, dtype=object), np.array(den, dtype=object)], [
+            np.array(num, dtype=object),
+            np.array(den, dtype=np.int64),
+        ]
+        if products_fit:
+            kinds += ([np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)],)
+        for a, b in kinds:
+            assert _first_max(a, b) == first_max_knockout(a, b), (num, den)
+            if min(num) > 0:  # the reciprocal ratios too, as colip takes them
+                assert _first_max(b, a) == first_max_knockout(b, a), (den, num)
+
+
+def test_first_max_beyond_float_range():
+    # Python ints that overflow a float: every index is a candidate
+    huge = 10**400
+    num = np.array([huge, huge + 1, 3 * huge, 3 * huge + 3], dtype=object)
+    den = np.array([huge, huge, 3 * huge + 1, 3], dtype=object)
+    assert _first_max(num, den) == first_max_knockout(num, den) == 3
+    fractions = np.array([F(1, 3), F(2, 6), F(1, 10**400)], dtype=object)
+    assert _first_max(fractions, np.array([1, 1, 1])) == 0

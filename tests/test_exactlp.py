@@ -129,14 +129,56 @@ def test_ratio_ties_follow_the_oracle(A, b, c, x):
     assert got[1] == x
 
 
+def test_starting_basis_matches_fraction_oracle():
+    # random LPs with an identity block (a feasible basis) after negating
+    # the rows whose b is negative: the value from that basis matches the
+    # two-phase Fraction tableau, and so does unboundedness
+    rng = random.Random(20250)
+    seen = {"optimal": 0, Unbounded: 0}
+    for trial in range(300):
+        A, b, c = _random_lp(rng)
+        m, n = len(A), len(c)
+        sign = [-1 if x < 0 else 1 for x in b]
+        A = [row + [F(sign[i] * (i == k)) for k in range(m)] for i, row in enumerate(A)]
+        c = c + [F(rng.randint(-1, 5), rng.choice((1, 2))) for _ in range(m)]
+        basis = [n + i for i in range(m)]
+        got = _outcome(lambda *lp: solve_lp(*lp, basis=basis), A, b, c)
+        want = _outcome(solve_lp_fractions, A, b, c)
+        if isinstance(want, tuple):
+            assert got[0] == want[0] and type(got[0]) is F, (trial, A, b, c)
+            x = got[1]
+            assert all(xj >= 0 for xj in x)
+            assert all(sum(a * xj for a, xj in zip(row, x)) == bi for row, bi in zip(A, b))
+            seen["optimal"] += 1
+        else:
+            assert got == want
+            seen[got] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_starting_basis_must_be_feasible():
+    A, b, c = [[1, 1, 0], [0, 1, 1]], [2, 3], [1, 1, 1]
+    assert solve_lp(A, b, c, basis=[0, 2]) == solve_lp(A, b, c)
+    assert solve_lp(A, b, c, basis=[1, 2])[0] == 3
+    with pytest.raises(ValidationError, match="singular"):
+        solve_lp(A, b, c, basis=[0, 0])
+    with pytest.raises(ValidationError, match="infeasible"):
+        solve_lp(A, [2, -3], c, basis=[0, 2])
+    with pytest.raises(ValidationError, match="one column per row"):
+        solve_lp(A, b, c, basis=[0])
+    with pytest.raises(ValidationError, match="one column per row"):
+        solve_lp(A, b, c, basis=[0, 3])
+
+
 def _gauge_lps(depth, all_siblings):
-    """Every (A, b, c) the bush pipeline at this depth hands to the LP."""
+    """Every (A, b, c, starting basis) the bush pipeline at this depth hands
+    to the LP."""
     calls = []
     original = rnp.solve_lp
 
-    def record(A, b, c):
-        calls.append((A, b, c))
-        return original(A, b, c)
+    def record(A, b, c, *, basis=None):
+        calls.append((A, b, c, basis))
+        return original(A, b, c, basis=basis)
 
     rnp.solve_lp = record
     try:
@@ -161,10 +203,15 @@ def _gauge_lps(depth, all_siblings):
     [(3, True), (4, False)],
 )
 def test_matches_fraction_oracle_on_gauge_lps(depth, all_siblings):
+    # the gauge starts each LP from its slack basis: that route's value, and
+    # the default route's (value, x), both match the Fraction tableau
     calls = _gauge_lps(depth, all_siblings)
     assert len(calls) >= 30
-    for A, b, c in calls:
-        assert solve_lp(A, b, c) == solve_lp_fractions(A, b, c)
+    for A, b, c, basis in calls:
+        assert basis is not None
+        want = solve_lp_fractions(A, b, c)
+        assert solve_lp(A, b, c, basis=basis)[0] == want[0]
+        assert solve_lp(A, b, c) == want
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

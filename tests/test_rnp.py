@@ -6,12 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from testspaces.embeddings import distortion
+import testspaces.exactlp as exactlp
+from testspaces.embeddings import NormedTarget, distortion
 from testspaces.errors import CapExceededError, ValidationError
 from testspaces.generators import diamond, diamond_weighting
 from testspaces.rnp import (
     FAMILY_GEODESIC_CAP,
     BrokenLine,
+    DeltaBush,
+    DeltaTree,
+    GaugeNorm,
     Martingale,
     PiecewiseLevel,
     broken_line_family,
@@ -26,12 +30,26 @@ from testspaces.rnp import (
     sibling_deviation,
     thickness_alpha,
     tree_to_bush,
+    verify_bush,
     verify_delta_tree,
-    _l1n,
+    _interval_index,
+    _slope_jumps,
     _sub,
 )
 
-from _oracles import pairwise_distortion, thickness_by_pairs
+from _oracles import (
+    broken_lines_by_scan,
+    gauge_by_phase_one,
+    martingale_fractions,
+    martingale_l1_diff_fractions,
+    normalized_l1,
+    pairwise_distortion,
+    solve_lp_fractions,
+    tent_embedding_tuples,
+    thickness_by_pairs,
+    verify_bush_fractions,
+    verify_delta_tree_fractions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +74,9 @@ def test_rademacher_identities_small():
         root = tree.vectors[""]
         assert all(v == 1 for v in root)
         for lab, vec in tree.vectors.items():
-            assert _l1n(vec, tree.atoms) == 1
+            assert normalized_l1(vec, tree.atoms) == 1
             if lab:
-                assert _l1n(_sub(vec, tree.vectors[lab[:-1]]), tree.atoms) == 1
+                assert normalized_l1(_sub(vec, tree.vectors[lab[:-1]]), tree.atoms) == 1
 
 
 def test_tree_to_bush_structure(bush3):
@@ -86,7 +104,7 @@ def test_gauge_dominated_by_base_and_norm_axioms(bush3, gauge3):
     for _ in range(4):
         v, w = rvec(), rvec()
         gv, gw = gauge3.evaluate(v), gauge3.evaluate(w)
-        assert gv <= _l1n(v, 8)
+        assert gv <= normalized_l1(v, 8)
         assert gauge3.evaluate(tuple(5 * x for x in v)) == 5 * gv
         assert gauge3.evaluate(tuple(F(-1) * x for x in v)) == gv
         assert gauge3.evaluate(tuple(a + b for a, b in zip(v, w))) <= gv + gw
@@ -337,3 +355,232 @@ def test_bush_must_sit_on_hyperplane(bush3):
     )
     with pytest.raises(ValidationError):
         broken_line_family(shifted, 1)
+
+
+def _types(rows):
+    return [[type(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_tent_embedding_matches_tuple_route(n):
+    for weighting in (None, diamond_weighting()):
+        fam = diamond(n, weighting) if weighting else diamond(n)
+        emb, want = diamond_l1_embedding(fam), tent_embedding_tuples(fam)
+        assert emb == want
+        assert _types(emb.vectors) == _types(want.vectors)
+        assert {type(x) for v in emb.vectors for x in v} == {F}
+
+
+def test_tent_embedding_rejects_a_foreign_table():
+    d2 = diamond(2, diamond_weighting())
+    # larger family than table (used to leak IndexError), smaller family
+    # than table (used to fail late with "need exactly one vector per point")
+    for n in (3, 1):
+        with pytest.raises(ValidationError, match="distance table has 12 points"):
+            diamond_l1_embedding(diamond(n, diamond_weighting()), d2.metric_space())
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_broken_lines_match_scan_route(depth):
+    bush = tree_to_bush(rademacher_tree(depth))
+    lines = broken_line_family(bush, depth)
+    want = broken_lines_by_scan(bush, depth)
+    assert list(lines) == list(want)
+    assert lines == want
+    for lab, line in lines.items():
+        assert [type(c) for c, _ in line.segments] == [type(c) for c, _ in want[lab].segments]
+
+
+def test_broken_lines_on_uneven_weights():
+    # one block of three children with weights 1/2, 1/4, 1/4: the shared
+    # coefficient table must keep products of distinct weights apart
+    root = (1, 1, 1, 1)
+    kids = ((2, 0, 1, 1), (0, 2, 2, 0), (0, 2, 0, 2))
+    weights = ((), (F(1, 2), F(1, 4), F(1, 4)))
+    bush = DeltaBush(4, ((root,), kids), ((), ((0, 1, 2),)), weights, F(1, 2))
+    verify_bush(bush)
+    assert broken_line_family(bush, 1) == broken_lines_by_scan(bush, 1)
+
+
+def test_parent_index():
+    bush = tree_to_bush(rademacher_tree(3))
+    assert [bush.parent_of(3, j) for j in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
+    with pytest.raises(ValidationError, match="index 8 missing from level-3 partition"):
+        bush.parent_of(3, 8)
+
+
+def _corrupted_trees():
+    tree = rademacher_tree(3)
+    for lab, atom, delta in (("", 0, 1), ("01", 3, 2), ("110", 5, -1), ("1", 0, 0)):
+        vectors = dict(tree.vectors)
+        vec = list(vectors[lab])
+        vec[atom] += delta
+        vectors[lab] = tuple(vec)
+        yield DeltaTree(tree.depth, tree.atoms, vectors, tree.delta)
+    yield DeltaTree(tree.depth, tree.atoms, tree.vectors, F(3, 2))  # separation
+    halved = {lab: tuple(F(x, 2) for x in vec) for lab, vec in tree.vectors.items()}
+    yield DeltaTree(tree.depth, tree.atoms, halved, F(1, 2))  # norms fail first
+
+
+def _error(check, arg):
+    try:
+        check(arg)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_tree_checks_match_fraction_route():
+    for tree in _corrupted_trees():
+        assert _error(verify_delta_tree, tree) == _error(verify_delta_tree_fractions, tree)
+    messages = {_error(verify_delta_tree, tree) for tree in _corrupted_trees()}
+    assert {"||x_root|| != 1", "separation fails below root"} <= messages
+
+
+def _corrupted_bushes():
+    bush = tree_to_bush(rademacher_tree(3))
+
+    def change(**fields):
+        return DeltaBush(**{**bush.__dict__, **fields})
+
+    weights = list(bush.weights)
+    weights[2] = (F(3, 4),) + bush.weights[2][1:]
+    yield change(weights=tuple(weights))  # block sum
+    weights[2] = (F(3, 2), F(-1, 2)) + bush.weights[2][2:]
+    yield change(weights=tuple(weights))  # negative weight
+    levels = list(bush.levels)
+    levels[2] = (tuple(x + 1 for x in levels[2][0]),) + levels[2][1:]
+    yield change(levels=tuple(levels))  # convexity
+    yield change(delta=F(2))  # separation
+    blocks = list(bush.blocks)
+    blocks[3] = blocks[3][:-1] + ((6,),)
+    weights = list(bush.weights)
+    weights[3] = bush.weights[3][:6] + (F(1),) + bush.weights[3][7:]
+    yield change(blocks=tuple(blocks), weights=tuple(weights))  # partition (7 missing)
+    yield change(levels=(bush.levels[1],) + bush.levels[1:])  # m_0 != 1
+    scaled = tuple(tuple(tuple(F(x, 3) for x in vec) for vec in level) for level in bush.levels)
+    yield change(levels=scaled, delta=F(1, 3))
+
+
+def test_bush_checks_match_fraction_route():
+    found = [_error(verify_bush, bush) for bush in _corrupted_bushes()]
+    assert found == [_error(verify_bush_fractions, bush) for bush in _corrupted_bushes()]
+    assert found[:3] == [
+        "weights in block (2,0) sum to 5/4 != 1",
+        "negative weight",
+        "convexity identity fails at (2,0)",
+    ]
+    assert found[-1] is None
+
+
+def test_interval_index():
+    breaks = (F(0), F(1, 4), F(1, 2), F(1))
+    assert [_interval_index(breaks, t) for t in (F(0), F(1, 8), F(1, 4), F(3, 4))] == [0, 0, 1, 2]
+    for t in (F(-1, 8), F(1), F(2)):
+        with pytest.raises(ValidationError, match="outside the partition"):
+            _interval_index(breaks, t)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_martingale_matches_fraction_route(n):
+    family = diamond_geodesic_family(n)
+    emb = diamond_l1_embedding(family.family, family.space)
+    for steps in (1, 2, 3):
+        run = martingale_from_embedding(family, emb, steps)
+        want = martingale_fractions(family, emb, steps)
+        assert repr(run) == repr(want)  # values and types
+        assert repr(martingale_check(run.martingale)) == repr(martingale_check(want.martingale))
+        levels = run.martingale.levels
+        for a, b in zip(levels, levels[1:]):
+            diff = martingale_l1_diff(b, a, emb.target)
+            assert type(diff) is F and diff == martingale_l1_diff_fractions(b, a, emb.target)
+
+
+def test_martingale_l1_diff_targets():
+    level = PiecewiseLevel((F(0), F(1, 3), F(1)), ((F(1), -2), (F(1, 2), F(5, 7))))
+    other = PiecewiseLevel((F(0), F(1, 2), F(1)), ((3, F(1, 5)), (F(-1, 3), 0)))
+    for kind in ("l1", "linf", "summing"):
+        target = NormedTarget(kind, 2)
+        want = martingale_l1_diff_fractions(level, other, target)
+        assert martingale_l1_diff(level, other, target) == want
+    with pytest.raises(ValidationError, match="exact rational norm"):
+        martingale_l1_diff(level, other, NormedTarget("l2", 2))
+    floats = PiecewiseLevel(level.breaks, tuple(tuple(map(float, v)) for v in level.values))
+    with pytest.raises(ValidationError, match="exact"):
+        martingale_l1_diff(floats, other, NormedTarget("l1", 2))
+
+
+def test_martingale_needs_exact_vectors(family3):
+    from testspaces.embeddings import Embedding
+
+    emb = diamond_l1_embedding(family3.family, family3.space)
+    floats = tuple(tuple(float(x) for x in v) for v in emb.vectors)
+    with pytest.raises(ValidationError, match="exact"):
+        martingale_from_embedding(family3, Embedding(emb.space, floats, emb.target), 1)
+
+
+def _count_pivots(monkeypatch):
+    calls = []
+    original = exactlp._pivot
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(exactlp, "_pivot", counted)
+    return calls
+
+
+def test_gauge_slack_start_on_unit_generators(monkeypatch, bush3, gauge3):
+    # delta-tree generators lie in the unit ball: the slack basis is optimal
+    pivots = _count_pivots(monkeypatch)
+    vecs = [vec for level in bush3.levels for vec in level]
+    for v in vecs + [_sub(vecs[3], vecs[1]), _sub(vecs[5], vecs[0])]:
+        del pivots[:]
+        value = gauge3.evaluate(v)
+        assert len(pivots) == bush3.atoms  # the starting basis, pivoted in
+        assert value == gauge_by_phase_one(gauge3, v)
+
+
+def test_gauge_slack_start_pivots_off_the_unit_ball(monkeypatch, bush3):
+    # generators of norm 3 and 3/2 make the slack basis suboptimal, so the
+    # Bland loop pivots; its value matches the phase-1 route and the Fraction
+    # tableau
+    pivots = _count_pivots(monkeypatch)
+    vecs = [vec for level in bush3.levels for vec in level]
+    gens = tuple(tuple(3 * x for x in v) for v in vecs[:7]) + tuple(
+        tuple(F(3, 2) * x - 1 for x in v) for v in vecs[7:]
+    )
+    gauge = GaugeNorm(bush3.atoms, gens)
+    rng = random.Random(9)
+    tests = [
+        tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(8)) for _ in range(12)
+    ]
+    phase_two = 0
+    for v in vecs + tests:
+        del pivots[:]
+        value = gauge.evaluate(v)
+        phase_two += len(pivots) - bush3.atoms
+        assert value == gauge_by_phase_one(gauge, v)
+        assert value == solve_lp_fractions(gauge._rows, v, gauge._costs)[0]
+        assert type(value) is F
+    assert phase_two >= 20
+
+
+def test_slope_jumps_match_fractions():
+    from testspaces.embeddings import norm as tnorm
+
+    rng = random.Random(12)
+    for kind in ("l1", "linf", "summing"):
+        target = NormedTarget(kind, 5)
+        for _ in range(20):
+            rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
+            den = rng.randint(1, 7)
+            A, B = F(rng.randint(1, 9), rng.randint(1, 4)), F(rng.randint(1, 9), rng.randint(1, 4))
+            f = [tuple(F(x, den) for x in row) for row in rows]
+            want = []
+            for z in (2, 3):
+                right = tuple((y - x) / B for x, y in zip(f[z], f[1]))
+                left = tuple((x - w) / A for w, x in zip(f[0], f[z]))
+                want.append(tnorm(target, _sub(right, left)))
+            assert _slope_jumps(target, rows, den, (0, 1), (2, 3), (A, B)) == want
