@@ -368,16 +368,22 @@ def fork_gap_estimate(
 
 
 def kloeckner_bound(n: int, K: float, q: float = 2.0) -> float:
-    """Least D >= 1 with D - floor(log2 n) * K / D^(q-1) >= 1."""
+    """Least D >= 1 with D - floor(log2 n) * K / D^(q-1) >= 1.  For q = 2
+    it is the positive root of D^2 - D - bK = 0 (b = floor(log2 n)), as a
+    float rounded down: stepped down one ulp at a time until D^2 - D - bK
+    <= 0 holds exactly, so it never overstates the lower bound."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    if K <= 0 or q < 2:
-        raise ValidationError("need K > 0 and q >= 2")
+    if not 0 < K < math.inf or q < 2:
+        raise ValidationError("need finite K > 0 and q >= 2")
     budget = int(math.floor(math.log2(n))) if n > 1 else 0
     if budget == 0:
         return 1.0
     if q == 2.0:
-        return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * budget * K))
+        D = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * budget * K))
+        while Fraction(D) * (Fraction(D) - 1) > budget * Fraction(K):
+            D = math.nextafter(D, -math.inf)
+        return D
     lo, hi = 1.0, 1.0 + budget * K + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

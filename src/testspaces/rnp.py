@@ -1,5 +1,6 @@
 """The Radon-Nikodym pipeline: delta-trees and delta-bushes in discretized
-L1, the gauge renorming evaluated by exact LP, broken-line families of
+L1, the gauge renorming (the normalized l1 norm for unit-ball generators,
+an exact LP otherwise), broken-line families of
 geodesics, thickness certification for diamond geodesic families, and the
 embedding-to-divergent-martingale construction.
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .embeddings import _ROW_NORMS, Embedding, NormedTarget, distortion, norm
 from .errors import CapExceededError, ValidationError
-from .exactlp import solve_lp
+from .exactlp import _over_lcm, solve_lp
 from .generators import RecursiveFamily, diamond, diamond_weighting, tree_labels
 from .metric_core import (
     INT64_MAX,
@@ -198,11 +199,26 @@ def verify_bush(bush: DeltaBush) -> None:
 @dataclass(frozen=True)
 class GaugeNorm:
     """Minkowski functional of conv(normalized-l1 ball, {+-x_{i,j}}):
-    gauge(v) = min ||w||_1 + sum |mu_j|  over  v = w + sum mu_j x_{i,j},
-    an exact rational LP."""
+    gauge(v) = min ||w||_1 + sum |mu_j|  over  v = w + sum mu_j x_{i,j}.
+
+    When every generator lies in the unit ball (delta-tree and bush vectors
+    do), the hull is the ball and the gauge is the normalized l1 norm:
+    w = v attains it, and ||v|| <= ||w|| + sum |mu_j| ||x_j|| bounds every
+    other decomposition below.  Otherwise it is an exact rational LP."""
 
     atoms: int
     generators: tuple[Vec, ...]
+
+    @cached_property
+    def _in_unit_ball(self) -> bool:
+        """Whether every generator has sum |g_a| <= atoms, read exactly."""
+        for g in self.generators:
+            if len(g) != self.atoms:
+                return False
+            nums, d = _over_lcm(g)
+            if _l1(nums) > self.atoms * d:
+                return False
+        return True
 
     @cached_property
     def _rows(self) -> tuple[tuple, ...]:
@@ -225,13 +241,15 @@ class GaugeNorm:
         return (Fraction(1, self.atoms),) * (2 * self.atoms) + (1,) * (2 * len(self.generators))
 
     def evaluate(self, v: Vec) -> Fraction:
-        """The optimal value, from the slack basis: w+_a where v_a >= 0 and
-        w-_a where v_a < 0 is feasible, so phase 1 is skipped.  When every
-        generator lies in the normalized l1 unit ball (unit delta-tree
-        vectors do), no reduced cost there is negative and phase 2 makes no
-        pivot."""
+        """The gauge of v, a Fraction; entries are int, Fraction or finite
+        float, read exactly.  Unit-ball generators give sum |v_a| / atoms.
+        Otherwise the LP starts from the slack basis (w+_a where v_a >= 0,
+        w-_a where v_a < 0), which is feasible, so phase 1 is skipped."""
         if len(v) != self.atoms:
             raise ValidationError("vector lives in the wrong ambient space")
+        if self._in_unit_ball:
+            nums, d = _over_lcm(v)
+            return Fraction(_l1(nums), self.atoms * d)
         basis = [a if x >= 0 else self.atoms + a for a, x in enumerate(v)]
         value, _ = solve_lp(self._rows, v, self._costs, basis=basis)
         return value
@@ -401,39 +419,39 @@ class GeodesicFamily:
         grid = positions(self.params)
         self._vertex_at = []
         for g in self.geodesics:
+            if g.breakpoints == self.params:
+                self._vertex_at.append(tuple(g.vertices))
+                continue
             at = dict(zip(positions(g.breakpoints), g.vertices))
             self._vertex_at.append(tuple(at.get(p) for p in grid))
         if any(v is None for row in self._vertex_at for v in row):
             raise ValidationError("geodesics do not share a parameter grid")
         self._index_of = {row: i for i, row in enumerate(self._vertex_at)}
-        V = np.array(self._vertex_at)
-        dev = self.space.num[V[:, None, :], V[None, :, :]]  # [a, b, t]: d(g_a(t), g_b(t)) * scale
+        # parameter-major: self._points[t, g] is geodesic g's vertex at params[t]
+        self._points = np.array(self._vertex_at).T.copy()
+        num = self.space.num
         np_ = len(self.params)
-        if int(dev.max()) * np_ > INT64_MAX:
-            dev = dev.astype(object)  # the bubble totals below stay exact
+        if int(num.max()) * np_ > INT64_MAX:
+            num = num.astype(object)  # the bubble totals below stay exact
         # per pair: bitmask of common parameters, sum and count of bubble maxima
-        zero = dev == 0
-        bit = np.array([1 << t for t in range(np_)], dtype=np.int64 if np_ < 63 else object)
-        total, run, bubbles = (np.zeros_like(dev[:, :, 0]) for _ in range(3))
-        for t in range(np_):
-            z = zero[:, :, t]
-            total += np.where(z, run, 0)
+        shape = (len(self.geodesics),) * 2
+        common = np.zeros(shape, dtype=np.int64 if np_ < 63 else object)
+        total, run, bubbles = (np.zeros(shape, dtype=num.dtype) for _ in range(3))
+        for t, v in enumerate(self._points):
+            dev = num[v][:, v]  # d(g_a(t), g_b(t)) * scale
+            z = dev == 0
+            common |= np.left_shift(z, t, dtype=common.dtype)
+            total += run * z
             bubbles += ~z & (run == 0)
-            run = np.where(z, 0, np.maximum(run, dev[:, :, t]))
+            np.maximum(run, dev, out=run)
+            run *= ~z
         total += run
-        self._dev = dev
-        self._common = (zero * bit).sum(axis=2)
+        self._common = common
         self._total = total
         self._nbubbles = bubbles
 
     def vertex_at(self, g: int, param: Fraction) -> int:
         return self._vertex_at[g][self.params.index(param)]
-
-    def _admissible(self, g: int, masks: Sequence[int]) -> np.ndarray:
-        """[k, c]: candidate c meets geodesic g at every parameter in the
-        bitmask masks[k]."""
-        masks = np.array(masks, dtype=self._common.dtype)[:, None]
-        return self._common[g] & masks == masks
 
     def respond(self, g: int, control_params: Sequence[Fraction]) -> OracleResponse:
         """Deviating geodesic through the control points maximizing the total
@@ -446,12 +464,12 @@ class GeodesicFamily:
         if missing:
             raise ValidationError(f"control parameters {missing} are not breakpoints")
         mask = sum(1 << self.params.index(p) for p in controls)
-        cands = np.flatnonzero(self._admissible(g, [mask])[0])
+        cands = np.flatnonzero(self._common[g] & mask == mask)
         if not cands.size:
             raise ValidationError("no geodesic of the family passes the control points")
         keys = zip((-self._total[g, cands]).tolist(), self._nbubbles[g, cands].tolist(), cands.tolist())
         best = min(keys)[2]
-        profile = self._dev[g, best].tolist()
+        profile = self.space.num[self._points[:, g], self._points[:, best]].tolist()
         np_ = len(self.params)
 
         # q: endpoints, controls, and the common flanks of every bubble
@@ -524,12 +542,55 @@ class ThicknessCertificate:
     partial: bool
 
 
+_BLOCK = 1 << 15  # entries per thickness temporary: 256 KB of int64
+
+
+def _distinct_common(family: GeodesicFamily, g0: int, g1: int):
+    """Rows g0..g1-1 of the pair tables cut to one entry per distinct common
+    mask, the largest total with that mask, each row's entries contiguous:
+    (masks, totals, entries per row)."""
+    common, total = family._common[g0:g1], family._total[g0:g1]
+    order = np.lexsort((-total, common))
+    common = np.take_along_axis(common, order, axis=1)
+    keep = np.ones(common.shape, dtype=bool)
+    keep[:, 1:] = common[:, 1:] != common[:, :-1]
+    return common[keep], np.take_along_axis(total, order, axis=1)[keep], keep.sum(axis=1)
+
+
+def _set_maxima(family: GeodesicFamily, masks: np.ndarray):
+    """(g, best) per run of geodesics g, g + 1, ...: best[r, k] is the
+    largest total deviation of a candidate meeting geodesic g + r at every
+    parameter of masks[k], tested once per distinct common mask."""
+    n_geo = len(family.geodesics)
+    rows = max(1, _BLOCK // n_geo)
+    for g0 in range(0, n_geo, rows):
+        common, total, counts = _distinct_common(family, g0, min(g0 + rows, n_geo))
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        r0 = 0
+        while r0 < len(counts):
+            # rows r0..r1-1, whose [entries, sets] tables fit one block
+            r1 = int(np.searchsorted(ends, starts[r0] + _BLOCK // len(masks), side="right"))
+            r1 = max(r1, r0 + 1)
+            lo, hi = starts[r0], ends[r1 - 1]
+            m = common[lo:hi, None]
+            admissible = np.where(m & masks == masks, total[lo:hi, None], -1)
+            yield g0 + r0, np.maximum.reduceat(admissible, starts[r0:r1] - lo, axis=0)
+            r0 = r1
+
+
 def thickness_alpha(
     family: GeodesicFamily, control_budget: int, work_cap: int = 10**7
 ) -> ThicknessCertificate:
     """Certified thickness constant: minimum over family members and interior
-    control sets (size <= budget) of the best achievable total deviation."""
-    interior = family.params[1:-1]
+    control sets (size <= budget) of the best achievable total deviation.
+
+    Admissibility of a candidate for a control set depends only on its
+    common-parameter mask with the geodesic, so each geodesic's candidates
+    are first cut to the largest total per distinct mask.  Ties go to the
+    first geodesic, then to the first control set; when n_geo^2 times the
+    number of control sets exceeds work_cap, only the first sets are tried
+    and the certificate is partial."""
     n_geo = len(family.geodesics)
     sets = [
         combo
@@ -542,15 +603,17 @@ def thickness_alpha(
         partial = True
     ends = (1 << 0) | (1 << (len(family.params) - 1))
     masks = [ends | sum(1 << i for i in combo) for combo in sets]
+    masks = np.array(masks, dtype=family._common.dtype)
     alpha = None
     worst = (0, ())
-    for g in range(n_geo):
-        # best total deviation per control set; g itself (total 0) admits every set
-        best = np.where(family._admissible(g, masks), family._total[g], -1).max(axis=1)
-        k = int(np.argmin(best))
-        if alpha is None or best[k] < alpha:
-            alpha = int(best[k])
-            worst = (g, tuple(family.params[i] for i in sets[k]))
+    for g, best in _set_maxima(family, masks):
+        # g itself (total 0) admits every set, so best >= 0
+        k = best.argmin(axis=1)
+        low = best[np.arange(len(best)), k]
+        r = int(low.argmin())
+        if alpha is None or low[r] < alpha:
+            alpha = int(low[r])
+            worst = (g + r, tuple(family.params[i] for i in sets[k[r]]))
     if alpha is None:
         raise ValidationError("no admissible configuration found")
     alpha = Fraction(alpha, family.space.scale)
@@ -789,35 +852,46 @@ class MartingaleReport:
 def martingale_check(mart: Martingale, bound: Fraction = Fraction(1)) -> MartingaleReport:
     """Exact verification: partitions refine, the length-weighted average of
     each level over a parent interval equals the parent value, and all values
-    stay inside the unit ball."""
+    stay inside the ball of radius bound.  Values must be exact (int or
+    Fraction).  Each level is read once as integer rows over one scale, and
+    each break as its position on the level's integer grid; the children of
+    a parent interval are the intervals between its two ends' positions."""
     failures: list[str] = []
     refinement = True
     condexp = True
     bounded = True
+    target = mart.target
     for k, level in enumerate(mart.levels):
-        for value in level.values:
-            if norm(mart.target, value) > bound:
+        rows, scale = _integer_rows(level.values)
+        rows = np.array(rows, dtype=object).reshape(len(rows), -1)
+        if target.kind in ("l1", "linf", "summing"):
+            norms = [Fraction(n, scale) for n in _exact_norms(target, rows)]
+        else:
+            norms = [norm(target, v) for v in level.values]
+        for value_norm in norms:
+            if value_norm > bound:
                 bounded = False
                 failures.append(f"level {k}: value norm exceeds {bound}")
-        if k == 0:
-            continue
-        prev = mart.levels[k - 1]
-        if not set(prev.breaks) <= set(level.breaks):
-            refinement = False
-            failures.append(f"level {k} does not refine level {k - 1}")
-            continue
-        for i in range(len(prev.breaks) - 1):
-            lo, hi = prev.breaks[i], prev.breaks[i + 1]
-            acc = [Fraction(0)] * len(prev.values[i])
-            for j in range(len(level.breaks) - 1):
-                a, b = level.breaks[j], level.breaks[j + 1]
-                if a >= lo and b <= hi:
-                    for t, x in enumerate(level.values[j]):
-                        acc[t] += (b - a) * x
-            expect = tuple(x * (hi - lo) for x in prev.values[i])
-            if tuple(acc) != expect:
-                condexp = False
-                failures.append(f"conditional expectation fails on ({lo},{hi}] at level {k}")
+        if k > 0:
+            at = {b: j for j, b in enumerate(level.breaks)}
+            if not all(b in at for b in prev.breaks):
+                refinement = False
+                failures.append(f"level {k} does not refine level {k - 1}")
+            else:
+                # s_prev * sum_j len_j * child_j == s * len_i * parent_i, the
+                # lengths integers over the level's break denominator
+                ticks, _ = _over_lcm(level.breaks)
+                cuts = [at[b] for b in prev.breaks]
+                lengths = [b - a for a, b in zip(ticks, ticks[1 : cuts[-1] + 1])]
+                lengths = np.array(lengths, dtype=object)[:, None]
+                acc = np.add.reduceat(lengths * rows[: cuts[-1]], cuts[:-1], axis=0)
+                spans = np.array([ticks[b] - ticks[a] for a, b in zip(cuts, cuts[1:])], dtype=object)
+                unequal = (prev_scale * acc != scale * spans[:, None] * prev_rows).any(axis=1)
+                for i in np.flatnonzero(unequal):
+                    lo, hi = prev.breaks[i], prev.breaks[i + 1]
+                    condexp = False
+                    failures.append(f"conditional expectation fails on ({lo},{hi}] at level {k}")
+        prev, prev_rows, prev_scale = level, rows, scale
     return MartingaleReport(
         valid=not failures,
         refinement_ok=refinement,

@@ -1169,3 +1169,47 @@ def martingale_fractions(family, emb, steps):
         diff_norms.append(martingale_l1_diff_fractions(m_even, m_odd, emb.target))
         v_params = even_params
     return MartingaleRun(Martingale(tuple(levels), emb.target), ell, lip, tuple(diff_norms), checks)
+
+
+def martingale_check_fractions(mart, bound=Fraction(1)):
+    """`rnp.martingale_check` as first written: `norm` once per value, and
+    for every parent interval a scan over every child interval, summing
+    Fraction products entry by entry."""
+    from testspaces.embeddings import norm
+    from testspaces.rnp import MartingaleReport
+
+    failures = []
+    refinement = True
+    condexp = True
+    bounded = True
+    for k, level in enumerate(mart.levels):
+        for value in level.values:
+            if norm(mart.target, value) > bound:
+                bounded = False
+                failures.append(f"level {k}: value norm exceeds {bound}")
+        if k == 0:
+            continue
+        prev = mart.levels[k - 1]
+        if not set(prev.breaks) <= set(level.breaks):
+            refinement = False
+            failures.append(f"level {k} does not refine level {k - 1}")
+            continue
+        for i in range(len(prev.breaks) - 1):
+            lo, hi = prev.breaks[i], prev.breaks[i + 1]
+            acc = [Fraction(0)] * len(prev.values[i])
+            for j in range(len(level.breaks) - 1):
+                a, b = level.breaks[j], level.breaks[j + 1]
+                if a >= lo and b <= hi:
+                    for t, x in enumerate(level.values[j]):
+                        acc[t] += (b - a) * x
+            expect = tuple(x * (hi - lo) for x in prev.values[i])
+            if tuple(acc) != expect:
+                condexp = False
+                failures.append(f"conditional expectation fails on ({lo},{hi}] at level {k}")
+    return MartingaleReport(
+        valid=not failures,
+        refinement_ok=refinement,
+        conditional_expectation_ok=condexp,
+        bounded_ok=bounded,
+        failures=tuple(failures),
+    )

@@ -171,16 +171,20 @@ def test_starting_basis_must_be_feasible():
 
 
 def _gauge_lps(depth, all_siblings):
-    """Every (A, b, c, starting basis) the bush pipeline at this depth hands
-    to the LP."""
+    """(A, b, c, slack basis, gauge value) for every vector the bush
+    pipeline at this depth measures in its gauge: the LP that defines the
+    value, started where the gauge's LP route starts it.  Unit-ball
+    generators give the value in closed form, so no LP runs there."""
     calls = []
-    original = rnp.solve_lp
+    original = rnp.GaugeNorm.evaluate
 
-    def record(A, b, c, *, basis=None):
-        calls.append((A, b, c, basis))
-        return original(A, b, c, basis=basis)
+    def record(gauge, v):
+        value = original(gauge, v)
+        basis = [a if x >= 0 else gauge.atoms + a for a, x in enumerate(v)]
+        calls.append((gauge._rows, v, gauge._costs, basis, value))
+        return value
 
-    rnp.solve_lp = record
+    rnp.GaugeNorm.evaluate = record
     try:
         bush = rnp.tree_to_bush(rnp.rademacher_tree(depth))
         gauge = rnp.bush_gauge(bush)
@@ -193,7 +197,7 @@ def _gauge_lps(depth, all_siblings):
         for lab in labels:
             rnp.sibling_deviation(bush, gauge, lines[lab + "0"], lines[lab + "1"])
     finally:
-        rnp.solve_lp = original
+        rnp.GaugeNorm.evaluate = original
     return calls
 
 
@@ -203,14 +207,13 @@ def _gauge_lps(depth, all_siblings):
     [(3, True), (4, False)],
 )
 def test_matches_fraction_oracle_on_gauge_lps(depth, all_siblings):
-    # the gauge starts each LP from its slack basis: that route's value, and
-    # the default route's (value, x), both match the Fraction tableau
+    # the slack-basis route's value, the default route's (value, x) and the
+    # gauge's closed-form value all match the Fraction tableau
     calls = _gauge_lps(depth, all_siblings)
     assert len(calls) >= 30
-    for A, b, c, basis in calls:
-        assert basis is not None
+    for A, b, c, basis, value in calls:
         want = solve_lp_fractions(A, b, c)
-        assert solve_lp(A, b, c, basis=basis)[0] == want[0]
+        assert solve_lp(A, b, c, basis=basis)[0] == want[0] == value
         assert solve_lp(A, b, c) == want
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -435,6 +436,22 @@ def test_kloeckner_bound_closed_form():
     for n in (4, 9, 30):
         b = kloeckner_bound(n, K)
         assert b >= (math.floor(math.log2(n)) * K) ** 0.5 - 1e-12
+
+
+def test_kloeckner_bound_rounds_down():
+    # q = 2: the float never exceeds the root of D^2 - D - bK, checked
+    # exactly, and stays within a few ulps of it
+    rng = random.Random(22)
+    Ks = [0.3, 0.1, 1e-9, 7.25, 1e6] + [rng.uniform(1e-6, 50) for _ in range(200)]
+    for K in Ks:
+        for n in (2, 3, 4, 9, 100, 2**20, 10**9):
+            b = math.floor(math.log2(n))
+            D = kloeckner_bound(n, K)
+            assert F(D) ** 2 - F(D) - b * F(K) <= 0
+            assert D >= 1 and D == pytest.approx((1 + math.sqrt(1 + 4 * b * K)) / 2, rel=1e-15)
+    for K in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValidationError):
+            kloeckner_bound(4, K)
 
 
 def test_kloeckner_bound_below_measured_optima(tree_l2_optimum):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import testspaces.exactlp as exactlp
+import testspaces.rnp as rnp
 from testspaces.embeddings import NormedTarget, distortion
 from testspaces.errors import CapExceededError, ValidationError
 from testspaces.generators import diamond, diamond_weighting
@@ -16,6 +17,7 @@ from testspaces.rnp import (
     DeltaBush,
     DeltaTree,
     GaugeNorm,
+    GeodesicFamily,
     Martingale,
     PiecewiseLevel,
     broken_line_family,
@@ -40,6 +42,7 @@ from testspaces.rnp import (
 from _oracles import (
     broken_lines_by_scan,
     gauge_by_phase_one,
+    martingale_check_fractions,
     martingale_fractions,
     martingale_l1_diff_fractions,
     normalized_l1,
@@ -177,6 +180,26 @@ def test_thickness_matches_pair_loop(family3):
                 assert repr(thickness_alpha(fam, budget, cap)) == repr(thickness_by_pairs(fam, budget, cap))
 
 
+@pytest.mark.parametrize("half", [40, 70])
+def test_thickness_on_two_long_geodesics(half):
+    # the two halves of C_(2 half) share only their ends: 2^(half - 1)
+    # interior control masks exist, but each row has two distinct common
+    # masks, so no table over the mask lattice is built (half = 70 runs the
+    # Python-int mask tables)
+    from testspaces.generators import cycle
+    from testspaces.metric_core import apsp, enumerate_geodesic_paths
+
+    graph = cycle(2 * half)
+    space = apsp(graph)
+    geos = tuple(enumerate_geodesic_paths(graph, 0, half, space=space))
+    fam = GeodesicFamily(None, space, geos, geos[0].breakpoints)
+    assert len(fam.params) == half + 1
+    for budget in (0, 1, 2):
+        cert = thickness_alpha(fam, budget)
+        assert repr(cert) == repr(thickness_by_pairs(fam, budget))
+        assert cert.alpha == (half if budget == 0 else 0)
+
+
 def test_thickness_d3_budget_profile(family3):
     values = [thickness_alpha(family3, b).alpha for b in range(5)]
     assert values == [F(1), F(3, 4), F(1, 2), F(1, 4), F(0)]
@@ -310,6 +333,48 @@ def test_martingale_check_locates_corruption(family3):
     assert not report.valid
     assert not report.conditional_expectation_ok
     assert any("conditional expectation" in f for f in report.failures)
+
+
+def _corrupted_martingales(mart):
+    """(level, k): level k of the martingale with one value shrunk (as in
+    `test_martingale_check_locates_corruption`), one value pushed out of the
+    ball, one break and its interval dropped, or one value negated."""
+    levels = list(mart.levels)
+
+    def with_value(k, i, value):
+        vals = list(levels[k].values)
+        vals[i] = value
+        return PiecewiseLevel(levels[k].breaks, tuple(vals))
+
+    yield with_value(2, 0, tuple(x * F(9, 10) for x in levels[2].values[0])), 2
+    yield with_value(1, 0, (F(2),) + levels[1].values[0][1:]), 1
+    coarse = PiecewiseLevel(levels[3].breaks[:1] + levels[3].breaks[2:], levels[3].values[1:])
+    yield coarse, 3
+    yield with_value(4, 1, tuple(-x for x in levels[4].values[1])), 4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_martingale_check_matches_fraction_route(n):
+    family = diamond_geodesic_family(n)
+    emb = diamond_l1_embedding(family.family, family.space)
+    for steps in (1, 2, 3):
+        mart = martingale_from_embedding(family, emb, steps).martingale
+        for bound in (F(1), F(1, 3), 2):
+            assert repr(martingale_check(mart, bound)) == repr(martingale_check_fractions(mart, bound))
+    for kind in ("linf", "summing", "l2"):
+        other = Martingale(mart.levels, NormedTarget(kind, mart.target.dim))
+        assert repr(martingale_check(other, F(1, 5))) == repr(martingale_check_fractions(other, F(1, 5)))
+    flags = []
+    for level, k in _corrupted_martingales(mart):
+        bad = Martingale(mart.levels[:k] + (level,) + mart.levels[k + 1 :], mart.target)
+        report = martingale_check(bad)
+        assert repr(report) == repr(martingale_check_fractions(bad))
+        assert not report.valid
+        flags.append((report.bounded_ok, report.refinement_ok, report.conditional_expectation_ok))
+    # a shrunk value breaks the averages only; a value outside the ball the
+    # bound and the averages; a dropped break the refinement, and the next
+    # level's averages against the coarser level
+    assert flags[:3] == [(True, True, False), (False, True, False), (True, False, False)]
 
 
 def test_constant_martingale_passes():
@@ -531,15 +596,66 @@ def _count_pivots(monkeypatch):
     return calls
 
 
-def test_gauge_slack_start_on_unit_generators(monkeypatch, bush3, gauge3):
-    # delta-tree generators lie in the unit ball: the slack basis is optimal
-    pivots = _count_pivots(monkeypatch)
+def test_gauge_slack_start_on_unit_generators(monkeypatch, bush3):
+    # delta-tree generators lie in the unit ball, where the gauge is the
+    # normalized l1 norm: no LP runs and no constraint rows are built
+    def no_lp(*args, **kwargs):
+        raise AssertionError("unit-ball generators ran an LP")
+
+    monkeypatch.setattr(rnp, "solve_lp", no_lp)
+    gauge, lp_gauge = bush_gauge(bush3), bush_gauge(bush3)
     vecs = [vec for level in bush3.levels for vec in level]
     for v in vecs + [_sub(vecs[3], vecs[1]), _sub(vecs[5], vecs[0])]:
-        del pivots[:]
-        value = gauge3.evaluate(v)
-        assert len(pivots) == bush3.atoms  # the starting basis, pivoted in
-        assert value == gauge_by_phase_one(gauge3, v)
+        assert gauge.evaluate(v) == gauge_by_phase_one(lp_gauge, v)
+    assert "_rows" not in gauge.__dict__
+
+
+def _gauge_vectors(bush, rng):
+    """An int, a Fraction and a finite-float vector, and a bush difference."""
+    atoms = bush.atoms
+    return [
+        tuple(rng.randint(-5, 5) for _ in range(atoms)),
+        tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(atoms)),
+        tuple(rng.uniform(-3, 3) for _ in range(atoms)),
+        _sub(bush.levels[-1][-1], bush.levels[0][0]),
+    ]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_gauge_closed_form_matches_lp(depth):
+    bush = tree_to_bush(rademacher_tree(depth))
+    gauge = bush_gauge(bush)
+    for v in _gauge_vectors(bush, random.Random(depth)):
+        value = gauge.evaluate(v)
+        assert type(value) is F
+        assert value == normalized_l1(tuple(map(F, v)), bush.atoms)
+        assert value == gauge_by_phase_one(gauge, v)
+        assert value == solve_lp_fractions(gauge._rows, v, gauge._costs)[0]
+
+
+def test_gauge_generator_outside_the_ball_takes_the_lp(monkeypatch, bush3):
+    # one generator at l1 = atoms + 1 leaves the closed form: every value
+    # comes from the LP, and the generator itself has gauge below its norm
+    calls = []
+    original = rnp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["basis"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rnp, "solve_lp", counted)
+    vecs = [vec for level in bush3.levels for vec in level]
+    outside = (2,) + vecs[0][1:]
+    assert sum(outside) == bush3.atoms + 1
+    gauge = GaugeNorm(bush3.atoms, tuple(vecs) + (outside,))
+    tests = _gauge_vectors(bush3, random.Random(5)) + [outside]
+    for v in tests:
+        value = gauge.evaluate(v)
+        assert type(value) is F
+        assert value == gauge_by_phase_one(gauge, v)
+        assert value == solve_lp_fractions(gauge._rows, v, gauge._costs)[0]
+    assert len(calls) == len(tests)
+    assert gauge.evaluate(outside) == 1 < normalized_l1(outside, bush3.atoms)
 
 
 def test_gauge_slack_start_pivots_off_the_unit_ball(monkeypatch, bush3):
