@@ -24,9 +24,24 @@ from .errors import ValidationError
 from .metric_core import MetricSpace, PointId, WeightedGraph, read_only, scaled_integers
 
 
+def _long_decimal(n: int) -> str:
+    """str(n) for an n past the interpreter's int-to-str digit limit (4300
+    by default, never below 640): n is written 600 digits at a time."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**600)
+        chunks.append(r)
+    return sign + str(chunks[-1]) + "".join(f"{r:0600d}" for r in reversed(chunks[:-1]))
+
+
 def rational_str(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:  # more digits than int-to-str allows
+        num = _long_decimal(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_long_decimal(x.denominator)}"
 
 
 def parse_rational(s) -> Fraction:

@@ -368,10 +368,14 @@ def fork_gap_estimate(
 
 
 def kloeckner_bound(n: int, K: float, q: float = 2.0) -> float:
-    """Least D >= 1 with D - floor(log2 n) * K / D^(q-1) >= 1.  For q = 2
-    it is the positive root of D^2 - D - bK = 0 (b = floor(log2 n)), as a
-    float rounded down: stepped down one ulp at a time until D^2 - D - bK
-    <= 0 holds exactly, so it never overstates the lower bound."""
+    """Least D >= 1 with D - floor(log2 n) * K / D^(q-1) >= 1, that is the
+    root of D^q - D^(q-1) - bK = 0 (b = floor(log2 n)), as a float rounded
+    down.  For q = 2 it starts from the closed-form root, for other q from
+    the upper end of a float bisection; for integer-valued q the float is
+    then stepped down one ulp at a time until D^q - D^(q-1) - bK <= 0 holds
+    exactly, so it never overstates the lower bound.  For non-integer q the
+    bisection's upper end is returned as it is, not certified: it may
+    overstate the root by an ulp or so."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
     if not 0 < K < math.inf or q < 2:
@@ -381,17 +385,20 @@ def kloeckner_bound(n: int, K: float, q: float = 2.0) -> float:
         return 1.0
     if q == 2.0:
         D = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * budget * K))
-        while Fraction(D) * (Fraction(D) - 1) > budget * Fraction(K):
-            D = math.nextafter(D, -math.inf)
-        return D
-    lo, hi = 1.0, 1.0 + budget * K + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - budget * K / mid ** (q - 1.0) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    else:
+        lo, D = 1.0, 1.0 + budget * K + 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + D)
+            if mid - budget * K / mid ** (q - 1.0) >= 1.0:
+                D = mid
+            else:
+                lo = mid
+        if not float(q).is_integer():
+            return D
+    e = int(q) - 1
+    while Fraction(D) ** e * (Fraction(D) - 1) > budget * Fraction(K):
+        D = math.nextafter(D, -math.inf)
+    return D
 
 
 def normalize_noncontractive(emb: Embedding) -> tuple[Embedding, DistortionReport]:

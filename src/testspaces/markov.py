@@ -1,9 +1,11 @@
-"""Markov p-convexity functional: exact dynamic programming, Monte Carlo
-estimation (one shared base trajectory per sample with a branched copy per
-split time; for the downward tree walk, one first-disagreement draw per
-split time instead; both on blocks of samples with their own substreams),
-and the built-in walks (downward tree walk, downhill diamond/Laakso walks,
-lazy path walk).
+"""Markov p-convexity functional: exact dynamic programming on integer
+rows (over the states reachable within the horizon; for the downward tree
+walk, one integer pass over the depths instead), Monte Carlo estimation
+(one shared base trajectory per sample with a branched copy per split time;
+for the downward tree walk, one first-disagreement draw per split time
+instead; both on blocks of samples with their own substreams), and the
+built-in walks (downward tree walk, downhill diamond/Laakso walks, lazy
+path walk).
 A chain row lists only its moves, as (v, P(u, v)) pairs with P(u, v) > 0
 and v strictly increasing, so building, checking and reading a row costs
 time in its moves, not in n.
@@ -30,12 +32,16 @@ from .generators import RecursiveFamily, binary_tree
 from .metric_core import MetricSpace, apsp, check_table_size, read_only
 
 TREE_VERTEX_CAP = 100_000
+# bit operations of the exact tree pass, T (T + p ceil(log2 2T)): at p = 2,
+# m = 15 (1.07e9) runs and m = 16 (4.3e9) does not
+TREE_BIT_WORK_CAP = 2**31
 
 
 @dataclass(frozen=True)
 class MarkovChain:
     """Finite chain on states 0..n-1: transition[u] holds the (v, P(u, v))
-    pairs with P(u, v) > 0, v strictly increasing, summing to exactly 1;
+    pairs with P(u, v) > 0 an int or Fraction, v strictly increasing, summing
+    to exactly 1;
     start state; horizon T (time runs 1..T; the chain sits at `start` for t <= 0)."""
 
     transition: tuple[tuple[tuple[int, Fraction], ...], ...]
@@ -52,9 +58,14 @@ class MarkovChain:
             targets = [v for v, _ in row]
             if any(a >= b for a, b in zip([-1, *targets], [*targets, n])):
                 raise ValidationError(f"targets of row {u} must increase within range({n})")
-            if any(q <= 0 for _, q in row):
+            probs = [q for _, q in row]
+            if not all(type(q) is int or isinstance(q, Fraction) for q in probs):
+                raise ValidationError(f"row {u} has a probability that is not an int or Fraction")
+            if any(q <= 0 for q in probs):
                 raise ValidationError(f"non-positive probability in row {u}")
-            if sum((q for _, q in row), Fraction(0)) != 1:
+            # the row sum in integers over the lcm of its denominators
+            den = math.lcm(*(q.denominator for q in probs))
+            if sum(q.numerator * (den // q.denominator) for q in probs) != den:
                 raise ValidationError(f"row {u} does not sum to 1 exactly")
 
     @property
@@ -163,7 +174,9 @@ def exact_convexity(
     and E the scale of the space's distance numerators, D^s pi_s and row u
     of D^j P^j are integer vectors, E d is an integer table, and each sum is
     one Fraction over a power product of D, E and 2.  Row u of P^j is only
-    pushed as far as the largest j that a split at u needs."""
+    pushed as far as the largest j that a split at u needs, and the (E d)^p
+    table covers only the points of the states reachable from start within
+    T steps."""
     if not isinstance(p, int) or p < 1:
         raise ValidationError("exact mode needs integer p >= 1")
     _check_map(chain, mmap, space)
@@ -173,10 +186,19 @@ def exact_convexity(
     D = math.lcm(*{q.denominator for row in chain.transition for _, q in row})
     Q = [[(v, q.numerator * (D // q.denominator)) for v, q in row] for row in chain.transition]
 
-    # N[x][y] = (E d(x, y))^p between the mapped points; at[a] = point of a
-    points = sorted(set(mmap.point_of_state))
+    # the states reachable from start within T steps: only their points are read
+    reach = {chain.start}
+    frontier = {chain.start}
+    for _ in range(T):
+        frontier = {v for a in frontier for v, _ in Q[a]} - reach
+        if not frontier:
+            break
+        reach |= frontier
+
+    # N[x][y] = (E d(x, y))^p between their points; at[a] = point of state a
+    points = sorted({mmap.point_of_state[a] for a in reach})
     where = {x: i for i, x in enumerate(points)}
-    at = [where[x] for x in mmap.point_of_state]
+    at = {a: where[mmap.point_of_state[a]] for a in reach}
     N = [[x**p for x in row] for row in space.num[np.ix_(points, points)].tolist()]
 
     # Pi[s] = D^s pi_s for the split times s = 0..T-1
@@ -335,7 +357,9 @@ def mc_convexity(
     positive = dists[dists > 0]
     if positive.size:
         _check_float_powers(float(positive.min()), float(positive.max()), p)
-    dpow = np.array([[x**p for x in row] for row in dists.tolist()])
+    # one x**p per distinct distance, gathered back into the table
+    values, inverse = np.unique(dists, return_inverse=True)
+    dpow = np.array([x**p for x in values.tolist()])[inverse.reshape(dists.shape)]
     slot = {x: i for i, x in enumerate(points)}
     at = np.array([slot[x] for x in mmap.point_of_state])
 
@@ -415,25 +439,37 @@ def downward_tree_walk(m: int, vertex_cap: int = TREE_VERTEX_CAP) -> WalkBundle:
 
 
 def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
-    """Split-time analytic DP for the downward walk on T_{2^m}: within the
-    horizon the walk sits at depth t, two copies split at time s first
-    disagree at step r with probability 2^{s-r}, and their distance at time
-    t is then 2(t - r + 1).  Exact rationals, no tree materialized."""
+    """Split-time analytic evaluator for the downward walk on T_{2^m}: within
+    the horizon T = 2^m the walk sits at depth t, two copies split at time s
+    first disagree at step r with probability 2^{s-r}, and their distance at
+    time t is then 2(t - r + 1).  Exact rationals, no tree materialized.
+
+    A term (k, t) reads only j = min(t, 2^k) steps after its split, with
+    E[d^p] = F[j] / 2^j, F[w] = sum_{i=1..w} 2^(i-1) (2i)^p.  So the lhs is
+    sum_k 2^(-kp) (sum_{w<=W} F[w] / 2^w + (T - W) F[W] / 2^W), W = 2^k, and
+    one pass over w = 1..T in Python ints builds it over 2^(T + mp).  That
+    pass costs about T (T + p ceil(log2 2T)) bit operations; past
+    TREE_BIT_WORK_CAP it raises CapExceededError before any arithmetic."""
     if m < 1 or not isinstance(p, int) or p < 1:
         raise ValidationError("need m >= 1 and integer p >= 1")
+    # T^2 alone exceeds the cap once 2m reaches its bit length
+    if 2 * m >= TREE_BIT_WORK_CAP.bit_length() or 2**m * (2**m + p * (m + 1)) > TREE_BIT_WORK_CAP:
+        raise CapExceededError(
+            f"the exact tree pass at T = 2^{m}, p = {p} needs T (T + p ceil(log2 2T)) bit "
+            f"operations, more than the cap of {TREE_BIT_WORK_CAP}"
+        )
     T = 2**m
-    terms = _split_terms(T)
-
-    # F[w] = sum_{i=1..w} 2^(i-1) (2i)^p  so  E[d^p | window w] = F[w] / 2^w
-    F = [Fraction(0)]
-    for i in range(1, T + 1):
-        F.append(F[-1] + Fraction(2) ** (i - 1) * (2 * i) ** p)
-
-    lhs = Fraction(0)
-    for k, _, j in terms:
-        lhs += Fraction(F[j], 2**j) / Fraction(2) ** (k * p)
+    # F = F[w]; A = sum_{i<=w} 2^(w-i) F[i], so sum_{i<=w} F[i] / 2^i = A / 2^w
+    F = A = lhs = 0
+    for w in range(1, T + 1):
+        F += (2 * w) ** p << (w - 1)
+        A = 2 * A + F
+        if w & (w - 1) == 0:  # w = W = 2^k: the terms of k, lifted to 2^(T + mp)
+            lhs += (A + (T - w) * F) << ((m - w.bit_length() + 1) * p + T - w)
     rhs = Fraction(T)  # every step within the horizon moves distance exactly 1
-    return ConvexityEstimate(float(p), lhs, rhs, MethodInfo("exactDP(analytic)"))
+    return ConvexityEstimate(
+        float(p), Fraction(lhs, 2 ** (T + m * p)), rhs, MethodInfo("exactDP(analytic)")
+    )
 
 
 def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> ConvexityEstimate:
@@ -487,13 +523,14 @@ def downhill_walk(
     adj = graph.adjacency()
     n = graph.size
     hops = int(space.d(family.source, sink) / edge_len)
+    to_sink = space.num[:, sink].tolist()
     T = horizon if horizon is not None else hops
     rows = []
     for u in range(n):
         if u == sink:
             rows.append(((u, Fraction(1)),))
             continue
-        downs = sorted(v for v, _ in adj[u] if space.num[v, sink] < space.num[u, sink])
+        downs = sorted(v for v, _ in adj[u] if to_sink[v] < to_sink[u])
         if not downs:
             raise ValidationError(f"vertex {u} has no neighbor closer to the sink")
         share = Fraction(1, len(downs))

@@ -4,8 +4,9 @@ Each one recomputes a quantity by a route disjoint from the library code it
 checks: Floyd-Warshall (numpy min-plus steps) and Fraction-valued Dijkstra
 for shortest paths, nested Fraction tuples for subspaces and rescaled
 metrics, Nelder-Mead coordinate search for optimal euclidean distortion,
-full outcome enumeration for the short downward tree walk, dense Fraction
-matrix powers for the Markov convexity sums, every (k, t) term re-simulated
+full outcome enumeration for the short downward tree walk and a Fraction
+term table for the longer ones, dense Fraction matrix powers for the
+Markov convexity sums, every (k, t) term re-simulated
 from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), word-product enumeration for
 Heisenberg balls, plain loops over entries for norms and over pairs and
@@ -155,6 +156,24 @@ def tree_walk_m1_exact(p):
             lhs += acc / Fraction(2) ** (k * p)
     rhs = Fraction(T)
     return lhs, rhs
+
+
+def tree_walk_convexity_f_table(m, p):
+    """(lhs, rhs) of the downward walk on T_{2^m} from a table of
+    F[w] = sum_{i<=w} 2^(i-1) (2i)^p as Fractions and one Fraction term
+    F[j] / 2^j / 2^(kp) per (k, t), j = t - max(t - 2^k, 0): the library's
+    evaluator before it became one integer pass."""
+    T = 2**m
+    kmax = math.ceil(math.log2(T)) if T > 1 else 0
+    F = [Fraction(0)]
+    for i in range(1, T + 1):
+        F.append(F[-1] + Fraction(2) ** (i - 1) * (2 * i) ** p)
+    lhs = Fraction(0)
+    for k in range(kmax + 1):
+        for t in range(1, T + 1):
+            j = t - max(t - 2**k, 0)
+            lhs += Fraction(F[j], 2**j) / Fraction(2) ** (k * p)
+    return lhs, Fraction(T)
 
 
 def heisenberg_ball_by_words(r):

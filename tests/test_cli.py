@@ -65,6 +65,32 @@ def test_markov_exact_pi_lower_beyond_float_range(capsys):
     assert math.isfinite(pi) and pi == pytest.approx(math.exp(log_ratio / 2000), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, pi", [(13, 6.6242), (14, 6.9192)])
+def test_markov_tree_exact_past_the_mc_horizon_cap(capsys, n, pi):
+    # the exact tree pass has no term table, so T = 8192 and 16384 run; at
+    # n = 14 the lhs numerator has more digits than int-to-str allows
+    code, rep = run_cli(capsys, "markov", "--walk", "tree", "--n", str(n), "--mode", "exact")
+    assert code == 0
+    assert rep["result"]["rhs"] == str(2**n)
+    assert rep["result"]["piLower"] == pytest.approx(pi, abs=1e-4)
+    assert len(rep["result"]["lhs"]) > (4300 if n == 14 else 2000)
+
+
+def test_markov_tree_exact_caps_its_bit_work(capsys):
+    # T (T + p ceil(log2 2T)) = 4.3e9 bit operations at n = 16: the cap
+    # fires before any arithmetic
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(capsys, "markov", "--walk", "tree", "--n", "16", "--mode", "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert rep["error"]["kind"] == "cap_exceeded"
+    assert "bit operations" in rep["error"]["message"]
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("walk", ["tree", "path"])
 def test_markov_horizon_only_for_downhill_walks(capsys, walk):
     code, rep = run_cli(

@@ -1,5 +1,6 @@
 """Serialization round trips: graph JSON, distance CSV, vector CSV."""
 
+import decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -42,6 +43,16 @@ def test_rational_strings():
         parse_rational("1/0")
     with pytest.raises(ValidationError):
         parse_rational("x")
+
+
+@pytest.mark.parametrize(
+    "x", [F(10**5000 + 7), F(-(3**20000)), F(3**9000, 2**20001), F(10**600), F(10**1200 - 1, 7)]
+)
+def test_rational_strings_past_the_int_digit_limit(x):
+    # str(int) refuses more than 4300 digits by default; Decimal writes
+    # every digit by another route
+    num, den = (str(decimal.Decimal(v)) for v in (x.numerator, x.denominator))
+    assert rational_str(x) == (num if den == "1" else f"{num}/{den}")
 
 
 def test_graph_round_trip():

@@ -439,16 +439,23 @@ def test_kloeckner_bound_closed_form():
 
 
 def test_kloeckner_bound_rounds_down():
-    # q = 2: the float never exceeds the root of D^2 - D - bK, checked
-    # exactly, and stays within a few ulps of it
+    # q = 2, 3, 4: the float never exceeds the root of D^q - D^(q-1) - bK,
+    # checked exactly, and the next float up already does (for q = 2 it also
+    # stays within a few ulps of the closed-form root)
+    def excess(D, q, b, K):
+        return F(D) ** (q - 1) * (F(D) - 1) - b * F(K)
+
     rng = random.Random(22)
     Ks = [0.3, 0.1, 1e-9, 7.25, 1e6] + [rng.uniform(1e-6, 50) for _ in range(200)]
-    for K in Ks:
-        for n in (2, 3, 4, 9, 100, 2**20, 10**9):
-            b = math.floor(math.log2(n))
-            D = kloeckner_bound(n, K)
-            assert F(D) ** 2 - F(D) - b * F(K) <= 0
-            assert D >= 1 and D == pytest.approx((1 + math.sqrt(1 + 4 * b * K)) / 2, rel=1e-15)
+    for q in (2, 3, 4):
+        for K in Ks:
+            for n in (2, 3, 4, 9, 100, 2**20, 10**9):
+                b = math.floor(math.log2(n))
+                D = kloeckner_bound(n, K, float(q))
+                up = math.nextafter(D, math.inf)
+                assert D >= 1 and excess(D, q, b, K) <= 0 < excess(up, q, b, K)
+                if q == 2:
+                    assert D == pytest.approx((1 + math.sqrt(1 + 4 * b * K)) / 2, rel=1e-15)
     for K in (math.inf, math.nan, 0.0):
         with pytest.raises(ValidationError):
             kloeckner_bound(4, K)

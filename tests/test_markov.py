@@ -5,6 +5,7 @@ import math
 import statistics
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,7 @@ from testspaces.metric_core import MetricSpace, WeightedGraph, apsp, path_graph
 from _oracles import (
     dense_exact_convexity,
     mc_convexity_per_term,
+    tree_walk_convexity_f_table,
     tree_walk_convexity_mc_per_term,
     tree_walk_m1_exact,
 )
@@ -52,6 +54,17 @@ def test_chain_validation():
         MarkovChain((((0, F(1)),),), 0, 0)
     with pytest.raises(ValidationError, match="start"):
         MarkovChain((((0, F(1)),),), 1, 1)
+    assert MarkovChain((((0, 1),),), 0, 1).transition == (((0, 1),),)  # an int is exact
+
+
+@pytest.mark.parametrize(
+    "row", [((0, 0.5), (1, 0.5)), ((0, True),), ((0, F(1, 2)), (1, "1/2"))]
+)
+def test_chain_rejects_inexact_probabilities(row):
+    """Floats, bools and other non-Fractions are rejected with their row,
+    not left to fail inside an estimator."""
+    with pytest.raises(ValidationError, match="row 1 has a probability that is not"):
+        MarkovChain((((0, F(1)),), row), 0, 2)
 
 
 def _two_point_space():
@@ -125,6 +138,36 @@ def test_downward_walk_lower_bounds(p):
         assert est.rhs == 2**m
         assert est.lhs >= F(2) ** (p - 2) * m * 2**m
         assert est.lhs / est.rhs >= F(2) ** (p - 2) * m  # piLower >= 2^(1-2/p) m^(1/p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7])
+def test_tree_pass_matches_f_table_oracle(p):
+    for m in range(1, 11):
+        est = tree_walk_convexity_exact(m, p)
+        assert (est.lhs, est.rhs) == tree_walk_convexity_f_table(m, p), m
+
+
+def test_tree_pass_matches_f_table_oracle_at_large_p():
+    est = tree_walk_convexity_exact(3, 2000)
+    assert (est.lhs, est.rhs) == tree_walk_convexity_f_table(3, 2000)
+
+
+def test_tree_pass_builds_no_term_table(monkeypatch):
+    def no_table(T):
+        raise AssertionError(f"split-time term table built for T = {T}")
+
+    monkeypatch.setattr(markov, "_split_terms", no_table)
+    est = tree_walk_convexity_exact(13, 2)
+    assert est.rhs == 2**13
+    assert est.pi_lower == pytest.approx(6.6242, abs=1e-4)
+
+
+def test_tree_pass_caps_its_bit_work():
+    # T (T + p ceil(log2 2T)): 1.07e9 at m = 15, p = 2, 4.3e9 at m = 16
+    assert tree_walk_convexity_exact(15, 2).rhs == 2**15
+    for m, p in [(16, 2), (10**12, 2), (3, 10**9)]:  # 2^m is never formed for m = 10^12
+        with pytest.raises(CapExceededError, match="bit operations"):
+            tree_walk_convexity_exact(m, p)
 
 
 def test_mc_determinism():
@@ -392,6 +435,30 @@ def test_exact_dp_matches_dense_oracle(setup):
     est = exact_convexity(chain, mmap, space, p)
     lhs, rhs = dense_exact_convexity(chain, mmap, space, p)
     assert est.lhs == lhs and est.rhs == rhs
+
+
+@pytest.mark.parametrize("level, horizon", [(4, 3), (3, 2)])
+def test_exact_dp_reads_only_reachable_points(level, horizon):
+    """States the walk cannot reach within the horizon are sent to one extra
+    point far from every other; the DP reads no distance of theirs, so it
+    still matches the dense oracle, which weighs them with probability 0."""
+    fam = diamond(level, diamond_weighting())
+    wb = downhill_walk(fam, horizon=horizon)
+    reach, frontier = {fam.source}, {fam.source}
+    for _ in range(horizon):
+        frontier = {v for u in frontier for v, _ in wb.chain.transition[u]} - reach
+        reach |= frontier
+    n = wb.space.size
+    assert len(reach) < n
+    num = np.zeros((n + 1, n + 1), dtype=object)
+    num[:n, :n] = wb.space.num
+    num[n, :n] = num[:n, n] = 10**6 * int(wb.space.num.max()) + wb.space.num[fam.sink]
+    space = MetricSpace(num, wb.space.scale)
+    mmap = MetricMap(tuple(u if u in reach else n for u in range(n)))
+    est = exact_convexity(wb.chain, mmap, space, 2)
+    assert (est.lhs, est.rhs) == dense_exact_convexity(wb.chain, mmap, space, 2)
+    plain = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+    assert (est.lhs, est.rhs) == (plain.lhs, plain.rhs)
 
 
 def test_pi_lower_outside_float_range():
