@@ -519,15 +519,16 @@ class CycleTreeResult:
     maps_searched: int
 
 
-def cycle_tree_lower_oracle(
-    m: int, max_tree_vertices: int, map_budget: int = 50_000_000
-) -> CycleTreeResult:
+CYCLE_TREE_MAP_BUDGET = 50_000_000
+
+
+def cycle_tree_lower_oracle(m: int, max_tree_vertices: int) -> CycleTreeResult:
     """Exhaustively search all unlabeled unit-weight trees up to the given
     order and all injective vertex maps of the m-cycle into them (a map that
     collapses a pair has infinite distortion, so it cannot win); return the
     minimum distortion found (None when no tree has m vertices).
-    `maps_searched` and `map_budget` count all order^m maps of every tree,
-    the non-injective ones rejected without being evaluated.
+    `maps_searched` and CYCLE_TREE_MAP_BUDGET count all order^m maps of
+    every tree, the non-injective ones rejected without being evaluated.
 
     Consistency guard: the Rabinovich-Raz bound m/3 - 1 must never be beaten.
     """
@@ -545,9 +546,10 @@ def cycle_tree_lower_oracle(
             for tree in nx.nonisomorphic_trees(order)
         ]
         total_maps += order**m * len(trees[order])
-        if total_maps > map_budget:
+        if total_maps > CYCLE_TREE_MAP_BUDGET:
             raise CapExceededError(
-                f"{total_maps} maps into trees on at most {order} vertices exceed budget {map_budget}"
+                f"{total_maps} maps into trees on at most {order} vertices "
+                f"exceed budget {CYCLE_TREE_MAP_BUDGET}"
             )
 
     dc = np.array(

@@ -1,29 +1,25 @@
 """Exact simplex for small linear programs, over integer rows.
 
 min c.x  subject to  A x = b, x >= 0, with int, Fraction or finite float
-entries (a float is read as the rational it is).  Two phases with Bland's
-rule throughout, so the iteration cannot cycle.  Each tableau row is a list
-of Python-int numerators over one positive row denominator, and the reduced
-costs are one more integer row kept up to a positive scale, since only their
-signs are read.  A pivot is an integer multiply-subtract and one gcd per
-row, and the ratio test cross-multiplies; the answer becomes Fractions only
-on return.  Intended for desk-scale problems (tens of variables); everything
-is O(m*n) per pivot.
+entries (a float is read as the rational it is), from a feasible basis the
+caller names.  Bland's rule throughout, so the iteration cannot cycle.  Each
+tableau row is a list of Python-int numerators over one positive row
+denominator, and the reduced costs are one more integer row kept up to a
+positive scale, since only their signs are read.  A pivot is an integer
+multiply-subtract and one gcd per row, and the ratio test cross-multiplies;
+the answer becomes Fractions only on return.  Intended for desk-scale
+problems (tens of variables); everything is O(m*n) per pivot.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 
 Rational = int | Fraction
-
-
-class Infeasible(ValidationError):
-    pass
 
 
 class Unbounded(ValidationError):
@@ -52,62 +48,22 @@ def solve_lp(
     A: Sequence[Sequence[Rational | float]],
     b: Sequence[Rational | float],
     c: Sequence[Rational | float],
-    *,
-    basis: Optional[Sequence[int]] = None,
+    basis: Sequence[int],
 ) -> tuple[Fraction, list[Fraction]]:
-    """Two-phase simplex; returns (optimal value, an optimal x).
+    """Simplex from a feasible starting basis; returns (optimal value, an
+    optimal x).
 
-    `basis` may name a feasible starting basis, column basis[i] for row i:
-    it is pivoted in row by row, phase 1 is skipped and phase 2 runs the
-    same Bland loop from there.  The optimal value is the same; x may be
-    another optimal vertex.  A basis that is singular in that row order, or
-    whose basic solution has a negative entry, is a ValidationError."""
-    m = len(A)
-    n = len(c)
+    Column basis[i] is pivoted in for row i, row by row, and Bland's loop
+    runs from there.  A basis that is singular in that row order, or whose
+    basic solution has a negative entry, is a ValidationError."""
+    m, n = len(A), len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValidationError("inconsistent LP dimensions")
     cost_nums, _ = _over_lcm(c)
-    if basis is not None:
-        return _solve_from_basis(A, b, c, cost_nums, list(basis))
-
-    # phase 1: artificial identity basis on rows with b >= 0; row i is
-    # T[i] / dens[i], and T[m] holds the reduced costs
-    T: list[list[int]] = []
-    dens: list[int] = []
-    for i in range(m):
-        nums, d = _integer_row(A[i], b[i])
-        if nums[-1] < 0:
-            nums = [-x for x in nums]
-        T.append(nums[:n] + [0] * m + nums[n:])
-        T[i][n + i] = d
-        dens.append(d)
-    basis = [n + i for i in range(m)]
-    T.append(_reduced_costs(T, dens, basis, [0] * n + [1] * m))
-    dens.append(1)
-    _simplex(T, dens, basis, allowed=n + m)
-    # every right-hand side stays >= 0, so the phase-1 optimum is 0 iff
-    # each artificial still basic sits at 0
-    if any(T[i][-1] > 0 for i in range(m) if basis[i] >= n):
-        raise Infeasible("LP has no feasible point")
-
-    # drive leftover artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
-            if pivot_col is not None:
-                _pivot(T, dens, i, pivot_col)
-                basis[i] = pivot_col
-    # rows still basic in an artificial variable are redundant (b component 0)
-
-    T[m] = _reduced_costs(T[:m], dens, basis, cost_nums + [0] * m)
-    dens[m] = 1
-    return _phase_two(T, dens, basis, c)
-
-
-def _solve_from_basis(A, b, c, cost_nums, basis):
-    m, n = len(A), len(c)
+    basis = list(basis)
     if len(basis) != m or any(not 0 <= k < n for k in basis):
         raise ValidationError("a starting basis names one column per row")
+    # row i is T[i] / dens[i]; T[m] holds the reduced costs
     T: list[list[int]] = []
     dens: list[int] = []
     for i in range(m):
@@ -122,7 +78,12 @@ def _solve_from_basis(A, b, c, cost_nums, basis):
         raise ValidationError("starting basis is infeasible")
     T.append(_reduced_costs(T, dens, basis, cost_nums))
     dens.append(1)
-    return _phase_two(T, dens, basis, c)
+    _simplex(T, dens, basis)
+    x = [Fraction(0)] * n
+    for i, k in enumerate(basis):
+        x[k] = Fraction(T[i][-1], dens[i])
+    value = sum((_rational(c[j]) * x[j] for j in range(n) if x[j]), Fraction(0))
+    return value, x
 
 
 def _integer_row(a, rhs) -> tuple[list[int], int]:
@@ -137,19 +98,6 @@ def _integer_row(a, rhs) -> tuple[list[int], int]:
     return nums, d
 
 
-def _phase_two(T, dens, basis, c) -> tuple[Fraction, list[Fraction]]:
-    """Bland's loop over the real columns from a feasible tableau whose last
-    row holds the reduced costs; returns (value, x)."""
-    n = len(c)
-    _simplex(T, dens, basis, allowed=n)
-    x = [Fraction(0)] * n
-    for i, k in enumerate(basis):
-        if k < n:
-            x[k] = Fraction(T[i][-1], dens[i])
-    value = sum((_rational(c[j]) * x[j] for j in range(n) if x[j]), Fraction(0))
-    return value, x
-
-
 def _reduced_costs(rows, dens, basis, cost: list[int]) -> list[int]:
     """cost - sum_i cost[basis[i]] * row_i, times a positive integer, as a
     row of the tableau's width."""
@@ -162,12 +110,12 @@ def _reduced_costs(rows, dens, basis, cost: list[int]) -> list[int]:
     return z
 
 
-def _simplex(T, dens, basis, allowed: int) -> None:
+def _simplex(T, dens, basis) -> None:
     m = len(basis)
     while True:
         # Bland: smallest improving index (basic columns have reduced cost 0)
         z = T[m]
-        enter = next((j for j in range(allowed) if z[j] < 0), None)
+        enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
         if enter is None:
             return
         leave = None

@@ -32,7 +32,9 @@ from .metric_core import (
     read_only,
 )
 
-VERTEX_CAP_DEFAULT = 200_000
+VERTEX_CAP = 200_000  # vertices of a binary tree, diamond or Laakso graph
+TREE_PRODUCT_CAP = 20_000  # points of an l1 product of trees
+HEISENBERG_RADIUS_CAP = 8  # the ball grows ~ r^4
 
 
 @dataclass(frozen=True)
@@ -77,13 +79,13 @@ def tree_labels(n: int) -> list[str]:
     return labels
 
 
-def binary_tree(n: int, vertex_cap: int = VERTEX_CAP_DEFAULT) -> WeightedGraph:
+def binary_tree(n: int) -> WeightedGraph:
     """Binary tree of depth n: vertices are 0/1 strings of length <= n,
     edges join a string to its one-letter extensions, unit lengths."""
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    if 2 ** (n + 1) - 1 > vertex_cap:
-        raise CapExceededError(f"binary tree of depth {n} exceeds vertex cap {vertex_cap}")
+    if 2 ** (n + 1) - 1 > VERTEX_CAP:
+        raise CapExceededError(f"binary tree of depth {n} exceeds vertex cap {VERTEX_CAP}")
     labels = tree_labels(n)
     index = {lab: i for i, lab in enumerate(labels)}
     vertices = tuple(PointId(i, lab) for i, lab in enumerate(labels))
@@ -214,7 +216,7 @@ def _through_ends(table: np.ndarray, ends: np.ndarray, offsets: np.ndarray, out:
 
 
 def _replace_edges(
-    kind: str, n: int, w: Weighting, vertex_cap: int, sides: tuple[int, ...], pattern
+    kind: str, n: int, w: Weighting, sides: tuple[int, ...], pattern
 ) -> RecursiveFamily:
     """Start from one edge 0-1 and replace every edge by the pattern n times,
     appending each edge's new vertices after all existing ones."""
@@ -226,8 +228,8 @@ def _replace_edges(
     counts = [2]
     units: list[Replacement] = []
     for level in range(1, n + 1):
-        if len(chains) + len(sides) * len(edges) > vertex_cap:
-            raise CapExceededError(f"{kind} level {n} exceeds vertex cap {vertex_cap}")
+        if len(chains) + len(sides) * len(edges) > VERTEX_CAP:
+            raise CapExceededError(f"{kind} level {n} exceeds vertex cap {VERTEX_CAP}")
         new_edges = []
         for x, y, chain in edges:
             uid = len(units)
@@ -246,23 +248,23 @@ def _replace_edges(
     return RecursiveFamily(kind, n, w, graph, 0, 1, tuple(counts), tuple(units), tuple(chains))
 
 
-def diamond(n: int, w: Weighting = UNIT, vertex_cap: int = VERTEX_CAP_DEFAULT) -> RecursiveFamily:
+def diamond(n: int, w: Weighting = UNIT) -> RecursiveFamily:
     """Level-n diamond: recursively replace each edge by a quadrilateral."""
-    return _replace_edges("diamond", n, w, vertex_cap, *_QUADRILATERAL)
+    return _replace_edges("diamond", n, w, *_QUADRILATERAL)
 
 
-def laakso(n: int, w: Weighting = UNIT, vertex_cap: int = VERTEX_CAP_DEFAULT) -> RecursiveFamily:
+def laakso(n: int, w: Weighting = UNIT) -> RecursiveFamily:
     """Level-n Laakso graph: recursively replace each edge by the 6-vertex
     gadget (stem, two parallel branches, stem), degree-1 gadget vertices
     identified with the edge's endpoints."""
-    return _replace_edges("laakso", n, w, vertex_cap, *_LAAKSO_GADGET)
+    return _replace_edges("laakso", n, w, *_LAAKSO_GADGET)
 
 
 # ---------------------------------------------------------------------------
 # l1 products of trees
 # ---------------------------------------------------------------------------
 
-def tree_product(depths: list[int], size_cap: int = 20_000) -> MetricSpace:
+def tree_product(depths: list[int]) -> MetricSpace:
     """Cartesian product of binary trees with the l1 (sum) metric."""
     if not depths:
         raise ValidationError("need at least one tree depth")
@@ -270,9 +272,11 @@ def tree_product(depths: list[int], size_cap: int = 20_000) -> MetricSpace:
         raise ValidationError("depth must be >= 0")
     # a depth-d tree has 2^(d+1) - 1 vertices; one deeper than the cap's bit
     # length exceeds the cap alone, so its exponent stops there
-    bits = size_cap.bit_length()
-    if math.prod(2 ** (min(d, bits) + 1) - 1 for d in depths) > size_cap:
-        raise CapExceededError(f"product of trees of depths {depths} exceeds cap {size_cap} points")
+    bits = TREE_PRODUCT_CAP.bit_length()
+    if math.prod(2 ** (min(d, bits) + 1) - 1 for d in depths) > TREE_PRODUCT_CAP:
+        raise CapExceededError(
+            f"product of trees of depths {depths} exceeds cap {TREE_PRODUCT_CAP} points"
+        )
     spaces = [apsp(binary_tree(d)) for d in depths]  # unit edges: each scale is 1
     labels = tuple(
         "(" + ",".join(lab or "" for lab in combo) + ")"
@@ -321,7 +325,7 @@ def heisenberg_word_lengths(radius: int) -> dict[tuple[int, int, int], int]:
     return lengths
 
 
-def heisenberg_ball(r: int, radius_cap: int = 8) -> MetricSpace:
+def heisenberg_ball(r: int) -> MetricSpace:
     """All integer Heisenberg elements at word distance <= r from the
     identity, with exact pairwise word distances.
 
@@ -330,8 +334,8 @@ def heisenberg_ball(r: int, radius_cap: int = 8) -> MetricSpace:
     """
     if r < 0:
         raise ValidationError("radius must be >= 0")
-    if r > radius_cap:
-        raise CapExceededError(f"radius {r} exceeds cap {radius_cap} (ball grows ~ r^4)")
+    if r > HEISENBERG_RADIUS_CAP:
+        raise CapExceededError(f"radius {r} exceeds cap {HEISENBERG_RADIUS_CAP} (ball grows ~ r^4)")
     lengths = heisenberg_word_lengths(2 * r)
     ball = sorted((g for g, d in lengths.items() if d <= r), key=lambda g: (lengths[g], g))
     labels = tuple(f"{a},{b},{c}" for a, b, c in ball)

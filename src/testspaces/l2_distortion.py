@@ -225,6 +225,8 @@ def min_distortion_l2(
 
     # scale to unit diameter for well-conditioned tolerances
     diam = Fraction(int(space.num.max()), space.scale)
+    if diam == 0:
+        raise ValidationError("min_distortion_l2 needs a pair at positive distance")
     scaled = space.scaled(1 / diam)
 
     # guaranteed-feasible upper bound: the Frechet rows read as l2 vectors
@@ -281,28 +283,10 @@ def min_distortion_l2(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConvexityModulus:
-    """delta_X(eps) >= c * eps^q."""
-
-    c: float
-    q: float
-
-    def __post_init__(self):
-        if self.c <= 0 or self.q < 2:
-            raise ValidationError("need c > 0 and q >= 2")
-
-
-def l2_modulus() -> ConvexityModulus:
-    # 1 - sqrt(1 - eps^2/4) >= eps^2/8 on (0, 2]
-    return ConvexityModulus(1.0 / 8.0, 2.0)
-
-
-@dataclass(frozen=True)
 class ForkGapEstimate:
     D: float
-    q: float
-    K: float  # gap * D^(q-1)
-    gap: float  # guaranteed per-round distortion improvement K / D^(q-1)
+    K: float  # gap * D, the constant of kloeckner_bound at q = 2
+    gap: float  # guaranteed per-round distortion improvement K / D
     worst_min_norm: float  # sup over feasible forks of min(|x2|, |x2'|)
     feasible: bool
     warning: Optional[str]
@@ -321,25 +305,17 @@ def _fork_sup_upper(D: Fraction) -> float:
         s = math.nextafter(s, math.inf)
 
 
-def fork_gap_estimate(
-    D: float,
-    q: float = 2.0,
-    modulus: Optional[ConvexityModulus] = None,
-) -> ForkGapEstimate:
+def fork_gap_estimate(D: float) -> ForkGapEstimate:
     """Hilbert-space fork gap in closed form, rounded outward.
 
     Over D-Lipschitz non-contractive images of the fork (x0 = 0), the
     parallelogram law gives sup min(|x2|, |x2'|) = sqrt(2 D^2 + 2 D
     sqrt(D^2 - 1)) = sqrt((D + sqrt(D^2 - 1))^2 + 1), attained with
     |x1| = D, |x2 - x1| = |x2' - x1| = D and |x2 - x2'| = 2.  The gap is
-    D - sup/2, scaled to K = gap * D^(q-1).  The reported sup is a float
+    D - sup/2, scaled to K = gap * D.  The reported sup is a float
     certified in exact arithmetic to lie at or above the true value, and
     the gap is rounded down from it, so the gap never overstates the
     per-round improvement.
-
-    The convexity modulus sets the analytic rate behind the gap; the gap
-    itself is the Euclidean one whatever q is, so the modulus only
-    documents which geometry (c, q) the estimate instantiates.
 
     Such forks exist exactly when 3 D^2 >= 4 (D >= 2/sqrt(3)), tested on
     the exact rational value of D.  Below that, D = 1 included (an
@@ -348,14 +324,9 @@ def fork_gap_estimate(
     """
     if not 1 <= D <= 2**500:  # so that D^2 stays a finite float
         raise ValidationError("D must lie in [1, 2^500]")
-    if modulus is None:
-        modulus = l2_modulus()
-    if abs(modulus.q - q) > 1e-12:
-        raise ValidationError("exponent q must match the modulus exponent")
-
     exact = Fraction(D)
     if 3 * exact * exact < 4:
-        return ForkGapEstimate(D, q, math.inf, math.inf, 0.0, False, None)
+        return ForkGapEstimate(D, math.inf, math.inf, 0.0, False, None)
     sup = _fork_sup_upper(exact)
     low = exact - Fraction(sup) / 2
     gap = float(low)
@@ -363,23 +334,21 @@ def fork_gap_estimate(
         gap = math.nextafter(gap, -math.inf)
     # sup < 2D, so 0 is always a valid lower bound
     gap = max(gap, 0.0)
-    K = gap * D ** (q - 1.0)
-    return ForkGapEstimate(D, q, K, gap, sup, True, None)
+    return ForkGapEstimate(D, gap * D, gap, sup, True, None)
 
 
 def kloeckner_bound(n: int, K: float, q: float = 2.0) -> float:
     """Least D >= 1 with D - floor(log2 n) * K / D^(q-1) >= 1, that is the
     root of D^q - D^(q-1) - bK = 0 (b = floor(log2 n)), as a float rounded
-    down.  For q = 2 it starts from the closed-form root, for other q from
-    the upper end of a float bisection; for integer-valued q the float is
-    then stepped down one ulp at a time until D^q - D^(q-1) - bK <= 0 holds
-    exactly, so it never overstates the lower bound.  For non-integer q the
-    bisection's upper end is returned as it is, not certified: it may
-    overstate the root by an ulp or so."""
+    down, for an integer q >= 2 (an integer-valued float is accepted).  For
+    q = 2 it starts from the closed-form root, for other q from the upper
+    end of a float bisection; the float is then stepped down one ulp at a
+    time until D^q - D^(q-1) - bK <= 0 holds exactly, so it never
+    overstates the lower bound."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    if not 0 < K < math.inf or q < 2:
-        raise ValidationError("need finite K > 0 and q >= 2")
+    if not 0 < K < math.inf or not (q >= 2 and float(q).is_integer()):
+        raise ValidationError("need finite K > 0 and integer q >= 2")
     budget = int(math.floor(math.log2(n))) if n > 1 else 0
     if budget == 0:
         return 1.0
@@ -393,8 +362,6 @@ def kloeckner_bound(n: int, K: float, q: float = 2.0) -> float:
                 D = mid
             else:
                 lo = mid
-        if not float(q).is_integer():
-            return D
     e = int(q) - 1
     while Fraction(D) ** e * (Fraction(D) - 1) > budget * Fraction(K):
         D = math.nextafter(D, -math.inf)
@@ -424,9 +391,12 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     T_n: child 0 is the daughter; per selected vertex keep the grandchild
     mapped closest to it on each side (ties to the lexicographically smaller
     label).  The selected set carries half the tree distance and is exactly
-    isometric to T_{floor(n/2)}."""
+    isometric to T_{floor(n/2)}.  The embedding must map into l2, the norm
+    the selection measures in."""
     if n < 2:
         raise ValidationError("need depth >= 2")
+    if emb.target.kind != "l2":
+        raise ValidationError("fork selection needs an l2 embedding")
     space = emb.space
     if space.labels is None:
         raise ValidationError("embedding space must carry tree labels")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .generators import RecursiveFamily, binary_tree
-from .metric_core import MetricSpace, apsp, check_table_size, read_only
+from .metric_core import TABLE_ENTRY_CAP, MetricSpace, apsp, check_table_size, read_only
 
 TREE_VERTEX_CAP = 100_000
 # bit operations of the exact tree pass, T (T + p ceil(log2 2T)): at p = 2,
@@ -406,7 +406,7 @@ class WalkBundle:
     space: MetricSpace
 
 
-def downward_tree_walk(m: int, vertex_cap: int = TREE_VERTEX_CAP) -> WalkBundle:
+def downward_tree_walk(m: int) -> WalkBundle:
     """Downward random walk on T_{2^m}: root start, each non-leaf moves to a
     uniformly random child, leaves absorbing, horizon 2^m.
 
@@ -417,9 +417,9 @@ def downward_tree_walk(m: int, vertex_cap: int = TREE_VERTEX_CAP) -> WalkBundle:
         raise ValidationError("need m >= 1")
     depth = 2**m
     n_vertices = 2 ** (depth + 1) - 1
-    if n_vertices > vertex_cap:
+    if n_vertices > TREE_VERTEX_CAP:
         raise CapExceededError(
-            f"T_{depth} has {n_vertices} vertices (cap {vertex_cap}); "
+            f"T_{depth} has {n_vertices} vertices (cap {TREE_VERTEX_CAP}); "
             "use the analytic mode (tree_walk_convexity_exact / _mc)"
         )
     graph = binary_tree(depth)
@@ -480,11 +480,18 @@ def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> Convexi
     when G_s <= j and 0 otherwise.  So a sample is one geometric draw per
     split time, looked up in a table of weighted contributions, on the
     blocks and substreams of mc_convexity.  Every step moves distance
-    exactly 1, so rhs = T with standard error 0.  Raises ValidationError
-    when (2T)^p overflows float64, CapExceededError past the table cap."""
+    exactly 1, so rhs = T with standard error 0.  Raises CapExceededError
+    past the table cap, checked from m before T is formed, then
+    ValidationError when (2T)^p overflows float64."""
     if m < 1:
         raise ValidationError("need m >= 1")
     _check_mc_args(p, seed, samples)
+    # the (T + 1)^2 term table; T^2 alone exceeds the cap once 2m reaches its bit length
+    if 2 * m >= TABLE_ENTRY_CAP.bit_length() or (2**m + 1) ** 2 > TABLE_ENTRY_CAP:
+        raise CapExceededError(
+            f"the time window 0..2^{m} needs (2^{m} + 1)^2 table entries, "
+            f"more than the cap of {TABLE_ENTRY_CAP}"
+        )
     T = 2**m
     _check_float_powers(2.0, 2.0 * T, p)  # two copies split at most T steps apart
     terms = _split_terms(T)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -73,14 +72,17 @@ class DeltaTree:
     delta: Fraction
 
 
-def rademacher_tree(n: int, depth_cap: int = 12) -> DeltaTree:
+DELTA_TREE_DEPTH_CAP = 12
+
+
+def rademacher_tree(n: int) -> DeltaTree:
     """Product construction in discretized L1: the root is the constant-1
     vector over 2^n atoms and each step multiplies by (1 +- r_k), where r_k
     is the k-th Rademacher sign pattern.  All atom values are integers."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    if n > depth_cap:
-        raise CapExceededError(f"depth {n} exceeds cap {depth_cap}")
+    if n > DELTA_TREE_DEPTH_CAP:
+        raise CapExceededError(f"depth {n} exceeds cap {DELTA_TREE_DEPTH_CAP}")
     atoms = 2**n
     labels = tree_labels(n)
     level = np.ones((1, atoms), dtype=np.int64)  # entries stay <= 2^n
@@ -244,7 +246,7 @@ class GaugeNorm:
         """The gauge of v, a Fraction; entries are int, Fraction or finite
         float, read exactly.  Unit-ball generators give sum |v_a| / atoms.
         Otherwise the LP starts from the slack basis (w+_a where v_a >= 0,
-        w-_a where v_a < 0), which is feasible, so phase 1 is skipped."""
+        w-_a where v_a < 0), which is feasible."""
         if len(v) != self.atoms:
             raise ValidationError("vector lives in the wrong ambient space")
         if self._in_unit_ball:
@@ -398,7 +400,8 @@ class OracleResponse:
 @dataclass
 class GeodesicFamily:
     """All source-sink geodesics of a weighted diamond (or Laakso) instance,
-    with the exhaustive-search response oracle of the thickness definition."""
+    with the exhaustive-search response oracle of the thickness definition.
+    Every geodesic's breakpoints must be `params`."""
 
     family: RecursiveFamily
     space: MetricSpace
@@ -406,26 +409,9 @@ class GeodesicFamily:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # breakpoints as integer positions over the parameters' common
-        # denominator; one off that grid matches no parameter
-        den = math.lcm(*(p.denominator for p in self.params))
-
-        def positions(values):
-            return [
-                p.numerator * (den // p.denominator) if den % p.denominator == 0 else None
-                for p in values
-            ]
-
-        grid = positions(self.params)
-        self._vertex_at = []
-        for g in self.geodesics:
-            if g.breakpoints == self.params:
-                self._vertex_at.append(tuple(g.vertices))
-                continue
-            at = dict(zip(positions(g.breakpoints), g.vertices))
-            self._vertex_at.append(tuple(at.get(p) for p in grid))
-        if any(v is None for row in self._vertex_at for v in row):
+        if any(g.breakpoints != self.params for g in self.geodesics):
             raise ValidationError("geodesics do not share a parameter grid")
+        self._vertex_at = [tuple(g.vertices) for g in self.geodesics]
         self._index_of = {row: i for i, row in enumerate(self._vertex_at)}
         # parameter-major: self._points[t, g] is geodesic g's vertex at params[t]
         self._points = np.array(self._vertex_at).T.copy()
@@ -579,9 +565,10 @@ def _set_maxima(family: GeodesicFamily, masks: np.ndarray):
             r0 = r1
 
 
-def thickness_alpha(
-    family: GeodesicFamily, control_budget: int, work_cap: int = 10**7
-) -> ThicknessCertificate:
+THICKNESS_WORK_CAP = 10**7
+
+
+def thickness_alpha(family: GeodesicFamily, control_budget: int) -> ThicknessCertificate:
     """Certified thickness constant: minimum over family members and interior
     control sets (size <= budget) of the best achievable total deviation.
 
@@ -589,8 +576,10 @@ def thickness_alpha(
     common-parameter mask with the geodesic, so each geodesic's candidates
     are first cut to the largest total per distinct mask.  Ties go to the
     first geodesic, then to the first control set; when n_geo^2 times the
-    number of control sets exceeds work_cap, only the first sets are tried
-    and the certificate is partial."""
+    number of control sets exceeds THICKNESS_WORK_CAP, only the first sets
+    are tried and the certificate is partial."""
+    if control_budget < 0:
+        raise ValidationError("control budget must be >= 0")
     n_geo = len(family.geodesics)
     sets = [
         combo
@@ -598,8 +587,8 @@ def thickness_alpha(
         for combo in itertools.combinations(range(1, len(family.params) - 1), size)
     ]
     partial = False
-    if n_geo * len(sets) * n_geo > work_cap:
-        sets = sets[: max(1, work_cap // (n_geo * n_geo))]
+    if n_geo * len(sets) * n_geo > THICKNESS_WORK_CAP:
+        sets = sets[: max(1, THICKNESS_WORK_CAP // (n_geo * n_geo))]
         partial = True
     ends = (1 << 0) | (1 << (len(family.params) - 1))
     masks = [ends | sum(1 << i for i in combo) for combo in sets]

@@ -623,10 +623,10 @@ _FORK_PAIRS = (
 )
 
 
-def fork_gap_slsqp(D, q=2.0, n_starts=16, seed=20240):
+def fork_gap_slsqp(D, n_starts=16, seed=20240):
     """Numerically maximize min(|x2|, |x2'|) over D-Lipschitz non-contractive
     fork images in R^3 (deterministic multi-start SLSQP); the gap is
-    D - max/2, scaled to K = gap * D^(q-1).  At D = 1 the constraint set is
+    D - max/2, scaled to K = gap * D.  At D = 1 the constraint set is
     empty, reported as feasible=False with gap = +inf."""
     from scipy.optimize import minimize
 
@@ -686,14 +686,13 @@ def fork_gap_slsqp(D, q=2.0, n_starts=16, seed=20240):
             if best_t is None or t > best_t:
                 best_t = t
     if not any_feasible:
-        return ForkGapEstimate(D, q, math.inf, math.inf, 0.0, False, None)
+        return ForkGapEstimate(D, math.inf, math.inf, 0.0, False, None)
     if best_t is None or best_t <= 0:
-        return ForkGapEstimate(D, q, 0.0, 0.0, 0.0, True, "optimizer stalled; widest valid lower bound 0")
+        return ForkGapEstimate(D, 0.0, 0.0, 0.0, True, "optimizer stalled; widest valid lower bound 0")
     gap = D - best_t / 2.0
     if gap < 0:
         gap = 0.0
-    K = gap * D ** (q - 1.0)
-    return ForkGapEstimate(D, q, K, gap, best_t, True, None)
+    return ForkGapEstimate(D, gap * D, gap, best_t, True, None)
 
 
 def cycle_tree_all_maps(m, max_tree_vertices, map_budget=50_000_000):
@@ -811,42 +810,54 @@ def thickness_by_pairs(family, control_budget, work_cap=10**7):
     return ThicknessCertificate(alpha, control_budget, worst[0], worst[1], configs, partial)
 
 
-def solve_lp_fractions(A, b, c):
-    """`exactlp.solve_lp` as first written: the same two-phase Bland simplex
-    over a dense tableau of Fractions.  Returns (optimal value, an optimal x)
-    and raises the library's `Infeasible` / `Unbounded`."""
+def solve_lp_fractions(A, b, c, basis=None):
+    """`exactlp.solve_lp` as first written: Bland's simplex over a dense
+    tableau of Fractions.  Without a basis, an artificial phase 1 finds a
+    feasible one (the two-phase simplex); a given basis is pivoted in row by
+    row, as the library does.  Returns (optimal value, an optimal x) and
+    raises ValidationError for an infeasible LP or starting basis, the
+    library's `Unbounded` for an unbounded one."""
     from testspaces.errors import ValidationError
-    from testspaces.exactlp import Infeasible
 
     m = len(A)
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValidationError("inconsistent LP dimensions")
 
-    # phase 1: artificial identity basis on rows with b >= 0
-    T = []
-    for i in range(m):
-        row = [Fraction(x) for x in A[i]] + [Fraction(0)] * m + [Fraction(b[i])]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[n + i] = Fraction(1)
-        T.append(row)
-    basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
-    _lp_simplex_fractions(T, basis, cost1, allowed=n + m)
-    if sum((cost1[basis[i]] * T[i][-1] for i in range(m)), Fraction(0)) > 0:
-        raise Infeasible("LP has no feasible point")
+    if basis is not None:
+        T = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(m)]
+        basis = list(basis)
+        for i, k in enumerate(basis):
+            if T[i][k] == 0:
+                raise ValidationError("starting basis is singular")
+            _lp_pivot_fractions(T, i, k)
+        if any(row[-1] < 0 for row in T):
+            raise ValidationError("starting basis is infeasible")
+    else:
+        # phase 1: artificial identity basis on rows with b >= 0
+        T = []
+        for i in range(m):
+            row = [Fraction(x) for x in A[i]] + [Fraction(0)] * m + [Fraction(b[i])]
+            if row[-1] < 0:
+                row = [-x for x in row]
+            row[n + i] = Fraction(1)
+            T.append(row)
+        basis = [n + i for i in range(m)]
+        cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+        _lp_simplex_fractions(T, basis, cost1, allowed=n + m)
+        if sum((cost1[basis[i]] * T[i][-1] for i in range(m)), Fraction(0)) > 0:
+            raise ValidationError("LP has no feasible point")
 
-    # drive leftover artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
-            if pivot_col is not None:
-                _lp_pivot_fractions(T, i, pivot_col)
-                basis[i] = pivot_col
-    # rows still basic in an artificial variable are redundant (b component 0)
+        # drive leftover artificials out of the basis where possible
+        for i in range(m):
+            if basis[i] >= n:
+                pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
+                if pivot_col is not None:
+                    _lp_pivot_fractions(T, i, pivot_col)
+                    basis[i] = pivot_col
+        # rows still basic in an artificial variable are redundant (b component 0)
 
-    cost2 = [Fraction(x) for x in c] + [Fraction(0)] * m
+    cost2 = [Fraction(x) for x in c] + [Fraction(0)] * (len(T[0]) - 1 - n)
     _lp_simplex_fractions(T, basis, cost2, allowed=n)
     x = [Fraction(0)] * n
     for i in range(m):
@@ -1024,11 +1035,10 @@ def verify_bush_fractions(bush):
 
 
 def gauge_by_phase_one(gauge, v):
-    """The gauge value as first computed: the default two-phase route, an
-    artificial basis and phase 1 before the Bland loop."""
-    from testspaces.exactlp import solve_lp
-
-    return solve_lp(gauge._rows, v, gauge._costs)[0]
+    """The gauge value as first computed: the gauge LP solved by the
+    two-phase Fraction simplex, an artificial basis and phase 1 before the
+    Bland loop."""
+    return solve_lp_fractions(gauge._rows, v, gauge._costs)[0]
 
 
 def tent_embedding_tuples(fam, space=None):

@@ -167,7 +167,7 @@ def test_criterion_5_kloeckner_pipeline(tree_l2_optimum):
         d_in = float(sel.input_report.distortion)
         d_out = float(sel.report.distortion)
         assert d_out <= d_in + 1e-9
-        est = fork_gap_estimate(d_in, q=2.0)
+        est = fork_gap_estimate(d_in)
         assert est.feasible
         assert sel.improvement >= est.gap - 1e-3, (
             f"T_{n}: improvement {sel.improvement} below gap {est.gap}"

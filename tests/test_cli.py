@@ -91,6 +91,19 @@ def test_markov_tree_exact_caps_its_bit_work(capsys):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("n", ["13", "2000"])
+def test_markov_tree_mc_caps_its_term_table(capsys, n):
+    # the (T + 1)^2 term table is checked from n before T = 2^n is formed;
+    # at n = 2000, 2T would not even convert to a float
+    code, rep = run_cli(
+        capsys, "markov", "--walk", "tree", "--n", n, "--mode", "mc", "--seed", "1",
+        "--samples", "10",
+    )
+    assert code == 3
+    assert rep["error"]["kind"] == "cap_exceeded"
+    assert "table entries" in rep["error"]["message"]
+
+
 @pytest.mark.parametrize("walk", ["tree", "path"])
 def test_markov_horizon_only_for_downhill_walks(capsys, walk):
     code, rep = run_cli(
@@ -211,6 +224,15 @@ def test_rnp_commands(capsys):
     assert code == 0
     assert rep["result"]["diffs_meet_bound"] is True
     assert rep["result"]["martingale_valid"] is True
+
+
+def test_rnp_martingale_rejects_a_negative_control_budget(capsys):
+    code, rep = run_cli(
+        capsys, "rnp", "martingale", "--diamond", "3", "--steps", "1", "--control-budget", "-1"
+    )
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "control budget" in rep["error"]["message"]
 
 
 def test_oracle_commands(capsys):

@@ -315,11 +315,12 @@ def test_cycle_tree_oracle_collapse_slice():
     assert res.min_distortion is None
 
 
-def test_cycle_tree_budget():
-    from testspaces.errors import CapExceededError
+def test_cycle_tree_budget(monkeypatch):
+    import testspaces.embeddings as embeddings
 
+    monkeypatch.setattr(embeddings, "CYCLE_TREE_MAP_BUDGET", 1000)
     with pytest.raises(CapExceededError):
-        cycle_tree_lower_oracle(8, 6, map_budget=1000)
+        cycle_tree_lower_oracle(8, 6)
 
 
 _TREES = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}  # unlabeled trees per order

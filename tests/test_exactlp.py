@@ -1,6 +1,7 @@
-"""Exact simplex: bit-identical to the Fraction-tableau oracle on seeded
-random LPs and on every gauge LP of the bush pipelines, and close to
-scipy's float LP on random small instances."""
+"""Exact simplex from a feasible starting basis: bit-identical to the
+Fraction-tableau oracle started from the same basis on seeded random LPs and
+on every gauge LP of the bush pipelines, at the two-phase optimum, and close
+to scipy's float LP on random small instances."""
 
 import math
 import random
@@ -12,28 +13,48 @@ from scipy.optimize import linprog
 
 import testspaces.rnp as rnp
 from testspaces.errors import ValidationError
-from testspaces.exactlp import Infeasible, Unbounded, solve_lp
+from testspaces.exactlp import Unbounded, solve_lp
 
 from _oracles import solve_lp_fractions
 
 
 def test_tiny_known_lp():
     # min x + y  s.t.  x - y = 1
-    value, x = solve_lp([[F(1), F(-1)]], [F(1)], [F(1), F(1)])
+    value, x = solve_lp([[F(1), F(-1)]], [F(1)], [F(1), F(1)], [0])
     assert value == 1
     assert x[0] - x[1] == 1
 
 
 def test_infeasible():
-    # x + y = -1 with x, y >= 0
-    with pytest.raises(Infeasible):
-        solve_lp([[F(1), F(1)]], [F(-1)], [F(1), F(1)])
+    # x + y = -1 with x, y >= 0: no basis is feasible, and the two-phase
+    # oracle finds no feasible point
+    A, b, c = [[F(1), F(1)]], [F(-1)], [F(1), F(1)]
+    for basis in ([0], [1]):
+        with pytest.raises(ValidationError, match="^starting basis is infeasible$"):
+            solve_lp(A, b, c, basis)
+    with pytest.raises(ValidationError, match="no feasible point"):
+        solve_lp_fractions(A, b, c)
 
 
 def test_degenerate_redundant_rows():
+    # a redundant row makes every basis singular; a zero right-hand side
+    # gives a degenerate vertex, and the loop still reaches the optimum
     A = [[F(1), F(0)], [F(1), F(0)]]
-    value, x = solve_lp(A, [F(2), F(2)], [F(1), F(3)])
-    assert value == 2 and x[0] == 2
+    for basis in ([0, 1], [1, 0], [0, 0]):
+        with pytest.raises(ValidationError, match="singular"):
+            solve_lp(A, [F(2), F(2)], [F(1), F(3)], basis)
+    A = [[F(1), F(-1), F(1), F(0)], [F(1), F(1), F(0), F(1)]]
+    value, x = solve_lp(A, [F(0), F(2)], [F(-1), F(0), F(0), F(0)], [2, 3])
+    assert value == -1 and x == [1, 1, 0, 0]
+
+
+def _with_slacks(A, b, c, slack_costs):
+    """A x = b with one signed slack column per row appended, so that the
+    slack basis has the basic solution |b| >= 0; returns (A, c, basis)."""
+    m, n = len(A), len(c)
+    sign = [-1 if x < 0 else 1 for x in b]
+    A = [row + [F(sign[i] * (i == k)) for k in range(m)] for i, row in enumerate(A)]
+    return A, c + slack_costs, [n + i for i in range(m)]
 
 
 def test_random_instances_match_scipy():
@@ -45,7 +66,9 @@ def test_random_instances_match_scipy():
         c = [F(rng.randint(1, 6)) for _ in range(n)]  # positive costs: bounded
         x_feas = [F(rng.randint(0, 3)) for _ in range(n)]
         b = [sum(A[i][j] * x_feas[j] for j in range(n)) for i in range(m)]
-        value, x = solve_lp(A, b, c)
+        A, c, basis = _with_slacks(A, b, c, [F(rng.randint(1, 6)) for _ in range(m)])
+        n += m
+        value, x = solve_lp(A, b, c, basis)
         for i in range(m):
             assert sum(A[i][j] * x[j] for j in range(n)) == b[i]
         assert all(xi >= 0 for xi in x)
@@ -60,11 +83,12 @@ def test_random_instances_match_scipy():
         assert float(value) == pytest.approx(res.fun, abs=1e-7)
 
 
-def _outcome(solver, A, b, c):
+def _outcome(solver, A, b, c, basis=None):
+    """(value, x), or the type and message of the ValidationError raised."""
     try:
-        return solver(A, b, c)
-    except (Infeasible, Unbounded) as exc:
-        return type(exc)
+        return solver(A, b, c, basis)
+    except ValidationError as exc:
+        return type(exc), str(exc)
 
 
 def _random_lp(rng):
@@ -100,32 +124,45 @@ def _random_lp(rng):
 
 
 def test_matches_fraction_oracle_on_random_lps():
+    # from the slack basis, or from a random column nonzero in each row, the
+    # outcome matches the Fraction tableau started from the same basis: the
+    # same (value, x), or the same singular, infeasible or unbounded verdict
     rng = random.Random(20241)
-    seen = {"optimal": 0, Infeasible: 0, Unbounded: 0}
+    seen = {"optimal": 0, "singular": 0, "infeasible": 0, "unbounded": 0}
     for trial in range(400):
         A, b, c = _random_lp(rng)
-        got = _outcome(solve_lp, A, b, c)
-        want = _outcome(solve_lp_fractions, A, b, c)
-        assert got == want, (trial, A, b, c)
-        if isinstance(got, tuple):
-            assert type(got[0]) is F and all(type(x) is F for x in got[1])
-        seen["optimal" if isinstance(got, tuple) else got] += 1
+        m, n = len(A), len(c)
+        A, c, basis = _with_slacks(A, b, c, [rng.choice((F(0), F(1))) for _ in range(m)])
+        if rng.random() < 0.6:
+            basis = [rng.choice([j for j in range(n + m) if A[i][j]]) for i in range(m)]
+        got = _outcome(solve_lp, A, b, c, basis)
+        want = _outcome(solve_lp_fractions, A, b, c, basis)
+        assert got == want, (trial, A, b, c, basis)
+        if type(got[0]) is F:
+            assert all(type(x) is F for x in got[1])
+            seen["optimal"] += 1
+        else:
+            seen[next(k for k in seen if k in got[1])] += 1
     assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize(
     "A,b,c,x",
     [
-        ([[-1, -2, -2, -2], [-2, -2, -2, 1]], [-4, -4], [0, 1, 0, 0], [F(12, 5), 0, 0, F(4, 5)]),
-        ([[1, 2, 2, 0], [2, 1, 2, 1]], [2, 4], [1, 0, 0, 0], [0, 1, 0, 3]),
-        ([[-2, -2, 2, 1, 1], [-2, 0, -1, -2, 0]], [4, -2], [1, 0, 1, 1, 0], [0, 0, 0, 1, 3]),
+        ([[2, 1, 2, 1, 0], [2, -1, 0, 0, 1]], [2, 2], [1, 0, 0, 1, 0], [0, 2, 0, 0, 4]),
+        ([[0, 1, 2, 1, 0], [2, 1, 0, 0, 1]], [3, 3], [0, 0, -1, 1, 0], [0, 0, F(3, 2), 0, 3]),
+        ([[2, 2, 0, 1, 0], [2, 0, 1, 0, 1]], [2, 2], [-1, 0, -1, 0, 0], [0, 1, 2, 0, 0]),
     ],
 )
 def test_ratio_ties_follow_the_oracle(A, b, c, x):
-    # several optimal vertices, reached through a tied ratio test: x shows
-    # which row left the basis (the smallest basic index among the tied)
-    got = solve_lp(A, b, c)
-    assert got == solve_lp_fractions(A, b, c)
+    # several optimal vertices, reached from the slack basis (the last two
+    # columns) through a tied ratio test: x shows which row left the basis
+    # (the smallest basic index among the tied); the other choice ends at
+    # another optimal vertex
+    basis = [len(c) - 2, len(c) - 1]
+    got = solve_lp(A, b, c, basis)
+    assert got == solve_lp_fractions(A, b, c, basis)
+    assert got[0] == solve_lp_fractions(A, b, c)[0]
     assert got[1] == x
 
 
@@ -137,14 +174,11 @@ def test_starting_basis_matches_fraction_oracle():
     seen = {"optimal": 0, Unbounded: 0}
     for trial in range(300):
         A, b, c = _random_lp(rng)
-        m, n = len(A), len(c)
-        sign = [-1 if x < 0 else 1 for x in b]
-        A = [row + [F(sign[i] * (i == k)) for k in range(m)] for i, row in enumerate(A)]
-        c = c + [F(rng.randint(-1, 5), rng.choice((1, 2))) for _ in range(m)]
-        basis = [n + i for i in range(m)]
-        got = _outcome(lambda *lp: solve_lp(*lp, basis=basis), A, b, c)
+        slack_costs = [F(rng.randint(-1, 5), rng.choice((1, 2))) for _ in range(len(A))]
+        A, c, basis = _with_slacks(A, b, c, slack_costs)
+        got = _outcome(solve_lp, A, b, c, basis)
         want = _outcome(solve_lp_fractions, A, b, c)
-        if isinstance(want, tuple):
+        if type(want[0]) is F:
             assert got[0] == want[0] and type(got[0]) is F, (trial, A, b, c)
             x = got[1]
             assert all(xj >= 0 for xj in x)
@@ -152,13 +186,13 @@ def test_starting_basis_matches_fraction_oracle():
             seen["optimal"] += 1
         else:
             assert got == want
-            seen[got] += 1
+            seen[got[0]] += 1
     assert min(seen.values()) >= 20, seen
 
 
 def test_starting_basis_must_be_feasible():
     A, b, c = [[1, 1, 0], [0, 1, 1]], [2, 3], [1, 1, 1]
-    assert solve_lp(A, b, c, basis=[0, 2]) == solve_lp(A, b, c)
+    assert solve_lp(A, b, c, basis=[0, 2]) == solve_lp_fractions(A, b, c)
     assert solve_lp(A, b, c, basis=[1, 2])[0] == 3
     with pytest.raises(ValidationError, match="singular"):
         solve_lp(A, b, c, basis=[0, 0])
@@ -207,26 +241,27 @@ def _gauge_lps(depth, all_siblings):
     [(3, True), (4, False)],
 )
 def test_matches_fraction_oracle_on_gauge_lps(depth, all_siblings):
-    # the slack-basis route's value, the default route's (value, x) and the
-    # gauge's closed-form value all match the Fraction tableau
+    # from the slack basis, (value, x) matches the Fraction tableau started
+    # there, and the value matches the two-phase optimum and the gauge's
+    # closed-form value
     calls = _gauge_lps(depth, all_siblings)
     assert len(calls) >= 30
     for A, b, c, basis, value in calls:
-        want = solve_lp_fractions(A, b, c)
-        assert solve_lp(A, b, c, basis=basis)[0] == want[0] == value
-        assert solve_lp(A, b, c) == want
+        got = solve_lp(A, b, c, basis)
+        assert got == solve_lp_fractions(A, b, c, basis)
+        assert got[0] == solve_lp_fractions(A, b, c)[0] == value
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_entries_are_rejected(bad):
     with pytest.raises(ValidationError):
-        solve_lp([[1.0, bad]], [1.0], [1.0, 1.0])
+        solve_lp([[1.0, bad]], [1.0], [1.0, 1.0], [0])
     with pytest.raises(ValidationError):
-        solve_lp([[1.0, 1.0]], [bad], [1.0, 1.0])
+        solve_lp([[1.0, 1.0]], [bad], [1.0, 1.0], [0])
     with pytest.raises(ValidationError):
-        solve_lp([[1.0, 1.0]], [1.0], [1.0, bad])
+        solve_lp([[1.0, 1.0]], [1.0], [1.0, bad], [0])
 
 
 def test_finite_floats_are_read_exactly():
-    value, x = solve_lp([[0.5, 1.0]], [0.1], [1.0, 3.0])
+    value, x = solve_lp([[0.5, 1.0]], [0.1], [1.0, 3.0], [0])
     assert x == [2 * F(0.1), F(0)] and value == 2 * F(0.1)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import testspaces.generators as generators
 from testspaces.errors import CapExceededError, ValidationError
 from testspaces.generators import (
     UNIT,
@@ -276,17 +277,23 @@ def test_weighting_validation():
     assert UNIT.edge_length(5) == 1
 
 
-def test_caps():
+def test_caps(monkeypatch):
+    monkeypatch.setattr(generators, "VERTEX_CAP", 20)
     with pytest.raises(CapExceededError):
-        diamond(3, UNIT, vertex_cap=20)
+        diamond(3, UNIT)
     # D_2 has 12 vertices and L_2 has 30: the cap is inclusive
-    assert diamond(2, UNIT, vertex_cap=12).graph.size == 12
+    monkeypatch.setattr(generators, "VERTEX_CAP", 12)
+    assert diamond(2, UNIT).graph.size == 12
+    monkeypatch.setattr(generators, "VERTEX_CAP", 11)
     with pytest.raises(CapExceededError, match="^diamond level 2 exceeds vertex cap 11$"):
-        diamond(2, UNIT, vertex_cap=11)
-    assert laakso(2, UNIT, vertex_cap=30).graph.size == 30
+        diamond(2, UNIT)
+    monkeypatch.setattr(generators, "VERTEX_CAP", 30)
+    assert laakso(2, UNIT).graph.size == 30
+    monkeypatch.setattr(generators, "VERTEX_CAP", 29)
     with pytest.raises(CapExceededError, match="^laakso level 2 exceeds vertex cap 29$"):
-        laakso(2, UNIT, vertex_cap=29)
+        laakso(2, UNIT)
+    monkeypatch.setattr(generators, "VERTEX_CAP", 100)
     with pytest.raises(CapExceededError):
-        binary_tree(8, vertex_cap=100)
+        binary_tree(8)
     with pytest.raises(CapExceededError):
         heisenberg_ball(9)

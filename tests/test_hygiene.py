@@ -6,8 +6,9 @@ diamond and Laakso walks and embeddings never search for shortest paths,
 the Markov module seeds one Monte Carlo block loop and nothing else,
 numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
 fallback, every library function the benchmark traces by name still
-exists, `norm` measures with the row kernels of `distortion`, and no
-tree-label prefix formula stands beside the tree space."""
+exists, `norm` measures with the row kernels of `distortion`, no
+tree-label prefix formula stands beside the tree space, and caps are module
+constants, not per-call options."""
 
 import ast
 import importlib
@@ -389,3 +390,50 @@ def test_norm_and_tree_metric_have_one_route():
     sample = "def norm(t, v):\n    s = sum(abs(x) for x in v)\n    for x in v:\n        s = max(s, x)\n"
     assert entry_work(sample, "norm") == [(2, "loop"), (2, "sum"), (3, "loop")]
     assert [path.name for path in sorted(SRC.glob("*.py")) if "common_prefix" in path.read_text()] == []
+
+
+# the thickness constant's control budget is the paper's quantity, not a cap
+CAP_OPTION_EXEMPT = {"control_budget"}
+
+
+def cap_options(functions) -> list[str]:
+    """`name(parameter)` for every parameter ending in `_cap` or `_budget`,
+    or named `modulus`, of the (name, function) pairs."""
+    return [
+        f"{name}({p})"
+        for name, fn in functions
+        for p in inspect.signature(fn).parameters
+        if (p.endswith(("_cap", "_budget")) or p == "modulus") and p not in CAP_OPTION_EXEMPT
+    ]
+
+
+def public_functions():
+    """(name, function) for every public function of the package and every
+    public method or `__init__` of its public classes."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"testspaces.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield name, obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    public = attr == "__init__" or not attr.startswith("_")
+                    if public and inspect.isfunction(member):
+                        yield f"{name}.{attr}", member
+
+
+def test_caps_are_constants_not_options():
+    # every cap, budget and modulus is one module constant that no caller
+    # sets per call (tests monkeypatch the constant)
+    functions = dict(public_functions())
+    assert functions["thickness_alpha"] is importlib.import_module("testspaces.rnp").thickness_alpha
+    assert cap_options(functions.items()) == []
+
+    def f(n, vertex_cap=10, map_budget=5, control_budget=1, modulus=None, cap=3):
+        return n
+
+    assert cap_options([("f", f)]) == ["f(vertex_cap)", "f(map_budget)", "f(modulus)"]

@@ -26,7 +26,6 @@ from testspaces.l2_distortion import (
     fork_gap_estimate,
     fork_select,
     kloeckner_bound,
-    l2_modulus,
     min_distortion_l2,
     normalize_noncontractive,
     sdp_feasible,
@@ -49,6 +48,12 @@ def test_three_point_spaces_embed_isometrically():
 def test_two_point_space():
     sp = MetricSpace.from_rows(((F(0), F(3)), (F(3), F(0))))
     assert min_distortion_l2(sp).c_star == pytest.approx(1.0, abs=1e-4)
+
+
+def test_space_without_a_positive_distance_is_rejected():
+    sp = MetricSpace.from_rows(((F(0), F(0)), (F(0), F(0))))
+    with pytest.raises(ValidationError, match="positive distance"):
+        min_distortion_l2(sp)
 
 
 def test_c4_feasibility_thresholds():
@@ -410,15 +415,13 @@ def test_fork_gap_is_rounded_outward(D):
     excess = sup**2 - 2 * exact**2
     assert excess >= 0 and excess**2 >= 4 * exact**2 * (exact**2 - 1)
     assert 0 <= F(est.gap) <= exact - sup / 2 or est.gap == 0
-    assert est.K == est.gap * float(D) ** (est.q - 1)
+    assert est.K == est.gap * float(D)
 
 
 def test_fork_gap_validation():
     for D in (0.5, 2.0**501, F(10) ** 400, math.inf, math.nan):
         with pytest.raises(ValidationError):
             fork_gap_estimate(D)
-    with pytest.raises(ValidationError):
-        fork_gap_estimate(1.5, q=3.0)
 
 
 def test_fork_min_l2_distortion_between_feasibility_probes():
@@ -459,6 +462,10 @@ def test_kloeckner_bound_rounds_down():
     for K in (math.inf, math.nan, 0.0):
         with pytest.raises(ValidationError):
             kloeckner_bound(4, K)
+    # only integer q >= 2 is certified: NaN, infinite and fractional q raise
+    for q in (math.nan, math.inf, 1.0, 2.5, 1e-300):
+        with pytest.raises(ValidationError):
+            kloeckner_bound(8, 1.0, q)
 
 
 def test_kloeckner_bound_below_measured_optima(tree_l2_optimum):
@@ -501,6 +508,18 @@ def test_fork_select_frechet_input_gives_half_tree(n):
     ]
 
 
+def test_fork_select_rejects_non_l2_targets():
+    # the nearer grandchild is chosen in l2, so an embedding into another
+    # norm is refused, even one whose vectors are those of an l2 embedding
+    sp = apsp(binary_tree(2))
+    rows = tuple(tuple(map(float, row)) for row in sp.dist)
+    for kind in ("l1", "linf"):
+        with pytest.raises(ValidationError, match="l2"):
+            fork_select(2, Embedding(sp, rows, NormedTarget(kind, sp.size)))
+    sel = fork_select(2, Embedding(sp, rows, NormedTarget("l2", sp.size)))
+    assert sel.new_labels == ("", "0", "1")
+
+
 def test_fork_select_rejects_contractive():
     sp = apsp(binary_tree(2))
     squeezed = Embedding(
@@ -511,10 +530,3 @@ def test_fork_select_rejects_contractive():
     with pytest.raises(ValidationError):
         fork_select(2, squeezed)
 
-
-def test_modulus_parameters():
-    mod = l2_modulus()
-    assert mod.q == 2.0
-    # 1 - sqrt(1 - eps^2/4) >= eps^2/8 on (0, 2]
-    for eps in (0.1, 0.5, 1.0, 1.9):
-        assert 1 - math.sqrt(1 - eps**2 / 4) >= mod.c * eps**mod.q - 1e-12

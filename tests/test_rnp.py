@@ -47,7 +47,6 @@ from _oracles import (
     martingale_l1_diff_fractions,
     normalized_l1,
     pairwise_distortion,
-    solve_lp_fractions,
     tent_embedding_tuples,
     thickness_by_pairs,
     verify_bush_fractions,
@@ -172,12 +171,19 @@ def test_thickness_d2_budget_profile():
     assert [thickness_alpha(fam, b).alpha for b in (0, 1, 2)] == [F(1), F(1, 2), F(0)]
 
 
-def test_thickness_matches_pair_loop(family3):
-    # work_cap=300 truncates the control sets, so `partial` is compared too
+def test_thickness_matches_pair_loop(family3, monkeypatch):
+    # a work cap of 300 truncates the control sets, so `partial` is compared too
     for fam in [diamond_geodesic_family(n) for n in range(3)] + [family3]:
         for budget in range(8):
             for cap in (10**7, 300):
-                assert repr(thickness_alpha(fam, budget, cap)) == repr(thickness_by_pairs(fam, budget, cap))
+                monkeypatch.setattr(rnp, "THICKNESS_WORK_CAP", cap)
+                want = thickness_by_pairs(fam, budget, cap)
+                assert repr(thickness_alpha(fam, budget)) == repr(want)
+
+
+def test_thickness_rejects_a_negative_budget(family3):
+    with pytest.raises(ValidationError, match="control budget"):
+        thickness_alpha(family3, -1)
 
 
 @pytest.mark.parametrize("half", [40, 70])
@@ -211,6 +217,22 @@ def test_geodesic_family_cap_fires_before_pair_tables(family3):
     assert len(family3.geodesics) == 128 <= FAMILY_GEODESIC_CAP
     with pytest.raises(CapExceededError):
         diamond_geodesic_family(4)  # 32768 geodesics, ~1.07e9 pair-table entries
+
+
+def test_geodesics_off_the_parameter_grid_are_rejected():
+    # 0-1-2 has breakpoints (0, 1, 2) and 0-3-4-2 has (0, 1/2, 1, 2): both
+    # are geodesics of length 2, but they share no parameter grid
+    from testspaces.metric_core import PointId, WeightedGraph, apsp, enumerate_geodesic_paths
+
+    half = F(1, 2)
+    edges = ((0, 1, F(1)), (1, 2, F(1)), (0, 3, half), (3, 4, half), (4, 2, F(1)))
+    graph = WeightedGraph(tuple(PointId(i) for i in range(5)), edges)
+    space = apsp(graph)
+    geos = tuple(enumerate_geodesic_paths(graph, 0, 2, space=space))
+    assert len(geos) == 2 and geos[0].breakpoints != geos[1].breakpoints
+    for params in {g.breakpoints for g in geos}:
+        with pytest.raises(ValidationError, match="do not share a parameter grid"):
+            GeodesicFamily(None, space, geos, params)
 
 
 def test_thickness_single_geodesic_family():
@@ -630,7 +652,6 @@ def test_gauge_closed_form_matches_lp(depth):
         assert type(value) is F
         assert value == normalized_l1(tuple(map(F, v)), bush.atoms)
         assert value == gauge_by_phase_one(gauge, v)
-        assert value == solve_lp_fractions(gauge._rows, v, gauge._costs)[0]
 
 
 def test_gauge_generator_outside_the_ball_takes_the_lp(monkeypatch, bush3):
@@ -653,15 +674,13 @@ def test_gauge_generator_outside_the_ball_takes_the_lp(monkeypatch, bush3):
         value = gauge.evaluate(v)
         assert type(value) is F
         assert value == gauge_by_phase_one(gauge, v)
-        assert value == solve_lp_fractions(gauge._rows, v, gauge._costs)[0]
     assert len(calls) == len(tests)
     assert gauge.evaluate(outside) == 1 < normalized_l1(outside, bush3.atoms)
 
 
 def test_gauge_slack_start_pivots_off_the_unit_ball(monkeypatch, bush3):
     # generators of norm 3 and 3/2 make the slack basis suboptimal, so the
-    # Bland loop pivots; its value matches the phase-1 route and the Fraction
-    # tableau
+    # Bland loop pivots; its value matches the two-phase Fraction tableau
     pivots = _count_pivots(monkeypatch)
     vecs = [vec for level in bush3.levels for vec in level]
     gens = tuple(tuple(3 * x for x in v) for v in vecs[:7]) + tuple(
@@ -678,7 +697,6 @@ def test_gauge_slack_start_pivots_off_the_unit_ball(monkeypatch, bush3):
         value = gauge.evaluate(v)
         phase_two += len(pivots) - bush3.atoms
         assert value == gauge_by_phase_one(gauge, v)
-        assert value == solve_lp_fractions(gauge._rows, v, gauge._costs)[0]
         assert type(value) is F
     assert phase_two >= 20
 
