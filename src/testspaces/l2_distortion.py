@@ -285,11 +285,10 @@ def min_distortion_l2(
 @dataclass(frozen=True)
 class ForkGapEstimate:
     D: float
-    K: float  # gap * D, the constant of kloeckner_bound at q = 2
+    K: float  # gap * D, the constant of kloeckner_bound
     gap: float  # guaranteed per-round distortion improvement K / D
     worst_min_norm: float  # sup over feasible forks of min(|x2|, |x2'|)
     feasible: bool
-    warning: Optional[str]
 
 
 def _fork_sup_upper(D: Fraction) -> float:
@@ -326,7 +325,7 @@ def fork_gap_estimate(D: float) -> ForkGapEstimate:
         raise ValidationError("D must lie in [1, 2^500]")
     exact = Fraction(D)
     if 3 * exact * exact < 4:
-        return ForkGapEstimate(D, math.inf, math.inf, 0.0, False, None)
+        return ForkGapEstimate(D, math.inf, math.inf, 0.0, False)
     sup = _fork_sup_upper(exact)
     low = exact - Fraction(sup) / 2
     gap = float(low)
@@ -334,36 +333,23 @@ def fork_gap_estimate(D: float) -> ForkGapEstimate:
         gap = math.nextafter(gap, -math.inf)
     # sup < 2D, so 0 is always a valid lower bound
     gap = max(gap, 0.0)
-    return ForkGapEstimate(D, gap * D, gap, sup, True, None)
+    return ForkGapEstimate(D, gap * D, gap, sup, True)
 
 
-def kloeckner_bound(n: int, K: float, q: float = 2.0) -> float:
-    """Least D >= 1 with D - floor(log2 n) * K / D^(q-1) >= 1, that is the
-    root of D^q - D^(q-1) - bK = 0 (b = floor(log2 n)), as a float rounded
-    down, for an integer q >= 2 (an integer-valued float is accepted).  For
-    q = 2 it starts from the closed-form root, for other q from the upper
-    end of a float bisection; the float is then stepped down one ulp at a
-    time until D^q - D^(q-1) - bK <= 0 holds exactly, so it never
-    overstates the lower bound."""
+def kloeckner_bound(n: int, K: float) -> float:
+    """Least D >= 1 with D - floor(log2 n) * K / D >= 1, that is the root of
+    D^2 - D - bK = 0 (b = floor(log2 n)), as a float rounded down: the
+    closed-form root is stepped down one ulp at a time until
+    D (D - 1) <= bK holds exactly, so it never overstates the lower bound."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    if not 0 < K < math.inf or not (q >= 2 and float(q).is_integer()):
-        raise ValidationError("need finite K > 0 and integer q >= 2")
+    if not 0 < K < math.inf:
+        raise ValidationError("need finite K > 0")
     budget = int(math.floor(math.log2(n))) if n > 1 else 0
     if budget == 0:
         return 1.0
-    if q == 2.0:
-        D = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * budget * K))
-    else:
-        lo, D = 1.0, 1.0 + budget * K + 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + D)
-            if mid - budget * K / mid ** (q - 1.0) >= 1.0:
-                D = mid
-            else:
-                lo = mid
-    e = int(q) - 1
-    while Fraction(D) ** e * (Fraction(D) - 1) > budget * Fraction(K):
+    D = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * budget * K))
+    while Fraction(D) * (Fraction(D) - 1) > budget * Fraction(K):
         D = math.nextafter(D, -math.inf)
     return D
 

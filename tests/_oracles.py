@@ -627,7 +627,9 @@ def fork_gap_slsqp(D, n_starts=16, seed=20240):
     """Numerically maximize min(|x2|, |x2'|) over D-Lipschitz non-contractive
     fork images in R^3 (deterministic multi-start SLSQP); the gap is
     D - max/2, scaled to K = gap * D.  At D = 1 the constraint set is
-    empty, reported as feasible=False with gap = +inf."""
+    empty, reported as feasible=False with gap = +inf.  Returns the
+    estimate and a stall message (None when the optimizer found a positive
+    minimum norm)."""
     from scipy.optimize import minimize
 
     from testspaces.l2_distortion import ForkGapEstimate
@@ -686,13 +688,13 @@ def fork_gap_slsqp(D, n_starts=16, seed=20240):
             if best_t is None or t > best_t:
                 best_t = t
     if not any_feasible:
-        return ForkGapEstimate(D, math.inf, math.inf, 0.0, False, None)
+        return ForkGapEstimate(D, math.inf, math.inf, 0.0, False), None
     if best_t is None or best_t <= 0:
-        return ForkGapEstimate(D, 0.0, 0.0, 0.0, True, "optimizer stalled; widest valid lower bound 0")
+        return ForkGapEstimate(D, 0.0, 0.0, 0.0, True), "optimizer stalled; widest valid lower bound 0"
     gap = D - best_t / 2.0
     if gap < 0:
         gap = 0.0
-    return ForkGapEstimate(D, gap * D, gap, best_t, True, None)
+    return ForkGapEstimate(D, gap * D, gap, best_t, True), None
 
 
 def cycle_tree_all_maps(m, max_tree_vertices, map_budget=50_000_000):
