@@ -23,6 +23,7 @@ from .formats import (
     load_space_arg,
     rational_str,
     read_vectors,
+    vectors_to_csv,
     write_graph,
     write_space,
 )
@@ -231,17 +232,14 @@ def cmd_l2min(args) -> dict:
     space = load_space_arg(args.space)
     res = min_distortion_l2(space, tol=args.tol)
     if args.emit_gram:
-        import csv as _csv
-
         import numpy as np
 
         # products summed in coordinate order; + 0.0 turns a -0.0 total into
         # 0.0, as a sum that starts from 0 does
-        vecs = np.array(res.embedding.vectors, dtype=float)
+        vecs = res.embedding.table
         gram = np.cumsum(vecs[:, None, :] * vecs[None, :, :], axis=2)[:, :, -1] + 0.0
         with open(args.emit_gram, "w") as fh:
-            w = _csv.writer(fh, lineterminator="\n")
-            w.writerows([[repr(x) for x in row] for row in gram.tolist()])
+            fh.write(vectors_to_csv(gram.tolist()))
     out = {
         "c_star": res.c_star,
         "bracket": list(res.bracket),

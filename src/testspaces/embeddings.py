@@ -2,16 +2,19 @@
 the James-condition grid search, submetric active pairs, and the cycle-into-
 tree brute-force oracle.
 
-Norms over rational vectors are exact for l1, linf and the summing norm;
-l2 is evaluated in floating point.
+An embedding stores its vectors once, as one read-only table: integer
+numerators over one scale for exact vectors, float64 for float ones.  The
+kernels read that table; `Embedding.vectors` is a tuple view built on first
+use.  Norms over rational vectors are exact for l1, linf and the summing
+norm; l2 is evaluated in floating point.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,13 +22,18 @@ import numpy as np
 from .errors import CapExceededError, CollapsedPairError, ValidationError
 from .generators import binary_tree, tree_labels
 from .metric_core import (
-    FLOAT_EXACT,
     INT64_MAX,
     MetricSpace,
     PointId,
     WeightedGraph,
+    _magnitude,
+    _writable,
     apsp,
     check_table_size,
+    float_table,
+    fraction_rows,
+    read_only,
+    reduced_table,
     scaled_integers,
 )
 
@@ -53,23 +61,33 @@ class NormedTarget:
             raise ValidationError("dimension must be positive")
 
 
-# Row kernels: the norm of each row of a block of vectors, for `norm` (one
-# row) and `distortion` (blocks of differences).  Sums run in coordinate
-# order (cumsum), never pairwise or compensated, on every Python version.
+def _coordinate_sum(x: np.ndarray) -> np.ndarray:
+    """The sum over the leading (coordinate) axis of a (dim, k) block, in
+    coordinate order.  np.add.reduce over the leading axis of a C-contiguous
+    block adds one coordinate row at a time, as np.cumsum does; over a
+    single column (k = 1) numpy would sum pairwise, so that takes np.cumsum."""
+    x = np.ascontiguousarray(x)
+    return np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
+
+
+# Row kernels: the norm of each vector of a (dim, k) block holding one
+# vector per column, for `norm` (one vector) and `distortion` (blocks of
+# differences).  Sums run in coordinate order, never pairwise or
+# compensated, on every Python version.
 _ROW_NORMS = {
-    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
-    "linf": lambda x: np.abs(x).max(axis=1),
-    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
-    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
+    "l1": lambda x: _coordinate_sum(np.abs(x)),
+    "linf": lambda x: np.abs(x).max(axis=0),
+    "summing": lambda x: np.abs(np.cumsum(x, axis=0)).max(axis=0),
+    "l2": lambda x: np.sqrt(_coordinate_sum(x * x)),
 }
 
 
 def norm(target: NormedTarget, v: Sequence) -> Fraction | float:
-    """Norm of v in the target, measured as a one-row block by the row
+    """Norm of v in the target, measured as a one-vector block by the row
     kernels of `distortion`: exact entries (int or Fraction) outside l2 as
     integer numerators over their common denominator, giving a Fraction;
-    float entries, and l2, as one float64 row summed in coordinate order,
-    giving a float.  A gauge target calls its `evaluate`."""
+    float entries, and l2, as float64 summed in coordinate order, giving a
+    float.  A gauge target calls its `evaluate`."""
     if len(v) != target.dim:
         raise ValidationError(f"vector has dim {len(v)}, target wants {target.dim}")
     if target.kind == "gauge":
@@ -77,44 +95,100 @@ def norm(target: NormedTarget, v: Sequence) -> Fraction | float:
     kernel = _ROW_NORMS[target.kind]
     if target.kind != "l2" and _is_exact(v):
         row, scale = scaled_integers((v,), headroom=len(v))  # sums of len(v) entries
-        return Fraction(int(kernel(row)[0]), scale)
-    return float(kernel(np.array((v,), dtype=float))[0])
+        return Fraction(int(kernel(row.T)[0]), scale)
+    return float(kernel(np.array(v, dtype=float)[:, None])[0])
 
 
 def _is_exact(v: Sequence) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
-    """One vector per point of a metric space, measured in a normed target."""
+    """One vector per point of a metric space, measured in a normed target.
+
+    The vectors are stored once, in the read-only (points x dim) `table`:
+    integer numerators over the positive int `scale` for exact vectors
+    (int64 when the sums and cross-products of `distortion` fit, else
+    Python ints; gcd(table, scale) = 1), float64 with scale 1 for float
+    ones.  The constructor also takes rows, all exact (int or Fraction) or
+    all float, and converts them once.  `vectors` is a tuple view built on
+    first use, floats as stored and exact entries as Fractions; the library
+    reads only the table.  An exact and a float embedding are never equal.
+    """
 
     space: MetricSpace
-    vectors: tuple[Vector, ...]
+    table: np.ndarray
     target: NormedTarget
+    scale: int = 1
 
     def __post_init__(self):
-        if len(self.vectors) != self.space.size:
-            raise ValidationError("need exactly one vector per point")
-        types = set()
-        for vec in self.vectors:
-            if len(vec) != self.target.dim:
-                raise ValidationError("vector dimension does not match target")
-            types.update(map(type, vec))
-        if all(issubclass(t, float) for t in types):
+        table, scale, n, dim = self.table, self.scale, self.space.size, self.target.dim
+        if not isinstance(table, np.ndarray) or table.dtype != float and table.dtype.kind not in "iu":
+            if len(table) != n or any(len(vec) != dim for vec in table):
+                raise ValidationError(f"need {n} vectors of dimension {dim}, one per point")
+            flat = list(itertools.chain.from_iterable(table))
+            types = set(map(type, flat))
+            if all(issubclass(t, float) for t in types):
+                table = read_only(np.array(flat, dtype=float)).reshape(n, dim)
+            elif all(issubclass(t, (int, Fraction)) for t in types):
+                table, common = scaled_integers((flat,))
+                table, scale = read_only(table).reshape(n, dim), scale * common
+            else:
+                raise ValidationError("vector entries must be all exact (int or Fraction) or all float")
+        if table.shape != (n, dim):
+            raise ValidationError(f"need {n} vectors of dimension {dim}, one per point")
+        if table.dtype == float:
             if self.target.kind == "gauge":
                 raise ValidationError("a gauge target measures exact vectors only")
-            if not all(math.isfinite(x) for vec in self.vectors for x in vec):
+            if scale != 1:
+                raise ValidationError("a float table has scale 1")
+            if not np.isfinite(table).all():
                 raise ValidationError("vector entries must be finite")
-        elif not all(issubclass(t, (int, Fraction)) for t in types):
-            raise ValidationError("vector entries must be all exact (int or Fraction) or all float")
+            table = read_only(table.copy()) if _writable(table) else table
+        elif type(scale) is int and scale > 0:
+            # a norm numerator is at most 2 * dim * max|entry|, times a distance
+            table, scale = reduced_table(table, scale, 2 * dim * max(_magnitude(self.space.num), 1))
+        else:
+            raise ValidationError("an integer table needs a positive int scale")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def exact(self) -> bool:
+        return self.table.dtype != float
+
+    @cached_property
+    def vectors(self) -> tuple[Vector, ...]:
+        if self.exact:
+            return fraction_rows(self.table, self.scale)
+        return tuple(map(tuple, self.table.tolist()))
+
+    def floats(self) -> np.ndarray:
+        """The table in float64, each exact entry correctly rounded."""
+        return float_table(self.table, self.scale) if self.exact else self.table
 
     def diff_norm(self, i: int, j: int) -> Fraction | float:
-        return norm(self.target, tuple(a - b for a, b in zip(self.vectors[i], self.vectors[j])))
+        diff = (self.table[i] - self.table[j]).tolist()
+        return norm(self.target, [Fraction(x, self.scale) for x in diff] if self.exact else diff)
 
     def rescaled(self, factor) -> "Embedding":
-        vecs = tuple(tuple(x * factor for x in vec) for vec in self.vectors)
-        return Embedding(self.space, vecs, self.target)
+        """Every vector times `factor`: exactly for an int or Fraction factor
+        on exact vectors, else in float64, each exact entry rounded first."""
+        if self.exact and isinstance(factor, (int, Fraction)):
+            p, q = factor.numerator, factor.denominator
+            big = _magnitude(self.table) * abs(p) > INT64_MAX  # the products need Python ints
+            table = self.table.astype(object) if big else self.table
+            return Embedding(self.space, read_only(table * p), self.target, self.scale * q)
+        return Embedding(self.space, read_only(self.floats() * float(factor)), self.target)
+
+    def __eq__(self, other) -> bool:
+        key = lambda e: (e.space, e.target, e.exact, e.scale)
+        same = isinstance(other, Embedding) and key(self) == key(other)
+        return same and np.array_equal(self.table, other.table)
+
+    def __repr__(self) -> str:
+        return f"Embedding(space={self.space!r}, vectors={self.vectors!r}, target={self.target!r})"
 
 
 @dataclass(frozen=True)
@@ -144,44 +218,35 @@ def distortion(emb: Embedding) -> DistortionReport:
     float is 0; CollapsedPairError for the first collapsed pair.
     """
     kind, space, n = emb.target.kind, emb.space, emb.space.size
-    if n < 2:
-        raise ValidationError("distortion needs at least 2 points")
     pairs = np.triu_indices(n, 1)  # (i, j) order
+    pair = lambda k: (int(pairs[0][k]), int(pairs[1][k]))
     dist = space.num[pairs]
     if (dist < 0).any():
         raise ValidationError("distortion needs nonnegative distances")
     valid = dist != 0
     if not valid.any():
         raise ValidationError("distortion needs a pair at positive distance")
-    exact = not isinstance(emb.vectors[0][0], float)  # entries are homogeneous
-    if exact and kind != "l2":
-        # a norm numerator is at most 2 * dim * max|V|, times a distance
-        headroom = 2 * emb.target.dim * int(dist.max())
-        V, v_scale = scaled_integers(emb.vectors, headroom=headroom)
-        diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
-    else:
+    # the table by columns, so that every block of differences below is a
+    # C-contiguous (dim, k) block for the row kernels
+    T = np.ascontiguousarray(emb.table.T)
+    diffs = (T[:, i, None] - T[:, i + 1 :] for i in range(n - 1))
+    if not emb.exact or kind == "l2":
         dist = space.floats()[pairs]
         if (dist[valid] == 0).any():
             raise ValidationError("a positive distance is 0.0 in float64")
-        if exact:
-            V, scale = scaled_integers(emb.vectors)
-            if V.dtype == object or np.abs(V).max() >= FLOAT_EXACT // 2 or scale >= FLOAT_EXACT:
-                V = V.astype(object)  # Python ints, divided by Python true division
+        if emb.exact:
             # the differences are exact, so one division rounds each entry
             # as float(a - b) does
-            diffs = (((V[i] - V[i + 1 :]) / scale).astype(float, copy=False) for i in range(n - 1))
-        else:
-            V = np.array(emb.vectors, dtype=float)
-            diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
+            diffs = (float_table(x, emb.scale) for x in diffs)
     if kind == "gauge":
         evaluate = emb.target.gauge.evaluate
-        row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
+        row_norm = lambda x: np.array([evaluate(tuple(v)) for v in x.T.tolist()], dtype=object)
     else:
         row_norm = _ROW_NORMS[kind]
     norms = np.concatenate([row_norm(x) for x in diffs])
     collapsed = np.flatnonzero(valid & (norms == 0))
     if collapsed.size:
-        raise CollapsedPairError(*_pair(n, collapsed[0]))
+        raise CollapsedPairError(*pair(collapsed[0]))
     at = np.flatnonzero(valid)
     num, den = norms[at], dist[at]
     if norms.dtype == float:
@@ -193,18 +258,9 @@ def distortion(emb: Embedding) -> DistortionReport:
         # a gauge norm is a Fraction, the others ints
         a, b = at[_first_max(num, den)], at[_first_max(den, num)]
         (norm_a, norm_b), (dist_a, dist_b) = norms[[a, b]].tolist(), dist[[a, b]].tolist()
-        lip = Fraction(norm_a) * space.scale / (dist_a * v_scale)
-        colip = Fraction(dist_b * v_scale) / (norm_b * space.scale)
-    return DistortionReport(lip, colip, lip * colip, _pair(n, a), _pair(n, b))
-
-
-def _pair(n: int, k: int) -> tuple[int, int]:
-    """The k-th pair i < j of range(n) in (i, j) order."""
-    i = 0
-    while k >= n - 1 - i:
-        k -= n - 1 - i
-        i += 1
-    return i, i + 1 + int(k)
+        lip = Fraction(norm_a) * space.scale / (dist_a * emb.scale)
+        colip = Fraction(dist_b * emb.scale) / (norm_b * space.scale)
+    return DistortionReport(lip, colip, lip * colip, pair(a), pair(b))
 
 
 def _first_max(num: np.ndarray, den: np.ndarray) -> int:
@@ -263,8 +319,9 @@ def map_distortion(
 
 
 def frechet_embed(space: MetricSpace) -> Embedding:
-    """point i -> (d(i, 0), ..., d(i, N-1)) in linf: always isometric."""
-    return Embedding(space, space.dist, NormedTarget("linf", space.size))
+    """point i -> (d(i, 0), ..., d(i, N-1)) in linf: always isometric.  The
+    table is the space's own numerator table."""
+    return Embedding(space, space.num, NormedTarget("linf", space.size), space.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +420,13 @@ def bourgain_embed(n: int) -> Embedding:
     norm of dimension 2^{n+1} - 1."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    phi = bourgain_labeling(n).phi
-    space = apsp(binary_tree(n))
-    dim = 2 ** (n + 1) - 1
-    zero, one = Fraction(0), Fraction(1)
-    vectors = []
-    for lab in space.labels:
-        vec = [zero] * dim
-        for k in range(len(lab) + 1):
-            vec[phi[lab[:k]] - 1] = one
-        vectors.append(tuple(vec))
-    return Embedding(space, tuple(vectors), NormedTarget("summing", dim))
+    depth, bits, phi = _bourgain_tree(n)
+    space = apsp(binary_tree(n))  # its points in tree_labels order, as _bourgain_tree's
+    table = np.zeros((depth.size, depth.size), dtype=np.int64)
+    for up in range(n + 1):  # each point's ancestor `up` edges above it, where there is one
+        below = np.flatnonzero(depth >= up)
+        table[below, phi[(1 << (depth[below] - up)) - 1 + (bits[below] >> up)] - 1] = 1
+    return Embedding(space, read_only(table), NormedTarget("summing", depth.size))
 
 
 _PAIR_BLOCK = 2**14  # label pairs per bourgain_distortion block

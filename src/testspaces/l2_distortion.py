@@ -32,10 +32,11 @@ import numpy as np
 from .embeddings import DistortionReport, Embedding, NormedTarget, distortion
 from .errors import UndecidedError, ValidationError
 from .generators import binary_tree
-from .metric_core import MetricSpace, apsp
+from .metric_core import MetricSpace, apsp, read_only
 
 STALL_REL = 1e-9
 STALL_WINDOW = 25
+FEAS_TOL = 1e-7  # the residual at which a probe is feasible
 MAX_ITER_DEFAULT = 50_000
 
 
@@ -90,7 +91,7 @@ def _distance_squares(space: MetricSpace) -> np.ndarray:
 def sdp_feasible(
     space: MetricSpace,
     c: float,
-    tol: float = 1e-7,
+    tol: float = FEAS_TOL,
     max_iter: int = MAX_ITER_DEFAULT,
     warm_start: Optional[np.ndarray] = None,
 ) -> SdpOutcome:
@@ -195,8 +196,7 @@ def embedding_from_gram(space: MetricSpace, Q: np.ndarray) -> Embedding:
     w, V = np.linalg.eigh((Q + Q.T) / 2.0)
     w = np.clip(w, 0.0, None)
     X = V * np.sqrt(w)
-    vectors = tuple(tuple(float(x) for x in row) for row in X)
-    return Embedding(space, vectors, NormedTarget("l2", X.shape[1]))
+    return Embedding(space, read_only(X), NormedTarget("l2", X.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -209,17 +209,11 @@ class L2Result:
     probes: int
 
 
-def min_distortion_l2(
-    space: MetricSpace,
-    tol: float = 1e-4,
-    feas_tol: float = 1e-7,
-    max_iter: int = MAX_ITER_DEFAULT,
-) -> L2Result:
-    """Bisection over sdp_feasible; the returned c_star is the feasible end
-    of the final bracket, and the embedding is reconstructed from its Gram
-    certificate."""
+def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
+    """Bisection over sdp_feasible, each probe at FEAS_TOL and
+    MAX_ITER_DEFAULT; the returned c_star is the feasible end of the final
+    bracket, and the embedding is reconstructed from its Gram certificate."""
     _check_tolerance(tol, "tolerance")
-    _check_tolerance(feas_tol, "feasibility tolerance")
     if space.size < 2:
         raise ValidationError("need at least 2 points")
 
@@ -230,9 +224,8 @@ def min_distortion_l2(
     scaled = space.scaled(1 / diam)
 
     # guaranteed-feasible upper bound: the Frechet rows read as l2 vectors
-    fre = scaled.floats()
-    hi_emb = Embedding(scaled, tuple(map(tuple, fre.tolist())), NormedTarget("l2", space.size))
-    hi_rep = distortion(hi_emb)
+    fre = read_only(scaled.floats())
+    hi_rep = distortion(Embedding(scaled, fre, NormedTarget("l2", space.size)))
     hi = float(hi_rep.distortion) * (1.0 + 1e-9) + 1e-9
     X = fre / float(hi_rep.lip)
     warm = X @ X.T
@@ -240,7 +233,7 @@ def min_distortion_l2(
     undecided: list[float] = []
     probes = 0
 
-    out = sdp_feasible(scaled, hi, feas_tol, max_iter, warm_start=warm)
+    out = sdp_feasible(scaled, hi, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=warm)
     probes += 1
     if out.status != "feasible":
         # the warm start fre / lip is contractive, not feasible: C_5 and C_9 stall
@@ -248,7 +241,7 @@ def min_distortion_l2(
     best = out.certificate
 
     lo = 1.0
-    out1 = sdp_feasible(scaled, 1.0, feas_tol, max_iter, warm_start=best.Q)
+    out1 = sdp_feasible(scaled, 1.0, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=best.Q)
     probes += 1
     if out1.status == "feasible":
         best = out1.certificate
@@ -258,7 +251,7 @@ def min_distortion_l2(
             undecided.append(1.0)
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            out = sdp_feasible(scaled, mid, feas_tol, max_iter, warm_start=best.Q)
+            out = sdp_feasible(scaled, mid, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=best.Q)
             probes += 1
             if out.status == "feasible":
                 hi = mid
@@ -269,11 +262,7 @@ def min_distortion_l2(
                 lo = mid
 
     emb_scaled = embedding_from_gram(scaled, best.Q)
-    emb = Embedding(
-        space,
-        tuple(tuple(x * float(diam) for x in v) for v in emb_scaled.vectors),
-        emb_scaled.target,
-    )
+    emb = Embedding(space, read_only(emb_scaled.table * float(diam)), emb_scaled.target)
     report = distortion(emb)
     return L2Result(hi, emb, report, (lo, hi), tuple(undecided), probes)
 
@@ -393,9 +382,7 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
             "constant first (see normalize_noncontractive)"
         )
     index = {lab: i for i, lab in enumerate(space.labels)}
-
-    def img(lab):
-        return np.array([float(x) for x in emb.vectors[index[lab]]])
+    images = emb.floats()
 
     selected = {"": ""}
     frontier = [""]
@@ -404,11 +391,11 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
         for old in frontier:
             if len(old) + 2 > n:
                 continue
-            base = img(old)
+            base = images[index[old]]
             for bit, child in (("0", old + "0"), ("1", old + "1")):
                 cands = sorted([child + "0", child + "1"])
-                d0 = np.linalg.norm(img(cands[0]) - base)
-                d1 = np.linalg.norm(img(cands[1]) - base)
+                d0 = np.linalg.norm(images[index[cands[0]]] - base)
+                d1 = np.linalg.norm(images[index[cands[1]]] - base)
                 pick = cands[0] if d0 <= d1 else cands[1]
                 selected[pick] = selected[old] + bit
                 nxt.append(pick)
@@ -419,7 +406,7 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     idxs = [index[L] for L in old_labels]
     half = space.restrict(idxs).scaled(Fraction(1, 2))
     half_space = MetricSpace(half.num, half.scale, new_labels)
-    sub = Embedding(half_space, tuple(emb.vectors[i] for i in idxs), emb.target)
+    sub = Embedding(half_space, read_only(emb.table[idxs]), emb.target, emb.scale)
 
     # structural exactness: half distances must equal T_{floor(n/2)} distances
     tree = apsp(binary_tree(n // 2))

@@ -75,14 +75,9 @@ class MetricSpace:
         square = num.ndim == 2 and num.shape[0] == num.shape[1] and num.dtype.kind in "iuO"
         if not square or type(scale) is not int or scale <= 0:
             raise ValidationError("need a square integer numerator table and a positive int scale")
-        g = math.gcd(scale, int(np.gcd.reduce(num, axis=None)))  # scale when num is all 0
-        copy = isinstance(self.num, np.ndarray) and _writable(num)
-        if g > 1 and num.any():
-            num, copy = num // g, False
-        num = num.astype(np.int64 if 2 * _magnitude(num) <= INT64_MAX else object, copy=copy)
-        num.flags.writeable = False
+        num, scale = reduced_table(self.num, scale, headroom=2)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "scale", scale // g)
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "MetricSpace":
@@ -100,18 +95,14 @@ class MetricSpace:
     @property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
         """The table as Fractions, built on each call."""
-        exact = {x: Fraction(x, self.scale) for x in set(self.num.ravel().tolist())}
-        return tuple(tuple(exact[x] for x in row) for row in self.num.tolist())
+        return fraction_rows(self.num, self.scale)
 
     def d(self, i: int, j: int) -> Fraction:
         return Fraction(int(self.num[i, j]), self.scale)
 
     def floats(self) -> np.ndarray:
-        """The table in float64, each entry equal to float(self.d(i, j)): one
-        numpy division below 2^53, where both operands are exact floats."""
-        if self.num.dtype != object and _magnitude(self.num) < FLOAT_EXACT and self.scale < FLOAT_EXACT:
-            return self.num / self.scale
-        return np.array([x / self.scale for x in self.num.ravel().tolist()]).reshape(self.num.shape)
+        """The table in float64, each entry equal to float(self.d(i, j))."""
+        return float_table(self.num, self.scale)
 
     def restrict(self, indices: Sequence[int]) -> "MetricSpace":
         """Subspace on the given points, in the given order."""
@@ -142,8 +133,37 @@ def check_table_size(n: int, what: str) -> None:
         )
 
 
+def reduced_table(num, scale: int, headroom: int) -> tuple[np.ndarray, int]:
+    """num / scale reduced to gcd(num, scale) = 1, as a read-only int64 table
+    when `headroom` (the growth of the sums and products callers form) times
+    its largest magnitude fits, else of Python ints.  A table that no one can
+    write to any more is kept as it is; any other is copied."""
+    copy = isinstance(num, np.ndarray) and _writable(num)
+    num = np.asarray(num)
+    g = math.gcd(scale, int(np.gcd.reduce(num, axis=None)))  # scale when num is all 0
+    if g > 1 and num.any():
+        num, copy = num // g, False
+    num = num.astype(np.int64 if headroom * _magnitude(num) <= INT64_MAX else object, copy=copy)
+    num.flags.writeable = False
+    return num, scale // g
+
+
+def fraction_rows(num: np.ndarray, scale: int) -> tuple[tuple[Fraction, ...], ...]:
+    """num / scale as rows of Fractions, one object per distinct numerator."""
+    exact = {x: Fraction(x, scale) for x in set(num.ravel().tolist())}.__getitem__
+    return tuple(tuple(map(exact, row)) for row in num.tolist())
+
+
+def float_table(num: np.ndarray, scale: int) -> np.ndarray:
+    """num / scale in float64, correctly rounded: one numpy division below
+    2^53, where both operands are exact floats, else Python's per entry."""
+    if num.dtype != object and _magnitude(num) < FLOAT_EXACT and scale < FLOAT_EXACT:
+        return num / scale
+    return np.array([x / scale for x in num.ravel().tolist()]).reshape(num.shape)
+
+
 def read_only(num: np.ndarray) -> np.ndarray:
-    """A fresh table, marked read-only so that MetricSpace keeps it uncopied."""
+    """A fresh table, marked read-only so that MetricSpace and Embedding keep it uncopied."""
     num.flags.writeable = False
     return num
 

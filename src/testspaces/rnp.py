@@ -2,7 +2,8 @@
 L1, the gauge renorming (the normalized l1 norm for unit-ball generators,
 an exact LP otherwise), broken-line families of
 geodesics, thickness certification for diamond geodesic families, and the
-embedding-to-divergent-martingale construction.
+embedding-to-divergent-martingale construction, which reads the integer
+numerator table of the embedding (never its `vectors` view).
 
 Ambient space throughout: R^(2^n) under the normalized l1 norm (atoms of
 equal mass), where everything stays rational.
@@ -28,6 +29,7 @@ from .metric_core import (
     GeodesicPath,
     MetricSpace,
     enumerate_geodesic_paths,
+    read_only,
     scaled_integers,
 )
 
@@ -619,8 +621,8 @@ def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = No
     Not isometric; the martingale construction measures its ell.  `space`
     may pass the precomputed distance table of `fam.graph`.
 
-    Heights, quad spans and tents are integer numerators over `space.scale`;
-    each distinct numerator becomes one shared Fraction."""
+    Heights, quad spans and tents are integer numerators over `space.scale`,
+    written straight into the embedding's table."""
     if fam.kind != "diamond":
         raise ValidationError("tent embedding is defined for diamonds")
     if space is None:
@@ -634,26 +636,16 @@ def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = No
     for col, quad in enumerate(fam.units, start=1):
         x, y = quad.ends
         spans[quad.uid] = (col, min(h[x], h[y]), max(h[x], h[y]))
-    exact: dict[int, Fraction] = {}
-
-    def shared(k: int) -> Fraction:
-        f = exact.get(k)
-        if f is None:
-            f = exact[k] = Fraction(k, space.scale)
-        return f
-
-    blank = [shared(0)] * (1 + len(fam.units))
-    vectors = []
-    for v in range(fam.graph.size):
-        coord = blank.copy()
-        coord[0] = shared(h[v])
+    table = np.zeros((fam.graph.size, 1 + len(fam.units)), dtype=space.num.dtype)
+    table[:, 0] = space.num[fam.source]
+    for v, height in enumerate(h):
         for uid, side in fam.chains[v]:
             col, lo, hi = spans[uid]
-            if lo < h[v] < hi:
-                tent = min(h[v] - lo, hi - h[v])
-                coord[col] = shared(tent if side == 0 else -tent)
-        vectors.append(tuple(coord))
-    return Embedding(space, tuple(vectors), NormedTarget("l1", 1 + len(fam.units)))
+            if lo < height < hi:
+                tent = min(height - lo, hi - height)
+                table[v, col] = tent if side == 0 else -tent
+    target = NormedTarget("l1", 1 + len(fam.units))
+    return Embedding(space, read_only(table), target, space.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +698,7 @@ def _exact_norms(target: NormedTarget, rows) -> list[int]:
     kernel of `norm`, in Python ints."""
     if target.kind not in ("l1", "linf", "summing"):
         raise ValidationError("martingale construction needs an exact rational norm")
-    return _ROW_NORMS[target.kind](np.array(rows, dtype=object).reshape(len(rows), -1)).tolist()
+    return _ROW_NORMS[target.kind](np.array(rows, dtype=object).reshape(len(rows), -1).T).tolist()
 
 
 def _slope_jumps(target: NormedTarget, rows, den: int, ends, points, gaps) -> list[Fraction]:
@@ -766,12 +758,13 @@ def martingale_from_embedding(
         raise ValidationError("embedding must live on the family's host space")
     if emb.target.kind not in ("l1", "linf", "summing"):
         raise ValidationError("martingale construction needs an exact rational norm")
+    if not emb.exact:
+        raise ValidationError("martingale construction needs exact (int or Fraction) vectors")
     rep = distortion(emb)
     lip, colip = rep.lip, rep.colip
     # the 1-Lipschitz map f = emb / lip is rows / den
-    rows, scale = _integer_rows(emb.vectors)
-    rows = [[x * lip.denominator for x in row] for row in rows]
-    den = scale * lip.numerator
+    rows = [[x * lip.denominator for x in row] for row in emb.table.tolist()]
+    den = emb.scale * lip.numerator
     ell = Fraction(1) / (lip * colip)
 
     params_all = family.params

@@ -11,7 +11,9 @@ from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), word-product enumeration for
 Heisenberg balls, plain loops over entries for norms and over pairs and
 triples for distortion, vertex-map distortion and the metric axioms, an
-exact knockout tournament for the first maximal ratio, the
+exact knockout tournament for the first maximal ratio, a table rebuilt
+from nested tuples on every call and full cumsums for the distortion of
+stored vectors and their row kernels, per-entry products for rescaling, the
 label-prefix formula for tree distances, a sum of one Fraction per letter
 and a sort for the Bourgain labeling, sorted signed ancestor coordinates
 and their running sums for the Bourgain distortion, one Fraction per
@@ -418,6 +420,81 @@ def pairwise_distortion(emb):
             if colip is None or rinv > colip:
                 colip, colip_w = rinv, (i, j)
     return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
+
+
+# `embeddings._ROW_NORMS` as they were, on (k, dim) blocks of one vector
+# per row, every sum a full np.cumsum along the coordinates
+ROW_NORMS_CUMSUM = {
+    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
+    "linf": lambda x: np.abs(x).max(axis=1),
+    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
+    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
+}
+
+
+def distortion_tuples(space, vectors, target):
+    """`embeddings.distortion` as it was when an Embedding stored nested
+    tuples: the rows `vectors` rebuilt into a table on every call (integer
+    numerators by `scaled_integers`, or `np.array` of floats) and measured
+    by the cumsum row kernels, one difference vector per row."""
+    from testspaces.embeddings import DistortionReport, _first_max
+    from testspaces.errors import CollapsedPairError, ValidationError
+    from testspaces.metric_core import FLOAT_EXACT, scaled_integers
+
+    kind, n = target.kind, space.size
+    if n < 2:
+        raise ValidationError("distortion needs at least 2 points")
+    pairs = np.triu_indices(n, 1)
+    dist = space.num[pairs]
+    if (dist < 0).any():
+        raise ValidationError("distortion needs nonnegative distances")
+    valid = dist != 0
+    if not valid.any():
+        raise ValidationError("distortion needs a pair at positive distance")
+    exact = not isinstance(vectors[0][0], float)
+    if exact and kind != "l2":
+        V, v_scale = scaled_integers(vectors, headroom=2 * target.dim * int(dist.max()))
+        diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
+    else:
+        dist = space.floats()[pairs]
+        if (dist[valid] == 0).any():
+            raise ValidationError("a positive distance is 0.0 in float64")
+        if exact:
+            V, scale = scaled_integers(vectors)
+            if V.dtype == object or np.abs(V).max() >= FLOAT_EXACT // 2 or scale >= FLOAT_EXACT:
+                V = V.astype(object)
+            diffs = (((V[i] - V[i + 1 :]) / scale).astype(float, copy=False) for i in range(n - 1))
+        else:
+            V = np.array(vectors, dtype=float)
+            diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
+    if kind == "gauge":
+        evaluate = target.gauge.evaluate
+        row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
+    else:
+        row_norm = ROW_NORMS_CUMSUM[kind]
+    norms = np.concatenate([row_norm(x) for x in diffs])
+    pair = lambda k: (int(pairs[0][k]), int(pairs[1][k]))
+    collapsed = np.flatnonzero(valid & (norms == 0))
+    if collapsed.size:
+        raise CollapsedPairError(*pair(collapsed[0]))
+    at = np.flatnonzero(valid)
+    num, den = norms[at], dist[at]
+    if norms.dtype == float:
+        a, b = at[np.argmax(num / den)], at[np.argmax(den / num)]
+        lip = float(norms[a]) / float(dist[a])
+        colip = float(dist[b]) / float(norms[b])
+    else:
+        a, b = at[_first_max(num, den)], at[_first_max(den, num)]
+        (norm_a, norm_b), (dist_a, dist_b) = norms[[a, b]].tolist(), dist[[a, b]].tolist()
+        lip = Fraction(norm_a) * space.scale / (dist_a * v_scale)
+        colip = Fraction(dist_b * v_scale) / (norm_b * space.scale)
+    return DistortionReport(lip, colip, lip * colip, pair(a), pair(b))
+
+
+def rescaled_rows(vectors, factor):
+    """`Embedding.rescaled` as it was: every entry times the factor in
+    Python arithmetic."""
+    return tuple(tuple(x * factor for x in vec) for vec in vectors)
 
 
 def first_max_knockout(num, den):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from testspaces.embeddings import (
+    _ROW_NORMS,
     Embedding,
     NormedTarget,
     SubmetricSpace,
@@ -36,14 +37,17 @@ from testspaces.metric_core import MetricSpace, apsp, path_graph, scaled_integer
 from testspaces.rnp import bush_gauge, rademacher_tree, tree_to_bush
 
 from _oracles import (
+    ROW_NORMS_CUMSUM,
     bourgain_distortion_sorted,
     bourgain_labeling_fractions,
     cycle_tree_all_maps,
+    distortion_tuples,
     entry_norm,
     first_max_knockout,
     james_alpha_by_vectors,
     pairwise_distortion,
     pairwise_map_distortion,
+    rescaled_rows,
 )
 from _strategies import random_connected_graph
 
@@ -554,3 +558,120 @@ def test_first_max_beyond_float_range():
     assert _first_max(num, den) == first_max_knockout(num, den) == 3
     fractions = np.array([F(1, 3), F(2, 6), F(1, 10**400)], dtype=object)
     assert _first_max(fractions, np.array([1, 1, 1])) == 0
+
+
+def test_row_kernels_match_cumsum_bit_for_bit():
+    # np.add.reduce over the leading axis of a C-contiguous (dim, k) block
+    # adds one coordinate row at a time, as the full cumsum does; over one
+    # column (k = 1) numpy would sum pairwise, which changes bits from about
+    # 9 coordinates on, so the kernels must take the cumsum there
+    rng = np.random.default_rng(25)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1e154, 1e-160])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dim in range(1, 201):
+            for k, share, spread in ((1, 0.1, 3), (2, 0.1, 3), (3, 0.3, 300), (17, 0.02, 8)):
+                # entries of one magnitude round differently in another order;
+                # pool entries bring signed zeros, subnormals and overflow
+                block = rng.standard_normal((dim, k)) * 10.0 ** rng.integers(-spread, spread, (dim, k))
+                block = np.where(rng.random((dim, k)) < share, rng.choice(pool, (dim, k)), block)
+                for kind, kernel in _ROW_NORMS.items():
+                    got, want = kernel(block), ROW_NORMS_CUMSUM[kind](block.T)
+                    assert got.tobytes() == want.tobytes(), (kind, dim, k)
+
+
+GAUGE = NormedTarget("gauge", 4, bush_gauge(tree_to_bush(rademacher_tree(2))))
+
+
+@st.composite
+def _stored_rows(draw):
+    """A space, rows and a target for every way an embedding is stored:
+    int64-size and object-size numerators over mixed denominators, and
+    floats (signed zeros included), in l1, l2, linf, summing and gauge."""
+    kind = draw(st.sampled_from(["l1", "l2", "linf", "summing", "gauge"]))
+    entry = draw(st.sampled_from(["int", "fraction"] + (["float"] if kind != "gauge" else [])))
+    big = draw(st.sampled_from([1, 2**40, 2**70]))  # 2**70 needs Python ints
+    n = draw(st.integers(2, 6))
+    dim = 4 if kind == "gauge" else draw(st.integers(1, 8))
+    table = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = F(draw(st.integers(0, 6)), draw(st.integers(1, 5)))
+
+    def value():
+        x = draw(st.integers(-4, 4))
+        if entry == "int":
+            return x * big
+        if entry == "fraction":
+            return F(x * big, draw(st.sampled_from([1, 2, 3, 7, 10**20])))
+        return -0.0 if x == 0 and draw(st.booleans()) else x * big / draw(st.sampled_from([1, 3, 10]))
+
+    rows = tuple(tuple(value() for _ in range(dim)) for _ in range(n))
+    return MetricSpace.from_rows(table), rows, GAUGE if kind == "gauge" else NormedTarget(kind, dim)
+
+
+def _result(compute):
+    """repr of the value (so value types count), or the error raised."""
+    try:
+        return repr(compute())
+    except (CollapsedPairError, ValidationError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _same_entries(got, want) -> bool:
+    """Floats bit for bit (repr tells -0.0 from 0.0), exact entries equal in value."""
+    def same(x, y):
+        return repr(x) == repr(y) if isinstance(y, float) else not isinstance(x, float) and x == y
+
+    return [len(v) for v in got] == [len(v) for v in want] and all(
+        same(x, y) for u, v in zip(got, want) for x, y in zip(u, v)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stored_rows())
+def test_stored_table_matches_the_tuple_route(case):
+    space, rows, target = case
+    emb = Embedding(space, rows, target)
+    assert _result(lambda: distortion(emb)) == _result(lambda: distortion_tuples(space, rows, target))
+    assert _same_entries(emb.vectors, rows)
+    exact = not isinstance(rows[0][0], float)
+    assert {type(x) for v in emb.vectors for x in v} == ({F} if exact else {float})
+    again = Embedding(space, emb.vectors, target)
+    assert again == emb and (again.scale, again.table.dtype) == (emb.scale, emb.table.dtype)
+    for factor in (3, F(-2, 7), 0.1):
+        if target.kind == "gauge" and isinstance(factor, float):
+            with pytest.raises(ValidationError, match="exact"):
+                emb.rescaled(factor)
+        else:
+            assert _same_entries(emb.rescaled(factor).vectors, rescaled_rows(rows, factor))
+
+
+def test_the_library_reads_only_the_table(monkeypatch, tmp_path, capsys):
+    from testspaces.cli import main
+    from testspaces.formats import vectors_to_csv, write_space
+    from testspaces.l2_distortion import fork_select, min_distortion_l2, normalize_noncontractive
+    from testspaces.rnp import diamond_geodesic_family, diamond_l1_embedding, martingale_from_embedding
+
+    t3, c4 = apsp(binary_tree(3)), apsp(cycle(4))
+    vectors = ((F(0), F(1, 2)), (F(1), F(0)), (F(0), F(-1, 3)), (F(2), F(1)))
+    paths = {name: str(tmp_path / name) for name in ("c4.csv", "vectors.csv", "gram.csv")}
+    write_space(paths["c4.csv"], c4)
+    (tmp_path / "vectors.csv").write_text(vectors_to_csv(vectors))
+
+    def unread(self):
+        raise AssertionError("library code read Embedding.vectors")
+
+    monkeypatch.setattr(Embedding, "vectors", property(unread))
+    frechet_l2 = Embedding(t3, t3.floats(), NormedTarget("l2", t3.size))
+    for emb in (frechet_embed(t3), bourgain_embed(3), frechet_l2, Embedding(c4, vectors, NormedTarget("l2", 2))):
+        distortion(emb)
+    min_distortion_l2(c4)
+    fork_select(3, normalize_noncontractive(frechet_l2)[0])
+    family = diamond_geodesic_family(2)
+    martingale_from_embedding(family, diamond_l1_embedding(family.family), 1)
+    argvs = (
+        ["distort", "--space", paths["c4.csv"], "--vectors", paths["vectors.csv"], "--target", "l1"],
+        ["l2min", "--space", paths["c4.csv"], "--emit-gram", paths["gram.csv"]],
+    )
+    for argv in argvs:
+        assert main(argv) == 0, capsys.readouterr().out

@@ -117,8 +117,7 @@ def test_networkx_only_enumerates_trees():
     assert networkx_reach(source) == [(None, "cycle_graph"), (None, "path_graph")]
 
 
-# the Fréchet embedding's vectors are the Fraction rows by definition
-DIST_READERS = {("metric_core.py", None), ("embeddings.py", "frechet_embed")}
+DIST_READERS = {("metric_core.py", None)}
 
 
 def dist_reads(source: str) -> list[tuple[str, int]]:

@@ -12,7 +12,7 @@ import pytest
 from _oracles import fork_gap_slsqp, sdp_feasible_loop, tree_label_distance
 from testspaces import l2_distortion
 from testspaces.embeddings import Embedding, NormedTarget, distortion
-from testspaces.errors import ValidationError
+from testspaces.errors import UndecidedError, ValidationError
 from testspaces.generators import (
     binary_tree,
     cycle,
@@ -350,8 +350,17 @@ def test_tolerances_must_be_finite_and_positive(tol):
         sdp_feasible(c4.scaled(F(1, 2)), 1.5, tol=tol)
     with pytest.raises(ValidationError):
         min_distortion_l2(c4, tol=tol)
-    with pytest.raises(ValidationError):
-        min_distortion_l2(c4, feas_tol=tol)
+
+
+def test_min_distortion_l2_probes_at_the_module_constants(monkeypatch):
+    # the probe tolerance and iteration cap are constants, read at each call
+    t2 = apsp(binary_tree(2))
+    default = min_distortion_l2(t2)
+    monkeypatch.setattr(l2_distortion, "FEAS_TOL", 1e-3)
+    assert min_distortion_l2(t2).c_star < default.c_star
+    monkeypatch.setattr(l2_distortion, "MAX_ITER_DEFAULT", 1)
+    with pytest.raises(UndecidedError, match="bracket top"):
+        min_distortion_l2(t2)
 
 
 def test_stall_window_keeps_the_optima_of_the_old_window(monkeypatch):
