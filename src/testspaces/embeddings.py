@@ -2,11 +2,9 @@
 the James-condition grid search, submetric active pairs, and the cycle-into-
 tree brute-force oracle.
 
-An embedding stores its vectors once, as one read-only table: integer
-numerators over one scale for exact vectors, float64 for float ones.  The
-kernels read that table; `Embedding.vectors` is a tuple view built on first
-use.  Norms over rational vectors are exact for l1, linf and the summing
-norm; l2 is evaluated in floating point.
+Norms over rational vectors are exact for l1, linf and the summing norm;
+l2 is evaluated in floating point.  An Embedding stores its vectors once, as
+one table that every kernel reads; its `vectors` are a view built on demand.
 """
 
 from __future__ import annotations
@@ -61,33 +59,23 @@ class NormedTarget:
             raise ValidationError("dimension must be positive")
 
 
-def _coordinate_sum(x: np.ndarray) -> np.ndarray:
-    """The sum over the leading (coordinate) axis of a (dim, k) block, in
-    coordinate order.  np.add.reduce over the leading axis of a C-contiguous
-    block adds one coordinate row at a time, as np.cumsum does; over a
-    single column (k = 1) numpy would sum pairwise, so that takes np.cumsum."""
-    x = np.ascontiguousarray(x)
-    return np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
-
-
-# Row kernels: the norm of each vector of a (dim, k) block holding one
-# vector per column, for `norm` (one vector) and `distortion` (blocks of
-# differences).  Sums run in coordinate order, never pairwise or
-# compensated, on every Python version.
+# Row kernels: the norm of each row of a block of vectors, for `norm` (one
+# row) and `distortion` (blocks of differences).  Sums run in coordinate
+# order (cumsum), never pairwise or compensated, on every Python version.
 _ROW_NORMS = {
-    "l1": lambda x: _coordinate_sum(np.abs(x)),
-    "linf": lambda x: np.abs(x).max(axis=0),
-    "summing": lambda x: np.abs(np.cumsum(x, axis=0)).max(axis=0),
-    "l2": lambda x: np.sqrt(_coordinate_sum(x * x)),
+    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
+    "linf": lambda x: np.abs(x).max(axis=1),
+    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
+    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
 }
 
 
 def norm(target: NormedTarget, v: Sequence) -> Fraction | float:
-    """Norm of v in the target, measured as a one-vector block by the row
+    """Norm of v in the target, measured as a one-row block by the row
     kernels of `distortion`: exact entries (int or Fraction) outside l2 as
     integer numerators over their common denominator, giving a Fraction;
-    float entries, and l2, as float64 summed in coordinate order, giving a
-    float.  A gauge target calls its `evaluate`."""
+    float entries, and l2, as one float64 row summed in coordinate order,
+    giving a float.  A gauge target calls its `evaluate`."""
     if len(v) != target.dim:
         raise ValidationError(f"vector has dim {len(v)}, target wants {target.dim}")
     if target.kind == "gauge":
@@ -95,8 +83,8 @@ def norm(target: NormedTarget, v: Sequence) -> Fraction | float:
     kernel = _ROW_NORMS[target.kind]
     if target.kind != "l2" and _is_exact(v):
         row, scale = scaled_integers((v,), headroom=len(v))  # sums of len(v) entries
-        return Fraction(int(kernel(row.T)[0]), scale)
-    return float(kernel(np.array(v, dtype=float)[:, None])[0])
+        return Fraction(int(kernel(row)[0]), scale)
+    return float(kernel(np.array((v,), dtype=float))[0])
 
 
 def _is_exact(v: Sequence) -> bool:
@@ -108,14 +96,10 @@ class Embedding:
     """One vector per point of a metric space, measured in a normed target.
 
     The vectors are stored once, in the read-only (points x dim) `table`:
-    integer numerators over the positive int `scale` for exact vectors
-    (int64 when the sums and cross-products of `distortion` fit, else
-    Python ints; gcd(table, scale) = 1), float64 with scale 1 for float
-    ones.  The constructor also takes rows, all exact (int or Fraction) or
-    all float, and converts them once.  `vectors` is a tuple view built on
-    first use, floats as stored and exact entries as Fractions; the library
-    reads only the table.  An exact and a float embedding are never equal.
-    """
+    integer numerators over the positive int `scale` for exact vectors (int64
+    while the sums and cross-products of `distortion` fit, else Python ints),
+    float64 with scale 1 for float ones.  Rows, all exact (int or Fraction)
+    or all float, are converted once.  `vectors` is a view built on first use."""
 
     space: MetricSpace
     table: np.ndarray
@@ -127,30 +111,27 @@ class Embedding:
         if not isinstance(table, np.ndarray) or table.dtype != float and table.dtype.kind not in "iu":
             if len(table) != n or any(len(vec) != dim for vec in table):
                 raise ValidationError(f"need {n} vectors of dimension {dim}, one per point")
-            flat = list(itertools.chain.from_iterable(table))
-            types = set(map(type, flat))
+            types = set(map(type, itertools.chain.from_iterable(table)))
             if all(issubclass(t, float) for t in types):
-                table = read_only(np.array(flat, dtype=float)).reshape(n, dim)
+                table = read_only(np.array(table, dtype=float))
             elif all(issubclass(t, (int, Fraction)) for t in types):
-                table, common = scaled_integers((flat,))
-                table, scale = read_only(table).reshape(n, dim), scale * common
+                table, common = scaled_integers(table)
+                table, scale = read_only(table), scale * common
             else:
                 raise ValidationError("vector entries must be all exact (int or Fraction) or all float")
         if table.shape != (n, dim):
             raise ValidationError(f"need {n} vectors of dimension {dim}, one per point")
-        if table.dtype == float:
+        if table.dtype == float and scale == 1:
             if self.target.kind == "gauge":
                 raise ValidationError("a gauge target measures exact vectors only")
-            if scale != 1:
-                raise ValidationError("a float table has scale 1")
             if not np.isfinite(table).all():
                 raise ValidationError("vector entries must be finite")
             table = read_only(table.copy()) if _writable(table) else table
-        elif type(scale) is int and scale > 0:
+        elif table.dtype != float and type(scale) is int and scale > 0:
             # a norm numerator is at most 2 * dim * max|entry|, times a distance
             table, scale = reduced_table(table, scale, 2 * dim * max(_magnitude(self.space.num), 1))
         else:
-            raise ValidationError("an integer table needs a positive int scale")
+            raise ValidationError("float tables take scale 1, integer tables a positive int scale")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "scale", scale)
 
@@ -164,23 +145,18 @@ class Embedding:
             return fraction_rows(self.table, self.scale)
         return tuple(map(tuple, self.table.tolist()))
 
-    def floats(self) -> np.ndarray:
-        """The table in float64, each exact entry correctly rounded."""
-        return float_table(self.table, self.scale) if self.exact else self.table
-
     def diff_norm(self, i: int, j: int) -> Fraction | float:
         diff = (self.table[i] - self.table[j]).tolist()
         return norm(self.target, [Fraction(x, self.scale) for x in diff] if self.exact else diff)
 
     def rescaled(self, factor) -> "Embedding":
-        """Every vector times `factor`: exactly for an int or Fraction factor
-        on exact vectors, else in float64, each exact entry rounded first."""
+        """Every vector times `factor`: exactly, in Python ints, for an int or
+        Fraction factor on exact vectors, else in float64."""
         if self.exact and isinstance(factor, (int, Fraction)):
-            p, q = factor.numerator, factor.denominator
-            big = _magnitude(self.table) * abs(p) > INT64_MAX  # the products need Python ints
-            table = self.table.astype(object) if big else self.table
-            return Embedding(self.space, read_only(table * p), self.target, self.scale * q)
-        return Embedding(self.space, read_only(self.floats() * float(factor)), self.target)
+            table = read_only(self.table.astype(object) * factor.numerator)
+            return Embedding(self.space, table, self.target, self.scale * factor.denominator)
+        table = read_only(float_table(self.table, self.scale) * float(factor))
+        return Embedding(self.space, table, self.target)
 
     def __eq__(self, other) -> bool:
         key = lambda e: (e.space, e.target, e.exact, e.scale)
@@ -226,10 +202,7 @@ def distortion(emb: Embedding) -> DistortionReport:
     valid = dist != 0
     if not valid.any():
         raise ValidationError("distortion needs a pair at positive distance")
-    # the table by columns, so that every block of differences below is a
-    # C-contiguous (dim, k) block for the row kernels
-    T = np.ascontiguousarray(emb.table.T)
-    diffs = (T[:, i, None] - T[:, i + 1 :] for i in range(n - 1))
+    diffs = (emb.table[i] - emb.table[i + 1 :] for i in range(n - 1))
     if not emb.exact or kind == "l2":
         dist = space.floats()[pairs]
         if (dist[valid] == 0).any():
@@ -240,7 +213,7 @@ def distortion(emb: Embedding) -> DistortionReport:
             diffs = (float_table(x, emb.scale) for x in diffs)
     if kind == "gauge":
         evaluate = emb.target.gauge.evaluate
-        row_norm = lambda x: np.array([evaluate(tuple(v)) for v in x.T.tolist()], dtype=object)
+        row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
     else:
         row_norm = _ROW_NORMS[kind]
     norms = np.concatenate([row_norm(x) for x in diffs])
@@ -319,8 +292,7 @@ def map_distortion(
 
 
 def frechet_embed(space: MetricSpace) -> Embedding:
-    """point i -> (d(i, 0), ..., d(i, N-1)) in linf: always isometric.  The
-    table is the space's own numerator table."""
+    """point i -> (d(i, 0), ..., d(i, N-1)) in linf: always isometric."""
     return Embedding(space, space.num, NormedTarget("linf", space.size), space.scale)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .embeddings import DistortionReport, Embedding, NormedTarget, distortion
 from .errors import UndecidedError, ValidationError
 from .generators import binary_tree
-from .metric_core import MetricSpace, apsp, read_only
+from .metric_core import MetricSpace, apsp, float_table, read_only
 
 STALL_REL = 1e-9
 STALL_WINDOW = 25
@@ -230,41 +230,30 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     X = fre / float(hi_rep.lip)
     warm = X @ X.T
 
-    undecided: list[float] = []
-    probes = 0
-
     out = sdp_feasible(scaled, hi, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=warm)
-    probes += 1
     if out.status != "feasible":
         # the warm start fre / lip is contractive, not feasible: C_5 and C_9 stall
         raise UndecidedError(f"solver failed at the guaranteed bracket top {hi}")
-    best = out.certificate
+    best, probes, undecided = out.certificate, 1, []
 
-    lo = 1.0
-    out1 = sdp_feasible(scaled, 1.0, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=best.Q)
-    probes += 1
-    if out1.status == "feasible":
-        best = out1.certificate
-        hi = 1.0
-    else:
-        if out1.status == "undecided":
-            undecided.append(1.0)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            out = sdp_feasible(scaled, mid, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=best.Q)
-            probes += 1
-            if out.status == "feasible":
-                hi = mid
-                best = out.certificate
-            else:
-                if out.status == "undecided":
-                    undecided.append(mid)
-                lo = mid
+    # c = 1 first, then bisection while the bracket is wider than tol
+    lo = mid = 1.0
+    while True:
+        out = sdp_feasible(scaled, mid, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=best.Q)
+        probes += 1
+        if out.status == "feasible":
+            hi, best = mid, out.certificate
+        else:
+            lo = mid
+            if out.status == "undecided":
+                undecided.append(mid)
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
 
     emb_scaled = embedding_from_gram(scaled, best.Q)
     emb = Embedding(space, read_only(emb_scaled.table * float(diam)), emb_scaled.target)
-    report = distortion(emb)
-    return L2Result(hi, emb, report, (lo, hi), tuple(undecided), probes)
+    return L2Result(hi, emb, distortion(emb), (lo, hi), tuple(undecided), probes)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +371,7 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
             "constant first (see normalize_noncontractive)"
         )
     index = {lab: i for i, lab in enumerate(space.labels)}
-    images = emb.floats()
+    images = float_table(emb.table, emb.scale)
 
     selected = {"": ""}
     frontier = [""]

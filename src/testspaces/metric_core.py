@@ -44,7 +44,7 @@ def scaled_integers(rows, headroom: int = 1) -> tuple[np.ndarray, int]:
         nums = [p * (scale // q) for p, q in zip(nums, dens)]
     big = max(max(nums, default=0), -min(nums, default=0))
     dtype = np.int64 if big * headroom <= INT64_MAX else object
-    return np.array(nums, dtype=dtype).reshape(len(rows), len(rows[0]) if rows else 0), scale
+    return np.array(nums, dtype=dtype).reshape(len(rows), len(rows[0]) if len(rows) else 0), scale
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,9 @@ class MetricSpace:
         """Every distance times `factor`, a positive int or Fraction."""
         if not isinstance(factor, (int, Fraction)) or factor <= 0:
             raise ValidationError(f"scale factor must be a positive rational, got {factor!r}")
-        p, q = factor.numerator, factor.denominator
-        # p itself must fit int64 too, even when every distance is 0
-        num = self.num if max(_magnitude(self.num), 1) * p <= INT64_MAX else self.num.astype(object)
-        return MetricSpace(read_only(num * p), self.scale * q, self.labels)
+        # Python-int products, which the constructor narrows to int64 where they fit
+        num = read_only(self.num.astype(object) * factor.numerator)
+        return MetricSpace(num, self.scale * factor.denominator, self.labels)
 
     def __eq__(self, other):
         same = isinstance(other, MetricSpace) and self.labels == other.labels
@@ -134,10 +133,9 @@ def check_table_size(n: int, what: str) -> None:
 
 
 def reduced_table(num, scale: int, headroom: int) -> tuple[np.ndarray, int]:
-    """num / scale reduced to gcd(num, scale) = 1, as a read-only int64 table
-    when `headroom` (the growth of the sums and products callers form) times
-    its largest magnitude fits, else of Python ints.  A table that no one can
-    write to any more is kept as it is; any other is copied."""
+    """num / scale in lowest terms, read-only: int64 when `headroom` (the
+    growth of the sums and products callers form) times its largest magnitude
+    fits, else Python ints.  A table no one can write to any more is kept."""
     copy = isinstance(num, np.ndarray) and _writable(num)
     num = np.asarray(num)
     g = math.gcd(scale, int(np.gcd.reduce(num, axis=None)))  # scale when num is all 0

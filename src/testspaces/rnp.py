@@ -29,6 +29,7 @@ from .metric_core import (
     GeodesicPath,
     MetricSpace,
     enumerate_geodesic_paths,
+    fraction_rows,
     read_only,
     scaled_integers,
 )
@@ -40,14 +41,14 @@ def _sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _integer_rows(vectors) -> tuple[list[list[int]], int]:
+def _integer_rows(vectors) -> tuple[np.ndarray, int]:
     """Python-int numerators of int/Fraction vectors over their common
-    denominator."""
+    denominator, one row per vector (an object array)."""
     try:
         rows, scale = scaled_integers(tuple(vectors))
     except AttributeError as exc:  # a float has no numerator
         raise ValidationError("exact (int or Fraction) entries needed") from exc
-    return rows.tolist(), scale
+    return rows.astype(object), scale
 
 
 def _l1(row: list[int]) -> int:
@@ -644,8 +645,7 @@ def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = No
             if lo < height < hi:
                 tent = min(height - lo, hi - height)
                 table[v, col] = tent if side == 0 else -tent
-    target = NormedTarget("l1", 1 + len(fam.units))
-    return Embedding(space, read_only(table), target, space.scale)
+    return Embedding(space, read_only(table), NormedTarget("l1", table.shape[1]), space.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -681,15 +681,8 @@ def _level_from_points(rows: list[list[int]], den: int, params, points) -> Piece
     values = []
     for i in range(len(points) - 1):
         dt = params[i + 1] - params[i]
-        scale, q = dt.denominator, den * dt.numerator
-        exact: dict[int, Fraction] = {}
-        value = []
-        for x, y in zip(rows[points[i + 1]], rows[points[i]]):
-            f = exact.get(x - y)
-            if f is None:
-                f = exact[x - y] = Fraction((x - y) * scale, q)
-            value.append(f)
-        values.append(tuple(value))
+        slope = [(x - y) * dt.denominator for x, y in zip(rows[points[i + 1]], rows[points[i]])]
+        values += fraction_rows(np.array([slope], dtype=object), den * dt.numerator)
     return PiecewiseLevel(tuple(params), tuple(values))
 
 
@@ -698,7 +691,7 @@ def _exact_norms(target: NormedTarget, rows) -> list[int]:
     kernel of `norm`, in Python ints."""
     if target.kind not in ("l1", "linf", "summing"):
         raise ValidationError("martingale construction needs an exact rational norm")
-    return _ROW_NORMS[target.kind](np.array(rows, dtype=object).reshape(len(rows), -1).T).tolist()
+    return _ROW_NORMS[target.kind](np.array(rows, dtype=object).reshape(len(rows), -1)).tolist()
 
 
 def _slope_jumps(target: NormedTarget, rows, den: int, ends, points, gaps) -> list[Fraction]:
@@ -756,10 +749,8 @@ def martingale_from_embedding(
         raise ValidationError("need at least one double-step")
     if emb.space.size != family.space.size:
         raise ValidationError("embedding must live on the family's host space")
-    if emb.target.kind not in ("l1", "linf", "summing"):
-        raise ValidationError("martingale construction needs an exact rational norm")
-    if not emb.exact:
-        raise ValidationError("martingale construction needs exact (int or Fraction) vectors")
+    if emb.target.kind not in ("l1", "linf", "summing") or not emb.exact:
+        raise ValidationError("martingale construction needs exact vectors in an exact rational norm")
     rep = distortion(emb)
     lip, colip = rep.lip, rep.colip
     # the 1-Lipschitz map f = emb / lip is rows / den
@@ -845,7 +836,6 @@ def martingale_check(mart: Martingale, bound: Fraction = Fraction(1)) -> Marting
     target = mart.target
     for k, level in enumerate(mart.levels):
         rows, scale = _integer_rows(level.values)
-        rows = np.array(rows, dtype=object).reshape(len(rows), -1)
         if target.kind in ("l1", "linf", "summing"):
             norms = [Fraction(n, scale) for n in _exact_norms(target, rows)]
         else:

@@ -12,8 +12,8 @@ tree walk's (child choices as bits), word-product enumeration for
 Heisenberg balls, plain loops over entries for norms and over pairs and
 triples for distortion, vertex-map distortion and the metric axioms, an
 exact knockout tournament for the first maximal ratio, a table rebuilt
-from nested tuples on every call and full cumsums for the distortion of
-stored vectors and their row kernels, per-entry products for rescaling, the
+from nested tuples on every call for the distortion of stored vectors,
+per-entry products for rescaling, the
 label-prefix formula for tree distances, a sum of one Fraction per letter
 and a sort for the Bourgain labeling, sorted signed ancestor coordinates
 and their running sums for the Bourgain distortion, one Fraction per
@@ -422,22 +422,12 @@ def pairwise_distortion(emb):
     return DistortionReport(lip, colip, lip * colip, lip_w, colip_w)
 
 
-# `embeddings._ROW_NORMS` as they were, on (k, dim) blocks of one vector
-# per row, every sum a full np.cumsum along the coordinates
-ROW_NORMS_CUMSUM = {
-    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
-    "linf": lambda x: np.abs(x).max(axis=1),
-    "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
-    "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
-}
-
-
 def distortion_tuples(space, vectors, target):
     """`embeddings.distortion` as it was when an Embedding stored nested
     tuples: the rows `vectors` rebuilt into a table on every call (integer
     numerators by `scaled_integers`, or `np.array` of floats) and measured
-    by the cumsum row kernels, one difference vector per row."""
-    from testspaces.embeddings import DistortionReport, _first_max
+    by the row kernels, one difference vector per row."""
+    from testspaces.embeddings import _ROW_NORMS, DistortionReport, _first_max
     from testspaces.errors import CollapsedPairError, ValidationError
     from testspaces.metric_core import FLOAT_EXACT, scaled_integers
 
@@ -471,7 +461,7 @@ def distortion_tuples(space, vectors, target):
         evaluate = target.gauge.evaluate
         row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
     else:
-        row_norm = ROW_NORMS_CUMSUM[kind]
+        row_norm = _ROW_NORMS[kind]
     norms = np.concatenate([row_norm(x) for x in diffs])
     pair = lambda k: (int(pairs[0][k]), int(pairs[1][k]))
     collapsed = np.flatnonzero(valid & (norms == 0))

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from testspaces.embeddings import (
-    _ROW_NORMS,
     Embedding,
     NormedTarget,
     SubmetricSpace,
@@ -37,7 +36,6 @@ from testspaces.metric_core import MetricSpace, apsp, path_graph, scaled_integer
 from testspaces.rnp import bush_gauge, rademacher_tree, tree_to_bush
 
 from _oracles import (
-    ROW_NORMS_CUMSUM,
     bourgain_distortion_sorted,
     bourgain_labeling_fractions,
     cycle_tree_all_maps,
@@ -560,25 +558,6 @@ def test_first_max_beyond_float_range():
     assert _first_max(fractions, np.array([1, 1, 1])) == 0
 
 
-def test_row_kernels_match_cumsum_bit_for_bit():
-    # np.add.reduce over the leading axis of a C-contiguous (dim, k) block
-    # adds one coordinate row at a time, as the full cumsum does; over one
-    # column (k = 1) numpy would sum pairwise, which changes bits from about
-    # 9 coordinates on, so the kernels must take the cumsum there
-    rng = np.random.default_rng(25)
-    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1e154, 1e-160])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for dim in range(1, 201):
-            for k, share, spread in ((1, 0.1, 3), (2, 0.1, 3), (3, 0.3, 300), (17, 0.02, 8)):
-                # entries of one magnitude round differently in another order;
-                # pool entries bring signed zeros, subnormals and overflow
-                block = rng.standard_normal((dim, k)) * 10.0 ** rng.integers(-spread, spread, (dim, k))
-                block = np.where(rng.random((dim, k)) < share, rng.choice(pool, (dim, k)), block)
-                for kind, kernel in _ROW_NORMS.items():
-                    got, want = kernel(block), ROW_NORMS_CUMSUM[kind](block.T)
-                    assert got.tobytes() == want.tobytes(), (kind, dim, k)
-
-
 GAUGE = NormedTarget("gauge", 4, bush_gauge(tree_to_bush(rademacher_tree(2))))
 
 
@@ -638,12 +617,21 @@ def test_stored_table_matches_the_tuple_route(case):
     assert {type(x) for v in emb.vectors for x in v} == ({F} if exact else {float})
     again = Embedding(space, emb.vectors, target)
     assert again == emb and (again.scale, again.table.dtype) == (emb.scale, emb.table.dtype)
-    for factor in (3, F(-2, 7), 0.1):
+    assert Embedding(space, np.array(rows, dtype=object), target) == emb
+    for factor in (3, F(-2, 7), 0.1, 2**70, F(2**70, 3)):
         if target.kind == "gauge" and isinstance(factor, float):
             with pytest.raises(ValidationError, match="exact"):
                 emb.rescaled(factor)
         else:
             assert _same_entries(emb.rescaled(factor).vectors, rescaled_rows(rows, factor))
+
+
+def test_rescaling_zero_vectors_past_int64():
+    # every product is 0, but the factor itself does not fit int64
+    emb = Embedding(apsp(cycle(4)), ((0, 0),) * 4, NormedTarget("l1", 2))
+    for factor in (2**70, F(2**70, 3), -(2**70)):
+        big = emb.rescaled(factor)
+        assert big.vectors == ((F(0), F(0)),) * 4 and big.table.dtype == np.int64
 
 
 def test_the_library_reads_only_the_table(monkeypatch, tmp_path, capsys):
