@@ -3,8 +3,8 @@ the James-condition grid search, submetric active pairs, and the cycle-into-
 tree brute-force oracle.
 
 Norms over rational vectors are exact for l1, linf and the summing norm;
-l2 is evaluated in floating point.  An Embedding stores its vectors once, as
-one table that every kernel reads; its `vectors` are a view built on demand.
+l2 is evaluated in floating point.  An Embedding's vectors and a
+SubmetricSpace's points are one RationalTable that every kernel reads.
 """
 
 from __future__ import annotations
@@ -23,20 +23,13 @@ from .metric_core import (
     INT64_MAX,
     MetricSpace,
     PointId,
+    RationalTable,
     WeightedGraph,
     _magnitude,
-    _writable,
     apsp,
     check_table_size,
-    float_table,
-    fraction_rows,
     read_only,
-    reduced_table,
-    scaled_integers,
 )
-
-Vector = tuple  # tuple of Fraction/int (exact kinds) or float (l2)
-
 
 @dataclass(frozen=True)
 class NormedTarget:
@@ -81,87 +74,46 @@ def norm(target: NormedTarget, v: Sequence) -> Fraction | float:
     if target.kind == "gauge":
         return target.gauge.evaluate(tuple(v))  # type: ignore[union-attr]
     kernel = _ROW_NORMS[target.kind]
-    if target.kind != "l2" and _is_exact(v):
-        row, scale = scaled_integers((v,), headroom=len(v))  # sums of len(v) entries
-        return Fraction(int(kernel(row)[0]), scale)
-    return float(kernel(np.array((v,), dtype=float))[0])
+    row = RationalTable((v,), headroom=len(v))  # sums of len(v) entries
+    if target.kind != "l2" and row.exact:
+        return Fraction(int(kernel(row.num)[0]), row.scale)
+    return float(kernel(row.floats())[0])
 
 
-def _is_exact(v: Sequence) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in v)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Embedding:
     """One vector per point of a metric space, measured in a normed target.
 
-    The vectors are stored once, in the read-only (points x dim) `table`:
-    integer numerators over the positive int `scale` for exact vectors (int64
-    while the sums and cross-products of `distortion` fit, else Python ints),
-    float64 with scale 1 for float ones.  Rows, all exact (int or Fraction)
-    or all float, are converted once.  `vectors` is a view built on first use."""
+    The vectors are one RationalTable, `entries`, a row per point: int64
+    numerators while the sums and cross-products of `distortion` fit, else
+    Python ints, or float64.  The constructor takes rows, all exact (int or
+    Fraction) or all float, or an integer or float array over `scale`."""
 
     space: MetricSpace
-    table: np.ndarray
+    entries: RationalTable
     target: NormedTarget
-    scale: int = 1
 
-    def __post_init__(self):
-        table, scale, n, dim = self.table, self.scale, self.space.size, self.target.dim
-        if not isinstance(table, np.ndarray) or table.dtype != float and table.dtype.kind not in "iu":
-            if len(table) != n or any(len(vec) != dim for vec in table):
-                raise ValidationError(f"need {n} vectors of dimension {dim}, one per point")
-            types = set(map(type, itertools.chain.from_iterable(table)))
-            if all(issubclass(t, float) for t in types):
-                table = read_only(np.array(table, dtype=float))
-            elif all(issubclass(t, (int, Fraction)) for t in types):
-                table, common = scaled_integers(table)
-                table, scale = read_only(table), scale * common
-            else:
-                raise ValidationError("vector entries must be all exact (int or Fraction) or all float")
-        if table.shape != (n, dim):
-            raise ValidationError(f"need {n} vectors of dimension {dim}, one per point")
-        if table.dtype == float and scale == 1:
-            if self.target.kind == "gauge":
-                raise ValidationError("a gauge target measures exact vectors only")
-            if not np.isfinite(table).all():
-                raise ValidationError("vector entries must be finite")
-            table = read_only(table.copy()) if _writable(table) else table
-        elif table.dtype != float and type(scale) is int and scale > 0:
-            # a norm numerator is at most 2 * dim * max|entry|, times a distance
-            table, scale = reduced_table(table, scale, 2 * dim * max(_magnitude(self.space.num), 1))
-        else:
-            raise ValidationError("float tables take scale 1, integer tables a positive int scale")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "scale", scale)
+    def __init__(self, space: MetricSpace, table, target: NormedTarget, scale: int = 1):
+        # a norm numerator is at most 2 * dim * max|entry|, times a distance
+        entries = RationalTable(table, scale, 2 * target.dim * max(_magnitude(space.num), 1))
+        if entries.num.shape != (space.size, target.dim):
+            raise ValidationError(f"need {space.size} vectors of dimension {target.dim}, one per point")
+        if not entries.exact and target.kind == "gauge":
+            raise ValidationError("a gauge target measures exact vectors only")
+        vars(self).update(space=space, entries=entries, target=target)
 
-    @property
-    def exact(self) -> bool:
-        return self.table.dtype != float
-
-    @cached_property
-    def vectors(self) -> tuple[Vector, ...]:
-        if self.exact:
-            return fraction_rows(self.table, self.scale)
-        return tuple(map(tuple, self.table.tolist()))
-
-    def diff_norm(self, i: int, j: int) -> Fraction | float:
-        diff = (self.table[i] - self.table[j]).tolist()
-        return norm(self.target, [Fraction(x, self.scale) for x in diff] if self.exact else diff)
+    table = property(lambda self: self.entries.num)
+    scale = property(lambda self: self.entries.scale)
+    exact = property(lambda self: self.entries.exact)
+    vectors = cached_property(lambda self: self.entries.rows())  # a view, built on first use
 
     def rescaled(self, factor) -> "Embedding":
-        """Every vector times `factor`: exactly, in Python ints, for an int or
-        Fraction factor on exact vectors, else in float64."""
-        if self.exact and isinstance(factor, (int, Fraction)):
-            table = read_only(self.table.astype(object) * factor.numerator)
-            return Embedding(self.space, table, self.target, self.scale * factor.denominator)
-        table = read_only(float_table(self.table, self.scale) * float(factor))
-        return Embedding(self.space, table, self.target)
+        """Every vector times `factor`: exactly for an int or Fraction, else in float64."""
+        return Embedding(self.space, self.entries.rescaled(factor), self.target)
 
     def __eq__(self, other) -> bool:
-        key = lambda e: (e.space, e.target, e.exact, e.scale)
-        same = isinstance(other, Embedding) and key(self) == key(other)
-        return same and np.array_equal(self.table, other.table)
+        key = lambda e: (e.space, e.target, e.entries)
+        return isinstance(other, Embedding) and key(self) == key(other)
 
     def __repr__(self) -> str:
         return f"Embedding(space={self.space!r}, vectors={self.vectors!r}, target={self.target!r})"
@@ -202,21 +154,11 @@ def distortion(emb: Embedding) -> DistortionReport:
     valid = dist != 0
     if not valid.any():
         raise ValidationError("distortion needs a pair at positive distance")
-    diffs = (emb.table[i] - emb.table[i + 1 :] for i in range(n - 1))
     if not emb.exact or kind == "l2":
         dist = space.floats()[pairs]
         if (dist[valid] == 0).any():
             raise ValidationError("a positive distance is 0.0 in float64")
-        if emb.exact:
-            # the differences are exact, so one division rounds each entry
-            # as float(a - b) does
-            diffs = (float_table(x, emb.scale) for x in diffs)
-    if kind == "gauge":
-        evaluate = emb.target.gauge.evaluate
-        row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
-    else:
-        row_norm = _ROW_NORMS[kind]
-    norms = np.concatenate([row_norm(x) for x in diffs])
+    norms = _difference_norms(emb)
     collapsed = np.flatnonzero(valid & (norms == 0))
     if collapsed.size:
         raise CollapsedPairError(*pair(collapsed[0]))
@@ -234,6 +176,23 @@ def distortion(emb: Embedding) -> DistortionReport:
         lip = Fraction(norm_a) * space.scale / (dist_a * emb.scale)
         colip = Fraction(dist_b * emb.scale) / (norm_b * space.scale)
     return DistortionReport(lip, colip, lip * colip, pair(a), pair(b))
+
+
+def _difference_norms(emb: Embedding) -> np.ndarray:
+    """Norms of f(i) - f(j) over the pairs i < j (n >= 2) in (i, j) order:
+    numerators over emb.scale for exact vectors outside l2, else float64."""
+    kind, n = emb.target.kind, emb.space.size
+    diffs = (emb.table[i] - emb.table[i + 1 :] for i in range(n - 1))
+    if emb.exact and kind == "l2":
+        # the differences are exact, so one division rounds each entry as
+        # float(a - b) does
+        diffs = (RationalTable(read_only(x), emb.scale).floats() for x in diffs)
+    if kind == "gauge":
+        evaluate = emb.target.gauge.evaluate
+        row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
+    else:
+        row_norm = _ROW_NORMS[kind]
+    return np.concatenate([row_norm(x) for x in diffs])
 
 
 def _first_max(num: np.ndarray, den: np.ndarray) -> int:
@@ -471,33 +430,39 @@ def _pair_blocks(size: int):
 # Submetric space X_Delta: active pairs under the summing norm
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubmetricSpace:
     """Finite subset of l1 with the active-pair predicate
-    ||x - y||_1 <= Delta ||x - y||_s."""
+    ||x - y||_1 <= Delta ||x - y||_s.  The points are one exact
+    RationalTable, `entries`, a row per point; `points` is a view."""
 
-    points: tuple[Vector, ...]
+    entries: RationalTable
     delta: Fraction
 
-    def __post_init__(self):
-        if self.delta < 1:
+    def __init__(self, points, delta: Fraction):
+        # the norms of differences sum dim entries of at most 2 max|entry|
+        entries = RationalTable(points, 1, 2 * max(map(len, points), default=1))
+        if not entries.exact or 0 in entries.num.shape:
+            raise ValidationError("need at least one point, with exact (int or Fraction) coordinates")
+        if delta < 1:
             raise ValidationError("Delta must be >= 1")
+        vars(self).update(entries=entries, delta=delta)
 
-    @property
-    def dim(self) -> int:
-        return len(self.points[0])
+    points = cached_property(lambda self: self.entries.rows())
+    size = property(lambda self: self.entries.num.shape[0])
+    dim = property(lambda self: self.entries.num.shape[1])
 
-    def l1_dist(self, i: int, j: int) -> Fraction:
-        diff = tuple(a - b for a, b in zip(self.points[i], self.points[j]))
-        return norm(NormedTarget("l1", self.dim), diff)
-
-    def is_active(self, i: int, j: int) -> bool:
-        diff = tuple(a - b for a, b in zip(self.points[i], self.points[j]))
-        return self.l1_dist(i, j) <= self.delta * norm(NormedTarget("summing", self.dim), diff)
+    def _pairs(self, first, second) -> tuple[np.ndarray, np.ndarray]:
+        """l1 norms of x_i - x_j over index arrays (first, second), Python-int
+        numerators over the table's scale, and which pairs are active."""
+        diff = self.entries.num[first] - self.entries.num[second]
+        l1, s = (_ROW_NORMS[kind](diff).astype(object) for kind in ("l1", "summing"))
+        return l1, l1 * self.delta.denominator <= s * self.delta.numerator
 
     def active_pairs(self) -> list[tuple[int, int]]:
-        n = len(self.points)
-        return [(i, j) for i in range(n) for j in range(i + 1, n) if self.is_active(i, j)]
+        first, second = np.triu_indices(self.size, 1)
+        active = self._pairs(first, second)[1]
+        return list(zip(first[active].tolist(), second[active].tolist()))
 
 
 @dataclass(frozen=True)
@@ -507,26 +472,30 @@ class SubmetricCheck:
 
 
 def submetric_check(sub: SubmetricSpace, emb: Embedding) -> SubmetricCheck:
-    """Smallest C with d <= ||f(x)-f(y)|| <= C d over active pairs only."""
-    if emb.space.size != len(sub.points):
+    """Smallest C with d <= ||f(x)-f(y)|| <= C d over active pairs only, or
+    the first active pair with ||f(x)-f(y)|| < d; the norms come from the
+    row kernels over all pairs, and each active pair is compared exactly."""
+    if emb.space.size != sub.size:
         raise ValidationError("embedding must be defined on the submetric points")
-    best_c = None
-    for i, j in sub.active_pairs():
-        d = sub.l1_dist(i, j)
-        if d == 0:
-            continue
-        dn = emb.diff_norm(i, j)
-        if dn < d:
-            return SubmetricCheck(None, (i, j))
-        c = dn / d
-        if best_c is None or c > best_c:
-            best_c = c
-    return SubmetricCheck(best_c, None)
+    first, second = np.triu_indices(sub.size, 1)
+    d, active = sub._pairs(first, second)
+    at = np.flatnonzero(active & (d != 0)).tolist()
+    norms = _difference_norms(emb).tolist() if at else []
+    exact = emb.exact and emb.target.kind != "l2"
+    ratios = []
+    for k in at:
+        dist = Fraction(d[k], sub.entries.scale)
+        dn = Fraction(norms[k], emb.scale) if exact else norms[k]
+        if dn < dist:
+            return SubmetricCheck(None, (int(first[k]), int(second[k])))
+        ratios.append(dn / dist)
+    return SubmetricCheck(max(ratios, default=None), None)
 
 
 def submetric_space_metric(sub: SubmetricSpace) -> MetricSpace:
-    n = len(sub.points)
-    return MetricSpace.from_rows([[sub.l1_dist(i, j) for j in range(n)] for i in range(n)])
+    n = sub.size
+    l1 = sub._pairs(*np.divmod(np.arange(n * n), n))[0]
+    return MetricSpace(l1.reshape(n, n), sub.entries.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metric_core import MetricSpace, PointId, WeightedGraph, read_only, scaled_integers
+from .metric_core import MetricSpace, PointId, RationalTable, WeightedGraph, read_only
 
 
 def _long_decimal(n: int) -> str:
@@ -136,10 +136,10 @@ def space_from_csv(text: str) -> MetricSpace:
     exact = _distinct(rows, parse_rational)
     if any(len(row) != len(rows) for row in rows):
         raise ValidationError("distance table must be square")
-    values, scale = scaled_integers([list(exact.values())])
+    values = RationalTable([list(exact.values())])
     position = {tok: k for k, tok in enumerate(exact)}
     at = np.array([position[tok] for row in rows for tok in row], dtype=np.intp)
-    return MetricSpace(read_only(values[0, at].reshape(len(rows), len(rows))), scale)
+    return MetricSpace(read_only(values.num[0, at].reshape(len(rows), len(rows))), values.scale)
 
 
 def write_space(path: str, space: MetricSpace) -> None:

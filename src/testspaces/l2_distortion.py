@@ -32,7 +32,7 @@ import numpy as np
 from .embeddings import DistortionReport, Embedding, NormedTarget, distortion
 from .errors import UndecidedError, ValidationError
 from .generators import binary_tree
-from .metric_core import MetricSpace, apsp, float_table, read_only
+from .metric_core import MetricSpace, apsp, read_only
 
 STALL_REL = 1e-9
 STALL_WINDOW = 25
@@ -371,7 +371,7 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
             "constant first (see normalize_noncontractive)"
         )
     index = {lab: i for i, lab in enumerate(space.labels)}
-    images = float_table(emb.table, emb.scale)
+    images = emb.entries.floats()
 
     selected = {"": ""}
     frontier = [""]
@@ -393,8 +393,7 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     old_labels = sorted(selected, key=lambda L: (len(L), L))
     new_labels = tuple(selected[L] for L in old_labels)
     idxs = [index[L] for L in old_labels]
-    half = space.restrict(idxs).scaled(Fraction(1, 2))
-    half_space = MetricSpace(half.num, half.scale, new_labels)
+    half_space = MetricSpace(space.restrict(idxs).table.rescaled(Fraction(1, 2)), 1, new_labels)
     sub = Embedding(half_space, read_only(emb.table[idxs]), emb.target, emb.scale)
 
     # structural exactness: half distances must equal T_{floor(n/2)} distances

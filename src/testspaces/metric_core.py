@@ -1,7 +1,8 @@
 """Exact finite metric spaces and shortest-path machinery.
 
-A MetricSpace stores integer distance numerators over one scale; `d(i, j)`
-and `dist` are exact Fraction views, and floats enter only through the
+A RationalTable, the one exact table type, stores integer numerators over
+one int scale; a MetricSpace holds its distances as one.  `d(i, j)` and
+`dist` are exact Fraction views, and floats enter only through the
 correctly rounded `floats()`.  Graphs have positive rational edge lengths.
 Shortest paths and geodesics are searched on integer lengths over one
 scale; Fractions are made only for the values handed back.
@@ -28,25 +29,6 @@ VIOLATION_CAP = 1000  # violations listed by verify_metric
 TABLE_ENTRY_CAP = 2**26  # n^2 entries of one distance table (n <= 8192)
 
 
-def scaled_integers(rows, headroom: int = 1) -> tuple[np.ndarray, int]:
-    """Integer numerators N and the lcm S of the denominators of a table of
-    Fraction/int entries, with rows[i][j] == N[i, j] / S exactly.
-
-    N is int64 when `headroom` times the largest magnitude fits in int64
-    (callers pass the growth of the sums and cross-products they form);
-    otherwise it is an object array of Python ints, so no kernel built on it
-    can overflow.
-    """
-    nums = [x.numerator for row in rows for x in row]
-    dens = [x.denominator for row in rows for x in row]
-    scale = math.lcm(*set(dens))
-    if scale != 1:
-        nums = [p * (scale // q) for p, q in zip(nums, dens)]
-    big = max(max(nums, default=0), -min(nums, default=0))
-    dtype = np.int64 if big * headroom <= INT64_MAX else object
-    return np.array(nums, dtype=dtype).reshape(len(rows), len(rows[0]) if len(rows) else 0), scale
-
-
 @dataclass(frozen=True)
 class PointId:
     """A vertex: contiguous index plus an optional unique text label."""
@@ -55,54 +37,137 @@ class PointId:
     label: Optional[str] = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
+class RationalTable:
+    """A read-only 2-D table: exact rationals num / scale, or float64 at scale 1.
+
+    Exact numerators are over one positive int `scale` in lowest terms,
+    int64 when `headroom` (the growth of its holder's sums and products)
+    times the largest magnitude fits, else Python ints.  `data` is an
+    integer array over `scale`, a float array, a table, or rows (an object
+    array included) all exact (int or Fraction, converted without loss) or
+    all float; anything else raises ValidationError.  An array no one can
+    write to any more is kept; any other is copied."""
+
+    num: np.ndarray
+    scale: int
+
+    def __init__(self, data, scale: int = 1, headroom: int = 1):
+        if isinstance(data, RationalTable):
+            data, scale = data.num, data.scale * scale
+        if type(scale) is not int or scale <= 0:
+            raise ValidationError(f"a table's scale must be a positive int, got {scale!r}")
+        if not isinstance(data, np.ndarray) or data.dtype == object:
+            data, scale = _from_rows(data, scale)
+        if data.ndim != 2 or data.dtype.kind not in "iufO":
+            raise ValidationError(f"need a 2-D table of numbers, got {data.dtype} of shape {data.shape}")
+        copy = _writable(data)
+        if data.dtype.kind == "f":
+            if scale != 1 or not np.isfinite(data).all():
+                raise ValidationError("a float table takes finite entries and scale 1")
+            num = data.astype(float, copy=copy)
+        else:
+            g = math.gcd(scale, int(np.gcd.reduce(data, axis=None)))  # scale when data is all 0
+            if g > 1 and data.any():
+                data, copy = data // g, False
+            scale //= g
+            fits = headroom * _magnitude(data) <= INT64_MAX
+            num = data.astype(np.int64 if fits else object, copy=copy)
+        num.flags.writeable = False
+        vars(self).update(num=num, scale=scale)
+
+    exact = property(lambda self: self.num.dtype != float)
+
+    def rows(self) -> tuple[tuple, ...]:
+        """Rows of Fractions (one object per distinct numerator), or of floats."""
+        if not self.exact:
+            return tuple(map(tuple, self.num.tolist()))
+        value = {x: Fraction(x, self.scale) for x in set(self.num.ravel().tolist())}.__getitem__
+        return tuple(tuple(map(value, row)) for row in self.num.tolist())
+
+    def floats(self) -> np.ndarray:
+        """Correctly rounded float64: numpy below 2^53, else Python per entry."""
+        num, scale = self.num, self.scale
+        if not self.exact:
+            return num
+        if num.dtype != object and max(_magnitude(num), scale) < FLOAT_EXACT:
+            return num / scale
+        return np.array([x / scale for x in num.ravel().tolist()]).reshape(num.shape)
+
+    def rescaled(self, factor) -> "RationalTable":
+        """Every entry times `factor`: exactly for an int or Fraction, else in float64."""
+        if self.exact and isinstance(factor, (int, Fraction)):
+            num = self.num.astype(object) * factor.numerator  # Python ints
+            return RationalTable(num, self.scale * factor.denominator)
+        return RationalTable(self.floats() * float(factor))
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, RationalTable) and (self.exact, self.scale) == (other.exact, other.scale)
+        return same and np.array_equal(self.num, other.num)
+
+    def __hash__(self) -> int:  # so the frozen holders of a table stay hashable
+        return hash((self.scale, self.num.shape, tuple(self.num.ravel().tolist())))
+
+
+def _from_rows(rows, scale: int) -> tuple[np.ndarray, int]:
+    """Rows as a read-only array: numerators over `scale` times the lcm of
+    the denominators (int64 where they fit), or float64."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    width = len(rows[0]) if len(rows) else 0
+    if any(len(row) != width for row in rows):
+        raise ValidationError("table rows must have equal lengths")
+    cells = list(itertools.chain.from_iterable(rows))
+    kinds = set(map(type, cells))
+    if kinds and all(issubclass(t, float) for t in kinds):
+        return read_only(np.array(cells, dtype=float).reshape(len(rows), width)), scale
+    if not all(issubclass(t, (int, Fraction)) for t in kinds):
+        raise ValidationError("table entries must be all exact (int or Fraction) or all float")
+    if not kinds <= {int}:  # Fractions, and bools as 0 and 1
+        dens = [x.denominator for x in cells]
+        common = math.lcm(*set(dens))
+        cells = [x.numerator * (common // q) for x, q in zip(cells, dens)]
+        scale *= common
+    big = max(max(cells, default=0), -min(cells, default=0))
+    table = np.array(cells, dtype=np.int64 if big <= INT64_MAX else object)
+    return read_only(table.reshape(len(rows), width)), scale
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class MetricSpace:
     """Finite point set with exact distances d(i, j) = num[i, j] / scale.
 
-    `num` is a read-only n x n integer array: int64 when twice its largest
-    magnitude fits, Python ints (object) otherwise.  `scale` is a positive
-    int, and the constructor reduces gcd(num, scale) to 1.  A table that no
-    one can write to any more (read-only, and viewing only read-only
-    arrays) is kept as it is; any other is copied.
-    """
+    The distances are one exact RationalTable, `table`, at headroom 2 (int64
+    when twice the largest numerator fits), built from an integer array
+    over `scale` or from rows (an object array included)."""
 
-    num: np.ndarray
-    scale: int = 1
+    table: RationalTable
     labels: Optional[tuple[Optional[str], ...]] = None
 
-    def __post_init__(self):
-        num, scale = np.asarray(self.num), self.scale
-        square = num.ndim == 2 and num.shape[0] == num.shape[1] and num.dtype.kind in "iuO"
-        if not square or type(scale) is not int or scale <= 0:
-            raise ValidationError("need a square integer numerator table and a positive int scale")
-        num, scale = reduced_table(self.num, scale, headroom=2)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "scale", scale)
+    def __init__(self, num, scale: int = 1, labels=None):
+        table = RationalTable(num, scale, headroom=2)
+        if not table.exact or table.num.shape[0] != table.num.shape[1]:
+            raise ValidationError("need a square table of exact distances (ints or Fractions)")
+        vars(self).update(table=table, labels=labels)
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "MetricSpace":
         """The space with distance table rows[i][j] (ints and Fractions)."""
         if any(len(row) != len(rows) for row in rows):
             raise ValidationError("distance table must be square")
-        if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-            raise ValidationError("distances must be ints or Fractions")
-        return cls(*scaled_integers(rows), labels)
+        return cls(rows, 1, labels)
 
-    @property
-    def size(self) -> int:
-        return self.num.shape[0]
+    num = property(lambda self: self.table.num)
+    scale = property(lambda self: self.table.scale)
+    size = property(lambda self: self.num.shape[0])
 
-    @property
-    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The table as Fractions, built on each call."""
-        return fraction_rows(self.num, self.scale)
+    dist = property(lambda self: self.table.rows())  # the table as Fractions, built on each call
 
     def d(self, i: int, j: int) -> Fraction:
         return Fraction(int(self.num[i, j]), self.scale)
 
     def floats(self) -> np.ndarray:
         """The table in float64, each entry equal to float(self.d(i, j))."""
-        return float_table(self.num, self.scale)
+        return self.table.floats()
 
     def restrict(self, indices: Sequence[int]) -> "MetricSpace":
         """Subspace on the given points, in the given order."""
@@ -114,13 +179,13 @@ class MetricSpace:
         """Every distance times `factor`, a positive int or Fraction."""
         if not isinstance(factor, (int, Fraction)) or factor <= 0:
             raise ValidationError(f"scale factor must be a positive rational, got {factor!r}")
-        # Python-int products, which the constructor narrows to int64 where they fit
-        num = read_only(self.num.astype(object) * factor.numerator)
-        return MetricSpace(num, self.scale * factor.denominator, self.labels)
+        return MetricSpace(self.table.rescaled(factor), 1, self.labels)
 
     def __eq__(self, other):
-        same = isinstance(other, MetricSpace) and self.labels == other.labels
-        return same and self.scale == other.scale and np.array_equal(self.num, other.num)
+        return isinstance(other, MetricSpace) and (self.labels, self.table) == (other.labels, other.table)
+
+    def __repr__(self) -> str:
+        return f"MetricSpace(num={self.num!r}, scale={self.scale!r}, labels={self.labels!r})"
 
 
 def check_table_size(n: int, what: str) -> None:
@@ -132,48 +197,19 @@ def check_table_size(n: int, what: str) -> None:
         )
 
 
-def reduced_table(num, scale: int, headroom: int) -> tuple[np.ndarray, int]:
-    """num / scale in lowest terms, read-only: int64 when `headroom` (the
-    growth of the sums and products callers form) times its largest magnitude
-    fits, else Python ints.  A table no one can write to any more is kept."""
-    copy = isinstance(num, np.ndarray) and _writable(num)
-    num = np.asarray(num)
-    g = math.gcd(scale, int(np.gcd.reduce(num, axis=None)))  # scale when num is all 0
-    if g > 1 and num.any():
-        num, copy = num // g, False
-    num = num.astype(np.int64 if headroom * _magnitude(num) <= INT64_MAX else object, copy=copy)
-    num.flags.writeable = False
-    return num, scale // g
-
-
-def fraction_rows(num: np.ndarray, scale: int) -> tuple[tuple[Fraction, ...], ...]:
-    """num / scale as rows of Fractions, one object per distinct numerator."""
-    exact = {x: Fraction(x, scale) for x in set(num.ravel().tolist())}.__getitem__
-    return tuple(tuple(map(exact, row)) for row in num.tolist())
-
-
-def float_table(num: np.ndarray, scale: int) -> np.ndarray:
-    """num / scale in float64, correctly rounded: one numpy division below
-    2^53, where both operands are exact floats, else Python's per entry."""
-    if num.dtype != object and _magnitude(num) < FLOAT_EXACT and scale < FLOAT_EXACT:
-        return num / scale
-    return np.array([x / scale for x in num.ravel().tolist()]).reshape(num.shape)
-
-
 def read_only(num: np.ndarray) -> np.ndarray:
-    """A fresh table, marked read-only so that MetricSpace and Embedding keep it uncopied."""
+    """A fresh array, marked read-only so that a RationalTable keeps it uncopied."""
     num.flags.writeable = False
     return num
 
 
 def _writable(num: np.ndarray) -> bool:
     """Whether num's memory can still be written through num or an array it views."""
-    base = num
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
+    while isinstance(num, np.ndarray):
+        if num.flags.writeable:
             return True
-        base = base.base
-    return base is not None  # a buffer that is not an array may be mutable
+        num = num.base
+    return num is not None  # a buffer that is not an array may be mutable
 
 
 def _magnitude(num: np.ndarray) -> int:

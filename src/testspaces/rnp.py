@@ -3,7 +3,8 @@ L1, the gauge renorming (the normalized l1 norm for unit-ball generators,
 an exact LP otherwise), broken-line families of
 geodesics, thickness certification for diamond geodesic families, and the
 embedding-to-divergent-martingale construction, which reads the integer
-numerator table of the embedding (never its `vectors` view).
+numerator table of the embedding (never its `vectors` view) and builds
+each martingale level as one exact table of integer slope rows.
 
 Ambient space throughout: R^(2^n) under the normalized l1 norm (atoms of
 equal mass), where everything stays rational.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -25,13 +27,11 @@ from .errors import CapExceededError, ValidationError
 from .exactlp import _over_lcm, solve_lp
 from .generators import RecursiveFamily, diamond, diamond_weighting, tree_labels
 from .metric_core import (
-    INT64_MAX,
     GeodesicPath,
     MetricSpace,
+    RationalTable,
     enumerate_geodesic_paths,
-    fraction_rows,
     read_only,
-    scaled_integers,
 )
 
 Vec = tuple
@@ -39,16 +39,6 @@ Vec = tuple
 
 def _sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def _integer_rows(vectors) -> tuple[np.ndarray, int]:
-    """Python-int numerators of int/Fraction vectors over their common
-    denominator, one row per vector (an object array)."""
-    try:
-        rows, scale = scaled_integers(tuple(vectors))
-    except AttributeError as exc:  # a float has no numerator
-        raise ValidationError("exact (int or Fraction) entries needed") from exc
-    return rows.astype(object), scale
 
 
 def _l1(row: list[int]) -> int:
@@ -174,7 +164,10 @@ def verify_bush(bush: DeltaBush) -> None:
         raise ValidationError("a bush must start from a single vector (m_0 = 1)")
     for n in range(1, len(bush.levels)):
         prev, level = bush.levels[n - 1], bush.levels[n]
-        [weights], wscale = _integer_rows((bush.weights[n],))
+        weights = RationalTable((bush.weights[n],))
+        if not weights.exact:
+            raise ValidationError("bush weights must be exact (int or Fraction)")
+        [weights], wscale = weights.num.tolist(), weights.scale
         seen: set[int] = set()
         for k, block in enumerate(bush.blocks[n]):
             seen.update(block)
@@ -418,10 +411,8 @@ class GeodesicFamily:
         self._index_of = {row: i for i, row in enumerate(self._vertex_at)}
         # parameter-major: self._points[t, g] is geodesic g's vertex at params[t]
         self._points = np.array(self._vertex_at).T.copy()
-        num = self.space.num
         np_ = len(self.params)
-        if int(num.max()) * np_ > INT64_MAX:
-            num = num.astype(object)  # the bubble totals below stay exact
+        num = RationalTable(self.space.num, 1, np_).num  # the bubble totals below stay exact
         # per pair: bitmask of common parameters, sum and count of bubble maxima
         shape = (len(self.geodesics),) * 2
         common = np.zeros(shape, dtype=np.int64 if np_ < 63 else object)
@@ -652,20 +643,30 @@ def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = No
 # Martingales
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PiecewiseLevel:
-    """A piecewise-constant function on (0,1]: value[i] on (breaks[i], breaks[i+1]]."""
+    """A piecewise-constant function on (0,1]: value[i] on (breaks[i], breaks[i+1]].
+    The values are one exact RationalTable, `entries`, a row per interval."""
 
     breaks: tuple[Fraction, ...]
-    values: tuple[Vec, ...]
+    entries: RationalTable
 
-    def __post_init__(self):
-        if len(self.values) != len(self.breaks) - 1:
-            raise ValidationError("need one value per interval")
-        if self.breaks[0] != 0:
+    def __init__(self, breaks: tuple[Fraction, ...], values):
+        entries = RationalTable(values)
+        if len(breaks) < 2 or entries.num.shape[0] != len(breaks) - 1 or entries.num.shape[1] == 0:
+            raise ValidationError("need one value, a vector of a positive dimension, per interval")
+        if not entries.exact:
+            raise ValidationError("level values must be exact (int or Fraction)")
+        if breaks[0] != 0:
             raise ValidationError("partition must start at 0")
-        if any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
+        if any(a >= b for a, b in zip(breaks, breaks[1:])):
             raise ValidationError("breakpoints must increase strictly")
+        vars(self).update(breaks=breaks, entries=entries)
+
+    values = cached_property(lambda self: self.entries.rows())  # a view, built on first use
+
+    def __repr__(self) -> str:
+        return f"PiecewiseLevel(breaks={self.breaks!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True)
@@ -674,24 +675,17 @@ class Martingale:
     target: NormedTarget
 
 
-def _level_from_points(rows: list[list[int]], den: int, params, points) -> PiecewiseLevel:
-    """The level whose value on (params[i], params[i+1]] is the slope of the
-    map f = rows / den between points[i] and points[i+1], with one Fraction
-    per distinct entry of each slope."""
-    values = []
-    for i in range(len(points) - 1):
-        dt = params[i + 1] - params[i]
-        slope = [(x - y) * dt.denominator for x, y in zip(rows[points[i + 1]], rows[points[i]])]
-        values += fraction_rows(np.array([slope], dtype=object), den * dt.numerator)
-    return PiecewiseLevel(tuple(params), tuple(values))
-
-
-def _exact_norms(target: NormedTarget, rows) -> list[int]:
-    """Norms of integer rows in an l1, linf or summing target, by the row
-    kernel of `norm`, in Python ints."""
-    if target.kind not in ("l1", "linf", "summing"):
-        raise ValidationError("martingale construction needs an exact rational norm")
-    return _ROW_NORMS[target.kind](np.array(rows, dtype=object).reshape(len(rows), -1)).tolist()
+def _level_from_points(rows: np.ndarray, den: int, params, points) -> PiecewiseLevel:
+    """The level whose value on (params[i], params[i+1]] is the slope of
+    f = rows / den (an object array) between points[i] and points[i+1]: the
+    rows (f(points[i+1]) - f(points[i])) den lcm / dt_i over den lcm, for
+    the lcm of the step numerators."""
+    steps = [b - a for a, b in zip(params, params[1:])]
+    lcm = math.lcm(*(dt.numerator for dt in steps))
+    per = np.array([dt.denominator * (lcm // dt.numerator) for dt in steps], dtype=object)
+    ends = np.asarray(points)
+    slopes = (rows[ends[1:]] - rows[ends[:-1]]) * per[:, None]
+    return PiecewiseLevel(tuple(params), RationalTable(slopes, den * lcm))
 
 
 def _slope_jumps(target: NormedTarget, rows, den: int, ends, points, gaps) -> list[Fraction]:
@@ -699,26 +693,24 @@ def _slope_jumps(target: NormedTarget, rows, den: int, ends, points, gaps) -> li
     slopes of f = rows / den at each z in points, for ends (w0, w1) and
     gaps (A, B) > 0: the integer row (f(w1) - f(z)) A - (f(z) - f(w0)) B,
     scaled to integers, over den * A.numerator * B.numerator."""
-    (A, B), (w0, w1) = gaps, (rows[end] for end in ends)
+    (A, B), (w0, w1), z = gaps, (rows[end] for end in ends), rows[list(points)]
     a, b = A.numerator * B.denominator, B.numerator * A.denominator
-    jumps = [[(y - x) * a - (x - w) * b for w, x, y in zip(w0, rows[z], w1)] for z in points]
     q = den * A.numerator * B.numerator
-    return [Fraction(n, q) for n in _exact_norms(target, jumps)]
+    return [Fraction(n, q) for n in _ROW_NORMS[target.kind]((w1 - z) * a - (z - w0) * b).tolist()]
 
 
 def martingale_l1_diff(a: PiecewiseLevel, b: PiecewiseLevel, target: NormedTarget) -> Fraction:
-    """Bochner L1 norm of a - b on (0,1], exact: each level's values as
-    integer rows over their common denominator, and the difference on each
-    interval of the common refinement measured as one integer row.  The
-    target must be l1, linf or summing."""
+    """Bochner L1 norm of a - b on (0,1], exact: each level's table of
+    integer rows, and the difference on each interval of the common
+    refinement measured as one integer row.  The target must be l1, linf
+    or summing."""
+    if target.kind not in ("l1", "linf", "summing"):
+        raise ValidationError("martingale construction needs an exact rational norm")
     breaks = sorted(set(a.breaks) | set(b.breaks))
-    ra, sa = _integer_rows(a.values)
-    rb, sb = _integer_rows(b.values)
-    diffs = []
-    for lo in breaks[:-1]:
-        va, vb = ra[_interval_index(a.breaks, lo)], rb[_interval_index(b.breaks, lo)]
-        diffs.append([x * sb - y * sa for x, y in zip(va, vb)])
-    norms = _exact_norms(target, diffs)
+    (ra, sa), (rb, sb) = ((x.entries.num.astype(object), x.entries.scale) for x in (a, b))
+    ia = [_interval_index(a.breaks, lo) for lo in breaks[:-1]]
+    ib = [_interval_index(b.breaks, lo) for lo in breaks[:-1]]
+    norms = _ROW_NORMS[target.kind](ra[ia] * sb - rb[ib] * sa).tolist()
     total = sum(((hi - lo) * n for lo, hi, n in zip(breaks, breaks[1:], norms)), Fraction(0))
     return total / (sa * sb)
 
@@ -754,7 +746,7 @@ def martingale_from_embedding(
     rep = distortion(emb)
     lip, colip = rep.lip, rep.colip
     # the 1-Lipschitz map f = emb / lip is rows / den
-    rows = [[x * lip.denominator for x in row] for row in emb.table.tolist()]
+    rows = emb.table.astype(object) * lip.denominator
     den = emb.scale * lip.numerator
     ell = Fraction(1) / (lip * colip)
 
@@ -825,19 +817,19 @@ class MartingaleReport:
 def martingale_check(mart: Martingale, bound: Fraction = Fraction(1)) -> MartingaleReport:
     """Exact verification: partitions refine, the length-weighted average of
     each level over a parent interval equals the parent value, and all values
-    stay inside the ball of radius bound.  Values must be exact (int or
-    Fraction).  Each level is read once as integer rows over one scale, and
-    each break as its position on the level's integer grid; the children of
-    a parent interval are the intervals between its two ends' positions."""
+    stay inside the ball of radius bound.  Each level's table is read once
+    as integer rows over one scale, and each break as its position on the
+    level's integer grid; the children of a parent interval are the
+    intervals between its two ends' positions."""
     failures: list[str] = []
     refinement = True
     condexp = True
     bounded = True
     target = mart.target
     for k, level in enumerate(mart.levels):
-        rows, scale = _integer_rows(level.values)
+        rows, scale = level.entries.num.astype(object), level.entries.scale
         if target.kind in ("l1", "linf", "summing"):
-            norms = [Fraction(n, scale) for n in _exact_norms(target, rows)]
+            norms = [Fraction(n, scale) for n in _ROW_NORMS[target.kind](rows).tolist()]
         else:
             norms = [norm(target, v) for v in level.values]
         for value_norm in norms:
@@ -852,13 +844,12 @@ def martingale_check(mart: Martingale, bound: Fraction = Fraction(1)) -> Marting
             else:
                 # s_prev * sum_j len_j * child_j == s * len_i * parent_i, the
                 # lengths integers over the level's break denominator
-                ticks, _ = _over_lcm(level.breaks)
+                ticks = np.array(_over_lcm(level.breaks)[0], dtype=object)
                 cuts = [at[b] for b in prev.breaks]
-                lengths = [b - a for a, b in zip(ticks, ticks[1 : cuts[-1] + 1])]
-                lengths = np.array(lengths, dtype=object)[:, None]
+                lengths = np.diff(ticks[: cuts[-1] + 1])[:, None]
                 acc = np.add.reduceat(lengths * rows[: cuts[-1]], cuts[:-1], axis=0)
-                spans = np.array([ticks[b] - ticks[a] for a, b in zip(cuts, cuts[1:])], dtype=object)
-                unequal = (prev_scale * acc != scale * spans[:, None] * prev_rows).any(axis=1)
+                spans = np.diff(ticks[cuts])[:, None]
+                unequal = (prev_scale * acc != scale * spans * prev_rows).any(axis=1)
                 for i in np.flatnonzero(unequal):
                     lo, hi = prev.breaks[i], prev.breaks[i + 1]
                     condexp = False

@@ -424,12 +424,11 @@ def pairwise_distortion(emb):
 
 def distortion_tuples(space, vectors, target):
     """`embeddings.distortion` as it was when an Embedding stored nested
-    tuples: the rows `vectors` rebuilt into a table on every call (integer
-    numerators by `scaled_integers`, or `np.array` of floats) and measured
-    by the row kernels, one difference vector per row."""
+    tuples: the rows `vectors` rebuilt into a table on every call (Python-int
+    numerators, converted entry by entry, or `np.array` of floats) and
+    measured by the row kernels, one difference vector per row."""
     from testspaces.embeddings import _ROW_NORMS, DistortionReport, _first_max
     from testspaces.errors import CollapsedPairError, ValidationError
-    from testspaces.metric_core import FLOAT_EXACT, scaled_integers
 
     kind, n = target.kind, space.size
     if n < 2:
@@ -443,17 +442,16 @@ def distortion_tuples(space, vectors, target):
         raise ValidationError("distortion needs a pair at positive distance")
     exact = not isinstance(vectors[0][0], float)
     if exact and kind != "l2":
-        V, v_scale = scaled_integers(vectors, headroom=2 * target.dim * int(dist.max()))
+        V, v_scale = _python_int_rows(vectors)
         diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
     else:
         dist = space.floats()[pairs]
         if (dist[valid] == 0).any():
             raise ValidationError("a positive distance is 0.0 in float64")
         if exact:
-            V, scale = scaled_integers(vectors)
-            if V.dtype == object or np.abs(V).max() >= FLOAT_EXACT // 2 or scale >= FLOAT_EXACT:
-                V = V.astype(object)
-            diffs = (((V[i] - V[i + 1 :]) / scale).astype(float, copy=False) for i in range(n - 1))
+            # Python-int differences over Python ints: correctly rounded
+            V, scale = _python_int_rows(vectors)
+            diffs = (((V[i] - V[i + 1 :]) / scale).astype(float) for i in range(n - 1))
         else:
             V = np.array(vectors, dtype=float)
             diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
@@ -479,6 +477,14 @@ def distortion_tuples(space, vectors, target):
         lip = Fraction(norm_a) * space.scale / (dist_a * v_scale)
         colip = Fraction(dist_b * v_scale) / (norm_b * space.scale)
     return DistortionReport(lip, colip, lip * colip, pair(a), pair(b))
+
+
+def _python_int_rows(vectors):
+    """Python-int numerators of rows of int/Fraction entries over the lcm of
+    their denominators, entry by entry, as an object array, and that lcm."""
+    rows = [[Fraction(x) for x in vec] for vec in vectors]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return np.array([[x.numerator * (scale // x.denominator) for x in row] for row in rows], dtype=object), scale
 
 
 def rescaled_rows(vectors, factor):

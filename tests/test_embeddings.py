@@ -32,8 +32,16 @@ from testspaces.embeddings import (
 )
 from testspaces.errors import CapExceededError, CollapsedPairError, ValidationError
 from testspaces.generators import binary_tree, cycle, heisenberg_ball, tree_labels
-from testspaces.metric_core import MetricSpace, apsp, path_graph, scaled_integers
-from testspaces.rnp import bush_gauge, rademacher_tree, tree_to_bush
+from testspaces.metric_core import MetricSpace, RationalTable, apsp, path_graph
+from testspaces.rnp import (
+    Martingale,
+    PiecewiseLevel,
+    bush_gauge,
+    martingale_check,
+    martingale_l1_diff,
+    rademacher_tree,
+    tree_to_bush,
+)
 
 from _oracles import (
     bourgain_distortion_sorted,
@@ -43,9 +51,12 @@ from _oracles import (
     entry_norm,
     first_max_knockout,
     james_alpha_by_vectors,
+    martingale_check_fractions,
+    martingale_l1_diff_fractions,
     pairwise_distortion,
     pairwise_map_distortion,
     rescaled_rows,
+    scaled_rows,
 )
 from _strategies import random_connected_graph
 
@@ -252,7 +263,7 @@ def test_bourgain_two_sided_bounds_small():
     sp = emb.space
     for i in range(sp.size):
         for j in range(i + 1, sp.size):
-            dn = emb.diff_norm(i, j)
+            dn = norm(emb.target, tuple(x - y for x, y in zip(emb.vectors[i], emb.vectors[j])))
             assert dn <= sp.d(i, j)
             assert 3 * dn >= sp.d(i, j)
 
@@ -260,11 +271,11 @@ def test_bourgain_two_sided_bounds_small():
 def test_submetric_activity_examples():
     # x = (1,0), y = (0,1): l1 diff 2, summing norm 1 -> active iff Delta >= 2
     pts = ((F(1), F(0)), (F(0), F(1)))
-    assert not SubmetricSpace(pts, F(3, 2)).is_active(0, 1)
-    assert SubmetricSpace(pts, F(2)).is_active(0, 1)
+    assert SubmetricSpace(pts, F(3, 2)).active_pairs() == []
+    assert SubmetricSpace(pts, F(2)).active_pairs() == [(0, 1)]
     # boundary: ||x||_1 = 2 = Delta * ||x||_s with Delta = 2 -> active (inclusive)
     pts2 = ((F(1), F(-1)), (F(0), F(0)))
-    assert SubmetricSpace(pts2, F(2)).is_active(0, 1)
+    assert SubmetricSpace(pts2, F(2)).active_pairs() == [(0, 1)]
 
 
 def test_submetric_activity_monotone_in_delta():
@@ -296,6 +307,13 @@ def test_submetric_violation_reported():
     )
     res = submetric_check(sub, emb)
     assert res.violation == (0, 1)
+
+
+def test_submetric_points_are_refused_at_construction():
+    # no points, points of dimension 0, ragged, float or mixed points
+    for pts in ((), ((),), ((F(1), F(0)), (F(1),)), ((0.5, 0.0),), ((F(1), 0.5),)):
+        with pytest.raises(ValidationError):
+            SubmetricSpace(pts, F(2))
 
 
 def test_cycle_into_path_order_map():
@@ -422,11 +440,11 @@ def test_distortion_kernel_object_route():
     for kind in ("l1", "linf", "summing"):
         emb = Embedding(sp, vecs, NormedTarget(kind, 2))
         assert repr(distortion(emb)) == repr(pairwise_distortion(emb))
-    nums, scale = scaled_integers(vecs)
-    assert nums.dtype == object and scale == big * 7
-    assert all(F(int(x), scale) == v for row, vr in zip(nums, vecs) for x, v in zip(row, vr))
-    assert scaled_integers(((F(1, 2), 2**61),))[0].dtype == np.int64
-    assert scaled_integers(((F(1, 2), 2**61),), headroom=2)[0].dtype == object
+    table = RationalTable(vecs)
+    assert table.num.dtype == object and table.scale == big * 7
+    assert table.rows() == vecs
+    assert RationalTable(((F(1, 2), 2**61),)).num.dtype == np.int64
+    assert RationalTable(((F(1, 2), 2**61),), headroom=2).num.dtype == object
 
 
 def test_distortion_rejects_float_vanishing_distance():
@@ -563,9 +581,10 @@ GAUGE = NormedTarget("gauge", 4, bush_gauge(tree_to_bush(rademacher_tree(2))))
 
 @st.composite
 def _stored_rows(draw):
-    """A space, rows and a target for every way an embedding is stored:
-    int64-size and object-size numerators over mixed denominators, and
-    floats (signed zeros included), in l1, l2, linf, summing and gauge."""
+    """A space, its distance rows, rows and a target for every way a table
+    is stored: int64-size and object-size numerators over mixed
+    denominators (distances too), and floats (signed zeros included), in
+    l1, l2, linf, summing and gauge."""
     kind = draw(st.sampled_from(["l1", "l2", "linf", "summing", "gauge"]))
     entry = draw(st.sampled_from(["int", "fraction"] + (["float"] if kind != "gauge" else [])))
     big = draw(st.sampled_from([1, 2**40, 2**70]))  # 2**70 needs Python ints
@@ -574,7 +593,7 @@ def _stored_rows(draw):
     table = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            table[i][j] = table[j][i] = F(draw(st.integers(0, 6)), draw(st.integers(1, 5)))
+            table[i][j] = table[j][i] = F(draw(st.integers(0, 6)) * big, draw(st.integers(1, 5)))
 
     def value():
         x = draw(st.integers(-4, 4))
@@ -585,7 +604,8 @@ def _stored_rows(draw):
         return -0.0 if x == 0 and draw(st.booleans()) else x * big / draw(st.sampled_from([1, 3, 10]))
 
     rows = tuple(tuple(value() for _ in range(dim)) for _ in range(n))
-    return MetricSpace.from_rows(table), rows, GAUGE if kind == "gauge" else NormedTarget(kind, dim)
+    target = GAUGE if kind == "gauge" else NormedTarget(kind, dim)
+    return MetricSpace.from_rows(table), tuple(map(tuple, table)), rows, target
 
 
 def _result(compute):
@@ -609,7 +629,7 @@ def _same_entries(got, want) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(_stored_rows())
 def test_stored_table_matches_the_tuple_route(case):
-    space, rows, target = case
+    space, table, rows, target = case
     emb = Embedding(space, rows, target)
     assert _result(lambda: distortion(emb)) == _result(lambda: distortion_tuples(space, rows, target))
     assert _same_entries(emb.vectors, rows)
@@ -624,6 +644,25 @@ def test_stored_table_matches_the_tuple_route(case):
                 emb.rescaled(factor)
         else:
             assert _same_entries(emb.rescaled(factor).vectors, rescaled_rows(rows, factor))
+    # a MetricSpace and a martingale level hold the same table type
+    assert space.dist == table and MetricSpace(np.array(table, dtype=object)) == space
+    for factor in (2**70, F(2**70, 3)):
+        assert space.scaled(factor).dist == scaled_rows(table, factor)
+    breaks = tuple(F(k, len(rows)) for k in range(len(rows) + 1))
+    if not exact:
+        with pytest.raises(ValidationError, match="exact"):
+            PiecewiseLevel(breaks, rows)
+        return
+    level, objects = PiecewiseLevel(breaks, rows), PiecewiseLevel(breaks, np.array(rows, dtype=object))
+    assert _same_entries(level.values, rows) and objects == level and repr(objects) == repr(level)
+    assert hash(objects) == hash(level)
+    for factor in (2**70, F(2**70, 3)):
+        big = PiecewiseLevel(breaks, rescaled_rows(rows, factor))
+        assert _same_entries(big.values, rescaled_rows(rows, factor))
+        mart = Martingale((level, big), target)
+        assert repr(martingale_check(mart)) == repr(martingale_check_fractions(mart))
+        if target.kind in ("l1", "linf", "summing"):
+            assert martingale_l1_diff(level, big, target) == martingale_l1_diff_fractions(level, big, target)
 
 
 def test_rescaling_zero_vectors_past_int64():

@@ -377,15 +377,18 @@ def entry_work(source: str, function: str) -> list[tuple[int, str]]:
 
 
 def test_norm_and_tree_metric_have_one_route():
-    # `norm` measures a vector with distortion's row kernels, never entry by
-    # entry (the per-entry route is the test oracle); the tree metric is
-    # apsp of the binary tree, with no label-prefix formula beside it
+    # `norm` measures a vector with the row kernels that `distortion` and
+    # `submetric_check` run on all pairs (through `_difference_norms`), never
+    # entry by entry (the per-entry route is the test oracle); the tree
+    # metric is apsp of the binary tree, with no label-prefix formula beside it
     source = (SRC / "embeddings.py").read_text()
     assert entry_work(source, "norm") == []
-    assert "scaled_integers" in calls_in(source, "norm")
-    for function in ("norm", "distortion"):
+    assert "RationalTable" in calls_in(source, "norm")
+    for function in ("norm", "_difference_norms"):
         [scope] = [n for n in ast.parse(source).body if isinstance(n, SCOPES) and n.name == function]
         assert "_ROW_NORMS" in {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}, function
+    for function in ("distortion", "submetric_check"):
+        assert "_difference_norms" in calls_in(source, function), function
     sample = "def norm(t, v):\n    s = sum(abs(x) for x in v)\n    for x in v:\n        s = max(s, x)\n"
     assert entry_work(sample, "norm") == [(2, "loop"), (2, "sum"), (3, "loop")]
     assert [path.name for path in sorted(SRC.glob("*.py")) if "common_prefix" in path.read_text()] == []

@@ -351,3 +351,36 @@ def test_from_rows_rejects_floats_and_ragged_tables():
         MetricSpace.from_rows(((0, 0.5), (0.5, 0)))
     with pytest.raises(ValidationError):
         MetricSpace.from_rows(((0, 1), (1,)))
+
+
+def test_object_tables_are_converted_exactly_or_refused():
+    # a MetricSpace and an Embedding read an object table by one rule: exact
+    # entries (int, Fraction, bool) give their exact value back, floats are
+    # refused by the space and kept by the embedding, anything else is refused
+    from testspaces.embeddings import Embedding, NormedTarget
+
+    half, big = F(1, 2), 2**70
+    exact = {
+        "fractions": [[F(0), half], [half, F(0)]],
+        "past int64": [[0, big], [big, 0]],
+        "big fractions": [[F(0), F(big, 3)], [F(big, 3), F(0)]],
+        "bools": [[False, True], [True, False]],
+    }
+    for name, rows in exact.items():
+        table = np.array(rows, dtype=object)
+        want = tuple(tuple(F(x) for x in row) for row in rows)
+        assert MetricSpace(table).dist == want, name
+        assert MetricSpace(table) == MetricSpace.from_rows(rows), name
+        assert Embedding(MetricSpace(table), table, NormedTarget("l1", 2)).vectors == want, name
+    for value in (0.5, float("nan"), float("inf")):
+        table = np.array([[0.0, value], [value, 0.0]], dtype=object)
+        with pytest.raises(ValidationError):
+            MetricSpace(table)
+    floats = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=object)
+    assert Embedding(MetricSpace(exact["fractions"]), floats, NormedTarget("l2", 2)).vectors == ((0.0, 0.5), (0.5, 0.0))
+    for rows in ([[0, 0.5], [F(1, 2), 0]], [[0, np.int64(1)], [1, 0]], [[0, "1"], ["1", 0]]):
+        with pytest.raises(ValidationError, match="all exact"):
+            MetricSpace(np.array(rows, dtype=object))
+    for table in (np.eye(2, dtype=bool), np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(ValidationError):
+            MetricSpace(table)

@@ -4,6 +4,7 @@ martingales."""
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import testspaces.exactlp as exactlp
@@ -399,6 +400,21 @@ def test_martingale_check_matches_fraction_route(n):
     assert flags[:3] == [(True, True, False), (False, True, False), (True, False, False)]
 
 
+def test_malformed_levels_are_refused_at_construction():
+    # ragged values (which martingale_check met as a numpy reshape error),
+    # no interval, values of dimension 0, floats, and mixed entries
+    third = (F(0), F(1, 3), F(1))
+    for breaks, values in (
+        (third, ((F(1), F(0)), (F(1),))),
+        ((F(0),), ()),
+        ((F(0), F(1)), ((),)),
+        (third, ((0.5, 0.0), (0.0, 0.5))),
+        (third, ((F(1), 0.5), (F(0), F(0)))),
+    ):
+        with pytest.raises(ValidationError):
+            PiecewiseLevel(breaks, values)
+
+
 def test_constant_martingale_passes():
     level = PiecewiseLevel((F(0), F(1)), ((F(1, 2), F(0)),))
     level2 = PiecewiseLevel((F(0), F(1, 2), F(1)), ((F(1, 2), F(0)), (F(1, 2), F(0))))
@@ -592,9 +608,8 @@ def test_martingale_l1_diff_targets():
         assert martingale_l1_diff(level, other, target) == want
     with pytest.raises(ValidationError, match="exact rational norm"):
         martingale_l1_diff(level, other, NormedTarget("l2", 2))
-    floats = PiecewiseLevel(level.breaks, tuple(tuple(map(float, v)) for v in level.values))
     with pytest.raises(ValidationError, match="exact"):
-        martingale_l1_diff(floats, other, NormedTarget("l1", 2))
+        PiecewiseLevel(level.breaks, tuple(tuple(map(float, v)) for v in level.values))
 
 
 def test_martingale_needs_exact_vectors(family3):
@@ -717,4 +732,5 @@ def test_slope_jumps_match_fractions():
                 right = tuple((y - x) / B for x, y in zip(f[z], f[1]))
                 left = tuple((x - w) / A for w, x in zip(f[0], f[z]))
                 want.append(tnorm(target, _sub(right, left)))
-            assert _slope_jumps(target, rows, den, (0, 1), (2, 3), (A, B)) == want
+            table = np.array(rows, dtype=object)
+            assert _slope_jumps(target, table, den, (0, 1), (2, 3), (A, B)) == want
