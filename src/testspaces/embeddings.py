@@ -181,8 +181,8 @@ def distortion(emb: Embedding) -> DistortionReport:
 def _difference_norms(emb: Embedding) -> np.ndarray:
     """Norms of f(i) - f(j) over the pairs i < j (n >= 2) in (i, j) order:
     numerators over emb.scale for exact vectors outside l2, else float64."""
-    kind, n = emb.target.kind, emb.space.size
-    diffs = (emb.table[i] - emb.table[i + 1 :] for i in range(n - 1))
+    kind, n, table = emb.target.kind, emb.space.size, emb.table
+    diffs = (table[i] - table[i + 1 :] for i in range(n - 1))
     if emb.exact and kind == "l2":
         # the differences are exact, so one division rounds each entry as
         # float(a - b) does
@@ -444,8 +444,8 @@ class SubmetricSpace:
         entries = RationalTable(points, 1, 2 * max(map(len, points), default=1))
         if not entries.exact or 0 in entries.num.shape:
             raise ValidationError("need at least one point, with exact (int or Fraction) coordinates")
-        if delta < 1:
-            raise ValidationError("Delta must be >= 1")
+        if not isinstance(delta, (int, Fraction)) or delta < 1:
+            raise ValidationError(f"Delta must be a rational >= 1, got {delta!r}")
         vars(self).update(entries=entries, delta=delta)
 
     points = cached_property(lambda self: self.entries.rows())

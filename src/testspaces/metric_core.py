@@ -53,11 +53,11 @@ class RationalTable:
     scale: int
 
     def __init__(self, data, scale: int = 1, headroom: int = 1):
-        if isinstance(data, RationalTable):
-            data, scale = data.num, data.scale * scale
         if type(scale) is not int or scale <= 0:
             raise ValidationError(f"a table's scale must be a positive int, got {scale!r}")
-        if not isinstance(data, np.ndarray) or data.dtype == object:
+        if isinstance(data, RationalTable):  # its entries are ints already
+            data, scale = data.num, data.scale * scale
+        elif not isinstance(data, np.ndarray) or data.dtype == object:
             data, scale = _from_rows(data, scale)
         if data.ndim != 2 or data.dtype.kind not in "iufO":
             raise ValidationError(f"need a 2-D table of numbers, got {data.dtype} of shape {data.shape}")
@@ -97,8 +97,10 @@ class RationalTable:
     def rescaled(self, factor) -> "RationalTable":
         """Every entry times `factor`: exactly for an int or Fraction, else in float64."""
         if self.exact and isinstance(factor, (int, Fraction)):
-            num = self.num.astype(object) * factor.numerator  # Python ints
-            return RationalTable(num, self.scale * factor.denominator)
+            k = factor.numerator  # int64 products where they fit, else Python ints
+            fits = max(_magnitude(self.num), 1) * abs(k) <= INT64_MAX
+            num = self.num * k if fits else self.num.astype(object) * k
+            return RationalTable(read_only(num), self.scale * factor.denominator)
         return RationalTable(self.floats() * float(factor))
 
     def __eq__(self, other) -> bool:

@@ -314,6 +314,10 @@ def test_submetric_points_are_refused_at_construction():
     for pts in ((), ((),), ((F(1), F(0)), (F(1),)), ((0.5, 0.0),), ((F(1), 0.5),)):
         with pytest.raises(ValidationError):
             SubmetricSpace(pts, F(2))
+    # Delta is compared exactly, so it must be a rational >= 1
+    for delta in (F(1, 2), 1.5):
+        with pytest.raises(ValidationError, match="Delta"):
+            SubmetricSpace(((F(1), F(0)),), delta)
 
 
 def test_cycle_into_path_order_map():
