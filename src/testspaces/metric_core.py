@@ -55,7 +55,7 @@ class RationalTable:
     def __init__(self, data, scale: int = 1, headroom: int = 1):
         if type(scale) is not int or scale <= 0:
             raise ValidationError(f"a table's scale must be a positive int, got {scale!r}")
-        if isinstance(data, RationalTable):  # its entries are ints already
+        if isinstance(data, RationalTable):  # converted already
             data, scale = data.num, data.scale * scale
         elif not isinstance(data, np.ndarray) or data.dtype == object:
             data, scale = _from_rows(data, scale)
@@ -101,7 +101,7 @@ class RationalTable:
             fits = max(_magnitude(self.num), 1) * abs(k) <= INT64_MAX
             num = self.num * k if fits else self.num.astype(object) * k
             return RationalTable(read_only(num), self.scale * factor.denominator)
-        return RationalTable(self.floats() * float(factor))
+        return RationalTable(read_only(self.floats() * float(factor)))
 
     def __eq__(self, other) -> bool:
         same = isinstance(other, RationalTable) and (self.exact, self.scale) == (other.exact, other.scale)
