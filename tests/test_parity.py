@@ -3,9 +3,9 @@
 `parity_digests.json` holds the sha256 of the repr of every result below,
 computed over a fixed input set: the distance tables of the paper's test
 spaces, the distortion of the Fréchet, Bourgain and tent embeddings, the
-RNP pipelines of D_2 and D_3, the submetric checks, the exact Markov
-convexity estimates and the CLI `result` of the README commands (l2min and
-Monte Carlo left out).  Tables are printed whole, not summarized.
+RNP pipelines of D_2 and D_3, the delta-tree pipeline at depths 1-5, the
+submetric checks, the exact Markov convexity estimates and the CLI `result`
+of the README commands (l2min and Monte Carlo left out).  Tables are printed whole, not summarized.
 
 After a deliberate change to any of these results, rewrite the file with
 
@@ -124,6 +124,45 @@ def _rnp_cases():
             yield f"thickness/D{n}/{budget}", rnp.thickness_alpha(family, budget)
 
 
+def _strs(rows):
+    """Rows as strings of their entries, so an int and the equal Fraction agree."""
+    return tuple(tuple(map(str, row)) for row in rows)
+
+
+def _delta_tree_cases():
+    """The delta-tree pipeline at depths 1-5: tree rows by label, bush level
+    rows, the gauge separation, every broken line, the deviation of the
+    siblings below "", "0" and "1", and gauge values on fixed vectors, also
+    under a generator outside the unit ball (so that the LP runs)."""
+    for depth in range(1, 6):
+        tree = rnp.rademacher_tree(depth)
+        yield f"delta_tree/{depth}", tuple((lab, _strs([vec])[0]) for lab, vec in tree.vectors.items())
+        bush = rnp.tree_to_bush(tree)
+        yield f"bush_levels/{depth}", tuple(_strs(level) for level in bush.levels)
+        gauge = rnp.bush_gauge(bush)
+        yield f"bush_gauge_delta/{depth}", rnp.bush_gauge_delta(bush, gauge)
+        lines = rnp.broken_line_family(bush, depth)
+        yield f"broken_lines/{depth}", lines
+        for lab in ("", "0", "1"):
+            if len(lab) < depth:
+                dev = rnp.sibling_deviation(bush, gauge, lines[lab + "0"], lines[lab + "1"])
+                yield f"sibling_deviation/{depth}/{lab!r}", dev
+        atoms, rng = bush.atoms, random.Random(depth)
+        root, last = bush.levels[0][0], bush.levels[-1][-1]
+        vectors = [
+            tuple(rng.randint(-5, 5) for _ in range(atoms)),
+            tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(atoms)),
+            tuple(rng.uniform(-3, 3) for _ in range(atoms)),
+            tuple(a - b for a, b in zip(last, root)),
+        ]
+        yield f"gauge/{depth}", tuple(gauge.evaluate(v) for v in vectors)
+        if depth <= 3:
+            outside = (2,) + tuple(root[1:])
+            gens = tuple(vec for level in bush.levels for vec in level) + (outside,)
+            lp = rnp.GaugeNorm(atoms, gens)
+            yield f"gauge_lp/{depth}", tuple(lp.evaluate(v) for v in vectors + [outside])
+
+
 def _submetric_cases():
     grid = tuple(tuple(F(a) for a in vec) for vec in itertools.product((-1, 0, 1), repeat=2))
     inputs = {
@@ -217,6 +256,7 @@ def compute_digests() -> dict[str, str]:
         cases = itertools.chain(
             _embedding_cases(_spaces()),
             _rnp_cases(),
+            _delta_tree_cases(),
             _submetric_cases(),
             _markov_cases(),
             _cli_cases(),
