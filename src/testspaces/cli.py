@@ -310,7 +310,7 @@ def cmd_rnp_tree(args) -> dict:
     return {
         "depth": tree.depth,
         "atoms": tree.atoms,
-        "vectors": len(tree.vectors),
+        "vectors": len(tree.table.num),
         "delta": rational_str(tree.delta),
         "identities": "exact",
     }
@@ -321,11 +321,13 @@ def cmd_rnp_lines(args) -> dict:
         broken_line_family,
         bush_gauge,
         bush_gauge_delta,
+        check_line_segments,
         rademacher_tree,
         sibling_deviation,
         tree_to_bush,
     )
 
+    check_line_segments(args.depth)  # before the tree is built
     bush = tree_to_bush(rademacher_tree(args.depth))
     gauge = bush_gauge(bush)
     lines = broken_line_family(bush, args.depth)

@@ -31,25 +31,21 @@ from .metric_core import (
     read_only,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NormedTarget:
-    """A norm to measure embeddings in: l1, l2, linf, summing, or a gauge.
+    """A norm to measure embeddings in: l1, l2, linf or summing."""
 
-    For kind "gauge", `gauge` must expose evaluate(vector) -> Fraction
-    (see rnp.GaugeNorm).
-    """
-
-    kind: str  # "l1" | "l2" | "linf" | "summing" | "gauge"
+    kind: str  # "l1" | "l2" | "linf" | "summing"
     dim: int
-    gauge: Optional[object] = None
 
     def __post_init__(self):
-        if self.kind not in ("l1", "l2", "linf", "summing", "gauge"):
+        if self.kind not in ("l1", "l2", "linf", "summing"):
             raise ValidationError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "gauge" and self.gauge is None:
-            raise ValidationError("gauge target needs a gauge norm object")
         if self.dim <= 0:
             raise ValidationError("dimension must be positive")
+
+    def __repr__(self) -> str:  # as when a target could hold a gauge: reprs of results stay comparable
+        return f"NormedTarget(kind={self.kind!r}, dim={self.dim!r}, gauge=None)"
 
 
 # Row kernels: the norm of each row of a block of vectors, for `norm` (one
@@ -68,11 +64,9 @@ def norm(target: NormedTarget, v: Sequence) -> Fraction | float:
     kernels of `distortion`: exact entries (int or Fraction) outside l2 as
     integer numerators over their common denominator, giving a Fraction;
     float entries, and l2, as one float64 row summed in coordinate order,
-    giving a float.  A gauge target calls its `evaluate`."""
+    giving a float."""
     if len(v) != target.dim:
         raise ValidationError(f"vector has dim {len(v)}, target wants {target.dim}")
-    if target.kind == "gauge":
-        return target.gauge.evaluate(tuple(v))  # type: ignore[union-attr]
     kernel = _ROW_NORMS[target.kind]
     row = RationalTable((v,), headroom=len(v))  # sums of len(v) entries
     if target.kind != "l2" and row.exact:
@@ -98,8 +92,6 @@ class Embedding:
         entries = RationalTable(table, scale, 2 * target.dim * max(_magnitude(space.num), 1))
         if entries.num.shape != (space.size, target.dim):
             raise ValidationError(f"need {space.size} vectors of dimension {target.dim}, one per point")
-        if not entries.exact and target.kind == "gauge":
-            raise ValidationError("a gauge target measures exact vectors only")
         vars(self).update(space=space, entries=entries, target=target)
 
     table = property(lambda self: self.entries.num)
@@ -136,7 +128,7 @@ def distortion(emb: Embedding) -> DistortionReport:
 
     lip and colip are taken at the first maximizing pair in (i, j) order,
     so every field, value types included, is what a loop over the pairs
-    gives.  Exact vectors in l1, linf, the summing norm or a gauge are
+    gives.  Exact vectors in l1, linf or the summing norm are
     measured in integers and compared by cross-multiplication; float
     vectors, and l2, in float64 summed in coordinate order.  The row
     kernels are those of `norm`, so each pair's norm equals `norm` of the
@@ -170,11 +162,10 @@ def distortion(emb: Embedding) -> DistortionReport:
         lip = float(norms[a]) / float(dist[a])
         colip = float(dist[b]) / float(norms[b])
     else:
-        # a gauge norm is a Fraction, the others ints
         a, b = at[_first_max(num, den)], at[_first_max(den, num)]
         (norm_a, norm_b), (dist_a, dist_b) = norms[[a, b]].tolist(), dist[[a, b]].tolist()
-        lip = Fraction(norm_a) * space.scale / (dist_a * emb.scale)
-        colip = Fraction(dist_b * emb.scale) / (norm_b * space.scale)
+        lip = Fraction(norm_a * space.scale, dist_a * emb.scale)
+        colip = Fraction(dist_b * emb.scale, norm_b * space.scale)
     return DistortionReport(lip, colip, lip * colip, pair(a), pair(b))
 
 
@@ -187,12 +178,7 @@ def _difference_norms(emb: Embedding) -> np.ndarray:
         # the differences are exact, so one division rounds each entry as
         # float(a - b) does
         diffs = (RationalTable(read_only(x), emb.scale).floats() for x in diffs)
-    if kind == "gauge":
-        evaluate = emb.target.gauge.evaluate
-        row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
-    else:
-        row_norm = _ROW_NORMS[kind]
-    return np.concatenate([row_norm(x) for x in diffs])
+    return np.concatenate([_ROW_NORMS[kind](x) for x in diffs])
 
 
 def _first_max(num: np.ndarray, den: np.ndarray) -> int:

@@ -1,6 +1,6 @@
 """The Radon-Nikodym pipeline: delta-trees and delta-bushes in discretized
-L1, the gauge renorming (the normalized l1 norm for unit-ball generators,
-an exact LP otherwise), broken-line families of
+L1, each one exact table, the gauge renorming (the normalized l1 norm for
+unit-ball generators, an exact LP otherwise), broken-line families of
 geodesics, thickness certification for diamond geodesic families, and the
 embedding-to-divergent-martingale construction, which reads the integer
 numerator table of the embedding (never its `vectors` view) and builds
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embeddings import _ROW_NORMS, Embedding, NormedTarget, distortion, norm
+from .embeddings import _ROW_NORMS, Embedding, NormedTarget, distortion
 from .errors import CapExceededError, ValidationError
 from .exactlp import _over_lcm, solve_lp
 from .generators import RecursiveFamily, diamond, diamond_weighting, tree_labels
@@ -34,20 +34,7 @@ from .metric_core import (
     read_only,
 )
 
-Vec = tuple
-
-
-def _sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _l1(row: list[int]) -> int:
-    return sum(map(abs, row))
-
-
-def _below(l1: int, atoms: int, delta) -> bool:
-    """Whether the normalized l1 norm l1 / atoms is below delta."""
-    return l1 * delta.denominator < delta.numerator * atoms
+_L1 = _ROW_NORMS["l1"]
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +44,24 @@ def _below(l1: int, atoms: int, delta) -> bool:
 @dataclass(frozen=True)
 class DeltaTree:
     """Vectors indexed by 0/1 strings of length <= depth with the exact
-    midpoint identity and separation >= delta in normalized l1."""
+    midpoint identity and separation >= delta in normalized l1: one exact
+    table, a row per label in `tree_labels(depth)` order (row i's children
+    are rows 2i + 1 and 2i + 2), built from those rows or a dict by label."""
 
     depth: int
     atoms: int
-    vectors: dict  # label -> tuple of ints
+    table: RationalTable
     delta: Fraction
+
+    def __post_init__(self):
+        labels, rows = tree_labels(self.depth), self.table
+        if isinstance(rows, dict):
+            if rows.keys() != set(labels):
+                raise ValidationError(f"need one vector per label of length <= {self.depth}, no other")
+            rows = [rows[lab] for lab in labels]
+        table = vars(self)["table"] = RationalTable(rows, 1, 2 * self.atoms)  # sums of differences
+        if not table.exact or table.num.shape != (len(labels), self.atoms):
+            raise ValidationError(f"need {len(labels)} exact vectors of {self.atoms} atoms")
 
 
 DELTA_TREE_DEPTH_CAP = 12
@@ -77,116 +76,114 @@ def rademacher_tree(n: int) -> DeltaTree:
     if n > DELTA_TREE_DEPTH_CAP:
         raise CapExceededError(f"depth {n} exceeds cap {DELTA_TREE_DEPTH_CAP}")
     atoms = 2**n
-    labels = tree_labels(n)
-    level = np.ones((1, atoms), dtype=np.int64)  # entries stay <= 2^n
-    vectors = {"": tuple(level[0].tolist())}
+    table = np.ones((2 * atoms - 1, atoms), dtype=np.int64)  # entries stay <= 2^n
     for k in range(1, n + 1):
         # r_k flips in blocks of 2^(n-k), +1 on the first block; the
-        # children lab + "0", lab + "1" of row i are rows 2i, 2i + 1
+        # children lab + "0", lab + "1" of row i are rows 2i + 1, 2i + 2
         r = 1 - 2 * ((np.arange(atoms) >> (n - k)) & 1)
+        level = table[2 ** (k - 1) - 1 : 2**k - 1]
         eps = np.tile([-1, 1], len(level))[:, None]
-        level = np.repeat(level, 2, axis=0) * (1 + eps * r)
-        vectors.update(zip(labels[2**k - 1 : 2 ** (k + 1) - 1], map(tuple, level.tolist())))
-    return DeltaTree(n, atoms, vectors, Fraction(1))
+        table[2**k - 1 : 2 ** (k + 1) - 1] = np.repeat(level, 2, axis=0) * (1 + eps * r)
+    return DeltaTree(n, atoms, read_only(table), Fraction(1))
 
 
 def verify_delta_tree(tree: DeltaTree) -> None:
-    """Exact midpoint identity, unit norms, and separation >= delta, on the
-    integer atoms: l1 sums compared with atoms * delta, no Fraction per
-    vector."""
-    for lab, vec in tree.vectors.items():
-        if _l1(vec) != tree.atoms:
-            raise ValidationError(f"||x_{lab or 'root'}|| != 1")
-        if len(lab) < tree.depth:
-            c0, c1 = tree.vectors[lab + "0"], tree.vectors[lab + "1"]
-            if any(2 * v != a + b for v, a, b in zip(vec, c0, c1)):
-                raise ValidationError(f"midpoint identity fails at {lab or 'root'}")
-            for child in (c0, c1):
-                if _below(_l1(_sub(vec, child)), tree.atoms, tree.delta):
-                    raise ValidationError(f"separation fails below {lab or 'root'}")
+    """Exact midpoint identity, unit norms, and separation >= delta, per
+    level on the integer rows: l1 sums compared with atoms * delta.  The
+    first failure in label order is reported, for one vector its norm, its
+    midpoint identity, then its separation from its children."""
+    num, unit, delta = tree.table.num, tree.atoms * tree.table.scale, tree.delta
+    floor = (delta.numerator * unit - 1) // delta.denominator  # the largest l1 sum below delta
+    messages = "||x_{}|| != 1", "midpoint identity fails at {}", "separation fails below {}"
+    for d in range(tree.depth + 1):
+        rows = num[2**d - 1 : 2 ** (d + 1) - 1]
+        bad = [_L1(rows) != unit]
+        if d < tree.depth:
+            kids = num[2 ** (d + 1) - 1 : 2 ** (d + 2) - 1].reshape(len(rows), 2, -1)
+            bad.append((2 * rows != kids.sum(axis=1)).any(axis=1))
+            seps = _L1((rows[:, None] - kids).reshape(2 * len(rows), -1)).reshape(-1, 2)
+            bad.append((seps <= floor).any(axis=1))
+        bad = np.array(bad)
+        for i in np.flatnonzero(bad.any(axis=0))[:1]:
+            lab = tree_labels(tree.depth)[2**d - 1 + i] or "root"
+            raise ValidationError(messages[bad[:, i].argmax()].format(lab))
 
 
 @dataclass(frozen=True)
 class DeltaBush:
     """Levels of vectors with block convex-combination identities:
-    z_{n-1,k} = sum_{j in A^n_k} lambda_{n,j} z_{n,j}, separation delta."""
+    z_{n-1,k} = sum_{j in A^n_k} lambda_{n,j} z_{n,j}, separation delta.
+    The vectors are one exact table, level n its `sizes[n]` rows from row `starts[n]`."""
 
     atoms: int
-    levels: tuple[tuple[Vec, ...], ...]
+    table: RationalTable
+    sizes: tuple[int, ...]
     blocks: tuple[tuple[tuple[int, ...], ...], ...]  # blocks[n][k], n >= 1
     weights: tuple[tuple[Fraction, ...], ...]  # weights[n][j], n >= 1
     delta: Fraction
 
-    @cached_property
-    def _parents(self) -> tuple[dict[int, int], ...]:
-        """Per level, index j -> the first block k that holds it."""
-        parents = []
-        for blocks in self.blocks:
-            first: dict[int, int] = {}
-            for k, block in enumerate(blocks):
-                for j in block:
-                    first.setdefault(j, k)
-            parents.append(first)
-        return tuple(parents)
+    def __post_init__(self):
+        table = vars(self)["table"] = RationalTable(self.table, 1, 2 * self.atoms)
+        if not table.exact or table.num.shape != (sum(self.sizes), self.atoms) or 0 in self.sizes:
+            raise ValidationError(f"need {sum(self.sizes)} exact vectors of {self.atoms} atoms")
 
-    def parent_of(self, level: int, j: int) -> int:
-        k = self._parents[level].get(j)
-        if k is None:
-            raise ValidationError(f"index {j} missing from level-{level} partition")
-        return k
+    starts = cached_property(lambda self: tuple(itertools.accumulate(self.sizes, initial=0)))
+
+    def level(self, n: int) -> np.ndarray:
+        return self.table.num[self.starts[n] : self.starts[n + 1]]
+
+
+def _members(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(j, k) for each member j of each block k of one level, in loop order."""
+    members = np.array([j for block in blocks for j in block], dtype=np.intp)
+    return members, np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
 
 
 def tree_to_bush(tree: DeltaTree) -> DeltaBush:
-    """A delta-tree is a delta-bush with blocks of size 2 and weights 1/2."""
+    """A delta-tree is a delta-bush with blocks of size 2 and weights 1/2 on
+    the tree's table; its midpoint identities are the convexity identities."""
     verify_delta_tree(tree)
-    levels = []
-    blocks: list = [()]
-    weights: list = [()]
-    labels = tree_labels(tree.depth)
     half = Fraction(1, 2)
-    for d in range(tree.depth + 1):
-        labs = [lab for lab in labels if len(lab) == d]
-        levels.append(tuple(tree.vectors[lab] for lab in labs))
-        if d >= 1:
-            blocks.append(tuple((2 * k, 2 * k + 1) for k in range(len(labs) // 2)))
-            weights.append((half,) * len(labs))
-    bush = DeltaBush(tree.atoms, tuple(levels), tuple(blocks), tuple(weights), tree.delta)
-    verify_bush(bush)
-    return bush
+    sizes = tuple(2**d for d in range(tree.depth + 1))
+    blocks = ((),) + tuple(tuple((2 * k, 2 * k + 1) for k in range(m // 2)) for m in sizes[1:])
+    weights = ((),) + tuple((half,) * m for m in sizes[1:])
+    return DeltaBush(tree.atoms, tree.table, sizes, blocks, weights, tree.delta)
 
 
 def verify_bush(bush: DeltaBush) -> None:
     """Single root, block weights summing to 1, nonnegative weights,
-    separation >= delta and the block convexity identities, on the integer
-    atoms with each level's weights as integers over their common
-    denominator: no Fraction per vector."""
-    if len(bush.levels[0]) != 1:
+    separation >= delta and the block convexity identities, per level on the
+    integer rows with the weights as integers over their common denominator.
+    The first failure is the one a loop over the blocks meets: a block's
+    sum, per member its weight's sign and separation, the identity."""
+    if bush.sizes[0] != 1:
         raise ValidationError("a bush must start from a single vector (m_0 = 1)")
-    for n in range(1, len(bush.levels)):
-        prev, level = bush.levels[n - 1], bush.levels[n]
+    unit, delta = bush.atoms * bush.table.scale, bush.delta
+    floor = (delta.numerator * unit - 1) // delta.denominator  # the largest l1 sum below delta
+    for n in range(1, len(bush.sizes)):
         weights = RationalTable((bush.weights[n],))
         if not weights.exact:
             raise ValidationError("bush weights must be exact (int or Fraction)")
-        [weights], wscale = weights.num.tolist(), weights.scale
-        seen: set[int] = set()
-        for k, block in enumerate(bush.blocks[n]):
-            seen.update(block)
-            lam = sum(weights[j] for j in block)
-            if lam != wscale:
-                lam = Fraction(lam, wscale)
-                raise ValidationError(f"weights in block ({n},{k}) sum to {lam} != 1")
-            parent = prev[k]
-            combo = [0] * bush.atoms
-            for j in block:
-                w = weights[j]
-                if w < 0:
+        members, owner = _members(bush.blocks[n])
+        wscale, w = weights.scale, weights.num[0][members].astype(object)  # products in Python ints
+        prev, level = bush.level(n - 1), bush.level(n)
+        parents = prev[: len(bush.blocks[n])].astype(object)
+        lam, combo = np.zeros(len(parents), dtype=object), np.zeros(parents.shape, dtype=object)
+        np.add.at(lam, owner, w)
+        np.add.at(combo, owner, w[:, None] * level[members])
+        negative, close = w < 0, _L1(level[members] - prev[owner]) <= floor
+        bad = (lam != wscale) | (combo != wscale * parents).any(axis=1)
+        np.logical_or.at(bad, owner, negative | close)
+        for k in np.flatnonzero(bad)[:1]:
+            if lam[k] != wscale:
+                raise ValidationError(f"weights in block ({n},{k}) sum to {Fraction(lam[k], wscale)} != 1")
+            for i in np.flatnonzero(owner == k):
+                if negative[i]:
                     raise ValidationError("negative weight")
-                combo = [c + w * x for c, x in zip(combo, level[j])]
-                if _below(_l1(_sub(level[j], parent)), bush.atoms, bush.delta):
-                    raise ValidationError(f"separation fails at ({n},{j})")
-            if combo != [wscale * x for x in parent]:
-                raise ValidationError(f"convexity identity fails at ({n},{k})")
-        if seen != set(range(len(bush.levels[n]))):
+                if close[i]:
+                    raise ValidationError(f"separation fails at ({n},{members[i]})")
+            raise ValidationError(f"convexity identity fails at ({n},{k})")
+        if set(members.tolist()) != set(range(bush.sizes[n])):
             raise ValidationError(f"level-{n} blocks are not a partition")
 
 
@@ -202,79 +199,84 @@ class GaugeNorm:
     When every generator lies in the unit ball (delta-tree and bush vectors
     do), the hull is the ball and the gauge is the normalized l1 norm:
     w = v attains it, and ||v|| <= ||w|| + sum |mu_j| ||x_j|| bounds every
-    other decomposition below.  Otherwise it is an exact rational LP."""
+    other decomposition below.  Otherwise it is an exact rational LP.  The
+    generators are one exact RationalTable, a row each."""
 
     atoms: int
-    generators: tuple[Vec, ...]
+    generators: RationalTable
+
+    def __post_init__(self):
+        generators = vars(self)["generators"] = RationalTable(self.generators, 1, self.atoms)  # l1 sums
+        if not generators.exact or generators.num.shape[1:] != (self.atoms,):
+            raise ValidationError(f"gauge generators must be exact vectors of {self.atoms} atoms")
 
     @cached_property
     def _in_unit_ball(self) -> bool:
         """Whether every generator has sum |g_a| <= atoms, read exactly."""
-        for g in self.generators:
-            if len(g) != self.atoms:
-                return False
-            nums, d = _over_lcm(g)
-            if _l1(nums) > self.atoms * d:
-                return False
-        return True
+        return bool((_L1(self.generators.num) <= self.atoms * self.generators.scale).all())
 
     @cached_property
-    def _rows(self) -> tuple[tuple, ...]:
-        """Constraint rows over the columns w+ (dim), w- (dim), mu+ (ng),
-        mu- (ng), built once: integer for integer generators."""
-        dim, ng = self.atoms, len(self.generators)
-        rows = []
-        for a in range(dim):
-            row = [0] * (2 * dim + 2 * ng)
-            row[a] = 1
-            row[dim + a] = -1
-            for j, g in enumerate(self.generators):
-                row[2 * dim + j] = g[a]
-                row[2 * dim + ng + j] = -g[a]
-            rows.append(tuple(row))
-        return tuple(rows)
+    def _rows(self) -> list[list[int]]:
+        """Constraint rows over the columns w+ (atoms), w- (atoms), mu+ (ng), mu- (ng),
+        built once as ints: mu counts in units of 1 / scale (see `_costs`)."""
+        g = self.generators.num.T
+        eye = np.eye(self.atoms, dtype=g.dtype)
+        return np.hstack([eye, -eye, g, -g]).tolist()
 
     @cached_property
     def _costs(self) -> tuple:
-        return (Fraction(1, self.atoms),) * (2 * self.atoms) + (1,) * (2 * len(self.generators))
+        ng, scale = len(self.generators.num), self.generators.scale
+        return (Fraction(1, self.atoms),) * (2 * self.atoms) + (scale,) * (2 * ng)
 
-    def evaluate(self, v: Vec) -> Fraction:
+    def evaluate(self, v) -> Fraction:
         """The gauge of v, a Fraction; entries are int, Fraction or finite
-        float, read exactly.  Unit-ball generators give sum |v_a| / atoms.
-        Otherwise the LP starts from the slack basis (w+_a where v_a >= 0,
-        w-_a where v_a < 0), which is feasible."""
+        float, read exactly."""
         if len(v) != self.atoms:
             raise ValidationError("vector lives in the wrong ambient space")
+        nums, d = _over_lcm(v)
+        return self._norms(np.array([nums], dtype=object), d)[0]
+
+    def _norms(self, rows: np.ndarray, scale: int) -> list[Fraction]:
+        """The gauge of each integer row over `scale`: for unit-ball
+        generators the l1 sum over atoms * scale, else the LP with the row as
+        right-hand side (scale times the gauge) from the slack basis (w+_a
+        where the entry is >= 0, w-_a where it is < 0), which is feasible."""
+        if rows.shape[1] != self.atoms:
+            raise ValidationError("vector lives in the wrong ambient space")
         if self._in_unit_ball:
-            nums, d = _over_lcm(v)
-            return Fraction(_l1(nums), self.atoms * d)
-        basis = [a if x >= 0 else self.atoms + a for a, x in enumerate(v)]
-        value, _ = solve_lp(self._rows, v, self._costs, basis=basis)
-        return value
+            return [Fraction(n, self.atoms * scale) for n in _L1(rows).tolist()]
+        slack = lambda row: [a if x >= 0 else self.atoms + a for a, x in enumerate(row)]
+        return [solve_lp(self._rows, r, self._costs, basis=slack(r))[0] / scale for r in rows.tolist()]
 
 
 def bush_gauge(bush: DeltaBush) -> GaugeNorm:
-    gens = tuple(vec for level in bush.levels for vec in level)
-    return GaugeNorm(bush.atoms, gens)
+    return GaugeNorm(bush.atoms, bush.table)
 
 
 def bush_gauge_delta(bush: DeltaBush, gauge: GaugeNorm) -> Fraction:
-    """Separation of the bush measured in the gauge norm (the renorming can
-    only shrink the l1 separation, never below zero)."""
-    worst = None
-    for n in range(1, len(bush.levels)):
-        for k, block in enumerate(bush.blocks[n]):
-            parent = bush.levels[n - 1][k]
-            for j in block:
-                sep = gauge.evaluate(_sub(bush.levels[n][j], parent))
-                if worst is None or sep < worst:
-                    worst = sep
-    return worst if worst is not None else Fraction(0)
+    """Separation of the bush measured in the gauge norm, on integer rows (the
+    renorming can only shrink the l1 separation, never below zero)."""
+    seps: list[Fraction] = []
+    for n in range(1, len(bush.sizes)):
+        members, owner = _members(bush.blocks[n])
+        seps += gauge._norms(bush.level(n)[members] - bush.level(n - 1)[owner], bush.table.scale)
+    return min(seps, default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # Broken-line family labeled by tree vertices
 # ---------------------------------------------------------------------------
+
+LINE_SEGMENT_CAP = 10**6  # a delta-tree's lines: 299 593 segments at depth 6, 2 396 745 at depth 7
+
+
+def check_line_segments(k: int, widest: int = 2) -> None:
+    """CapExceededError when the lines of labels of length <= k may hold more than
+    LINE_SEGMENT_CAP segments: 2^l lines of at most (2 widest)^l each per length l."""
+    total = sum((4 * widest) ** length for length in range(k + 1))
+    if total > LINE_SEGMENT_CAP:
+        raise CapExceededError(f"{total} broken-line segments exceed cap {LINE_SEGMENT_CAP}")
+
 
 @dataclass(frozen=True)
 class BrokenLine:
@@ -288,16 +290,20 @@ class BrokenLine:
     def coefficients_sum(self) -> Fraction:
         return sum((c for c, _ in self.segments), Fraction(0))
 
-    def vertices(self, bush: DeltaBush) -> tuple[tuple[Fraction, Vec], ...]:
-        """(parameter, point) pairs: prefix sums of the segments."""
-        out = [(Fraction(0), tuple(Fraction(0) for _ in range(bush.atoms)))]
-        param = Fraction(0)
-        for coef, (lvl, j) in self.segments:
-            vec = bush.levels[lvl][j]
-            param += coef
-            prev = out[-1][1]
-            out.append((param, tuple(p + coef * x for p, x in zip(prev, vec))))
-        return tuple(out)
+    def vertices(self, bush: DeltaBush) -> tuple[tuple[Fraction, ...], RationalTable]:
+        """The parameters and the points of the vertices, prefix sums of the
+        segments from the origin: the points one exact table, a row each."""
+        nums, d = _over_lcm([c for c, _ in self.segments])
+        points = RationalTable(read_only(_prefix_points(bush, self.segments, nums)), d * bush.table.scale)
+        return tuple(Fraction(p, d) for p in itertools.accumulate(nums, initial=0)), points
+
+
+def _prefix_points(bush: DeltaBush, segments, nums: list[int]) -> np.ndarray:
+    """Vertex rows of a line in Python ints: the prefix sums, from the zero
+    row, of nums[i] times the integer row of segment i's bush vector."""
+    rows = bush.table.num[[bush.starts[lvl] + j for _, (lvl, j) in segments]]
+    steps = np.cumsum(np.array(nums, dtype=object)[:, None] * rows, axis=0)
+    return np.concatenate([np.zeros((1, bush.atoms), dtype=object), steps])
 
 
 def broken_line_family(bush: DeltaBush, k: int) -> dict[str, BrokenLine]:
@@ -305,15 +311,14 @@ def broken_line_family(bush: DeltaBush, k: int) -> dict[str, BrokenLine]:
     replacement rules: the preliminary pass turns each multiple of a bush
     vector into the convex combination through its children's midpoints, and
     the 0/1 pass splits each midpoint multiple into its two halves in one of
-    the two orders."""
-    if k >= len(bush.levels):
+    the two orders.  Past LINE_SEGMENT_CAP, CapExceededError comes first."""
+    if k >= len(bush.sizes):
         raise ValidationError("label depth exceeds bush depth")
-    for level in bush.levels:
-        for vec in level:
-            if sum(vec) != len(vec):
-                raise ValidationError(
-                    "bush must lie on the mean-1 hyperplane before building lines"
-                )
+    if k < 0:
+        raise ValidationError("label depth must be >= 0")
+    if (bush.table.num.sum(axis=1) != bush.atoms * bush.table.scale).any():
+        raise ValidationError("bush must lie on the mean-1 hyperplane before building lines")
+    check_line_segments(k, max(map(len, itertools.chain(*bush.blocks[1 : k + 1])), default=0))
 
     # A segment coef * x_{lvl,kidx} becomes, per child j of its block, the
     # midpoint multiple coef * lambda_j * y_j, split into two halves along
@@ -323,8 +328,8 @@ def broken_line_family(bush: DeltaBush, k: int) -> dict[str, BrokenLine]:
     # (coefficient, weight).
     weight_id: dict = {}
     wids = [[weight_id.setdefault(w, len(weight_id)) for w in level] for level in bush.weights]
-    ends = [  # ends[lvl][j]: the (parent, child) positions of y_{lvl+1,j}
-        {j: ((lvl, bush.parent_of(lvl + 1, j)), (lvl + 1, j)) for block in blocks for j in block}
+    ends = [  # ends[lvl][j]: the (parent, child) positions of y_{lvl+1,j}, the parent j's first block
+        {j: ((lvl, b), (lvl + 1, j)) for b, block in reversed(list(enumerate(blocks))) for j in block}
         for lvl, blocks in enumerate(bush.blocks[1 : k + 1])
     ]
     coefs = [Fraction(1)]
@@ -365,19 +370,17 @@ def sibling_deviation(
     bush: DeltaBush, gauge: GaugeNorm, line0: BrokenLine, line1: BrokenLine
 ) -> Fraction:
     """Sum of gauge deviations between two sibling lines at the parameters
-    where they differ (the odd-indexed vertices; even ones are shared)."""
-    v0 = line0.vertices(bush)
-    v1 = line1.vertices(bush)
-    if len(v0) != len(v1):
+    where they differ (the odd-indexed vertices; even ones are shared): the
+    vertices of both lines as integer rows over one denominator."""
+    m = len(line0.segments)
+    if len(line1.segments) != m:
         raise ValidationError("sibling lines must have matching segment counts")
-    total = Fraction(0)
-    for idx in range(1, len(v0), 2):
-        p0, x0 = v0[idx]
-        p1, x1 = v1[idx]
-        if p0 != p1:
-            raise ValidationError("sibling lines disagree on parameters")
-        total += gauge.evaluate(_sub(x0, x1))
-    return total
+    nums, d = _over_lcm([c for line in (line0, line1) for c, _ in line.segments])
+    if list(itertools.accumulate(nums[:m]))[::2] != list(itertools.accumulate(nums[m:]))[::2]:
+        raise ValidationError("sibling lines disagree on parameters")
+    x0 = _prefix_points(bush, line0.segments, nums[:m])[1::2]
+    x1 = _prefix_points(bush, line1.segments, nums[m:])[1::2]
+    return sum(gauge._norms(x0 - x1, d * bush.table.scale), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +677,10 @@ class Martingale:
     levels: tuple[PiecewiseLevel, ...]
     target: NormedTarget
 
+    def __post_init__(self):
+        if any(level.entries.num.shape[1] != self.target.dim for level in self.levels):
+            raise ValidationError(f"martingale values must have the target's dimension {self.target.dim}")
+
 
 def _level_from_points(rows: np.ndarray, den: int, params, points) -> PiecewiseLevel:
     """The level whose value on (params[i], params[i+1]] is the slope of
@@ -706,6 +713,7 @@ def martingale_l1_diff(a: PiecewiseLevel, b: PiecewiseLevel, target: NormedTarge
     or summing."""
     if target.kind not in ("l1", "linf", "summing"):
         raise ValidationError("martingale construction needs an exact rational norm")
+    Martingale((a, b), target)  # refuses values of another dimension
     breaks = sorted(set(a.breaks) | set(b.breaks))
     (ra, sa), (rb, sb) = ((x.entries.num.astype(object), x.entries.scale) for x in (a, b))
     ia = [_interval_index(a.breaks, lo) for lo in breaks[:-1]]
@@ -828,10 +836,10 @@ def martingale_check(mart: Martingale, bound: Fraction = Fraction(1)) -> Marting
     target = mart.target
     for k, level in enumerate(mart.levels):
         rows, scale = level.entries.num.astype(object), level.entries.scale
-        if target.kind in ("l1", "linf", "summing"):
-            norms = [Fraction(n, scale) for n in _ROW_NORMS[target.kind](rows).tolist()]
+        if target.kind == "l2":  # each entry correctly rounded, as `norm` rounds it
+            norms = _ROW_NORMS["l2"](level.entries.floats()).tolist()
         else:
-            norms = [norm(target, v) for v in level.values]
+            norms = [Fraction(n, scale) for n in _ROW_NORMS[target.kind](rows).tolist()]
         for value_norm in norms:
             if value_norm > bound:
                 bounded = False

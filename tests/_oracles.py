@@ -374,10 +374,8 @@ def james_alpha_by_vectors(m, bound):
 def entry_norm(target, v):
     """Norm of one vector by loops over its entries, left to right: a
     Fraction (or int) for exact entries outside l2, a float otherwise, each
-    entry converted once; a gauge target calls its `evaluate`."""
+    entry converted once."""
     kind = target.kind
-    if kind == "gauge":
-        return target.gauge.evaluate(tuple(v))
     exact = kind != "l2" and all(isinstance(x, (int, Fraction)) for x in v)
     entries = list(v) if exact else [float(x) for x in v]
     if kind == "l2":
@@ -455,12 +453,7 @@ def distortion_tuples(space, vectors, target):
         else:
             V = np.array(vectors, dtype=float)
             diffs = (V[i] - V[i + 1 :] for i in range(n - 1))
-    if kind == "gauge":
-        evaluate = target.gauge.evaluate
-        row_norm = lambda x: np.array([evaluate(tuple(row)) for row in x.tolist()], dtype=object)
-    else:
-        row_norm = _ROW_NORMS[kind]
-    norms = np.concatenate([row_norm(x) for x in diffs])
+    norms = np.concatenate([_ROW_NORMS[kind](x) for x in diffs])
     pair = lambda k: (int(pairs[0][k]), int(pairs[1][k]))
     collapsed = np.flatnonzero(valid & (norms == 0))
     if collapsed.size:
@@ -1063,15 +1056,36 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def tree_vectors(tree):
+    """label -> the delta-tree's vector, a tuple of Fractions."""
+    from testspaces.generators import tree_labels
+
+    return dict(zip(tree_labels(tree.depth), tree.table.rows()))
+
+
+def bush_levels(bush):
+    """Per level, the delta-bush's vectors as tuples of Fractions."""
+    rows = bush.table.rows()
+    return tuple(rows[a:b] for a, b in zip(bush.starts, bush.starts[1:]))
+
+
+def vertex_pairs(line, bush):
+    """The (parameter, point) pairs of a broken line's vertices, each point
+    a tuple of Fractions."""
+    params, points = line.vertices(bush)
+    return tuple(zip(params, points.rows()))
+
+
 def verify_delta_tree_fractions(tree):
     """`rnp.verify_delta_tree` as first written: Fraction norms per vector."""
     from testspaces.errors import ValidationError
 
-    for lab, vec in tree.vectors.items():
+    vectors = tree_vectors(tree)
+    for lab, vec in vectors.items():
         if normalized_l1(vec, tree.atoms) != 1:
             raise ValidationError(f"||x_{lab or 'root'}|| != 1")
         if len(lab) < tree.depth:
-            c0, c1 = tree.vectors[lab + "0"], tree.vectors[lab + "1"]
+            c0, c1 = vectors[lab + "0"], vectors[lab + "1"]
             if any(2 * v != a + b for v, a, b in zip(vec, c0, c1)):
                 raise ValidationError(f"midpoint identity fails at {lab or 'root'}")
             for child in (c0, c1):
@@ -1084,28 +1098,29 @@ def verify_bush_fractions(bush):
     separations in Fractions, entry by entry."""
     from testspaces.errors import ValidationError
 
-    if len(bush.levels[0]) != 1:
+    levels = bush_levels(bush)
+    if len(levels[0]) != 1:
         raise ValidationError("a bush must start from a single vector (m_0 = 1)")
-    for n in range(1, len(bush.levels)):
+    for n in range(1, len(levels)):
         seen = set()
         for k, block in enumerate(bush.blocks[n]):
             seen.update(block)
             lam = sum((bush.weights[n][j] for j in block), Fraction(0))
             if lam != 1:
                 raise ValidationError(f"weights in block ({n},{k}) sum to {lam} != 1")
-            parent = bush.levels[n - 1][k]
+            parent = levels[n - 1][k]
             combo = [Fraction(0)] * bush.atoms
             for j in block:
                 w = bush.weights[n][j]
                 if w < 0:
                     raise ValidationError("negative weight")
                 for a in range(bush.atoms):
-                    combo[a] += w * bush.levels[n][j][a]
-                if normalized_l1(_sub(bush.levels[n][j], parent), bush.atoms) < bush.delta:
+                    combo[a] += w * levels[n][j][a]
+                if normalized_l1(_sub(levels[n][j], parent), bush.atoms) < bush.delta:
                     raise ValidationError(f"separation fails at ({n},{j})")
             if tuple(combo) != tuple(Fraction(x) for x in parent):
                 raise ValidationError(f"convexity identity fails at ({n},{k})")
-        if seen != set(range(len(bush.levels[n]))):
+        if seen != set(range(len(levels[n]))):
             raise ValidationError(f"level-{n} blocks are not a partition")
 
 

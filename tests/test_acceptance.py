@@ -46,10 +46,16 @@ from testspaces.rnp import (
     thickness_alpha,
     tree_to_bush,
     verify_delta_tree,
-    _sub,
 )
 
-from _oracles import heisenberg_ball_by_words, min_l2_distortion_points, normalized_l1
+from _oracles import (
+    _sub,
+    bush_levels,
+    heisenberg_ball_by_words,
+    min_l2_distortion_points,
+    normalized_l1,
+    vertex_pairs,
+)
 
 
 def _report(num, text):
@@ -181,10 +187,12 @@ def test_criterion_6_delta_tree_exactness():
     for n in range(1, 11):
         tree = rademacher_tree(n)
         verify_delta_tree(tree)
-        for lab, vec in tree.vectors.items():
+        assert tree.table.scale == 1
+        rows = tree.table.num.tolist()  # label order: row i's parent is row (i - 1) // 2
+        for i, vec in enumerate(rows):
             assert normalized_l1(vec, tree.atoms) == 1
-            if lab:
-                assert normalized_l1(_sub(vec, tree.vectors[lab[:-1]]), tree.atoms) == 1
+            if i:
+                assert normalized_l1(_sub(vec, rows[(i - 1) // 2]), tree.atoms) == 1
     _report(6, "rademacher_tree(n) exact for n = 1..10 (identities, norms, separation)")
 
 
@@ -193,7 +201,7 @@ def test_criterion_7_broken_lines():
     vertex-set monotonicity under all extensions."""
     bush = tree_to_bush(rademacher_tree(3))
     gauge = bush_gauge(bush)
-    for level in bush.levels:
+    for level in bush_levels(bush):
         for vec in level:
             assert gauge.evaluate(vec) == 1
     delta = bush_gauge_delta(bush, gauge)
@@ -206,10 +214,10 @@ def test_criterion_7_broken_lines():
         assert dev >= delta / 2
         devs.append(dev)
     for lab, line in lines.items():
-        own = set(line.vertices(bush))
+        own = set(vertex_pairs(line, bush))
         for other_lab, other in lines.items():
             if other_lab != lab and other_lab.startswith(lab):
-                assert own <= set(other.vertices(bush))
+                assert own <= set(vertex_pairs(other, bush))
     _report(7, f"15 lines geodesic; sibling deviations >= delta/2 = {delta/2} "
                f"(min {min(devs)}); vertex monotonicity exact")
 

@@ -349,6 +349,13 @@ def test_cap_exit_code(capsys):
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
     assert "10924x10924" in rep["error"]["message"]
+    # broken lines of depth L have 4^L segments: the cap fires before the
+    # tree of depth 8 or 12 is built
+    for depth in ("8", "12"):
+        code, rep = run_cli(capsys, "rnp", "lines", "--depth", depth)
+        assert code == 3
+        assert rep["error"]["kind"] == "cap_exceeded"
+        assert "broken-line segments" in rep["error"]["message"]
 
 
 @pytest.mark.parametrize(

@@ -33,15 +33,7 @@ from testspaces.embeddings import (
 from testspaces.errors import CapExceededError, CollapsedPairError, ValidationError
 from testspaces.generators import binary_tree, cycle, heisenberg_ball, tree_labels
 from testspaces.metric_core import MetricSpace, RationalTable, apsp, path_graph
-from testspaces.rnp import (
-    Martingale,
-    PiecewiseLevel,
-    bush_gauge,
-    martingale_check,
-    martingale_l1_diff,
-    rademacher_tree,
-    tree_to_bush,
-)
+from testspaces.rnp import Martingale, PiecewiseLevel, martingale_check, martingale_l1_diff
 
 from _oracles import (
     bourgain_distortion_sorted,
@@ -96,15 +88,11 @@ def _random_vector(rng, kind, dim):
 
 def test_norm_matches_entry_oracle():
     rng = random.Random(15)
-    gauge = NormedTarget("gauge", 4, bush_gauge(tree_to_bush(rademacher_tree(2))))
     for k in range(2400):
         kind = ("fraction", "int", "float")[k % 3]
         dim = 4 if k % 12 < 3 else rng.randint(1, 9)
         v = _random_vector(rng, kind, dim)
-        targets = [NormedTarget(name, dim) for name in ("l1", "linf", "summing", "l2")]
-        if dim == 4 and kind != "float":  # a gauge measures exact vectors
-            targets.append(gauge)
-        for target in targets:
+        for target in [NormedTarget(name, dim) for name in ("l1", "linf", "summing", "l2")]:
             got, want = norm(target, v), entry_norm(target, v)
             assert got == want, (target.kind, v)
             assert isinstance(got, float) == isinstance(want, float), (target.kind, v)
@@ -580,20 +568,17 @@ def test_first_max_beyond_float_range():
     assert _first_max(fractions, np.array([1, 1, 1])) == 0
 
 
-GAUGE = NormedTarget("gauge", 4, bush_gauge(tree_to_bush(rademacher_tree(2))))
-
-
 @st.composite
 def _stored_rows(draw):
     """A space, its distance rows, rows and a target for every way a table
     is stored: int64-size and object-size numerators over mixed
     denominators (distances too), and floats (signed zeros included), in
-    l1, l2, linf, summing and gauge."""
-    kind = draw(st.sampled_from(["l1", "l2", "linf", "summing", "gauge"]))
-    entry = draw(st.sampled_from(["int", "fraction"] + (["float"] if kind != "gauge" else [])))
+    l1, l2, linf and summing."""
+    kind = draw(st.sampled_from(["l1", "l2", "linf", "summing"]))
+    entry = draw(st.sampled_from(["int", "fraction", "float"]))
     big = draw(st.sampled_from([1, 2**40, 2**70]))  # 2**70 needs Python ints
     n = draw(st.integers(2, 6))
-    dim = 4 if kind == "gauge" else draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 8))
     table = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -608,7 +593,7 @@ def _stored_rows(draw):
         return -0.0 if x == 0 and draw(st.booleans()) else x * big / draw(st.sampled_from([1, 3, 10]))
 
     rows = tuple(tuple(value() for _ in range(dim)) for _ in range(n))
-    target = GAUGE if kind == "gauge" else NormedTarget(kind, dim)
+    target = NormedTarget(kind, dim)
     return MetricSpace.from_rows(table), tuple(map(tuple, table)), rows, target
 
 
@@ -643,11 +628,7 @@ def test_stored_table_matches_the_tuple_route(case):
     assert again == emb and (again.scale, again.table.dtype) == (emb.scale, emb.table.dtype)
     assert Embedding(space, np.array(rows, dtype=object), target) == emb
     for factor in (3, F(-2, 7), 0.1, 2**70, F(2**70, 3)):
-        if target.kind == "gauge" and isinstance(factor, float):
-            with pytest.raises(ValidationError, match="exact"):
-                emb.rescaled(factor)
-        else:
-            assert _same_entries(emb.rescaled(factor).vectors, rescaled_rows(rows, factor))
+        assert _same_entries(emb.rescaled(factor).vectors, rescaled_rows(rows, factor))
     # a MetricSpace and a martingale level hold the same table type
     assert space.dist == table and MetricSpace(np.array(table, dtype=object)) == space
     for factor in (2**70, F(2**70, 3)):

@@ -15,7 +15,7 @@ import testspaces.rnp as rnp
 from testspaces.errors import ValidationError
 from testspaces.exactlp import Unbounded, solve_lp
 
-from _oracles import solve_lp_fractions
+from _oracles import bush_levels, solve_lp_fractions
 
 
 def test_tiny_known_lp():
@@ -205,24 +205,26 @@ def test_starting_basis_must_be_feasible():
 
 
 def _gauge_lps(depth, all_siblings):
-    """(A, b, c, slack basis, gauge value) for every vector the bush
-    pipeline at this depth measures in its gauge: the LP that defines the
-    value, started where the gauge's LP route starts it.  Unit-ball
-    generators give the value in closed form, so no LP runs there."""
+    """(A, b, c, slack basis, LP value) for every vector the bush pipeline
+    at this depth measures in its gauge, an integer row b over a scale: the
+    LP that defines scale times the value, started where the gauge's LP
+    route starts it.  Unit-ball generators give the value in closed form,
+    so no LP runs there."""
     calls = []
-    original = rnp.GaugeNorm.evaluate
+    original = rnp.GaugeNorm._norms
 
-    def record(gauge, v):
-        value = original(gauge, v)
-        basis = [a if x >= 0 else gauge.atoms + a for a, x in enumerate(v)]
-        calls.append((gauge._rows, v, gauge._costs, basis, value))
-        return value
+    def record(gauge, rows, scale):
+        values = original(gauge, rows, scale)
+        for b, value in zip(rows.tolist(), values):
+            basis = [a if x >= 0 else gauge.atoms + a for a, x in enumerate(b)]
+            calls.append((gauge._rows, b, gauge._costs, basis, value * scale))
+        return values
 
-    rnp.GaugeNorm.evaluate = record
+    rnp.GaugeNorm._norms = record
     try:
         bush = rnp.tree_to_bush(rnp.rademacher_tree(depth))
         gauge = rnp.bush_gauge(bush)
-        for level in bush.levels:
+        for level in bush_levels(bush):
             for vec in level:
                 gauge.evaluate(vec)
         rnp.bush_gauge_delta(bush, gauge)
@@ -231,7 +233,7 @@ def _gauge_lps(depth, all_siblings):
         for lab in labels:
             rnp.sibling_deviation(bush, gauge, lines[lab + "0"], lines[lab + "1"])
     finally:
-        rnp.GaugeNorm.evaluate = original
+        rnp.GaugeNorm._norms = original
     return calls
 
 

@@ -39,6 +39,8 @@ from testspaces import markov as mk
 from testspaces import rnp
 from testspaces.metric_core import apsp
 
+from _oracles import bush_levels, tree_vectors
+
 DIGESTS = Path(__file__).with_name("parity_digests.json")
 BUDGET_S = 5.0
 
@@ -136,9 +138,10 @@ def _delta_tree_cases():
     under a generator outside the unit ball (so that the LP runs)."""
     for depth in range(1, 6):
         tree = rnp.rademacher_tree(depth)
-        yield f"delta_tree/{depth}", tuple((lab, _strs([vec])[0]) for lab, vec in tree.vectors.items())
+        yield f"delta_tree/{depth}", tuple((lab, _strs([vec])[0]) for lab, vec in tree_vectors(tree).items())
         bush = rnp.tree_to_bush(tree)
-        yield f"bush_levels/{depth}", tuple(_strs(level) for level in bush.levels)
+        levels = bush_levels(bush)
+        yield f"bush_levels/{depth}", tuple(_strs(level) for level in levels)
         gauge = rnp.bush_gauge(bush)
         yield f"bush_gauge_delta/{depth}", rnp.bush_gauge_delta(bush, gauge)
         lines = rnp.broken_line_family(bush, depth)
@@ -148,7 +151,7 @@ def _delta_tree_cases():
                 dev = rnp.sibling_deviation(bush, gauge, lines[lab + "0"], lines[lab + "1"])
                 yield f"sibling_deviation/{depth}/{lab!r}", dev
         atoms, rng = bush.atoms, random.Random(depth)
-        root, last = bush.levels[0][0], bush.levels[-1][-1]
+        root, last = levels[0][0], levels[-1][-1]
         vectors = [
             tuple(rng.randint(-5, 5) for _ in range(atoms)),
             tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(atoms)),
@@ -158,7 +161,7 @@ def _delta_tree_cases():
         yield f"gauge/{depth}", tuple(gauge.evaluate(v) for v in vectors)
         if depth <= 3:
             outside = (2,) + tuple(root[1:])
-            gens = tuple(vec for level in bush.levels for vec in level) + (outside,)
+            gens = tuple(vec for level in levels for vec in level) + (outside,)
             lp = rnp.GaugeNorm(atoms, gens)
             yield f"gauge_lp/{depth}", tuple(lp.evaluate(v) for v in vectors + [outside])
 

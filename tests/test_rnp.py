@@ -37,11 +37,12 @@ from testspaces.rnp import (
     verify_delta_tree,
     _interval_index,
     _slope_jumps,
-    _sub,
 )
 
 from _oracles import (
+    _sub,
     broken_lines_by_scan,
+    bush_levels,
     gauge_by_phase_one,
     martingale_check_fractions,
     martingale_fractions,
@@ -52,6 +53,8 @@ from _oracles import (
     thickness_by_pairs,
     verify_bush_fractions,
     verify_delta_tree_fractions,
+    tree_vectors,
+    vertex_pairs,
 )
 
 
@@ -74,16 +77,16 @@ def test_rademacher_identities_small():
     for n in (1, 2, 5):
         tree = rademacher_tree(n)
         verify_delta_tree(tree)  # exact midpoint, unit norm, separation
-        root = tree.vectors[""]
+        root = tree_vectors(tree)[""]
         assert all(v == 1 for v in root)
-        for lab, vec in tree.vectors.items():
+        for lab, vec in tree_vectors(tree).items():
             assert normalized_l1(vec, tree.atoms) == 1
             if lab:
-                assert normalized_l1(_sub(vec, tree.vectors[lab[:-1]]), tree.atoms) == 1
+                assert normalized_l1(_sub(vec, tree_vectors(tree)[lab[:-1]]), tree.atoms) == 1
 
 
 def test_tree_to_bush_structure(bush3):
-    assert len(bush3.levels[0]) == 1
+    assert len(bush_levels(bush3)[0]) == 1
     assert bush3.blocks[1] == ((0, 1),)
     assert bush3.weights[1] == (F(1, 2), F(1, 2))
     assert bush3.delta == 1
@@ -92,7 +95,7 @@ def test_tree_to_bush_structure(bush3):
 def test_gauge_values(bush3, gauge3):
     zero = tuple(F(0) for _ in range(bush3.atoms))
     assert gauge3.evaluate(zero) == 0
-    for level in bush3.levels:
+    for level in bush_levels(bush3):
         for vec in level:
             assert gauge3.evaluate(vec) == 1  # renormed bush vectors are unit
     assert bush_gauge_delta(bush3, gauge3) == 1
@@ -130,14 +133,14 @@ def test_broken_line_root_is_single_segment(bush3):
 def test_broken_lines_are_gauge_geodesics(bush3, gauge3):
     lines = broken_line_family(bush3, 3)
     assert len(lines) == 15
-    root = bush3.levels[0][0]
+    root = bush_levels(bush3)[0][0]
     for line in lines.values():
         # sum of gauge lengths = sum of coefficients (per-vector gauge is 1)
         assert line.coefficients_sum() == 1
-        assert line.vertices(bush3)[-1][1] == tuple(F(x) for x in root)
+        assert vertex_pairs(line, bush3)[-1] == (1, root)
     # direct gauge evaluation on a few segments confirms the shortcut
     seg_coef, (lvl, j) = lines["01"].segments[0]
-    direct = gauge3.evaluate(tuple(seg_coef * x for x in bush3.levels[lvl][j]))
+    direct = gauge3.evaluate(tuple(seg_coef * x for x in bush_levels(bush3)[lvl][j]))
     assert direct == seg_coef
 
 
@@ -152,10 +155,10 @@ def test_sibling_deviation_at_least_half_delta(bush3, gauge3):
 def test_vertex_monotonicity_under_extension(bush3):
     lines = broken_line_family(bush3, 3)
     for lab, line in lines.items():
-        own = set(line.vertices(bush3))
+        own = set(vertex_pairs(line, bush3))
         for other_lab, other in lines.items():
             if other_lab != lab and other_lab.startswith(lab):
-                assert own <= set(other.vertices(bush3))
+                assert own <= set(vertex_pairs(other, bush3))
 
 
 def test_thickness_d1():
@@ -426,36 +429,22 @@ def test_constant_martingale_passes():
     assert martingale_l1_diff(level, level2, mart.target) == 0
 
 
-def test_gauge_as_normed_target(bush3, gauge3):
-    from testspaces.embeddings import NormedTarget, norm
-
-    target = NormedTarget("gauge", bush3.atoms, gauge=gauge3)
-    assert norm(target, bush3.levels[1][0]) == 1
-    diff = _sub(bush3.levels[1][0], bush3.levels[1][1])
-    assert norm(target, diff) == gauge3.evaluate(diff)
+def test_gauge_kind_is_gone():
+    with pytest.raises(ValidationError, match="unknown norm kind 'gauge'"):
+        NormedTarget("gauge", 4)
 
 
-def test_gauge_distortion_matches_pair_loop(bush3, gauge3):
-    # gauge norms of the integer difference rows, compared exactly
-    from testspaces.embeddings import Embedding, NormedTarget
-    from testspaces.metric_core import apsp, path_graph
-
-    vecs = (bush3.levels[0][0], bush3.levels[1][0], bush3.levels[1][1])
-    target = NormedTarget("gauge", bush3.atoms, gauge=gauge3)
-    emb = Embedding(apsp(path_graph(3)), vecs, target)
-    assert repr(distortion(emb)) == repr(pairwise_distortion(emb))
-    with pytest.raises(ValidationError, match="exact vectors only"):
-        Embedding(emb.space, tuple(tuple(float(x) for x in v) for v in vecs), target)
+def _bush_like(bush, levels=None, **fields):
+    """The bush with some of its levels (rows per level), blocks, weights
+    or delta replaced."""
+    levels = bush_levels(bush) if levels is None else levels
+    rows = [vec for level in levels for vec in level]
+    parts = {"blocks": bush.blocks, "weights": bush.weights, "delta": bush.delta, **fields}
+    return DeltaBush(bush.atoms, rows, [len(level) for level in levels], **parts)
 
 
 def test_bush_must_sit_on_hyperplane(bush3):
-    shifted = type(bush3)(
-        bush3.atoms,
-        tuple(tuple(tuple(x + 1 for x in vec) for vec in lvl) for lvl in bush3.levels),
-        bush3.blocks,
-        bush3.weights,
-        bush3.delta,
-    )
+    shifted = _bush_like(bush3, tuple(tuple(tuple(x + 1 for x in vec) for vec in lvl) for lvl in bush_levels(bush3)))
     with pytest.raises(ValidationError):
         broken_line_family(shifted, 1)
 
@@ -500,28 +489,21 @@ def test_broken_lines_on_uneven_weights():
     root = (1, 1, 1, 1)
     kids = ((2, 0, 1, 1), (0, 2, 2, 0), (0, 2, 0, 2))
     weights = ((), (F(1, 2), F(1, 4), F(1, 4)))
-    bush = DeltaBush(4, ((root,), kids), ((), ((0, 1, 2),)), weights, F(1, 2))
+    bush = DeltaBush(4, (root,) + kids, (1, 3), ((), ((0, 1, 2),)), weights, F(1, 2))
     verify_bush(bush)
     assert broken_line_family(bush, 1) == broken_lines_by_scan(bush, 1)
-
-
-def test_parent_index():
-    bush = tree_to_bush(rademacher_tree(3))
-    assert [bush.parent_of(3, j) for j in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
-    with pytest.raises(ValidationError, match="index 8 missing from level-3 partition"):
-        bush.parent_of(3, 8)
 
 
 def _corrupted_trees():
     tree = rademacher_tree(3)
     for lab, atom, delta in (("", 0, 1), ("01", 3, 2), ("110", 5, -1), ("1", 0, 0)):
-        vectors = dict(tree.vectors)
+        vectors = dict(tree_vectors(tree))
         vec = list(vectors[lab])
         vec[atom] += delta
         vectors[lab] = tuple(vec)
         yield DeltaTree(tree.depth, tree.atoms, vectors, tree.delta)
-    yield DeltaTree(tree.depth, tree.atoms, tree.vectors, F(3, 2))  # separation
-    halved = {lab: tuple(F(x, 2) for x in vec) for lab, vec in tree.vectors.items()}
+    yield DeltaTree(tree.depth, tree.atoms, tree_vectors(tree), F(3, 2))  # separation
+    halved = {lab: tuple(F(x, 2) for x in vec) for lab, vec in tree_vectors(tree).items()}
     yield DeltaTree(tree.depth, tree.atoms, halved, F(1, 2))  # norms fail first
 
 
@@ -542,16 +524,13 @@ def test_tree_checks_match_fraction_route():
 
 def _corrupted_bushes():
     bush = tree_to_bush(rademacher_tree(3))
-
-    def change(**fields):
-        return DeltaBush(**{**bush.__dict__, **fields})
-
+    change = lambda **fields: _bush_like(bush, **fields)
     weights = list(bush.weights)
     weights[2] = (F(3, 4),) + bush.weights[2][1:]
     yield change(weights=tuple(weights))  # block sum
     weights[2] = (F(3, 2), F(-1, 2)) + bush.weights[2][2:]
     yield change(weights=tuple(weights))  # negative weight
-    levels = list(bush.levels)
+    levels = list(bush_levels(bush))
     levels[2] = (tuple(x + 1 for x in levels[2][0]),) + levels[2][1:]
     yield change(levels=tuple(levels))  # convexity
     yield change(delta=F(2))  # separation
@@ -560,8 +539,8 @@ def _corrupted_bushes():
     weights = list(bush.weights)
     weights[3] = bush.weights[3][:6] + (F(1),) + bush.weights[3][7:]
     yield change(blocks=tuple(blocks), weights=tuple(weights))  # partition (7 missing)
-    yield change(levels=(bush.levels[1],) + bush.levels[1:])  # m_0 != 1
-    scaled = tuple(tuple(tuple(F(x, 3) for x in vec) for vec in level) for level in bush.levels)
+    yield change(levels=(bush_levels(bush)[1],) + bush_levels(bush)[1:])  # m_0 != 1
+    scaled = tuple(tuple(tuple(F(x, 3) for x in vec) for vec in level) for level in bush_levels(bush))
     yield change(levels=scaled, delta=F(1, 3))
 
 
@@ -641,7 +620,7 @@ def test_gauge_slack_start_on_unit_generators(monkeypatch, bush3):
 
     monkeypatch.setattr(rnp, "solve_lp", no_lp)
     gauge, lp_gauge = bush_gauge(bush3), bush_gauge(bush3)
-    vecs = [vec for level in bush3.levels for vec in level]
+    vecs = [vec for level in bush_levels(bush3) for vec in level]
     for v in vecs + [_sub(vecs[3], vecs[1]), _sub(vecs[5], vecs[0])]:
         assert gauge.evaluate(v) == gauge_by_phase_one(lp_gauge, v)
     assert "_rows" not in gauge.__dict__
@@ -654,7 +633,7 @@ def _gauge_vectors(bush, rng):
         tuple(rng.randint(-5, 5) for _ in range(atoms)),
         tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(atoms)),
         tuple(rng.uniform(-3, 3) for _ in range(atoms)),
-        _sub(bush.levels[-1][-1], bush.levels[0][0]),
+        _sub(bush_levels(bush)[-1][-1], bush_levels(bush)[0][0]),
     ]
 
 
@@ -680,7 +659,7 @@ def test_gauge_generator_outside_the_ball_takes_the_lp(monkeypatch, bush3):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(rnp, "solve_lp", counted)
-    vecs = [vec for level in bush3.levels for vec in level]
+    vecs = [vec for level in bush_levels(bush3) for vec in level]
     outside = (2,) + vecs[0][1:]
     assert sum(outside) == bush3.atoms + 1
     gauge = GaugeNorm(bush3.atoms, tuple(vecs) + (outside,))
@@ -697,7 +676,7 @@ def test_gauge_slack_start_pivots_off_the_unit_ball(monkeypatch, bush3):
     # generators of norm 3 and 3/2 make the slack basis suboptimal, so the
     # Bland loop pivots; its value matches the two-phase Fraction tableau
     pivots = _count_pivots(monkeypatch)
-    vecs = [vec for level in bush3.levels for vec in level]
+    vecs = [vec for level in bush_levels(bush3) for vec in level]
     gens = tuple(tuple(3 * x for x in v) for v in vecs[:7]) + tuple(
         tuple(F(3, 2) * x - 1 for x in v) for v in vecs[7:]
     )
@@ -734,3 +713,99 @@ def test_slope_jumps_match_fractions():
                 want.append(tnorm(target, _sub(right, left)))
             table = np.array(rows, dtype=object)
             assert _slope_jumps(target, table, den, (0, 1), (2, 3), (A, B)) == want
+
+
+def test_malformed_trees_and_generators_are_refused_at_construction():
+    tree = rademacher_tree(2)
+    vectors = dict(tree_vectors(tree))
+    missing = {lab: vec for lab, vec in vectors.items() if lab != "01"}
+    extra = {**vectors, "000": vectors["00"]}
+    ragged = {**vectors, "1": vectors["1"][:3]}
+    floats = {lab: tuple(map(float, vec)) for lab, vec in vectors.items()}
+    for bad in (missing, extra, ragged, floats, list(vectors.values())[:-1]):
+        with pytest.raises(ValidationError):
+            DeltaTree(2, 4, bad, F(1))
+    gens = [vec for level in bush_levels(tree_to_bush(tree)) for vec in level]
+    short, ragged = gens + [(1, 1, 1)], [(1, 1, 1)] + gens
+    for bad in ([gens[0][:3]], short, ragged, [tuple(map(float, gens[0]))], [(0.5, 0, 0, 0)]):
+        with pytest.raises(ValidationError):
+            GaugeNorm(4, bad)
+    # the rows in label order, and a dict in any order, build the same tree
+    assert DeltaTree(2, 4, dict(reversed(vectors.items())), F(1)) == tree
+    assert DeltaTree(2, 4, list(vectors.values()), F(1)) == tree
+
+
+def test_martingale_levels_take_the_target_dimension():
+    one = PiecewiseLevel((F(0), F(1)), ((F(1),),))
+    two = PiecewiseLevel((F(0), F(1)), ((F(1), F(1)),))
+    with pytest.raises(ValidationError, match="dimension 2"):
+        martingale_l1_diff(one, two, NormedTarget("l1", 2))
+    with pytest.raises(ValidationError, match="dimension 1"):
+        martingale_l1_diff(one, two, NormedTarget("l1", 1))
+    for levels in ((one, two), (two, two)):
+        with pytest.raises(ValidationError, match="dimension 7"):
+            Martingale(levels, NormedTarget("l1", 7))
+    assert martingale_check(Martingale((two, two), NormedTarget("l1", 2)), F(2)).valid
+
+
+def test_broken_line_depth_is_checked():
+    bush = tree_to_bush(rademacher_tree(2))
+    with pytest.raises(ValidationError, match=">= 0"):
+        broken_line_family(bush, -1)
+    with pytest.raises(ValidationError, match="exceeds bush depth"):
+        broken_line_family(bush, 3)
+
+
+def test_broken_line_cap_counts_every_segment(monkeypatch):
+    # the bound, taken before any line is built, is the family's own count
+    # on these bushes: 2^l lines of (2 * widest block)^l segments per length l
+    root = (1, 1, 1, 1)
+    kids = ((2, 0, 1, 1), (0, 2, 2, 0), (0, 2, 0, 2))
+    weights = ((), (F(1, 2), F(1, 4), F(1, 4)))
+    uneven = DeltaBush(4, (root,) + kids, (1, 3), ((), ((0, 1, 2),)), weights, F(1, 2))
+    cases = [(tree_to_bush(rademacher_tree(d)), k) for d in (1, 3, 4) for k in range(d + 1)] + [(uneven, 1)]
+    totals = [sum(len(line.segments) for line in broken_line_family(*case).values()) for case in cases]
+    for (bush, k), total in zip(cases, totals):
+        assert total == sum((12 if bush is uneven else 8) ** length for length in range(k + 1))
+        monkeypatch.setattr(rnp, "LINE_SEGMENT_CAP", total)
+        broken_line_family(bush, k)
+        monkeypatch.setattr(rnp, "LINE_SEGMENT_CAP", total - 1)
+        with pytest.raises(CapExceededError, match=f"{total} broken-line segments"):
+            broken_line_family(bush, k)
+    monkeypatch.undo()
+    with pytest.raises(CapExceededError):
+        broken_line_family(tree_to_bush(rademacher_tree(7)), 7)
+
+
+def _load_workloads():
+    """perfbench/workloads.py, imported by path from the repository root."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_library_reads_only_the_tables(monkeypatch, capsys):
+    # every row view (of an embedding, a martingale level, and the tests'
+    # views of trees and bushes) goes through RationalTable.rows
+    from testspaces.cli import main
+    from testspaces.metric_core import RationalTable
+
+    def unread(self):
+        raise AssertionError("library code read a table's rows")
+
+    monkeypatch.setattr(RationalTable, "rows", unread)
+    for argv in (["rnp", "tree", "--n", "6"], ["rnp", "lines", "--depth", "3"]):
+        assert main(argv) == 0, capsys.readouterr().out
+    rnp_lines = _load_workloads()._rnp_lines(4)
+    assert rnp_lines == {"lines": 31, "gauge_delta": 1, "deviation": F(1, 2)}
+    family = diamond_geodesic_family(2)
+    run = martingale_from_embedding(family, diamond_l1_embedding(family.family), 1)
+    for kind in ("l1", "l2"):
+        martingale_check(Martingale(run.martingale.levels, NormedTarget(kind, run.martingale.target.dim)))
