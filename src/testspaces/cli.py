@@ -327,7 +327,7 @@ def cmd_rnp_lines(args) -> dict:
         tree_to_bush,
     )
 
-    check_line_segments(args.depth)  # before the tree is built
+    check_line_segments(args.depth, 2)  # before the tree is built; its blocks have 2 vectors
     bush = tree_to_bush(rademacher_tree(args.depth))
     gauge = bush_gauge(bush)
     lines = broken_line_family(bush, args.depth)

@@ -44,7 +44,7 @@ class NormedTarget:
         if self.dim <= 0:
             raise ValidationError("dimension must be positive")
 
-    def __repr__(self) -> str:  # as when a target could hold a gauge: reprs of results stay comparable
+    def __repr__(self) -> str:  # the form reprs of results, and their committed digests, were taken in
         return f"NormedTarget(kind={self.kind!r}, dim={self.dim!r}, gauge=None)"
 
 

@@ -81,9 +81,9 @@ def rademacher_tree(n: int) -> DeltaTree:
         # r_k flips in blocks of 2^(n-k), +1 on the first block; the
         # children lab + "0", lab + "1" of row i are rows 2i + 1, 2i + 2
         r = 1 - 2 * ((np.arange(atoms) >> (n - k)) & 1)
-        level = table[2 ** (k - 1) - 1 : 2**k - 1]
-        eps = np.tile([-1, 1], len(level))[:, None]
-        table[2**k - 1 : 2 ** (k + 1) - 1] = np.repeat(level, 2, axis=0) * (1 + eps * r)
+        level, children = table[2 ** (k - 1) - 1 : 2**k - 1], table[2**k - 1 : 2 ** (k + 1) - 1]
+        np.multiply(level, 1 - r, out=children[0::2])
+        np.multiply(level, 1 + r, out=children[1::2])
     return DeltaTree(n, atoms, read_only(table), Fraction(1))
 
 
@@ -99,10 +99,10 @@ def verify_delta_tree(tree: DeltaTree) -> None:
         rows = num[2**d - 1 : 2 ** (d + 1) - 1]
         bad = [_L1(rows) != unit]
         if d < tree.depth:
-            kids = num[2 ** (d + 1) - 1 : 2 ** (d + 2) - 1].reshape(len(rows), 2, -1)
-            bad.append((2 * rows != kids.sum(axis=1)).any(axis=1))
-            seps = _L1((rows[:, None] - kids).reshape(2 * len(rows), -1)).reshape(-1, 2)
-            bad.append((seps <= floor).any(axis=1))
+            kids = num[2 ** (d + 1) - 1 : 2 ** (d + 2) - 1]
+            kid0, kid1 = kids[0::2], kids[1::2]
+            bad.append((rows - kid0 != kid1 - rows).any(axis=1))
+            bad.append((_L1(rows - kid0) <= floor) | (_L1(rows - kid1) <= floor))
         bad = np.array(bad)
         for i in np.flatnonzero(bad.any(axis=0))[:1]:
             lab = tree_labels(tree.depth)[2**d - 1 + i] or "root"
@@ -270,7 +270,7 @@ def bush_gauge_delta(bush: DeltaBush, gauge: GaugeNorm) -> Fraction:
 LINE_SEGMENT_CAP = 10**6  # a delta-tree's lines: 299 593 segments at depth 6, 2 396 745 at depth 7
 
 
-def check_line_segments(k: int, widest: int = 2) -> None:
+def check_line_segments(k: int, widest: int) -> None:
     """CapExceededError when the lines of labels of length <= k may hold more than
     LINE_SEGMENT_CAP segments: 2^l lines of at most (2 widest)^l each per length l."""
     total = sum((4 * widest) ** length for length in range(k + 1))

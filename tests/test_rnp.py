@@ -505,6 +505,10 @@ def _corrupted_trees():
     yield DeltaTree(tree.depth, tree.atoms, tree_vectors(tree), F(3, 2))  # separation
     halved = {lab: tuple(F(x, 2) for x in vec) for lab, vec in tree_vectors(tree).items()}
     yield DeltaTree(tree.depth, tree.atoms, halved, F(1, 2))  # norms fail first
+    # numerators past int64: the root keeps its norm, row "0" has a 0 at atom 0
+    eps = F(1, 2**70)
+    shifted = {lab: (vec[0] + eps, vec[1] - eps) + vec[2:] for lab, vec in tree_vectors(tree).items()}
+    yield DeltaTree(tree.depth, tree.atoms, shifted, tree.delta)
 
 
 def _error(check, arg):
@@ -519,7 +523,7 @@ def test_tree_checks_match_fraction_route():
     for tree in _corrupted_trees():
         assert _error(verify_delta_tree, tree) == _error(verify_delta_tree_fractions, tree)
     messages = {_error(verify_delta_tree, tree) for tree in _corrupted_trees()}
-    assert {"||x_root|| != 1", "separation fails below root"} <= messages
+    assert {"||x_root|| != 1", "separation fails below root", "||x_0|| != 1"} <= messages
 
 
 def _corrupted_bushes():
@@ -540,6 +544,8 @@ def _corrupted_bushes():
     weights[3] = bush.weights[3][:6] + (F(1),) + bush.weights[3][7:]
     yield change(blocks=tuple(blocks), weights=tuple(weights))  # partition (7 missing)
     yield change(levels=(bush_levels(bush)[1],) + bush_levels(bush)[1:])  # m_0 != 1
+    big = tuple(tuple(tuple(x * 2**70 for x in vec) for vec in level) for level in bush_levels(bush))
+    yield change(levels=big, delta=2**70)  # a valid bush past int64
     scaled = tuple(tuple(tuple(F(x, 3) for x in vec) for vec in level) for level in bush_levels(bush))
     yield change(levels=scaled, delta=F(1, 3))
 
