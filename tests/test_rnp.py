@@ -48,7 +48,6 @@ from _oracles import (
     martingale_fractions,
     martingale_l1_diff_fractions,
     normalized_l1,
-    pairwise_distortion,
     tent_embedding_tuples,
     thickness_by_pairs,
     verify_bush_fractions,
