@@ -3,15 +3,17 @@
 `parity_digests.json` holds the sha256 of the repr of every result below,
 computed over a fixed input set: the distance tables of the paper's test
 spaces, the distortion of the Fréchet, Bourgain and tent embeddings, the
-RNP pipelines of D_2 and D_3, the delta-tree pipeline at depths 1-5, the
-submetric checks, the exact Markov convexity estimates and the CLI `result`
-of the README commands (l2min and Monte Carlo left out).  Tables are printed whole, not summarized.
+RNP pipelines of D_2 and D_3, the delta-tree pipeline at depths 1-5, two
+delta-bushes that are not trees, the submetric checks, the exact Markov convexity estimates and the CLI `result`
+of the README commands (l2min and Monte Carlo left out) and of
+`rnp lines --depth 5`.  Tables are printed whole, not summarized.
 
 After a deliberate change to any of these results, rewrite the file with
 
     PYTHONPATH=src python tests/test_parity.py --write
 
-so that the change shows up as a diff of `tests/parity_digests.json`.
+so that the change shows up as a diff of `tests/parity_digests.json`; the
+command prints each key it adds, removes or changes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from testspaces import generators as gen
 from testspaces import l2_distortion as l2
 from testspaces import markov as mk
 from testspaces import rnp
+from testspaces.errors import ValidationError
 from testspaces.metric_core import apsp
 
 from _oracles import bush_levels, tree_vectors
@@ -166,6 +169,40 @@ def _delta_tree_cases():
             yield f"gauge_lp/{depth}", tuple(lp.evaluate(v) for v in vectors + [outside])
 
 
+def _bushes():
+    """The uneven bush (one block of three, weights 1/2, 1/4, 1/4) and a
+    depth-2 bush at delta 0 with a block of one vector and a block of
+    three out of row order, one weight an int."""
+    h, q = F(1, 2), F(1, 4)
+    kids = ((2, 0, 1, 1), (0, 2, 2, 0), (0, 2, 0, 2))
+    uneven = rnp.DeltaBush(4, ((1, 1, 1, 1),) + kids, (1, 3), ((), ((0, 1, 2),)), ((), (h, q, q)), h)
+    rows = ((1, 1, 1, 1), (2, 0, 2, 0), (0, 2, 0, 2), (1, 3, 0, 0), (-h, 5 * h, -h, 5 * h), (0, 0, 1, 3), (2, 0, 2, 0))
+    blocks = ((), ((0, 1),), ((3,), (0, 2, 1)))
+    mixed = rnp.DeltaBush(4, rows, (1, 2, 4), blocks, ((), (h, h), (q, h, q, 1)), F(0))
+    return {"uneven": uneven, "mixed": mixed}
+
+
+def _bush_cases():
+    """Per bush of `_bushes`: the `verify_bush` outcome, the gauge
+    separation, every broken line and the deviation of every sibling pair."""
+    for name, bush in _bushes().items():
+        try:
+            rnp.verify_bush(bush)
+            outcome = None
+        except ValidationError as exc:
+            outcome = str(exc)
+        yield f"verify_bush/{name}", outcome
+        gauge = rnp.bush_gauge(bush)
+        yield f"bush_gauge_delta/{name}", rnp.bush_gauge_delta(bush, gauge)
+        depth = len(bush.sizes) - 1
+        lines = rnp.broken_line_family(bush, depth)
+        yield f"broken_lines/{name}", lines
+        for lab in lines:
+            if len(lab) < depth:
+                dev = rnp.sibling_deviation(bush, gauge, lines[lab + "0"], lines[lab + "1"])
+                yield f"sibling_deviation/{name}/{lab!r}", dev
+
+
 def _submetric_cases():
     grid = tuple(tuple(F(a) for a in vec) for vec in itertools.product((-1, 0, 1), repeat=2))
     inputs = {
@@ -239,7 +276,7 @@ def _cli_cases():
         try:
             _vectors_csv("vectors.csv", 2**5 - 1, 3, 1)  # one row per vertex of T_4
             _vectors_csv("vec_d2.csv", 12, 3, 2)  # D_2 has 12 vertices
-            for command in README_COMMANDS:
+            for command in README_COMMANDS + ("rnp lines --depth 5",):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = cli.main(command.split())
@@ -260,6 +297,7 @@ def compute_digests() -> dict[str, str]:
             _embedding_cases(_spaces()),
             _rnp_cases(),
             _delta_tree_cases(),
+            _bush_cases(),
             _submetric_cases(),
             _markov_cases(),
             _cli_cases(),
@@ -286,5 +324,10 @@ def test_results_match_the_committed_digests():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
-    DIGESTS.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
+    old, new = json.loads(DIGESTS.read_text()), compute_digests()
+    changed = {key for key in old.keys() & new.keys() if old[key] != new[key]}
+    for word, keys in (("added", new.keys() - old.keys()), ("removed", old.keys() - new.keys()), ("changed", changed)):
+        for key in sorted(keys):
+            print(f"{word}: {key}")
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
