@@ -113,30 +113,51 @@ def verify_delta_tree(tree: DeltaTree) -> None:
 class DeltaBush:
     """Levels of vectors with block convex-combination identities:
     z_{n-1,k} = sum_{j in A^n_k} lambda_{n,j} z_{n,j}, separation delta.
-    The vectors are one exact table, level n its `sizes[n]` rows from row `starts[n]`."""
+    The vectors are one exact table, level n its `sizes[n]` rows from row
+    `starts[n]`.  The constructor refuses malformed shapes and turns blocks
+    and weights into one child table, all the library reads of them: row p's
+    block is rows kids[offsets[p] : offsets[p + 1]], which `owners` map to p,
+    and row q has parent[q], the row whose block first holds it (or -1), and
+    the weight weight[q] / wscale in Python ints."""
 
     atoms: int
     table: RationalTable
     sizes: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]  # blocks[n][k], n >= 1
-    weights: tuple[tuple[Fraction, ...], ...]  # weights[n][j], n >= 1
+    blocks: tuple[tuple[tuple[int, ...], ...], ...]  # blocks[n][k], n >= 1, as given
+    weights: tuple[tuple[Fraction, ...], ...]  # weights[n][j], n >= 1, as given
     delta: Fraction
 
     def __post_init__(self):
-        table = vars(self)["table"] = RationalTable(self.table, 1, 2 * self.atoms)
-        if not table.exact or table.num.shape != (sum(self.sizes), self.atoms) or 0 in self.sizes:
-            raise ValidationError(f"need {sum(self.sizes)} exact vectors of {self.atoms} atoms")
-
-    starts = cached_property(lambda self: tuple(itertools.accumulate(self.sizes, initial=0)))
-
-    def level(self, n: int) -> np.ndarray:
-        return self.table.num[self.starts[n] : self.starts[n + 1]]
-
-
-def _members(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(j, k) for each member j of each block k of one level, in loop order."""
-    members = np.array([j for block in blocks for j in block], dtype=np.intp)
-    return members, np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+        sizes, blocks, weights = self.sizes, self.blocks, self.weights
+        if tuple(sizes[:1]) != (1,):
+            raise ValidationError("a bush must start from a single vector (m_0 = 1)")
+        table = vars(self)["table"] = RationalTable(self.table, 1, 2 * self.atoms)  # sums of differences
+        if not table.exact or table.num.shape != (sum(sizes), self.atoms) or min(sizes) < 1:
+            raise ValidationError(f"need {sum(sizes)} exact vectors of {self.atoms} atoms")
+        if (len(blocks), len(weights)) != (len(sizes),) * 2 or len(blocks[0]) or len(weights[0]):
+            raise ValidationError(f"need blocks and weights for levels 1..{len(sizes) - 1} only")
+        starts = tuple(itertools.accumulate(sizes, initial=0))
+        kids, counts, values = [], [], []
+        for n in range(1, len(sizes)):
+            members = [j for block in blocks[n] for j in block]
+            inside = all(isinstance(j, (int, np.integer)) and 0 <= j < sizes[n] for j in members)
+            if len(blocks[n]) != sizes[n - 1] or len(weights[n]) != sizes[n] or not inside:
+                need = f"{sizes[n - 1]} blocks of members in range({sizes[n]}) and {sizes[n]} weights"
+                raise ValidationError(f"level {n} needs {need}")
+            kids += [starts[n] + j for j in members]
+            counts += map(len, blocks[n])
+            values += weights[n]
+        if not all(isinstance(w, (int, Fraction)) for w in values):
+            raise ValidationError("bush weights must be exact (int or Fraction)")
+        wscale = math.lcm(*(w.denominator for w in values))
+        kids, counts = np.array(kids, dtype=np.intp), np.array(counts, dtype=np.intp)
+        owners, first = np.repeat(np.arange(len(counts)), counts), np.unique(kids, return_index=True)[1]
+        parent = np.full(starts[-1], -1, dtype=np.intp)
+        parent[kids[first]] = owners[first]
+        weight = np.array([0] + [w.numerator * (wscale // w.denominator) for w in values], dtype=object)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        arrays = dict(offsets=offsets, kids=kids, owners=owners, parent=parent, weight=weight)
+        vars(self).update(starts=starts, wscale=wscale, **{key: read_only(a) for key, a in arrays.items()})
 
 
 def tree_to_bush(tree: DeltaTree) -> DeltaBush:
@@ -151,28 +172,23 @@ def tree_to_bush(tree: DeltaTree) -> DeltaBush:
 
 
 def verify_bush(bush: DeltaBush) -> None:
-    """Single root, block weights summing to 1, nonnegative weights,
-    separation >= delta and the block convexity identities, per level on the
-    integer rows with the weights as integers over their common denominator.
-    The first failure is the one a loop over the blocks meets: a block's
-    sum, per member its weight's sign and separation, the identity."""
-    if bush.sizes[0] != 1:
-        raise ValidationError("a bush must start from a single vector (m_0 = 1)")
-    unit, delta = bush.atoms * bush.table.scale, bush.delta
+    """Block weights summing to 1, nonnegative weights, separation >= delta
+    and the block convexity identities, per level on the integer rows and the
+    child table (the constructor checked the shapes and the single root).
+    The first failure is the one a loop over the blocks meets: a block's sum,
+    per member its weight's sign and separation, the identity; the partition."""
+    num, unit, delta, wscale = bush.table.num, bush.atoms * bush.table.scale, bush.delta, bush.wscale
     floor = (delta.numerator * unit - 1) // delta.denominator  # the largest l1 sum below delta
     for n in range(1, len(bush.sizes)):
-        weights = RationalTable((bush.weights[n],))
-        if not weights.exact:
-            raise ValidationError("bush weights must be exact (int or Fraction)")
-        members, owner = _members(bush.blocks[n])
-        wscale, w = weights.scale, weights.num[0][members].astype(object)  # products in Python ints
-        prev, level = bush.level(n - 1), bush.level(n)
-        parents = prev[: len(bush.blocks[n])].astype(object)
-        lam, combo = np.zeros(len(parents), dtype=object), np.zeros(parents.shape, dtype=object)
+        p0, p1 = bush.starts[n - 1], bush.starts[n]  # level n - 1, whose blocks are level n's
+        entries = slice(bush.offsets[p0], bush.offsets[p1])
+        kids, owner = bush.kids[entries], bush.owners[entries] - p0
+        w = bush.weight[kids]
+        lam, combo = np.zeros(p1 - p0, dtype=object), np.zeros((p1 - p0, bush.atoms), dtype=object)
         np.add.at(lam, owner, w)
-        np.add.at(combo, owner, w[:, None] * level[members])
-        negative, close = w < 0, _L1(level[members] - prev[owner]) <= floor
-        bad = (lam != wscale) | (combo != wscale * parents).any(axis=1)
+        np.add.at(combo, owner, w[:, None] * num[kids])
+        negative, close = w < 0, _L1(num[kids] - num[p0 + owner]) <= floor
+        bad = (lam != wscale) | (combo != wscale * num[p0:p1].astype(object)).any(axis=1)
         np.logical_or.at(bad, owner, negative | close)
         for k in np.flatnonzero(bad)[:1]:
             if lam[k] != wscale:
@@ -181,9 +197,9 @@ def verify_bush(bush: DeltaBush) -> None:
                 if negative[i]:
                     raise ValidationError("negative weight")
                 if close[i]:
-                    raise ValidationError(f"separation fails at ({n},{members[i]})")
+                    raise ValidationError(f"separation fails at ({n},{kids[i] - p1})")
             raise ValidationError(f"convexity identity fails at ({n},{k})")
-        if set(members.tolist()) != set(range(bush.sizes[n])):
+        if set(kids.tolist()) != set(range(p1, bush.starts[n + 1])):
             raise ValidationError(f"level-{n} blocks are not a partition")
 
 
@@ -254,13 +270,11 @@ def bush_gauge(bush: DeltaBush) -> GaugeNorm:
 
 
 def bush_gauge_delta(bush: DeltaBush, gauge: GaugeNorm) -> Fraction:
-    """Separation of the bush measured in the gauge norm, on integer rows (the
-    renorming can only shrink the l1 separation, never below zero)."""
-    seps: list[Fraction] = []
-    for n in range(1, len(bush.sizes)):
-        members, owner = _members(bush.blocks[n])
-        seps += gauge._norms(bush.level(n)[members] - bush.level(n - 1)[owner], bush.table.scale)
-    return min(seps, default=Fraction(0))
+    """Separation of the bush measured in the gauge norm, on integer rows: each
+    block member's row less its owner's, over the child table (the renorming
+    can only shrink the l1 separation, never below zero)."""
+    num = bush.table.num
+    return min(gauge._norms(num[bush.kids] - num[bush.owners], bush.table.scale), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,32 +292,43 @@ def check_line_segments(k: int, widest: int) -> None:
         raise CapExceededError(f"{total} broken-line segments exceed cap {LINE_SEGMENT_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BrokenLine:
-    """Geodesic from 0 to the bush root as a list of segment vectors; each
-    segment is a positive multiple of a bush vector, so its gauge length is
-    its coefficient."""
+    """Geodesic from 0 to the bush root: segment i is coefs[i] / scale (Python
+    ints, shared by siblings) times the bush's table row rows[i], so its gauge
+    length is its coefficient.  Equality and repr go through the `segments`
+    view, which reads the bush's level `starts`."""
 
     label: str
-    segments: tuple[tuple[Fraction, tuple[int, int]], ...]  # (coef, (level, j))
+    rows: np.ndarray
+    coefs: np.ndarray
+    scale: int
+    starts: tuple[int, ...]
+
+    @cached_property
+    def segments(self) -> tuple[tuple[Fraction, tuple[int, int]], ...]:
+        """(coefficient, (level, j)) per segment (a view, for tests)."""
+        levels = (np.searchsorted(self.starts, self.rows, side="right") - 1).tolist()
+        pairs = zip(self.coefs.tolist(), levels, self.rows.tolist())
+        return tuple((Fraction(c, self.scale), (n, row - self.starts[n])) for c, n, row in pairs)
+
+    def __eq__(self, other) -> bool:
+        key = lambda line: (line.label, line.segments)
+        return isinstance(other, BrokenLine) and key(self) == key(other)
+
+    def __repr__(self) -> str:
+        return f"BrokenLine(label={self.label!r}, segments={self.segments!r})"
 
     def coefficients_sum(self) -> Fraction:
-        return sum((c for c, _ in self.segments), Fraction(0))
+        return Fraction(self.coefs.sum(), self.scale)
 
     def vertices(self, bush: DeltaBush) -> tuple[tuple[Fraction, ...], RationalTable]:
         """The parameters and the points of the vertices, prefix sums of the
         segments from the origin: the points one exact table, a row each."""
-        nums, d = _over_lcm([c for c, _ in self.segments])
-        points = RationalTable(read_only(_prefix_points(bush, self.segments, nums)), d * bush.table.scale)
-        return tuple(Fraction(p, d) for p in itertools.accumulate(nums, initial=0)), points
-
-
-def _prefix_points(bush: DeltaBush, segments, nums: list[int]) -> np.ndarray:
-    """Vertex rows of a line in Python ints: the prefix sums, from the zero
-    row, of nums[i] times the integer row of segment i's bush vector."""
-    rows = bush.table.num[[bush.starts[lvl] + j for _, (lvl, j) in segments]]
-    steps = np.cumsum(np.array(nums, dtype=object)[:, None] * rows, axis=0)
-    return np.concatenate([np.zeros((1, bush.atoms), dtype=object), steps])
+        steps = np.cumsum(self.coefs[:, None] * bush.table.num[self.rows], axis=0)  # Python ints
+        points = np.concatenate([np.zeros((1, bush.atoms), dtype=object), steps])
+        params = tuple(Fraction(p, self.scale) for p in [0, *np.cumsum(self.coefs).tolist()])
+        return params, RationalTable(read_only(points), self.scale * bush.table.scale)
 
 
 def broken_line_family(bush: DeltaBush, k: int) -> dict[str, BrokenLine]:
@@ -318,51 +343,24 @@ def broken_line_family(bush: DeltaBush, k: int) -> dict[str, BrokenLine]:
         raise ValidationError("label depth must be >= 0")
     if (bush.table.num.sum(axis=1) != bush.atoms * bush.table.scale).any():
         raise ValidationError("bush must lie on the mean-1 hyperplane before building lines")
-    check_line_segments(k, max(map(len, itertools.chain(*bush.blocks[1 : k + 1])), default=0))
+    counts = np.diff(bush.offsets)
+    check_line_segments(k, int(counts[: bush.starts[k]].max(initial=0)))
 
-    # A segment coef * x_{lvl,kidx} becomes, per child j of its block, the
-    # midpoint multiple coef * lambda_j * y_j, split into two halves along
-    # x_{lvl,kidx} and x_{lvl+1,j} in the order the bit picks.  Segments
-    # carry the id of their coefficient in `coefs`, and weights an id per
-    # distinct value, so each product and half is one Fraction per distinct
-    # (coefficient, weight).
-    weight_id: dict = {}
-    wids = [[weight_id.setdefault(w, len(weight_id)) for w in level] for level in bush.weights]
-    ends = [  # ends[lvl][j]: the (parent, child) positions of y_{lvl+1,j}, the parent j's first block
-        {j: ((lvl, b), (lvl + 1, j)) for b, block in reversed(list(enumerate(blocks))) for j in block}
-        for lvl, blocks in enumerate(bush.blocks[1 : k + 1])
-    ]
-    coefs = [Fraction(1)]
-    half_of: dict[tuple[int, int], int] = {}
-
-    def refine(segments, ids):
-        """The two children's segments and their coefficient ids."""
-        out0, out1, out_ids = [], [], []
-        for (_, (lvl, kidx)), cid in zip(segments, ids):
-            for j in bush.blocks[lvl + 1][kidx]:
-                hid = half_of.get((cid, wids[lvl + 1][j]))
-                if hid is None:
-                    hid = half_of[cid, wids[lvl + 1][j]] = len(coefs)
-                    coefs.append(coefs[cid] * bush.weights[lvl + 1][j] / 2)
-                parent, child = ends[lvl][j]
-                first, second = (coefs[hid], parent), (coefs[hid], child)
-                out0 += (first, second)
-                out1 += (second, first)
-                out_ids += (hid, hid)
-        return tuple(out0), tuple(out1), out_ids
-
-    lines = {"": BrokenLine("", ((coefs[0], (0, 0)),))}
-    ids = {"": [0]}
-    frontier = [""]
-    for _ in range(k):
-        nxt = []
-        for lab in frontier:
-            seg0, seg1, child_ids = refine(lines[lab].segments, ids.pop(lab))
-            for bit, segs in (("0", seg0), ("1", seg1)):
-                lines[lab + bit] = BrokenLine(lab + bit, segs)
-                ids[lab + bit] = child_ids
-                nxt.append(lab + bit)
-        frontier = nxt
+    # A segment c * x_p becomes, per child q in p's block, the midpoint
+    # multiple c * lambda_q * y_q, split into two halves along x_{parent(q)}
+    # and x_q in the order the bit picks: one fan-out over the child table,
+    # numerators times the weight numerators, the scale times 2 * wscale.
+    root = read_only(np.zeros(1, dtype=np.intp)), read_only(np.ones(1, dtype=object))
+    lines = {"": BrokenLine("", *root, 1, bush.starts)}
+    for length in range(k):
+        for line in [line for lab, line in lines.items() if len(lab) == length]:
+            n = counts[line.rows]
+            kids = bush.kids[np.arange(n.sum()) + np.repeat(bush.offsets[line.rows] - np.cumsum(n) + n, n)]
+            coefs = read_only(np.repeat(np.repeat(line.coefs, n) * bush.weight[kids], 2))
+            pairs = np.stack([bush.parent[kids], kids], axis=1)
+            for bit, rows in (("0", pairs), ("1", pairs[:, ::-1])):
+                lab, scale = line.label + bit, line.scale * 2 * bush.wscale
+                lines[lab] = BrokenLine(lab, read_only(rows.ravel()), coefs, scale, bush.starts)
     return lines
 
 
@@ -371,16 +369,14 @@ def sibling_deviation(
 ) -> Fraction:
     """Sum of gauge deviations between two sibling lines at the parameters
     where they differ (the odd-indexed vertices; even ones are shared): the
-    vertices of both lines as integer rows over one denominator."""
-    m = len(line0.segments)
-    if len(line1.segments) != m:
+    points of both lines as integer rows over one denominator."""
+    if len(line1.rows) != len(line0.rows):
         raise ValidationError("sibling lines must have matching segment counts")
-    nums, d = _over_lcm([c for line in (line0, line1) for c, _ in line.segments])
-    if list(itertools.accumulate(nums[:m]))[::2] != list(itertools.accumulate(nums[m:]))[::2]:
+    (t0, x0), (t1, x1) = line0.vertices(bush), line1.vertices(bush)
+    if t0[1::2] != t1[1::2]:
         raise ValidationError("sibling lines disagree on parameters")
-    x0 = _prefix_points(bush, line0.segments, nums[:m])[1::2]
-    x1 = _prefix_points(bush, line1.segments, nums[m:])[1::2]
-    return sum(gauge._norms(x0 - x1, d * bush.table.scale), Fraction(0))
+    rows = x0.num[1::2].astype(object) * x1.scale - x1.num[1::2].astype(object) * x0.scale
+    return sum(gauge._norms(rows, x0.scale * x1.scale), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1186,7 +1186,17 @@ def broken_lines_by_scan(bush, k):
             out.append((coef / 2, second))
         return out
 
-    lines = {"": BrokenLine("", ((Fraction(1), (0, 0)),))}
+    def line(label, segments):
+        """The library's line of these segments, its `segments` view the
+        segments themselves."""
+        scale = math.lcm(*(coef.denominator for coef, _ in segments))
+        rows = [bush.starts[lvl] + j for _, (lvl, j) in segments]
+        coefs = [coef.numerator * (scale // coef.denominator) for coef, _ in segments]
+        out = BrokenLine(label, np.array(rows, dtype=np.intp), np.array(coefs, dtype=object), scale, bush.starts)
+        vars(out)["segments"] = tuple(segments)
+        return out
+
+    lines = {"": line("", ((Fraction(1), (0, 0)),))}
     frontier = [""]
     for _ in range(k):
         nxt = []
@@ -1194,7 +1204,7 @@ def broken_lines_by_scan(bush, k):
             pre = preliminary(lines[lab].segments)
             for bit in "01":
                 child = lab + bit
-                lines[child] = BrokenLine(child, tuple(finalize(pre, bit)))
+                lines[child] = line(child, finalize(pre, bit))
                 nxt.append(child)
         frontier = nxt
     return lines

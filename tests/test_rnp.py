@@ -1,11 +1,13 @@
 """RNP pipeline: delta-trees/bushes, gauge LP, broken lines, thickness,
 martingales."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import testspaces.exactlp as exactlp
 import testspaces.rnp as rnp
@@ -483,8 +485,8 @@ def test_broken_lines_match_scan_route(depth):
 
 
 def test_broken_lines_on_uneven_weights():
-    # one block of three children with weights 1/2, 1/4, 1/4: the shared
-    # coefficient table must keep products of distinct weights apart
+    # one block of three children with weights 1/2, 1/4, 1/4: the line
+    # numerators must keep products of distinct weights apart
     root = (1, 1, 1, 1)
     kids = ((2, 0, 1, 1), (0, 2, 2, 0), (0, 2, 0, 2))
     weights = ((), (F(1, 2), F(1, 4), F(1, 4)))
@@ -542,7 +544,8 @@ def _corrupted_bushes():
     weights = list(bush.weights)
     weights[3] = bush.weights[3][:6] + (F(1),) + bush.weights[3][7:]
     yield change(blocks=tuple(blocks), weights=tuple(weights))  # partition (7 missing)
-    yield change(levels=(bush_levels(bush)[1],) + bush_levels(bush)[1:])  # m_0 != 1
+    with pytest.raises(ValidationError, match=r"^a bush must start from a single vector \(m_0 = 1\)$"):
+        change(levels=(bush_levels(bush)[1],) + bush_levels(bush)[1:])  # m_0 != 1, refused at construction
     big = tuple(tuple(tuple(x * 2**70 for x in vec) for vec in level) for level in bush_levels(bush))
     yield change(levels=big, delta=2**70)  # a valid bush past int64
     scaled = tuple(tuple(tuple(F(x, 3) for x in vec) for vec in level) for level in bush_levels(bush))
@@ -753,6 +756,96 @@ def test_martingale_levels_take_the_target_dimension():
     assert martingale_check(Martingale((two, two), NormedTarget("l1", 2)), F(2)).valid
 
 
+def _set(parts, n, value):
+    """parts with entry n replaced."""
+    return parts[:n] + (value,) + parts[n + 1 :]
+
+
+def _cut_to_first_block(bush):
+    """The bush's last level cut to the members of its first block."""
+    levels, n = bush_levels(bush), len(bush.sizes) - 1
+    first = bush.blocks[n][0]
+    return dict(
+        levels=levels[:n] + (tuple(levels[n][j] for j in first),),
+        blocks=_set(bush.blocks, n, (tuple(range(len(first))),)),
+        weights=_set(bush.weights, n, tuple(bush.weights[n][j] for j in first)),
+    )
+
+
+MALFORMED_BUSHES = {  # case: (depth of the tree bush, its changed fields, the message)
+    "member outside the level": (
+        3,
+        lambda b: dict(blocks=_set(b.blocks, 3, b.blocks[3][:-1] + ((6, 8),))),
+        r"^level 3 needs 4 blocks of members in range\(8\) and 8 weights$",
+    ),
+    "negative member": (3, lambda b: dict(blocks=_set(b.blocks, 3, b.blocks[3][:-1] + ((6, -1),))), "level 3 "),
+    "fewer weights than vectors": (3, lambda b: dict(weights=_set(b.weights, 2, b.weights[2][:-1])), "level 2 "),
+    "more weights than vectors": (3, lambda b: dict(weights=_set(b.weights, 1, b.weights[1] + (F(0),))), "level 1 "),
+    "float weight": (3, lambda b: dict(weights=_set(b.weights, 2, (0.5,) + b.weights[2][1:])), "must be exact"),
+    "blocks missing for a level": (3, lambda b: dict(blocks=b.blocks[:-1]), r"levels 1\.\.3 only"),
+    "weights missing for a level": (3, lambda b: dict(weights=b.weights[:-1]), r"levels 1\.\.3 only"),
+    "blocks given for level 0": (3, lambda b: dict(blocks=_set(b.blocks, 0, ((0,),))), r"levels 1\.\.3 only"),
+    "more blocks than vectors above": (3, lambda b: dict(blocks=_set(b.blocks, 2, b.blocks[2] + ((),))), "2 blocks"),
+    "fewer blocks than vectors above": (2, _cut_to_first_block, "level 2 needs 2 blocks"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_BUSHES)
+def test_malformed_bush_shapes_are_refused_at_construction(case):
+    # each of these shapes used to reach verify_bush, broken_line_family or
+    # bush_gauge_delta, which raised IndexError or let it through
+    depth, change, message = MALFORMED_BUSHES[case]
+    bush = tree_to_bush(rademacher_tree(depth))
+    with pytest.raises(ValidationError, match=message):
+        _bush_like(bush, **change(bush))
+
+
+@st.composite
+def valid_bushes(draw):
+    """A bush of depth <= 3 over 2-4 atoms: blocks of 1-3 vectors in a drawn
+    row order, exact positive weights, vectors on the mean-1 hyperplane with
+    the last of each block solved from its identity; delta 0, 1/4 or 1, so
+    that a separation may fail."""
+    atoms, depth = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    levels, blocks, weights = [((F(1),) * atoms,)], [()], [()]
+    for _ in range(depth):
+        members, block_sizes = [], []  # (vector, weight) in block order
+        for parent in levels[-1]:
+            raw = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+            ws = [F(r, sum(raw)) for r in raw]
+            kids = []
+            for _ in ws[:-1]:
+                head = [F(draw(st.integers(-4, 4)), 2) for _ in range(atoms - 1)]
+                kids.append(tuple(head) + (atoms - sum(head),))
+            rest = [p - sum(w * kid[a] for w, kid in zip(ws, kids)) for a, p in enumerate(parent)]
+            kids.append(tuple(x / ws[-1] for x in rest))
+            members += zip(kids, ws)
+            block_sizes.append(len(ws))
+        order = draw(st.permutations(range(len(members))))  # member i is row order[i] of its level
+        rows, level_weights = [None] * len(members), [None] * len(members)
+        for i, (vec, w) in zip(order, members):
+            rows[i], level_weights[i] = vec, w
+        ends = list(itertools.accumulate(block_sizes, initial=0))
+        blocks.append(tuple(tuple(order[a:b]) for a, b in zip(ends, ends[1:])))
+        levels.append(tuple(rows))
+        weights.append(tuple(level_weights))
+    rows = [vec for level in levels for vec in level]
+    delta = draw(st.sampled_from([F(0), F(1, 4), F(1)]))
+    return DeltaBush(atoms, rows, [len(level) for level in levels], tuple(blocks), tuple(weights), delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_bushes())
+def test_random_bushes_match_the_fraction_routes(bush):
+    assert _error(verify_bush, bush) == _error(verify_bush_fractions, bush)
+    depth = len(bush.sizes) - 1
+    lines, want = broken_line_family(bush, depth), broken_lines_by_scan(bush, depth)
+    assert repr(lines) == repr(want)
+    for lab, line in lines.items():
+        assert [type(c) for c, _ in line.segments] == [type(c) for c, _ in want[lab].segments]
+        assert line.coefficients_sum() == 1
+
+
 def test_broken_line_depth_is_checked():
     bush = tree_to_bush(rademacher_tree(2))
     with pytest.raises(ValidationError, match=">= 0"):
@@ -798,14 +891,27 @@ def _load_workloads():
 
 def test_the_library_reads_only_the_tables(monkeypatch, capsys):
     # every row view (of an embedding, a martingale level, and the tests'
-    # views of trees and bushes) goes through RationalTable.rows
+    # views of trees and bushes) goes through RationalTable.rows; a line's
+    # segments are a view too, and after construction a bush's blocks and
+    # weights are read through its child table only
     from testspaces.cli import main
     from testspaces.metric_core import RationalTable
 
-    def unread(self):
-        raise AssertionError("library code read a table's rows")
+    def unread(self, *args):
+        raise AssertionError("library code read a table's rows, a line's segments or a bush's tuples")
+
+    class Unread:
+        __getitem__ = __iter__ = __len__ = __eq__ = __hash__ = unread
+
+    build = DeltaBush.__post_init__
+
+    def post_init(bush):
+        build(bush)
+        vars(bush).update(blocks=Unread(), weights=Unread())
 
     monkeypatch.setattr(RationalTable, "rows", unread)
+    monkeypatch.setattr(BrokenLine, "segments", property(unread))
+    monkeypatch.setattr(DeltaBush, "__post_init__", post_init)
     for argv in (["rnp", "tree", "--n", "6"], ["rnp", "lines", "--depth", "3"]):
         assert main(argv) == 0, capsys.readouterr().out
     rnp_lines = _load_workloads()._rnp_lines(4)
