@@ -1,7 +1,9 @@
 """The Radon-Nikodym pipeline: delta-trees and delta-bushes in discretized
-L1, each one exact table, the gauge renorming (the normalized l1 norm for
-unit-ball generators, an exact LP otherwise), broken-line families of
-geodesics, thickness certification for diamond geodesic families, and the
+L1, each one exact table (a bush's blocks and weights one child table built
+at construction), the gauge renorming (the normalized l1 norm for unit-ball
+generators, an exact LP otherwise), broken-line families of geodesics (each
+line integer coefficient numerators over one scale, built by a fan-out over
+the child table), thickness certification for diamond geodesic families, and the
 embedding-to-divergent-martingale construction, which reads the integer
 numerator table of the embedding (never its `vectors` view) and builds
 each martingale level as one exact table of integer slope rows.
