@@ -31,7 +31,7 @@ from .metric_core import (
     read_only,
 )
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class NormedTarget:
     """A norm to measure embeddings in: l1, l2, linf or summing."""
 
@@ -43,9 +43,6 @@ class NormedTarget:
             raise ValidationError(f"unknown norm kind {self.kind!r}")
         if self.dim <= 0:
             raise ValidationError("dimension must be positive")
-
-    def __repr__(self) -> str:  # the form reprs of results, and their committed digests, were taken in
-        return f"NormedTarget(kind={self.kind!r}, dim={self.dim!r}, gauge=None)"
 
 
 # Row kernels: the norm of each row of a block of vectors, for `norm` (one
