@@ -6,9 +6,9 @@ for the downward tree walk, one first-disagreement draw per split time
 instead; both on blocks of samples with their own substreams), and the
 built-in walks (downward tree walk, downhill diamond/Laakso walks, lazy
 path walk).
-A chain row lists only its moves, as (v, P(u, v)) pairs with P(u, v) > 0
-and v strictly increasing, so building, checking and reading a row costs
-time in its moves, not in n.
+A chain is given by rows of its moves, (v, P(u, v)) pairs with P(u, v) > 0,
+and checked and turned once into one CSR table of integer weights over one
+denominator D, which the DP and the Monte Carlo tables read.
 
 Time window: t runs over 1..T and k over 0..ceil(log2 T) with the chain
 frozen at its start state for t <= 0.  The truncated left-hand sum is a
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .generators import RecursiveFamily, binary_tree
-from .metric_core import TABLE_ENTRY_CAP, MetricSpace, apsp, check_table_size, read_only
+from .metric_core import TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_table_size, read_only
 
 TREE_VERTEX_CAP = 100_000
 # bit operations of the exact tree pass, T (T + p ceil(log2 2T)): at p = 2,
@@ -42,7 +42,9 @@ class MarkovChain:
     """Finite chain on states 0..n-1: transition[u] holds the (v, P(u, v))
     pairs with P(u, v) > 0 an int or Fraction, v strictly increasing, summing
     to exactly 1;
-    start state; horizon T (time runs 1..T; the chain sits at `start` for t <= 0)."""
+    start state; horizon T (time runs 1..T; the chain sits at `start` for t <= 0).
+    The rows are turned once into the CSR table every reader uses: moves
+    indptr[u] .. indptr[u + 1] - 1 leave u, to targets, with weights over D."""
 
     transition: tuple[tuple[tuple[int, Fraction], ...], ...]
     start: int
@@ -54,23 +56,30 @@ class MarkovChain:
             raise ValidationError("start state out of range")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
-        for u, row in enumerate(self.transition):
-            targets = [v for v, _ in row]
-            if any(a >= b for a, b in zip([-1, *targets], [*targets, n])):
-                raise ValidationError(f"targets of row {u} must increase within range({n})")
-            probs = [q for _, q in row]
-            if not all(type(q) is int or isinstance(q, Fraction) for q in probs):
-                raise ValidationError(f"row {u} has a probability that is not an int or Fraction")
-            if any(q <= 0 for q in probs):
-                raise ValidationError(f"non-positive probability in row {u}")
-            # the row sum in integers over the lcm of its denominators
-            den = math.lcm(*(q.denominator for q in probs))
-            if sum(q.numerator * (den // q.denominator) for q in probs) != den:
-                raise ValidationError(f"row {u} does not sum to 1 exactly")
+        moves = list(itertools.chain.from_iterable(self.transition))
+        indptr = np.array([0, *itertools.accumulate(map(len, self.transition))])
+        row = np.arange(n).repeat(np.diff(indptr))  # the row of each move
+        # -1 marks a target that is no int in range(n); row-major keys of the rest increase iff rows do
+        targets = np.array([v if type(v) is int and 0 <= v < n else -1 for v, _ in moves], dtype=np.int64)
+        bad = np.append(False, np.diff(targets + n * row) <= 0) | (targets < 0)
+        if bad.any():
+            raise ValidationError(f"targets of row {row[bad.argmax()]} must increase within range({n})")
+        inexact = [type(q) is not int and not isinstance(q, Fraction) for _, q in moves]
+        if any(inexact):
+            u = row[np.argmax(inexact)]
+            raise ValidationError(f"row {u} has a probability that is not an int or Fraction")
+        table = RationalTable([[q for _, q in moves]], 1, len(moves))  # so that the running sums fit
+        weights, D = table.num[0], table.scale
+        if (weights <= 0).any():
+            raise ValidationError(f"non-positive probability in row {row[(weights <= 0).argmax()]}")
+        sums = np.diff(np.concatenate(([0], weights.cumsum()))[indptr])
+        if (sums != D).any():
+            raise ValidationError(f"row {(sums != D).argmax()} does not sum to 1 exactly")
+        vars(self).update(indptr=read_only(indptr), targets=read_only(targets), weights=weights, D=D)
 
     @property
     def n_states(self) -> int:
-        return len(self.transition)
+        return len(self.indptr) - 1
 
 
 @dataclass(frozen=True)
@@ -139,11 +148,11 @@ def _check_map(chain: MarkovChain, mmap: MetricMap, space: MetricSpace) -> None:
         raise ValidationError(f"metric map points must lie in range({space.size})")
 
 
-def _step(row: dict[int, int], Q: list[list[tuple[int, int]]]) -> dict[int, int]:
-    """One step of a sparse integer row vector through the scaled rows Q."""
+def _step(row: dict[int, int], moves: list[list[tuple[int, int]]]) -> dict[int, int]:
+    """One step of a sparse integer row vector through rows of (target, weight) moves."""
     out: dict[int, int] = {}
     for a, y in row.items():
-        for b, q in Q[a]:
+        for b, q in moves[a]:
             out[b] = out.get(b, 0) + y * q
     return out
 
@@ -183,14 +192,14 @@ def exact_convexity(
     T = chain.horizon
     K = _k_max(T)
     terms = _split_terms(T)
-    D = math.lcm(*{q.denominator for row in chain.transition for _, q in row})
-    Q = [[(v, q.numerator * (D // q.denominator)) for v, q in row] for row in chain.transition]
+    D, pairs = chain.D, list(zip(chain.targets.tolist(), chain.weights.tolist()))
+    moves = [pairs[a:b] for a, b in itertools.pairwise(chain.indptr.tolist())]
 
     # the states reachable from start within T steps: only their points are read
     reach = {chain.start}
     frontier = {chain.start}
     for _ in range(T):
-        frontier = {v for a in frontier for v, _ in Q[a]} - reach
+        frontier = {v for a in frontier for v, _ in moves[a]} - reach
         if not frontier:
             break
         reach |= frontier
@@ -204,7 +213,7 @@ def exact_convexity(
     # Pi[s] = D^s pi_s for the split times s = 0..T-1
     Pi = [{chain.start: 1}]
     for _ in range(1, T):
-        Pi.append(_step(Pi[-1], Q))
+        Pi.append(_step(Pi[-1], moves))
 
     # coef[s][j] = sum of 2^((K-k)p) over the terms (k, t) with split time
     # s = t - j; the lhs puts 2^(kp) in the denominator of term (k, t)
@@ -223,7 +232,7 @@ def exact_convexity(
         row = {u: 1}
         Wu = W[u] = {}
         for j in range(1, max(js) + 1):
-            row = _step(row, Q)
+            row = _step(row, moves)
             if j in js:
                 Wu[j] = _pair_sum(row, at, N)
 
@@ -234,7 +243,7 @@ def exact_convexity(
             lhs += c * D ** (2 * T - s - 2 * j) * sum(y * W[u][j] for u, y in pi.items())
 
     # step t from pi_{t-1} sits over D^t E^p; lift all to D^T E^p
-    step_sum = {u: sum(q * N[at[u]][at[v]] for v, q in Q[u]) for u in needs}
+    step_sum = {u: sum(q * N[at[u]][at[v]] for v, q in moves[u]) for u in needs}
     rhs = 0
     for t in range(1, T + 1):
         rhs += D ** (T - t) * sum(y * step_sum[u] for u, y in Pi[t - 1].items())
@@ -284,15 +293,14 @@ def _check_float_powers(smallest: float, largest: float, p: float) -> None:
 
 def _sim_tables(chain: MarkovChain):
     """Row u's targets and running probability sums, padded with its last
-    move; the sums run in row order, which fixes every Monte Carlo draw."""
-    n = chain.n_states
-    deg = max(len(row) for row in chain.transition)
-    nbrs = np.zeros((n, deg), dtype=np.int64)
-    cum = np.ones((n, deg))  # the last move of each row and its padding stay at 1
-    for u, row in enumerate(chain.transition):
-        nbrs[u] = [v for v, _ in row] + [row[-1][0]] * (deg - len(row))
-        cum[u, : len(row) - 1] = list(itertools.accumulate(float(q) for _, q in row[:-1]))
-    return nbrs, cum
+    move.  The sums add the correctly rounded weights / D in row order, which
+    fixes every Monte Carlo draw."""
+    deg = np.diff(chain.indptr)
+    slot = np.arange(deg.max())  # the padding repeats each row's last move
+    at = np.minimum(chain.indptr[:-1, None] + slot, chain.indptr[1:, None] - 1)
+    cum = RationalTable(chain.weights[None], chain.D).floats()[0][at].cumsum(axis=1)
+    cum[slot >= deg[:, None] - 1] = 1  # the last move of each row and its padding
+    return chain.targets[at], cum
 
 
 def _move(states: np.ndarray, u: np.ndarray, nbrs, cum) -> np.ndarray:
@@ -422,20 +430,13 @@ def downward_tree_walk(m: int) -> WalkBundle:
             f"T_{depth} has {n_vertices} vertices (cap {TREE_VERTEX_CAP}); "
             "use the analytic mode (tree_walk_convexity_exact / _mc)"
         )
-    graph = binary_tree(depth)
-    space = apsp(graph)
-    labels = space.labels
-    index = {lab: i for i, lab in enumerate(labels)}
-    half = Fraction(1, 2)
-    rows = tuple(
-        ((index[lab], Fraction(1)),)  # leaf: absorbing
-        if len(lab) == depth
-        else ((index[lab + "0"], half), (index[lab + "1"], half))
-        for lab in labels
-    )
-    chain = MarkovChain(rows, index[""], depth)
-    mmap = MetricMap(tuple(range(len(labels))))
-    return WalkBundle(chain, mmap, space)
+    space = apsp(binary_tree(depth))
+    # vertices in tree_labels order: the root is 0, the children of i are
+    # 2i + 1 and 2i + 2, and the leaves (absorbing) are the last 2^depth
+    half, inner, n = Fraction(1, 2), 2**depth - 1, space.size
+    rows = tuple(((2 * i + 1, half), (2 * i + 2, half)) for i in range(inner))
+    rows += tuple(((i, Fraction(1)),) for i in range(inner, n))
+    return WalkBundle(MarkovChain(rows, 0, depth), MetricMap(tuple(range(n))), space)
 
 
 def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
@@ -527,17 +528,17 @@ def downhill_walk(
             )
     space = family.metric_space()
     sink = family.sink
-    adj = graph.adjacency()
     n = graph.size
     hops = int(space.d(family.source, sink) / edge_len)
     to_sink = space.num[:, sink].tolist()
+    indptr, targets = graph.indptr.tolist(), graph.targets.tolist()
     T = horizon if horizon is not None else hops
     rows = []
     for u in range(n):
         if u == sink:
             rows.append(((u, Fraction(1)),))
             continue
-        downs = sorted(v for v, _ in adj[u] if to_sink[v] < to_sink[u])
+        downs = [v for v in targets[indptr[u] : indptr[u + 1]] if to_sink[v] < to_sink[u]]
         if not downs:
             raise ValidationError(f"vertex {u} has no neighbor closer to the sink")
         share = Fraction(1, len(downs))

@@ -3,9 +3,10 @@
 A RationalTable, the one exact table type, stores integer numerators over
 one int scale; a MetricSpace holds its distances as one.  `d(i, j)` and
 `dist` are exact Fraction views, and floats enter only through the
-correctly rounded `floats()`.  Graphs have positive rational edge lengths.
-Shortest paths and geodesics are searched on integer lengths over one
-scale; Fractions are made only for the values handed back.
+correctly rounded `floats()`.  A graph's exact positive edge lengths are
+turned once, at construction, into one CSR table of integer lengths over
+one scale, which shortest paths, geodesics and walks read; Fractions are
+made only for the values handed back.
 """
 
 from __future__ import annotations
@@ -221,7 +222,9 @@ def _magnitude(num: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph with positive rational edge lengths."""
+    """Undirected graph with positive int or Fraction edge lengths, turned
+    once into the CSR table every reader uses: arcs indptr[u] .. indptr[u + 1]
+    - 1 leave u, to targets (increasing), with lengths over scale."""
 
     vertices: tuple[PointId, ...]
     edges: tuple[tuple[int, int, Fraction], ...]
@@ -236,29 +239,34 @@ class WeightedGraph:
         labels = [p.label for p in self.vertices if p.label is not None]
         if len(labels) != len(set(labels)):
             raise ValidationError("vertex labels must be unique when present")
-        seen = set()
         for u, v, w in self.edges:
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) out of range")
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge ({u},{v}) out of range")  # a float or bool end too
+            if type(w) is not int and not isinstance(w, Fraction):
+                raise ValidationError(f"edge ({u},{v}) has length {w!r}, not an int or Fraction")
             if w <= 0:
                 raise ValidationError(f"edge ({u},{v}) has non-positive length {w}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"duplicate undirected edge {key}")
-            seen.add(key)
+        scale = math.lcm(*{w.denominator for _, _, w in self.edges})
+        lengths = [w.numerator * (scale // w.denominator) for _, _, w in self.edges]
+        dtype = np.int64 if 2 * sum(lengths) <= INT64_MAX else object  # so path sums fit
+        m = len(self.edges)  # arcs 2k and 2k + 1 are edge k's u -> v and v -> u
+        heads = np.fromiter((x for u, v, _ in self.edges for x in (u, v)), np.intp, 2 * m)
+        tails = heads.reshape(m, 2)[:, ::-1].ravel()
+        key = heads * n + tails  # sorted, the arcs of u are the keys in [u n, (u + 1) n)
+        order = key.argsort()
+        key = key[order]
+        repeated = np.flatnonzero(key[1:] == key[:-1])  # the first is some edge's (min, max)
+        if repeated.size:
+            raise ValidationError(f"duplicate undirected edge {divmod(int(key[repeated[0]]), n)}")
+        indptr = key.searchsorted(np.arange(0, n * n + 1, n))
+        table = dict(indptr=indptr, targets=tails[order], lengths=np.array(lengths, dtype).repeat(2)[order])
+        vars(self).update(scale=scale, **{name: read_only(a) for name, a in table.items()})
 
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def adjacency(self) -> list[list[tuple[int, Fraction]]]:
-        adj: list[list[tuple[int, Fraction]]] = [[] for _ in self.vertices]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
 
     def labels(self) -> tuple[Optional[str], ...]:
         return tuple(p.label for p in self.vertices)
@@ -276,40 +284,36 @@ class GeodesicPath:
         return self.breakpoints[-1]
 
 
-def _dijkstra(adj, src):
-    """Single-source distances over adjacency lists of (vertex, length);
-    lengths may be ints or Fractions.  None marks an unreachable vertex."""
-    dist = [None] * len(adj)
+def _dijkstra(indptr: list, targets: list, lengths: list, src: int) -> list:
+    """Single-source distances over a CSR table's arcs as lists (integer
+    lengths).  None marks an unreachable vertex."""
+    dist = [None] * (len(indptr) - 1)
     heap = [(0, src)]
     while heap:
         d, u = heapq.heappop(heap)
         if dist[u] is not None:
             continue
         dist[u] = d
-        for v, w in adj[u]:
+        for k in range(indptr[u], indptr[u + 1]):
+            v = targets[k]
             if dist[v] is None:
-                heapq.heappush(heap, (d + w, v))
+                heapq.heappush(heap, (d + lengths[k], v))
     return dist
 
 
-def _hop_counts(n: int, edges) -> np.ndarray:
+def _hop_counts(graph: WeightedGraph) -> np.ndarray:
     """Edge counts of the shortest paths between all pairs, as a flat int64
     array indexed source * n + vertex.  Raises DisconnectedGraphError naming
     the first unreachable pair in that order.
 
     One breadth-first sweep from every source at once.  Level 1 is the arcs
     themselves (a WeightedGraph has no loops or repeated edges).  Each later
-    round expands the frontier, the flat pairs reached last, through a CSR
-    neighbour array, so every reached pair is expanded once.
+    round expands the frontier, the flat pairs reached last, through the
+    graph's CSR arcs, so every reached pair is expanded once.
     """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    deg = np.array([len(a) for a in nbrs], dtype=np.intp)
-    tails = np.fromiter(itertools.chain.from_iterable(nbrs), np.intp, 2 * len(edges))
+    n, tails, deg = graph.size, graph.targets, np.diff(graph.indptr)
+    end = graph.indptr[1:]  # arcs end[v] - deg[v] ... end[v] - 1 leave v
     heads = np.arange(n).repeat(deg)
-    end = deg.cumsum()  # arcs end[v] - deg[v] ... end[v] - 1 leave v
     step = tails - heads  # the arc v -> w takes pair (s, v) to (s, w) = flat + w - v
     shift = (n * tails.size).bit_length()  # a level stamps fewer than n * 2|E| pairs
     hops = np.full(n * n, -1, dtype=np.int64)
@@ -339,37 +343,28 @@ def _hop_counts(n: int, edges) -> np.ndarray:
 def apsp(graph: WeightedGraph) -> MetricSpace:
     """All-pairs shortest-path metric of a connected graph, exact.
 
-    Edge lengths are scaled to integers by the lcm of their denominators.
-    When they are all one integer p, the numerators are p times the hop
-    counts of one all-sources breadth-first sweep; otherwise Dijkstra runs
-    on the integer lengths, and its distances are the numerators.
+    The search reads the graph's integer CSR lengths over its scale.  When
+    they are all one integer p, the numerators are p times the hop counts
+    of one all-sources breadth-first sweep; otherwise Dijkstra runs on the
+    integer lengths, and its distances are the numerators.
     Raises DisconnectedGraphError naming an unreachable pair, and
     CapExceededError before the search when the table would exceed
     TABLE_ENTRY_CAP entries.
     """
-    n = graph.size
+    n, lengths = graph.size, graph.lengths
     check_table_size(n, "the graph")
-    scale = math.lcm(*(w.denominator for _, _, w in graph.edges))
-    lengths = [w.numerator * (scale // w.denominator) for _, _, w in graph.edges]
-    # no distance exceeds the sum of the edge lengths
-    dtype = np.int64 if 2 * sum(lengths) <= INT64_MAX else object
-    distinct = set(lengths)
-    if len(distinct) <= 1:
-        (p,) = distinct or {1}
-        num = _hop_counts(n, graph.edges).reshape(n, n).astype(dtype, copy=False) * p
+    if not lengths.size or (lengths == lengths[0]).all():
+        p = int(lengths[0]) if lengths.size else 1
+        num = _hop_counts(graph).reshape(n, n).astype(lengths.dtype, copy=False) * p
     else:
-        adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
-        for (u, v, _), length in zip(graph.edges, lengths):
-            adj[u].append((v, length))
-            adj[v].append((u, length))
-        rows = []
+        arcs, rows = (graph.indptr.tolist(), graph.targets.tolist(), lengths.tolist()), []
         for src in range(n):
-            row = _dijkstra(adj, src)
+            row = _dijkstra(*arcs, src)
             if None in row:
                 raise DisconnectedGraphError(src, row.index(None))
             rows.append(row)
-        num = np.array(rows, dtype=dtype)
-    return MetricSpace(read_only(num), scale, graph.labels())
+        num = np.array(rows, dtype=lengths.dtype)
+    return MetricSpace(read_only(num), graph.scale, graph.labels())
 
 
 @dataclass(frozen=True)
@@ -446,14 +441,9 @@ def enumerate_geodesic_paths(
     if space is None:
         space = apsp(graph)
     scale = space.scale
-    adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
-    for x, y, w in graph.edges:
-        length, rest = divmod(w.numerator * scale, w.denominator)
-        if not rest:
-            adj[x].append((y, length))
-            adj[y].append((x, length))
-    for nbrs in adj:
-        nbrs.sort(reverse=True)
+    indptr, targets = graph.indptr.tolist(), graph.targets.tolist()
+    lengths = (divmod(w * scale, graph.scale) for w in graph.lengths.tolist())
+    arcs = [q if not r else None for q, r in lengths]  # None: no multiple of 1/scale
     from_u, to_v = (space.num[a].tolist() for a in (u, v))
     total = from_u[v]
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -472,8 +462,9 @@ def enumerate_geodesic_paths(
                     f"more than {cap} geodesics between {u} and {v}"
                 )
             continue
-        for y, w in adj[x]:
-            if cum + w == from_u[y] and cum + w + to_v[y] == total:
+        for k in range(indptr[x], indptr[x + 1]):
+            y, w = targets[k], arcs[k]
+            if w is not None and cum + w == from_u[y] and cum + w + to_v[y] == total:
                 stack.append((path + (y,), breaks + (cum + w,)))
     found.sort(key=lambda g: g[0])
     exact = {b: Fraction(b, scale) for b in {b for _, breaks in found for b in breaks}}

@@ -56,6 +56,8 @@ class DeltaTree:
     delta: Fraction
 
     def __post_init__(self):
+        if type(self.delta) is not int and not isinstance(self.delta, Fraction):
+            raise ValidationError(f"delta must be exact (an int or Fraction), got {self.delta!r}")
         labels, rows = tree_labels(self.depth), self.table
         if isinstance(rows, dict):
             if rows.keys() != set(labels):
@@ -116,8 +118,9 @@ class DeltaBush:
     """Levels of vectors with block convex-combination identities:
     z_{n-1,k} = sum_{j in A^n_k} lambda_{n,j} z_{n,j}, separation delta.
     The vectors are one exact table, level n its `sizes[n]` rows from row
-    `starts[n]`.  The constructor refuses malformed shapes and turns blocks
-    and weights into one child table, all the library reads of them: row p's
+    `starts[n]`.  The constructor refuses malformed shapes and an inexact
+    delta, keeps sizes, blocks and weights as tuples, and turns blocks and
+    weights into one child table, all the library reads of them: row p's
     block is rows kids[offsets[p] : offsets[p + 1]], which `owners` map to p,
     and row q has parent[q], the row whose block first holds it (or -1), and
     the weight weight[q] / wscale in Python ints."""
@@ -125,13 +128,17 @@ class DeltaBush:
     atoms: int
     table: RationalTable
     sizes: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]  # blocks[n][k], n >= 1, as given
-    weights: tuple[tuple[Fraction, ...], ...]  # weights[n][j], n >= 1, as given
+    blocks: tuple[tuple[tuple[int, ...], ...], ...]  # blocks[n][k], n >= 1, as tuples
+    weights: tuple[tuple[Fraction, ...], ...]  # weights[n][j], n >= 1, as tuples
     delta: Fraction
 
     def __post_init__(self):
-        sizes, blocks, weights = self.sizes, self.blocks, self.weights
-        if tuple(sizes[:1]) != (1,):
+        if type(self.delta) is not int and not isinstance(self.delta, Fraction):
+            raise ValidationError(f"delta must be exact (an int or Fraction), got {self.delta!r}")
+        sizes, weights = tuple(self.sizes), tuple(map(tuple, self.weights))
+        blocks = tuple(tuple(map(tuple, level)) for level in self.blocks)
+        vars(self).update(sizes=sizes, blocks=blocks, weights=weights)
+        if sizes[:1] != (1,):
             raise ValidationError("a bush must start from a single vector (m_0 = 1)")
         table = vars(self)["table"] = RationalTable(self.table, 1, 2 * self.atoms)  # sums of differences
         if not table.exact or table.num.shape != (sum(sizes), self.atoms) or min(sizes) < 1:

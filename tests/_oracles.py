@@ -66,26 +66,39 @@ def floyd_warshall(n, edges):
     ]
 
 
+def adjacency(graph):
+    """Each vertex's (neighbour, length) pairs, read from the graph's edges
+    (not from its CSR table)."""
+    adj = [[] for _ in graph.vertices]
+    for u, v, w in graph.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def dijkstra_fractions(adj, src):
+    """Single-source distances by Dijkstra on adjacency lists of (vertex,
+    length), ints or Fractions; None marks an unreachable vertex."""
+    import heapq
+
+    dist = [None] * len(adj)
+    heap = [(Fraction(0), src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if dist[u] is None:
+            dist[u] = d
+            for v, w in adj[u]:
+                if dist[v] is None:
+                    heapq.heappush(heap, (d + w, v))
+    return dist
+
+
 def apsp_fraction_rows(graph):
     """Shortest-path table as nested tuples of Fractions, by Dijkstra on the
     Fraction edge lengths themselves (the representation the library kept
     before it stored integer numerators)."""
-    import heapq
-
-    adj = graph.adjacency()
-    rows = []
-    for src in range(graph.size):
-        dist = [None] * graph.size
-        heap = [(Fraction(0), src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if dist[u] is None:
-                dist[u] = d
-                for v, w in adj[u]:
-                    if dist[v] is None:
-                        heapq.heappush(heap, (d + w, v))
-        rows.append(tuple(dist))
-    return tuple(rows)
+    adj = adjacency(graph)
+    return tuple(tuple(dijkstra_fractions(adj, src)) for src in range(graph.size))
 
 
 def restrict_rows(rows, indices):
@@ -980,7 +993,7 @@ def geodesic_paths_fractions(graph, u, v, space):
     """All shortest u-v vertex paths with their Fraction breakpoints, by a
     depth-first search on the Fraction edge lengths themselves, sorted by
     vertex sequence."""
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     from_u, to_v = space.dist[u], space.dist[v]
     found = []
     stack = [((u,), (Fraction(0),))]

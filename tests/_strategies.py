@@ -1,5 +1,6 @@
 """Hypothesis draws shared by several test modules."""
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import strategies as st
@@ -47,3 +48,30 @@ def one_length_graph(draw, connected=True):
     if not connected:
         edges = [e for e in edges if draw(st.booleans())]
     return WeightedGraph(graph.vertices, tuple(edges))
+
+
+def exact_positive_numbers():
+    """Positive ints, past int64 too, and positive Fractions with
+    denominators up to 3^40."""
+    return st.one_of(
+        st.integers(1, 12),
+        st.integers(2**63, 2**70),
+        st.builds(F, st.integers(1, 3**41), st.integers(1, 3**40) | st.sampled_from([3**40, 2**64])),
+    )
+
+
+def numbers_of_every_kind():
+    """Whatever a caller may pass for an exact value: ints past int64 (and
+    non-positive ones), Fractions with denominators up to 3^40, floats (NaN,
+    +-inf and -0.0 among them) and bools."""
+    return st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.builds(F, st.integers(-(3**41), 3**41), st.integers(1, 3**40)),
+        st.floats(),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.5, True, False]),
+    )
+
+
+def is_exact(x) -> bool:
+    """Whether x is an int (not a bool) or a Fraction."""
+    return type(x) is int or isinstance(x, F)

@@ -32,7 +32,7 @@ from testspaces.markov import (
     tree_walk_convexity_exact,
     tree_walk_convexity_mc,
 )
-from testspaces.metric_core import MetricSpace, _dijkstra, apsp
+from testspaces.metric_core import MetricSpace, apsp
 from testspaces.rnp import (
     broken_line_family,
     bush_gauge,
@@ -50,7 +50,9 @@ from testspaces.rnp import (
 
 from _oracles import (
     _sub,
+    adjacency,
     bush_levels,
+    dijkstra_fractions,
     heisenberg_ball_by_words,
     min_l2_distortion_points,
     normalized_l1,
@@ -278,9 +280,9 @@ def test_criterion_10_generator_ground_truth():
             fam = maker(n, weighting)
             if prev is not None:
                 old = fam.vertex_counts[-2]
-                adj = fam.graph.adjacency()
+                adj = adjacency(fam.graph)
                 for src in range(old):
-                    dist = _dijkstra(adj, src)
+                    dist = dijkstra_fractions(adj, src)
                     for v in range(old):
                         assert dist[v] == prev.d(src, v)
             prev = apsp(fam.graph) if n <= 3 else None

@@ -22,9 +22,9 @@ from testspaces.generators import (
     laakso_weighting,
     tree_product,
 )
-from testspaces.metric_core import _dijkstra, apsp, verify_metric
+from testspaces.metric_core import apsp, verify_metric
 
-from _oracles import heisenberg_ball_by_words
+from _oracles import adjacency, dijkstra_fractions, heisenberg_ball_by_words
 
 
 def test_binary_tree_counts_and_diameter():
@@ -97,9 +97,9 @@ def test_weighted_injections_are_isometric(maker, weighting):
         fam = maker(n, weighting)
         if prev is not None:
             old = fam.vertex_counts[-2]
-            adj = fam.graph.adjacency()
+            adj = adjacency(fam.graph)
             for src in range(old):
-                dist = _dijkstra(adj, src)
+                dist = dijkstra_fractions(adj, src)
                 for v in range(old):
                     assert dist[v] == prev.d(src, v)
         prev = apsp(fam.graph) if n <= 3 else None

@@ -1,7 +1,9 @@
 """Source hygiene: no module in the package imports a name it never uses
 or imports scipy, networkx only lists the cycle oracle's trees, only the
 metric core and the Fréchet embedding read the Fraction view of a
-distance table, the simplex pivot does integer arithmetic only, the
+distance table, only the constructors of graphs and Markov chains read
+their edges' adjacency and rows (everything else reads their CSR tables),
+the simplex pivot does integer arithmetic only, the
 diamond and Laakso walks and embeddings never search for shortest paths,
 the Markov module seeds one Monte Carlo block loop and nothing else,
 numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
@@ -145,6 +147,57 @@ def test_only_the_metric_core_reads_fraction_tables():
     ]
     assert found == []
     assert dist_reads("def f(s):\n    return s.dist[0]\n") == [("f", 2)]
+
+
+TRANSITION_READERS = {("markov.py", "MarkovChain.__post_init__")}
+
+
+def table_bypasses(source: str) -> list[tuple[str, int, str]]:
+    """(scope, line, name) of every definition, call or read of `adjacency`
+    and every `.transition` read; the scope is the dotted path of enclosing
+    classes and functions ("" at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, SCOPES + (ast.ClassDef,)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+                if child.name == "adjacency":
+                    found.append((inner, child.lineno, "adjacency"))
+            elif isinstance(child, ast.Attribute) and child.attr in ("adjacency", "transition"):
+                found.append((scope, child.lineno, child.attr))
+            elif isinstance(child, ast.Name) and child.id == "adjacency":
+                found.append((scope, child.lineno, "adjacency"))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_graph_and_chain_tables_are_read_once():
+    # a graph's edges and a chain's rows are turned into one CSR table by
+    # their constructors; every other reader goes through that table, and
+    # only MarkovChain.__post_init__ reads the rows
+    found = [
+        f"{path.name}:{line} {name} in {scope or 'module'}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line, name in table_bypasses(path.read_text())
+        if name == "adjacency" or (path.name, scope) not in TRANSITION_READERS
+    ]
+    assert found == []
+    bypasses = (
+        "class G:\n    def adjacency(self):\n        pass\n"
+        "class C:\n    def __post_init__(self):\n        return self.transition\n"
+        "def f(g, chain):\n    return g.adjacency(), adjacency(g), chain.transition[0]\n"
+    )
+    assert table_bypasses(bypasses) == [
+        ("G.adjacency", 2, "adjacency"),
+        ("C.__post_init__", 6, "transition"),
+        ("f", 8, "adjacency"),
+        ("f", 8, "adjacency"),
+        ("f", 8, "transition"),
+    ]
 
 
 def fraction_work(source: str, function: str) -> list[tuple[int, str]]:

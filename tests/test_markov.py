@@ -1,6 +1,7 @@
 """Markov convexity: exact DP vs oracles, Monte Carlo agreement, built-in walks."""
 
 import dataclasses
+import itertools
 import math
 import statistics
 from fractions import Fraction as F
@@ -32,7 +33,7 @@ from _oracles import (
     tree_walk_convexity_mc_per_term,
     tree_walk_m1_exact,
 )
-from _strategies import random_connected_graph
+from _strategies import is_exact, numbers_of_every_kind, random_connected_graph
 
 
 def test_chain_validation():
@@ -435,6 +436,52 @@ def test_exact_dp_matches_dense_oracle(setup):
     est = exact_convexity(chain, mmap, space, p)
     lhs, rhs = dense_exact_convexity(chain, mmap, space, p)
     assert est.lhs == lhs and est.rhs == rhs
+
+
+@st.composite
+def _swept_chain_setup(draw):
+    """Rows cut [0, 1] at multiples of 1/q with q up to 3^40 on n <= 4
+    states, horizon <= 4; one probability is perhaps replaced by a number of
+    any kind.  Returns the rows, whether they make a chain, a start state, a
+    horizon, a metric map into a random graph's apsp space and p."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        q = draw(st.integers(1, 6) | st.integers(1, 3**40) | st.just(3**40))
+        bounds = [0, *sorted(draw(st.lists(st.integers(0, q), min_size=n - 1, max_size=n - 1))), q]
+        rows.append([(v, F(bounds[v + 1] - bounds[v], q)) for v in range(n) if bounds[v + 1] > bounds[v]])
+    if draw(st.booleans()):
+        u = draw(st.integers(0, n - 1))
+        k = draw(st.integers(0, len(rows[u]) - 1))
+        rows[u][k] = (rows[u][k][0], draw(numbers_of_every_kind()))
+    probs = [q for row in rows for _, q in row]
+    valid = all(is_exact(q) and q > 0 for q in probs) and all(sum(q for _, q in row) == 1 for row in rows)
+    space = apsp(random_connected_graph(draw))
+    mmap = MetricMap(tuple(draw(st.lists(st.integers(0, space.size - 1), min_size=n, max_size=n))))
+    setup = draw(st.integers(0, n - 1)), draw(st.integers(1, 4)), mmap, space, draw(st.sampled_from((1, 2)))
+    return tuple(map(tuple, rows)), valid, *setup
+
+
+@settings(max_examples=80, deadline=None)
+@given(_swept_chain_setup())
+def test_chain_probabilities_round_trip_through_the_table_or_are_refused(setup):
+    """A chain is refused with a ValidationError exactly when a probability
+    is not an exact positive number or a row does not sum to 1; otherwise
+    every probability comes back from the CSR table as weights[k] / D, and
+    the exact DP matches the dense Fraction oracle."""
+    rows, valid, start, horizon, mmap, space, p = setup
+    try:
+        chain = MarkovChain(rows, start, horizon)
+    except ValidationError:
+        assert not valid
+        return
+    assert valid
+    moves = [move for row in rows for move in row]
+    assert chain.indptr.tolist() == [0, *itertools.accumulate(map(len, rows))]
+    assert chain.targets.tolist() == [v for v, _ in moves]
+    assert [F(int(w), chain.D) for w in chain.weights] == [q for _, q in moves]
+    est = exact_convexity(chain, mmap, space, p)
+    assert (est.lhs, est.rhs) == dense_exact_convexity(chain, mmap, space, p)
 
 
 @pytest.mark.parametrize("level, horizon", [(4, 3), (3, 2)])

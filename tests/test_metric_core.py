@@ -32,7 +32,13 @@ from _oracles import (
     scaled_rows,
     triple_metric_violations,
 )
-from _strategies import one_length_graph, random_connected_graph
+from _strategies import (
+    exact_positive_numbers,
+    is_exact,
+    numbers_of_every_kind,
+    one_length_graph,
+    random_connected_graph,
+)
 
 
 def test_apsp_single_edge():
@@ -203,6 +209,57 @@ def test_apsp_on_one_edge_length_names_the_first_unreachable_pair(data):
     with pytest.raises(DisconnectedGraphError) as exc:
         apsp(graph)
     assert exc.value.pair == unreachable[0]
+
+
+@pytest.mark.parametrize(
+    "length", [0.5, 1.0, -0.0, math.nan, math.inf, -math.inf, True, False, np.int64(1), "1", None]
+)
+def test_graph_refuses_inexact_edge_lengths(length):
+    """A float, a bool or any other length that is not an int or Fraction is
+    refused at construction with its edge, not left to fail in apsp or the
+    geodesic search."""
+    vertices = tuple(PointId(i) for i in range(3))
+    with pytest.raises(ValidationError, match=r"^edge \(2,1\) has length .*, not an int or Fraction$"):
+        WeightedGraph(vertices, ((0, 1, F(1, 2)), (2, 1, length)))
+
+
+@pytest.mark.parametrize("end", [1.0, 1.5, True, np.int64(1), "1"])
+def test_graph_refuses_endpoints_that_are_not_ints(end):
+    # the CSR table holds integer vertices, so a float end would be truncated
+    with pytest.raises(ValidationError, match=r"^edge \(2,.*\) out of range$"):
+        WeightedGraph(tuple(PointId(i) for i in range(3)), ((0, 2, 1), (2, end, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graph_lengths_round_trip_through_the_table_or_are_refused(data):
+    """Exact positive lengths (past int64, denominators up to 3^40), one of
+    them perhaps replaced by a number of any kind: the graph is refused with
+    a ValidationError exactly when some length is not an exact positive
+    number; otherwise every length comes back from the CSR table, each
+    row's targets increase, and apsp matches the Fraction Dijkstra."""
+    shape = random_connected_graph(data.draw)
+    edges = [(u, v, data.draw(exact_positive_numbers())) for u, v, _ in shape.edges]
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(edges) - 1))
+        edges[k] = edges[k][:2] + (data.draw(numbers_of_every_kind()),)
+    exact = all(is_exact(w) and w > 0 for _, _, w in edges)
+    try:
+        graph = WeightedGraph(shape.vertices, tuple(edges))
+    except ValidationError:
+        assert not exact
+        return
+    assert exact
+    indptr, targets = graph.indptr.tolist(), graph.targets.tolist()
+    assert indptr[-1] == 2 * len(edges)
+    for u in range(graph.size):
+        row = targets[indptr[u] : indptr[u + 1]]
+        assert row == sorted(set(row))
+    for u, v, w in edges:
+        for a, b in ((u, v), (v, u)):
+            k = indptr[a] + targets[indptr[a] : indptr[a + 1]].index(b)
+            assert F(int(graph.lengths[k]), graph.scale) == w
+    assert apsp(graph).dist == apsp_fraction_rows(graph)
 
 
 def test_apsp_edgeless_pair_is_disconnected():

@@ -800,6 +800,27 @@ def test_malformed_bush_shapes_are_refused_at_construction(case):
         _bush_like(bush, **change(bush))
 
 
+@pytest.mark.parametrize("delta", [0.5, 1.0, float("nan"), float("inf"), True, "1/2", None])
+def test_inexact_delta_is_refused_at_construction(delta):
+    # a float delta used to raise AttributeError from verify_delta_tree and verify_bush
+    tree = rademacher_tree(2)
+    bush = tree_to_bush(tree)
+    with pytest.raises(ValidationError, match="delta must be exact"):
+        DeltaTree(tree.depth, tree.atoms, tree.table, delta)
+    with pytest.raises(ValidationError, match="delta must be exact"):
+        DeltaBush(bush.atoms, bush.table, bush.sizes, bush.blocks, bush.weights, delta)
+    assert DeltaTree(tree.depth, tree.atoms, tree.table, 0).delta == 0  # an int is exact
+
+
+def test_bush_shapes_are_stored_as_tuples():
+    # sizes, blocks and weights given as lists make the same, hashable bush
+    bush = tree_to_bush(rademacher_tree(3))
+    blocks = [[list(block) for block in level] for level in bush.blocks]
+    listed = DeltaBush(bush.atoms, bush.table, list(bush.sizes), blocks, list(map(list, bush.weights)), bush.delta)
+    assert listed == bush and hash(listed) == hash(bush) and repr(listed) == repr(bush)
+    assert type(listed.sizes) is type(listed.blocks[1][0]) is type(listed.weights[1]) is tuple
+
+
 @st.composite
 def valid_bushes(draw):
     """A bush of depth <= 3 over 2-4 atoms: blocks of 1-3 vectors in a drawn
