@@ -353,7 +353,7 @@ def cmd_rnp_martingale(args) -> dict:
     )
 
     family = diamond_geodesic_family(args.diamond)
-    emb = diamond_l1_embedding(family.family, family.space)
+    emb = diamond_l1_embedding(family.family)
     run = martingale_from_embedding(family, emb, args.steps)
     cert = thickness_alpha(family, args.control_budget)
     report = martingale_check(run.martingale)

@@ -7,8 +7,8 @@ Laakso gadget) and records each replacement as a `Replacement` in
 `RecursiveFamily.units`.  Old vertex indices stay stable across levels, so
 the level-(n-1) -> level-n injection is the identity on indices; that makes
 the weighted-family isometry checkable by index, not by search.  The same
-records give a family's distance table without a shortest-path search
-(`RecursiveFamily.metric_space`).
+records give a family's one distance table without a shortest-path
+search (`RecursiveFamily.metric_space`, built once per family).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -143,8 +144,13 @@ class RecursiveFamily:
     chains: tuple[tuple[tuple[int, int], ...], ...] = ()
 
     def metric_space(self) -> MetricSpace:
-        """The exact shortest-path metric of `graph`, built level by level
-        from the construction instead of by search.
+        """The exact shortest-path metric of `graph`, built once (`_space`)."""
+        return self._space
+
+    @cached_property
+    def _space(self) -> MetricSpace:
+        """Built level by level from the construction instead of by search,
+        once per family (the family and its table are immutable).
 
         A gadget meets the rest of the graph only at its ends x, y, so with
         G the gadget's own hop table, f = G[x, y] and H the level-(k-1) hop

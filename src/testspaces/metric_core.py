@@ -5,8 +5,8 @@ one int scale; a MetricSpace holds its distances as one.  `d(i, j)` and
 `dist` are exact Fraction views, and floats enter only through the
 correctly rounded `floats()`.  A graph's exact positive edge lengths are
 turned once, at construction, into one CSR table of integer lengths over
-one scale, which shortest paths, geodesics and walks read; Fractions are
-made only for the values handed back.
+one scale, which shortest paths, geodesics (integer ticks over a table's
+scale) and walks read; Fractions are made only for the values handed back.
 """
 
 from __future__ import annotations
@@ -274,14 +274,14 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """A shortest path given combinatorially: vertices plus cumulative lengths."""
+    """A shortest path: vertices plus cumulative lengths, integer ticks over `scale`."""
 
     vertices: tuple[int, ...]
-    breakpoints: tuple[Fraction, ...]  # cumulative from 0, one per vertex
+    ticks: tuple[int, ...]
+    scale: int
 
-    @property
-    def length(self) -> Fraction:
-        return self.breakpoints[-1]
+    breakpoints = property(lambda self: tuple(Fraction(t, self.scale) for t in self.ticks))
+    length = property(lambda self: Fraction(self.ticks[-1], self.scale))
 
 
 def _dijkstra(indptr: list, targets: list, lengths: list, src: int) -> list:
@@ -430,20 +430,25 @@ def enumerate_geodesic_paths(
 ) -> list[GeodesicPath]:
     """All distinct shortest u-v vertex paths, sorted by vertex sequence.
 
-    `space` may pass a precomputed apsp table.  The search runs on integer
+    `space` may pass the graph's apsp table (one of another size, or that an
+    edge undercuts, raises ValidationError).  The search runs on integer
     lengths over `space.scale`: an edge whose length is no multiple of
-    1/scale lies on no geodesic.  Each distinct breakpoint becomes one
-    Fraction, shared by the paths.  Raises CapExceededError when more than
-    `cap` geodesics exist.
+    1/scale lies on no geodesic, and breakpoints are ticks over that scale.
+    Raises CapExceededError when more than `cap` geodesics exist.
     """
     if u == v:
         raise ValidationError("endpoints of a geodesic must differ")
     if space is None:
         space = apsp(graph)
-    scale = space.scale
+    elif space.size != graph.size:
+        raise ValidationError(f"distance table has {space.size} points, the graph {graph.size}")
+    scale, heads = space.scale, np.arange(graph.size).repeat(np.diff(graph.indptr))
+    lengths = graph.lengths.astype(object) * scale  # over scale, times graph.scale
+    steps = lengths // graph.scale  # an arc undercuts an integer distance iff its floor does
+    if (steps < space.num[heads, graph.targets]).any():
+        raise ValidationError("distance table is not the graph's: an edge is shorter than its ends' distance")
     indptr, targets = graph.indptr.tolist(), graph.targets.tolist()
-    lengths = (divmod(w * scale, graph.scale) for w in graph.lengths.tolist())
-    arcs = [q if not r else None for q, r in lengths]  # None: no multiple of 1/scale
+    arcs = [q if not r else None for q, r in zip(steps.tolist(), (lengths % graph.scale).tolist())]
     from_u, to_v = (space.num[a].tolist() for a in (u, v))
     total = from_u[v]
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -467,8 +472,7 @@ def enumerate_geodesic_paths(
             if w is not None and cum + w == from_u[y] and cum + w + to_v[y] == total:
                 stack.append((path + (y,), breaks + (cum + w,)))
     found.sort(key=lambda g: g[0])
-    exact = {b: Fraction(b, scale) for b in {b for _, breaks in found for b in breaks}}
-    return [GeodesicPath(path, tuple(exact[b] for b in breaks)) for path, breaks in found]
+    return [GeodesicPath(path, breaks, scale) for path, breaks in found]
 
 
 def path_graph(n: int) -> WeightedGraph:

@@ -3,10 +3,11 @@ L1, each one exact table (a bush's blocks and weights one child table built
 at construction), the gauge renorming (the normalized l1 norm for unit-ball
 generators, an exact LP otherwise), broken-line families of geodesics (each
 line integer coefficient numerators over one scale, built by a fan-out over
-the child table), thickness certification for diamond geodesic families, and the
-embedding-to-divergent-martingale construction, which reads the integer
-numerator table of the embedding (never its `vectors` view) and builds
-each martingale level as one exact table of integer slope rows.
+the child table), thickness certification for diamond geodesic families
+(their parameters integer ticks), and the embedding-to-divergent-martingale
+construction, which reads the integer numerator table of the embedding
+(never its `vectors` view) and builds each martingale level as two exact
+tables, its breaks' integer ticks and its integer slope rows.
 
 Ambient space throughout: R^(2^n) under the normalized l1 norm (atoms of
 equal mass), where everything stays rational.
@@ -14,13 +15,12 @@ equal mass), where everything stays rational.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -405,7 +405,8 @@ class OracleResponse:
 class GeodesicFamily:
     """All source-sink geodesics of a weighted diamond (or Laakso) instance,
     with the exhaustive-search response oracle of the thickness definition.
-    Every geodesic's breakpoints must be `params`."""
+    Every geodesic's breakpoints must be `params`, checked on the integer
+    `ticks` over `scale` the family holds; `position` maps params to indices."""
 
     family: RecursiveFamily
     space: MetricSpace
@@ -413,12 +414,17 @@ class GeodesicFamily:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(g.breakpoints != self.params for g in self.geodesics):
+        if not self.geodesics:
+            raise ValidationError("a geodesic family needs at least one geodesic")
+        first = self.geodesics[0]
+        self.ticks, self.scale = first.ticks, first.scale
+        shared = all((g.ticks, g.scale) == (self.ticks, self.scale) for g in self.geodesics)
+        if not shared or first.breakpoints != self.params:
             raise ValidationError("geodesics do not share a parameter grid")
-        self._vertex_at = [tuple(g.vertices) for g in self.geodesics]
-        self._index_of = {row: i for i, row in enumerate(self._vertex_at)}
+        self.position = {p: t for t, p in enumerate(self.params)}
+        self._index_of = {tuple(g.vertices): i for i, g in enumerate(self.geodesics)}
         # parameter-major: self._points[t, g] is geodesic g's vertex at params[t]
-        self._points = np.array(self._vertex_at).T.copy()
+        self._points = np.array([g.vertices for g in self.geodesics]).T.copy()
         np_ = len(self.params)
         num = RationalTable(self.space.num, 1, np_).num  # the bubble totals below stay exact
         # per pair: bitmask of common parameters, sum and count of bubble maxima
@@ -439,7 +445,7 @@ class GeodesicFamily:
         self._nbubbles = bubbles
 
     def vertex_at(self, g: int, param: Fraction) -> int:
-        return self._vertex_at[g][self.params.index(param)]
+        return self.geodesics[g].vertices[self.position[param]]
 
     def respond(self, g: int, control_params: Sequence[Fraction]) -> OracleResponse:
         """Deviating geodesic through the control points maximizing the total
@@ -448,10 +454,10 @@ class GeodesicFamily:
         index; coarse responses keep deeper refinement levels available for
         later rounds of the martingale construction."""
         controls = sorted(set(control_params) | {self.params[0], self.params[-1]})
-        missing = [p for p in controls if p not in self.params]
+        missing = [p for p in controls if p not in self.position]
         if missing:
             raise ValidationError(f"control parameters {missing} are not breakpoints")
-        mask = sum(1 << self.params.index(p) for p in controls)
+        mask = sum(1 << self.position[p] for p in controls)
         cands = np.flatnonzero(self._common[g] & mask == mask)
         if not cands.size:
             raise ValidationError("no geodesic of the family passes the control points")
@@ -462,7 +468,7 @@ class GeodesicFamily:
 
         # q: endpoints, controls, and the common flanks of every bubble
         q_idx = {0, np_ - 1}
-        q_idx.update(self.params.index(p) for p in controls)
+        q_idx.update(self.position[p] for p in controls)
         t = 0
         while t < np_:
             if profile[t] != 0:
@@ -496,11 +502,10 @@ class GeodesicFamily:
     def splice(self, g: int, g_tilde: int, q_idx_pairs, picks) -> int:
         """Index of the geodesic following g or g_tilde per gap (condition
         (iv) guarantees it exists in the family)."""
-        row = list(self._vertex_at[g])
+        row, other = list(self.geodesics[g].vertices), self.geodesics[g_tilde].vertices
         for (a, b), pick in zip(q_idx_pairs, picks):
             if pick:
-                for t in range(a, b + 1):
-                    row[t] = self._vertex_at[g_tilde][t]
+                row[a : b + 1] = other[a : b + 1]
         key = tuple(row)
         if key not in self._index_of:
             raise ValidationError("spliced geodesic is missing from the family")
@@ -514,10 +519,8 @@ def diamond_geodesic_family(n: int) -> GeodesicFamily:
     """All source-sink geodesics of the weighted level-n diamond; more than
     FAMILY_GEODESIC_CAP of them (D_3 has 128, D_4 32768) raise CapExceededError."""
     fam = diamond(n, diamond_weighting())
-    space = fam.metric_space()
-    geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, FAMILY_GEODESIC_CAP, space)
-    params = geos[0].breakpoints
-    return GeodesicFamily(fam, space, tuple(geos), params)
+    geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, FAMILY_GEODESIC_CAP, fam.metric_space())
+    return GeodesicFamily(fam, fam.metric_space(), tuple(geos), geos[0].breakpoints)
 
 
 @dataclass(frozen=True)
@@ -615,22 +618,17 @@ def thickness_alpha(family: GeodesicFamily, control_budget: int) -> ThicknessCer
 # Diamond l1 embedding (height + one signed tent per quadrilateral)
 # ---------------------------------------------------------------------------
 
-def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = None) -> Embedding:
+def diamond_l1_embedding(fam: RecursiveFamily) -> Embedding:
     """Cut-style l1 embedding: distance-from-source plus, per quadrilateral,
     a tent coordinate signed by the side of the quad the vertex lies on.
-    Not isometric; the martingale construction measures its ell.  `space`
-    may pass the precomputed distance table of `fam.graph`.
+    Not isometric; the martingale construction measures its ell.
 
-    Heights, quad spans and tents are integer numerators over `space.scale`,
-    written straight into the embedding's table."""
+    Heights, quad spans and tents are integer numerators over the scale of
+    the family's one distance table, written straight into the embedding's
+    table."""
     if fam.kind != "diamond":
         raise ValidationError("tent embedding is defined for diamonds")
-    if space is None:
-        space = fam.metric_space()
-    elif space.size != fam.graph.size:
-        raise ValidationError(
-            f"distance table has {space.size} points, the diamond {fam.graph.size}"
-        )
+    space = fam.metric_space()
     h = space.num[fam.source].tolist()
     spans = {}  # uid -> (coordinate, lo, hi)
     for col, quad in enumerate(fam.units, start=1):
@@ -654,24 +652,30 @@ def diamond_l1_embedding(fam: RecursiveFamily, space: Optional[MetricSpace] = No
 @dataclass(frozen=True, init=False, repr=False)
 class PiecewiseLevel:
     """A piecewise-constant function on (0,1]: value[i] on (breaks[i], breaks[i+1]].
-    The values are one exact RationalTable, `entries`, a row per interval."""
+    The breaks (ints or Fractions) are one exact one-row RationalTable, `grid`,
+    the values one, `entries`, a row per interval; `breaks` and `values` are views."""
 
-    breaks: tuple[Fraction, ...]
+    grid: RationalTable
     entries: RationalTable
 
-    def __init__(self, breaks: tuple[Fraction, ...], values):
-        entries = RationalTable(values)
-        if len(breaks) < 2 or entries.num.shape[0] != len(breaks) - 1 or entries.num.shape[1] == 0:
+    def __init__(self, breaks, values):
+        if not isinstance(breaks, RationalTable):
+            if not all(isinstance(b, (int, Fraction)) for b in breaks):
+                raise ValidationError(f"breaks must be exact (int or Fraction), got {breaks!r}")
+            breaks = RationalTable([tuple(breaks)])
+        entries, ticks = RationalTable(values), breaks.num[0]
+        if ticks.size < 2 or entries.num.shape[0] != ticks.size - 1 or entries.num.shape[1] == 0:
             raise ValidationError("need one value, a vector of a positive dimension, per interval")
         if not entries.exact:
             raise ValidationError("level values must be exact (int or Fraction)")
-        if breaks[0] != 0:
+        if ticks[0] != 0:
             raise ValidationError("partition must start at 0")
-        if any(a >= b for a, b in zip(breaks, breaks[1:])):
+        if not (ticks[1:] > ticks[:-1]).all():
             raise ValidationError("breakpoints must increase strictly")
-        vars(self).update(breaks=breaks, entries=entries)
+        vars(self).update(grid=breaks, entries=entries)
 
-    values = cached_property(lambda self: self.entries.rows())  # a view, built on first use
+    breaks = cached_property(lambda self: self.grid.rows()[0])  # views, built on first use
+    values = cached_property(lambda self: self.entries.rows())
 
     def __repr__(self) -> str:
         return f"PiecewiseLevel(breaks={self.breaks!r}, values={self.values!r})"
@@ -687,52 +691,52 @@ class Martingale:
             raise ValidationError(f"martingale values must have the target's dimension {self.target.dim}")
 
 
-def _level_from_points(rows: np.ndarray, den: int, params, points) -> PiecewiseLevel:
-    """The level whose value on (params[i], params[i+1]] is the slope of
-    f = rows / den (an object array) between points[i] and points[i+1]: the
-    rows (f(points[i+1]) - f(points[i])) den lcm / dt_i over den lcm, for
-    the lcm of the step numerators."""
-    steps = [b - a for a, b in zip(params, params[1:])]
-    lcm = math.lcm(*(dt.numerator for dt in steps))
-    per = np.array([dt.denominator * (lcm // dt.numerator) for dt in steps], dtype=object)
+def _level_from_points(rows: np.ndarray, den: int, ticks, scale: int, points) -> PiecewiseLevel:
+    """The level on the breaks ticks / scale whose value on the i-th interval
+    is the slope of f = rows / den (an object array) between points[i] and
+    points[i+1]: for the integer steps dt_i and their lcm, the rows
+    (f(points[i+1]) - f(points[i])) den scale lcm / dt_i over den lcm."""
+    steps = [b - a for a, b in zip(ticks, ticks[1:])]
+    lcm = math.lcm(*steps)
+    per = np.array([scale * (lcm // dt) for dt in steps], dtype=object)
     ends = np.asarray(points)
     slopes = (rows[ends[1:]] - rows[ends[:-1]]) * per[:, None]
-    return PiecewiseLevel(tuple(params), RationalTable(slopes, den * lcm))
+    return PiecewiseLevel(RationalTable([ticks], scale), RationalTable(slopes, den * lcm))
 
 
-def _slope_jumps(target: NormedTarget, rows, den: int, ends, points, gaps) -> list[Fraction]:
+def _slope_jumps(target: NormedTarget, rows, den: int, ends, points, steps, scale: int) -> list[Fraction]:
     """Norm of the jump (f(w1) - f(z)) / B - (f(z) - f(w0)) / A of the
     slopes of f = rows / den at each z in points, for ends (w0, w1) and
-    gaps (A, B) > 0: the integer row (f(w1) - f(z)) A - (f(z) - f(w0)) B,
-    scaled to integers, over den * A.numerator * B.numerator."""
-    (A, B), (w0, w1), z = gaps, (rows[end] for end in ends), rows[list(points)]
-    a, b = A.numerator * B.denominator, B.numerator * A.denominator
-    q = den * A.numerator * B.numerator
-    return [Fraction(n, q) for n in _ROW_NORMS[target.kind]((w1 - z) * a - (z - w0) * b).tolist()]
+    gaps A = a / scale, B = b / scale of integer steps (a, b) > 0: the
+    integer row (f(w1) - f(z)) a - (f(z) - f(w0)) b over den a b / scale."""
+    (a, b), (w0, w1), z = steps, (rows[end] for end in ends), rows[list(points)]
+    norms = _ROW_NORMS[target.kind]((w1 - z) * a - (z - w0) * b).tolist()
+    return [Fraction(n * scale, den * a * b) for n in norms]
+
+
+def _on_one_scale(*grids: RationalTable) -> tuple[list[np.ndarray], int]:
+    """The grids' ticks over the lcm of their scales (object arrays), and that lcm."""
+    scale = math.lcm(*(grid.scale for grid in grids))
+    return [grid.num[0].astype(object) * (scale // grid.scale) for grid in grids], scale
 
 
 def martingale_l1_diff(a: PiecewiseLevel, b: PiecewiseLevel, target: NormedTarget) -> Fraction:
-    """Bochner L1 norm of a - b on (0,1], exact: each level's table of
-    integer rows, and the difference on each interval of the common
-    refinement measured as one integer row.  The target must be l1, linf
-    or summing."""
+    """Bochner L1 norm of a - b on (0,1], exact: both grids' ticks on one
+    scale, merged by a sort, located on each level by a search, and the
+    difference on each merged interval one integer row.  The target must be
+    l1, linf or summing, and the levels must end at one break."""
     if target.kind not in ("l1", "linf", "summing"):
         raise ValidationError("martingale construction needs an exact rational norm")
     Martingale((a, b), target)  # refuses values of another dimension
-    breaks = sorted(set(a.breaks) | set(b.breaks))
+    (ta, tb), scale = _on_one_scale(a.grid, b.grid)
+    if ta[-1] != tb[-1]:
+        raise ValidationError("a break lies outside the partition of the other level")
+    ticks = np.sort(np.concatenate((ta, tb)))
+    ticks = ticks[np.append(True, ticks[1:] != ticks[:-1])]
+    ia, ib = (t.searchsorted(ticks[:-1], side="right") - 1 for t in (ta, tb))
     (ra, sa), (rb, sb) = ((x.entries.num.astype(object), x.entries.scale) for x in (a, b))
-    ia = [_interval_index(a.breaks, lo) for lo in breaks[:-1]]
-    ib = [_interval_index(b.breaks, lo) for lo in breaks[:-1]]
-    norms = _ROW_NORMS[target.kind](ra[ia] * sb - rb[ib] * sa).tolist()
-    total = sum(((hi - lo) * n for lo, hi, n in zip(breaks, breaks[1:], norms)), Fraction(0))
-    return total / (sa * sb)
-
-
-def _interval_index(breaks, t) -> int:
-    i = bisect.bisect_right(breaks, t) - 1
-    if not 0 <= i < len(breaks) - 1:
-        raise ValidationError("parameter outside the partition")
-    return i
+    norms = _ROW_NORMS[target.kind](ra[ia] * sb - rb[ib] * sa)
+    return Fraction(int((np.diff(ticks) * norms).sum()), scale * sa * sb)
 
 
 @dataclass(frozen=True)
@@ -762,57 +766,43 @@ def martingale_from_embedding(
     rows = emb.table.astype(object) * lip.denominator
     den = emb.scale * lip.numerator
     ell = Fraction(1) / (lip * colip)
+    ticks, scale, at = family.ticks, family.scale, family.position
 
-    params_all = family.params
-    g_cur = 0
-    v_params: list[Fraction] = [params_all[0], params_all[-1]]
-    points = [family.vertex_at(g_cur, p) for p in v_params]
-    levels = [_level_from_points(rows, den, v_params, points)]
+    def level(g: int, cuts: list[int]) -> PiecewiseLevel:
+        path = family.geodesics[g].vertices
+        return _level_from_points(rows, den, [ticks[c] for c in cuts], scale, [path[c] for c in cuts])
+
+    g_cur, cuts = 0, [0, len(ticks) - 1]  # the grid positions of the last even level's breaks
+    levels = [level(g_cur, cuts)]
     diff_norms: list[Fraction] = []
     checks = 0
-
     for _ in range(steps):
-        controls = v_params[1:-1]
-        resp = family.respond(g_cur, controls)
-        q = list(resp.q_params)
-        w_points = [family.vertex_at(g_cur, p) for p in q]
-        m_odd = _level_from_points(rows, den, q, w_points)
+        resp = family.respond(g_cur, [Fraction(ticks[c], scale) for c in cuts[1:-1]])
+        q = [at[p] for p in resp.q_params]
+        m_odd = level(g_cur, q)
         levels.append(m_odd)
-
-        q_idx = [params_all.index(p) for p in q]
-        even_params: list[Fraction] = [q[0]]
-        even_points: list[int] = [w_points[0]]
-        picks: list[bool] = []
-        for i in range(len(q) - 1):
-            s = resp.s_params[i]
-            dev = resp.deviations[i]
-            if dev == 0 or s not in params_all:
-                picks.append(False)
-                even_params.append(q[i + 1])
-                even_points.append(w_points[i + 1])
-                continue
-            z = family.vertex_at(g_cur, s)
-            zt = family.vertex_at(resp.geodesic, s)
-            A = s - q[i]
-            B = q[i + 1] - s
-            jz, jzt = _slope_jumps(
-                emb.target, rows, den, (w_points[i], w_points[i + 1]), (z, zt), (A, B)
-            )
-            pick_z = jz > jzt  # ties go to z-tilde
-            chosen = z if pick_z else zt
-            needed = (ell / 2) * family.space.d(z, zt) * (Fraction(1) / A + Fraction(1) / B)
-            if max(jz, jzt) < needed:
-                raise ValidationError("selection inequality failed; embedding is not bilipschitz")
-            checks += 1
-            picks.append(pick_z is False)
-            even_params.extend([s, q[i + 1]])
-            even_points.extend([chosen, w_points[i + 1]])
-        gap_pairs = list(zip(q_idx, q_idx[1:]))
-        g_cur = family.splice(g_cur, resp.geodesic, gap_pairs, picks)
-        m_even = _level_from_points(rows, den, even_params, even_points)
+        path, other = family.geodesics[g_cur].vertices, family.geodesics[resp.geodesic].vertices
+        cuts, picks = [q[0]], []
+        for a, b, s, dev in zip(q, q[1:], resp.s_params, resp.deviations):
+            t = at.get(s) if dev else None
+            pick_z = True
+            if t is not None:
+                z, zt = path[t], other[t]
+                A, B = ticks[t] - ticks[a], ticks[b] - ticks[t]
+                jz, jzt = _slope_jumps(emb.target, rows, den, (path[a], path[b]), (z, zt), (A, B), scale)
+                pick_z = jz > jzt  # ties go to z-tilde
+                needed = (ell / 2) * family.space.d(z, zt) * Fraction(scale * (A + B), A * B)
+                if max(jz, jzt) < needed:
+                    raise ValidationError("selection inequality failed; embedding is not bilipschitz")
+                checks += 1
+                cuts.append(t)
+            picks.append(not pick_z)
+            cuts.append(b)
+        # the spliced geodesic passes every even-level point: the q points and each gap's pick
+        g_cur = family.splice(g_cur, resp.geodesic, list(zip(q, q[1:])), picks)
+        m_even = level(g_cur, cuts)
         levels.append(m_even)
         diff_norms.append(martingale_l1_diff(m_even, m_odd, emb.target))
-        v_params = even_params
 
     mart = Martingale(tuple(levels), emb.target)
     return MartingaleRun(mart, ell, lip, tuple(diff_norms), checks)
@@ -831,9 +821,9 @@ def martingale_check(mart: Martingale, bound: Fraction = Fraction(1)) -> Marting
     """Exact verification: partitions refine, the length-weighted average of
     each level over a parent interval equals the parent value, and all values
     stay inside the ball of radius bound.  Each level's table is read once
-    as integer rows over one scale, and each break as its position on the
-    level's integer grid; the children of a parent interval are the
-    intervals between its two ends' positions."""
+    as integer rows over one scale, and both levels' grids as ticks on one
+    scale; the children of a parent interval are the intervals between its
+    two ends' positions on the finer grid."""
     failures: list[str] = []
     refinement = True
     condexp = True
@@ -850,21 +840,20 @@ def martingale_check(mart: Martingale, bound: Fraction = Fraction(1)) -> Marting
                 bounded = False
                 failures.append(f"level {k}: value norm exceeds {bound}")
         if k > 0:
-            at = {b: j for j, b in enumerate(level.breaks)}
-            if not all(b in at for b in prev.breaks):
+            (parent, ticks), common = _on_one_scale(prev.grid, level.grid)
+            cuts = ticks.searchsorted(parent)
+            if cuts[-1] == len(ticks) or (ticks[cuts] != parent).any():
                 refinement = False
                 failures.append(f"level {k} does not refine level {k - 1}")
             else:
                 # s_prev * sum_j len_j * child_j == s * len_i * parent_i, the
-                # lengths integers over the level's break denominator
-                ticks = np.array(_over_lcm(level.breaks)[0], dtype=object)
-                cuts = [at[b] for b in prev.breaks]
+                # lengths integers over the common tick scale
                 lengths = np.diff(ticks[: cuts[-1] + 1])[:, None]
                 acc = np.add.reduceat(lengths * rows[: cuts[-1]], cuts[:-1], axis=0)
-                spans = np.diff(ticks[cuts])[:, None]
+                spans = np.diff(parent)[:, None]
                 unequal = (prev_scale * acc != scale * spans * prev_rows).any(axis=1)
                 for i in np.flatnonzero(unequal):
-                    lo, hi = prev.breaks[i], prev.breaks[i + 1]
+                    lo, hi = (Fraction(t, common) for t in parent[i : i + 2])
                     condexp = False
                     failures.append(f"conditional expectation fails on ({lo},{hi}] at level {k}")
         prev, prev_rows, prev_scale = level, rows, scale

@@ -3,7 +3,8 @@ or imports scipy, networkx only lists the cycle oracle's trees, only the
 metric core and the Fréchet embedding read the Fraction view of a
 distance table, only the constructors of graphs and Markov chains read
 their edges' adjacency and rows (everything else reads their CSR tables),
-the simplex pivot does integer arithmetic only, the
+the martingale code reads integer grids (no `Fraction` breaks, no scan of
+the parameters, no bisection), the simplex pivot does integer arithmetic only, the
 diamond and Laakso walks and embeddings never search for shortest paths,
 the Markov module seeds one Monte Carlo block loop and nothing else,
 numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
@@ -197,6 +198,76 @@ def test_graph_and_chain_tables_are_read_once():
         ("f", 8, "adjacency"),
         ("f", 8, "adjacency"),
         ("f", 8, "transition"),
+    ]
+
+
+GRID_READERS = ("martingale_from_embedding", "_level_from_points", "martingale_l1_diff", "martingale_check")
+
+
+def grid_bypasses(source: str) -> list[tuple[str, int, str]]:
+    """(scope, line, what) of every `bisect` import, every `.index` call on
+    `params` (a name or an attribute), and, inside the GRID_READERS, every
+    `.breaks`, `.values` or `.params` read and every `_over_lcm` or
+    `vertex_at` call; the scope is the enclosing top-level function ("" at
+    module level and in classes)."""
+    found = []
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            reader = scope in GRID_READERS
+            if isinstance(child, ast.Import) and any(a.name == "bisect" for a in child.names):
+                found.append((scope, child.lineno, "bisect"))
+            elif isinstance(child, ast.ImportFrom) and child.module == "bisect":
+                found.append((scope, child.lineno, "bisect"))
+            elif isinstance(child, ast.Call) and name(child.func) == "index":
+                if isinstance(child.func, ast.Attribute) and name(child.func.value) == "params":
+                    found.append((scope, child.lineno, "params.index"))
+            elif isinstance(child, ast.Call) and reader and name(child.func) in ("_over_lcm", "vertex_at"):
+                found.append((scope, child.lineno, name(child.func)))
+            elif isinstance(child, ast.Attribute) and reader and child.attr in ("breaks", "values", "params"):
+                found.append((scope, child.lineno, child.attr))
+            top = isinstance(child, SCOPES) and isinstance(node, ast.Module)
+            visit(child, child.name if top else scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_martingale_reads_integer_grids():
+    # geodesic parameters and martingale breaks are integer ticks: the
+    # martingale code reads each level's grid and the family's positions,
+    # never the Fraction views, a scan of params or a bisection of breaks
+    source = (SRC / "rnp.py").read_text()
+    defined = {n.name for n in ast.parse(source).body if isinstance(n, SCOPES)}
+    assert set(GRID_READERS) <= defined
+    found = [
+        f"{path.name}:{line} {what} in {scope or 'module'}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line, what in grid_bypasses(path.read_text())
+        if what != "bisect" or path.name == "rnp.py"
+    ]
+    assert found == []
+    bypasses = (
+        "import bisect\n"
+        "def martingale_check(m, family):\n"
+        "    return m.levels[0].breaks, family.vertex_at(0, 1), _over_lcm(b)\n"
+        "def other(family, params, level):\n"
+        "    return family.params.index(1), params.index(2), family.params, level.breaks\n"
+        "def martingale_from_embedding(family):\n"
+        "    def level(g):\n"
+        "        return family.params[g]\n"
+    )
+    assert grid_bypasses(bypasses) == [
+        ("", 1, "bisect"),
+        ("martingale_check", 3, "breaks"),
+        ("martingale_check", 3, "vertex_at"),
+        ("martingale_check", 3, "_over_lcm"),
+        ("other", 5, "params.index"),
+        ("other", 5, "params.index"),
+        ("martingale_from_embedding", 8, "params"),
     ]
 
 

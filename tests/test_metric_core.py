@@ -169,6 +169,25 @@ def test_geodesic_cap():
         enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, cap=3)
 
 
+def test_geodesics_refuse_another_graphs_table():
+    # the 4-path's table on C_4 gave the path 0-1-2-3, though d(0, 3) = 1
+    # in C_4; on C_5 it leaked an IndexError
+    table = apsp(path_graph(4))
+    with pytest.raises(ValidationError, match="an edge is shorter than its ends' distance"):
+        enumerate_geodesic_paths(cycle(4), 0, 3, space=table)
+    with pytest.raises(ValidationError, match="distance table has 4 points, the graph 5"):
+        enumerate_geodesic_paths(cycle(5), 0, 3, space=table)
+    # the right graph's table at twice the distances
+    scaled = apsp(cycle(4)).scaled(2)
+    with pytest.raises(ValidationError, match="shorter"):
+        enumerate_geodesic_paths(cycle(4), 0, 2, space=scaled)
+    paths = enumerate_geodesic_paths(cycle(4), 0, 2, space=apsp(cycle(4)))
+    assert [(p.vertices, p.ticks, p.scale) for p in paths] == [
+        ((0, 1, 2), (0, 1, 2), 1),
+        ((0, 3, 2), (0, 1, 2), 1),
+    ]
+
+
 def test_geodesic_same_endpoint_rejected():
     g = cycle(4)
     with pytest.raises(ValidationError):

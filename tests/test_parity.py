@@ -115,7 +115,7 @@ def _embedding_cases(spaces):
 def _rnp_cases():
     for n in (2, 3):
         family = rnp.diamond_geodesic_family(n)
-        emb = rnp.diamond_l1_embedding(family.family, family.space)
+        emb = rnp.diamond_l1_embedding(family.family)
         for steps in (1, 2, 3):
             run = rnp.martingale_from_embedding(family, emb, steps)
             yield f"martingale/D{n}/{steps}", run

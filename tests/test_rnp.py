@@ -2,6 +2,7 @@
 martingales."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -37,7 +38,6 @@ from testspaces.rnp import (
     tree_to_bush,
     verify_bush,
     verify_delta_tree,
-    _interval_index,
     _slope_jumps,
 )
 
@@ -238,6 +238,8 @@ def test_geodesics_off_the_parameter_grid_are_rejected():
     for params in {g.breakpoints for g in geos}:
         with pytest.raises(ValidationError, match="do not share a parameter grid"):
             GeodesicFamily(None, space, geos, params)
+    with pytest.raises(ValidationError, match="at least one geodesic"):  # no grid to check
+        GeodesicFamily(None, space, (), ())
 
 
 def test_thickness_single_geodesic_family():
@@ -277,10 +279,20 @@ def test_tent_embedding_measured_constants(family3):
 
 
 def test_tent_embedding_reuses_family_space(family3):
-    # the family's apsp table gives the embedding a one-argument call builds
-    assert diamond_l1_embedding(family3.family, family3.space) == diamond_l1_embedding(
-        family3.family
-    )
+    # each family builds one distance table, which its geodesic family, tent
+    # embedding and downhill walk all read
+    from testspaces.generators import laakso, laakso_weighting
+    from testspaces.markov import downhill_walk
+
+    fam = family3.family
+    assert fam.metric_space() is family3.space
+    assert diamond_l1_embedding(fam).space is family3.space
+    assert downhill_walk(fam).space is family3.space
+    other = diamond(3, diamond_weighting())
+    assert other == fam and other.metric_space() is not family3.space
+    assert other.metric_space() == family3.space
+    lk = laakso(2, laakso_weighting())
+    assert downhill_walk(lk).space is lk.metric_space()
 
 
 def verify_metric_vectors_injective(emb):
@@ -383,7 +395,7 @@ def _corrupted_martingales(mart):
 @pytest.mark.parametrize("n", [2, 3])
 def test_martingale_check_matches_fraction_route(n):
     family = diamond_geodesic_family(n)
-    emb = diamond_l1_embedding(family.family, family.space)
+    emb = diamond_l1_embedding(family.family)
     for steps in (1, 2, 3):
         mart = martingale_from_embedding(family, emb, steps).martingale
         for bound in (F(1), F(1, 3), 2):
@@ -417,6 +429,19 @@ def test_malformed_levels_are_refused_at_construction():
     ):
         with pytest.raises(ValidationError):
             PiecewiseLevel(breaks, values)
+    # inexact breaks: floats made martingale_l1_diff return a float, a NaN
+    # passed the increase check, and an infinity reached the LP rescaling
+    values = ((F(1),), (F(2),))
+    for breaks in (
+        (0.0, 0.5, 1.0),
+        (F(0), math.nan, F(1)),
+        (F(0), F(1, 2), math.inf),
+        (-math.inf, F(1, 2), F(1)),
+        (F(0), 0.5, F(1)),
+    ):
+        with pytest.raises(ValidationError, match="breaks must be exact"):
+            PiecewiseLevel(breaks, values)
+    assert PiecewiseLevel((0, F(1, 2), 1), values).breaks == (F(0), F(1, 2), F(1))
 
 
 def test_constant_martingale_passes():
@@ -462,15 +487,6 @@ def test_tent_embedding_matches_tuple_route(n):
         assert emb == want
         assert _types(emb.vectors) == _types(want.vectors)
         assert {type(x) for v in emb.vectors for x in v} == {F}
-
-
-def test_tent_embedding_rejects_a_foreign_table():
-    d2 = diamond(2, diamond_weighting())
-    # larger family than table (used to leak IndexError), smaller family
-    # than table (used to fail late with "need exactly one vector per point")
-    for n in (3, 1):
-        with pytest.raises(ValidationError, match="distance table has 12 points"):
-            diamond_l1_embedding(diamond(n, diamond_weighting()), d2.metric_space())
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
@@ -563,18 +579,23 @@ def test_bush_checks_match_fraction_route():
     assert found[-1] is None
 
 
-def test_interval_index():
-    breaks = (F(0), F(1, 4), F(1, 2), F(1))
-    assert [_interval_index(breaks, t) for t in (F(0), F(1, 8), F(1, 4), F(3, 4))] == [0, 0, 1, 2]
-    for t in (F(-1, 8), F(1), F(2)):
-        with pytest.raises(ValidationError, match="outside the partition"):
-            _interval_index(breaks, t)
+def test_l1_diff_refuses_levels_on_different_intervals():
+    # each level's intervals are found on the merged grid; a level ending
+    # before the other leaves merged intervals outside its partition
+    level = PiecewiseLevel((F(0), F(1, 4), F(1, 2), F(1)), ((1,), (2,), (3,)))
+    target = NormedTarget("l1", 1)
+    assert martingale_l1_diff(level, level, target) == 0
+    for end in (F(1, 2), F(3, 4), F(2)):
+        other = PiecewiseLevel((F(0), F(1, 8), end), ((1,), (F(1, 3),)))
+        for a, b in ((level, other), (other, level)):
+            with pytest.raises(ValidationError, match="outside the partition"):
+                martingale_l1_diff(a, b, target)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_martingale_matches_fraction_route(n):
     family = diamond_geodesic_family(n)
-    emb = diamond_l1_embedding(family.family, family.space)
+    emb = diamond_l1_embedding(family.family)
     for steps in (1, 2, 3):
         run = martingale_from_embedding(family, emb, steps)
         want = martingale_fractions(family, emb, steps)
@@ -599,10 +620,69 @@ def test_martingale_l1_diff_targets():
         PiecewiseLevel(level.breaks, tuple(tuple(map(float, v)) for v in level.values))
 
 
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=50)
+
+
+def _partition(draw, end=F(1)):
+    """0 < ... < end, the interior breaks over one random denominator up to 3^20."""
+    den = draw(st.integers(2, 3**20))
+    cuts = draw(st.lists(st.integers(1, den - 1), max_size=5, unique=True))
+    return (F(0),) + tuple(sorted(F(c, den) * end for c in cuts)) + (end,)
+
+
+def _level_on(draw, breaks, dim):
+    return PiecewiseLevel(breaks, tuple(tuple(draw(_SMALL) for _ in range(dim)) for _ in breaks[1:]))
+
+
+def _refinements(draw, level):
+    """Two refinements of the level on extra breaks over another denominator:
+    one whose weighted averages give the level's values (each interval's last
+    child solved for), and the same with one child value moved by 1/7."""
+    breaks = tuple(sorted(set(level.breaks) | set(_partition(draw))))
+    values = []
+    for (lo, hi), value in zip(zip(level.breaks, level.breaks[1:]), level.values):
+        kids = [(a, b) for a, b in zip(breaks, breaks[1:]) if lo <= a and b <= hi]
+        rows = [tuple(draw(_SMALL) for _ in value) for _ in kids[:-1]]
+        rest = [
+            (hi - lo) * v - sum(((b - a) * row[t] for (a, b), row in zip(kids, rows)), F(0))
+            for t, v in enumerate(value)
+        ]
+        a, b = kids[-1]
+        values += rows + [tuple(x / (b - a) for x in rest)]
+    moved = draw(st.integers(0, len(values) - 1))
+    perturbed = list(values)
+    perturbed[moved] = (values[moved][0] + F(1, 7),) + values[moved][1:]
+    return PiecewiseLevel(breaks, tuple(values)), PiecewiseLevel(breaks, tuple(perturbed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_levels_on_grids_of_different_scales(data):
+    # diamond levels all share one power-of-two scale; here each level has
+    # its own scale, with denominators up to 3^20
+    draw, dim = data.draw, data.draw(st.integers(1, 3))
+    a, b = (_level_on(draw, _partition(draw), dim) for _ in range(2))
+    for kind in ("l1", "linf", "summing"):
+        target = NormedTarget(kind, dim)
+        diff = martingale_l1_diff(a, b, target)
+        assert type(diff) is F and diff == martingale_l1_diff_fractions(a, b, target)
+    averaged, perturbed = _refinements(draw, a)
+    for fine in (averaged, perturbed, b):
+        for bound in (F(1), F(100)):
+            mart = Martingale((a, fine), NormedTarget("l1", dim))
+            assert repr(martingale_check(mart, bound)) == repr(martingale_check_fractions(mart, bound))
+    reports = [martingale_check(Martingale((a, f), NormedTarget("l1", dim)), F(100)) for f in (averaged, perturbed)]
+    assert [report.conditional_expectation_ok for report in reports] == [True, False]
+    other = _level_on(draw, _partition(draw, draw(st.sampled_from((F(1, 2), F(3, 2), F(2, 3**20))))), dim)
+    for x, y in ((a, other), (other, a)):
+        with pytest.raises(ValidationError, match="outside the partition"):
+            martingale_l1_diff(x, y, NormedTarget("l1", dim))
+
+
 def test_martingale_needs_exact_vectors(family3):
     from testspaces.embeddings import Embedding
 
-    emb = diamond_l1_embedding(family3.family, family3.space)
+    emb = diamond_l1_embedding(family3.family)
     floats = tuple(tuple(float(x) for x in v) for v in emb.vectors)
     with pytest.raises(ValidationError, match="exact"):
         martingale_from_embedding(family3, Embedding(emb.space, floats, emb.target), 1)
@@ -720,7 +800,9 @@ def test_slope_jumps_match_fractions():
                 left = tuple((x - w) / A for w, x in zip(f[0], f[z]))
                 want.append(tnorm(target, _sub(right, left)))
             table = np.array(rows, dtype=object)
-            assert _slope_jumps(target, table, den, (0, 1), (2, 3), (A, B)) == want
+            scale = math.lcm(A.denominator, B.denominator)  # the gaps as integer steps
+            steps = (int(A * scale), int(B * scale))
+            assert _slope_jumps(target, table, den, (0, 1), (2, 3), steps, scale) == want
 
 
 def test_malformed_trees_and_generators_are_refused_at_construction():
