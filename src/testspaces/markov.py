@@ -1,14 +1,18 @@
 """Markov p-convexity functional: exact dynamic programming on integer
-rows (over the states reachable within the horizon; for the downward tree
-walk, one integer pass over the depths instead), Monte Carlo estimation
-(one shared base trajectory per sample with a branched copy per split time;
-for the downward tree walk, one first-disagreement draw per split time
-instead; both on blocks of samples with their own substreams), and the
-built-in walks (downward tree walk, downhill diamond/Laakso walks, lazy
-path walk).
+rows (for the downward tree walk, one integer pass over the depths
+instead), Monte Carlo estimation (one shared base trajectory per sample
+with a branched copy per split time; for the downward tree walk, one
+first-disagreement draw per split time instead; both on blocks of samples
+with their own substreams), and the built-in walks (downward tree walk,
+downhill diamond/Laakso walks, lazy path walk).
 A chain is given by rows of its moves, (v, P(u, v)) pairs with P(u, v) > 0,
 and checked and turned once into one CSR table of integer weights over one
-denominator D, which the DP and the Monte Carlo tables read.
+denominator D, which the DP and the Monte Carlo tables read.  One
+breadth-first pass over that table finds the states reachable within the
+horizon, and both modes build their d^p table over those states' points
+only.  The Monte Carlo stepper pads each row to a power-of-two width,
+holds each state as its row offset (state * width), and takes a move by a
+branchless binary search over the row's running sums.
 
 Time window: t runs over 1..T and k over 0..ceil(log2 T) with the chain
 frozen at its start state for t <= 0.  The truncated left-hand sum is a
@@ -148,6 +152,19 @@ def _check_map(chain: MarkovChain, mmap: MetricMap, space: MetricSpace) -> None:
         raise ValidationError(f"metric map points must lie in range({space.size})")
 
 
+def _reachable(chain: MarkovChain) -> np.ndarray:
+    """The states reachable from start within the horizon, increasing: a
+    breadth-first pass over the CSR, one level per step."""
+    indptr, targets = chain.indptr.tolist(), chain.targets.tolist()
+    reach, level = {chain.start}, [chain.start]
+    for _ in range(chain.horizon):
+        level = {v for a in level for v in targets[indptr[a] : indptr[a + 1]]} - reach
+        if not level:
+            break
+        reach |= level
+    return np.array(sorted(reach))
+
+
 def _step(row: dict[int, int], moves: list[list[tuple[int, int]]]) -> dict[int, int]:
     """One step of a sparse integer row vector through rows of (target, weight) moves."""
     out: dict[int, int] = {}
@@ -195,14 +212,8 @@ def exact_convexity(
     D, pairs = chain.D, list(zip(chain.targets.tolist(), chain.weights.tolist()))
     moves = [pairs[a:b] for a, b in itertools.pairwise(chain.indptr.tolist())]
 
-    # the states reachable from start within T steps: only their points are read
-    reach = {chain.start}
-    frontier = {chain.start}
-    for _ in range(T):
-        frontier = {v for a in frontier for v, _ in moves[a]} - reach
-        if not frontier:
-            break
-        reach |= frontier
+    # only the points of the states reachable within T steps are read
+    reach = _reachable(chain).tolist()
 
     # N[x][y] = (E d(x, y))^p between their points; at[a] = point of state a
     points = sorted({mmap.point_of_state[a] for a in reach})
@@ -292,24 +303,33 @@ def _check_float_powers(smallest: float, largest: float, p: float) -> None:
 
 
 def _sim_tables(chain: MarkovChain):
-    """Row u's targets and running probability sums, padded with its last
-    move.  The sums add the correctly rounded weights / D in row order, which
-    fixes every Monte Carlo draw."""
+    """Row u's targets, held as row offsets, and its running probability
+    sums, both flattened with row u at offset u * width: each row is padded
+    with its last move to `width`, the least power of two that holds every
+    row.  The sums add the correctly rounded weights / D in row order, which
+    fixes every Monte Carlo draw; the last move and the padding read 1."""
     deg = np.diff(chain.indptr)
-    slot = np.arange(deg.max())  # the padding repeats each row's last move
+    width = 1 << (int(deg.max()) - 1).bit_length()
+    slot = np.arange(width)
     at = np.minimum(chain.indptr[:-1, None] + slot, chain.indptr[1:, None] - 1)
     cum = RationalTable(chain.weights[None], chain.D).floats()[0][at].cumsum(axis=1)
-    cum[slot >= deg[:, None] - 1] = 1  # the last move of each row and its padding
-    return chain.targets[at], cum
+    cum[slot >= deg[:, None] - 1] = 1
+    return (chain.targets * width)[at].ravel(), cum.ravel(), width
 
 
-def _move(states: np.ndarray, u: np.ndarray, nbrs, cum) -> np.ndarray:
-    """One step of every state in `states` on the uniforms `u` of the same
-    shape: the move taken is the first whose running sum is not below u."""
-    idx = states * nbrs.shape[1]
-    for col in cum.T[:-1]:  # u < 1 never passes the last sum, which is 1
-        idx += u > col[states]
-    return nbrs.ravel()[idx]
+def _move(states: np.ndarray, u: np.ndarray, nbrs, cum, width: int) -> np.ndarray:
+    """One step of every state in `states` (row offsets) on the uniforms `u`
+    of the same shape: the move taken is the first whose running sum is not
+    below u.  The sums rise along a row up to its last move and padding, 1 >
+    u, so `cum < u` holds on a prefix of the row, and a binary search of
+    log2(width) gathers finds its length."""
+    step = width >> 1
+    while step:
+        below = cum[step - 1 :].take(states) < u
+        # the step in the narrowest unsigned type keeps the product array small
+        states = states + np.multiply(below, step, dtype=np.min_scalar_type(step))
+        step >>= 1
+    return nbrs.take(states)
 
 
 def _mean_and_stderr(totals: np.ndarray) -> tuple[float, float]:
@@ -358,18 +378,23 @@ def mc_convexity(
     _check_map(chain, mmap, space)
     T = chain.horizon
     terms = _split_terms(T)
-    nbrs, cum = _sim_tables(chain)
-    # d^p over the distinct mapped points, read through the state -> point map
-    points = sorted(set(mmap.point_of_state))
-    dists = space.floats()[np.ix_(points, points)]
-    positive = dists[dists > 0]
+    nbrs, cum, width = _sim_tables(chain)
+    # every positive distance between mapped points must have a float p-th power
+    point, scale = np.array(mmap.point_of_state), space.scale
+    mapped = np.zeros(space.size, dtype=bool)
+    mapped[point] = True
+    num = space.num if mapped.all() else space.num[np.ix_(mapped, mapped)]
+    positive = num[num > 0]
     if positive.size:
-        _check_float_powers(float(positive.min()), float(positive.max()), p)
-    # one x**p per distinct distance, gathered back into the table
-    values, inverse = np.unique(dists, return_inverse=True)
-    dpow = np.array([x**p for x in values.tolist()])[inverse.reshape(dists.shape)]
-    slot = {x: i for i, x in enumerate(points)}
-    at = np.array([slot[x] for x in mmap.point_of_state])
+        _check_float_powers(int(positive.min()) / scale, int(positive.max()) / scale, p)
+    # d^p over the points of the reachable states, one correctly rounded
+    # x**p per distinct distance; at[u * width] is the row of state u's point
+    reach = _reachable(chain)
+    points, slot = np.unique(point[reach], return_inverse=True)
+    values, inverse = np.unique(space.num[np.ix_(points, points)], return_inverse=True)
+    dpow = np.array([(x / scale) ** p for x in values.tolist()])[inverse.reshape(points.size, -1)]
+    at = np.zeros(chain.n_states * width, dtype=np.intp)
+    at[reach * width] = slot
 
     # W[s, j] = sum of 2^(-kp) over the terms (k, t) with split time s and
     # t = s + j; the branch from X_s runs to the largest such j
@@ -387,15 +412,15 @@ def mc_convexity(
 
     def draw(rng, size):
         base = np.empty((T + 1, size), dtype=np.int64)
-        base[0] = chain.start
+        base[0] = chain.start * width
         for i in range(1, T + 1):
-            base[i] = _move(base[i - 1], rng.random(size), nbrs, cum)
+            base[i] = _move(base[i - 1], rng.random(size), nbrs, cum, width)
         branch = base[split]
         base = at[base]  # from here on only the base's points are read
         lhs = np.zeros(size)
         for j in range(1, T + 1):
             live = branch[: running[j]]
-            live[...] = _move(live, rng.random(live.shape), nbrs, cum)
+            live[...] = _move(live, rng.random(live.shape), nbrs, cum, width)
             c = used[j]
             lhs += (W[:c, j, None] * dpow[base[split[:c] + j], at[branch[:c]]]).sum(axis=0)
         return lhs, dpow[base[:-1], base[1:]].sum(axis=0)
@@ -520,29 +545,32 @@ def downhill_walk(
     length (ValidationError names the first edge that differs)."""
     graph = family.graph
     edge_len = graph.edges[0][2]
-    for u, v, w in graph.edges:
-        if w != edge_len:
-            raise ValidationError(
-                f"downhill walk needs uniform edge lengths: edge ({u},{v}) has "
-                f"length {w}, edge 0 has {edge_len}"
-            )
+    if (graph.lengths != graph.lengths[0]).any():  # name the first edge that differs
+        u, v, w = next(e for e in graph.edges if e[2] != edge_len)
+        raise ValidationError(
+            f"downhill walk needs uniform edge lengths: edge ({u},{v}) has "
+            f"length {w}, edge 0 has {edge_len}"
+        )
     space = family.metric_space()
     sink = family.sink
     n = graph.size
     hops = int(space.d(family.source, sink) / edge_len)
-    to_sink = space.num[:, sink].tolist()
-    indptr, targets = graph.indptr.tolist(), graph.targets.tolist()
     T = horizon if horizon is not None else hops
+    # the arcs that lead strictly closer to the sink, in CSR order
+    to_sink = space.num[:, sink]
+    heads = np.arange(n).repeat(np.diff(graph.indptr))
+    down = to_sink[graph.targets] < to_sink[heads]
+    count = np.bincount(heads[down], minlength=n)
+    stuck = count == 0
+    stuck[sink] = False
+    if stuck.any():
+        raise ValidationError(f"vertex {stuck.argmax()} has no neighbor closer to the sink")
+    targets, ends = graph.targets[down].tolist(), [0, *itertools.accumulate(count.tolist())]
+    count[sink] = 1  # the sink is absorbing
+    share = {k: Fraction(1, k) for k in set(count.tolist())}
     rows = []
-    for u in range(n):
-        if u == sink:
-            rows.append(((u, Fraction(1)),))
-            continue
-        downs = [v for v in targets[indptr[u] : indptr[u + 1]] if to_sink[v] < to_sink[u]]
-        if not downs:
-            raise ValidationError(f"vertex {u} has no neighbor closer to the sink")
-        share = Fraction(1, len(downs))
-        rows.append(tuple((v, share) for v in downs))
+    for u, (a, b) in enumerate(itertools.pairwise(ends)):
+        rows.append(((u, share[1]),) if u == sink else tuple((v, share[b - a]) for v in targets[a:b]))
     chain = MarkovChain(tuple(rows), family.source, T)
     return WalkBundle(chain, MetricMap(tuple(range(n))), space)
 

@@ -430,8 +430,9 @@ def enumerate_geodesic_paths(
 ) -> list[GeodesicPath]:
     """All distinct shortest u-v vertex paths, sorted by vertex sequence.
 
-    `space` may pass the graph's apsp table (one of another size, or that an
-    edge undercuts, raises ValidationError).  The search runs on integer
+    `space` may pass the graph's apsp table (one of another size, one that
+    an edge undercuts, or one whose rows u and v are not the graph's
+    distances from u and v raises ValidationError).  The search runs on integer
     lengths over `space.scale`: an edge whose length is no multiple of
     1/scale lies on no geodesic, and breakpoints are ticks over that scale.
     Raises CapExceededError when more than `cap` geodesics exist.
@@ -443,23 +444,40 @@ def enumerate_geodesic_paths(
     elif space.size != graph.size:
         raise ValidationError(f"distance table has {space.size} points, the graph {graph.size}")
     scale, heads = space.scale, np.arange(graph.size).repeat(np.diff(graph.indptr))
-    lengths = graph.lengths.astype(object) * scale  # over scale, times graph.scale
+    # over scale, times graph.scale; int64 where a row entry (at most half
+    # INT64_MAX at headroom 2) plus an arc still fits
+    fits = _magnitude(graph.lengths) * scale <= INT64_MAX // 2
+    lengths = graph.lengths.astype(np.int64 if fits else object) * scale
     steps = lengths // graph.scale  # an arc undercuts an integer distance iff its floor does
     if (steps < space.num[heads, graph.targets]).any():
         raise ValidationError("distance table is not the graph's: an edge is shorter than its ends' distance")
-    indptr, targets = graph.indptr.tolist(), graph.targets.tolist()
-    arcs = [q if not r else None for q, r in zip(steps.tolist(), (lengths % graph.scale).tolist())]
-    from_u, to_v = (space.num[a].tolist() for a in (u, v))
-    total = from_u[v]
+    whole = lengths % graph.scale == 0
+    # Bellman's equations on the rows the search reads: 0 at the row's own
+    # vertex, no arc shortcuts the row, and every other vertex has a tight
+    # in-arc; then rows u and v hold the graph's distances from u and v
+    tight = {}
+    for a in (u, v):
+        row = space.num[a]
+        via, at = row[heads] + steps, row[graph.targets]
+        tight[a] = whole & (at == via)
+        reached = np.zeros(graph.size, dtype=bool)
+        reached[graph.targets[tight[a]]] = True
+        reached[a] = row[a] == 0
+        if not reached.all() or (at > via).any():
+            raise ValidationError(f"distance table is not the graph's: row {a} is not the distances from {a}")
+    # the arcs x -> y on some u-v geodesic: tight from u, and y still on one
+    from_u, to_v = space.num[u], space.num[v]
+    on = tight[u] & (from_u[graph.targets] + to_v[graph.targets] == from_u[v])
+    onward: list[list[tuple[int, int]]] = [[] for _ in range(graph.size)]
+    for x, y, w in zip(heads[on].tolist(), graph.targets[on].tolist(), steps[on].tolist()):
+        onward[x].append((y, w))
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    # DFS extending only along prefix-shortest edges that can still reach v
-    # on a geodesic.
+    # DFS along the geodesic arcs: every prefix is a shortest path
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((u,), (0,))]
     while stack:
         path, breaks = stack.pop()
         x = path[-1]
-        cum = breaks[-1]
         if x == v:
             found.append((path, breaks))
             if len(found) > cap:
@@ -467,10 +485,8 @@ def enumerate_geodesic_paths(
                     f"more than {cap} geodesics between {u} and {v}"
                 )
             continue
-        for k in range(indptr[x], indptr[x + 1]):
-            y, w = targets[k], arcs[k]
-            if w is not None and cum + w == from_u[y] and cum + w + to_v[y] == total:
-                stack.append((path + (y,), breaks + (cum + w,)))
+        for y, w in onward[x]:
+            stack.append((path + (y,), breaks + (breaks[-1] + w,)))
     found.sort(key=lambda g: g[0])
     return [GeodesicPath(path, breaks, scale) for path, breaks in found]
 

@@ -444,9 +444,6 @@ class GeodesicFamily:
         self._total = total
         self._nbubbles = bubbles
 
-    def vertex_at(self, g: int, param: Fraction) -> int:
-        return self.geodesics[g].vertices[self.position[param]]
-
     def respond(self, g: int, control_params: Sequence[Fraction]) -> OracleResponse:
         """Deviating geodesic through the control points maximizing the total
         deviation, with its (q, s) structure.  Ties go to the response with

@@ -8,7 +8,8 @@ full outcome enumeration for the short downward tree walk and a Fraction
 term table for the longer ones, dense Fraction matrix powers for the
 Markov convexity sums, every (k, t) term re-simulated
 from time 0 on its own substream for their Monte Carlo estimate and for the
-tree walk's (child choices as bits), word-product enumeration for
+tree walk's (child choices as bits), a scan of every padded column for the
+Monte Carlo step, word-product enumeration for
 Heisenberg balls, plain loops over entries for norms and over pairs and
 triples for distortion, vertex-map distortion and the metric axioms, an
 exact knockout tournament for the first maximal ratio, a table rebuilt
@@ -27,7 +28,8 @@ tableau for the exact simplex, and for the RNP pipeline: Fraction sums per
 vector for the delta-tree and bush checks, one Fraction tuple entry per
 (vertex, quadrilateral) for the tent embedding, a scan of the blocks for
 each broken-line segment's parent, Fraction slopes, jumps and interval
-scans for the martingale levels, and the artificial phase 1 for the gauge.
+scans for the martingale levels (and a geodesic's vertex at a grid
+parameter), and the artificial phase 1 for the gauge.
 """
 
 import csv
@@ -307,22 +309,46 @@ def _mc_window(seed, tag, k_max, T, p, sample):
     return total, var
 
 
+def linear_sim_tables(chain):
+    """Row u's targets and running probability sums, padded with its last
+    move to the largest out-degree: the tables of the linear-scan stepper,
+    which fix the same draws as the library's binary-search ones."""
+    from testspaces.metric_core import RationalTable
+
+    deg = np.diff(chain.indptr)
+    slot = np.arange(deg.max())  # the padding repeats each row's last move
+    at = np.minimum(chain.indptr[:-1, None] + slot, chain.indptr[1:, None] - 1)
+    cum = RationalTable(chain.weights[None], chain.D).floats()[0][at].cumsum(axis=1)
+    cum[slot >= deg[:, None] - 1] = 1  # the last move of each row and its padding
+    return chain.targets[at], cum
+
+
+def linear_move(states, u, nbrs, cum):
+    """One step of every state (an index) on the uniforms u by a scan of
+    every padded column: the move taken is the first whose running sum is
+    not below u."""
+    idx = states * nbrs.shape[1]
+    for col in cum.T[:-1]:  # u < 1 never passes the last sum, which is 1
+        idx += u > col[states]
+    return nbrs.ravel()[idx]
+
+
 def mc_convexity_per_term(chain, mmap, space, p, seed, samples):
     """Monte Carlo convexity sums with every (k, t) term re-simulated from
     time 0 on its own (seed, tag, k, t) substream, so the terms are
     independent and the variances add: the estimator before the library
     shared one base trajectory per sample.  Returns (lhs, rhs, lhs_stderr,
     rhs_stderr)."""
-    from testspaces.markov import _k_max, _move, _sim_tables
+    from testspaces.markov import _k_max
 
     T = chain.horizon
-    nbrs, cum = _sim_tables(chain)
+    nbrs, cum = linear_sim_tables(chain)
     at = list(mmap.point_of_state)
     dpow = np.array([[x**p for x in row] for row in space.floats()[np.ix_(at, at)].tolist()])
 
     def steps(states, rng, count):
         for _ in range(count):
-            states = _move(states, rng.random(states.size), nbrs, cum)
+            states = linear_move(states, rng.random(states.size), nbrs, cum)
         return states
 
     def split_pair(rng, s, t):
@@ -1244,6 +1270,11 @@ def martingale_l1_diff_fractions(a, b, target):
     return total
 
 
+def vertex_at(family, g, param):
+    """Geodesic g's vertex at the grid parameter `param` of a GeodesicFamily."""
+    return family.geodesics[g].vertices[family.position[param]]
+
+
 def martingale_fractions(family, emb, steps):
     """`rnp.martingale_from_embedding` as first written: the embedding
     divided by lip entry by entry, and every slope, jump and level difference
@@ -1266,14 +1297,14 @@ def martingale_fractions(family, emb, steps):
     params_all = family.params
     g_cur = 0
     v_params = [params_all[0], params_all[-1]]
-    points = [family.vertex_at(g_cur, p) for p in v_params]
+    points = [vertex_at(family, g_cur, p) for p in v_params]
     levels = [level(normalized, v_params, points)]
     diff_norms = []
     checks = 0
     for _ in range(steps):
         resp = family.respond(g_cur, v_params[1:-1])
         q = list(resp.q_params)
-        w_points = [family.vertex_at(g_cur, p) for p in q]
+        w_points = [vertex_at(family, g_cur, p) for p in q]
         m_odd = level(normalized, q, w_points)
         levels.append(m_odd)
         q_idx = [params_all.index(p) for p in q]
@@ -1285,8 +1316,8 @@ def martingale_fractions(family, emb, steps):
                 even_params.append(q[i + 1])
                 even_points.append(w_points[i + 1])
                 continue
-            z = family.vertex_at(g_cur, s)
-            zt = family.vertex_at(resp.geodesic, s)
+            z = vertex_at(family, g_cur, s)
+            zt = vertex_at(family, resp.geodesic, s)
             A, B = s - q[i], q[i + 1] - s
             f_w0, f_w1 = normalized[w_points[i]], normalized[w_points[i + 1]]
 

@@ -206,10 +206,11 @@ GRID_READERS = ("martingale_from_embedding", "_level_from_points", "martingale_l
 
 def grid_bypasses(source: str) -> list[tuple[str, int, str]]:
     """(scope, line, what) of every `bisect` import, every `.index` call on
-    `params` (a name or an attribute), and, inside the GRID_READERS, every
-    `.breaks`, `.values` or `.params` read and every `_over_lcm` or
-    `vertex_at` call; the scope is the enclosing top-level function ("" at
-    module level and in classes)."""
+    `params` (a name or an attribute), every `vertex_at` definition or call
+    (the view lives in tests/_oracles.py), and, inside the GRID_READERS,
+    every `.breaks`, `.values` or `.params` read and every `_over_lcm` call;
+    the scope is the enclosing top-level function ("" at module level and
+    in classes)."""
     found = []
 
     def name(node):
@@ -225,8 +226,12 @@ def grid_bypasses(source: str) -> list[tuple[str, int, str]]:
             elif isinstance(child, ast.Call) and name(child.func) == "index":
                 if isinstance(child.func, ast.Attribute) and name(child.func.value) == "params":
                     found.append((scope, child.lineno, "params.index"))
-            elif isinstance(child, ast.Call) and reader and name(child.func) in ("_over_lcm", "vertex_at"):
-                found.append((scope, child.lineno, name(child.func)))
+            elif isinstance(child, ast.Call) and name(child.func) == "vertex_at":
+                found.append((scope, child.lineno, "vertex_at"))
+            elif isinstance(child, SCOPES) and child.name == "vertex_at":
+                found.append((scope, child.lineno, "vertex_at"))
+            elif isinstance(child, ast.Call) and reader and name(child.func) == "_over_lcm":
+                found.append((scope, child.lineno, "_over_lcm"))
             elif isinstance(child, ast.Attribute) and reader and child.attr in ("breaks", "values", "params"):
                 found.append((scope, child.lineno, child.attr))
             top = isinstance(child, SCOPES) and isinstance(node, ast.Module)
@@ -259,6 +264,9 @@ def test_martingale_reads_integer_grids():
         "def martingale_from_embedding(family):\n"
         "    def level(g):\n"
         "        return family.params[g]\n"
+        "class GeodesicFamily:\n"
+        "    def vertex_at(self, g, param):\n"
+        "        return self.vertex_at(g, param)\n"
     )
     assert grid_bypasses(bypasses) == [
         ("", 1, "bisect"),
@@ -268,6 +276,8 @@ def test_martingale_reads_integer_grids():
         ("other", 5, "params.index"),
         ("other", 5, "params.index"),
         ("martingale_from_embedding", 8, "params"),
+        ("", 10, "vertex_at"),
+        ("", 11, "vertex_at"),
     ]
 
 

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import math
+import random
 import statistics
+import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,6 +30,8 @@ from testspaces.metric_core import MetricSpace, WeightedGraph, apsp, path_graph
 
 from _oracles import (
     dense_exact_convexity,
+    linear_move,
+    linear_sim_tables,
     mc_convexity_per_term,
     tree_walk_convexity_f_table,
     tree_walk_convexity_mc_per_term,
@@ -191,6 +195,71 @@ def test_mc_outputs_are_pinned():
     est = tree_walk_convexity_mc(2, 2.0, seed=5, samples=400)
     assert (est.lhs, est.rhs) == (20.61, 4.0)
     assert (est.method.lhs_stderr, est.method.rhs_stderr) == (0.4646041851642971, 0.0)
+    # out-degree 8; out-degree 16 with 41 of 172 states reachable; rows of
+    # out-degree 1, 3 and 5 with moves of probability 1/10^20
+    cases = [
+        (downhill_walk(diamond(3, diamond_weighting())), 2.0),
+        (downhill_walk(diamond(4, diamond_weighting()), horizon=3), 2.0),
+        (_odd_degree_walk(), 1.5),
+    ]
+    pinned = [
+        (0.389234375, 0.125, 0.005755137718915747, 0.0),
+        (0.053513671875, 0.01171875, 0.0006651374201488729, 0.0),
+        (19.47485820920055, 16.81826690822972, 0.3169074964708103, 0.26863612496144856),
+    ]
+    for (wb, p), want in zip(cases, pinned):
+        est = mc_convexity(wb.chain, wb.metric_map, wb.space, p, seed=9, samples=500)
+        assert (est.lhs, est.rhs, est.method.lhs_stderr, est.method.rhs_stderr) == want
+
+
+def _odd_degree_walk() -> markov.WalkBundle:
+    """Rows of out-degree 5, 3, 1, 3, 5 on the path P_5, two with a move of
+    probability 1/10^20 (whose running sum rounds onto its neighbour's)."""
+    tiny, q = F(1, 10**20), F(1, 4)
+    rows = (
+        ((0, tiny), (1, q), (2, q), (3, q), (4, q - tiny)),
+        ((0, F(1, 3)), (2, F(1, 3)), (4, F(1, 3))),
+        ((3, F(1)),),
+        ((1, F(1, 2) - tiny), (2, tiny), (4, F(1, 2))),
+        tuple((v, F(1, 5)) for v in range(5)),
+    )
+    return markov.WalkBundle(MarkovChain(rows, 0, 6), MetricMap(tuple(range(5))), apsp(path_graph(5)))
+
+
+@st.composite
+def _chain_and_uniforms(draw):
+    """A chain whose rows have out-degree 1..17 and probabilities down to
+    1/10^20, and uniforms for a step of every state: some drawn at random,
+    the rest equal to running sums of the linear stepper, so that ties with
+    a sum are hit."""
+    n = draw(st.integers(1, 20))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tiny = (F(1, 10**20), F(1, 10**20 - 1), F(1, 3 * 10**19))
+    rows = []
+    for _ in range(n):
+        deg = draw(st.integers(1, min(n, 17)))
+        # probabilities of at most 1 / (4 deg) each but the last, some tiny
+        small = [rnd.choice(tiny) if rnd.random() < 0.3 else F(rnd.randint(1, 50), 200 * deg) for _ in range(deg - 1)]
+        rows.append(tuple(zip(sorted(rnd.sample(range(n), deg)), [*small, 1 - sum(small, F(0))])))
+    chain = MarkovChain(tuple(rows), 0, 1)
+    cum = linear_sim_tables(chain)[1]
+    sums = st.sampled_from(sorted({x for x in cum.ravel().tolist() if x < 1}) or [0.5])
+    uniform = st.floats(0, 1, exclude_max=True)
+    states = draw(st.lists(st.integers(0, chain.n_states - 1), min_size=1, max_size=40))
+    u = draw(st.lists(st.one_of(uniform, sums), min_size=len(states), max_size=len(states)))
+    return chain, np.array(states), np.array(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chain_and_uniforms())
+def test_binary_search_move_is_the_linear_scan(case):
+    # the stepper's binary search over power-of-two rows of row offsets
+    # takes the move the scan of every padded column takes, ties included
+    chain, states, u = case
+    nbrs, cum, width = markov._sim_tables(chain)
+    moved = markov._move(states * width, u, nbrs, cum, width)
+    assert (moved % width == 0).all()
+    assert (moved // width == linear_move(states, u, *linear_sim_tables(chain))).all()
 
 
 @pytest.mark.parametrize(
@@ -405,7 +474,17 @@ def test_downhill_rejects_nonuniform_edge_lengths():
     )
     with pytest.raises(ValidationError) as exc:
         downhill_walk(bent)
-    assert f"({u},{v})" in str(exc.value)
+    assert str(exc.value) == (
+        f"downhill walk needs uniform edge lengths: edge ({u},{v}) has length {2 * w}, edge 0 has {w}"
+    )
+
+
+def test_downhill_rejects_a_vertex_with_no_way_down():
+    # on P_3 with sink 2, vertex 0's one neighbour is farther from the sink
+    space = MetricSpace.from_rows(((0, 3, 1), (3, 0, 5), (1, 5, 0)))
+    family = types.SimpleNamespace(graph=path_graph(3), metric_space=lambda: space, source=1, sink=2)
+    with pytest.raises(ValidationError, match="^vertex 0 has no neighbor closer to the sink$"):
+        downhill_walk(family)
 
 
 @st.composite

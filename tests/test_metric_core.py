@@ -181,6 +181,16 @@ def test_geodesics_refuse_another_graphs_table():
     scaled = apsp(cycle(4)).scaled(2)
     with pytest.raises(ValidationError, match="shorter"):
         enumerate_geodesic_paths(cycle(4), 0, 2, space=scaled)
+    # tables below the graph's distances, which no edge undercuts
+    for low in (apsp(cycle(4)).scaled(F(1, 2)), MetricSpace(np.zeros((4, 4), dtype=np.int64))):
+        with pytest.raises(ValidationError, match="row 0 is not the distances from 0"):
+            enumerate_geodesic_paths(cycle(4), 0, 2, space=low)
+    # C_6 with d(0, 4) = 4: each vertex has a tight in-arc in row 0 and no
+    # edge undercuts, but the arc 5 -> 4 shortcuts the row
+    num = apsp(cycle(6)).num.copy()
+    num[0, 4] = num[4, 0] = 4
+    with pytest.raises(ValidationError, match="row 0 is not the distances from 0"):
+        enumerate_geodesic_paths(cycle(6), 0, 4, space=MetricSpace(num))
     paths = enumerate_geodesic_paths(cycle(4), 0, 2, space=apsp(cycle(4)))
     assert [(p.vertices, p.ticks, p.scale) for p in paths] == [
         ((0, 1, 2), (0, 1, 2), 1),

@@ -55,6 +55,7 @@ from _oracles import (
     verify_bush_fractions,
     verify_delta_tree_fractions,
     tree_vectors,
+    vertex_at,
     vertex_pairs,
 )
 
@@ -263,8 +264,8 @@ def test_recombination_closure_d2():
 def test_oracle_respects_controls(family3):
     controls = [F(1, 2)]
     resp = family3.respond(0, controls)
-    there = family3.vertex_at(0, F(1, 2))
-    assert family3.vertex_at(resp.geodesic, F(1, 2)) == there
+    there = vertex_at(family3, 0, F(1, 2))
+    assert vertex_at(family3, resp.geodesic, F(1, 2)) == there
     assert F(1, 2) in resp.q_params
     assert resp.total >= thickness_alpha(family3, 1).alpha
 
