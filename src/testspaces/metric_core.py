@@ -28,6 +28,13 @@ FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
 TRIANGLE_BLOCK = 2**12  # triples per verify_metric pass (small temporaries)
 VIOLATION_CAP = 1000  # violations listed by verify_metric
 TABLE_ENTRY_CAP = 2**26  # n^2 entries of one distance table (n <= 8192)
+# row b: the 8 bits of byte b, low bit first, as lanes of uint64 words (one of uint8 lanes, two of uint16)
+SPREAD = {
+    lane: np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    .astype(lane)
+    .view(np.uint64)
+    for lane in (np.uint8, np.uint16)
+}
 
 
 @dataclass(frozen=True)
@@ -302,42 +309,61 @@ def _dijkstra(indptr: list, targets: list, lengths: list, src: int) -> list:
 
 
 def _hop_counts(graph: WeightedGraph) -> np.ndarray:
-    """Edge counts of the shortest paths between all pairs, as a flat int64
-    array indexed source * n + vertex.  Raises DisconnectedGraphError naming
-    the first unreachable pair in that order.
+    """Edge counts of the shortest paths between all pairs, as a symmetric
+    n x n table of uint8 (diameter below 256) or uint16.  Raises
+    DisconnectedGraphError naming the first unreachable (source, vertex)
+    pair in row-major order: source 0 and the first vertex it misses.
 
-    One breadth-first sweep from every source at once.  Level 1 is the arcs
-    themselves (a WeightedGraph has no loops or repeated edges).  Each later
-    round expands the frontier, the flat pairs reached last, through the
-    graph's CSR arcs, so every reached pair is expanded once.
+    One breadth-first search from all sources at once over packed source
+    sets (Then et al., PVLDB 2014).  Each vertex holds two rows of
+    ceil(n / 64) uint64 words, one bit per source: its frontier (the
+    sources that reached it at the last level) and its unreached set.  A
+    level gathers the frontier rows of the arcs' targets, ORs each vertex's
+    arcs together with one reduceat and keeps the bits still unreached:
+    O(|E| n / 64) word operations.  A vertex without arcs gets an arc to
+    itself, which reaches nothing new, since an empty reduceat segment
+    would read the next segment's first row.
+
+    The counts are kept in binary: plane i holds the pairs reached at a
+    level with bit i set (at most 13 planes under TABLE_ENTRY_CAP).  Those
+    levels come in runs and the unreached set only shrinks, so plane i is
+    the XOR of the unreached sets at the levels where bit i flips.  Each
+    byte of a plane, 8 sources, is decoded through SPREAD into 8 lanes of
+    one or two uint64 words.
     """
-    n, tails, deg = graph.size, graph.targets, np.diff(graph.indptr)
-    end = graph.indptr[1:]  # arcs end[v] - deg[v] ... end[v] - 1 leave v
-    heads = np.arange(n).repeat(deg)
-    step = tails - heads  # the arc v -> w takes pair (s, v) to (s, w) = flat + w - v
-    shift = (n * tails.size).bit_length()  # a level stamps fewer than n * 2|E| pairs
-    hops = np.full(n * n, -1, dtype=np.int64)
-    hops[:: n + 1] = 0
-    frontier = heads * n + tails
-    hops[frontier] = 1 << shift
-    left, level = n * n - n - frontier.size, 1
-    while left and frontier.size:
+    n, indptr, words = graph.size, graph.indptr, -(-graph.size // 64)
+    targets, starts = graph.targets, indptr[:-1]
+    lone = np.flatnonzero(indptr[1:] == starts)
+    if lone.size:
+        targets = np.insert(targets, starts[lone], lone)
+        starts = starts + lone.searchsorted(np.arange(n))
+    front = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1, bitorder="little").view(np.uint64)
+    left, level = ~front, 0  # left keeps the padding bits past n; they cancel in the planes
+    planes = [np.zeros_like(front)]  # plane 0 exists even when no level runs (n = 1)
+    while True:
+        reached = np.bitwise_or.reduceat(front.take(targets, axis=0), starts, axis=0)
+        reached &= left
+        if not np.count_nonzero(reached):
+            break
         level += 1
-        vert = frontier % n
-        d = deg[vert]
-        top = d.cumsum()
-        arcs = (end[vert] - top).repeat(d) + np.arange(top[-1])
-        cand = frontier.repeat(d) + step[arcs]
-        cand = cand[hops[cand] < 0]
-        # de-duplicate without sorting: stamp each candidate's slot with a distinct
-        # mark level << shift | i (< 2^53 under the cap); one copy reads its mark back
-        mark = np.arange(level << shift, (level << shift) + cand.size)
-        hops[cand] = mark
-        frontier = cand[hops[cand] == mark]
-        left -= frontier.size
-    if left:
-        raise DisconnectedGraphError(*divmod(int(np.argmin(hops)), n))
-    return hops >> shift
+        for i in range((level ^ (level - 1)).bit_length()):  # the bits that flip at this level
+            if i == len(planes):
+                planes.append(left.copy())
+            else:
+                planes[i] ^= left
+        left ^= reached
+        front = reached
+    for i in range(level.bit_length()):  # close the runs of levels still open
+        if level >> i & 1:
+            planes[i] ^= left
+    lane = np.uint8 if level < 256 else np.uint16  # one lane per source
+    hops = SPREAD[lane].take(planes[0].view(np.uint8), axis=0)
+    for i, plane in enumerate(planes[1:], 1):
+        hops |= (SPREAD[lane] << i).take(plane.view(np.uint8), axis=0)
+    hops = hops.view(lane).reshape(n, 64 * words)[:, :n]
+    if np.count_nonzero(hops[0]) < n - 1:  # source 0 missed a vertex
+        raise DisconnectedGraphError(0, int(hops[0, 1:].argmin()) + 1)
+    return hops
 
 
 def apsp(graph: WeightedGraph) -> MetricSpace:
@@ -345,8 +371,9 @@ def apsp(graph: WeightedGraph) -> MetricSpace:
 
     The search reads the graph's integer CSR lengths over its scale.  When
     they are all one integer p, the numerators are p times the hop counts
-    of one all-sources breadth-first sweep; otherwise Dijkstra runs on the
-    integer lengths, and its distances are the numerators.
+    of one breadth-first search from all sources at once over packed
+    source sets (`_hop_counts`); otherwise Dijkstra runs on the integer
+    lengths, and its distances are the numerators.
     Raises DisconnectedGraphError naming an unreachable pair, and
     CapExceededError before the search when the table would exceed
     TABLE_ENTRY_CAP entries.
@@ -355,7 +382,8 @@ def apsp(graph: WeightedGraph) -> MetricSpace:
     check_table_size(n, "the graph")
     if not lengths.size or (lengths == lengths[0]).all():
         p = int(lengths[0]) if lengths.size else 1
-        num = _hop_counts(graph).reshape(n, n).astype(lengths.dtype, copy=False) * p
+        num = _hop_counts(graph).astype(lengths.dtype)
+        num *= p  # in place: one n x n table of lengths.dtype
     else:
         arcs, rows = (graph.indptr.tolist(), graph.targets.tolist(), lengths.tolist()), []
         for src in range(n):

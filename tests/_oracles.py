@@ -2,10 +2,11 @@
 
 Each one recomputes a quantity by a route disjoint from the library code it
 checks: Floyd-Warshall (numpy min-plus steps) and Fraction-valued Dijkstra
-for shortest paths, nested Fraction tuples for subspaces and rescaled
-metrics, Nelder-Mead coordinate search for optimal euclidean distortion,
-full outcome enumeration for the short downward tree walk and a Fraction
-term table for the longer ones, dense Fraction matrix powers for the
+for shortest paths, the flat-pair breadth-first sweep for hop counts,
+nested Fraction tuples for subspaces and rescaled metrics, Nelder-Mead
+coordinate search for optimal euclidean distortion, full outcome
+enumeration for the short downward tree walk and a Fraction term table
+for the longer ones, dense Fraction matrix powers for the
 Markov convexity sums, every (k, t) term re-simulated
 from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), a scan of every padded column for the
@@ -66,6 +67,39 @@ def floyd_warshall(n, edges):
         [Fraction(int(dist[i, j]), scale) if reached[i, j] else None for j in range(n)]
         for i in range(n)
     ]
+
+
+def flat_pair_hop_counts(graph):
+    """Edge counts of the shortest paths between all pairs, as an n x n int64
+    table with -1 where unreachable, by a breadth-first sweep over flat
+    (source, vertex) pairs, not over packed source sets.  Level 1 is the
+    arcs themselves; each later round expands the pairs reached last
+    through the graph's CSR arcs, and de-duplicates the candidates by
+    stamping a distinct mark level << shift | i into each one's slot and
+    keeping the copy that reads its own mark back."""
+    n, tails, deg = graph.size, graph.targets, np.diff(graph.indptr)
+    end = graph.indptr[1:]  # arcs end[v] - deg[v] ... end[v] - 1 leave v
+    heads = np.arange(n).repeat(deg)
+    step = tails - heads  # the arc v -> w takes pair (s, v) to (s, w) = flat + w - v
+    shift = (n * tails.size).bit_length()  # a level stamps fewer than n * 2|E| pairs
+    hops = np.full(n * n, -1, dtype=np.int64)
+    hops[:: n + 1] = 0
+    frontier = heads * n + tails
+    hops[frontier] = 1 << shift
+    left, level = n * n - n - frontier.size, 1
+    while left and frontier.size:
+        level += 1
+        vert = frontier % n
+        d = deg[vert]
+        top = d.cumsum()
+        arcs = (end[vert] - top).repeat(d) + np.arange(top[-1])
+        cand = frontier.repeat(d) + step[arcs]
+        cand = cand[hops[cand] < 0]
+        mark = np.arange(level << shift, (level << shift) + cand.size)
+        hops[cand] = mark
+        frontier = cand[hops[cand] == mark]
+        left -= frontier.size
+    return (hops >> shift).reshape(n, n)  # -1 stays -1
 
 
 def adjacency(graph):

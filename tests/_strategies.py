@@ -50,6 +50,30 @@ def one_length_graph(draw, connected=True):
     return WeightedGraph(graph.vertices, tuple(edges))
 
 
+def one_length_graph_across_words(draw, connected=True):
+    """A graph with one drawn edge length num/den (num in 1..12, den in
+    1..4) on n vertices, n drawn across the 64-bit word boundaries of apsp's
+    packed source sets.  Vertex i hangs off one of the `reach` vertices
+    before it (reach 1 gives a path), plus up to 8 extra edges.  Unless
+    `connected`, every edge at a few drawn vertices is dropped, leaving
+    them isolated, and then a random subset of the rest is kept (perhaps
+    none)."""
+    n = draw(st.sampled_from((1, 2, 63, 64, 65, 127, 128, 129)))
+    reach = draw(st.integers(1, max(1, n - 1)))
+    edges = {(draw(st.integers(max(0, i - reach), i - 1)), i) for i in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    if not connected:
+        isolated = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        edges = {e for e in edges if not isolated & set(e)}
+        keep = draw(st.sampled_from(["all", "none", "some"]))
+        if keep != "all":
+            edges = {e for e in sorted(edges) if keep == "some" and draw(st.booleans())}
+    length = F(draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+    return WeightedGraph(tuple(PointId(i) for i in range(n)), tuple((u, v, length) for u, v in sorted(edges)))
+
+
 def exact_positive_numbers():
     """Positive ints, past int64 too, and positive Fractions with
     denominators up to 3^40."""

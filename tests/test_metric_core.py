@@ -26,6 +26,7 @@ from testspaces.metric_core import (
 
 from _oracles import (
     apsp_fraction_rows,
+    flat_pair_hop_counts,
     floyd_warshall,
     geodesic_paths_fractions,
     restrict_rows,
@@ -37,6 +38,7 @@ from _strategies import (
     is_exact,
     numbers_of_every_kind,
     one_length_graph,
+    one_length_graph_across_words,
     random_connected_graph,
 )
 
@@ -238,6 +240,54 @@ def test_apsp_on_one_edge_length_names_the_first_unreachable_pair(data):
     with pytest.raises(DisconnectedGraphError) as exc:
         apsp(graph)
     assert exc.value.pair == unreachable[0]
+
+
+def _check_packed_search(graph):
+    """apsp on a one-length graph gives the flat-pair sweep's hop counts
+    times the length, and Floyd-Warshall's distances, in int64; or it
+    raises for the first pair that both oracles find unreachable."""
+    n, hops = graph.size, flat_pair_hop_counts(graph)
+    fw = floyd_warshall(n, graph.edges)
+    missed = [tuple(p) for p in np.argwhere(hops < 0).tolist()]
+    assert missed == [(i, j) for i in range(n) for j in range(n) if fw[i][j] is None]
+    if missed:
+        with pytest.raises(DisconnectedGraphError) as exc:
+            apsp(graph)
+        assert exc.value.pair == missed[0]
+        return
+    sp = apsp(graph)
+    length = graph.edges[0][2] if graph.edges else 1
+    assert sp.num.dtype == np.int64
+    assert sp.dist == tuple(tuple(h * length for h in row) for row in hops.tolist()) == tuple(map(tuple, fw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_search_matches_the_flat_pair_sweep_across_words(data):
+    _check_packed_search(one_length_graph_across_words(data.draw, connected=data.draw(st.booleans())))
+
+
+def _path_with_isolated(n, isolated):
+    """P_n's edges that avoid the isolated vertices, one length 1/3."""
+    edges = tuple((i, i + 1, F(1, 3)) for i in range(n - 1) if not {i, i + 1} & set(isolated))
+    return WeightedGraph(tuple(PointId(i) for i in range(n)), edges)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        path_graph(256),  # diameter 255: 8 planes, the widest uint8 table
+        path_graph(257),  # diameter 256: the 9th plane
+        path_graph(300),
+        _path_with_isolated(300, [0]),  # source 0 reaches nothing: (0, 1)
+        _path_with_isolated(129, [64]),  # the first bit of the second word
+        _path_with_isolated(129, [128]),  # the last source, alone in its word
+        _path_with_isolated(65, range(65)),  # edgeless across a word boundary
+    ],
+    ids=["P256", "P257", "P300", "P300-0", "P129-64", "P129-128", "edgeless-65"],
+)
+def test_packed_search_on_long_paths_and_isolated_vertices(graph):
+    _check_packed_search(graph)
 
 
 @pytest.mark.parametrize(
