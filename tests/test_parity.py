@@ -2,8 +2,9 @@
 
 `parity_digests.json` holds the sha256 of the repr of every result below,
 computed over a fixed input set: the distance tables of the paper's test
-spaces, the distortion of the Fréchet, Bourgain and tent embeddings, the
-RNP pipelines of D_2 and D_3, the delta-tree pipeline at depths 1-5, two
+spaces, the distortion of the Fréchet, Bourgain and tent embeddings,
+`bourgain_distortion` at depths 1-12 (witnesses included), the RNP
+pipelines of D_2 and D_3, the delta-tree pipeline at depths 1-5, two
 delta-bushes that are not trees, the submetric checks, the exact Markov convexity estimates and the CLI `result`
 of the README commands (l2min and Monte Carlo left out) and of
 `rnp lines --depth 5`.  Tables are printed whole, not summarized.
@@ -92,6 +93,8 @@ def _embedding_cases(spaces):
         yield f"distortion/bourgain/{n}", em.distortion(emb)
     emb = em.bourgain_embed(5)
     yield "distortion/bourgain/5-40", em.distortion(_restricted(emb, _subset("b5", emb.space.size, 40)))
+    for n in range(1, 13):
+        yield f"bourgain_distortion/{n}", em.bourgain_distortion(n)
     for n in range(1, 5):
         for weighted in (False, True):
             fam = gen.diamond(n, gen.diamond_weighting()) if weighted else gen.diamond(n)
