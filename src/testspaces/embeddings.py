@@ -343,70 +343,45 @@ def bourgain_embed(n: int) -> Embedding:
     return Embedding(space, read_only(table), NormedTarget("summing", depth.size))
 
 
-_PAIR_BLOCK = 2**14  # label pairs per bourgain_distortion block
-
-
 def bourgain_distortion(n: int) -> DistortionReport:
     """Exact distortion of the depth-n summing-norm tree embedding.
 
-    For labels a, b below their longest common prefix c by la and lb edges,
-    f(a) - f(b) is +1 at a's ancestors below c and -1 at b's.  These lie in
-    the subtrees of c's two children and phi is the in-order rank, so one
-    side's coordinates all come first: the running sums climb to l, the
-    length on the side with the smaller phi, then fall by the other's, and
-    the summing norm is max(l, la + lb - 2l), also when c is a or b.  Pairs
-    go through in (a, b) order in blocks of _PAIR_BLOCK, with lip and colip
-    reduced block by block, so memory stays bounded."""
+    For labels a < b in tree_labels order below their longest common prefix
+    c by la and lb >= 1 edges, f(a) - f(b) is +1 at a's ancestors below c
+    and -1 at b's.  These lie in the subtrees of c's two children and phi is
+    the in-order rank, so one side's coordinates all come first: the running
+    sums climb to l, the length on the side with the smaller phi, then fall
+    by the other's, and the summing norm is max(l, la + lb - 2l).  That is
+    lb when la = 0, max(la, lb - la) when a lies on c's 0-side (the only
+    side when la = lb) and lb when a lies on its 1-side.  Neither the norm
+    nor the distance la + lb depends on c, so each class (la, lb, side) has
+    its first pair in (a, b) order at c = '': lip and colip are the maxima
+    over those n^2 + 2n pairs, ties to the first, by cross-multiplication."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    tree = _bourgain_tree(n)
-    lip = colip = None  # (norm, distance, pair) of the current maxima
-    for first, second in _pair_blocks(tree[0].size):
-        sup, dist = _pair_norms(tree, first, second)
-        k = _first_max(sup, dist)
-        if lip is None or sup[k] * lip[1] > lip[0] * dist[k]:
-            lip = (int(sup[k]), int(dist[k]), (first[k], second[k]))
-        k = _first_max(dist, sup)
-        if colip is None or dist[k] * colip[0] > colip[1] * sup[k]:
-            colip = (int(sup[k]), int(dist[k]), (first[k], second[k]))
-    labels = tree_labels(n)
-    lip_v, colip_v = Fraction(lip[0], lip[1]), Fraction(colip[1], colip[0])
-    return DistortionReport(
-        lip_v,
-        colip_v,
-        lip_v * colip_v,
-        tuple(labels[a] for a in lip[2]),
-        tuple(labels[a] for a in colip[2]),
-    )
+    check_table_size(2 ** (n + 1) - 1, f"the depth-{n} binary tree")
+    pairs = _bourgain_classes(n)
+    lip = colip = pairs[0]
+    for pair in pairs[1:]:
+        sup, dist = pair[2:]
+        if sup * lip[3] > lip[2] * dist:
+            lip = pair
+        if dist * colip[2] > colip[3] * sup:
+            colip = pair
+    lip_v, colip_v = Fraction(lip[2], lip[3]), Fraction(colip[3], colip[2])
+    return DistortionReport(lip_v, colip_v, lip_v * colip_v, lip[:2], colip[:2])
 
 
-def _pair_norms(tree, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Summing norm and distance of the label pairs first[k] < second[k]."""
-    depth, bits, phi = tree
-    da, db = depth[first], depth[second]
-    # la is the bit length (frexp's exponent) of a XOR b's depth-|a| ancestor
-    la = np.frexp((bits[second] >> (db - da)) ^ bits[first])[1]
-    dist = db - da + 2 * la
-    low = np.where(phi[first] < phi[second], la, dist - la)
-    return np.maximum(low, dist - 2 * low), dist
-
-
-def _pair_blocks(size: int):
-    """Index arrays (a, b) of the pairs a < b of range(size) in (a, b)
-    order, in blocks of whole rows a holding about _PAIR_BLOCK pairs."""
-    start = 0
-    while start < size - 1:
-        stop, count = start, 0
-        while stop < size - 1 and count < _PAIR_BLOCK:
-            count += size - 1 - stop
-            stop += 1
-        heads = np.arange(start, stop)
-        lengths = size - 1 - heads
-        first = np.repeat(heads, lengths)
-        offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        second = first + 1 + np.arange(first.size) - offsets
-        yield first, second
-        start = stop
+def _bourgain_classes(n: int) -> list[tuple[str, str, int, int]]:
+    """(a, b, summing norm, distance) of the first pair of each class
+    (la, lb, side) of bourgain_distortion, with c = '', in (a, b) order."""
+    zeros = lambda k: "0" * k
+    one = lambda k: "1" + "0" * (k - 1)
+    pairs = [("", b, lb, lb) for lb in range(1, n + 1) for b in (zeros(lb), one(lb))]
+    for la in range(1, n + 1):
+        pairs += [(zeros(la), one(lb), max(la, lb - la), la + lb) for lb in range(la, n + 1)]
+        pairs += [(one(la), zeros(lb), lb, la + lb) for lb in range(la + 1, n + 1)]
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,14 @@ class MarkovChain:
 
 @dataclass(frozen=True)
 class MetricMap:
-    """State -> point index of some MetricSpace; total on states."""
+    """State -> point index of some MetricSpace; total on states.  Every
+    entry is an int (not a bool); the estimators check the range."""
 
     point_of_state: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(type(x) is not int for x in self.point_of_state):
+            raise ValidationError("metric map points must be ints")
 
     def __call__(self, state: int) -> int:
         return self.point_of_state[state]

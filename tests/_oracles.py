@@ -18,7 +18,8 @@ from nested tuples on every call for the distortion of stored vectors,
 per-entry products for rescaling, the
 label-prefix formula for tree distances, a sum of one Fraction per letter
 and a sort for the Bourgain labeling, sorted signed ancestor coordinates
-and their running sums for the Bourgain distortion, one Fraction per
+and their running sums for the Bourgain distortion (and the sweep over
+every label pair in blocks that its pair classes replace), one Fraction per
 (vector, j) for the James grid, the original alternating-projection loop
 for the SDP feasibility probe, a depth-first search on Fraction lengths for
 geodesics, one Fraction or float per entry (and csv.writer) for the file
@@ -632,6 +633,71 @@ def bourgain_distortion_sorted(n):
         (labels[first[a]], labels[second[a]]),
         (labels[first[b]], labels[second[b]]),
     )
+
+
+_PAIR_BLOCK = 2**14  # label pairs per bourgain_pair_sweep block
+
+
+def bourgain_pair_sweep(n):
+    """Distortion of the depth-n Bourgain embedding by a sweep over every
+    label pair a < b in (a, b) order, each pair's summing norm and distance
+    by bourgain_pair_norms, in blocks of _PAIR_BLOCK pairs with lip and
+    colip reduced block by block, so memory stays bounded.  Time grows with
+    the 4^n pairs."""
+    from testspaces.embeddings import DistortionReport, _bourgain_tree, _first_max
+    from testspaces.generators import tree_labels
+
+    tree = _bourgain_tree(n)
+    lip = colip = None  # (norm, distance, pair) of the current maxima
+    for first, second in _pair_blocks(tree[0].size):
+        sup, dist = bourgain_pair_norms(tree, first, second)
+        k = _first_max(sup, dist)
+        if lip is None or sup[k] * lip[1] > lip[0] * dist[k]:
+            lip = (int(sup[k]), int(dist[k]), (first[k], second[k]))
+        k = _first_max(dist, sup)
+        if colip is None or dist[k] * colip[0] > colip[1] * sup[k]:
+            colip = (int(sup[k]), int(dist[k]), (first[k], second[k]))
+    labels = tree_labels(n)
+    lip_v, colip_v = Fraction(lip[0], lip[1]), Fraction(colip[1], colip[0])
+    return DistortionReport(
+        lip_v,
+        colip_v,
+        lip_v * colip_v,
+        tuple(labels[a] for a in lip[2]),
+        tuple(labels[a] for a in colip[2]),
+    )
+
+
+def bourgain_pair_norms(tree, first, second):
+    """Summing norm and distance of the label pairs first[k] < second[k] of
+    the Bourgain embedding, tree = (depth, bits, phi) of _bourgain_tree: the
+    running sums of f(a) - f(b) climb to the length below the common prefix
+    on the side with the smaller phi, then fall by the other's."""
+    depth, bits, phi = tree
+    da, db = depth[first], depth[second]
+    # la is the bit length (frexp's exponent) of a XOR b's depth-|a| ancestor
+    la = np.frexp((bits[second] >> (db - da)) ^ bits[first])[1]
+    dist = db - da + 2 * la
+    low = np.where(phi[first] < phi[second], la, dist - la)
+    return np.maximum(low, dist - 2 * low), dist
+
+
+def _pair_blocks(size):
+    """Index arrays (a, b) of the pairs a < b of range(size) in (a, b)
+    order, in blocks of whole rows a holding about _PAIR_BLOCK pairs."""
+    start = 0
+    while start < size - 1:
+        stop, count = start, 0
+        while stop < size - 1 and count < _PAIR_BLOCK:
+            count += size - 1 - stop
+            stop += 1
+        heads = np.arange(start, stop)
+        lengths = size - 1 - heads
+        first = np.repeat(heads, lengths)
+        offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        second = first + 1 + np.arange(first.size) - offsets
+        yield first, second
+        start = stop
 
 
 def pairwise_map_distortion(source, target, mapping):

@@ -112,9 +112,10 @@ def test_criterion_2_monte_carlo_vs_dp():
 
 
 def test_criterion_3_bourgain_uniform_bound():
-    """Exact rational distortion <= 3 for n = 1..10; grid alpha exactly 1/3."""
+    """Exact rational distortion <= 3 for n = 1..12, the largest depth under
+    the table cap; grid alpha exactly 1/3."""
     worst = F(0)
-    for n in range(1, 11):
+    for n in range(1, 13):
         rep = bourgain_distortion(n)
         assert rep.distortion <= 3, f"distortion(F_{n}) = {rep.distortion} > 3"
         worst = max(worst, rep.distortion)
@@ -123,7 +124,7 @@ def test_criterion_3_bourgain_uniform_bound():
     # the minimizing pattern (1, -2): sup of partial sums 1, block sums 1 + 2
     assert F(max(abs(1), abs(1 - 2)), abs(1) + abs(-2)) == F(1, 3)
     assert tuple(sorted(abs(c) for c in james_alpha(2).witness_coeffs)) == (1, 2)
-    _report(3, f"distortion(F_n) <= 3 for n=1..10 (max {worst}); james grid = 1/3")
+    _report(3, f"distortion(F_n) <= 3 for n=1..12 (max {worst}); james grid = 1/3")
 
 
 def test_criterion_4_euclidean_optimum(tree_l2_optimum):

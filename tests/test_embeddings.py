@@ -15,9 +15,9 @@ from testspaces.embeddings import (
     Embedding,
     NormedTarget,
     SubmetricSpace,
+    _bourgain_classes,
     _bourgain_tree,
     _first_max,
-    _pair_norms,
     bourgain_distortion,
     bourgain_embed,
     bourgain_labeling,
@@ -38,6 +38,8 @@ from testspaces.rnp import Martingale, PiecewiseLevel, martingale_check, marting
 from _oracles import (
     bourgain_distortion_sorted,
     bourgain_labeling_fractions,
+    bourgain_pair_norms,
+    bourgain_pair_sweep,
     cycle_tree_all_maps,
     distortion_tuples,
     entry_norm,
@@ -217,7 +219,7 @@ def test_bourgain_sparse_matches_dense(n):
     assert dense.distortion == sparse.distortion
     assert dense.lip == sparse.lip
     assert dense.colip == sparse.colip
-    # same first maximizing pairs, in label form (n = 6 spans several blocks)
+    # same first maximizing pairs, in label form
     labels = emb.space.labels
     assert tuple(labels[i] for i in dense.lip_witness) == sparse.lip_witness
     assert tuple(labels[i] for i in dense.colip_witness) == sparse.colip_witness
@@ -226,6 +228,40 @@ def test_bourgain_sparse_matches_dense(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_bourgain_distortion_matches_sorted_oracle(n):
     assert bourgain_distortion(n) == bourgain_distortion_sorted(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_bourgain_distortion_matches_pair_sweep(n):
+    assert bourgain_distortion(n) == bourgain_pair_sweep(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bourgain_classes_are_first_pairs_with_their_norms(n):
+    # every pair's class (la, lb, side) from its labels; the first pair of
+    # each class in (a, b) order is the class's pair at the root, and that
+    # pair's summing norm and distance in bourgain_embed(n) are the class's
+    emb = bourgain_embed(n)
+    labels = emb.space.labels
+    assert labels == tuple(tree_labels(n))
+
+    def key(a, b):
+        c = 0
+        while c < len(a) and a[c] == b[c]:
+            c += 1
+        return len(a) - c, len(b) - c, (a if c < len(a) else b)[c]
+
+    first = {}
+    for a, b in itertools.combinations(labels, 2):
+        first.setdefault(key(a, b), (a, b))
+    classes = _bourgain_classes(n)
+    assert len(classes) == n * n + 2 * n
+    order = [(labels.index(a), labels.index(b)) for a, b, _, _ in classes]
+    assert order == sorted(order)
+    assert {key(a, b): (a, b) for a, b, _, _ in classes} == first
+    for (_, _, sup, dist), (i, j) in zip(classes, order):
+        diff = tuple(x - y for x, y in zip(emb.vectors[i], emb.vectors[j]))
+        assert norm(emb.target, diff) == sup
+        assert emb.space.d(i, j) == dist
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -238,7 +274,7 @@ def test_bourgain_pair_norms_closed_form(n):
     pairs = itertools.combinations(range(size), 2)
     pairs = sorted(random.Random(n).sample(list(pairs), min(300, size * (size - 1) // 2)))
     first, second = (np.array(x) for x in zip(*pairs))
-    sup, dist = _pair_norms(_bourgain_tree(n), first, second)
+    sup, dist = bourgain_pair_norms(_bourgain_tree(n), first, second)
     for (a, b), s, d in zip(pairs, sup.tolist(), dist.tolist()):
         diff = tuple(x - y for x, y in zip(emb.vectors[a], emb.vectors[b]))
         assert s == norm(emb.target, diff)

@@ -10,8 +10,9 @@ the Markov module seeds one Monte Carlo block loop and nothing else,
 numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
 fallback, every library function the benchmark traces by name still
 exists, `norm` measures with the row kernels of `distortion`, no
-tree-label prefix formula stands beside the tree space, and caps are module
-constants, not per-call options."""
+tree-label prefix formula stands beside the tree space, the Bourgain
+distortion sweeps no label pairs, and caps are module constants, not
+per-call options."""
 
 import ast
 import importlib
@@ -526,6 +527,17 @@ def test_norm_and_tree_metric_have_one_route():
     sample = "def norm(t, v):\n    s = sum(abs(x) for x in v)\n    for x in v:\n        s = max(s, x)\n"
     assert entry_work(sample, "norm") == [(2, "loop"), (2, "sum"), (3, "loop")]
     assert [path.name for path in sorted(SRC.glob("*.py")) if "common_prefix" in path.read_text()] == []
+
+
+def test_bourgain_distortion_sweeps_no_pairs():
+    # bourgain_distortion reduces over its n^2 + 2n pair classes; the sweep
+    # over every label pair in blocks is the test oracle's, not the library's
+    swept = ("_pair_blocks", "_PAIR_BLOCK")
+    oracles = Path(__file__).with_name("_oracles.py").read_text()
+    assert all(name in oracles for name in swept)
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert [name for name in swept if name in text] == [], path.name
 
 
 # the thickness constant's control budget is the paper's quantity, not a cap

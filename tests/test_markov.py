@@ -95,6 +95,33 @@ def test_metric_map_is_checked(estimator, points, match):
         _ESTIMATORS[estimator](_HALF_CHAIN, MetricMap(points), _two_point_space())
 
 
+@pytest.mark.parametrize("points", [(0, 1.0), (0, F(1)), (3.5, 0), (0, True), (False, 1)])
+def test_metric_map_refuses_non_ints(points):
+    """A float, Fraction or bool point is refused when the map is built,
+    not left to fail as an index inside an estimator."""
+    with pytest.raises(ValidationError, match="must be ints"):
+        MetricMap(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(numbers_of_every_kind() | st.integers(0, 1), min_size=1, max_size=3))
+def test_metric_map_entries_of_every_kind(points):
+    """Floats (NaN and +-inf too), Fractions and bools are refused at
+    construction; ints, past int64 too, build a map that both estimators
+    accept or refuse by range and cover, never with another error."""
+    if not all(type(x) is int for x in points):
+        with pytest.raises(ValidationError, match="must be ints"):
+            MetricMap(tuple(points))
+        return
+    mmap = MetricMap(tuple(points))
+    for estimator in _ESTIMATORS.values():
+        if len(points) == 2 and all(0 <= x < 2 for x in points):
+            estimator(_HALF_CHAIN, mmap, _two_point_space())
+        else:
+            with pytest.raises(ValidationError, match="cover|range"):
+                estimator(_HALF_CHAIN, mmap, _two_point_space())
+
+
 def test_constant_map_gives_zero():
     chain = MarkovChain((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)
     space = _two_point_space()
