@@ -4,7 +4,7 @@ reproducible, file-based workflows.
 Every run prints one JSON report to stdout: the exact config used, the
 result payload, and timing metadata.  Identical configs (including seeds)
 produce byte-identical payloads; only meta.elapsed_s varies.  Exit codes:
-0 ok, 2 validation error, 3 cap exceeded, 4 undecided numerical status.
+0 ok, 2 validation error, 3 cap exceeded, 4 undecided (a NaN result too).
 """
 
 from __future__ import annotations
@@ -57,8 +57,21 @@ def main(argv=None) -> int:
         "result": result,
         "meta": {"version": __version__, "elapsed_s": round(time.perf_counter() - started, 6)},
     }
-    print(json.dumps(report, sort_keys=True))
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:  # JSON has no NaN or infinity, and a result must not hold one
+        message = f"{_non_finite(result, 'result')} is not a finite number"
+        return _fail(args.command, config, "undecided", message, EXIT_UNDECIDED)
+    print(text)
     return 0
+
+
+def _non_finite(value, path: str):
+    """The dotted path of the first NaN or infinity in a report value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = sorted(value.items()) if isinstance(value, dict) else enumerate(value) if isinstance(value, (list, tuple)) else ()
+    return next(filter(None, (_non_finite(v, f"{path}.{k}") for k, v in items)), None)
 
 
 def _fail(command, config, kind, message, code) -> int:

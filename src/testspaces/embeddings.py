@@ -392,7 +392,7 @@ def _bourgain_classes(n: int) -> list[tuple[str, str, int, int]]:
 class SubmetricSpace:
     """Finite subset of l1 with the active-pair predicate
     ||x - y||_1 <= Delta ||x - y||_s.  The points are one exact
-    RationalTable, `entries`, a row per point; `points` is a view."""
+    RationalTable, `entries`, a row per point."""
 
     entries: RationalTable
     delta: Fraction
@@ -406,7 +406,6 @@ class SubmetricSpace:
             raise ValidationError(f"Delta must be a rational >= 1, got {delta!r}")
         vars(self).update(entries=entries, delta=delta)
 
-    points = cached_property(lambda self: self.entries.rows())
     size = property(lambda self: self.entries.num.shape[0])
     dim = property(lambda self: self.entries.num.shape[1])
 

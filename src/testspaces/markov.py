@@ -5,14 +5,16 @@ with a branched copy per split time; for the downward tree walk, one
 first-disagreement draw per split time instead; both on blocks of samples
 with their own substreams), and the built-in walks (downward tree walk,
 downhill diamond/Laakso walks, lazy path walk).
-A chain is given by rows of its moves, (v, P(u, v)) pairs with P(u, v) > 0,
-and checked and turned once into one CSR table of integer weights over one
-denominator D, which the DP and the Monte Carlo tables read.  One
-breadth-first pass over that table finds the states reachable within the
-horizon, and both modes build their d^p table over those states' points
-only.  The Monte Carlo stepper pads each row to a power-of-two width,
-holds each state as its row offset (state * width), and takes a move by a
-branchless binary search over the row's running sums.
+A chain is one CSR table, checked once by its constructor: each state's
+moves, to increasing targets, with positive integer weights over one
+denominator D; the built-in walks, all uniform choices, build it in
+integers from their out-degrees.  The DP and the Monte Carlo tables read
+that table.  One breadth-first pass over it finds the states reachable
+within the horizon, and both modes build their d^p table over those
+states' points only.  The Monte Carlo stepper pads each row to a
+power-of-two width, holds each state as its row offset (state * width),
+and takes a move by a branchless binary search over the row's running
+sums.
 
 Time window: t runs over 1..T and k over 0..ceil(log2 T) with the chain
 frozen at its start state for t <= 0.  The truncated left-hand sum is a
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .generators import RecursiveFamily, binary_tree
-from .metric_core import TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_table_size, read_only
+from .metric_core import INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_table_size, read_only
 
 TREE_VERTEX_CAP = 100_000
 # bit operations of the exact tree pass, T (T + p ceil(log2 2T)): at p = 2,
@@ -41,45 +43,50 @@ TREE_VERTEX_CAP = 100_000
 TREE_BIT_WORK_CAP = 2**31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovChain:
-    """Finite chain on states 0..n-1: transition[u] holds the (v, P(u, v))
-    pairs with P(u, v) > 0 an int or Fraction, v strictly increasing, summing
-    to exactly 1;
-    start state; horizon T (time runs 1..T; the chain sits at `start` for t <= 0).
-    The rows are turned once into the CSR table every reader uses: moves
-    indptr[u] .. indptr[u + 1] - 1 leave u, to targets, with weights over D."""
+    """Finite chain on states 0..n-1 as one CSR table: the moves
+    indptr[u] .. indptr[u + 1] - 1 leave u, to strictly increasing targets
+    in range(n), with positive integer weights (an integer or object array
+    of ints) over the positive int D, and each row's weights sum to D;
+    start state; horizon T (time runs 1..T; the chain sits at `start` for
+    t <= 0).  The arrays are copied and stored read-only."""
 
-    transition: tuple[tuple[tuple[int, Fraction], ...], ...]
+    indptr: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    D: int
     start: int
     horizon: int
 
     def __post_init__(self):
-        n = len(self.transition)
+        indptr, targets, weights = (np.array(a) for a in (self.indptr, self.targets, self.weights))
+        # [-1] and -1 stand for an indptr and targets that are not 1-D ints
+        indptr = indptr.astype(np.int64) if indptr.ndim == 1 and indptr.dtype.kind in "iu" else np.array([-1])
+        n = len(indptr) - 1
+        if n < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any() or not indptr[-1] == targets.size == weights.size:
+            raise ValidationError("indptr must rise from 0 to len(targets) = len(weights)")
         if not (0 <= self.start < n):
             raise ValidationError("start state out of range")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
-        moves = list(itertools.chain.from_iterable(self.transition))
-        indptr = np.array([0, *itertools.accumulate(map(len, self.transition))])
         row = np.arange(n).repeat(np.diff(indptr))  # the row of each move
-        # -1 marks a target that is no int in range(n); row-major keys of the rest increase iff rows do
-        targets = np.array([v if type(v) is int and 0 <= v < n else -1 for v, _ in moves], dtype=np.int64)
-        bad = np.append(False, np.diff(targets + n * row) <= 0) | (targets < 0)
+        targets = targets.astype(np.int64) if targets.ndim == 1 and targets.dtype.kind in "iu" else np.full(len(row), -1)
+        # row-major keys of in-range targets increase iff they do within rows
+        bad = np.append(False, np.diff(targets + n * row) <= 0) | (targets < 0) | (targets >= n)
         if bad.any():
             raise ValidationError(f"targets of row {row[bad.argmax()]} must increase within range({n})")
-        inexact = [type(q) is not int and not isinstance(q, Fraction) for _, q in moves]
-        if any(inexact):
-            u = row[np.argmax(inexact)]
-            raise ValidationError(f"row {u} has a probability that is not an int or Fraction")
-        table = RationalTable([[q for _, q in moves]], 1, len(moves))  # so that the running sums fit
-        weights, D = table.num[0], table.scale
+        ints = weights.dtype.kind in "iu" or weights.dtype == object and all(type(w) is int for w in weights.flat)
+        if weights.ndim != 1 or not ints or type(self.D) is not int:
+            raise ValidationError("weights and D must be integers")
         if (weights <= 0).any():
             raise ValidationError(f"non-positive probability in row {row[(weights <= 0).argmax()]}")
-        sums = np.diff(np.concatenate(([0], weights.cumsum()))[indptr])
-        if (sums != D).any():
-            raise ValidationError(f"row {(sums != D).argmax()} does not sum to 1 exactly")
-        vars(self).update(indptr=read_only(indptr), targets=read_only(targets), weights=weights, D=D)
+        # the running sums as Python ints where int64 might overflow
+        sums = weights if len(weights) * int(weights.max(initial=0)) <= INT64_MAX else weights.astype(object)
+        sums = np.diff(np.concatenate(([0], sums.cumsum()))[indptr])
+        if self.D < 1 or (sums != self.D).any():
+            raise ValidationError(f"row {(sums != self.D).argmax()} does not sum to 1 exactly")
+        vars(self).update(indptr=read_only(indptr), targets=read_only(targets), weights=read_only(weights))
 
     @property
     def n_states(self) -> int:
@@ -444,6 +451,14 @@ class WalkBundle:
     space: MetricSpace
 
 
+def _uniform_chain(indptr: np.ndarray, targets: np.ndarray, start: int, horizon: int) -> MarkovChain:
+    """The chain that moves from u to each of its targets with probability
+    1 / deg(u): weight D // deg(u), D the lcm of the out-degrees."""
+    deg = np.diff(indptr)
+    D = math.lcm(*set(deg.tolist()))
+    return MarkovChain(indptr, targets, (D // deg).repeat(deg), D, start, horizon)
+
+
 def downward_tree_walk(m: int) -> WalkBundle:
     """Downward random walk on T_{2^m}: root start, each non-leaf moves to a
     uniformly random child, leaves absorbing, horizon 2^m.
@@ -463,10 +478,10 @@ def downward_tree_walk(m: int) -> WalkBundle:
     space = apsp(binary_tree(depth))
     # vertices in tree_labels order: the root is 0, the children of i are
     # 2i + 1 and 2i + 2, and the leaves (absorbing) are the last 2^depth
-    half, inner, n = Fraction(1, 2), 2**depth - 1, space.size
-    rows = tuple(((2 * i + 1, half), (2 * i + 2, half)) for i in range(inner))
-    rows += tuple(((i, Fraction(1)),) for i in range(inner, n))
-    return WalkBundle(MarkovChain(rows, 0, depth), MetricMap(tuple(range(n))), space)
+    inner, n = 2**depth - 1, space.size
+    indptr = np.concatenate((np.arange(0, 2 * inner, 2), np.arange(2 * inner, inner + n + 1)))
+    targets = np.concatenate((np.arange(1, 2 * inner + 1), np.arange(inner, n)))
+    return WalkBundle(_uniform_chain(indptr, targets, 0, depth), MetricMap(tuple(range(n))), space)
 
 
 def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
@@ -566,17 +581,11 @@ def downhill_walk(
     heads = np.arange(n).repeat(np.diff(graph.indptr))
     down = to_sink[graph.targets] < to_sink[heads]
     count = np.bincount(heads[down], minlength=n)
-    stuck = count == 0
-    stuck[sink] = False
-    if stuck.any():
-        raise ValidationError(f"vertex {stuck.argmax()} has no neighbor closer to the sink")
-    targets, ends = graph.targets[down].tolist(), [0, *itertools.accumulate(count.tolist())]
-    count[sink] = 1  # the sink is absorbing
-    share = {k: Fraction(1, k) for k in set(count.tolist())}
-    rows = []
-    for u, (a, b) in enumerate(itertools.pairwise(ends)):
-        rows.append(((u, share[1]),) if u == sink else tuple((v, share[b - a]) for v in targets[a:b]))
-    chain = MarkovChain(tuple(rows), family.source, T)
+    count[sink] = 1  # the sink is absorbing: one move, to itself
+    if (count == 0).any():
+        raise ValidationError(f"vertex {(count == 0).argmax()} has no neighbor closer to the sink")
+    targets = np.insert(graph.targets[down], count[:sink].sum(), sink)
+    chain = _uniform_chain(np.concatenate(([0], count.cumsum())), targets, family.source, T)
     return WalkBundle(chain, MetricMap(tuple(range(n))), space)
 
 
@@ -590,7 +599,7 @@ def lazy_path_walk(T: int) -> WalkBundle:
     check_table_size(T + 1, "the graph")
     points = np.arange(T + 1)
     space = MetricSpace(read_only(abs(points[:, None] - points)), 1, (None,) * (T + 1))
-    half = Fraction(1, 2)
-    rows = tuple(((i, half), (i + 1, half)) for i in range(T)) + (((T, Fraction(1)),),)
-    chain = MarkovChain(rows, 0, T)
+    # state i < T moves to i and i + 1, and T to itself
+    indptr = np.append(np.arange(0, 2 * T + 1, 2), 2 * T + 1)
+    chain = _uniform_chain(indptr, np.arange(1, 2 * T + 2) // 2, 0, T)
     return WalkBundle(chain, MetricMap(tuple(range(T + 1))), space)

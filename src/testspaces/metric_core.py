@@ -75,7 +75,9 @@ class RationalTable:
                 raise ValidationError("a float table takes finite entries and scale 1")
             num = data.astype(float, copy=copy)
         else:
-            g = math.gcd(scale, int(np.gcd.reduce(data, axis=None)))  # scale when data is all 0
+            # gcd(scale, table) divides gcd(scale, row 0): the table is read only when that exceeds 1
+            g = math.gcd(scale, int(np.gcd.reduce(data[:1], axis=None))) if scale > 1 else 1
+            g = math.gcd(g, int(np.gcd.reduce(data, axis=None))) if g > 1 else g  # scale when data is all 0
             if g > 1 and data.any():
                 data, copy = data // g, False
             scale //= g

@@ -7,7 +7,8 @@ nested Fraction tuples for subspaces and rescaled metrics, Nelder-Mead
 coordinate search for optimal euclidean distortion, full outcome
 enumeration for the short downward tree walk and a Fraction term table
 for the longer ones, dense Fraction matrix powers for the
-Markov convexity sums, every (k, t) term re-simulated
+Markov convexity sums, Fraction transition rows converted to a chain's
+integer table for the built-in walks, every (k, t) term re-simulated
 from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), a scan of every padded column for the
 Monte Carlo step, word-product enumeration for
@@ -245,17 +246,70 @@ def heisenberg_ball_by_words(r):
     return lengths
 
 
+def chain_from_rows(rows, start, horizon):
+    """The MarkovChain of transition rows: rows[u] holds the (v, P(u, v))
+    pairs with P(u, v) > 0 an int or Fraction, v strictly increasing,
+    summing to exactly 1.  The rows are turned into one CSR table of
+    integer weights over the lcm of their denominators (int64 where the
+    running sums fit, else Python ints); a probability that is no int or
+    Fraction is refused with its row, and the chain's constructor refuses
+    the rest."""
+    from testspaces.errors import ValidationError
+    from testspaces.markov import MarkovChain
+    from testspaces.metric_core import RationalTable
+
+    n = len(rows)
+    moves = list(itertools.chain.from_iterable(rows))
+    indptr = np.array([0, *itertools.accumulate(map(len, rows))])
+    # -1 marks a target that is no int in range(n), for the constructor to refuse
+    targets = np.array([v if type(v) is int and 0 <= v < n else -1 for v, _ in moves], dtype=np.int64)
+    for u, row in enumerate(rows):
+        if any(type(q) is not int and not isinstance(q, Fraction) for _, q in row):
+            raise ValidationError(f"row {u} has a probability that is not an int or Fraction")
+    table = RationalTable([[q for _, q in moves]], 1, len(moves))  # so that the running sums fit
+    return MarkovChain(indptr, targets, table.num[0], table.scale, start, horizon)
+
+
+def tree_walk_rows(m):
+    """Fraction rows of the downward walk on T_{2^m} (vertices in
+    tree_labels order): 1/2 to each child, leaves absorbing."""
+    inner, n = 2 ** 2**m - 1, 2 ** (2**m + 1) - 1
+    half = Fraction(1, 2)
+    return tuple(((2 * i + 1, half), (2 * i + 2, half)) for i in range(inner)) + tuple(
+        ((i, Fraction(1)),) for i in range(inner, n)
+    )
+
+
+def downhill_walk_rows(family):
+    """Fraction rows of the downhill walk: from u != sink, 1/k to each of
+    its k neighbours strictly closer to the sink; the sink is absorbing."""
+    graph, space, sink = family.graph, family.metric_space(), family.sink
+    rows = []
+    for u in range(graph.size):
+        nbrs = graph.targets[graph.indptr[u] : graph.indptr[u + 1]].tolist()
+        down = sorted(v for v in nbrs if space.d(v, sink) < space.d(u, sink))
+        rows.append(((u, Fraction(1)),) if u == sink else tuple((v, Fraction(1, len(down))) for v in down))
+    return tuple(rows)
+
+
+def lazy_path_walk_rows(T):
+    """Fraction rows of the lazy path walk on 0..T: stay or move right with
+    probability 1/2 each, T absorbing."""
+    half = Fraction(1, 2)
+    return tuple(((i, half), (i + 1, half)) for i in range(T)) + (((T, Fraction(1)),),)
+
+
 def dense_exact_convexity(chain, mmap, space, p):
     """Markov convexity sums (lhs, rhs) by dense Fraction lists of P^j for
     every j <= T, pi_s, and the pair table w_j for every start state; the
-    dense P is filled in from the chain's (v, P(u, v)) rows."""
+    dense P is filled in from the chain's CSR moves, weights[k] / D."""
     n = chain.n_states
     T = chain.horizon
     kmax = math.ceil(math.log2(T)) if T > 1 else 0
     P = [[Fraction(0)] * n for _ in range(n)]
-    for u, row in enumerate(chain.transition):
-        for v, q in row:
-            P[u][v] = q
+    for u in range(n):
+        for k in range(chain.indptr[u], chain.indptr[u + 1]):
+            P[u][chain.targets[k]] = Fraction(int(chain.weights[k]), chain.D)
     dp = [[space.d(mmap(a), mmap(b)) ** p for b in range(n)] for a in range(n)]
 
     powers = [None, P]

@@ -318,6 +318,37 @@ def test_apsp_rejects_empty_graph(tmp_path, capsys):
     assert "at least one vertex" in rep["error"]["message"]
 
 
+def _equilateral_csv(n, d):
+    return "".join(",".join("0" if i == j else str(d) for j in range(n)) + "\n" for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, field",
+    [
+        (["l2min"], {"space": _equilateral_csv(2, 10**300)}, "result.verified_distortion"),
+        (["l2min"], {"space": _equilateral_csv(4, 10**160)}, "result.verified_distortion"),
+        (
+            ["distort", "--target", "l2"],
+            {"space": _equilateral_csv(2, 1), "vectors": "0.0,0.0\n1e200,1e200\n"},
+            "result.distortion",
+        ),
+    ],
+    ids=["l2min-2-points-1e300", "l2min-equilateral-4-1e160", "distort-l2-1e200"],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_non_finite_result_is_undecided(tmp_path, capsys, argv, inputs, field):
+    """A float result that overflows to NaN or infinity exits 4 and names
+    its field; the report stays strict JSON."""
+    for name, text in inputs.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+        argv = [*argv, f"--{name}", str(tmp_path / f"{name}.csv")]
+    code = main(argv)
+    out = capsys.readouterr().out
+    rep = json.loads(out, parse_constant=pytest.fail)  # NaN and Infinity are not JSON
+    assert code == 4 and "result" not in rep
+    assert rep["error"] == {"kind": "undecided", "message": f"{field} is not a finite number"}
+
+
 def test_distort_rejects_float_vanishing_distance(tmp_path, capsys):
     # a valid metric whose positive distance 1/10^400 is 0.0 in float64
     space = tmp_path / "tiny.csv"

@@ -1,8 +1,9 @@
 """Source hygiene: no module in the package imports a name it never uses
 or imports scipy, networkx only lists the cycle oracle's trees, only the
 metric core and the Fréchet embedding read the Fraction view of a
-distance table, only the constructors of graphs and Markov chains read
-their edges' adjacency and rows (everything else reads their CSR tables),
+distance table, only a graph's constructor reads its edges' adjacency
+(everything else reads the CSR tables of graphs and Markov chains), the
+built-in walks build their chains without Fractions,
 the martingale code reads integer grids (no `Fraction` breaks, no scan of
 the parameters, no bisection), the simplex pivot does integer arithmetic only, the
 diamond and Laakso walks and embeddings never search for shortest paths,
@@ -151,9 +152,6 @@ def test_only_the_metric_core_reads_fraction_tables():
     assert dist_reads("def f(s):\n    return s.dist[0]\n") == [("f", 2)]
 
 
-TRANSITION_READERS = {("markov.py", "MarkovChain.__post_init__")}
-
-
 def table_bypasses(source: str) -> list[tuple[str, int, str]]:
     """(scope, line, name) of every definition, call or read of `adjacency`
     and every `.transition` read; the scope is the dotted path of enclosing
@@ -178,14 +176,13 @@ def table_bypasses(source: str) -> list[tuple[str, int, str]]:
 
 
 def test_graph_and_chain_tables_are_read_once():
-    # a graph's edges and a chain's rows are turned into one CSR table by
-    # their constructors; every other reader goes through that table, and
-    # only MarkovChain.__post_init__ reads the rows
+    # a graph's edges are turned into one CSR table by its constructor, and
+    # a chain is its CSR table; every reader goes through those tables, and
+    # no chain has rows left to read
     found = [
         f"{path.name}:{line} {name} in {scope or 'module'}"
         for path in sorted(SRC.glob("*.py"))
         for scope, line, name in table_bypasses(path.read_text())
-        if name == "adjacency" or (path.name, scope) not in TRANSITION_READERS
     ]
     assert found == []
     bypasses = (
@@ -317,6 +314,41 @@ def test_simplex_pivot_builds_no_fractions():
     assert fraction_work(fraction_pivot, "_pivot") == [(4, "/"), (5, "Fraction")]
 
 
+CHAIN_BUILDERS = ("MarkovChain", "_uniform_chain", "downward_tree_walk", "downhill_walk", "lazy_path_walk")
+
+
+def fraction_names(source: str, names) -> list[tuple[str, int]]:
+    """(definition, line) of every `Fraction` name or attribute inside the
+    named top-level functions and classes."""
+    return [
+        (node.name, n.lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, SCOPES + (ast.ClassDef,)) and node.name in names
+        for n in ast.walk(node)
+        if "Fraction" in (getattr(n, "id", None), getattr(n, "attr", None))
+    ]
+
+
+def test_chains_are_built_without_fractions():
+    # the built-in walks build their CSR tables in integers and a chain
+    # takes its table as given: no Fraction row is made and undone
+    source = (SRC / "markov.py").read_text()
+    defined = {n.name for n in ast.parse(source).body if isinstance(n, SCOPES + (ast.ClassDef,))}
+    assert set(CHAIN_BUILDERS) <= defined
+    assert fraction_names(source, CHAIN_BUILDERS) == []
+    rows = (
+        "import fractions\n"
+        "class MarkovChain:\n"
+        "    def __post_init__(self):\n"
+        "        return isinstance(self.D, Fraction)\n"
+        "def lazy_path_walk(T):\n"
+        "    return fractions.Fraction(1, 2)\n"
+        "def other():\n"
+        "    return Fraction(1)\n"
+    )
+    assert fraction_names(rows, CHAIN_BUILDERS) == [("MarkovChain", 4), ("lazy_path_walk", 6)]
+
+
 def calls_in(source: str, function: str) -> set[str]:
     """Names called inside the named top-level function, as `f(...)` or
     `module.f(...)`."""
@@ -372,8 +404,8 @@ def test_benchmark_spans_resolve():
 
     markov = importlib.import_module("testspaces.markov")
     originals = (markov.exact_convexity, markov.mc_convexity)
-    half = F(1, 2)
-    chain = markov.MarkovChain((((0, half), (1, half)), ((1, F(1)),)), 0, 2)
+    # 0 moves to 0 and 1 with 1/2 each, 1 is absorbing
+    chain = markov.MarkovChain([0, 2, 3], [0, 1, 1], [1, 1, 2], 2, 0, 2)
     space = MetricSpace.from_rows(((F(0), F(1)), (F(1), F(0))))
     mmap = markov.MetricMap((0, 1))
     tracer = spans.Tracer()

@@ -29,15 +29,27 @@ from testspaces.markov import (
 from testspaces.metric_core import MetricSpace, WeightedGraph, apsp, path_graph
 
 from _oracles import (
+    chain_from_rows,
     dense_exact_convexity,
+    downhill_walk_rows,
+    lazy_path_walk_rows,
     linear_move,
     linear_sim_tables,
     mc_convexity_per_term,
     tree_walk_convexity_f_table,
     tree_walk_convexity_mc_per_term,
     tree_walk_m1_exact,
+    tree_walk_rows,
 )
 from _strategies import is_exact, numbers_of_every_kind, random_connected_graph
+
+
+def _rows(chain):
+    """Row u of a chain as {v: P(u, v)}, read from its CSR table."""
+    return [
+        {int(chain.targets[k]): F(int(chain.weights[k]), chain.D) for k in range(a, b)}
+        for a, b in itertools.pairwise(chain.indptr.tolist())
+    ]
 
 
 def test_chain_validation():
@@ -54,12 +66,92 @@ def test_chain_validation():
     ]
     for match, row in bad_first_rows:
         with pytest.raises(ValidationError, match=match):
-            MarkovChain((row, ((1, F(1)),)), 0, 2)
+            chain_from_rows((row, ((1, F(1)),)), 0, 2)
     with pytest.raises(ValidationError, match="horizon"):
-        MarkovChain((((0, F(1)),),), 0, 0)
+        chain_from_rows((((0, F(1)),),), 0, 0)
     with pytest.raises(ValidationError, match="start"):
-        MarkovChain((((0, F(1)),),), 1, 1)
-    assert MarkovChain((((0, 1),),), 0, 1).transition == (((0, 1),),)  # an int is exact
+        chain_from_rows((((0, F(1)),),), 1, 1)
+    chain = chain_from_rows((((0, 1),),), 0, 1)  # an int is exact
+    assert (chain.targets.tolist(), chain.weights.tolist(), chain.D) == ([0], [1], 1)
+
+
+# a two-state chain: state 0 moves to 0 and 1 with 1/2 each, state 1 is absorbing
+_CSR = dict(indptr=[0, 2, 3], targets=[0, 1, 1], weights=[1, 1, 2], D=2, start=0, horizon=1)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(indptr=[0, 2, 1, 3]), "indptr must rise from 0 to len(targets) = len(weights)"),
+        (dict(indptr=[1, 2, 3]), "indptr must rise from 0 to len(targets) = len(weights)"),
+        (dict(indptr=[0, 2, 2]), "indptr must rise from 0 to len(targets) = len(weights)"),
+        (dict(indptr=[0.0, 2.0, 3.0]), "indptr must rise from 0 to len(targets) = len(weights)"),
+        (dict(weights=[0.5, 0.5, 1.0], D=1), "weights and D must be integers"),
+        (dict(D=True), "weights and D must be integers"),
+        (dict(D=2.0), "weights and D must be integers"),
+        (dict(targets=[0, 2, 1]), "targets of row 0 must increase within range(2)"),
+        (dict(targets=[0, 1, -1]), "targets of row 1 must increase within range(2)"),
+        (dict(targets=[1, 1, 1]), "targets of row 0 must increase within range(2)"),
+        (dict(weights=[1, 2, 2]), "row 0 does not sum to 1 exactly"),
+        (dict(weights=[1, 1, 1]), "row 1 does not sum to 1 exactly"),
+        (dict(weights=[0, 2, 2]), "non-positive probability in row 0"),
+        (dict(weights=[1, 1, 2, 1]), "indptr must rise from 0 to len(targets) = len(weights)"),
+        (dict(targets=[[0, 1, 1]]), "targets of row 0 must increase within range(2)"),
+        (dict(weights=[[1, 1, 2]]), "weights and D must be integers"),
+        (dict(start=2), "start state out of range"),
+        (dict(horizon=0), "horizon must be >= 1"),
+    ],
+)
+def test_chain_table_refusals(change, message):
+    """The constructor refuses a malformed CSR table, naming what is wrong."""
+    with pytest.raises(ValidationError) as exc:
+        MarkovChain(**{**_CSR, **change})
+    assert str(exc.value) == message
+
+
+def test_chain_table_is_a_read_only_copy():
+    indptr, weights = np.array([0, 2, 3]), np.array([1, 1, 2], dtype=object) * 2**70
+    chain = MarkovChain(indptr, [0, 1, 1], weights, 2**71, 0, 1)
+    assert not any(np.shares_memory(a, b) for a, b in ((chain.indptr, indptr), (chain.weights, weights)))
+    assert not any(a.flags.writeable for a in (chain.indptr, chain.targets, chain.weights))
+    assert chain.weights.dtype == object and chain.n_states == 2
+
+
+def _table(chain):
+    """Every field of a chain, with the dtype of each array."""
+    arrays = (chain.indptr, chain.targets, chain.weights)
+    return [(a.tolist(), a.dtype) for a in arrays] + [chain.D, chain.start, chain.horizon]
+
+
+_FAMILIES = {"diamond": (diamond, diamond_weighting, 4), "laakso": (laakso, laakso_weighting, 3)}
+_WALK_CASES = [
+    *(("tree", m, None) for m in (1, 2, 3)),
+    *(("lazy", T, None) for T in range(1, 21)),
+    *(
+        (f"{name}-{weighting}", n, horizon)
+        for name, (_, _, levels) in _FAMILIES.items()
+        for weighting in ("unit", "scaled")
+        for n in range(1, levels + 1)
+        for horizon in (None, 1, 2, 3)
+    ),
+]
+
+
+@pytest.mark.parametrize("walk, n, horizon", _WALK_CASES)
+def test_built_in_walk_tables_equal_their_fraction_rows(walk, n, horizon):
+    """Each built-in walk's integer table is, field for field and dtype for
+    dtype, the one its Fraction rows convert to."""
+    if walk == "tree":
+        wb, rows = downward_tree_walk(n), tree_walk_rows(n)
+    elif walk == "lazy":
+        wb, rows = lazy_path_walk(n), lazy_path_walk_rows(n)
+    else:
+        name, weighting = walk.split("-")
+        maker, scaled, _ = _FAMILIES[name]
+        family = maker(n, UNIT if weighting == "unit" else scaled())
+        wb, rows = downhill_walk(family, horizon), downhill_walk_rows(family)
+    want = chain_from_rows(rows, wb.chain.start, wb.chain.horizon)
+    assert _table(wb.chain) == _table(want)
 
 
 @pytest.mark.parametrize(
@@ -69,14 +161,14 @@ def test_chain_rejects_inexact_probabilities(row):
     """Floats, bools and other non-Fractions are rejected with their row,
     not left to fail inside an estimator."""
     with pytest.raises(ValidationError, match="row 1 has a probability that is not"):
-        MarkovChain((((0, F(1)),), row), 0, 2)
+        chain_from_rows((((0, F(1)),), row), 0, 2)
 
 
 def _two_point_space():
     return MetricSpace.from_rows(((F(0), F(1)), (F(1), F(0))))
 
 
-_HALF_CHAIN = MarkovChain((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)
+_HALF_CHAIN = chain_from_rows((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)
 _ESTIMATORS = {
     "exact": lambda chain, mmap, space: exact_convexity(chain, mmap, space, 2),
     "mc": lambda chain, mmap, space: mc_convexity(chain, mmap, space, 2.0, seed=1, samples=10),
@@ -123,7 +215,7 @@ def test_metric_map_entries_of_every_kind(points):
 
 
 def test_constant_map_gives_zero():
-    chain = MarkovChain((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)
+    chain = chain_from_rows((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)
     space = _two_point_space()
     est = exact_convexity(chain, MetricMap((0, 0)), space, 2)
     assert est.lhs == 0 and est.rhs == 0
@@ -133,7 +225,7 @@ def test_constant_map_gives_zero():
 
 
 def test_absorbing_start_gives_zero():
-    chain = MarkovChain((((0, F(1)),), ((1, F(1)),)), 0, 4)
+    chain = chain_from_rows((((0, F(1)),), ((1, F(1)),)), 0, 4)
     est = exact_convexity(chain, MetricMap((0, 1)), _two_point_space(), 2)
     assert est.lhs == 0 and est.rhs == 0
 
@@ -250,7 +342,7 @@ def _odd_degree_walk() -> markov.WalkBundle:
         ((1, F(1, 2) - tiny), (2, tiny), (4, F(1, 2))),
         tuple((v, F(1, 5)) for v in range(5)),
     )
-    return markov.WalkBundle(MarkovChain(rows, 0, 6), MetricMap(tuple(range(5))), apsp(path_graph(5)))
+    return markov.WalkBundle(chain_from_rows(rows, 0, 6), MetricMap(tuple(range(5))), apsp(path_graph(5)))
 
 
 @st.composite
@@ -268,7 +360,7 @@ def _chain_and_uniforms(draw):
         # probabilities of at most 1 / (4 deg) each but the last, some tiny
         small = [rnd.choice(tiny) if rnd.random() < 0.3 else F(rnd.randint(1, 50), 200 * deg) for _ in range(deg - 1)]
         rows.append(tuple(zip(sorted(rnd.sample(range(n), deg)), [*small, 1 - sum(small, F(0))])))
-    chain = MarkovChain(tuple(rows), 0, 1)
+    chain = chain_from_rows(tuple(rows), 0, 1)
     cum = linear_sim_tables(chain)[1]
     sums = st.sampled_from(sorted({x for x in cum.ravel().tolist() if x < 1}) or [0.5])
     uniform = st.floats(0, 1, exclude_max=True)
@@ -397,7 +489,7 @@ def test_downhill_d1_reaches_sink_in_two_steps():
     n = wb.chain.n_states
     pi = [F(0)] * n
     pi[wb.chain.start] = F(1)
-    rows = [dict(row) for row in wb.chain.transition]
+    rows = _rows(wb.chain)
     for _ in range(2):
         pi = [sum((pi[u] * rows[u].get(v, 0) for u in range(n)), F(0)) for v in range(n)]
     assert pi[fam.sink] == 1
@@ -528,7 +620,7 @@ def _random_chain_setup(draw):
         bounds = [0, *cuts, q]
         widths = [bounds[v + 1] - bounds[v] for v in range(n)]
         rows.append(tuple((v, F(w, q)) for v, w in enumerate(widths) if w))
-    chain = MarkovChain(tuple(rows), draw(st.integers(0, n - 1)), draw(st.integers(1, 6)))
+    chain = chain_from_rows(tuple(rows), draw(st.integers(0, n - 1)), draw(st.integers(1, 6)))
     space = apsp(random_connected_graph(draw))
     points = st.integers(0, space.size - 1)
     mmap = MetricMap(tuple(draw(st.lists(points, min_size=n, max_size=n))))
@@ -577,7 +669,7 @@ def test_chain_probabilities_round_trip_through_the_table_or_are_refused(setup):
     the exact DP matches the dense Fraction oracle."""
     rows, valid, start, horizon, mmap, space, p = setup
     try:
-        chain = MarkovChain(rows, start, horizon)
+        chain = chain_from_rows(rows, start, horizon)
     except ValidationError:
         assert not valid
         return
@@ -599,7 +691,7 @@ def test_exact_dp_reads_only_reachable_points(level, horizon):
     wb = downhill_walk(fam, horizon=horizon)
     reach, frontier = {fam.source}, {fam.source}
     for _ in range(horizon):
-        frontier = {v for u in frontier for v, _ in wb.chain.transition[u]} - reach
+        frontier = {v for u in frontier for v in _rows(wb.chain)[u]} - reach
         reach |= frontier
     n = wb.space.size
     assert len(reach) < n

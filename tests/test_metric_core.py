@@ -17,6 +17,7 @@ from testspaces.metric_core import (
     GeodesicPath,
     MetricSpace,
     PointId,
+    RationalTable,
     WeightedGraph,
     apsp,
     enumerate_geodesic_paths,
@@ -459,6 +460,47 @@ def test_representation_matches_fraction_tables(drawn):
     assert same == sp and same.num.dtype == sp.num.dtype
     assert (big == sp) == (factor == 1 or not any(nums))
     assert MetricSpace(sp.num, sp.scale) != sp
+
+
+@st.composite
+def _table_over_a_scale(draw):
+    """Integer rows and a scale: the scale is 1 or shares a factor with row
+    0 alone, with every row or with none; row 0 or every row may be zero,
+    and entries may lie past int64 (an object array)."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-40, 40), min_size=rows * cols, max_size=rows * cols)
+    table = np.array(draw(entries), dtype=object).reshape(rows, cols)
+    factor = draw(st.sampled_from((2, 3, 6, 2**62)))
+    scale = draw(st.just(1) | st.sampled_from((factor, 5 * factor, 7)) | st.integers(2, 10**4))
+    shared = draw(st.sampled_from(("row 0", "every row", "none", "row 0 zero", "all zero")))
+    if shared == "row 0":
+        table[0] *= factor
+    elif shared == "every row":
+        table *= factor
+    elif shared == "row 0 zero":
+        table[0] = 0
+    elif shared == "all zero":
+        table[:] = 0
+    if draw(st.booleans()):
+        table *= 2**70
+    return table, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_over_a_scale())
+@example((np.array([[0, 0], [4, 6]], dtype=object), 4))  # row 0 zero: the whole table decides
+@example((np.array([[4, 6], [3, 9]], dtype=object), 6))  # a factor of the scale on row 0 alone
+@example((np.array([[2**71, 0], [2**70, 2**72]], dtype=object), 2**80))  # object dtype
+def test_table_reduction_stops_early_as_the_full_reduction_would(case):
+    """The constructor tries the whole table's gcd only for a factor that
+    the scale shares with row 0, and lands on the numerators and scale of
+    reducing by gcd(scale, every entry)."""
+    rows, scale = case
+    g = math.gcd(scale, *rows.ravel().tolist())
+    want = rows // g if rows.any() else rows
+    table = RationalTable(rows, scale)
+    assert (table.num.tolist(), table.scale) == (want.tolist(), scale // g)
+    assert table.num.dtype == (np.int64 if max(map(abs, want.ravel().tolist())) <= INT64_MAX else object)
 
 
 def test_read_only_tables_are_shared_and_writeable_ones_copied():
