@@ -2,14 +2,16 @@
 reproducible, file-based workflows.
 
 Every run prints one JSON report to stdout: the exact config used, the
-result payload, and timing metadata.  Identical configs (including seeds)
-produce byte-identical payloads; only meta.elapsed_s varies.  Exit codes:
+result payload, and metadata: timing, and the work counters of commands
+that keep them (l2min's probes by outcome).  Identical configs (including
+seeds) produce byte-identical payloads; only meta.elapsed_s varies.  Exit codes:
 0 ok, 2 validation error, 3 cap exceeded, 4 undecided (a NaN result too).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -45,6 +47,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         result = args.func(args)
+        # a command with work counters returns them beside its result
+        result, counters = result if isinstance(result, tuple) else (result, {})
     except CapExceededError as e:
         return _fail(args.command, config, "cap_exceeded", str(e), EXIT_CAP)
     except UndecidedError as e:
@@ -55,7 +59,11 @@ def main(argv=None) -> int:
         "command": args.command,
         "config": config,
         "result": result,
-        "meta": {"version": __version__, "elapsed_s": round(time.perf_counter() - started, 6)},
+        "meta": {
+            "version": __version__,
+            "elapsed_s": round(time.perf_counter() - started, 6),
+            **counters,
+        },
     }
     try:
         text = json.dumps(report, sort_keys=True, allow_nan=False)
@@ -261,7 +269,7 @@ def cmd_l2min(args) -> dict:
     }
     if res.undecided_probes:
         out["undecided_probes"] = list(res.undecided_probes)
-    return out
+    return out, {"probes": dataclasses.asdict(res.counts)}
 
 
 def cmd_markov(args) -> dict:

@@ -6,23 +6,24 @@ d(i,j)^2 <= Q_ii + Q_jj - 2 Q_ij <= c^2 d(i,j)^2 for all pairs.  It is solved
 by alternating projection: clip the pair constraints (a Jacobi sweep), then
 project onto the PSD cone by eigenvalue clipping.  A probe that stops
 improving is "stalled": its best residual fell by no more than STALL_REL,
-relative, over the last STALL_WINDOW = 25 iterations.  The check at
-iteration 25 only sets the baseline, so the earliest verdict comes at
-iteration 50.  Between disjoint convex sets the residual settles at their
-gap distance (Bauschke-Borwein 1994), and here it settles early; a stall is
-not a certificate, and the bisection treats it as infeasible.  Each probe
-allocates its n x n work buffers once and writes every step of the loop
-into them, and it takes the eigendecomposition straight from the LAPACK
-gufunc behind `np.linalg.eigh` (`numpy.linalg._umath_linalg.eigh_lo`, the
-same bits without the wrapper's checks), or from `np.linalg.eigh` itself
-when that private name is missing.  The fork gap behind the
-self-improvement bound is the Hilbert-space one, in closed form and rounded
-outward.
+relative, over the last STALL_WINDOW = 25 iterations.  The window slides:
+it is checked after every iteration past the first 25, so the earliest
+verdict comes at iteration 26.  Between disjoint convex sets the residual
+settles at their gap distance (Bauschke-Borwein 1994), and here it settles
+early; a stall is not a certificate, and the bisection treats it as
+infeasible.  Each probe allocates its n x n work buffers once and writes
+every step of the loop into them, and it takes the eigendecomposition
+straight from the LAPACK gufunc behind `np.linalg.eigh`
+(`numpy.linalg._umath_linalg.eigh_lo`, the same bits without the wrapper's
+checks), or from `np.linalg.eigh` itself when that private name is missing.
+The fork gap behind the self-improvement bound is the Hilbert-space one, in
+closed form and rounded outward.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -98,14 +99,14 @@ def sdp_feasible(
     """Alternating-projection feasibility probe at distortion bound c.
 
     Outcomes: "feasible" (certificate at tol), "stalled" (the best residual
-    improved by no more than STALL_REL, relative, over one STALL_WINDOW of
-    25 iterations; the first check only sets the baseline, so the earliest
-    verdict is at iteration 50; treated as infeasible at this c),
-    "undecided" (iteration cap hit while still progressing, a non-finite
-    start or iterate, or an eigendecomposition that fails or is not finite:
-    the projections can diverge, and that decides nothing about c).  A
-    stalled or undecided outcome reports the best residual seen, not the
-    last one, which a diverging probe inflates.
+    improved by no more than STALL_REL, relative, over the last STALL_WINDOW
+    of 25 iterations, checked after every iteration past the first window,
+    so the earliest verdict is at iteration 26; treated as infeasible at
+    this c), "undecided" (iteration cap hit while still progressing, a
+    non-finite start or iterate, or an eigendecomposition that fails or is
+    not finite: the projections can diverge, and that decides nothing about
+    c).  A stalled or undecided outcome reports the best residual seen, not
+    the last one, which a diverging probe inflates.
 
     Past the first iteration the loop allocates no array on the gufunc
     route: every step writes into buffers made once per probe, with the
@@ -138,7 +139,8 @@ def sdp_feasible(
     diag = Q.diagonal()  # views that follow every write into Q
     col, row, QT = diag[:, None], diag[None, :], Q.T
     best_residual = math.inf
-    last_check = math.inf
+    # the best residuals of the last STALL_WINDOW iterations, oldest first
+    window = deque(maxlen=STALL_WINDOW)
     it = 0
     # each residual step hands its diagonal sums and pair table to the next sweep
     np.add(col, row, out=dd)
@@ -184,10 +186,10 @@ def sdp_feasible(
                 residual,
             )
         best_residual = min(best_residual, residual)
-        if it % STALL_WINDOW == 0:
-            if last_check - best_residual <= STALL_REL * max(best_residual, 1e-300):
+        if len(window) == STALL_WINDOW:  # window[0] is the best at it - STALL_WINDOW
+            if window[0] - best_residual <= STALL_REL * max(best_residual, 1e-300):
                 return SdpOutcome("stalled", None, it, best_residual)
-            last_check = best_residual
+        window.append(best_residual)
     return undecided(it)
 
 
@@ -200,6 +202,16 @@ def embedding_from_gram(space: MetricSpace, Q: np.ndarray) -> Embedding:
 
 
 @dataclass(frozen=True)
+class ProbeCounts:
+    """The probes of one bisection by outcome, and their iterations summed."""
+
+    feasible: int
+    stalled: int
+    undecided: int
+    iterations: int
+
+
+@dataclass(frozen=True)
 class L2Result:
     c_star: float
     embedding: Embedding
@@ -207,12 +219,14 @@ class L2Result:
     bracket: tuple[float, float]
     undecided_probes: tuple[float, ...]
     probes: int
+    counts: ProbeCounts
 
 
 def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     """Bisection over sdp_feasible, each probe at FEAS_TOL and
     MAX_ITER_DEFAULT; the returned c_star is the feasible end of the final
-    bracket, and the embedding is reconstructed from its Gram certificate."""
+    bracket, and the embedding is reconstructed from its Gram certificate.
+    `counts` tallies every probe, the bracket top's included."""
     _check_tolerance(tol, "tolerance")
     if space.size < 2:
         raise ValidationError("need at least 2 points")
@@ -234,13 +248,14 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     if out.status != "feasible":
         # the warm start fre / lip is contractive, not feasible: C_5 and C_9 stall
         raise UndecidedError(f"solver failed at the guaranteed bracket top {hi}")
-    best, probes, undecided = out.certificate, 1, []
+    best, undecided = out.certificate, []
+    runs = [(out.status, out.iterations)]
 
     # c = 1 first, then bisection while the bracket is wider than tol
     lo = mid = 1.0
     while True:
         out = sdp_feasible(scaled, mid, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=best.Q)
-        probes += 1
+        runs.append((out.status, out.iterations))
         if out.status == "feasible":
             hi, best = mid, out.certificate
         else:
@@ -253,7 +268,14 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
 
     emb_scaled = embedding_from_gram(scaled, best.Q)
     emb = Embedding(space, read_only(emb_scaled.table * float(diam)), emb_scaled.target)
-    return L2Result(hi, emb, distortion(emb), (lo, hi), tuple(undecided), probes)
+    statuses = [status for status, _ in runs]
+    counts = ProbeCounts(
+        statuses.count("feasible"),
+        statuses.count("stalled"),
+        statuses.count("undecided"),
+        sum(iterations for _, iterations in runs),
+    )
+    return L2Result(hi, emb, distortion(emb), (lo, hi), tuple(undecided), len(runs), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ class MarkovChain:
         n = len(indptr) - 1
         if n < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any() or not indptr[-1] == targets.size == weights.size:
             raise ValidationError("indptr must rise from 0 to len(targets) = len(weights)")
+        if type(self.start) is not int or type(self.horizon) is not int:
+            raise ValidationError("start and horizon must be ints")
         if not (0 <= self.start < n):
             raise ValidationError("start state out of range")
         if self.horizon < 1:

@@ -811,11 +811,17 @@ def triple_metric_violations(space):
     return tuple(out)
 
 
-def sdp_feasible_loop(space, c, tol=1e-7, max_iter=50_000, warm_start=None):
+def sdp_feasible_loop(space, c, tol=1e-7, max_iter=50_000, warm_start=None, checkpoints=False):
     """The alternating-projection probe as first written: every sweep
     recomputes the diagonal and the pair table, restores the diagonal with
     a mask and symmetrizes before `eigh`.  It reads the stall constants from
-    `l2_distortion` at call time, so a monkeypatch reaches both routes."""
+    `l2_distortion` at call time, so a monkeypatch reaches both routes.
+
+    The stall test compares the best residual with the best one
+    STALL_WINDOW iterations back, after every iteration past the first
+    window.  With checkpoints=True it is the earlier rule, kept as a
+    reference: the comparison is made only at multiples of STALL_WINDOW,
+    against the best residual at the previous multiple."""
     from testspaces import l2_distortion as l2
 
     if c < 1:
@@ -832,8 +838,7 @@ def sdp_feasible_loop(space, c, tol=1e-7, max_iter=50_000, warm_start=None):
         J = np.eye(n) - np.ones((n, n)) / n
         Q = -0.5 * J @ D2 @ J
 
-    best_residual = math.inf
-    last_check = math.inf
+    best = [math.inf]  # best[k]: the best residual after iteration k
     it = 0
     while it < max_iter:
         it += 1
@@ -863,12 +868,12 @@ def sdp_feasible_loop(space, c, tol=1e-7, max_iter=50_000, warm_start=None):
                 it,
                 residual,
             )
-        best_residual = min(best_residual, residual)
-        if it % l2.STALL_WINDOW == 0:
-            if last_check - best_residual <= l2.STALL_REL * max(best_residual, 1e-300):
-                return l2.SdpOutcome("stalled", None, it, best_residual)
-            last_check = best_residual
-    return l2.SdpOutcome("undecided", None, it, best_residual)
+        best.append(min(best[-1], residual))
+        window = l2.STALL_WINDOW
+        checked = it > window and not (checkpoints and it % window)
+        if checked and best[it - window] - best[it] <= l2.STALL_REL * max(best[it], 1e-300):
+            return l2.SdpOutcome("stalled", None, it, best[it])
+    return l2.SdpOutcome("undecided", None, it, best[-1])
 
 
 # fork distances: a0-a1 = 1, a1-a2 = a1-a2' = 1, a0-a2 = a0-a2' = 2, a2-a2' = 2

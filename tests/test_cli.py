@@ -183,6 +183,28 @@ def test_l2min_three_points(tmp_path, capsys):
     assert abs(rep["result"]["c_star"] - 1.0) <= 1e-4
 
 
+def test_l2min_counts_its_probes_under_meta(tmp_path, capsys):
+    space = tmp_path / "c6.json"
+    write_graph(str(space), generators.cycle(6))
+
+    def run():
+        assert main(["l2min", "--space", str(space), "--tol", "1e-4"]) == 0
+        printed = capsys.readouterr().out
+        rep = json.loads(printed)
+        # the keys are sorted, so "result" comes last, after "meta"
+        assert printed.index('"meta": ') < printed.index('"result": ')
+        return printed[printed.index('"result": '):], rep
+
+    (first, rep), (second, again) = run(), run()
+    assert first == second  # byte for byte
+    counts = rep["meta"]["probes"]
+    assert counts == again["meta"]["probes"]
+    assert set(counts) == {"feasible", "stalled", "undecided", "iterations"}
+    assert counts["feasible"] + counts["stalled"] + counts["undecided"] == rep["result"]["probes"]
+    assert counts["stalled"] >= 1 and counts["iterations"] > rep["result"]["probes"]
+    assert "iterations" not in rep["result"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
 def test_l2min_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
     space = tmp_path / "c6.json"

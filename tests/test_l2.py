@@ -1,6 +1,7 @@
 """Euclidean optimum via SDP feasibility + bisection, and the fork pipeline."""
 
 import dataclasses
+import functools
 import math
 import random
 import warnings
@@ -59,8 +60,9 @@ def test_space_without_a_positive_distance_is_rejected():
 def test_c4_feasibility_thresholds():
     c4 = apsp(cycle(4)).scaled(F(1, 2))
     stalled = sdp_feasible(c4, 1.2)
-    # the first window sets the baseline, the second gives the verdict
-    assert (stalled.status, stalled.iterations) == ("stalled", 2 * l2_distortion.STALL_WINDOW)
+    # the best residual after iteration 27 is no better than after iteration
+    # 2, so the window that ends at 27 gives the verdict (at 50 on checkpoints)
+    assert (stalled.status, stalled.iterations) == ("stalled", l2_distortion.STALL_WINDOW + 2)
     out = sdp_feasible(c4, 1.5)
     assert out.status == "feasible"
     assert out.certificate.max_psd_violation <= 1e-7
@@ -147,8 +149,8 @@ SDP_CASES = [
     ("C4", 1.5, 7, 2),
     ("T3", 1.4, 50_000, None),
     ("T3", 1.6, 50_000, 3),
-    # capped before the stall verdict at 2 * STALL_WINDOW: they end undecided
-    ("T3", 1.1, 2 * l2_distortion.STALL_WINDOW - 1, None),
+    # capped before the earliest stall verdict at STALL_WINDOW + 1: undecided
+    ("T3", 1.1, l2_distortion.STALL_WINDOW, None),
     ("D2", 1.7, 50_000, None),
     ("D2", 2.0, 50_000, 4),
     ("heis", 1.3, 50_000, None),
@@ -184,8 +186,12 @@ def test_sdp_iteration_matches_oracle(eigh_route):
         want = sdp_feasible_loop(sp, c, max_iter=max_iter, warm_start=warm)
         case = (name, c, max_iter, seed)
         assert (got.status, got.iterations) == (want.status, want.iterations), case
-        if max_iter < 2 * l2_distortion.STALL_WINDOW and got.status != "feasible":
+        if max_iter <= l2_distortion.STALL_WINDOW and got.status != "feasible":
             assert (got.status, got.iterations) == ("undecided", max_iter), case
+        # the sliding window also closes at every multiple of STALL_WINDOW
+        old = sdp_feasible_loop(sp, c, max_iter=max_iter, warm_start=warm, checkpoints=True)
+        if old.status == "stalled":
+            assert got.status == "stalled" and got.iterations <= old.iterations, case
         assert repr(got.residual) == repr(want.residual), case
         assert (got.certificate is None) == (want.certificate is None), case
         if got.certificate is not None:
@@ -219,7 +225,8 @@ def _iterates(space, c, count):
 def test_eigh_gufunc_returns_the_bits_of_np_linalg_eigh():
     if l2_distortion._eigh_lo is None:
         pytest.skip("this numpy has no eigh_lo gufunc")
-    for space, c in ((apsp(diamond(2).graph), 1.7), (apsp(binary_tree(3)), 1.4)):
+    # probes that run past 40 iterations: T_3 stalls at 52, T_4 is feasible at 44
+    for space, c in ((apsp(binary_tree(3)), 1.42), (apsp(binary_tree(4)), 1.58)):
         iterates = _iterates(_unit_diameter(space), c, 40)
         assert len(iterates) == 40
         for Q in iterates:
@@ -305,15 +312,15 @@ def test_sdp_divergence_is_undecided(monkeypatch):
 
 
 def test_stalled_probe_reports_its_best_residual():
-    # unit T_3 at c = 1.6 from this warm start stalls at iteration 50 while
+    # unit T_3 at c = 1.6 from this warm start stalls at iteration 28 while
     # its iterates grow; the last residual is far above the best one
     t3 = _unit_diameter(apsp(binary_tree(3)))
     warm = _asymmetric_warm_start(t3, 3)
     window = l2_distortion.STALL_WINDOW
-    capped = sdp_feasible(t3, 1.6, max_iter=2 * window - 1, warm_start=warm)
+    capped = sdp_feasible(t3, 1.6, max_iter=window + 2, warm_start=warm)
     stalled = sdp_feasible(t3, 1.6, warm_start=warm)
     assert (capped.status, stalled.status) == ("undecided", "stalled")
-    assert stalled.iterations == 2 * window
+    assert stalled.iterations == window + 3
     assert stalled.residual <= capped.residual < 1
     oracle = sdp_feasible_loop(t3, 1.6, warm_start=warm)
     assert (oracle.status, repr(oracle.residual)) == ("stalled", repr(stalled.residual))
@@ -363,10 +370,8 @@ def test_min_distortion_l2_probes_at_the_module_constants(monkeypatch):
         min_distortion_l2(t2)
 
 
-def test_stall_window_keeps_the_optima_of_the_old_window(monkeypatch):
-    # a stalled probe gives no certificate, so a shorter window changes an
-    # L2Result only if some probe's decision flips
-    spaces = [
+def _stall_spaces():
+    return [
         apsp(cycle(4)),
         apsp(cycle(6)),
         apsp(diamond(2).graph),
@@ -375,20 +380,51 @@ def test_stall_window_keeps_the_optima_of_the_old_window(monkeypatch):
         _heis_subset(),
     ]
 
-    def fields(res):  # repr tells -0.0 from 0.0
-        return repr((
-            res.c_star,
-            res.bracket,
-            res.probes,
-            res.undecided_probes,
-            res.embedding.vectors,
-            res.report.distortion,
-        ))
 
-    got = [fields(min_distortion_l2(sp, tol=1e-4)) for sp in spaces]
+def _t5_subset(variant):
+    """The 18-point subset of T_5 that the benchmark seeds with `variant`."""
+    t5 = apsp(binary_tree(5))
+    return t5.restrict(sorted(random.Random(f"T5#{variant}").sample(range(t5.size), 18)))
+
+
+def _fields(res):  # repr tells -0.0 from 0.0
+    return repr((
+        res.c_star,
+        res.bracket,
+        res.probes,
+        res.undecided_probes,
+        res.embedding.vectors,
+        res.report.distortion,
+    ))
+
+
+def test_stall_window_keeps_the_optima_of_the_old_window(monkeypatch):
+    # a stalled probe gives no certificate, so a shorter window changes an
+    # L2Result only if some probe's decision flips
+    spaces = _stall_spaces()
+    got = [_fields(min_distortion_l2(sp, tol=1e-4)) for sp in spaces]
     monkeypatch.setattr(l2_distortion, "STALL_WINDOW", 200)
-    want = [fields(min_distortion_l2(sp, tol=1e-4)) for sp in spaces]
+    want = [_fields(min_distortion_l2(sp, tol=1e-4)) for sp in spaces]
     assert got == want
+
+
+def test_sliding_stall_window_keeps_the_results_of_checkpoints(monkeypatch):
+    # the sliding window closes at every multiple of STALL_WINDOW too, so a
+    # probe stalls no later than on checkpoints; an L2Result could change
+    # only through a probe that the earlier verdict stops short of feasible
+    spaces = _stall_spaces() + [_t5_subset(0), _t5_subset(6)]
+    got = [min_distortion_l2(sp, tol=1e-4) for sp in spaces]
+    checkpoints = functools.partial(sdp_feasible_loop, checkpoints=True)
+    monkeypatch.setattr(l2_distortion, "sdp_feasible", checkpoints)
+    want = [min_distortion_l2(sp, tol=1e-4) for sp in spaces]
+    for new, old in zip(got, want):
+        assert _fields(new) == _fields(old)
+        counts = new.counts
+        assert counts.feasible + counts.stalled + counts.undecided == new.probes
+        assert counts.undecided == len(new.undecided_probes)
+        assert dataclasses.replace(counts, iterations=0) == dataclasses.replace(old.counts, iterations=0)
+        assert counts.iterations <= old.counts.iterations
+    assert sum(r.counts.iterations for r in got) < sum(r.counts.iterations for r in want)
 
 
 def test_fork_gap_closed_form_matches_slsqp():

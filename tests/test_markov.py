@@ -100,6 +100,9 @@ _CSR = dict(indptr=[0, 2, 3], targets=[0, 1, 1], weights=[1, 1, 2], D=2, start=0
         (dict(weights=[[1, 1, 2]]), "weights and D must be integers"),
         (dict(start=2), "start state out of range"),
         (dict(horizon=0), "horizon must be >= 1"),
+        # accepted before, these made exact_convexity and mc_convexity raise TypeError
+        *[(dict(start=bad), "start and horizon must be ints") for bad in (0.5, 2.5, True, F(1))],
+        *[(dict(horizon=bad), "start and horizon must be ints") for bad in (0.5, 2.5, True, F(1))],
     ],
 )
 def test_chain_table_refusals(change, message):
