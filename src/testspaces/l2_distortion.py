@@ -74,13 +74,6 @@ def _eigh(Q: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray
     return _eigh_lo(Q, signature="d->dd", out=out)
 
 
-def _check_tolerance(tol: float, name: str) -> None:
-    # NaN fails every comparison: `tol <= 0` would let it through, and no
-    # residual is ever <= NaN, so every probe would end "stalled"
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"{name} must be finite and > 0")
-
-
 def _distance_squares(space: MetricSpace) -> np.ndarray:
     """d(i, j)^2 as the correctly rounded square of each float distance."""
     return space.floats() ** 2
@@ -89,24 +82,20 @@ def _distance_squares(space: MetricSpace) -> np.ndarray:
 # divergence is reported, not warned; a failed eigh_lo call raises invalid
 # and may raise divide, which np.linalg.eigh catches with its own errstate
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def sdp_feasible(
-    space: MetricSpace,
-    c: float,
-    tol: float = FEAS_TOL,
-    max_iter: int = MAX_ITER_DEFAULT,
-    warm_start: Optional[np.ndarray] = None,
-) -> SdpOutcome:
-    """Alternating-projection feasibility probe at distortion bound c.
+def sdp_feasible(space: MetricSpace, c: float, warm_start: np.ndarray) -> SdpOutcome:
+    """Alternating-projection feasibility probe at distortion bound c, from
+    the Gram matrix warm_start, at the module constants FEAS_TOL and
+    MAX_ITER_DEFAULT as they read when the probe starts.
 
-    Outcomes: "feasible" (certificate at tol), "stalled" (the best residual
-    improved by no more than STALL_REL, relative, over the last STALL_WINDOW
-    of 25 iterations, checked after every iteration past the first window,
-    so the earliest verdict is at iteration 26; treated as infeasible at
-    this c), "undecided" (iteration cap hit while still progressing, a
-    non-finite start or iterate, or an eigendecomposition that fails or is
-    not finite: the projections can diverge, and that decides nothing about
-    c).  A stalled or undecided outcome reports the best residual seen, not
-    the last one, which a diverging probe inflates.
+    Outcomes: "feasible" (certificate at FEAS_TOL), "stalled" (the best
+    residual improved by no more than STALL_REL, relative, over the last
+    STALL_WINDOW of 25 iterations, checked after every iteration past the
+    first window, so the earliest verdict is at iteration 26; treated as
+    infeasible at this c), "undecided" (iteration cap hit while still
+    progressing, a non-finite start or iterate, or an eigendecomposition
+    that fails or is not finite: the projections can diverge, and that
+    decides nothing about c).  A stalled or undecided outcome reports the
+    best residual seen, not the last one, which a diverging probe inflates.
 
     Past the first iteration the loop allocates no array on the gufunc
     route: every step writes into buffers made once per probe, with the
@@ -116,19 +105,13 @@ def sdp_feasible(
     """
     if not 1 <= c < math.inf:
         raise ValidationError("distortion bound must be finite and >= 1")
-    _check_tolerance(tol, "tolerance")
+    tol, max_iter = FEAS_TOL, MAX_ITER_DEFAULT
     n = space.size
     D2 = _distance_squares(space)
     # d(i, i) = 0 makes both bounds 0 on the diagonal, where E(Q) is exactly
     # 0 for finite Q: the sweep keeps diag(Q) as it is
     lo, hi = D2, (c * c) * D2
-
-    if warm_start is not None:
-        Q = np.array(warm_start, dtype=np.float64, order="C")
-    else:
-        # classical MDS double-centering as the starting Gram matrix
-        J = np.eye(n) - np.ones((n, n)) / n
-        Q = -0.5 * J @ D2 @ J
+    Q = np.array(warm_start, dtype=np.float64, order="C")
 
     def undecided(it: int) -> SdpOutcome:
         return SdpOutcome("undecided", None, it, best_residual)
@@ -227,7 +210,10 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     MAX_ITER_DEFAULT; the returned c_star is the feasible end of the final
     bracket, and the embedding is reconstructed from its Gram certificate.
     `counts` tallies every probe, the bracket top's included."""
-    _check_tolerance(tol, "tolerance")
+    # NaN fails every comparison: `tol <= 0` would let it through, and the
+    # bisection would never reach `hi - lo <= tol`
+    if not 0 < tol < math.inf:
+        raise ValidationError("tolerance must be finite and > 0")
     if space.size < 2:
         raise ValidationError("need at least 2 points")
 
@@ -244,7 +230,7 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     X = fre / float(hi_rep.lip)
     warm = X @ X.T
 
-    out = sdp_feasible(scaled, hi, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=warm)
+    out = sdp_feasible(scaled, hi, warm)
     if out.status != "feasible":
         # the warm start fre / lip is contractive, not feasible: C_5 and C_9 stall
         raise UndecidedError(f"solver failed at the guaranteed bracket top {hi}")
@@ -254,7 +240,7 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     # c = 1 first, then bisection while the bracket is wider than tol
     lo = mid = 1.0
     while True:
-        out = sdp_feasible(scaled, mid, FEAS_TOL, MAX_ITER_DEFAULT, warm_start=best.Q)
+        out = sdp_feasible(scaled, mid, best.Q)
         runs.append((out.status, out.iterations))
         if out.status == "feasible":
             hi, best = mid, out.certificate

@@ -37,10 +37,13 @@ from .errors import CapExceededError, ValidationError
 from .generators import RecursiveFamily, binary_tree
 from .metric_core import INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_table_size, read_only
 
-TREE_VERTEX_CAP = 100_000
 # bit operations of the exact tree pass, T (T + p ceil(log2 2T)): at p = 2,
 # m = 15 (1.07e9) runs and m = 16 (4.3e9) does not
 TREE_BIT_WORK_CAP = 2**31
+# bit operations of the exact DP, (R^2 + b / 64) b (see exact_convexity): at
+# p = 2, D_6 (6.9e9) runs and L_5 (1.6e11) does not; unit D_3 runs at
+# p = 6e4 (3.6e9) and not at p = 2e5 (3.3e10)
+DP_BIT_WORK_CAP = 2**33
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +108,6 @@ class MetricMap:
     def __post_init__(self):
         if any(type(x) is not int for x in self.point_of_state):
             raise ValidationError("metric map points must be ints")
-
-    def __call__(self, state: int) -> int:
-        return self.point_of_state[state]
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,16 @@ def exact_convexity(
     of D^j P^j are integer vectors, E d is an integer table, and each sum is
     one Fraction over a power product of D, E and 2.  Row u of P^j is only
     pushed as far as the largest j that a split at u needs, and the (E d)^p
-    table covers only the points of the states reachable from start within
-    T steps."""
+    table covers only the R points of the states reachable from start within
+    T steps.
+
+    Its entries have at most p L bits, L the bit length of the largest
+    numerator among those points; the row weights grow to D^T, and the sums
+    are lifted over D^(2T) 2^(Kp), K = ceil(log2 T).  So no integer the DP
+    forms is much wider than b = p (L + K) + 2 T bitlen(D) bits: reading the
+    table costs about R^2 b bit operations, and reducing the b-bit results
+    to lowest terms about b^2 / 64 more.  Past DP_BIT_WORK_CAP of
+    (R^2 + b / 64) b it raises CapExceededError before any power is taken."""
     if not isinstance(p, int) or p < 1:
         raise ValidationError("exact mode needs integer p >= 1")
     _check_map(chain, mmap, space)
@@ -233,7 +241,15 @@ def exact_convexity(
     points = sorted({mmap.point_of_state[a] for a in reach})
     where = {x: i for i, x in enumerate(points)}
     at = {a: where[mmap.point_of_state[a]] for a in reach}
-    N = [[x**p for x in row] for row in space.num[np.ix_(points, points)].tolist()]
+    num = space.num[np.ix_(points, points)]
+    R, width = len(points), p * (int(np.abs(num).max()).bit_length() + K) + 2 * T * D.bit_length()
+    work = (R * R + width // 64) * width
+    if work > DP_BIT_WORK_CAP:
+        raise CapExceededError(
+            f"the exact DP needs (R^2 + b / 64) b = {work} bit operations (R = {R} points, "
+            f"b = {width} bits), more than the cap of {DP_BIT_WORK_CAP}"
+        )
+    N = [[x**p for x in row] for row in num.tolist()]
 
     # Pi[s] = D^s pi_s for the split times s = 0..T-1
     Pi = [{chain.start: 1}]
@@ -465,18 +481,15 @@ def downward_tree_walk(m: int) -> WalkBundle:
     """Downward random walk on T_{2^m}: root start, each non-leaf moves to a
     uniformly random child, leaves absorbing, horizon 2^m.
 
-    Explicit mode materializes the tree; for depths beyond the cap use the
-    split-time analytic evaluator tree_walk_convexity_exact instead.
+    Explicit mode materializes the tree and its distance table, which
+    passes TABLE_ENTRY_CAP from m = 4 (T_16, 131071 vertices) on: there
+    CapExceededError points to the split-time analytic evaluators
+    tree_walk_convexity_exact and tree_walk_convexity_mc.
     """
     if m < 1:
         raise ValidationError("need m >= 1")
     depth = 2**m
-    n_vertices = 2 ** (depth + 1) - 1
-    if n_vertices > TREE_VERTEX_CAP:
-        raise CapExceededError(
-            f"T_{depth} has {n_vertices} vertices (cap {TREE_VERTEX_CAP}); "
-            "use the analytic mode (tree_walk_convexity_exact / _mc)"
-        )
+    check_table_size(2 ** (depth + 1) - 1, f"T_{depth} (use the analytic mode, tree_walk_convexity_exact / _mc)")
     space = apsp(binary_tree(depth))
     # vertices in tree_labels order: the root is 0, the children of i are
     # 2i + 1 and 2i + 2, and the leaves (absorbing) are the last 2^depth

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import CapExceededError, DisconnectedGraphError, ValidationError
 
-GEODESIC_CAP_DEFAULT = 10**6
 INT64_MAX = 2**63 - 1
 FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
 TRIANGLE_BLOCK = 2**12  # triples per verify_metric pass (small temporaries)
@@ -124,7 +123,7 @@ class RationalTable:
 def _from_rows(rows, scale: int) -> tuple[np.ndarray, int]:
     """Rows as a read-only array: numerators over `scale` times the lcm of
     the denominators (int64 where they fit), or float64."""
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)  # a dict: its keys, refused below
     width = len(rows[0]) if len(rows) else 0
     if any(len(row) != width for row in rows):
         raise ValidationError("table rows must have equal lengths")
@@ -160,13 +159,6 @@ class MetricSpace:
         if not table.exact or table.num.shape[0] != table.num.shape[1]:
             raise ValidationError("need a square table of exact distances (ints or Fractions)")
         vars(self).update(table=table, labels=labels)
-
-    @classmethod
-    def from_rows(cls, rows, labels=None) -> "MetricSpace":
-        """The space with distance table rows[i][j] (ints and Fractions)."""
-        if any(len(row) != len(rows) for row in rows):
-            raise ValidationError("distance table must be square")
-        return cls(rows, 1, labels)
 
     num = property(lambda self: self.table.num)
     scale = property(lambda self: self.table.scale)
@@ -452,26 +444,20 @@ def _violations(space: MetricSpace):
 
 
 def enumerate_geodesic_paths(
-    graph: WeightedGraph,
-    u: int,
-    v: int,
-    cap: int = GEODESIC_CAP_DEFAULT,
-    space: Optional[MetricSpace] = None,
+    graph: WeightedGraph, u: int, v: int, cap: int, space: MetricSpace
 ) -> list[GeodesicPath]:
     """All distinct shortest u-v vertex paths, sorted by vertex sequence.
 
-    `space` may pass the graph's apsp table (one of another size, one that
-    an edge undercuts, or one whose rows u and v are not the graph's
-    distances from u and v raises ValidationError).  The search runs on integer
+    `space` is the graph's apsp table (one of another size, one that an
+    edge undercuts, or one whose rows u and v are not the graph's distances
+    from u and v raises ValidationError).  The search runs on integer
     lengths over `space.scale`: an edge whose length is no multiple of
     1/scale lies on no geodesic, and breakpoints are ticks over that scale.
     Raises CapExceededError when more than `cap` geodesics exist.
     """
     if u == v:
         raise ValidationError("endpoints of a geodesic must differ")
-    if space is None:
-        space = apsp(graph)
-    elif space.size != graph.size:
+    if space.size != graph.size:
         raise ValidationError(f"distance table has {space.size} points, the graph {graph.size}")
     scale, heads = space.scale, np.arange(graph.size).repeat(np.diff(graph.indptr))
     # over scale, times graph.scale; int64 where a row entry (at most half

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -47,8 +47,8 @@ _L1 = _ROW_NORMS["l1"]
 class DeltaTree:
     """Vectors indexed by 0/1 strings of length <= depth with the exact
     midpoint identity and separation >= delta in normalized l1: one exact
-    table, a row per label in `tree_labels(depth)` order (row i's children
-    are rows 2i + 1 and 2i + 2), built from those rows or a dict by label."""
+    table, built from its rows, one per label in `tree_labels(depth)` order
+    (row i's children are rows 2i + 1 and 2i + 2)."""
 
     depth: int
     atoms: int
@@ -58,14 +58,10 @@ class DeltaTree:
     def __post_init__(self):
         if type(self.delta) is not int and not isinstance(self.delta, Fraction):
             raise ValidationError(f"delta must be exact (an int or Fraction), got {self.delta!r}")
-        labels, rows = tree_labels(self.depth), self.table
-        if isinstance(rows, dict):
-            if rows.keys() != set(labels):
-                raise ValidationError(f"need one vector per label of length <= {self.depth}, no other")
-            rows = [rows[lab] for lab in labels]
-        table = vars(self)["table"] = RationalTable(rows, 1, 2 * self.atoms)  # sums of differences
-        if not table.exact or table.num.shape != (len(labels), self.atoms):
-            raise ValidationError(f"need {len(labels)} exact vectors of {self.atoms} atoms")
+        table = vars(self)["table"] = RationalTable(self.table, 1, 2 * self.atoms)  # sums of differences
+        rows = len(tree_labels(self.depth))
+        if not table.exact or table.num.shape != (rows, self.atoms):
+            raise ValidationError(f"need {rows} exact vectors of {self.atoms} atoms")
 
 
 DELTA_TREE_DEPTH_CAP = 12
@@ -405,21 +401,21 @@ class OracleResponse:
 class GeodesicFamily:
     """All source-sink geodesics of a weighted diamond (or Laakso) instance,
     with the exhaustive-search response oracle of the thickness definition.
-    Every geodesic's breakpoints must be `params`, checked on the integer
-    `ticks` over `scale` the family holds; `position` maps params to indices."""
+    The geodesics must share one parameter grid, `params`, the first one's
+    breakpoints, checked on the integer `ticks` over `scale` the family
+    holds; `position` maps params to indices."""
 
     family: RecursiveFamily
     space: MetricSpace
     geodesics: tuple[GeodesicPath, ...]
-    params: tuple[Fraction, ...]
+    params: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
         if not self.geodesics:
             raise ValidationError("a geodesic family needs at least one geodesic")
         first = self.geodesics[0]
-        self.ticks, self.scale = first.ticks, first.scale
-        shared = all((g.ticks, g.scale) == (self.ticks, self.scale) for g in self.geodesics)
-        if not shared or first.breakpoints != self.params:
+        self.ticks, self.scale, self.params = first.ticks, first.scale, first.breakpoints
+        if any((g.ticks, g.scale) != (self.ticks, self.scale) for g in self.geodesics):
             raise ValidationError("geodesics do not share a parameter grid")
         self.position = {p: t for t, p in enumerate(self.params)}
         self._index_of = {tuple(g.vertices): i for i, g in enumerate(self.geodesics)}
@@ -444,12 +440,17 @@ class GeodesicFamily:
         self._total = total
         self._nbubbles = bubbles
 
+    def _check_index(self, g: int) -> None:
+        if type(g) is not int or not 0 <= g < len(self.geodesics):
+            raise ValidationError(f"geodesic index {g!r} is not an int in range({len(self.geodesics)})")
+
     def respond(self, g: int, control_params: Sequence[Fraction]) -> OracleResponse:
         """Deviating geodesic through the control points maximizing the total
         deviation, with its (q, s) structure.  Ties go to the response with
         the fewest deviation bubbles (the coarsest one), then to the smallest
         index; coarse responses keep deeper refinement levels available for
         later rounds of the martingale construction."""
+        self._check_index(g)
         controls = sorted(set(control_params) | {self.params[0], self.params[-1]})
         missing = [p for p in controls if p not in self.position]
         if missing:
@@ -499,6 +500,8 @@ class GeodesicFamily:
     def splice(self, g: int, g_tilde: int, q_idx_pairs, picks) -> int:
         """Index of the geodesic following g or g_tilde per gap (condition
         (iv) guarantees it exists in the family)."""
+        self._check_index(g)
+        self._check_index(g_tilde)
         row, other = list(self.geodesics[g].vertices), self.geodesics[g_tilde].vertices
         for (a, b), pick in zip(q_idx_pairs, picks):
             if pick:
@@ -517,7 +520,7 @@ def diamond_geodesic_family(n: int) -> GeodesicFamily:
     FAMILY_GEODESIC_CAP of them (D_3 has 128, D_4 32768) raise CapExceededError."""
     fam = diamond(n, diamond_weighting())
     geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, FAMILY_GEODESIC_CAP, fam.metric_space())
-    return GeodesicFamily(fam, fam.metric_space(), tuple(geos), geos[0].breakpoints)
+    return GeodesicFamily(fam, fam.metric_space(), tuple(geos))
 
 
 @dataclass(frozen=True)
@@ -745,14 +748,24 @@ class MartingaleRun:
     quadruple_checks: int  # selection inequalities verified exactly
 
 
+# a double-step with a nonzero difference adds a break to the grid of P
+# parameters, so past step P - 2 every difference is 0 (D_3: P = 9); 256
+# double-steps take about 0.2 s on D_3
+MARTINGALE_STEP_CAP = 256
+
+
 def martingale_from_embedding(
     family: GeodesicFamily, emb: Embedding, steps: int
 ) -> MartingaleRun:
     """Alternating oracle responses and farthest-ratio point selections on a
     bilipschitz image of a thick geodesic family; produces a bounded
-    martingale with ||M_{2k} - M_{2k-1}|| >= ell * (total deviation) / 4."""
+    martingale with ||M_{2k} - M_{2k-1}|| >= ell * (total deviation) / 4.
+    More than MARTINGALE_STEP_CAP double-steps raise CapExceededError
+    before any work."""
     if steps < 1:
         raise ValidationError("need at least one double-step")
+    if steps > MARTINGALE_STEP_CAP:
+        raise CapExceededError(f"{steps} double-steps exceed cap {MARTINGALE_STEP_CAP}")
     if emb.space.size != family.space.size:
         raise ValidationError("embedding must live on the family's host space")
     if emb.target.kind not in ("l1", "linf", "summing") or not emb.exact:

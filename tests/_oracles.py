@@ -310,7 +310,8 @@ def dense_exact_convexity(chain, mmap, space, p):
     for u in range(n):
         for k in range(chain.indptr[u], chain.indptr[u + 1]):
             P[u][chain.targets[k]] = Fraction(int(chain.weights[k]), chain.D)
-    dp = [[space.d(mmap(a), mmap(b)) ** p for b in range(n)] for a in range(n)]
+    at = mmap.point_of_state
+    dp = [[space.d(at[a], at[b]) ** p for b in range(n)] for a in range(n)]
 
     powers = [None, P]
     for _ in range(2, T + 1):
@@ -811,11 +812,12 @@ def triple_metric_violations(space):
     return tuple(out)
 
 
-def sdp_feasible_loop(space, c, tol=1e-7, max_iter=50_000, warm_start=None, checkpoints=False):
+def sdp_feasible_loop(space, c, warm_start, checkpoints=False):
     """The alternating-projection probe as first written: every sweep
     recomputes the diagonal and the pair table, restores the diagonal with
-    a mask and symmetrizes before `eigh`.  It reads the stall constants from
-    `l2_distortion` at call time, so a monkeypatch reaches both routes.
+    a mask and symmetrizes before `eigh`.  It reads the tolerance, the
+    iteration cap and the stall constants from `l2_distortion` at call
+    time, so a monkeypatch reaches both routes.
 
     The stall test compares the best residual with the best one
     STALL_WINDOW iterations back, after every iteration past the first
@@ -830,13 +832,8 @@ def sdp_feasible_loop(space, c, tol=1e-7, max_iter=50_000, warm_start=None, chec
     D2 = l2._distance_squares(space)
     lo, hi = D2, (c * c) * D2
     off = ~np.eye(n, dtype=bool)
-
-    if warm_start is not None:
-        Q = warm_start.copy()
-    else:
-        # classical MDS double-centering as the starting Gram matrix
-        J = np.eye(n) - np.ones((n, n)) / n
-        Q = -0.5 * J @ D2 @ J
+    tol, max_iter = l2.FEAS_TOL, l2.MAX_ITER_DEFAULT
+    Q = warm_start.copy()
 
     best = [math.inf]  # best[k]: the best residual after iteration k
     it = 0
@@ -1198,12 +1195,16 @@ def geodesic_paths_fractions(graph, u, v, space):
 
 
 def space_from_csv_per_entry(text):
-    """A distance CSV read one parse_rational per entry, then from_rows."""
+    """A distance CSV read one parse_rational per entry, checked square,
+    then MetricSpace."""
+    from testspaces.errors import ValidationError
     from testspaces.formats import parse_rational
     from testspaces.metric_core import MetricSpace
 
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    return MetricSpace.from_rows([[parse_rational(x) for x in row] for row in rows])
+    rows = [[parse_rational(x) for x in r] for r in csv.reader(io.StringIO(text)) if r]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValidationError("distance table must be square")
+    return MetricSpace(rows)
 
 
 def space_to_csv_per_entry(space):

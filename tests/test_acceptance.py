@@ -140,7 +140,7 @@ def test_criterion_4_euclidean_optimum(tree_l2_optimum):
         ((0, 5, 5), (5, 0, 1), (5, 1, 0)),
     ]
     for rows in triangles:
-        sp = MetricSpace.from_rows(tuple(tuple(F(x) for x in r) for r in rows))
+        sp = MetricSpace(tuple(tuple(F(x) for x in r) for r in rows))
         res = min_distortion_l2(sp, tol=1e-4)
         assert abs(res.c_star - 1.0) <= 1e-4
         assert time.time() - started < 120.0

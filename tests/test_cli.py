@@ -393,6 +393,14 @@ def test_cap_exit_code(capsys):
     code, rep = run_cli(capsys, "rnp", "martingale", "--diamond", "4", "--steps", "1")
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
+    code, rep = run_cli(capsys, "rnp", "martingale", "--diamond", "3", "--steps", "257")
+    assert code == 3
+    assert rep["error"]["message"] == "257 double-steps exceed cap 256"
+    # the exact DP on unit D_5 at p = 2e4 would run for minutes
+    code, rep = run_cli(capsys, "markov", "--walk", "diamond", "--n", "5", "--p", "20000", "--mode", "exact")
+    assert code == 3
+    assert rep["error"]["kind"] == "cap_exceeded"
+    assert "(R = 684 points, b = 220384 bits)" in rep["error"]["message"]
     # 7^20 ≈ 8e16 grid points: at 10^5 per second the search would never return
     code, rep = run_cli(capsys, "oracle", "james-alpha", "--m", "20")
     assert code == 3

@@ -74,7 +74,7 @@ def test_norm_sums_in_coordinate_order():
     target = NormedTarget("l2", 5)
     assert norm(target, v) == 1e8 != math.sqrt(math.fsum(x * x for x in v))
     # at distance 1 the distortion kernel's lip is the norm of v - 0
-    emb = Embedding(MetricSpace.from_rows(((0, 1), (1, 0))), (v, (0.0,) * 5), target)
+    emb = Embedding(MetricSpace(((0, 1), (1, 0))), (v, (0.0,) * 5), target)
     assert repr(distortion(emb).lip) == repr(norm(target, v))
 
 
@@ -123,7 +123,7 @@ def test_frechet_is_isometric(space):
 
 
 def test_frechet_two_points():
-    sp = MetricSpace.from_rows(((F(0), F(5)), (F(5), F(0))))
+    sp = MetricSpace(((F(0), F(5)), (F(5), F(0))))
     assert distortion(frechet_embed(sp)).distortion == 1
 
 
@@ -443,7 +443,7 @@ def _embeddings(draw):
                 # summation order shows
                 vec.append(x / draw(st.sampled_from([4, 3, 10])) * (1e20 if huge else 1.0))
         vectors.append(tuple(vec))
-    return Embedding(MetricSpace.from_rows(table), tuple(vectors), NormedTarget(kind, dim))
+    return Embedding(MetricSpace(table), tuple(vectors), NormedTarget(kind, dim))
 
 
 @settings(max_examples=400, deadline=None)
@@ -463,7 +463,7 @@ def test_distortion_kernels_match_pair_loop(emb):
 def test_distortion_kernel_object_route():
     # numerators beyond int64: the kernels switch to Python ints and stay exact
     big = 3**45
-    sp = MetricSpace.from_rows(((F(0), F(big), F(1)), (F(big), F(0), F(big)), (F(1), F(big), F(0))))
+    sp = MetricSpace(((F(0), F(big), F(1)), (F(big), F(0), F(big)), (F(1), F(big), F(0))))
     vecs = ((F(0), F(1, big)), (F(big), F(0)), (F(1), F(1, 7)))
     for kind in ("l1", "linf", "summing"):
         emb = Embedding(sp, vecs, NormedTarget(kind, 2))
@@ -479,7 +479,7 @@ def test_distortion_rejects_float_vanishing_distance():
     # float(d) == 0 for a positive d: measuring in floats would divide by
     # 0.0, so the space is rejected before the collapsed pair (1, 2) shows
     tiny = F(1, 10**400)
-    sp = MetricSpace.from_rows(((F(0), tiny, F(1)), (tiny, F(0), F(1)), (F(1), F(1), F(0))))
+    sp = MetricSpace(((F(0), tiny, F(1)), (tiny, F(0), F(1)), (F(1), F(1), F(0))))
     with pytest.raises(ValidationError, match="0.0 in float64"):
         distortion(Embedding(sp, ((0.0,), (1.0,), (1.0,)), NormedTarget("l2", 1)))
     # exact vectors outside l2 are measured in integers, where d stays positive
@@ -488,7 +488,7 @@ def test_distortion_rejects_float_vanishing_distance():
 
 
 def test_distortion_rejects_negative_distance():
-    sp = MetricSpace.from_rows(((F(0), F(-1)), (F(-1), F(0))))
+    sp = MetricSpace(((F(0), F(-1)), (F(-1), F(0))))
     for vecs in (((F(0),), (F(1),)), ((0.0,), (1.0,))):
         with pytest.raises(ValidationError, match="nonnegative"):
             distortion(Embedding(sp, vecs, NormedTarget("l1", 1)))
@@ -542,7 +542,7 @@ def test_map_distortion_object_route():
     assert map_distortion(a, b, [0, 2, 1]) == 4
     assert map_distortion(a, b, [0, 1, 1]) is None
     with pytest.raises(ValidationError, match="positive distance"):
-        map_distortion(MetricSpace.from_rows(((F(0), F(0)), (F(0), F(0)))), path, [0, 1])
+        map_distortion(MetricSpace(((F(0), F(0)), (F(0), F(0)))), path, [0, 1])
     with pytest.raises(ValidationError, match="one image per source point"):
         map_distortion(a, b, [0, 1])
 
@@ -630,7 +630,7 @@ def _stored_rows(draw):
 
     rows = tuple(tuple(value() for _ in range(dim)) for _ in range(n))
     target = NormedTarget(kind, dim)
-    return MetricSpace.from_rows(table), tuple(map(tuple, table)), rows, target
+    return MetricSpace(table), tuple(map(tuple, table)), rows, target
 
 
 def _result(compute):

@@ -406,7 +406,7 @@ def test_benchmark_spans_resolve():
     originals = (markov.exact_convexity, markov.mc_convexity)
     # 0 moves to 0 and 1 with 1/2 each, 1 is absorbing
     chain = markov.MarkovChain([0, 2, 3], [0, 1, 1], [1, 1, 2], 2, 0, 2)
-    space = MetricSpace.from_rows(((F(0), F(1)), (F(1), F(0))))
+    space = MetricSpace(((F(0), F(1)), (F(1), F(0))))
     mmap = markov.MetricMap((0, 1))
     tracer = spans.Tracer()
     tracer.install()
@@ -577,13 +577,13 @@ CAP_OPTION_EXEMPT = {"control_budget"}
 
 
 def cap_options(functions) -> list[str]:
-    """`name(parameter)` for every parameter ending in `_cap` or `_budget`,
-    or named `modulus`, of the (name, function) pairs."""
+    """`name(parameter)` for every parameter ending in `_cap`, `_budget` or
+    `_iter`, or named `modulus`, of the (name, function) pairs."""
     return [
         f"{name}({p})"
         for name, fn in functions
         for p in inspect.signature(fn).parameters
-        if (p.endswith(("_cap", "_budget")) or p == "modulus") and p not in CAP_OPTION_EXEMPT
+        if (p.endswith(("_cap", "_budget", "_iter")) or p == "modulus") and p not in CAP_OPTION_EXEMPT
     ]
 
 
@@ -607,13 +607,13 @@ def public_functions():
 
 
 def test_caps_are_constants_not_options():
-    # every cap, budget and modulus is one module constant that no caller
-    # sets per call (tests monkeypatch the constant)
+    # every cap, budget, iteration cap and modulus is one module constant
+    # that no caller sets per call (tests monkeypatch the constant)
     functions = dict(public_functions())
     assert functions["thickness_alpha"] is importlib.import_module("testspaces.rnp").thickness_alpha
     assert cap_options(functions.items()) == []
 
-    def f(n, vertex_cap=10, map_budget=5, control_budget=1, modulus=None, cap=3):
+    def f(n, vertex_cap=10, map_budget=5, control_budget=1, modulus=None, cap=3, max_iter=50):
         return n
 
-    assert cap_options([("f", f)]) == ["f(vertex_cap)", "f(map_budget)", "f(modulus)"]
+    assert cap_options([("f", f)]) == ["f(vertex_cap)", "f(map_budget)", "f(modulus)", "f(max_iter)"]

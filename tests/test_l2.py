@@ -35,7 +35,7 @@ from testspaces.metric_core import MetricSpace, apsp
 
 
 def _triangle(a, b, c):
-    return MetricSpace.from_rows(
+    return MetricSpace(
         ((F(0), F(a), F(b)), (F(a), F(0), F(c)), (F(b), F(c), F(0)))
     )
 
@@ -47,23 +47,23 @@ def test_three_point_spaces_embed_isometrically():
 
 
 def test_two_point_space():
-    sp = MetricSpace.from_rows(((F(0), F(3)), (F(3), F(0))))
+    sp = MetricSpace(((F(0), F(3)), (F(3), F(0))))
     assert min_distortion_l2(sp).c_star == pytest.approx(1.0, abs=1e-4)
 
 
 def test_space_without_a_positive_distance_is_rejected():
-    sp = MetricSpace.from_rows(((F(0), F(0)), (F(0), F(0))))
+    sp = MetricSpace(((F(0), F(0)), (F(0), F(0))))
     with pytest.raises(ValidationError, match="positive distance"):
         min_distortion_l2(sp)
 
 
 def test_c4_feasibility_thresholds():
     c4 = apsp(cycle(4)).scaled(F(1, 2))
-    stalled = sdp_feasible(c4, 1.2)
+    stalled = sdp_feasible(c4, 1.2, _mds(c4))
     # the best residual after iteration 27 is no better than after iteration
     # 2, so the window that ends at 27 gives the verdict (at 50 on checkpoints)
     assert (stalled.status, stalled.iterations) == ("stalled", l2_distortion.STALL_WINDOW + 2)
-    out = sdp_feasible(c4, 1.5)
+    out = sdp_feasible(c4, 1.5, _mds(c4))
     assert out.status == "feasible"
     assert out.certificate.max_psd_violation <= 1e-7
     assert out.certificate.max_constraint_violation <= 1e-7
@@ -123,10 +123,11 @@ def _unit_diameter(space):
 
 
 def _mds(space):
+    """The classical MDS double-centering of the squared distances, the
+    cold start of the probes below."""
     n = space.size
-    D2 = np.array([[float(d) ** 2 for d in row] for row in space.dist])
     J = np.eye(n) - np.ones((n, n)) / n
-    return -0.5 * J @ D2 @ J
+    return -0.5 * J @ l2_distortion._distance_squares(space) @ J
 
 
 def _asymmetric_warm_start(space, seed):
@@ -142,7 +143,7 @@ def _heis_subset():
 
 
 SDP_CASES = [
-    # (space, c, max_iter, warm-start seed or None for the cold MDS start)
+    # (space, c, MAX_ITER_DEFAULT, warm-start seed or None for the MDS start)
     ("C4", 1.2, 50_000, None),
     ("C4", 1.5, 50_000, None),
     ("C4", 1.3, 50_000, 1),
@@ -169,27 +170,28 @@ def eigh_route(request, monkeypatch):
     return request.param
 
 
-def test_sdp_iteration_matches_oracle(eigh_route):
+def test_sdp_iteration_matches_oracle(eigh_route, monkeypatch):
     spaces = {
         "C4": _unit_diameter(apsp(cycle(4))),
         "T3": _unit_diameter(apsp(binary_tree(3))),
         "D2": _unit_diameter(apsp(diamond(2).graph)),
         "heis": _unit_diameter(_heis_subset()),
     }
-    # the cold starts include an MDS Gram matrix that is not bitwise symmetric
+    # the MDS starts include a Gram matrix that is not bitwise symmetric
     assert any(not np.array_equal(_mds(sp), _mds(sp).T) for sp in spaces.values())
     statuses = set()
     for name, c, max_iter, seed in SDP_CASES:
         sp = spaces[name]
-        warm = None if seed is None else _asymmetric_warm_start(sp, seed)
-        got = sdp_feasible(sp, c, max_iter=max_iter, warm_start=warm)
-        want = sdp_feasible_loop(sp, c, max_iter=max_iter, warm_start=warm)
+        monkeypatch.setattr(l2_distortion, "MAX_ITER_DEFAULT", max_iter)
+        warm = _mds(sp) if seed is None else _asymmetric_warm_start(sp, seed)
+        got = sdp_feasible(sp, c, warm)
+        want = sdp_feasible_loop(sp, c, warm)
         case = (name, c, max_iter, seed)
         assert (got.status, got.iterations) == (want.status, want.iterations), case
         if max_iter <= l2_distortion.STALL_WINDOW and got.status != "feasible":
             assert (got.status, got.iterations) == ("undecided", max_iter), case
         # the sliding window also closes at every multiple of STALL_WINDOW
-        old = sdp_feasible_loop(sp, c, max_iter=max_iter, warm_start=warm, checkpoints=True)
+        old = sdp_feasible_loop(sp, c, warm, checkpoints=True)
         if old.status == "stalled":
             assert got.status == "stalled" and got.iterations <= old.iterations, case
         assert repr(got.residual) == repr(want.residual), case
@@ -218,7 +220,8 @@ def _iterates(space, c, count):
     eigh = l2_distortion._eigh
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(l2_distortion, "_eigh", record)
-        sdp_feasible(space, c, max_iter=count)
+        mp.setattr(l2_distortion, "MAX_ITER_DEFAULT", count)
+        sdp_feasible(space, c, _mds(space))
     return seen
 
 
@@ -277,11 +280,13 @@ def _minus_inf_lowest_eigenvalue(eigh, Q, out):
 )
 def test_sdp_failed_eigendecomposition_is_undecided(eigh_route, monkeypatch, failure):
     c4 = _unit_diameter(apsp(cycle(4)))
-    before = sdp_feasible(c4, 1.2, max_iter=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l2_distortion, "MAX_ITER_DEFAULT", 2)
+        before = sdp_feasible(c4, 1.2, _mds(c4))
     _failing_eigh(monkeypatch, 3, failure)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = sdp_feasible(c4, 1.2)
+        out = sdp_feasible(c4, 1.2, _mds(c4))
     assert (out.status, out.iterations, out.certificate) == ("undecided", 3, None)
     # the residual is the best of the two iterations before the failure
     assert repr(out.residual) == repr(before.residual)
@@ -304,7 +309,7 @@ def test_sdp_divergence_is_undecided(monkeypatch):
     d2 = _unit_diameter(apsp(diamond(2).graph))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = sdp_feasible(d2, 1.74)
+        out = sdp_feasible(d2, 1.74, _mds(d2))
     assert out.status == "undecided"
     assert out.certificate is None
     assert 0 < out.iterations < l2_distortion.MAX_ITER_DEFAULT
@@ -317,12 +322,14 @@ def test_stalled_probe_reports_its_best_residual():
     t3 = _unit_diameter(apsp(binary_tree(3)))
     warm = _asymmetric_warm_start(t3, 3)
     window = l2_distortion.STALL_WINDOW
-    capped = sdp_feasible(t3, 1.6, max_iter=window + 2, warm_start=warm)
-    stalled = sdp_feasible(t3, 1.6, warm_start=warm)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l2_distortion, "MAX_ITER_DEFAULT", window + 2)
+        capped = sdp_feasible(t3, 1.6, warm)
+    stalled = sdp_feasible(t3, 1.6, warm)
     assert (capped.status, stalled.status) == ("undecided", "stalled")
     assert stalled.iterations == window + 3
     assert stalled.residual <= capped.residual < 1
-    oracle = sdp_feasible_loop(t3, 1.6, warm_start=warm)
+    oracle = sdp_feasible_loop(t3, 1.6, warm)
     assert (oracle.status, repr(oracle.residual)) == ("stalled", repr(stalled.residual))
 
 
@@ -330,13 +337,13 @@ def test_sdp_non_finite_start_is_undecided():
     c4 = _unit_diameter(apsp(cycle(4)))
     warm = _mds(c4)
     warm[0, 0] = np.inf
-    out = sdp_feasible(c4, 1.5, warm_start=warm)
+    out = sdp_feasible(c4, 1.5, warm)
     assert (out.status, out.iterations, out.certificate) == ("undecided", 1, None)
     # an infinite off-diagonal entry is clipped by the first sweep, as before
     warm = _mds(c4)
     warm[0, 1] = np.inf
-    got = sdp_feasible(c4, 1.5, warm_start=warm)
-    want = sdp_feasible_loop(c4, 1.5, warm_start=warm)
+    got = sdp_feasible(c4, 1.5, warm)
+    want = sdp_feasible_loop(c4, 1.5, warm)
     assert (got.status, got.iterations, repr(got.residual)) == (
         want.status, want.iterations, repr(want.residual)
     )
@@ -344,19 +351,15 @@ def test_sdp_non_finite_start_is_undecided():
 
 @pytest.mark.parametrize("c", [0.5, math.inf, math.nan])
 def test_sdp_bound_is_validated(c):
+    c4 = apsp(cycle(4))
     with pytest.raises(ValidationError):
-        sdp_feasible(apsp(cycle(4)), c)
+        sdp_feasible(c4, c, _mds(c4))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-4])
 def test_tolerances_must_be_finite_and_positive(tol):
-    # a NaN tolerance used to call the feasible C_4 bound 1.5 "stalled", and
-    # min_distortion_l2 returned the Frechet top after two probes
-    c4 = apsp(cycle(4))
     with pytest.raises(ValidationError):
-        sdp_feasible(c4.scaled(F(1, 2)), 1.5, tol=tol)
-    with pytest.raises(ValidationError):
-        min_distortion_l2(c4, tol=tol)
+        min_distortion_l2(apsp(cycle(4)), tol=tol)
 
 
 def test_min_distortion_l2_probes_at_the_module_constants(monkeypatch):

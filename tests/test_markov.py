@@ -168,7 +168,7 @@ def test_chain_rejects_inexact_probabilities(row):
 
 
 def _two_point_space():
-    return MetricSpace.from_rows(((F(0), F(1)), (F(1), F(0))))
+    return MetricSpace(((F(0), F(1)), (F(1), F(0))))
 
 
 _HALF_CHAIN = chain_from_rows((((0, F(1, 2)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 2)))), 0, 3)
@@ -253,9 +253,28 @@ def test_analytic_equals_explicit(m):
 
 
 def test_downward_walk_cap_instructs_analytic_mode():
-    with pytest.raises(CapExceededError) as exc:
+    assert downward_tree_walk(3).space.size == 511
+    # T_16 has 131071 vertices: its distance table would pass TABLE_ENTRY_CAP
+    with pytest.raises(CapExceededError, match="131071x131071") as exc:
         downward_tree_walk(4)
     assert "analytic" in str(exc.value)
+
+
+def test_exact_dp_caps_its_bit_work(monkeypatch):
+    # lazy walk on 0..2: R = 3 points, L = bitlen(2) = 2, T = 2, K = 1, D = 2,
+    # so b = p (L + K) + 2 T bitlen(D) = 14 at p = 2 and the work is 9 * 14
+    wb = lazy_path_walk(2)
+    monkeypatch.setattr(markov, "DP_BIT_WORK_CAP", 126)
+    exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+    monkeypatch.setattr(markov, "DP_BIT_WORK_CAP", 125)
+    with pytest.raises(CapExceededError, match=r"= 126 bit operations \(R = 3 points, b = 14 bits\)"):
+        exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+    monkeypatch.undo()
+    # unit D_3 at p = 2e5, and a 1e6-bit power on three points, stop before any power is taken
+    d3 = downhill_walk(diamond(3, UNIT))
+    for walk, p in ((d3, 200_000), (wb, 10**6)):
+        with pytest.raises(CapExceededError, match="more than the cap"):
+            exact_convexity(walk.chain, walk.metric_map, walk.space, p)
 
 
 @pytest.mark.parametrize("p", [2, 4])
@@ -603,7 +622,7 @@ def test_downhill_rejects_nonuniform_edge_lengths():
 
 def test_downhill_rejects_a_vertex_with_no_way_down():
     # on P_3 with sink 2, vertex 0's one neighbour is farther from the sink
-    space = MetricSpace.from_rows(((0, 3, 1), (3, 0, 5), (1, 5, 0)))
+    space = MetricSpace(((0, 3, 1), (3, 0, 5), (1, 5, 0)))
     family = types.SimpleNamespace(graph=path_graph(3), metric_space=lambda: space, source=1, sink=2)
     with pytest.raises(ValidationError, match="^vertex 0 has no neighbor closer to the sink$"):
         downhill_walk(family)

@@ -88,7 +88,7 @@ def test_verify_metric_on_generator_output():
 
 
 def test_verify_metric_triangle_violation():
-    sp = MetricSpace.from_rows(
+    sp = MetricSpace(
         (
             (F(0), F(1), F(3)),
             (F(1), F(0), F(1)),
@@ -103,7 +103,7 @@ def test_verify_metric_triangle_violation():
 
 
 def test_verify_metric_identity_violation():
-    sp = MetricSpace.from_rows(((F(0), F(0)), (F(0), F(0))))
+    sp = MetricSpace(((F(0), F(0)), (F(0), F(0))))
     report = verify_metric(sp)
     assert not report.valid
     assert any(v.kind == "identity" for v in report.violations)
@@ -111,23 +111,23 @@ def test_verify_metric_identity_violation():
 
 def test_geodesics_d1_and_d2():
     f1 = diamond(1, diamond_weighting())
-    paths = enumerate_geodesic_paths(f1.graph, f1.source, f1.sink)
+    paths = enumerate_geodesic_paths(f1.graph, f1.source, f1.sink, 10, f1.metric_space())
     assert len(paths) == 2
     # exhaustive search on D_2: one binary choice at the top quadrilateral
     # plus one per level-2 quadrilateral crossed, 2^3 in total
     f2 = diamond(2, diamond_weighting())
-    assert len(enumerate_geodesic_paths(f2.graph, f2.source, f2.sink)) == 8
+    assert len(enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, 10, f2.metric_space())) == 8
 
 
 def test_geodesics_laakso_bubble():
     f1 = laakso(1, laakso_weighting())
-    assert len(enumerate_geodesic_paths(f1.graph, 0, 1)) == 2
+    assert len(enumerate_geodesic_paths(f1.graph, 0, 1, 10, f1.metric_space())) == 2
 
 
 def test_geodesic_lengths_and_breakpoints():
     f2 = diamond(2, diamond_weighting())
     sp = apsp(f2.graph)
-    for path in enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, space=sp):
+    for path in enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, 10, sp):
         assert path.length == sp.d(f2.source, f2.sink)
         assert path.breakpoints[0] == 0
         assert all(a < b for a, b in zip(path.breakpoints, path.breakpoints[1:]))
@@ -136,7 +136,7 @@ def test_geodesic_lengths_and_breakpoints():
 
 
 def _geodesics_as_pairs(graph, u, v, space):
-    paths = enumerate_geodesic_paths(graph, u, v, cap=10000, space=space)
+    paths = enumerate_geodesic_paths(graph, u, v, 10000, space)
     assert all(type(b) is F for path in paths for b in path.breakpoints)
     return [(path.vertices, path.breakpoints) for path in paths]
 
@@ -169,7 +169,7 @@ def test_geodesics_skip_edges_off_the_distance_scale():
 def test_geodesic_cap():
     f2 = diamond(2, diamond_weighting())
     with pytest.raises(CapExceededError):
-        enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, cap=3)
+        enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, 3, f2.metric_space())
 
 
 def test_geodesics_refuse_another_graphs_table():
@@ -177,24 +177,24 @@ def test_geodesics_refuse_another_graphs_table():
     # in C_4; on C_5 it leaked an IndexError
     table = apsp(path_graph(4))
     with pytest.raises(ValidationError, match="an edge is shorter than its ends' distance"):
-        enumerate_geodesic_paths(cycle(4), 0, 3, space=table)
+        enumerate_geodesic_paths(cycle(4), 0, 3, 10, table)
     with pytest.raises(ValidationError, match="distance table has 4 points, the graph 5"):
-        enumerate_geodesic_paths(cycle(5), 0, 3, space=table)
+        enumerate_geodesic_paths(cycle(5), 0, 3, 10, table)
     # the right graph's table at twice the distances
     scaled = apsp(cycle(4)).scaled(2)
     with pytest.raises(ValidationError, match="shorter"):
-        enumerate_geodesic_paths(cycle(4), 0, 2, space=scaled)
+        enumerate_geodesic_paths(cycle(4), 0, 2, 10, scaled)
     # tables below the graph's distances, which no edge undercuts
     for low in (apsp(cycle(4)).scaled(F(1, 2)), MetricSpace(np.zeros((4, 4), dtype=np.int64))):
         with pytest.raises(ValidationError, match="row 0 is not the distances from 0"):
-            enumerate_geodesic_paths(cycle(4), 0, 2, space=low)
+            enumerate_geodesic_paths(cycle(4), 0, 2, 10, low)
     # C_6 with d(0, 4) = 4: each vertex has a tight in-arc in row 0 and no
     # edge undercuts, but the arc 5 -> 4 shortcuts the row
     num = apsp(cycle(6)).num.copy()
     num[0, 4] = num[4, 0] = 4
     with pytest.raises(ValidationError, match="row 0 is not the distances from 0"):
-        enumerate_geodesic_paths(cycle(6), 0, 4, space=MetricSpace(num))
-    paths = enumerate_geodesic_paths(cycle(4), 0, 2, space=apsp(cycle(4)))
+        enumerate_geodesic_paths(cycle(6), 0, 4, 10, MetricSpace(num))
+    paths = enumerate_geodesic_paths(cycle(4), 0, 2, 10, apsp(cycle(4)))
     assert [(p.vertices, p.ticks, p.scale) for p in paths] == [
         ((0, 1, 2), (0, 1, 2), 1),
         ((0, 3, 2), (0, 1, 2), 1),
@@ -204,7 +204,7 @@ def test_geodesics_refuse_another_graphs_table():
 def test_geodesic_same_endpoint_rejected():
     g = cycle(4)
     with pytest.raises(ValidationError):
-        enumerate_geodesic_paths(g, 1, 1)
+        enumerate_geodesic_paths(g, 1, 1, 10, apsp(g))
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,7 +358,7 @@ def test_every_enumerated_path_is_shortest(data):
     u, v = 0, graph.size - 1
     if u == v:
         return
-    for path in enumerate_geodesic_paths(graph, u, v, cap=10000, space=sp):
+    for path in enumerate_geodesic_paths(graph, u, v, 10000, sp):
         assert path.length == sp.d(u, v)
         assert path.vertices[0] == u and path.vertices[-1] == v
 
@@ -388,7 +388,7 @@ def test_verify_metric_matches_triple_loop(drawn):
     rows = [[F(a, b) * scale for a, b in row] for row in entries]
     if symmetric:
         rows = [[rows[min(i, j)][max(i, j)] if i != j else F(0) for j in range(n)] for i in range(n)]
-    sp = MetricSpace.from_rows(tuple(tuple(r) for r in rows))
+    sp = MetricSpace(tuple(tuple(r) for r in rows))
     report = verify_metric(sp)
     expected = triple_metric_violations(sp)
     assert report.violations == expected
@@ -403,7 +403,7 @@ def test_verify_metric_caps_violations_at_a_prefix():
     rng = random.Random(3)
     n = 30
     rows = [[0 if i == j else rng.randint(1, 50) for j in range(n)] for i in range(n)]
-    sp = MetricSpace.from_rows(rows)
+    sp = MetricSpace(rows)
     expected = triple_metric_violations(sp)
     assert len(expected) > VIOLATION_CAP
     report = verify_metric(sp)
@@ -436,7 +436,7 @@ def test_representation_matches_fraction_tables(drawn):
     table, idx, factor, k = drawn
     rows = tuple(tuple(F(x) for x in row) for row in table)
     labels = tuple(f"p{i}" for i in range(len(rows)))
-    sp = MetricSpace.from_rows(table, labels)
+    sp = MetricSpace(table, 1, labels)
 
     # one integer table in lowest terms, int64 exactly when 2 max|num| fits
     nums = sp.num.ravel().tolist()
@@ -524,11 +524,13 @@ def test_read_only_tables_are_shared_and_writeable_ones_copied():
             assert np.shares_memory(MetricSpace(derived.num, derived.scale).num, derived.num)
 
 
-def test_from_rows_rejects_floats_and_ragged_tables():
+def test_row_tables_refuse_floats_ragged_and_oblong_rows():
     with pytest.raises(ValidationError):
-        MetricSpace.from_rows(((0, 0.5), (0.5, 0)))
+        MetricSpace(((0, 0.5), (0.5, 0)))
     with pytest.raises(ValidationError):
-        MetricSpace.from_rows(((0, 1), (1,)))
+        MetricSpace(((0, 1), (1,)))
+    with pytest.raises(ValidationError, match="square"):
+        MetricSpace(((0, 1, 2), (1, 0, 3)))
 
 
 def test_object_tables_are_converted_exactly_or_refused():
@@ -548,7 +550,7 @@ def test_object_tables_are_converted_exactly_or_refused():
         table = np.array(rows, dtype=object)
         want = tuple(tuple(F(x) for x in row) for row in rows)
         assert MetricSpace(table).dist == want, name
-        assert MetricSpace(table) == MetricSpace.from_rows(rows), name
+        assert MetricSpace(table) == MetricSpace(rows), name
         assert Embedding(MetricSpace(table), table, NormedTarget("l1", 2)).vectors == want, name
     for value in (0.5, float("nan"), float("inf")):
         table = np.array([[0.0, value], [value, 0.0]], dtype=object)

@@ -203,8 +203,8 @@ def test_thickness_on_two_long_geodesics(half):
 
     graph = cycle(2 * half)
     space = apsp(graph)
-    geos = tuple(enumerate_geodesic_paths(graph, 0, half, space=space))
-    fam = GeodesicFamily(None, space, geos, geos[0].breakpoints)
+    geos = tuple(enumerate_geodesic_paths(graph, 0, half, 10, space))
+    fam = GeodesicFamily(None, space, geos)
     assert len(fam.params) == half + 1
     for budget in (0, 1, 2):
         cert = thickness_alpha(fam, budget)
@@ -234,19 +234,42 @@ def test_geodesics_off_the_parameter_grid_are_rejected():
     edges = ((0, 1, F(1)), (1, 2, F(1)), (0, 3, half), (3, 4, half), (4, 2, F(1)))
     graph = WeightedGraph(tuple(PointId(i) for i in range(5)), edges)
     space = apsp(graph)
-    geos = tuple(enumerate_geodesic_paths(graph, 0, 2, space=space))
+    geos = tuple(enumerate_geodesic_paths(graph, 0, 2, 10, space))
     assert len(geos) == 2 and geos[0].breakpoints != geos[1].breakpoints
-    for params in {g.breakpoints for g in geos}:
+    for order in (geos, geos[::-1]):
         with pytest.raises(ValidationError, match="do not share a parameter grid"):
-            GeodesicFamily(None, space, geos, params)
+            GeodesicFamily(None, space, order)
     with pytest.raises(ValidationError, match="at least one geodesic"):  # no grid to check
-        GeodesicFamily(None, space, (), ())
+        GeodesicFamily(None, space, ())
 
 
 def test_thickness_single_geodesic_family():
     fam = diamond_geodesic_family(0)
     assert len(fam.geodesics) == 1
     assert thickness_alpha(fam, 0).alpha == 0
+
+
+def test_geodesic_indices_are_ints_in_range():
+    fam = diamond_geodesic_family(2)
+    assert len(fam.geodesics) == 8
+    # -1 answered for the last geodesic, 8 and 1.5 raised a bare IndexError
+    for g in (-1, 8, 1.5, True):
+        with pytest.raises(ValidationError, match="is not an int in range"):
+            fam.respond(g, [])
+        with pytest.raises(ValidationError, match="is not an int in range"):
+            fam.splice(g, 0, [], [])
+        with pytest.raises(ValidationError, match="is not an int in range"):
+            fam.splice(0, g, [], [])
+    assert fam.splice(7, 0, [], []) == 7
+
+
+def test_martingale_steps_are_capped_before_any_work():
+    family = diamond_geodesic_family(1)
+    emb = diamond_l1_embedding(family.family)
+    run = martingale_from_embedding(family, emb, rnp.MARTINGALE_STEP_CAP)
+    assert len(run.diff_norms) == rnp.MARTINGALE_STEP_CAP
+    with pytest.raises(CapExceededError, match="double-steps exceed cap"):
+        martingale_from_embedding(family, None, rnp.MARTINGALE_STEP_CAP + 1)
 
 
 def test_recombination_closure_d2():
@@ -519,13 +542,13 @@ def _corrupted_trees():
         vec = list(vectors[lab])
         vec[atom] += delta
         vectors[lab] = tuple(vec)
-        yield DeltaTree(tree.depth, tree.atoms, vectors, tree.delta)
-    yield DeltaTree(tree.depth, tree.atoms, tree_vectors(tree), F(3, 2))  # separation
-    halved = {lab: tuple(F(x, 2) for x in vec) for lab, vec in tree_vectors(tree).items()}
+        yield DeltaTree(tree.depth, tree.atoms, list(vectors.values()), tree.delta)
+    yield DeltaTree(tree.depth, tree.atoms, tree.table, F(3, 2))  # separation
+    halved = [tuple(F(x, 2) for x in vec) for vec in tree.table.rows()]
     yield DeltaTree(tree.depth, tree.atoms, halved, F(1, 2))  # norms fail first
     # numerators past int64: the root keeps its norm, row "0" has a 0 at atom 0
     eps = F(1, 2**70)
-    shifted = {lab: (vec[0] + eps, vec[1] - eps) + vec[2:] for lab, vec in tree_vectors(tree).items()}
+    shifted = [(vec[0] + eps, vec[1] - eps) + vec[2:] for vec in tree.table.rows()]
     yield DeltaTree(tree.depth, tree.atoms, shifted, tree.delta)
 
 
@@ -809,11 +832,11 @@ def test_slope_jumps_match_fractions():
 def test_malformed_trees_and_generators_are_refused_at_construction():
     tree = rademacher_tree(2)
     vectors = dict(tree_vectors(tree))
-    missing = {lab: vec for lab, vec in vectors.items() if lab != "01"}
-    extra = {**vectors, "000": vectors["00"]}
-    ragged = {**vectors, "1": vectors["1"][:3]}
-    floats = {lab: tuple(map(float, vec)) for lab, vec in vectors.items()}
-    for bad in (missing, extra, ragged, floats, list(vectors.values())[:-1]):
+    missing = [vec for lab, vec in vectors.items() if lab != "01"]
+    extra = [*vectors.values(), vectors["00"]]
+    ragged = list({**vectors, "1": vectors["1"][:3]}.values())
+    floats = [tuple(map(float, vec)) for vec in vectors.values()]
+    for bad in (missing, extra, ragged, floats, vectors):  # a dict by label is no table
         with pytest.raises(ValidationError):
             DeltaTree(2, 4, bad, F(1))
     gens = [vec for level in bush_levels(tree_to_bush(tree)) for vec in level]
@@ -821,9 +844,7 @@ def test_malformed_trees_and_generators_are_refused_at_construction():
     for bad in ([gens[0][:3]], short, ragged, [tuple(map(float, gens[0]))], [(0.5, 0, 0, 0)]):
         with pytest.raises(ValidationError):
             GaugeNorm(4, bad)
-    # the rows in label order, and a dict in any order, build the same tree
-    assert DeltaTree(2, 4, dict(reversed(vectors.items())), F(1)) == tree
-    assert DeltaTree(2, 4, list(vectors.values()), F(1)) == tree
+    assert DeltaTree(2, 4, list(vectors.values()), F(1)) == tree  # the rows in label order
 
 
 def test_martingale_levels_take_the_target_dimension():
