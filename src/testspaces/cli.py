@@ -179,6 +179,13 @@ def cmd_gen(args) -> dict:
     fam = args.family
     n = args.n
     result: dict = {"family": fam}
+    # the --weighting default applies everywhere; scaled only to diamond and laakso
+    if n is not None and fam in ("fork", "product"):
+        raise ValidationError(f"--n does not apply to --family {fam}")
+    if args.depths is not None and fam != "product":
+        raise ValidationError(f"--depths does not apply to --family {fam}")
+    if args.weighting == "scaled" and fam not in ("diamond", "laakso"):
+        raise ValidationError(f"--weighting scaled does not apply to --family {fam}")
     if n is None and fam not in ("fork", "product"):
         raise ValidationError("--n required")
     if fam in ("tree", "fork", "cycle", "diamond", "laakso"):

@@ -17,16 +17,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, CollapsedPairError, ValidationError
+from .errors import CollapsedPairError, ValidationError
 from .generators import binary_tree, tree_labels
 from .metric_core import (
     INT64_MAX,
+    TABLE_ENTRY_CAP,
     MetricSpace,
     PointId,
     RationalTable,
     WeightedGraph,
     _magnitude,
     apsp,
+    check_cap,
     check_table_size,
     read_only,
 )
@@ -265,8 +267,8 @@ def james_alpha(m: int, coeff_bound: int = 3) -> JamesAlphaResult:
         raise ValidationError("need m >= 2")
     if coeff_bound < 1:
         raise ValidationError("empty coefficient grid")
-    if (2 * coeff_bound + 1) ** m > JAMES_GRID_CAP:
-        raise CapExceededError(f"{2 * coeff_bound + 1}^{m} grid points exceed cap {JAMES_GRID_CAP}")
+    what = f"the number of coefficient vectors in [-{coeff_bound}, {coeff_bound}]^{m}"
+    check_cap((2 * coeff_bound + 1) ** min(m, JAMES_GRID_CAP.bit_length()), JAMES_GRID_CAP, what)
     # partial sums S_1..S_m of every grid vector, rows in itertools.product
     # order; |S| <= 998 under the cap, so the int32 cross-products below fit
     S = np.indices((2 * coeff_bound + 1,) * m, dtype=np.int32).reshape(m, -1).T - coeff_bound
@@ -315,7 +317,7 @@ class BourgainLabeling:
 def _bourgain_tree(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Depth, bits (the label read in binary) and phi, the in-order rank, of
     the labels in tree_labels order, after the table cap; psi = (phi - 2^n) / 2^n."""
-    check_table_size(2 ** (n + 1) - 1, f"the depth-{n} binary tree")
+    check_table_size(2 ** (min(n, TABLE_ENTRY_CAP.bit_length()) + 1) - 1, f"the binary tree of depth {n}")
     depth = np.arange(n + 1).repeat(1 << np.arange(n + 1))
     bits = np.arange(depth.size) + 1 - (1 << depth)
     return depth, bits, (bits << (n - depth + 1)) + (1 << (n - depth))
@@ -324,7 +326,8 @@ def _bourgain_tree(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def bourgain_labeling(n: int) -> BourgainLabeling:
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    phi = dict(zip(tree_labels(n), _bourgain_tree(n)[2].tolist()))
+    ranks = _bourgain_tree(n)[2].tolist()  # the table cap first, before any label
+    phi = dict(zip(tree_labels(n), ranks))
     psi = {lab: Fraction(rank - 2**n, 2**n) for lab, rank in phi.items()}
     return BourgainLabeling(n, psi, phi)
 
@@ -359,7 +362,7 @@ def bourgain_distortion(n: int) -> DistortionReport:
     over those n^2 + 2n pairs, ties to the first, by cross-multiplication."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    check_table_size(2 ** (n + 1) - 1, f"the depth-{n} binary tree")
+    check_table_size(2 ** (min(n, TABLE_ENTRY_CAP.bit_length()) + 1) - 1, f"the binary tree of depth {n}")
     pairs = _bourgain_classes(n)
     lip = colip = pairs[0]
     for pair in pairs[1:]:
@@ -496,12 +499,10 @@ def cycle_tree_lower_oracle(m: int, max_tree_vertices: int) -> CycleTreeResult:
             tuple(sorted(tuple(sorted(e)) for e in tree.edges()))
             for tree in nx.nonisomorphic_trees(order)
         ]
-        total_maps += order**m * len(trees[order])
-        if total_maps > CYCLE_TREE_MAP_BUDGET:
-            raise CapExceededError(
-                f"{total_maps} maps into trees on at most {order} vertices "
-                f"exceed budget {CYCLE_TREE_MAP_BUDGET}"
-            )
+        # a clipped m exceeds the budget at once, so the count returned is never clipped
+        total_maps += order ** min(m, CYCLE_TREE_MAP_BUDGET.bit_length()) * len(trees[order])
+        what = f"the number of maps of C_{m} into trees on at most {order} vertices"
+        check_cap(total_maps, CYCLE_TREE_MAP_BUDGET, what)
 
     dc = np.array(
         [[min(abs(i - j), m - abs(i - j)) for j in range(m)] for i in range(m)],

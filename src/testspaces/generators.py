@@ -22,13 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError
 from .metric_core import (
     INT64_MAX,
     MetricSpace,
     PointId,
     WeightedGraph,
     apsp,
+    check_cap,
     check_table_size,
     read_only,
 )
@@ -85,8 +86,8 @@ def binary_tree(n: int) -> WeightedGraph:
     edges join a string to its one-letter extensions, unit lengths."""
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    if 2 ** (n + 1) - 1 > VERTEX_CAP:
-        raise CapExceededError(f"binary tree of depth {n} exceeds vertex cap {VERTEX_CAP}")
+    order = 2 ** (min(n, VERTEX_CAP.bit_length()) + 1) - 1
+    check_cap(order, VERTEX_CAP, f"the number of vertices of the binary tree of depth {n}")
     labels = tree_labels(n)
     index = {lab: i for i, lab in enumerate(labels)}
     vertices = tuple(PointId(i, lab) for i, lab in enumerate(labels))
@@ -234,8 +235,8 @@ def _replace_edges(
     counts = [2]
     units: list[Replacement] = []
     for level in range(1, n + 1):
-        if len(chains) + len(sides) * len(edges) > VERTEX_CAP:
-            raise CapExceededError(f"{kind} level {n} exceeds vertex cap {VERTEX_CAP}")
+        order = len(chains) + len(sides) * len(edges)
+        check_cap(order, VERTEX_CAP, f"the number of vertices of {kind} level {n}")
         new_edges = []
         for x, y, chain in edges:
             uid = len(units)
@@ -276,13 +277,10 @@ def tree_product(depths: list[int]) -> MetricSpace:
         raise ValidationError("need at least one tree depth")
     if min(depths) < 0:
         raise ValidationError("depth must be >= 0")
-    # a depth-d tree has 2^(d+1) - 1 vertices; one deeper than the cap's bit
-    # length exceeds the cap alone, so its exponent stops there
+    # a depth-d tree has 2^(d+1) - 1 vertices (exponents clipped as check_cap says)
     bits = TREE_PRODUCT_CAP.bit_length()
-    if math.prod(2 ** (min(d, bits) + 1) - 1 for d in depths) > TREE_PRODUCT_CAP:
-        raise CapExceededError(
-            f"product of trees of depths {depths} exceeds cap {TREE_PRODUCT_CAP} points"
-        )
+    points = math.prod(2 ** (min(d, bits) + 1) - 1 for d in depths)
+    check_cap(points, TREE_PRODUCT_CAP, f"the number of points of the product of trees of depths {depths}")
     spaces = [apsp(binary_tree(d)) for d in depths]  # unit edges: each scale is 1
     labels = tuple(
         "(" + ",".join(lab or "" for lab in combo) + ")"
@@ -340,8 +338,7 @@ def heisenberg_ball(r: int) -> MetricSpace:
     """
     if r < 0:
         raise ValidationError("radius must be >= 0")
-    if r > HEISENBERG_RADIUS_CAP:
-        raise CapExceededError(f"radius {r} exceeds cap {HEISENBERG_RADIUS_CAP} (ball grows ~ r^4)")
+    check_cap(r, HEISENBERG_RADIUS_CAP, f"the radius {r} of the Heisenberg ball (it grows ~ r^4)")
     lengths = heisenberg_word_lengths(2 * r)
     ball = sorted((g for g, d in lengths.items() if d <= r), key=lambda g: (lengths[g], g))
     labels = tuple(f"{a},{b},{c}" for a, b, c in ball)

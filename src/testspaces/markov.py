@@ -33,12 +33,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError
 from .generators import RecursiveFamily, binary_tree
-from .metric_core import INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_table_size, read_only
+from .metric_core import (
+    INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_cap, check_table_size, read_only
+)
 
-# bit operations of the exact tree pass, T (T + p ceil(log2 2T)): at p = 2,
-# m = 15 (1.07e9) runs and m = 16 (4.3e9) does not
+# bit operations of the exact tree pass, T (b + q^2 / 64) + b^2 / 64 (see
+# tree_walk_convexity_exact): at p = 2, m = 15 (1.09e9) runs and m = 16
+# (4.3e9) does not; m = 15 runs to p = 87, m = 3 to p = 2000 and beyond
 TREE_BIT_WORK_CAP = 2**31
 # bit operations of the exact DP, (R^2 + b / 64) b (see exact_convexity): at
 # p = 2, D_6 (6.9e9) runs and L_5 (1.6e11) does not; unit D_3 runs at
@@ -243,12 +246,8 @@ def exact_convexity(
     at = {a: where[mmap.point_of_state[a]] for a in reach}
     num = space.num[np.ix_(points, points)]
     R, width = len(points), p * (int(np.abs(num).max()).bit_length() + K) + 2 * T * D.bit_length()
-    work = (R * R + width // 64) * width
-    if work > DP_BIT_WORK_CAP:
-        raise CapExceededError(
-            f"the exact DP needs (R^2 + b / 64) b = {work} bit operations (R = {R} points, "
-            f"b = {width} bits), more than the cap of {DP_BIT_WORK_CAP}"
-        )
+    what = f"the number of bit operations of the exact DP on {R} points at horizon {T}, p = {p}"
+    check_cap((R * R + width // 64) * width, DP_BIT_WORK_CAP, what)
     N = [[x**p for x in row] for row in num.tolist()]
 
     # Pi[s] = D^s pi_s for the split times s = 0..T-1
@@ -488,8 +487,10 @@ def downward_tree_walk(m: int) -> WalkBundle:
     """
     if m < 1:
         raise ValidationError("need m >= 1")
+    bits = TABLE_ENTRY_CAP.bit_length()  # 2^(2^m + 1) - 1 vertices, both exponents clipped
+    order = 2 ** (min(2 ** min(m, bits), bits) + 1) - 1
+    check_table_size(order, f"T_2^{m} (use the analytic mode, tree_walk_convexity_exact / _mc)")
     depth = 2**m
-    check_table_size(2 ** (depth + 1) - 1, f"T_{depth} (use the analytic mode, tree_walk_convexity_exact / _mc)")
     space = apsp(binary_tree(depth))
     # vertices in tree_labels order: the root is 0, the children of i are
     # 2i + 1 and 2i + 2, and the leaves (absorbing) are the last 2^depth
@@ -508,18 +509,20 @@ def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
     A term (k, t) reads only j = min(t, 2^k) steps after its split, with
     E[d^p] = F[j] / 2^j, F[w] = sum_{i=1..w} 2^(i-1) (2i)^p.  So the lhs is
     sum_k 2^(-kp) (sum_{w<=W} F[w] / 2^w + (T - W) F[W] / 2^W), W = 2^k, and
-    one pass over w = 1..T in Python ints builds it over 2^(T + mp).  That
-    pass costs about T (T + p ceil(log2 2T)) bit operations; past
-    TREE_BIT_WORK_CAP it raises CapExceededError before any arithmetic."""
+    one pass over w = 1..T in Python ints builds it over 2^(T + mp).  Each
+    of its T steps takes a power (2w)^p of at most q = p ceil(log2 2T) bits,
+    about q^2 / 64 bit operations, and adds it into the lhs of at most
+    b = T + q bits; reducing that lhs to lowest terms costs about b^2 / 64.
+    Past TREE_BIT_WORK_CAP of T (b + q^2 / 64) + b^2 / 64 it raises
+    CapExceededError before any arithmetic."""
     if m < 1 or not isinstance(p, int) or p < 1:
         raise ValidationError("need m >= 1 and integer p >= 1")
-    # T^2 alone exceeds the cap once 2m reaches its bit length
-    if 2 * m >= TREE_BIT_WORK_CAP.bit_length() or 2**m * (2**m + p * (m + 1)) > TREE_BIT_WORK_CAP:
-        raise CapExceededError(
-            f"the exact tree pass at T = 2^{m}, p = {p} needs T (T + p ceil(log2 2T)) bit "
-            f"operations, more than the cap of {TREE_BIT_WORK_CAP}"
-        )
-    T = 2**m
+    # T = 2^m once the check passes: a clipped m exceeds the cap at once
+    T = 2 ** min(m, TREE_BIT_WORK_CAP.bit_length())
+    q = p * (m + 1)
+    b = T + q
+    what = f"the number of bit operations of the exact tree pass at T = 2^{m}, p = {p}"
+    check_cap(T * (b + q * q // 64) + b * b // 64, TREE_BIT_WORK_CAP, what)
     # F = F[w]; A = sum_{i<=w} 2^(w-i) F[i], so sum_{i<=w} F[i] / 2^i = A / 2^w
     F = A = lhs = 0
     for w in range(1, T + 1):
@@ -547,12 +550,8 @@ def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> Convexi
     if m < 1:
         raise ValidationError("need m >= 1")
     _check_mc_args(p, seed, samples)
-    # the (T + 1)^2 term table; T^2 alone exceeds the cap once 2m reaches its bit length
-    if 2 * m >= TABLE_ENTRY_CAP.bit_length() or (2**m + 1) ** 2 > TABLE_ENTRY_CAP:
-        raise CapExceededError(
-            f"the time window 0..2^{m} needs (2^{m} + 1)^2 table entries, "
-            f"more than the cap of {TABLE_ENTRY_CAP}"
-        )
+    # the (T + 1)^2 term table, its exponent clipped as check_cap says
+    check_table_size(2 ** min(m, TABLE_ENTRY_CAP.bit_length()) + 1, f"the time window 0..2^{m}")
     T = 2**m
     _check_float_powers(2.0, 2.0 * T, p)  # two copies split at most T steps apart
     terms = _split_terms(T)

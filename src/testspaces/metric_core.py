@@ -27,6 +27,7 @@ FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
 TRIANGLE_BLOCK = 2**12  # triples per verify_metric pass (small temporaries)
 VIOLATION_CAP = 1000  # violations listed by verify_metric
 TABLE_ENTRY_CAP = 2**26  # n^2 entries of one distance table (n <= 8192)
+GEODESIC_CAP = 1000  # geodesics per search; keeps GeodesicFamily's pair tables at <= 10^6 entries
 # row b: the 8 bits of byte b, low bit first, as lanes of uint64 words (one of uint8 lanes, two of uint16)
 SPREAD = {
     lane: np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
@@ -192,13 +193,20 @@ class MetricSpace:
         return f"MetricSpace(num={self.num!r}, scale={self.scale!r}, labels={self.labels!r})"
 
 
+def check_cap(amount: int, cap: int, what: str) -> None:
+    """The one cap check: CapExceededError "`what` exceeds cap `cap`" when
+    amount > cap.  `what` names the input, not the amount, which may pass
+    the int-to-str digit limit.  Callers clip exponents in `amount` at
+    cap.bit_length(): a base >= 2 raised that high already exceeds the cap,
+    so no verdict changes and no amount grows much wider than the cap."""
+    if amount > cap:
+        raise CapExceededError(f"{what} exceeds cap {cap}")
+
+
 def check_table_size(n: int, what: str) -> None:
     """Raise CapExceededError before an n x n table for `what` is allocated
     when n^2 exceeds TABLE_ENTRY_CAP."""
-    if n * n > TABLE_ENTRY_CAP:
-        raise CapExceededError(
-            f"{what} needs {n}x{n} table entries, more than the cap of {TABLE_ENTRY_CAP}"
-        )
+    check_cap(n * n, TABLE_ENTRY_CAP, f"the number of table entries for {what}")
 
 
 def read_only(num: np.ndarray) -> np.ndarray:
@@ -444,7 +452,7 @@ def _violations(space: MetricSpace):
 
 
 def enumerate_geodesic_paths(
-    graph: WeightedGraph, u: int, v: int, cap: int, space: MetricSpace
+    graph: WeightedGraph, u: int, v: int, space: MetricSpace
 ) -> list[GeodesicPath]:
     """All distinct shortest u-v vertex paths, sorted by vertex sequence.
 
@@ -453,7 +461,7 @@ def enumerate_geodesic_paths(
     from u and v raises ValidationError).  The search runs on integer
     lengths over `space.scale`: an edge whose length is no multiple of
     1/scale lies on no geodesic, and breakpoints are ticks over that scale.
-    Raises CapExceededError when more than `cap` geodesics exist.
+    Raises CapExceededError when more than GEODESIC_CAP geodesics exist.
     """
     if u == v:
         raise ValidationError("endpoints of a geodesic must differ")
@@ -488,6 +496,7 @@ def enumerate_geodesic_paths(
     for x, y, w in zip(heads[on].tolist(), graph.targets[on].tolist(), steps[on].tolist()):
         onward[x].append((y, w))
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    what = f"the number of geodesics between {u} and {v}"
 
     # DFS along the geodesic arcs: every prefix is a shortest path
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((u,), (0,))]
@@ -496,10 +505,7 @@ def enumerate_geodesic_paths(
         x = path[-1]
         if x == v:
             found.append((path, breaks))
-            if len(found) > cap:
-                raise CapExceededError(
-                    f"more than {cap} geodesics between {u} and {v}"
-                )
+            check_cap(len(found), GEODESIC_CAP, what)
             continue
         for y, w in onward[x]:
             stack.append((path + (y,), breaks + (breaks[-1] + w,)))

@@ -25,13 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import _ROW_NORMS, Embedding, NormedTarget, distortion
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError
 from .exactlp import _over_lcm, solve_lp
 from .generators import RecursiveFamily, diamond, diamond_weighting, tree_labels
 from .metric_core import (
     GeodesicPath,
     MetricSpace,
     RationalTable,
+    check_cap,
     enumerate_geodesic_paths,
     read_only,
 )
@@ -73,8 +74,7 @@ def rademacher_tree(n: int) -> DeltaTree:
     is the k-th Rademacher sign pattern.  All atom values are integers."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    if n > DELTA_TREE_DEPTH_CAP:
-        raise CapExceededError(f"depth {n} exceeds cap {DELTA_TREE_DEPTH_CAP}")
+    check_cap(n, DELTA_TREE_DEPTH_CAP, f"the depth {n} of the delta-tree")
     atoms = 2**n
     table = np.ones((2 * atoms - 1, atoms), dtype=np.int64)  # entries stay <= 2^n
     for k in range(1, n + 1):
@@ -292,9 +292,9 @@ LINE_SEGMENT_CAP = 10**6  # a delta-tree's lines: 299 593 segments at depth 6, 2
 def check_line_segments(k: int, widest: int) -> None:
     """CapExceededError when the lines of labels of length <= k may hold more than
     LINE_SEGMENT_CAP segments: 2^l lines of at most (2 widest)^l each per length l."""
-    total = sum((4 * widest) ** length for length in range(k + 1))
-    if total > LINE_SEGMENT_CAP:
-        raise CapExceededError(f"{total} broken-line segments exceed cap {LINE_SEGMENT_CAP}")
+    lengths = range(min(k, LINE_SEGMENT_CAP.bit_length()) + 1)
+    what = f"the number of broken-line segments of labels of length <= {k}"
+    check_cap(sum((4 * widest) ** length for length in lengths), LINE_SEGMENT_CAP, what)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -512,14 +512,11 @@ class GeodesicFamily:
         return self._index_of[key]
 
 
-FAMILY_GEODESIC_CAP = 1000  # keeps GeodesicFamily's pair tables at <= 10^6 entries
-
-
 def diamond_geodesic_family(n: int) -> GeodesicFamily:
     """All source-sink geodesics of the weighted level-n diamond; more than
-    FAMILY_GEODESIC_CAP of them (D_3 has 128, D_4 32768) raise CapExceededError."""
+    metric_core.GEODESIC_CAP of them (D_3 has 128, D_4 32768) raise CapExceededError."""
     fam = diamond(n, diamond_weighting())
-    geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, FAMILY_GEODESIC_CAP, fam.metric_space())
+    geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, fam.metric_space())
     return GeodesicFamily(fam, fam.metric_space(), tuple(geos))
 
 
@@ -764,8 +761,7 @@ def martingale_from_embedding(
     before any work."""
     if steps < 1:
         raise ValidationError("need at least one double-step")
-    if steps > MARTINGALE_STEP_CAP:
-        raise CapExceededError(f"{steps} double-steps exceed cap {MARTINGALE_STEP_CAP}")
+    check_cap(steps, MARTINGALE_STEP_CAP, f"the double-step count {steps}")
     if emb.space.size != family.space.size:
         raise ValidationError("embedding must live on the family's host space")
     if emb.target.kind not in ("l1", "linf", "summing") or not emb.exact:

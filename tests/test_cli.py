@@ -395,12 +395,15 @@ def test_cap_exit_code(capsys):
     assert rep["error"]["kind"] == "cap_exceeded"
     code, rep = run_cli(capsys, "rnp", "martingale", "--diamond", "3", "--steps", "257")
     assert code == 3
-    assert rep["error"]["message"] == "257 double-steps exceed cap 256"
+    assert rep["error"]["message"] == "the double-step count 257 exceeds cap 256"
     # the exact DP on unit D_5 at p = 2e4 would run for minutes
     code, rep = run_cli(capsys, "markov", "--walk", "diamond", "--n", "5", "--p", "20000", "--mode", "exact")
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
-    assert "(R = 684 points, b = 220384 bits)" in rep["error"]["message"]
+    assert rep["error"]["message"] == (
+        "the number of bit operations of the exact DP on 684 points at horizon 32, p = 20000 "
+        "exceeds cap 8589934592"
+    )
     # 7^20 ≈ 8e16 grid points: at 10^5 per second the search would never return
     code, rep = run_cli(capsys, "oracle", "james-alpha", "--m", "20")
     assert code == 3
@@ -409,7 +412,7 @@ def test_cap_exit_code(capsys):
     code, rep = run_cli(capsys, "markov", "--walk", "diamond", "--n", "7", "--mode", "exact")
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
-    assert "10924x10924" in rep["error"]["message"]
+    assert rep["error"]["message"] == "the number of table entries for diamond level 7 exceeds cap 67108864"
     # broken lines of depth L have 4^L segments: the cap fires before the
     # tree of depth 8 or 12 is built
     for depth in ("8", "12"):
@@ -417,6 +420,57 @@ def test_cap_exit_code(capsys):
         assert code == 3
         assert rep["error"]["kind"] == "cap_exceeded"
         assert "broken-line segments" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rnp lines --depth 5000",
+        "rnp lines --depth 20000",
+        "rnp lines --depth 100000",
+        "rnp lines --depth 1000000000",
+        "oracle cycle-tree --m 1000000000 --max-tree-vertices 3",
+        "oracle james-alpha --m 10000000",
+        "oracle james-alpha --m 30000000",
+        "gen --family tree --n 1000000000",
+        "markov --walk tree --n 1 --p 2000000 --mode exact",
+    ],
+)
+def test_caps_refuse_huge_arguments_at_once(capsys, argv):
+    # each cap's amount is formed from exponents clipped at the cap's bit
+    # length, and its message names the arguments, not the amount: nothing
+    # much wider than the cap is built, and nothing past the int-to-str limit
+    # is printed (the modules and networkx are loaded first, outside the trace)
+    import networkx  # noqa: F401
+
+    from testspaces import embeddings, markov, rnp  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(capsys, *argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert rep["error"]["kind"] == "cap_exceeded"
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--family tree --n 3 --weighting scaled",
+        "--family heis --n 2 --weighting scaled",
+        "--family fork --n 3",
+        "--family product --depths 1,2 --n 4",
+        "--family tree --n 3 --depths 1,2",
+    ],
+)
+def test_gen_refuses_options_that_do_not_apply(capsys, argv):
+    code, rep = run_cli(capsys, "gen", *argv.split())
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert "does not apply to --family" in rep["error"]["message"]
 
 
 @pytest.mark.parametrize(

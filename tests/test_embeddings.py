@@ -171,11 +171,13 @@ def test_bourgain_labeling_matches_fraction_sums(n):
 
 @pytest.mark.parametrize("build", [bourgain_labeling, bourgain_embed, bourgain_distortion])
 def test_bourgain_depth_cap_fires_first(build):
-    # 2^14 - 1 vertices exceed TABLE_ENTRY_CAP; unchecked, n = 13 runs for hours
-    started = time.perf_counter()
-    with pytest.raises(CapExceededError):
-        build(13)
-    assert time.perf_counter() - started < 1.0
+    # 2^14 - 1 vertices exceed TABLE_ENTRY_CAP; unchecked, n = 13 runs for
+    # hours, and 2^(10^6 + 1) - 1 has more digits than an int may print
+    for n in (13, 10**6):
+        started = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"^the number of table entries for the binary tree of depth {n} "):
+            build(n)
+        assert time.perf_counter() - started < 1.0
     assert len(bourgain_labeling(12).phi) == 2**13 - 1  # the largest depth under the cap
 
 

@@ -285,12 +285,12 @@ def test_caps(monkeypatch):
     monkeypatch.setattr(generators, "VERTEX_CAP", 12)
     assert diamond(2, UNIT).graph.size == 12
     monkeypatch.setattr(generators, "VERTEX_CAP", 11)
-    with pytest.raises(CapExceededError, match="^diamond level 2 exceeds vertex cap 11$"):
+    with pytest.raises(CapExceededError, match="^the number of vertices of diamond level 2 exceeds cap 11$"):
         diamond(2, UNIT)
     monkeypatch.setattr(generators, "VERTEX_CAP", 30)
     assert laakso(2, UNIT).graph.size == 30
     monkeypatch.setattr(generators, "VERTEX_CAP", 29)
-    with pytest.raises(CapExceededError, match="^laakso level 2 exceeds vertex cap 29$"):
+    with pytest.raises(CapExceededError, match="^the number of vertices of laakso level 2 exceeds cap 29$"):
         laakso(2, UNIT)
     monkeypatch.setattr(generators, "VERTEX_CAP", 100)
     with pytest.raises(CapExceededError):

@@ -12,8 +12,8 @@ numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
 fallback, every library function the benchmark traces by name still
 exists, `norm` measures with the row kernels of `distortion`, no
 tree-label prefix formula stands beside the tree space, the Bourgain
-distortion sweeps no label pairs, and caps are module constants, not
-per-call options."""
+distortion sweeps no label pairs, caps are module constants, not
+per-call options, and one function raises CapExceededError."""
 
 import ast
 import importlib
@@ -578,12 +578,12 @@ CAP_OPTION_EXEMPT = {"control_budget"}
 
 def cap_options(functions) -> list[str]:
     """`name(parameter)` for every parameter ending in `_cap`, `_budget` or
-    `_iter`, or named `modulus`, of the (name, function) pairs."""
+    `_iter`, or named `cap` or `modulus`, of the (name, function) pairs."""
     return [
         f"{name}({p})"
         for name, fn in functions
         for p in inspect.signature(fn).parameters
-        if (p.endswith(("_cap", "_budget", "_iter")) or p == "modulus") and p not in CAP_OPTION_EXEMPT
+        if (p.endswith(("_cap", "_budget", "_iter")) or p in ("cap", "modulus")) and p not in CAP_OPTION_EXEMPT
     ]
 
 
@@ -611,9 +611,35 @@ def test_caps_are_constants_not_options():
     # that no caller sets per call (tests monkeypatch the constant)
     functions = dict(public_functions())
     assert functions["thickness_alpha"] is importlib.import_module("testspaces.rnp").thickness_alpha
-    assert cap_options(functions.items()) == []
+    # the one cap check takes the constant it compares against
+    assert cap_options(functions.items()) == ["check_cap(cap)"]
 
     def f(n, vertex_cap=10, map_budget=5, control_budget=1, modulus=None, cap=3, max_iter=50):
         return n
 
-    assert cap_options([("f", f)]) == ["f(vertex_cap)", "f(map_budget)", "f(modulus)", "f(max_iter)"]
+    assert cap_options([("f", f)]) == ["f(vertex_cap)", "f(map_budget)", "f(modulus)", "f(cap)", "f(max_iter)"]
+
+
+def cap_refusals(source: str) -> list[str]:
+    """The enclosing function of every `raise CapExceededError` in source."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "CapExceededError":
+                    found.append(scope)
+            visit(child, child.name if isinstance(child, SCOPES) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_cap_check():
+    # every cap refuses through metric_core.check_cap, which forms its
+    # message only when it refuses
+    raises = {path.stem: cap_refusals(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {stem: found for stem, found in raises.items() if found} == {"metric_core": ["check_cap"]}
+    sample = "def f(n):\n    if n:\n        raise CapExceededError('x')\n    raise CapExceededError\n"
+    assert cap_refusals(sample) == ["f", "f"]

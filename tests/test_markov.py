@@ -26,7 +26,7 @@ from testspaces.markov import (
     tree_walk_convexity_exact,
     tree_walk_convexity_mc,
 )
-from testspaces.metric_core import MetricSpace, WeightedGraph, apsp, path_graph
+from testspaces.metric_core import TABLE_ENTRY_CAP, MetricSpace, WeightedGraph, apsp, path_graph
 
 from _oracles import (
     chain_from_rows,
@@ -254,10 +254,16 @@ def test_analytic_equals_explicit(m):
 
 def test_downward_walk_cap_instructs_analytic_mode():
     assert downward_tree_walk(3).space.size == 511
-    # T_16 has 131071 vertices: its distance table would pass TABLE_ENTRY_CAP
-    with pytest.raises(CapExceededError, match="131071x131071") as exc:
-        downward_tree_walk(4)
-    assert "analytic" in str(exc.value)
+    # T_16 has 131071 vertices: its distance table would pass TABLE_ENTRY_CAP;
+    # T_16384's vertex count has more digits than an int may print
+    for m in (4, 14):
+        want = (
+            rf"^the number of table entries for T_2\^{m} \(use the analytic mode, "
+            rf"tree_walk_convexity_exact / _mc\) exceeds cap {TABLE_ENTRY_CAP}$"
+        )
+        with pytest.raises(CapExceededError, match=want) as exc:
+            downward_tree_walk(m)
+        assert "analytic" in str(exc.value)
 
 
 def test_exact_dp_caps_its_bit_work(monkeypatch):
@@ -267,13 +273,14 @@ def test_exact_dp_caps_its_bit_work(monkeypatch):
     monkeypatch.setattr(markov, "DP_BIT_WORK_CAP", 126)
     exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
     monkeypatch.setattr(markov, "DP_BIT_WORK_CAP", 125)
-    with pytest.raises(CapExceededError, match=r"= 126 bit operations \(R = 3 points, b = 14 bits\)"):
+    want = "^the number of bit operations of the exact DP on 3 points at horizon 2, p = 2 exceeds cap 125$"
+    with pytest.raises(CapExceededError, match=want):
         exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
     monkeypatch.undo()
     # unit D_3 at p = 2e5, and a 1e6-bit power on three points, stop before any power is taken
     d3 = downhill_walk(diamond(3, UNIT))
     for walk, p in ((d3, 200_000), (wb, 10**6)):
-        with pytest.raises(CapExceededError, match="more than the cap"):
+        with pytest.raises(CapExceededError, match="exceeds cap"):
             exact_convexity(walk.chain, walk.metric_map, walk.space, p)
 
 
@@ -309,9 +316,13 @@ def test_tree_pass_builds_no_term_table(monkeypatch):
 
 
 def test_tree_pass_caps_its_bit_work():
-    # T (T + p ceil(log2 2T)): 1.07e9 at m = 15, p = 2, 4.3e9 at m = 16
-    assert tree_walk_convexity_exact(15, 2).rhs == 2**15
-    for m, p in [(16, 2), (10**12, 2), (3, 10**9)]:  # 2^m is never formed for m = 10^12
+    # T (b + q^2 / 64) + b^2 / 64 with q = p (m + 1) and b = T + q: 1.09e9 at
+    # m = 15, p = 2 and 4.3e9 at m = 16; the largest p is 87 at m = 15 and
+    # 107008 at m = 1, where T (T + q), the powers uncounted, passed far beyond
+    for m, p in [(15, 2), (15, 87), (1, 107008)]:
+        assert tree_walk_convexity_exact(m, p).rhs == 2**m
+    refused = [(16, 2), (15, 88), (13, 13122), (1, 107009), (1, 2_000_000), (10**12, 2), (3, 10**9)]
+    for m, p in refused:  # 2^m is never formed for m = 10^12
         with pytest.raises(CapExceededError, match="bit operations"):
             tree_walk_convexity_exact(m, p)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from testspaces import metric_core
 from testspaces.errors import CapExceededError, DisconnectedGraphError, ValidationError
 from testspaces.generators import UNIT, cycle, diamond, diamond_weighting, laakso, laakso_weighting
 from testspaces.metric_core import (
@@ -71,7 +72,8 @@ def test_apsp_unweighted_diamond_source_sink(n):
 
 def test_apsp_caps_the_table_before_searching():
     side = math.isqrt(TABLE_ENTRY_CAP)
-    with pytest.raises(CapExceededError, match=f"{side + 1}x{side + 1}"):
+    want = f"^the number of table entries for the graph exceeds cap {TABLE_ENTRY_CAP}$"
+    with pytest.raises(CapExceededError, match=want):
         apsp(path_graph(side + 1))
 
 
@@ -111,23 +113,23 @@ def test_verify_metric_identity_violation():
 
 def test_geodesics_d1_and_d2():
     f1 = diamond(1, diamond_weighting())
-    paths = enumerate_geodesic_paths(f1.graph, f1.source, f1.sink, 10, f1.metric_space())
+    paths = enumerate_geodesic_paths(f1.graph, f1.source, f1.sink, f1.metric_space())
     assert len(paths) == 2
     # exhaustive search on D_2: one binary choice at the top quadrilateral
     # plus one per level-2 quadrilateral crossed, 2^3 in total
     f2 = diamond(2, diamond_weighting())
-    assert len(enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, 10, f2.metric_space())) == 8
+    assert len(enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, f2.metric_space())) == 8
 
 
 def test_geodesics_laakso_bubble():
     f1 = laakso(1, laakso_weighting())
-    assert len(enumerate_geodesic_paths(f1.graph, 0, 1, 10, f1.metric_space())) == 2
+    assert len(enumerate_geodesic_paths(f1.graph, 0, 1, f1.metric_space())) == 2
 
 
 def test_geodesic_lengths_and_breakpoints():
     f2 = diamond(2, diamond_weighting())
     sp = apsp(f2.graph)
-    for path in enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, 10, sp):
+    for path in enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, sp):
         assert path.length == sp.d(f2.source, f2.sink)
         assert path.breakpoints[0] == 0
         assert all(a < b for a, b in zip(path.breakpoints, path.breakpoints[1:]))
@@ -136,7 +138,7 @@ def test_geodesic_lengths_and_breakpoints():
 
 
 def _geodesics_as_pairs(graph, u, v, space):
-    paths = enumerate_geodesic_paths(graph, u, v, 10000, space)
+    paths = enumerate_geodesic_paths(graph, u, v, space)
     assert all(type(b) is F for path in paths for b in path.breakpoints)
     return [(path.vertices, path.breakpoints) for path in paths]
 
@@ -166,10 +168,14 @@ def test_geodesics_skip_edges_off_the_distance_scale():
         assert got == [((0, 1, 2), tuple(b * scale for b in want[0][1]))]
 
 
-def test_geodesic_cap():
+def test_geodesic_cap(monkeypatch):
     f2 = diamond(2, diamond_weighting())
-    with pytest.raises(CapExceededError):
-        enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, 3, f2.metric_space())
+    monkeypatch.setattr(metric_core, "GEODESIC_CAP", 8)  # D_2 has 8 source-sink geodesics
+    assert len(enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, f2.metric_space())) == 8
+    monkeypatch.setattr(metric_core, "GEODESIC_CAP", 7)
+    want = f"^the number of geodesics between {f2.source} and {f2.sink} exceeds cap 7$"
+    with pytest.raises(CapExceededError, match=want):
+        enumerate_geodesic_paths(f2.graph, f2.source, f2.sink, f2.metric_space())
 
 
 def test_geodesics_refuse_another_graphs_table():
@@ -177,24 +183,24 @@ def test_geodesics_refuse_another_graphs_table():
     # in C_4; on C_5 it leaked an IndexError
     table = apsp(path_graph(4))
     with pytest.raises(ValidationError, match="an edge is shorter than its ends' distance"):
-        enumerate_geodesic_paths(cycle(4), 0, 3, 10, table)
+        enumerate_geodesic_paths(cycle(4), 0, 3, table)
     with pytest.raises(ValidationError, match="distance table has 4 points, the graph 5"):
-        enumerate_geodesic_paths(cycle(5), 0, 3, 10, table)
+        enumerate_geodesic_paths(cycle(5), 0, 3, table)
     # the right graph's table at twice the distances
     scaled = apsp(cycle(4)).scaled(2)
     with pytest.raises(ValidationError, match="shorter"):
-        enumerate_geodesic_paths(cycle(4), 0, 2, 10, scaled)
+        enumerate_geodesic_paths(cycle(4), 0, 2, scaled)
     # tables below the graph's distances, which no edge undercuts
     for low in (apsp(cycle(4)).scaled(F(1, 2)), MetricSpace(np.zeros((4, 4), dtype=np.int64))):
         with pytest.raises(ValidationError, match="row 0 is not the distances from 0"):
-            enumerate_geodesic_paths(cycle(4), 0, 2, 10, low)
+            enumerate_geodesic_paths(cycle(4), 0, 2, low)
     # C_6 with d(0, 4) = 4: each vertex has a tight in-arc in row 0 and no
     # edge undercuts, but the arc 5 -> 4 shortcuts the row
     num = apsp(cycle(6)).num.copy()
     num[0, 4] = num[4, 0] = 4
     with pytest.raises(ValidationError, match="row 0 is not the distances from 0"):
-        enumerate_geodesic_paths(cycle(6), 0, 4, 10, MetricSpace(num))
-    paths = enumerate_geodesic_paths(cycle(4), 0, 2, 10, apsp(cycle(4)))
+        enumerate_geodesic_paths(cycle(6), 0, 4, MetricSpace(num))
+    paths = enumerate_geodesic_paths(cycle(4), 0, 2, apsp(cycle(4)))
     assert [(p.vertices, p.ticks, p.scale) for p in paths] == [
         ((0, 1, 2), (0, 1, 2), 1),
         ((0, 3, 2), (0, 1, 2), 1),
@@ -204,7 +210,7 @@ def test_geodesics_refuse_another_graphs_table():
 def test_geodesic_same_endpoint_rejected():
     g = cycle(4)
     with pytest.raises(ValidationError):
-        enumerate_geodesic_paths(g, 1, 1, 10, apsp(g))
+        enumerate_geodesic_paths(g, 1, 1, apsp(g))
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,7 +364,7 @@ def test_every_enumerated_path_is_shortest(data):
     u, v = 0, graph.size - 1
     if u == v:
         return
-    for path in enumerate_geodesic_paths(graph, u, v, 10000, sp):
+    for path in enumerate_geodesic_paths(graph, u, v, sp):
         assert path.length == sp.d(u, v)
         assert path.vertices[0] == u and path.vertices[-1] == v
 

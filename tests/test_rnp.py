@@ -15,8 +15,8 @@ import testspaces.rnp as rnp
 from testspaces.embeddings import NormedTarget, distortion
 from testspaces.errors import CapExceededError, ValidationError
 from testspaces.generators import diamond, diamond_weighting
+from testspaces.metric_core import GEODESIC_CAP
 from testspaces.rnp import (
-    FAMILY_GEODESIC_CAP,
     BrokenLine,
     DeltaBush,
     DeltaTree,
@@ -203,7 +203,7 @@ def test_thickness_on_two_long_geodesics(half):
 
     graph = cycle(2 * half)
     space = apsp(graph)
-    geos = tuple(enumerate_geodesic_paths(graph, 0, half, 10, space))
+    geos = tuple(enumerate_geodesic_paths(graph, 0, half, space))
     fam = GeodesicFamily(None, space, geos)
     assert len(fam.params) == half + 1
     for budget in (0, 1, 2):
@@ -220,7 +220,7 @@ def test_thickness_d3_budget_profile(family3):
 
 
 def test_geodesic_family_cap_fires_before_pair_tables(family3):
-    assert len(family3.geodesics) == 128 <= FAMILY_GEODESIC_CAP
+    assert len(family3.geodesics) == 128 <= GEODESIC_CAP
     with pytest.raises(CapExceededError):
         diamond_geodesic_family(4)  # 32768 geodesics, ~1.07e9 pair-table entries
 
@@ -234,7 +234,7 @@ def test_geodesics_off_the_parameter_grid_are_rejected():
     edges = ((0, 1, F(1)), (1, 2, F(1)), (0, 3, half), (3, 4, half), (4, 2, F(1)))
     graph = WeightedGraph(tuple(PointId(i) for i in range(5)), edges)
     space = apsp(graph)
-    geos = tuple(enumerate_geodesic_paths(graph, 0, 2, 10, space))
+    geos = tuple(enumerate_geodesic_paths(graph, 0, 2, space))
     assert len(geos) == 2 and geos[0].breakpoints != geos[1].breakpoints
     for order in (geos, geos[::-1]):
         with pytest.raises(ValidationError, match="do not share a parameter grid"):
@@ -268,7 +268,7 @@ def test_martingale_steps_are_capped_before_any_work():
     emb = diamond_l1_embedding(family.family)
     run = martingale_from_embedding(family, emb, rnp.MARTINGALE_STEP_CAP)
     assert len(run.diff_norms) == rnp.MARTINGALE_STEP_CAP
-    with pytest.raises(CapExceededError, match="double-steps exceed cap"):
+    with pytest.raises(CapExceededError, match="^the double-step count 257 exceeds cap 256$"):
         martingale_from_embedding(family, None, rnp.MARTINGALE_STEP_CAP + 1)
 
 
@@ -993,7 +993,8 @@ def test_broken_line_cap_counts_every_segment(monkeypatch):
         monkeypatch.setattr(rnp, "LINE_SEGMENT_CAP", total)
         broken_line_family(bush, k)
         monkeypatch.setattr(rnp, "LINE_SEGMENT_CAP", total - 1)
-        with pytest.raises(CapExceededError, match=f"{total} broken-line segments"):
+        want = f"^the number of broken-line segments of labels of length <= {k} exceeds cap {total - 1}$"
+        with pytest.raises(CapExceededError, match=want):
             broken_line_family(bush, k)
     monkeypatch.undo()
     with pytest.raises(CapExceededError):
