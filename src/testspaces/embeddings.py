@@ -503,6 +503,9 @@ def cycle_tree_lower_oracle(m: int, max_tree_vertices: int) -> CycleTreeResult:
         total_maps += order ** min(m, CYCLE_TREE_MAP_BUDGET.bit_length()) * len(trees[order])
         what = f"the number of maps of C_{m} into trees on at most {order} vertices"
         check_cap(total_maps, CYCLE_TREE_MAP_BUDGET, what)
+    bound = Fraction(m, 3) - 1
+    if max_tree_vertices < m:  # no tree has m vertices: nothing to search
+        return CycleTreeResult(m, max_tree_vertices, None, bound, None, None, total_maps)
 
     dc = np.array(
         [[min(abs(i - j), m - abs(i - j)) for j in range(m)] for i in range(m)],
@@ -532,10 +535,6 @@ def cycle_tree_lower_oracle(m: int, max_tree_vertices: int) -> CycleTreeResult:
                 k = int(np.argmin(dist))
                 if best is None or dist[k] < best[0]:
                     best = (float(dist[k]), edges, tuple(int(x) for x in maps[k]), tree_space)
-
-    bound = Fraction(m, 3) - 1
-    if best is None:
-        return CycleTreeResult(m, max_tree_vertices, None, bound, None, None, total_maps)
 
     # re-verify the winning map in exact arithmetic
     _, edges, mapping, tree_space = best

@@ -34,7 +34,7 @@ from .metric_core import (
     read_only,
 )
 
-VERTEX_CAP = 200_000  # vertices of a binary tree, diamond or Laakso graph
+VERTEX_CAP = 200_000  # vertices of a cycle, binary tree, diamond or Laakso graph
 TREE_PRODUCT_CAP = 20_000  # points of an l1 product of trees
 HEISENBERG_RADIUS_CAP = 8  # the ball grows ~ r^4
 
@@ -108,6 +108,7 @@ def cycle(m: int) -> WeightedGraph:
     """Unit-length m-cycle."""
     if m < 3:
         raise ValidationError("cycle needs m >= 3")
+    check_cap(m, VERTEX_CAP, "the number of vertices of the cycle")
     vertices = tuple(PointId(i) for i in range(m))
     edges = tuple((i, (i + 1) % m, Fraction(1)) for i in range(m))
     return WeightedGraph(vertices, edges)

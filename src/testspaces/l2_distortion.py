@@ -11,11 +11,14 @@ it is checked after every iteration past the first 25, so the earliest
 verdict comes at iteration 26.  Between disjoint convex sets the residual
 settles at their gap distance (Bauschke-Borwein 1994), and here it settles
 early; a stall is not a certificate, and the bisection treats it as
-infeasible.  Each probe allocates its n x n work buffers once and writes
-every step of the loop into them, and it takes the eigendecomposition
-straight from the LAPACK gufunc behind `np.linalg.eigh`
-(`numpy.linalg._umath_linalg.eigh_lo`, the same bits without the wrapper's
-checks), or from `np.linalg.eigh` itself when that private name is missing.
+infeasible.  At the first iteration the negative eigenspace of the swept
+iterate may give an exact certificate instead (Linial-London-Rabinovich
+1995): a probe that it proves impossible is "infeasible".  Each probe
+allocates its n x n work buffers once and writes every step of the loop
+into them, and it takes the eigendecomposition straight from the LAPACK
+gufunc behind `np.linalg.eigh` (`numpy.linalg._umath_linalg.eigh_lo`, the
+same bits without the wrapper's checks), or from `np.linalg.eigh` itself
+when that private name is missing.
 The fork gap behind the self-improvement bound is the Hilbert-space one, in
 closed form and rounded outward.
 """
@@ -33,12 +36,13 @@ import numpy as np
 from .embeddings import DistortionReport, Embedding, NormedTarget, distortion
 from .errors import UndecidedError, ValidationError
 from .generators import binary_tree
-from .metric_core import MetricSpace, apsp, read_only
+from .metric_core import INT64_MAX, MetricSpace, apsp, read_only
 
 STALL_REL = 1e-9
 STALL_WINDOW = 25
 FEAS_TOL = 1e-7  # the residual at which a probe is feasible
 MAX_ITER_DEFAULT = 50_000
+WITNESS_GRID = 4096  # an infeasibility witness's largest entry, before centering
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,24 @@ class GramCertificate:
 
 
 @dataclass(frozen=True)
+class InfeasibilityWitness:
+    """P = A A^T, with A an integer n x r array whose columns sum to 0, is
+    PSD with P 1 = 0, so every embedding x has sum P_ij |x_i - x_j|^2 <= 0
+    (Linial-London-Rabinovich 1995).  Over the pairs i != j, with d(i,j)
+    <= |x_i - x_j| <= c d(i,j), this gives c^2 >= `bound` = sum_{P > 0}
+    P_ij d(i,j)^2 / sum_{P < 0} -P_ij d(i,j)^2, exact."""
+
+    A: np.ndarray
+    bound: Fraction
+
+
+@dataclass(frozen=True)
 class SdpOutcome:
-    status: str  # "feasible" | "stalled" | "undecided"
+    status: str  # "feasible" | "infeasible" | "stalled" | "undecided"
     certificate: Optional[GramCertificate]
     iterations: int
     residual: float  # the certificate's when feasible, else the best one seen
+    witness: Optional[InfeasibilityWitness] = None  # when infeasible
 
 
 try:  # the LAPACK gufunc inside np.linalg.eigh, without the wrapper's checks
@@ -79,6 +96,37 @@ def _distance_squares(space: MetricSpace) -> np.ndarray:
     return space.floats() ** 2
 
 
+def _infeasibility_witness(
+    space: MetricSpace, D2: np.ndarray, c: float, w: np.ndarray, V: np.ndarray
+) -> Optional[InfeasibilityWitness]:
+    """A witness that no embedding has distortion <= c, built from the
+    negative eigenpairs (w, V) of a swept iterate, or None.  B = V_-
+    sqrt(-w_-) is screened in floats, centered; a B that passes is rounded
+    to integers of magnitude <= WITNESS_GRID and centered exactly, A = n B
+    - 1 (1^T B), and the bound is checked on the exact distances."""
+    k = int(np.searchsorted(w, 0.0))  # w ascends: w[:k] < 0
+    B = V[:, :k] * np.sqrt(-w[:k])
+    centered = B - B.mean(axis=0)
+    # the P > 0 part minus the P < 0 part, and their sum (the diagonal, 0
+    # in a metric, only screens)
+    weighted = (centered @ centered.T) * D2
+    net, total = weighted.sum(), np.abs(weighted).sum()
+    if total + net <= c * c * (total - net):
+        return None
+    n, r = B.shape
+    if r * (2 * n * WITNESS_GRID) ** 2 > INT64_MAX:  # P's entries would overflow
+        return None
+    Bi = np.rint(WITNESS_GRID * B / np.abs(B).max()).astype(np.int64)
+    A = n * Bi - Bi.sum(axis=0)
+    P = A @ A.T
+    np.fill_diagonal(P, 0)
+    weighted = P.astype(object) * space.num.astype(object) ** 2
+    above, below = weighted[P > 0].sum(), -weighted[P < 0].sum()
+    if below <= 0 or above <= Fraction(c) ** 2 * below:
+        return None
+    return InfeasibilityWitness(read_only(A), Fraction(int(above), int(below)))
+
+
 # divergence is reported, not warned; a failed eigh_lo call raises invalid
 # and may raise divide, which np.linalg.eigh catches with its own errstate
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -87,11 +135,14 @@ def sdp_feasible(space: MetricSpace, c: float, warm_start: np.ndarray) -> SdpOut
     the Gram matrix warm_start, at the module constants FEAS_TOL and
     MAX_ITER_DEFAULT as they read when the probe starts.
 
-    Outcomes: "feasible" (certificate at FEAS_TOL), "stalled" (the best
-    residual improved by no more than STALL_REL, relative, over the last
-    STALL_WINDOW of 25 iterations, checked after every iteration past the
-    first window, so the earliest verdict is at iteration 26; treated as
-    infeasible at this c), "undecided" (iteration cap hit while still
+    Outcomes: "feasible" (certificate at FEAS_TOL), "infeasible" (at
+    iteration 1, when not feasible there: the negative eigenspace of the
+    first swept iterate gives an InfeasibilityWitness whose exact bound
+    exceeds c^2), "stalled" (the best residual improved by no more than
+    STALL_REL, relative, over the last STALL_WINDOW of 25 iterations,
+    checked after every iteration past the first window, so the earliest
+    verdict is at iteration 26; treated as infeasible at this c, though it
+    proves nothing), "undecided" (iteration cap hit while still
     progressing, a non-finite start or iterate, or an eigendecomposition
     that fails or is not finite: the projections can diverge, and that
     decides nothing about c).  A stalled or undecided outcome reports the
@@ -149,6 +200,7 @@ def sdp_feasible(space: MetricSpace, c: float, warm_start: np.ndarray) -> SdpOut
         if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
             return undecided(it)
         psd_violation = max(0.0, float(-w[0]))
+        witness = _infeasibility_witness(space, D2, c, w, V) if it == 1 and w[0] < 0 else None
         np.maximum(w, 0.0, out=w)
         np.matmul(np.multiply(V, w, out=S), V.T, out=Q)
         np.divide(np.add(Q, QT, out=S), 2.0, out=Q)
@@ -169,6 +221,8 @@ def sdp_feasible(space: MetricSpace, c: float, warm_start: np.ndarray) -> SdpOut
                 residual,
             )
         best_residual = min(best_residual, residual)
+        if witness is not None:
+            return SdpOutcome("infeasible", None, it, best_residual, witness)
         if len(window) == STALL_WINDOW:  # window[0] is the best at it - STALL_WINDOW
             if window[0] - best_residual <= STALL_REL * max(best_residual, 1e-300):
                 return SdpOutcome("stalled", None, it, best_residual)
@@ -189,6 +243,7 @@ class ProbeCounts:
     """The probes of one bisection by outcome, and their iterations summed."""
 
     feasible: int
+    infeasible: int
     stalled: int
     undecided: int
     iterations: int
@@ -203,13 +258,16 @@ class L2Result:
     undecided_probes: tuple[float, ...]
     probes: int
     counts: ProbeCounts
+    lower_bound: Fraction  # the largest certified bound on c_2^2, 1 when none
 
 
 def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     """Bisection over sdp_feasible, each probe at FEAS_TOL and
     MAX_ITER_DEFAULT; the returned c_star is the feasible end of the final
     bracket, and the embedding is reconstructed from its Gram certificate.
-    `counts` tallies every probe, the bracket top's included."""
+    An infeasible probe moves the bracket as a stalled one does, and its
+    witness's bound raises `lower_bound`.  `counts` tallies every probe,
+    the bracket top's included."""
     # NaN fails every comparison: `tol <= 0` would let it through, and the
     # bisection would never reach `hi - lo <= tol`
     if not 0 < tol < math.inf:
@@ -234,7 +292,7 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     if out.status != "feasible":
         # the warm start fre / lip is contractive, not feasible: C_5 and C_9 stall
         raise UndecidedError(f"solver failed at the guaranteed bracket top {hi}")
-    best, undecided = out.certificate, []
+    best, undecided, lower_bound = out.certificate, [], Fraction(1)
     runs = [(out.status, out.iterations)]
 
     # c = 1 first, then bisection while the bracket is wider than tol
@@ -248,6 +306,8 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
             lo = mid
             if out.status == "undecided":
                 undecided.append(mid)
+            if out.witness is not None:
+                lower_bound = max(lower_bound, out.witness.bound)
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -256,12 +316,10 @@ def min_distortion_l2(space: MetricSpace, tol: float = 1e-4) -> L2Result:
     emb = Embedding(space, read_only(emb_scaled.table * float(diam)), emb_scaled.target)
     statuses = [status for status, _ in runs]
     counts = ProbeCounts(
-        statuses.count("feasible"),
-        statuses.count("stalled"),
-        statuses.count("undecided"),
+        *map(statuses.count, ("feasible", "infeasible", "stalled", "undecided")),
         sum(iterations for _, iterations in runs),
     )
-    return L2Result(hi, emb, distortion(emb), (lo, hi), tuple(undecided), len(runs), counts)
+    return L2Result(hi, emb, distortion(emb), (lo, hi), tuple(undecided), len(runs), counts, lower_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import CapExceededError, DisconnectedGraphError, ValidationError
 
 INT64_MAX = 2**63 - 1
 FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
-TRIANGLE_BLOCK = 2**12  # triples per verify_metric pass (small temporaries)
+TRIANGLE_BLOCK = 2**14  # triples per verify_metric block (temporaries of 128 KiB)
 VIOLATION_CAP = 1000  # violations listed by verify_metric
 TABLE_ENTRY_CAP = 2**26  # n^2 entries of one distance table (n <= 8192)
 GEODESIC_CAP = 1000  # geodesics per search; keeps GeodesicFamily's pair tables at <= 10^6 entries
@@ -415,9 +415,12 @@ def verify_metric(space: MetricSpace) -> MetricReport:
     """Report the violated metric-axiom instances (never raises).
 
     Identity and symmetry come first, then the triangle inequality over the
-    integer numerators, one vectorized pass per block of first indices i
-    (about TRIANGLE_BLOCK triples); violations are listed in (i, j, k)
-    order.  The search stops after VIOLATION_CAP of them (`truncated`).
+    integer numerators, per block of first indices i (about TRIANGLE_BLOCK
+    triples).  Each block is screened with one min-plus pass, min over
+    every k of d(i,k) + d(k,j) < d(i,j); only the rows it flags are
+    enumerated, so a valid table lists nothing.  Violations are listed in
+    (i, j, k) order, and the search stops after VIOLATION_CAP of them
+    (`truncated`).
     """
     found = list(itertools.islice(_violations(space), VIOLATION_CAP + 1))
     return MetricReport(not found, tuple(found[:VIOLATION_CAP]), len(found) > VIOLATION_CAP)
@@ -438,14 +441,19 @@ def _violations(space: MetricSpace):
     distinct = idx[:, None] != idx[None, :]
     step = max(1, TRIANGLE_BLOCK // max(1, n * n))
     for start in range(0, n, step):
-        first = idx[start : start + step, None, None]
         rows = D[start : start + step]
-        # bad[b, j, k]: d(i,j) > d(i,k) + d(k,j) for i = start + b, with
+        # screen: row i can break the triangle inequality only if some
+        # d(i,k) + d(k,j), over every k, undercuts d(i,j)
+        failing = start + np.flatnonzero((rows > (rows[:, None, :] + DT).min(axis=2)).any(axis=1))
+        if not failing.size:
+            continue
+        rows, first = D[failing], failing[:, None, None]
+        # bad[b, j, k]: d(i,j) > d(i,k) + d(k,j) for i = failing[b], with
         # i, j, k distinct
         bad = rows[:, :, None] > rows[:, None, :] + DT
         bad &= distinct & (first != idx[:, None]) & (first != idx)
         for b, j, k in zip(*(a.tolist() for a in np.nonzero(bad))):
-            i = start + b
+            i = int(failing[b])
             via = Fraction(int(D[i, k]) + int(D[k, j]), space.scale)
             detail = f"d({i},{j}) = {d(i, j)} > d({i},{k}) + d({k},{j}) = {via}"
             yield MetricViolation("triangle", (i, j, k), detail)

@@ -774,26 +774,29 @@ def pairwise_map_distortion(source, target, mapping):
             colip = rinv if colip is None or rinv > colip else colip
     return lip * colip
 
-def triple_metric_violations(space):
+
+def triple_metric_violations(space, limit=None):
     """Every violated metric-axiom instance by the O(n^3) loop over entries:
     diagonal identity, then symmetry and positivity per pair i < j, then the
-    triangle inequality for every ordered (i, j) and k."""
+    triangle inequality for every ordered (i, j) and k.  With a `limit`, the
+    first `limit` of them, and the loop stops there."""
+    return tuple(itertools.islice(_metric_violations(space), limit))
+
+
+def _metric_violations(space):
     from testspaces.metric_core import MetricViolation
 
     d = space.dist
     n = space.size
-    out = []
     for i in range(n):
         if d[i][i] != 0:
-            out.append(MetricViolation("identity", (i, i), f"d({i},{i}) = {d[i][i]} != 0"))
+            yield MetricViolation("identity", (i, i), f"d({i},{i}) = {d[i][i]} != 0")
     for i in range(n):
         for j in range(i + 1, n):
             if d[i][j] != d[j][i]:
-                out.append(
-                    MetricViolation("symmetry", (i, j), f"d({i},{j}) = {d[i][j]} != d({j},{i}) = {d[j][i]}")
-                )
+                yield MetricViolation("symmetry", (i, j), f"d({i},{j}) = {d[i][j]} != d({j},{i}) = {d[j][i]}")
             if d[i][j] <= 0:
-                out.append(MetricViolation("identity", (i, j), f"d({i},{j}) = {d[i][j]} not positive"))
+                yield MetricViolation("identity", (i, j), f"d({i},{j}) = {d[i][j]} not positive")
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -802,14 +805,11 @@ def triple_metric_violations(space):
                 if k == i or k == j:
                     continue
                 if d[i][j] > d[i][k] + d[k][j]:
-                    out.append(
-                        MetricViolation(
-                            "triangle",
-                            (i, j, k),
-                            f"d({i},{j}) = {d[i][j]} > d({i},{k}) + d({k},{j}) = {d[i][k] + d[k][j]}",
-                        )
+                    yield MetricViolation(
+                        "triangle",
+                        (i, j, k),
+                        f"d({i},{j}) = {d[i][j]} > d({i},{k}) + d({k},{j}) = {d[i][k] + d[k][j]}",
                     )
-    return tuple(out)
 
 
 def sdp_feasible_loop(space, c, warm_start, checkpoints=False):
@@ -871,6 +871,25 @@ def sdp_feasible_loop(space, c, warm_start, checkpoints=False):
         if checked and best[it - window] - best[it] <= l2.STALL_REL * max(best[it], 1e-300):
             return l2.SdpOutcome("stalled", None, it, best[it])
     return l2.SdpOutcome("undecided", None, it, best[-1])
+
+
+def witness_bound(space, A):
+    """The bound on c^2 that an infeasibility witness A proves, re-derived in
+    Fractions: the columns of A sum to 0, P = A A^T, and the bound is
+    sum P_ij d(i,j)^2 over the pairs i != j with P_ij > 0 divided by
+    sum -P_ij d(i,j)^2 over those with P_ij < 0."""
+    rows = A.tolist()
+    assert all(sum(column) == 0 for column in zip(*rows))
+    d = space.dist
+    above = below = Fraction(0)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            p = sum(x * y for x, y in zip(a, b))
+            if i != j and p > 0:
+                above += p * d[i][j] ** 2
+            elif i != j and p < 0:
+                below -= p * d[i][j] ** 2
+    return above / below
 
 
 # fork distances: a0-a1 = 1, a1-a2 = a1-a2' = 1, a0-a2 = a0-a2' = 2, a2-a2' = 2

@@ -199,9 +199,11 @@ def test_l2min_counts_its_probes_under_meta(tmp_path, capsys):
     assert first == second  # byte for byte
     counts = rep["meta"]["probes"]
     assert counts == again["meta"]["probes"]
-    assert set(counts) == {"feasible", "stalled", "undecided", "iterations"}
-    assert counts["feasible"] + counts["stalled"] + counts["undecided"] == rep["result"]["probes"]
-    assert counts["stalled"] >= 1 and counts["iterations"] > rep["result"]["probes"]
+    assert set(counts) == {"feasible", "infeasible", "stalled", "undecided", "iterations"}
+    outcomes = ("feasible", "infeasible", "stalled", "undecided")
+    assert sum(counts[key] for key in outcomes) == rep["result"]["probes"]
+    assert counts["stalled"] >= 1 and counts["infeasible"] >= 1
+    assert counts["iterations"] > rep["result"]["probes"]
     assert "iterations" not in rep["result"]
 
 
@@ -433,6 +435,7 @@ def test_cap_exit_code(capsys):
         "oracle james-alpha --m 10000000",
         "oracle james-alpha --m 30000000",
         "gen --family tree --n 1000000000",
+        "gen --family cycle --n 400000",
         "markov --walk tree --n 1 --p 2000000 --mode exact",
     ],
 )

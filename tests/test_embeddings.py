@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -363,6 +364,22 @@ def test_cycle_tree_oracle_collapse_slice():
     # trees on <= 3 vertices cannot host C_4 injectively
     res = cycle_tree_lower_oracle(4, 3)
     assert res.min_distortion is None
+
+
+def test_cycle_tree_oracle_without_an_m_vertex_tree_builds_no_table():
+    # C_4000 fits no tree on one vertex: the result comes from the map count
+    # alone, before the 4000 x 4000 cycle table (1 GB as Python lists)
+    import networkx  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        res = cycle_tree_lower_oracle(4000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.min_distortion, res.witness_tree_edges, res.witness_map) == (None, None, None)
+    assert (res.bound, res.maps_searched) == (F(4000, 3) - 1, 1)
+    assert peak < 2**20
 
 
 def test_cycle_tree_budget(monkeypatch):

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from _oracles import fork_gap_slsqp, sdp_feasible_loop, tree_label_distance
+from _oracles import fork_gap_slsqp, sdp_feasible_loop, tree_label_distance, witness_bound
 from testspaces import l2_distortion
 from testspaces.embeddings import Embedding, NormedTarget, distortion
 from testspaces.errors import UndecidedError, ValidationError
@@ -59,14 +59,22 @@ def test_space_without_a_positive_distance_is_rejected():
 
 def test_c4_feasibility_thresholds():
     c4 = apsp(cycle(4)).scaled(F(1, 2))
-    stalled = sdp_feasible(c4, 1.2, _mds(c4))
-    # the best residual after iteration 27 is no better than after iteration
-    # 2, so the window that ends at 27 gives the verdict (at 50 on checkpoints)
-    assert (stalled.status, stalled.iterations) == ("stalled", l2_distortion.STALL_WINDOW + 2)
+    out = sdp_feasible(c4, 1.2, _mds(c4))
+    # the first swept iterate proves c = 1.2 impossible; c_2(C_4)^2 = 2, so
+    # no witness proves more than 2
+    assert (out.status, out.iterations, out.certificate) == ("infeasible", 1, None)
+    assert F(1.2) ** 2 < out.witness.bound == witness_bound(c4, out.witness.A) <= 2
     out = sdp_feasible(c4, 1.5, _mds(c4))
-    assert out.status == "feasible"
+    assert (out.status, out.witness) == ("feasible", None)
     assert out.certificate.max_psd_violation <= 1e-7
     assert out.certificate.max_constraint_violation <= 1e-7
+    # unit D_2 at 1.77 has no witness: the best residual after iteration 31
+    # improves on the one after iteration 6 by at most STALL_REL, so the
+    # window that ends at 31 gives the verdict (at 50 on checkpoints)
+    d2 = _unit_diameter(apsp(diamond(2).graph))
+    stalled = sdp_feasible(d2, 1.77, _mds(d2))
+    assert (stalled.status, stalled.iterations) == ("stalled", l2_distortion.STALL_WINDOW + 6)
+    assert sdp_feasible_loop(d2, 1.77, _mds(d2), checkpoints=True).iterations == 50
 
 
 def test_c4_optimum_is_sqrt2():
@@ -187,6 +195,17 @@ def test_sdp_iteration_matches_oracle(eigh_route, monkeypatch):
         got = sdp_feasible(sp, c, warm)
         want = sdp_feasible_loop(sp, c, warm)
         case = (name, c, max_iter, seed)
+        statuses.add(got.status)
+        if got.status == "infeasible":
+            # the reference only stalls: it must not find a certificate where
+            # a witness proves that none exists
+            assert want.status != "feasible", case
+            assert (got.iterations, got.certificate) == (1, None), case
+            assert F(c) ** 2 < got.witness.bound == witness_bound(sp, got.witness.A), case
+            monkeypatch.setattr(l2_distortion, "MAX_ITER_DEFAULT", 1)
+            assert repr(got.residual) == repr(sdp_feasible_loop(sp, c, warm).residual), case
+            continue
+        assert got.witness is None, case
         assert (got.status, got.iterations) == (want.status, want.iterations), case
         if max_iter <= l2_distortion.STALL_WINDOW and got.status != "feasible":
             assert (got.status, got.iterations) == ("undecided", max_iter), case
@@ -204,8 +223,7 @@ def test_sdp_iteration_matches_oracle(eigh_route, monkeypatch):
             assert repr(got.certificate.max_psd_violation) == repr(
                 want.certificate.max_psd_violation
             ), case
-        statuses.add(got.status)
-    assert statuses == {"feasible", "stalled", "undecided"}
+    assert statuses == {"feasible", "infeasible", "stalled", "undecided"}
 
 
 def _iterates(space, c, count):
@@ -279,14 +297,15 @@ def _minus_inf_lowest_eigenvalue(eigh, Q, out):
     "failure", [_lapack_failure, _raise_linalg_error, _nan_eigenvalues, _minus_inf_lowest_eigenvalue]
 )
 def test_sdp_failed_eigendecomposition_is_undecided(eigh_route, monkeypatch, failure):
-    c4 = _unit_diameter(apsp(cycle(4)))
+    # unit D_2 at 1.77 has no witness and runs 31 iterations
+    d2 = _unit_diameter(apsp(diamond(2).graph))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(l2_distortion, "MAX_ITER_DEFAULT", 2)
-        before = sdp_feasible(c4, 1.2, _mds(c4))
+        before = sdp_feasible(d2, 1.77, _mds(d2))
     _failing_eigh(monkeypatch, 3, failure)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = sdp_feasible(c4, 1.2, _mds(c4))
+        out = sdp_feasible(d2, 1.77, _mds(d2))
     assert (out.status, out.iterations, out.certificate) == ("undecided", 3, None)
     # the residual is the best of the two iterations before the failure
     assert repr(out.residual) == repr(before.residual)
@@ -423,11 +442,43 @@ def test_sliding_stall_window_keeps_the_results_of_checkpoints(monkeypatch):
     for new, old in zip(got, want):
         assert _fields(new) == _fields(old)
         counts = new.counts
-        assert counts.feasible + counts.stalled + counts.undecided == new.probes
+        assert counts.feasible + counts.infeasible + counts.stalled + counts.undecided == new.probes
         assert counts.undecided == len(new.undecided_probes)
-        assert dataclasses.replace(counts, iterations=0) == dataclasses.replace(old.counts, iterations=0)
+        # the reference only stalls; each of its stalls stalls or is proved
+        # infeasible here
+        assert old.counts.infeasible == 0
+        merged = dataclasses.replace(counts, infeasible=0, stalled=counts.stalled + counts.infeasible)
+        assert dataclasses.replace(merged, iterations=0) == dataclasses.replace(old.counts, iterations=0)
         assert counts.iterations <= old.counts.iterations
     assert sum(r.counts.iterations for r in got) < sum(r.counts.iterations for r in want)
+
+
+def test_infeasible_probes_carry_exact_witnesses(monkeypatch):
+    # every witness re-derives in Fractions and proves more than its c^2;
+    # lower_bound is the largest of them, never above c_star^2
+    probes = []
+
+    def record(space, c, warm_start):
+        out = probe(space, c, warm_start)
+        probes.append((space, c, out))
+        return out
+
+    probe = l2_distortion.sdp_feasible
+    monkeypatch.setattr(l2_distortion, "sdp_feasible", record)
+    for space in _stall_spaces():
+        probes.clear()
+        res = min_distortion_l2(space, tol=1e-4)
+        bounds = [out.witness.bound for _, _, out in probes if out.status == "infeasible"]
+        assert res.counts.infeasible == len(bounds)
+        for sp, c, out in probes:
+            assert (out.status == "infeasible") == (out.witness is not None)
+            if out.witness is not None:
+                assert out.iterations == 1
+                assert F(c) ** 2 < out.witness.bound == witness_bound(sp, out.witness.A)
+        assert res.lower_bound == max(bounds, default=F(1))
+        assert res.lower_bound <= F(res.c_star) ** 2
+    # C_4 at c = 1 is proved infeasible with the exact c_2(C_4)^2 = 2
+    assert min_distortion_l2(apsp(cycle(4))).lower_bound == 2
 
 
 def test_fork_gap_closed_form_matches_slsqp():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -415,6 +416,74 @@ def test_verify_metric_caps_violations_at_a_prefix():
     report = verify_metric(sp)
     assert not report.valid and report.truncated
     assert report.violations == tuple(expected[:VIOLATION_CAP])
+
+
+@pytest.mark.parametrize("block", [1, 300, metric_core.TRIANGLE_BLOCK])
+def test_verify_metric_screen_reaches_the_last_block(monkeypatch, block):
+    # 300 triples are blocks of 3 rows on 10 points, the last one holding
+    # row 9 alone; only row 9 is broken, since raising d(9, 0) lengthens
+    # every other row's detours through 9
+    rows = apsp(cycle(10)).num.tolist()
+    rows[9][0] = 6
+    sp = MetricSpace(rows)
+    monkeypatch.setattr(metric_core, "TRIANGLE_BLOCK", block)
+    report = verify_metric(sp)
+    expected = triple_metric_violations(sp)
+    assert report.violations == expected
+    assert {v.where[0] for v in expected if v.kind == "triangle"} == {9}
+
+
+def test_verify_metric_screen_passes_a_negative_diagonal():
+    # d(2, 2) < 0 gives every row a detour through k = 2 shorter than the
+    # direct distance, which the screen flags, but no triangle with
+    # distinct points is broken: the report has the identity entry alone
+    rows = apsp(cycle(6)).num.tolist()
+    rows[2][2] = -1
+    sp = MetricSpace(rows)
+    report = verify_metric(sp)
+    assert report.violations == triple_metric_violations(sp)
+    assert [v.kind for v in report.violations] == ["identity"]
+
+
+def test_verify_metric_screens_object_tables():
+    # twice 10^19 exceeds int64: the numerators are Python ints
+    rows = [[x * 10**19 for x in row] for row in apsp(cycle(7)).num.tolist()]
+    rows[3][5] = rows[5][3] = 3 * 10**19
+    rows[0][0] = 1
+    sp = MetricSpace(rows)
+    assert sp.num.dtype == object
+    report = verify_metric(sp)
+    expected = triple_metric_violations(sp)
+    assert report.violations == expected
+    assert {v.kind for v in expected} == {"identity", "triangle"}
+    assert verify_metric(MetricSpace(apsp(cycle(7)).num.astype(object) * 10**19)).valid
+
+
+def test_verify_metric_stops_a_large_broken_table_at_the_cap():
+    # random distances on 400 points: row 0 alone breaks the triangle
+    # inequality more than VIOLATION_CAP times
+    rng = random.Random(7)
+    n = 400
+    upper = [[rng.randint(1, 50) for _ in range(n)] for _ in range(n)]
+    rows = [[0 if i == j else upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    sp = MetricSpace(rows)
+    report = verify_metric(sp)
+    assert not report.valid and report.truncated
+    assert report.violations == triple_metric_violations(sp, VIOLATION_CAP)
+
+
+def test_verify_metric_peak_on_a_valid_table():
+    # D_4, 172 points: the numerator table's transpose (237 KB), the
+    # distinct mask (30 KB) and one block's screen; the pass that
+    # enumerated every block peaked at 642 KB
+    sp = apsp(diamond(4).graph)
+    tracemalloc.start()
+    try:
+        assert verify_metric(sp).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000
 
 
 _ENTRY = st.one_of(
