@@ -9,12 +9,12 @@ A chain is one CSR table, checked once by its constructor: each state's
 moves, to increasing targets, with positive integer weights over one
 denominator D; the built-in walks, all uniform choices, build it in
 integers from their out-degrees.  The DP and the Monte Carlo tables read
-that table.  One breadth-first pass over it finds the states reachable
-within the horizon, and both modes build their d^p table over those
-states' points only.  The Monte Carlo stepper pads each row to a
-power-of-two width, holds each state as its row offset (state * width),
-and takes a move by a branchless binary search over the row's running
-sums.
+that table.  Both modes read one distance table, the numerators between
+the points of the states reachable within the horizon (one breadth-first
+pass over the CSR), and take one p-th power per distinct distance.  The
+Monte Carlo stepper pads each row to a power-of-two width, holds each
+state as its row offset (state * width), and takes a move by a branchless
+binary search over the row's running sums.
 
 Time window: t runs over 1..T and k over 0..ceil(log2 T) with the chain
 frozen at its start state for t <= 0.  The truncated left-hand sum is a
@@ -162,16 +162,16 @@ def _split_terms(T: int) -> list[tuple[int, int, int]]:
     return terms
 
 
-def _check_map(chain: MarkovChain, mmap: MetricMap, space: MetricSpace) -> None:
+def _reached_table(chain: MarkovChain, mmap: MetricMap, space: MetricSpace):
+    """The one table both estimators read, once the map is checked: the
+    states reachable from start within the horizon, increasing (a
+    breadth-first pass over the CSR, one level per step), the row of each
+    one's point, and the distance numerators between those points, in point
+    order: `space.num` itself, uncopied, when they are every point."""
     if len(mmap.point_of_state) != chain.n_states:
         raise ValidationError("metric map must cover every state")
     if any(not 0 <= x < space.size for x in mmap.point_of_state):
         raise ValidationError(f"metric map points must lie in range({space.size})")
-
-
-def _reachable(chain: MarkovChain) -> np.ndarray:
-    """The states reachable from start within the horizon, increasing: a
-    breadth-first pass over the CSR, one level per step."""
     indptr, targets = chain.indptr.tolist(), chain.targets.tolist()
     reach, level = {chain.start}, [chain.start]
     for _ in range(chain.horizon):
@@ -179,7 +179,10 @@ def _reachable(chain: MarkovChain) -> np.ndarray:
         if not level:
             break
         reach |= level
-    return np.array(sorted(reach))
+    reach = np.array(sorted(reach))
+    points, slot = np.unique(np.array(mmap.point_of_state)[reach], return_inverse=True)
+    num = space.num if points.size == space.size else space.num[np.ix_(points, points)]
+    return reach, slot, num
 
 
 def _step(row: dict[int, int], moves: list[list[tuple[int, int]]]) -> dict[int, int]:
@@ -219,36 +222,34 @@ def exact_convexity(
     one Fraction over a power product of D, E and 2.  Row u of P^j is only
     pushed as far as the largest j that a split at u needs, and the (E d)^p
     table covers only the R points of the states reachable from start within
-    T steps.
+    T steps, with one power per distinct numerator.
 
     Its entries have at most p L bits, L the bit length of the largest
     numerator among those points; the row weights grow to D^T, and the sums
     are lifted over D^(2T) 2^(Kp), K = ceil(log2 T).  So no integer the DP
-    forms is much wider than b = p (L + K) + 2 T bitlen(D) bits: reading the
-    table costs about R^2 b bit operations, and reducing the b-bit results
-    to lowest terms about b^2 / 64 more.  Past DP_BIT_WORK_CAP of
-    (R^2 + b / 64) b it raises CapExceededError before any power is taken."""
+    forms is much wider than b = p (L + K) + 2 T bitlen(D) bits: the pair
+    sums read the R^2 table entries at about b bit operations each, and
+    reducing the b-bit results to lowest terms costs about b^2 / 64 more.
+    Past DP_BIT_WORK_CAP of (R^2 + b / 64) b it raises CapExceededError
+    before any power is taken, and before any copy when every point is
+    reached."""
     if not isinstance(p, int) or p < 1:
         raise ValidationError("exact mode needs integer p >= 1")
-    _check_map(chain, mmap, space)
+    reach, slot, num = _reached_table(chain, mmap, space)
     T = chain.horizon
     K = _k_max(T)
     terms = _split_terms(T)
-    D, pairs = chain.D, list(zip(chain.targets.tolist(), chain.weights.tolist()))
-    moves = [pairs[a:b] for a, b in itertools.pairwise(chain.indptr.tolist())]
-
-    # only the points of the states reachable within T steps are read
-    reach = _reachable(chain).tolist()
-
-    # N[x][y] = (E d(x, y))^p between their points; at[a] = point of state a
-    points = sorted({mmap.point_of_state[a] for a in reach})
-    where = {x: i for i, x in enumerate(points)}
-    at = {a: where[mmap.point_of_state[a]] for a in reach}
-    num = space.num[np.ix_(points, points)]
-    R, width = len(points), p * (int(np.abs(num).max()).bit_length() + K) + 2 * T * D.bit_length()
+    D, R = chain.D, len(num)
+    width = p * (max(int(num.max()), -int(num.min())).bit_length() + K) + 2 * T * D.bit_length()
     what = f"the number of bit operations of the exact DP on {R} points at horizon {T}, p = {p}"
     check_cap((R * R + width // 64) * width, DP_BIT_WORK_CAP, what)
-    N = [[x**p for x in row] for row in num.tolist()]
+
+    # N[x][y] = (E d(x, y))^p, one power per distinct numerator; at[a] = the row of a's point
+    values, inverse = np.unique(num, return_inverse=True)
+    N = np.array([x**p for x in values.tolist()], dtype=object)[inverse.reshape(R, R)].tolist()
+    at = dict(zip(reach.tolist(), slot.tolist()))
+    pairs = list(zip(chain.targets.tolist(), chain.weights.tolist()))
+    moves = [pairs[a:b] for a, b in itertools.pairwise(chain.indptr.tolist())]
 
     # Pi[s] = D^s pi_s for the split times s = 0..T-1
     Pi = [{chain.start: 1}]
@@ -304,6 +305,7 @@ def exact_convexity(
 # cells (samples x (T + 1)) drawn per block of samples; this fixes both the
 # draws and the memory, O(T * block) whatever `samples` is
 MC_BLOCK_CELLS = 2**20
+MC_SAMPLE_CAP = 2**24  # samples of one estimate: their kept totals take about 0.5 GB
 
 
 def _check_mc_args(p: float, seed: int, samples: int) -> None:
@@ -313,6 +315,7 @@ def _check_mc_args(p: float, seed: int, samples: int) -> None:
         raise ValidationError("need seed >= 0")
     if samples < 1:
         raise ValidationError("need samples >= 1")
+    check_cap(samples, MC_SAMPLE_CAP, "the number of Monte Carlo samples")
 
 
 def _check_float_powers(smallest: float, largest: float, p: float) -> None:
@@ -400,28 +403,23 @@ def mc_convexity(
     branch stops after the longest t - s its terms need.  Each block of
     samples (see _block_estimate) draws T uniform vectors for the base, then
     one uniform array per step for the branches still running, longest
-    first.  A positive distance whose p-th power leaves the float64 range
-    raises ValidationError: use `exact_convexity` there; a horizon past the
-    term table cap raises CapExceededError."""
+    first.  The d^p table takes one power per distinct distance between the
+    points of the states reachable within the horizon, and only those are
+    checked: a positive one whose p-th power leaves the float64 range raises
+    ValidationError (use `exact_convexity` there); a horizon past the term
+    table cap raises CapExceededError."""
     _check_mc_args(p, seed, samples)
-    _check_map(chain, mmap, space)
+    reach, slot, num = _reached_table(chain, mmap, space)
     T = chain.horizon
     terms = _split_terms(T)
     nbrs, cum, width = _sim_tables(chain)
-    # every positive distance between mapped points must have a float p-th power
-    point, scale = np.array(mmap.point_of_state), space.scale
-    mapped = np.zeros(space.size, dtype=bool)
-    mapped[point] = True
-    num = space.num if mapped.all() else space.num[np.ix_(mapped, mapped)]
-    positive = num[num > 0]
+    # d^p, one correctly rounded x**p per distinct distance, each positive
+    # one in the float64 range; at[u * width] is the row of state u's point
+    values, inverse = np.unique(num, return_inverse=True)
+    positive, scale = values[values > 0], space.scale
     if positive.size:
-        _check_float_powers(int(positive.min()) / scale, int(positive.max()) / scale, p)
-    # d^p over the points of the reachable states, one correctly rounded
-    # x**p per distinct distance; at[u * width] is the row of state u's point
-    reach = _reachable(chain)
-    points, slot = np.unique(point[reach], return_inverse=True)
-    values, inverse = np.unique(space.num[np.ix_(points, points)], return_inverse=True)
-    dpow = np.array([(x / scale) ** p for x in values.tolist()])[inverse.reshape(points.size, -1)]
+        _check_float_powers(int(positive[0]) / scale, int(positive[-1]) / scale, p)
+    dpow = np.array([(x / scale) ** p for x in values.tolist()])[inverse.reshape(len(num), -1)]
     at = np.zeros(chain.n_states * width, dtype=np.intp)
     at[reach * width] = slot
 

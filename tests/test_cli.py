@@ -437,6 +437,8 @@ def test_cap_exit_code(capsys):
         "gen --family tree --n 1000000000",
         "gen --family cycle --n 400000",
         "markov --walk tree --n 1 --p 2000000 --mode exact",
+        "markov --walk tree --n 2 --mode mc --seed 1 --samples 16777217",
+        "markov --walk diamond --n 1 --mode mc --seed 1 --samples 16777217",
     ],
 )
 def test_caps_refuse_huge_arguments_at_once(capsys, argv):

@@ -7,7 +7,8 @@ built-in walks build their chains without Fractions,
 the martingale code reads integer grids (no `Fraction` breaks, no scan of
 the parameters, no bisection), the simplex pivot does integer arithmetic only, the
 diamond and Laakso walks and embeddings never search for shortest paths,
-the Markov module seeds one Monte Carlo block loop and nothing else,
+the Markov module seeds one Monte Carlo block loop and nothing else and
+cuts a distance table with `np.ix_` in one function only,
 numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
 fallback, every library function the benchmark traces by name still
 exists, `norm` measures with the row kernels of `distortion`, no
@@ -441,6 +442,14 @@ def test_markov_has_one_monte_carlo_engine():
     assert defined.isdisjoint({"_mc_window", "_rng_for"})
     sample = "import numpy as np\nnp.random.SeedSequence(1)\nSeedSequence(2)\n"
     assert calls_named(sample, "SeedSequence") == [2, 3]
+
+
+def test_markov_estimators_read_one_reached_table():
+    # the exact DP and Monte Carlo read the table of one front end, so one
+    # function cuts the reached points' distances out with np.ix_
+    tree = ast.parse((SRC / "markov.py").read_text())
+    sites = [f.name for f in ast.walk(tree) if isinstance(f, SCOPES) and calls_named(ast.unparse(f), "ix_")]
+    assert sites == ["_reached_table"]
 
 
 PRIVATE_NUMPY = "_umath_linalg"

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import statistics
+import tracemalloc
 import types
 from fractions import Fraction as F
 
@@ -284,6 +285,22 @@ def test_exact_dp_caps_its_bit_work(monkeypatch):
             exact_convexity(walk.chain, walk.metric_map, walk.space, p)
 
 
+def test_exact_dp_refuses_before_it_copies(monkeypatch):
+    """The downhill walk reaches every point of scaled D_4, so the DP reads
+    the space's own distance table: a refusal at the bit-work cap allocates
+    far less than the table's bytes, where a copy would take all of them."""
+    wb = downhill_walk(diamond(4, diamond_weighting()))
+    monkeypatch.setattr(markov, "DP_BIT_WORK_CAP", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="on 172 points"):
+            exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < wb.space.num.nbytes / 4
+
+
 @pytest.mark.parametrize("p", [2, 4])
 def test_downward_walk_lower_bounds(p):
     for m in range(1, 7):
@@ -508,6 +525,31 @@ def test_mc_rejects_bad_p_and_seed(p, seed):
         tree_walk_convexity_mc(1, p, seed, 10)
 
 
+def test_mc_caps_its_samples(monkeypatch):
+    """Both Monte Carlo estimators refuse a sample count past MC_SAMPLE_CAP
+    before anything is drawn or allocated, and run one at the cap."""
+    wb = lazy_path_walk(2)
+    estimators = (
+        lambda samples: mc_convexity(wb.chain, wb.metric_map, wb.space, 2.0, 1, samples),
+        lambda samples: tree_walk_convexity_mc(1, 2.0, 1, samples),
+    )
+    want = f"^the number of Monte Carlo samples exceeds cap {markov.MC_SAMPLE_CAP}$"
+    tracemalloc.start()
+    try:
+        for estimate in estimators:
+            with pytest.raises(CapExceededError, match=want):
+                estimate(markov.MC_SAMPLE_CAP + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(markov, "MC_SAMPLE_CAP", 10)
+    for estimate in estimators:
+        assert estimate(10).method.samples == 10
+        with pytest.raises(CapExceededError, match="exceeds cap 10$"):
+            estimate(11)
+
+
 def test_mc_matches_exact_tree():
     exact = tree_walk_convexity_exact(2, 2)
     mc = tree_walk_convexity_mc(2, 2.0, seed=31, samples=20000)
@@ -718,8 +760,11 @@ def test_chain_probabilities_round_trip_through_the_table_or_are_refused(setup):
 @pytest.mark.parametrize("level, horizon", [(4, 3), (3, 2)])
 def test_exact_dp_reads_only_reachable_points(level, horizon):
     """States the walk cannot reach within the horizon are sent to one extra
-    point far from every other; the DP reads no distance of theirs, so it
-    still matches the dense oracle, which weighs them with probability 0."""
+    point far from every other; neither estimator reads a distance of
+    theirs, so the DP still matches the dense oracle, which weighs them with
+    probability 0, and Monte Carlo, which checks the float range of the
+    distances it reads only, is not refused at a p where the far point's
+    power (about 1e360) overflows."""
     fam = diamond(level, diamond_weighting())
     wb = downhill_walk(fam, horizon=horizon)
     reach, frontier = {fam.source}, {fam.source}
@@ -737,6 +782,9 @@ def test_exact_dp_reads_only_reachable_points(level, horizon):
     assert (est.lhs, est.rhs) == dense_exact_convexity(wb.chain, mmap, space, 2)
     plain = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
     assert (est.lhs, est.rhs) == (plain.lhs, plain.rhs)
+    far = mc_convexity(wb.chain, mmap, space, 60.0, 3, 200)
+    assert far == mc_convexity(wb.chain, wb.metric_map, wb.space, 60.0, 3, 200)
+    assert far.lhs > 0
 
 
 def test_pi_lower_outside_float_range():

@@ -5,7 +5,8 @@ computed over a fixed input set: the distance tables of the paper's test
 spaces, the distortion of the Fréchet, Bourgain and tent embeddings,
 `bourgain_distortion` at depths 1-12 (witnesses included), the RNP
 pipelines of D_2 and D_3, the delta-tree pipeline at depths 1-5, two
-delta-bushes that are not trees, the submetric checks, the exact Markov convexity estimates and the CLI `result`
+delta-bushes that are not trees, the submetric checks, the exact Markov convexity estimates (unit
+D_3 also at p = 20000, its integers in hex) and the CLI `result`
 of the README commands (l2min and Monte Carlo left out) and of
 `rnp lines --depth 5`.  Tables are printed whole, not summarized.
 
@@ -246,6 +247,11 @@ def _markov_cases():
         yield f"markov/exact/{name}", mk.exact_convexity(w.chain, w.metric_map, w.space, 2)
     for m in (3, 4, 6):
         yield f"markov/tree/{m}", mk.tree_walk_convexity_exact(m, 2)
+    # the large-p path; its integers pass the int-to-str digit limit
+    w = mk.downhill_walk(gen.diamond(3))
+    est = mk.exact_convexity(w.chain, w.metric_map, w.space, 20_000)
+    ints = (est.lhs.numerator, est.lhs.denominator, est.rhs.numerator, est.rhs.denominator)
+    yield "markov/exact/D3u-p20000", (est.p, est.method, *map(hex, ints))
 
 
 README_COMMANDS = (
