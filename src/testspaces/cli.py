@@ -196,8 +196,7 @@ def cmd_gen(args) -> dict:
         elif fam == "cycle":
             graph = gen.cycle(n)
         else:
-            scaled = gen.diamond_weighting() if fam == "diamond" else gen.laakso_weighting()
-            w = scaled if args.weighting == "scaled" else gen.UNIT
+            w = gen.Weighting(args.weighting)
             rec = gen.diamond(n, w) if fam == "diamond" else gen.laakso(n, w)
             graph = rec.graph
             result.update({"source": rec.source, "sink": rec.sink})

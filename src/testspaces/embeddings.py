@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CollapsedPairError, ValidationError
-from .generators import binary_tree, tree_labels
+from .generators import binary_tree, cycle, tree_labels, tree_order
 from .metric_core import (
     INT64_MAX,
     TABLE_ENTRY_CAP,
@@ -316,8 +316,8 @@ class BourgainLabeling:
 
 def _bourgain_tree(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Depth, bits (the label read in binary) and phi, the in-order rank, of
-    the labels in tree_labels order, after the table cap; psi = (phi - 2^n) / 2^n."""
-    check_table_size(2 ** (min(n, TABLE_ENTRY_CAP.bit_length()) + 1) - 1, f"the binary tree of depth {n}")
+    T_n's vertices in heap order, after the table cap; psi = (phi - 2^n) / 2^n."""
+    check_table_size(tree_order(n, TABLE_ENTRY_CAP), f"the binary tree of depth {n}")
     depth = np.arange(n + 1).repeat(1 << np.arange(n + 1))
     bits = np.arange(depth.size) + 1 - (1 << depth)
     return depth, bits, (bits << (n - depth + 1)) + (1 << (n - depth))
@@ -337,19 +337,19 @@ def bourgain_embed(n: int) -> Embedding:
     norm of dimension 2^{n+1} - 1."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    depth, bits, phi = _bourgain_tree(n)
-    space = apsp(binary_tree(n))  # its points in tree_labels order, as _bourgain_tree's
+    depth, _, phi = _bourgain_tree(n)
+    space = apsp(binary_tree(n))  # its points in heap order, as _bourgain_tree's
     table = np.zeros((depth.size, depth.size), dtype=np.int64)
     for up in range(n + 1):  # each point's ancestor `up` edges above it, where there is one
         below = np.flatnonzero(depth >= up)
-        table[below, phi[(1 << (depth[below] - up)) - 1 + (bits[below] >> up)] - 1] = 1
+        table[below, phi[((below + 1) >> up) - 1] - 1] = 1
     return Embedding(space, read_only(table), NormedTarget("summing", depth.size))
 
 
 def bourgain_distortion(n: int) -> DistortionReport:
     """Exact distortion of the depth-n summing-norm tree embedding.
 
-    For labels a < b in tree_labels order below their longest common prefix
+    For labels a < b in heap order below their longest common prefix
     c by la and lb >= 1 edges, f(a) - f(b) is +1 at a's ancestors below c
     and -1 at b's.  These lie in the subtrees of c's two children and phi is
     the in-order rank, so one side's coordinates all come first: the running
@@ -362,7 +362,7 @@ def bourgain_distortion(n: int) -> DistortionReport:
     over those n^2 + 2n pairs, ties to the first, by cross-multiplication."""
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    check_table_size(2 ** (min(n, TABLE_ENTRY_CAP.bit_length()) + 1) - 1, f"the binary tree of depth {n}")
+    _bourgain_tree(n)  # the table cap, as bourgain_labeling and bourgain_embed meet it
     pairs = _bourgain_classes(n)
     lip = colip = pairs[0]
     for pair in pairs[1:]:
@@ -507,10 +507,7 @@ def cycle_tree_lower_oracle(m: int, max_tree_vertices: int) -> CycleTreeResult:
     if max_tree_vertices < m:  # no tree has m vertices: nothing to search
         return CycleTreeResult(m, max_tree_vertices, None, bound, None, None, total_maps)
 
-    dc = np.array(
-        [[min(abs(i - j), m - abs(i - j)) for j in range(m)] for i in range(m)],
-        dtype=np.int64,
-    )
+    cyc = apsp(cycle(m))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
 
     best = None  # (distortion float, tree edges, map tuple, tree space)
@@ -528,7 +525,7 @@ def cycle_tree_lower_oracle(m: int, max_tree_vertices: int) -> CycleTreeResult:
                 ratio_max = np.zeros(len(maps))
                 ratio_min = np.full(len(maps), np.inf)
                 for i, j in pairs:
-                    r = td[maps[:, i], maps[:, j]] / dc[i, j]
+                    r = td[maps[:, i], maps[:, j]] / cyc.num[i, j]
                     ratio_max = np.maximum(ratio_max, r)
                     ratio_min = np.minimum(ratio_min, r)
                 dist = ratio_max / ratio_min
@@ -538,7 +535,7 @@ def cycle_tree_lower_oracle(m: int, max_tree_vertices: int) -> CycleTreeResult:
 
     # re-verify the winning map in exact arithmetic
     _, edges, mapping, tree_space = best
-    exact = map_distortion(MetricSpace(dc), tree_space, mapping)
+    exact = map_distortion(cyc, tree_space, mapping)
     if exact is None:
         raise ValidationError("internal error: winning map collapsed on re-check")
     if exact < bound:

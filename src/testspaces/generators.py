@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .metric_core import (
-    INT64_MAX,
     MetricSpace,
     PointId,
     WeightedGraph,
@@ -41,59 +40,58 @@ HEISENBERG_RADIUS_CAP = 8  # the ball grows ~ r^4
 
 @dataclass(frozen=True)
 class Weighting:
-    """Edge-length convention: unit edges, or base^(-n) at level n."""
+    """Edge-length convention: unit edges, or f^(-n) at level n, where f is
+    the end-to-end hop count of the family's gadget (2 for the diamond's
+    quadrilateral, 4 for the Laakso gadget), so that each scaled level
+    injects isometrically into the next."""
 
     mode: str  # "unit" | "scaled"
-    base: Fraction = Fraction(2)
 
     def __post_init__(self):
         if self.mode not in ("unit", "scaled"):
             raise ValidationError(f"unknown weighting mode {self.mode!r}")
-        if self.base <= 1:
-            raise ValidationError("scale base must exceed 1")
-
-    def edge_length(self, level: int) -> Fraction:
-        if self.mode == "unit":
-            return Fraction(1)
-        return Fraction(1) / (self.base**level)
 
 
 UNIT = Weighting("unit")
 
 
 def diamond_weighting() -> Weighting:
-    return Weighting("scaled", Fraction(2))
+    return Weighting("scaled")
 
 
 def laakso_weighting() -> Weighting:
-    return Weighting("scaled", Fraction(4))
+    return Weighting("scaled")
 
 
 # ---------------------------------------------------------------------------
-# Trees
+# Trees.  T_n is stored in heap layout: vertex i has children 2i + 1 and
+# 2i + 2, so its parent is (i - 1) // 2 and its ancestor k levels up is
+# ((i + 1) >> k) - 1; depth d holds rows 2^d - 1 ... 2^(d+1) - 2; and i's
+# label is i + 1 in binary without its leading 1.  Every module that reads
+# T_n's rows uses this layout.
 # ---------------------------------------------------------------------------
+
+def tree_order(n: int, limit: int) -> int:
+    """The 2^(n+1) - 1 vertices of T_n, with n clipped at limit.bit_length()
+    as check_cap asks: the count exceeds limit exactly when T_n's does."""
+    return 2 ** (min(n, limit.bit_length()) + 1) - 1
+
 
 def tree_labels(n: int) -> list[str]:
-    """The 0/1 strings of length <= n, by length and then lexicographically."""
-    labels = [""]
-    for depth in range(1, n + 1):
-        labels.extend("".join(bits) for bits in itertools.product("01", repeat=depth))
-    return labels
+    """T_n's labels in heap order: the 0/1 strings of length <= n, by length
+    and then lexicographically."""
+    return [bin(i)[3:] for i in range(1, 2 ** (n + 1))]
 
 
 def binary_tree(n: int) -> WeightedGraph:
-    """Binary tree of depth n: vertices are 0/1 strings of length <= n,
-    edges join a string to its one-letter extensions, unit lengths."""
+    """Binary tree of depth n in heap layout: vertex i carries its label
+    and a unit edge to its parent."""
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    order = 2 ** (min(n, VERTEX_CAP.bit_length()) + 1) - 1
+    order = tree_order(n, VERTEX_CAP)
     check_cap(order, VERTEX_CAP, f"the number of vertices of the binary tree of depth {n}")
-    labels = tree_labels(n)
-    index = {lab: i for i, lab in enumerate(labels)}
-    vertices = tuple(PointId(i, lab) for i, lab in enumerate(labels))
-    edges = tuple(
-        (index[lab[:-1]], index[lab], Fraction(1)) for lab in labels if lab
-    )
+    vertices = tuple(PointId(i, lab) for i, lab in enumerate(tree_labels(n)))
+    edges = tuple(((i - 1) // 2, i, Fraction(1)) for i in range(1, order))
     return WeightedGraph(vertices, edges)
 
 
@@ -162,19 +160,12 @@ class RecursiveFamily:
         also take G[p, q].  Level k's new vertices are the units of level k
         in order, `len(sides)` per unit.  Raises CapExceededError before
         allocating a table of more than TABLE_ENTRY_CAP entries."""
-        size = self.graph.size
-        check_table_size(size, f"{self.kind} level {self.level}")
-        sides, pattern = _PATTERNS[self.kind]
+        check_table_size(self.graph.size, f"{self.kind} level {self.level}")
+        sides, _, G = _GADGETS[self.kind]
         width = len(sides)
-        G = np.full((width + 2, width + 2), width + 2, dtype=np.int32)  # above any hop count
-        np.fill_diagonal(G, 0)
-        for a, b, _ in pattern:
-            G[a, b] = G[b, a] = 1
-        for c in range(width + 2):
-            np.minimum(G, G[:, c, None] + G[c], out=G)
         f, to_ends, inner = int(G[0, 1]), G[2:, :2], G[2:, 2:]
 
-        H = np.array([[0, 1], [1, 0]], dtype=np.int32)  # hop counts stay below size
+        H = np.array([[0, 1], [1, 0]], dtype=np.int32)  # hop counts stay below the vertex count
         done = 0
         for level in range(1, self.level + 1):
             old, total = self.vertex_counts[level - 1], self.vertex_counts[level]
@@ -192,26 +183,32 @@ class RecursiveFamily:
             same = (block[:, :, None], block[:, None, :])  # pairs inside one gadget
             H[same] = np.minimum(H[same], inner)
 
-        length = self.weighting.edge_length(self.level)
-        num = H
-        if length.numerator > 1:
-            exact = size * length.numerator <= INT64_MAX  # hops stay below size
-            num = H.astype(np.int64 if exact else object) * length.numerator
-        return MetricSpace(read_only(num), length.denominator, self.graph.labels())
+        return MetricSpace(read_only(H), self.graph.scale, self.graph.labels())
 
 
-# A replacement pattern: the sides of the new vertices in index order, and
-# the edges put in place of one old edge x-y as (end, end, carrier).  Slots 0
-# and 1 are x and y, slots 2, 3, ... the new vertices; the carrier is the new
-# vertex whose chain the edge inherits.
-_QUADRILATERAL = ((0, 1), ((0, 2, 2), (2, 1, 2), (0, 3, 3), (3, 1, 3)))
-# new vertices: stem, left branch (side 0), right branch (side 1), stem;
-# both stems are side 2
-_LAAKSO_GADGET = (
-    (2, 0, 1, 2),
-    ((0, 2, 2), (2, 3, 3), (2, 4, 4), (3, 5, 3), (4, 5, 4), (5, 1, 5)),
-)
-_PATTERNS = {"diamond": _QUADRILATERAL, "laakso": _LAAKSO_GADGET}
+def _gadget(sides: tuple[int, ...], pattern) -> tuple:
+    """(sides, pattern, G) of a replacement pattern: the sides of the new
+    vertices in index order, and the edges put in place of one old edge x-y
+    as (end, end, carrier).  Slots 0 and 1 are x and y, slots 2, 3, ... the
+    new vertices; the carrier is the new vertex whose chain the edge
+    inherits.  G is the pattern's own hop table over its slots, and
+    f = G[0, 1], the hops from x to y, sets the scaled edge length f^(-n)."""
+    width = len(sides)
+    G = np.full((width + 2, width + 2), width + 2, dtype=np.int32)  # above any hop count
+    np.fill_diagonal(G, 0)
+    for a, b, _ in pattern:
+        G[a, b] = G[b, a] = 1
+    for c in range(width + 2):
+        np.minimum(G, G[:, c, None] + G[c], out=G)
+    return sides, pattern, read_only(G)
+
+
+_GADGETS = {
+    "diamond": _gadget((0, 1), ((0, 2, 2), (2, 1, 2), (0, 3, 3), (3, 1, 3))),  # the quadrilateral
+    # new vertices: stem, left branch (side 0), right branch (side 1), stem;
+    # both stems are side 2
+    "laakso": _gadget((2, 0, 1, 2), ((0, 2, 2), (2, 3, 3), (2, 4, 4), (3, 5, 3), (4, 5, 4), (5, 1, 5))),
+}
 
 
 def _through_ends(table: np.ndarray, ends: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
@@ -223,13 +220,12 @@ def _through_ends(table: np.ndarray, ends: np.ndarray, offsets: np.ndarray, out:
     np.minimum(out, via, out=out)
 
 
-def _replace_edges(
-    kind: str, n: int, w: Weighting, sides: tuple[int, ...], pattern
-) -> RecursiveFamily:
-    """Start from one edge 0-1 and replace every edge by the pattern n times,
-    appending each edge's new vertices after all existing ones."""
+def _replace_edges(kind: str, n: int, w: Weighting) -> RecursiveFamily:
+    """Start from one edge 0-1 and replace every edge by the kind's pattern
+    n times, appending each edge's new vertices after all existing ones."""
     if n < 0:
         raise ValidationError("level must be >= 0")
+    sides, pattern, G = _GADGETS[kind]
     # edge record: (u, v, chain)
     edges: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 1, ())]
     chains: list[tuple[tuple[int, int], ...]] = [(), ()]
@@ -248,7 +244,7 @@ def _replace_edges(
             new_edges += [(slot[a], slot[b], chains[slot[c]]) for a, b, c in pattern]
         edges = new_edges
         counts.append(len(chains))
-    length = w.edge_length(n)
+    length = Fraction(1, int(G[0, 1]) ** n) if w.mode == "scaled" else Fraction(1)
     graph = WeightedGraph(
         tuple(PointId(i) for i in range(len(chains))),
         tuple((u, v, length) for u, v, _ in edges),
@@ -258,14 +254,14 @@ def _replace_edges(
 
 def diamond(n: int, w: Weighting = UNIT) -> RecursiveFamily:
     """Level-n diamond: recursively replace each edge by a quadrilateral."""
-    return _replace_edges("diamond", n, w, *_QUADRILATERAL)
+    return _replace_edges("diamond", n, w)
 
 
 def laakso(n: int, w: Weighting = UNIT) -> RecursiveFamily:
     """Level-n Laakso graph: recursively replace each edge by the 6-vertex
     gadget (stem, two parallel branches, stem), degree-1 gadget vertices
     identified with the edge's endpoints."""
-    return _replace_edges("laakso", n, w, *_LAAKSO_GADGET)
+    return _replace_edges("laakso", n, w)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +274,10 @@ def tree_product(depths: list[int]) -> MetricSpace:
         raise ValidationError("need at least one tree depth")
     if min(depths) < 0:
         raise ValidationError("depth must be >= 0")
-    # a depth-d tree has 2^(d+1) - 1 vertices (exponents clipped as check_cap says)
-    bits = TREE_PRODUCT_CAP.bit_length()
-    points = math.prod(2 ** (min(d, bits) + 1) - 1 for d in depths)
+    points = math.prod(tree_order(d, TREE_PRODUCT_CAP) for d in depths)
     check_cap(points, TREE_PRODUCT_CAP, f"the number of points of the product of trees of depths {depths}")
     spaces = [apsp(binary_tree(d)) for d in depths]  # unit edges: each scale is 1
-    labels = tuple(
-        "(" + ",".join(lab or "" for lab in combo) + ")"
-        for combo in itertools.product(*(s.labels for s in spaces))
-    )
+    labels = tuple("(" + ",".join(combo) + ")" for combo in itertools.product(*(s.labels for s in spaces)))
     num = np.zeros((1, 1), dtype=np.int64)  # l1 sums; the last factor varies fastest
     for s in spaces:
         num = (num[:, None, :, None] + s.num[None, :, None, :]).reshape(len(num) * s.size, -1)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .embeddings import DistortionReport, Embedding, NormedTarget, distortion
 from .errors import UndecidedError, ValidationError
-from .generators import binary_tree
+from .generators import binary_tree, tree_labels
 from .metric_core import INT64_MAX, MetricSpace, apsp, read_only
 
 STALL_REL = 1e-9
@@ -430,13 +430,18 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     space = emb.space
     if space.labels is None:
         raise ValidationError("embedding space must carry tree labels")
+    index = {lab: i for i, lab in enumerate(space.labels)}
+    # T_n's labels in heap order; a tree deeper than size.bit_length() has more
+    # vertices than the space has points, so the clipped one misses a label too
+    for lab in tree_labels(min(n, space.size.bit_length())):
+        if lab not in index:
+            raise ValidationError(f"embedding space has no point labelled {lab!r}, a vertex of T_{n}")
     rep = distortion(emb)
     if float(rep.colip) > 1.0 + 1e-9:
         raise ValidationError(
             "embedding must be non-contractive: rescale vectors by the colipschitz "
             "constant first (see normalize_noncontractive)"
         )
-    index = {lab: i for i, lab in enumerate(space.labels)}
     images = emb.entries.floats()
 
     selected = {"": ""}

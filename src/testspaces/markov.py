@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .generators import RecursiveFamily, binary_tree
+from .generators import RecursiveFamily, binary_tree, tree_order
 from .metric_core import (
     INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_cap, check_table_size, read_only
 )
@@ -485,13 +485,12 @@ def downward_tree_walk(m: int) -> WalkBundle:
     """
     if m < 1:
         raise ValidationError("need m >= 1")
-    bits = TABLE_ENTRY_CAP.bit_length()  # 2^(2^m + 1) - 1 vertices, both exponents clipped
-    order = 2 ** (min(2 ** min(m, bits), bits) + 1) - 1
+    # T_(2^m)'s vertices, the depth 2^m clipped too, as check_cap asks
+    order = tree_order(2 ** min(m, TABLE_ENTRY_CAP.bit_length()), TABLE_ENTRY_CAP)
     check_table_size(order, f"T_2^{m} (use the analytic mode, tree_walk_convexity_exact / _mc)")
     depth = 2**m
     space = apsp(binary_tree(depth))
-    # vertices in tree_labels order: the root is 0, the children of i are
-    # 2i + 1 and 2i + 2, and the leaves (absorbing) are the last 2^depth
+    # vertices in heap layout (generators): the leaves (absorbing) are the last 2^depth
     inner, n = 2**depth - 1, space.size
     indptr = np.concatenate((np.arange(0, 2 * inner, 2), np.arange(2 * inner, inner + n + 1)))
     targets = np.concatenate((np.arange(1, 2 * inner + 1), np.arange(inner, n)))

@@ -27,7 +27,7 @@ import numpy as np
 from .embeddings import _ROW_NORMS, Embedding, NormedTarget, distortion
 from .errors import ValidationError
 from .exactlp import _over_lcm, solve_lp
-from .generators import RecursiveFamily, diamond, diamond_weighting, tree_labels
+from .generators import RecursiveFamily, diamond, diamond_weighting, tree_order
 from .metric_core import (
     GeodesicPath,
     MetricSpace,
@@ -48,8 +48,8 @@ _L1 = _ROW_NORMS["l1"]
 class DeltaTree:
     """Vectors indexed by 0/1 strings of length <= depth with the exact
     midpoint identity and separation >= delta in normalized l1: one exact
-    table, built from its rows, one per label in `tree_labels(depth)` order
-    (row i's children are rows 2i + 1 and 2i + 2)."""
+    table, built from its rows, one per vertex of T_depth in the heap layout
+    of `generators` (row i's children are rows 2i + 1 and 2i + 2)."""
 
     depth: int
     atoms: int
@@ -60,9 +60,11 @@ class DeltaTree:
         if type(self.delta) is not int and not isinstance(self.delta, Fraction):
             raise ValidationError(f"delta must be exact (an int or Fraction), got {self.delta!r}")
         table = vars(self)["table"] = RationalTable(self.table, 1, 2 * self.atoms)  # sums of differences
-        rows = len(tree_labels(self.depth))
-        if not table.exact or table.num.shape != (rows, self.atoms):
-            raise ValidationError(f"need {rows} exact vectors of {self.atoms} atoms")
+        depth = self.depth  # rows: T_depth's vertices counted clipped at the table's rows, else False
+        rows = type(depth) is int and depth >= 0 and tree_order(depth, len(table.num))
+        if not rows or not table.exact or table.num.shape != (rows, self.atoms):
+            need = f"need an int depth >= 0 and its 2^(depth + 1) - 1 exact vectors of {self.atoms} atoms"
+            raise ValidationError(f"{need}, got depth {depth!r}")
 
 
 DELTA_TREE_DEPTH_CAP = 12
@@ -78,8 +80,8 @@ def rademacher_tree(n: int) -> DeltaTree:
     atoms = 2**n
     table = np.ones((2 * atoms - 1, atoms), dtype=np.int64)  # entries stay <= 2^n
     for k in range(1, n + 1):
-        # r_k flips in blocks of 2^(n-k), +1 on the first block; the
-        # children lab + "0", lab + "1" of row i are rows 2i + 1, 2i + 2
+        # r_k flips in blocks of 2^(n-k), +1 on the first block; in heap
+        # layout the children of level k - 1's row i are rows 2i + 1, 2i + 2
         r = 1 - 2 * ((np.arange(atoms) >> (n - k)) & 1)
         level, children = table[2 ** (k - 1) - 1 : 2**k - 1], table[2**k - 1 : 2 ** (k + 1) - 1]
         np.multiply(level, 1 - r, out=children[0::2])
@@ -105,7 +107,7 @@ def verify_delta_tree(tree: DeltaTree) -> None:
             bad.append((_L1(rows - kid0) <= floor) | (_L1(rows - kid1) <= floor))
         bad = np.array(bad)
         for i in np.flatnonzero(bad.any(axis=0))[:1]:
-            lab = tree_labels(tree.depth)[2**d - 1 + i] or "root"
+            lab = bin(2**d + i)[3:] or "root"  # row 2^d - 1 + i's heap label
             raise ValidationError(messages[bad[:, i].argmax()].format(lab))
 
 

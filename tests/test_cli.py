@@ -207,6 +207,21 @@ def test_l2min_counts_its_probes_under_meta(tmp_path, capsys):
     assert "iterations" not in rep["result"]
 
 
+def test_l2min_reports_undecided_probes(tmp_path, capsys, monkeypatch):
+    # capped at 25 iterations, seven probes of C_6's bisection stay
+    # undecided: the run still succeeds, lists them and counts them
+    from testspaces import l2_distortion
+
+    monkeypatch.setattr(l2_distortion, "MAX_ITER_DEFAULT", 25)
+    space = tmp_path / "c6.json"
+    write_graph(str(space), generators.cycle(6))
+    code, rep = run_cli(capsys, "l2min", "--space", str(space))
+    assert code == 0
+    probes = rep["result"]["undecided_probes"]
+    assert rep["meta"]["probes"]["undecided"] == len(probes) == 7
+    assert probes[0] == 1.4250241796259846
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
 def test_l2min_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
     space = tmp_path / "c6.json"

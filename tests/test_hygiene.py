@@ -14,9 +14,12 @@ fallback, every library function the benchmark traces by name still
 exists, `norm` measures with the row kernels of `distortion`, no
 tree-label prefix formula stands beside the tree space, the Bourgain
 distortion sweeps no label pairs, caps are module constants, not
-per-call options, and one function raises CapExceededError."""
+per-call options, one function raises CapExceededError, and the binary
+tree's heap layout and a scaled family's edge length are stated once, in
+`generators`."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -652,3 +655,44 @@ def test_one_cap_check():
     assert {stem: found for stem, found in raises.items() if found} == {"metric_core": ["check_cap"]}
     sample = "def f(n):\n    if n:\n        raise CapExceededError('x')\n    raise CapExceededError\n"
     assert cap_refusals(sample) == ["f", "f"]
+
+
+def tree_layout_copies(source: str) -> list[tuple[int, str]]:
+    """(line, what) for every clipped tree size 2 ** (min(...) + 1) and every
+    tree_labels list that is counted with len or indexed, by line."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = node.right
+            clipped = isinstance(exponent, ast.BinOp) and isinstance(exponent.left, ast.Call)
+            if clipped and getattr(exponent.left.func, "id", None) == "min":
+                found.append((node.lineno, "clipped tree size"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "tree_labels":
+            parent = parents[node]
+            if isinstance(parent, ast.Subscript) and parent.value is node:
+                found.append((node.lineno, "indexed labels"))
+            elif isinstance(parent, ast.Call) and getattr(parent.func, "id", None) == "len":
+                found.append((node.lineno, "counted labels"))
+    return sorted(found)
+
+
+def test_tree_layout_and_family_scale_live_in_generators():
+    # T_n's heap layout and its clipped vertex count (tree_order) are stated
+    # once, in generators: no other module counts rows or finds a parent
+    # through tree_labels; and a scaled family's edge length f^(-n) comes
+    # from its gadget, so Weighting holds only the mode
+    copies = {path.stem: tree_layout_copies(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = {stem: [what for _, what in hits] for stem, hits in copies.items() if hits}
+    assert found == {"generators": ["clipped tree size"]}
+    weighting = importlib.import_module("testspaces.generators").Weighting
+    assert [field.name for field in dataclasses.fields(weighting)] == ["mode"]
+    sample = (
+        "rows = len(tree_labels(depth))\n"
+        "for lab in tree_labels(depth):\n"
+        "    parent = tree_labels(depth)[(i - 1) // 2]\n"
+        "order = 2 ** (min(n, CAP.bit_length()) + 1) - 1\n"
+        "pairs = 2 ** min(m, CAP.bit_length()) + 1\n"
+    )
+    assert tree_layout_copies(sample) == [(1, "counted labels"), (3, "indexed labels"), (4, "clipped tree size")]

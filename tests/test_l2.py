@@ -31,7 +31,7 @@ from testspaces.l2_distortion import (
     normalize_noncontractive,
     sdp_feasible,
 )
-from testspaces.metric_core import MetricSpace, apsp
+from testspaces.metric_core import MetricSpace, apsp, path_graph
 
 
 def _triangle(a, b, c):
@@ -623,3 +623,35 @@ def test_fork_select_rejects_contractive():
     with pytest.raises(ValidationError):
         fork_select(2, squeezed)
 
+
+@pytest.mark.parametrize(
+    "space,n,first",
+    [
+        (apsp(path_graph(7)), 2, ""),  # points without labels
+        (apsp(cycle(7)), 2, ""),
+        (heisenberg_ball(1), 2, ""),
+        (apsp(binary_tree(2)), 3, "000"),  # deeper than the labelled tree
+        (apsp(binary_tree(2)), 10**6, "000"),
+    ],
+    ids=["path7", "cycle7", "heis1", "T2-as-T3", "T2-as-T1000000"],
+)
+def test_fork_select_names_the_first_missing_tree_label(space, n, first):
+    # each used to end in a bare KeyError from the label lookup
+    rows = tuple(tuple(map(float, row)) for row in space.dist)
+    emb = Embedding(space, rows, NormedTarget("l2", space.size))
+    with pytest.raises(ValidationError, match=rf"^embedding space has no point labelled {first!r}, a vertex of T_{n}$"):
+        fork_select(n, emb)
+
+
+def test_an_undecided_probe_moves_the_bracket_and_is_counted(monkeypatch):
+    # capped at 25 iterations, probes in the middle of the bisection run out
+    # before they decide: each moves lo up, as a stalled probe does, and is
+    # listed and counted
+    monkeypatch.setattr(l2_distortion, "MAX_ITER_DEFAULT", 25)
+    res = min_distortion_l2(apsp(cycle(6)))
+    counts = res.counts
+    assert counts.undecided == len(res.undecided_probes) == 7
+    assert counts.feasible + counts.infeasible + counts.stalled + counts.undecided == res.probes
+    assert res.undecided_probes[0] == 1.4250241796259846
+    assert list(res.undecided_probes) == sorted(res.undecided_probes)
+    assert res.undecided_probes[-1] <= res.bracket[0] < res.c_star == res.bracket[1]

@@ -4,6 +4,7 @@ martingales."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -845,6 +846,21 @@ def test_malformed_trees_and_generators_are_refused_at_construction():
         with pytest.raises(ValidationError):
             GaugeNorm(4, bad)
     assert DeltaTree(2, 4, list(vectors.values()), F(1)) == tree  # the rows in label order
+
+
+@pytest.mark.parametrize(
+    "depth,tree",
+    [(24, rademacher_tree(2)), (-1, None), (True, rademacher_tree(1))],
+    ids=["24-with-7-rows", "-1", "True"],
+)
+def test_delta_tree_depth_is_an_int_at_least_zero(depth, tree):
+    # depth 24 used to build 2^25 labels before it compared the row count,
+    # and -1 (which verify_delta_tree then passed) and True were accepted
+    atoms, rows = (tree.atoms, tree.table) if tree else (2, [[1, 1]])
+    started = time.perf_counter()
+    with pytest.raises(ValidationError, match=rf"^need an int depth >= 0 .* got depth {depth!r}$"):
+        DeltaTree(depth, atoms, rows, 1)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_martingale_levels_take_the_target_dimension():
