@@ -48,10 +48,11 @@ class NormedTarget:
 
 
 # Row kernels: the norm of each row of a block of vectors, for `norm` (one
-# row) and `distortion` (blocks of differences).  Sums run in coordinate
-# order (cumsum), never pairwise or compensated, on every Python version.
+# row) and `distortion` (blocks of differences).  Integer rows are exact, so
+# they sum in any order; float rows sum in coordinate order (cumsum), never
+# pairwise or compensated, on every Python version.
 _ROW_NORMS = {
-    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1],
+    "l1": lambda x: np.cumsum(np.abs(x), axis=1)[:, -1] if x.dtype == float else np.abs(x).sum(axis=1),
     "linf": lambda x: np.abs(x).max(axis=1),
     "summing": lambda x: np.abs(np.cumsum(x, axis=1)).max(axis=1),
     "l2": lambda x: np.sqrt(np.cumsum(x * x, axis=1)[:, -1]),
@@ -128,10 +129,11 @@ def distortion(emb: Embedding) -> DistortionReport:
     lip and colip are taken at the first maximizing pair in (i, j) order,
     so every field, value types included, is what a loop over the pairs
     gives.  Exact vectors in l1, linf or the summing norm are
-    measured in integers and compared by cross-multiplication; float
-    vectors, and l2, in float64 summed in coordinate order.  The row
-    kernels are those of `norm`, so each pair's norm equals `norm` of the
-    pair's difference vector.  Raises
+    measured in integers, summed in any order (the summing norm as the
+    largest gap between the two points' prefix sums), and compared by
+    cross-multiplication; float vectors, and l2, in float64 summed in
+    coordinate order.  The row kernels are those of `norm`, so each pair's
+    norm equals `norm` of the pair's difference vector.  Raises
     ValidationError for a negative distance, for no pair at positive
     distance, and, when measuring in floats, for a positive distance whose
     float is 0; CollapsedPairError for the first collapsed pair.
@@ -149,7 +151,7 @@ def distortion(emb: Embedding) -> DistortionReport:
         dist = space.floats()[pairs]
         if (dist[valid] == 0).any():
             raise ValidationError("a positive distance is 0.0 in float64")
-    norms = _difference_norms(emb)
+    norms = _difference_norms(emb, *pairs)
     collapsed = np.flatnonzero(valid & (norms == 0))
     if collapsed.size:
         raise CollapsedPairError(*pair(collapsed[0]))
@@ -168,11 +170,21 @@ def distortion(emb: Embedding) -> DistortionReport:
     return DistortionReport(lip, colip, lip * colip, pair(a), pair(b))
 
 
-def _difference_norms(emb: Embedding) -> np.ndarray:
-    """Norms of f(i) - f(j) over the pairs i < j (n >= 2) in (i, j) order:
-    numerators over emb.scale for exact vectors outside l2, else float64."""
-    kind, n, table = emb.target.kind, emb.space.size, emb.table
-    diffs = (table[i] - table[i + 1 :] for i in range(n - 1))
+_DIFF_BLOCK = 1 << 14  # entries per block of differences, unless one row of pairs is more
+
+
+def _difference_norms(emb: Embedding, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Norms of f(i) - f(j) over the pairs (first[k], second[k]) in order,
+    measured in blocks of pairs: numerators over emb.scale for exact vectors
+    outside l2, else float64."""
+    kind, table = emb.target.kind, emb.table
+    if emb.exact and kind == "summing":
+        # the summing norm of f(i) - f(j) is the linf norm of the difference
+        # of their prefix sums, which the table's headroom holds
+        table, kind = np.cumsum(table, axis=1), "linf"
+    step = max(emb.space.size, _DIFF_BLOCK // table.shape[1])
+    blocks = (slice(k, k + step) for k in range(0, len(first), step))
+    diffs = (table[first[b]] - table[second[b]] for b in blocks)
     if emb.exact and kind == "l2":
         # the differences are exact, so one division rounds each entry as
         # float(a - b) does
@@ -440,7 +452,7 @@ def submetric_check(sub: SubmetricSpace, emb: Embedding) -> SubmetricCheck:
     first, second = np.triu_indices(sub.size, 1)
     d, active = sub._pairs(first, second)
     at = np.flatnonzero(active & (d != 0)).tolist()
-    norms = _difference_norms(emb).tolist() if at else []
+    norms = _difference_norms(emb, first, second).tolist() if at else []
     exact = emb.exact and emb.target.kind != "l2"
     ratios = []
     for k in at:

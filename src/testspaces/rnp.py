@@ -32,6 +32,7 @@ from .metric_core import (
     GeodesicPath,
     MetricSpace,
     RationalTable,
+    _magnitude,
     check_cap,
     enumerate_geodesic_paths,
     read_only,
@@ -399,13 +400,27 @@ class OracleResponse:
     total: Fraction
 
 
+_BYTE_BITS = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+
+
+def _bit_counts(masks: np.ndarray) -> np.ndarray:
+    """The number of set bits of each nonnegative mask: Python-int masks by
+    int.bit_count, fixed-width ones a byte at a time through a 256-entry
+    table (numpy before 2.0 has no bitwise_count)."""
+    if masks.dtype == object:
+        return np.frompyfunc(int.bit_count, 1, 1)(masks)
+    return sum(_BYTE_BITS.take((masks >> k) & 255) for k in range(0, 8 * masks.itemsize, 8))
+
+
 @dataclass
 class GeodesicFamily:
     """All source-sink geodesics of a weighted diamond (or Laakso) instance,
     with the exhaustive-search response oracle of the thickness definition.
     The geodesics must share one parameter grid, `params`, the first one's
     breakpoints, checked on the integer `ticks` over `scale` the family
-    holds; `position` maps params to indices."""
+    holds; `position` maps params to indices.  Per pair of geodesics it
+    keeps the bitmask of their common parameters, the sum of their bubble
+    maxima and their bubble count, which is read off the mask."""
 
     family: RecursiveFamily
     space: MetricSpace
@@ -423,24 +438,26 @@ class GeodesicFamily:
         self._index_of = {tuple(g.vertices): i for i, g in enumerate(self.geodesics)}
         # parameter-major: self._points[t, g] is geodesic g's vertex at params[t]
         self._points = np.array([g.vertices for g in self.geodesics]).T.copy()
-        np_ = len(self.params)
-        num = RationalTable(self.space.num, 1, np_).num  # the bubble totals below stay exact
-        # per pair: bitmask of common parameters, sum and count of bubble maxima
-        shape = (len(self.geodesics),) * 2
-        common = np.zeros(shape, dtype=np.int64 if np_ < 63 else object)
-        total, run, bubbles = (np.zeros(shape, dtype=num.dtype) for _ in range(3))
+        # per pair: bitmask of common parameters, sum and count of bubble
+        # maxima; the masks and sums in the narrowest type that holds them
+        np_, shape = len(self.params), (len(self.geodesics),) * 2
+        num = self.space.num.astype(np.min_scalar_type(-np_ * _magnitude(self.space.num) - 1))
+        common = np.zeros(shape, dtype=np.min_scalar_type((1 << np_) - 1) if np_ < 63 else object)
+        total, run = (np.zeros(shape, dtype=num.dtype) for _ in range(2))
         for t, v in enumerate(self._points):
-            dev = num[v][:, v]  # d(g_a(t), g_b(t)) * scale
+            dev = num[:, v][v]  # d(g_a(t), g_b(t)) * scale, in C order
             z = dev == 0
             common |= np.left_shift(z, t, dtype=common.dtype)
-            total += run * z
-            bubbles += ~z & (run == 0)
+            ended = run * z  # the bubble that closed at t: its maximum
+            total += ended
+            run -= ended
             np.maximum(run, dev, out=run)
-            run *= ~z
         total += run
         self._common = common
         self._total = total
-        self._nbubbles = bubbles
+        # a bubble starts at each parameter off the mask whose predecessor
+        # (the one before the first counted as common) is on it
+        self._nbubbles = _bit_counts(~common & (common << 1 | 1) & ((1 << np_) - 1))
 
     def _check_index(self, g: int) -> None:
         if type(g) is not int or not 0 <= g < len(self.geodesics):
@@ -517,6 +534,8 @@ class GeodesicFamily:
 def diamond_geodesic_family(n: int) -> GeodesicFamily:
     """All source-sink geodesics of the weighted level-n diamond; more than
     metric_core.GEODESIC_CAP of them (D_3 has 128, D_4 32768) raise CapExceededError."""
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"level must be an int >= 0, got {n!r}")
     fam = diamond(n, diamond_weighting())
     geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, fam.metric_space())
     return GeodesicFamily(fam, fam.metric_space(), tuple(geos))
@@ -563,8 +582,9 @@ def _set_maxima(family: GeodesicFamily, masks: np.ndarray):
             r1 = int(np.searchsorted(ends, starts[r0] + _BLOCK // len(masks), side="right"))
             r1 = max(r1, r0 + 1)
             lo, hi = starts[r0], ends[r1 - 1]
-            m = common[lo:hi, None]
-            admissible = np.where(m & masks == masks, total[lo:hi, None], -1)
+            # an inadmissible candidate counts as total 0, which g itself
+            # (every parameter common) attains under every set
+            admissible = (common[lo:hi, None] & masks == masks) * total[lo:hi, None]
             yield g0 + r0, np.maximum.reduceat(admissible, starts[r0:r1] - lo, axis=0)
             r0 = r1
 
@@ -581,14 +601,15 @@ def thickness_alpha(family: GeodesicFamily, control_budget: int) -> ThicknessCer
     are first cut to the largest total per distinct mask.  Ties go to the
     first geodesic, then to the first control set; when n_geo^2 times the
     number of control sets exceeds THICKNESS_WORK_CAP, only the first sets
-    are tried and the certificate is partial."""
-    if control_budget < 0:
-        raise ValidationError("control budget must be >= 0")
-    n_geo = len(family.geodesics)
+    are tried and the certificate is partial.  No set holds more than the
+    P - 2 interior parameters, so a larger budget tries the same sets."""
+    if type(control_budget) is not int or control_budget < 0:
+        raise ValidationError(f"control budget must be an int >= 0, got {control_budget!r}")
+    n_geo, interior = len(family.geodesics), range(1, len(family.params) - 1)
     sets = [
         combo
-        for size in range(control_budget + 1)
-        for combo in itertools.combinations(range(1, len(family.params) - 1), size)
+        for size in range(min(control_budget, len(interior)) + 1)
+        for combo in itertools.combinations(interior, size)
     ]
     partial = False
     if n_geo * len(sets) * n_geo > THICKNESS_WORK_CAP:
@@ -761,8 +782,8 @@ def martingale_from_embedding(
     martingale with ||M_{2k} - M_{2k-1}|| >= ell * (total deviation) / 4.
     More than MARTINGALE_STEP_CAP double-steps raise CapExceededError
     before any work."""
-    if steps < 1:
-        raise ValidationError("need at least one double-step")
+    if type(steps) is not int or steps < 1:
+        raise ValidationError(f"the double-step count must be an int >= 1, got {steps!r}")
     check_cap(steps, MARTINGALE_STEP_CAP, f"the double-step count {steps}")
     if emb.space.size != family.space.size:
         raise ValidationError("embedding must live on the family's host space")

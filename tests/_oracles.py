@@ -26,7 +26,8 @@ for the SDP feasibility probe, a depth-first search on Fraction lengths for
 geodesics, one Fraction or float per entry (and csv.writer) for the file
 formats, a multi-start SLSQP search for the Hilbert fork gap, every vertex map
 (collapsing ones included) for the cycle-into-trees search,
-a loop over candidates for the thickness constant, a dense Fraction
+a loop over candidates for the thickness constant (and a pass per
+parameter for the geodesic pair tables it reads), a dense Fraction
 tableau for the exact simplex, and for the RNP pipeline: Fraction sums per
 vector for the delta-tree and bush checks, one Fraction tuple entry per
 (vertex, quadrilateral) for the tent embedding, a scan of the blocks for
@@ -1090,6 +1091,30 @@ def thickness_by_pairs(family, control_budget, work_cap=10**7):
                 worst = (g, tuple(family.params[i] for i in combo))
     alpha = Fraction(alpha, family.space.scale)
     return ThicknessCertificate(alpha, control_budget, worst[0], worst[1], configs, partial)
+
+
+def pair_tables_by_parameter(family):
+    """`GeodesicFamily`'s pair tables (common-parameter bitmask, sum and
+    count of bubble maxima per pair of geodesics) as first built: one pass
+    over the parameters, gathering each parameter's deviation table and
+    counting a bubble wherever a deviation starts after a common parameter."""
+    from testspaces.metric_core import RationalTable
+
+    np_ = len(family.params)
+    num = RationalTable(family.space.num, 1, np_).num  # the bubble totals below stay exact
+    shape = (len(family.geodesics),) * 2
+    common = np.zeros(shape, dtype=np.int64 if np_ < 63 else object)
+    total, run, bubbles = (np.zeros(shape, dtype=num.dtype) for _ in range(3))
+    for t, v in enumerate(family._points):
+        dev = num[v][:, v]  # d(g_a(t), g_b(t)) * scale
+        z = dev == 0
+        common |= np.left_shift(z, t, dtype=common.dtype)
+        total += run * z
+        bubbles += ~z & (run == 0)
+        np.maximum(run, dev, out=run)
+        run *= ~z
+    total += run
+    return common, total, bubbles
 
 
 def solve_lp_fractions(A, b, c, basis=None):

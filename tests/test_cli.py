@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -272,6 +273,20 @@ def test_rnp_martingale_rejects_a_negative_control_budget(capsys):
     assert code == 2
     assert rep["error"]["kind"] == "validation"
     assert "control budget" in rep["error"]["message"]
+
+
+def test_rnp_martingale_takes_a_huge_control_budget_at_once(capsys):
+    # no control set holds more than D_2's 3 interior parameters: 10^8 was
+    # still running after 30 s before the budget was clipped
+    start = time.perf_counter()
+    code, rep = run_cli(
+        capsys, "rnp", "martingale", "--diamond", "2", "--steps", "1", "--control-budget", str(10**18)
+    )
+    assert code == 0 and time.perf_counter() - start < 2.0
+    assert rep["result"].pop("control_budget") == 10**18
+    code, want = run_cli(capsys, "rnp", "martingale", "--diamond", "2", "--steps", "1", "--control-budget", "7")
+    assert code == 0 and want["result"].pop("control_budget") == 7
+    assert rep["result"] == want["result"]
 
 
 def test_oracle_commands(capsys):

@@ -494,6 +494,40 @@ def test_distortion_kernel_object_route():
     assert RationalTable(((F(1, 2), 2**61),), headroom=2).num.dtype == object
 
 
+def _on_points(emb, idx):
+    """The embedding on the points idx, built from its rows."""
+    return Embedding(emb.space.restrict(idx), tuple(emb.vectors[i] for i in idx), emb.target)
+
+
+@pytest.mark.parametrize("case", ["tent-D4s", "bourgain-T5", "tent-D4s-past-int64"])
+def test_integer_kernels_at_benchmark_size(case):
+    # 60 points, as the benchmark measures them: the tent embedding of
+    # scaled D_4 in l1 (dim 86), Bourgain's T_5 embedding in the summing norm
+    # (dim 63), and the tent rows times 2^70, which only Python ints hold
+    from testspaces.generators import diamond, diamond_weighting
+    from testspaces.rnp import diamond_l1_embedding
+
+    if case == "bourgain-T5":
+        emb = bourgain_embed(5)
+    else:
+        emb = diamond_l1_embedding(diamond(4, diamond_weighting()))
+        if case.endswith("int64"):
+            emb = emb.rescaled(2**70)
+    emb = _on_points(emb, sorted(random.Random(case).sample(range(emb.space.size), 60)))
+    assert emb.table.dtype == (object if case.endswith("int64") else np.int64)
+    assert repr(distortion(emb)) == repr(distortion_tuples(emb.space, emb.vectors, emb.target))
+
+
+@pytest.mark.parametrize("kind", ["l1", "summing", "linf"])
+@pytest.mark.parametrize("vectors", [((F(5, 3),), (F(-1, 2),)), ((2**70,), (-3,)), ((0.1,), (0.7,))], ids=["fraction", "huge", "float"])
+def test_single_pair_single_column(kind, vectors):
+    # n = 2 is one block of one pair, and dim = 1 one column: the shape on
+    # which a leading-axis reduce once broke bit-identity
+    emb = Embedding(MetricSpace(((F(0), F(3, 2)), (F(3, 2), F(0)))), vectors, NormedTarget(kind, 1))
+    assert repr(distortion(emb)) == repr(pairwise_distortion(emb))
+    assert repr(distortion(emb)) == repr(distortion_tuples(emb.space, emb.vectors, emb.target))
+
+
 def test_distortion_rejects_float_vanishing_distance():
     # float(d) == 0 for a positive d: measuring in floats would divide by
     # 0.0, so the space is rejected before the collapsed pair (1, 2) shows

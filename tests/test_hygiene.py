@@ -16,13 +16,16 @@ tree-label prefix formula stands beside the tree space, the Bourgain
 distortion sweeps no label pairs, caps are module constants, not
 per-call options, one function raises CapExceededError, and the binary
 tree's heap layout and a scaled family's edge length are stated once, in
-`generators`."""
+`generators`, the geodesic pair tables are built by one loop over the
+parameters without packing bits, and no module calls a numpy function
+newer than the floor `pyproject.toml` declares."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -696,3 +699,79 @@ def test_tree_layout_and_family_scale_live_in_generators():
         "pairs = 2 ** min(m, CAP.bit_length()) + 1\n"
     )
     assert tree_layout_copies(sample) == [(1, "counted labels"), (3, "indexed labels"), (4, "clipped tree size")]
+
+
+# numpy functions newer than numpy 1.24, with the release that added them
+NUMPY_ADDED = {
+    "bitwise_count": (2, 0),
+    "isdtype": (2, 0),
+    "vecdot": (2, 0),
+    "matrix_transpose": (2, 0),
+    "concat": (2, 0),
+    "permute_dims": (2, 0),
+    "pow": (2, 0),
+    "astype": (2, 0),
+    "trapezoid": (2, 0),
+    "unique_all": (2, 0),
+    "unique_counts": (2, 0),
+    "unique_inverse": (2, 0),
+    "unique_values": (2, 0),
+    "unstack": (2, 1),
+    "cumulative_sum": (2, 1),
+    "cumulative_prod": (2, 1),
+}
+
+
+def numpy_calls(source, names) -> list[tuple[int, str]]:
+    """(line, name) for every call `np.name(...)` or `numpy.name(...)` of the
+    names in source, a string or a parsed node."""
+    return [
+        (n.lineno, n.func.attr)
+        for n in ast.walk(ast.parse(source) if isinstance(source, str) else source)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and getattr(n.func.value, "id", None) in ("np", "numpy")
+        and n.func.attr in names
+    ]
+
+
+def pair_table_work(source: str) -> list[tuple[int, str]]:
+    """(line, what) in GeodesicFamily.__post_init__ for every for loop that
+    does not run over the parameters (`self._points`) and every np.packbits."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "GeodesicFamily"):
+            continue
+        for method in (f for f in cls.body if isinstance(f, SCOPES) and f.name == "__post_init__"):
+            for node in ast.walk(method):
+                if isinstance(node, ast.For) and "self._points" not in ast.unparse(node.iter):
+                    found.append((node.lineno, f"loop over {ast.unparse(node.iter)}"))
+            found += [(line, f"np.{name}") for line, name in numpy_calls(method, {"packbits"})]
+    return sorted(found)
+
+
+def test_pair_tables_loop_over_parameters_on_the_numpy_floor():
+    # GeodesicFamily builds its n_geo^2 pair tables in one pass per
+    # parameter and never packs bits along the parameters (slower than the
+    # whole build); no module calls numpy past the declared floor, so the
+    # bubble counts take a byte table, not np.bitwise_count (numpy 2.0)
+    source = (SRC / "rnp.py").read_text()
+    assert pair_table_work(source) == []
+    assert "for t, v in enumerate(self._points):" in source
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'"numpy>=(\d+)\.(\d+)', pyproject).groups()))
+    newer = {name for name, added in NUMPY_ADDED.items() if added > floor}
+    assert floor >= (2, 0) or "bitwise_count" in newer
+    found = {path.stem: numpy_calls(path.read_text(), newer) for path in sorted(SRC.glob("*.py"))}
+    assert {stem: hits for stem, hits in found.items() if hits} == {}
+    sample = (
+        "class GeodesicFamily:\n"
+        "    def __post_init__(self):\n"
+        "        for t, v in enumerate(self._points):\n"
+        "            z = m.astype(int)\n"
+        "        for g in range(len(self.geodesics)):\n"
+        "            bits = np.packbits(z, axis=0)\n"
+        "        c = numpy.bitwise_count(bits)\n"
+    )
+    assert pair_table_work(sample) == [(5, "loop over range(len(self.geodesics))"), (6, "np.packbits")]
+    assert numpy_calls(sample, newer) == [(7, "bitwise_count")]

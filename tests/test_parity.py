@@ -4,7 +4,7 @@
 computed over a fixed input set: the distance tables of the paper's test
 spaces, the distortion of the Fréchet, Bourgain and tent embeddings,
 `bourgain_distortion` at depths 1-12 (witnesses included), the RNP
-pipelines of D_2 and D_3, the delta-tree pipeline at depths 1-5, two
+pipelines of D_2 and D_3, the geodesic pair tables of D_0-D_3, the delta-tree pipeline at depths 1-5, two
 delta-bushes that are not trees, the submetric checks, the exact Markov convexity estimates (unit
 D_3 also at p = 20000, its integers in hex) and the CLI `result`
 of the README commands (l2min and Monte Carlo left out) and of
@@ -131,6 +131,15 @@ def _rnp_cases():
                 yield f"martingale_check/D{n}/{steps}/{kind}", rnp.martingale_check(other, F(1, 5))
         for budget in (1, 2, 3):
             yield f"thickness/D{n}/{budget}", rnp.thickness_alpha(family, budget)
+
+
+def _pair_table_cases():
+    """The pair tables of the geodesic families of D_0-D_3 as lists of ints,
+    so that they compare by value whatever integer type holds them."""
+    for n in range(4):
+        family = rnp.diamond_geodesic_family(n)
+        for name in ("_common", "_total", "_nbubbles"):
+            yield f"pair_tables/D{n}/{name}", getattr(family, name).tolist()
 
 
 def _strs(rows):
@@ -305,6 +314,7 @@ def compute_digests() -> dict[str, str]:
         cases = itertools.chain(
             _embedding_cases(_spaces()),
             _rnp_cases(),
+            _pair_table_cases(),
             _delta_tree_cases(),
             _bush_cases(),
             _submetric_cases(),

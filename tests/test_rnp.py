@@ -51,6 +51,7 @@ from _oracles import (
     martingale_fractions,
     martingale_l1_diff_fractions,
     normalized_l1,
+    pair_tables_by_parameter,
     tent_embedding_tuples,
     thickness_by_pairs,
     verify_bush_fractions,
@@ -193,6 +194,45 @@ def test_thickness_rejects_a_negative_budget(family3):
         thickness_alpha(family3, -1)
 
 
+@pytest.mark.parametrize("budget", [2.5, 3.0, True, False, np.int64(3), "3", None])
+def test_thickness_budget_is_an_int(family3, budget):
+    # 2.5 raised a bare TypeError, and True was taken as 1
+    with pytest.raises(ValidationError, match="control budget must be an int >= 0"):
+        thickness_alpha(family3, budget)
+
+
+def test_thickness_budget_is_clipped_at_the_interior():
+    # no control set holds more than the P - 2 interior parameters, so a
+    # huge budget tries the sets of budget P - 2 at once (10^7 did not
+    # return within 20 s before the clip); only control_budget differs
+    fam = diamond_geodesic_family(2)
+    interior = len(fam.params) - 2
+    want = thickness_alpha(fam, interior)
+    for budget in (interior + 1, 10**7, 10**18):
+        start = time.perf_counter()
+        cert = thickness_alpha(fam, budget)
+        assert time.perf_counter() - start < 1.0
+        assert cert.control_budget == budget
+        assert repr(cert).replace(f"control_budget={budget}", f"control_budget={interior}") == repr(want)
+        assert repr(cert) == repr(thickness_by_pairs(fam, min(budget, 50))).replace("budget=50", f"budget={budget}")
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, np.int64(2), "2", -1])
+def test_diamond_family_level_is_an_int(n):
+    # 2.0 raised a bare TypeError, and True built D_1's family
+    with pytest.raises(ValidationError, match="level must be an int >= 0"):
+        diamond_geodesic_family(n)
+
+
+@pytest.mark.parametrize("steps", [1.5, 1.0, True, np.int64(1), "1", 0])
+def test_martingale_steps_are_an_int(steps):
+    # 1.5 raised a bare TypeError, and True ran one double-step
+    family = diamond_geodesic_family(1)
+    emb = diamond_l1_embedding(family.family)
+    with pytest.raises(ValidationError, match="double-step count must be an int >= 1"):
+        martingale_from_embedding(family, emb, steps)
+
+
 @pytest.mark.parametrize("half", [40, 70])
 def test_thickness_on_two_long_geodesics(half):
     # the two halves of C_(2 half) share only their ends: 2^(half - 1)
@@ -211,6 +251,70 @@ def test_thickness_on_two_long_geodesics(half):
         cert = thickness_alpha(fam, budget)
         assert repr(cert) == repr(thickness_by_pairs(fam, budget))
         assert cert.alpha == (half if budget == 0 else 0)
+
+
+def _long_cycle_family(half, length=1):
+    """The two geodesics between opposite points of C_(2 half) with edges of
+    the given length: half + 1 parameters, the largest distance half * length."""
+    from testspaces.generators import cycle
+    from testspaces.metric_core import WeightedGraph, apsp, enumerate_geodesic_paths
+
+    unit = cycle(2 * half)
+    graph = WeightedGraph(unit.vertices, tuple((u, v, F(length)) for u, v, _ in unit.edges))
+    space = apsp(graph)
+    return GeodesicFamily(None, space, tuple(enumerate_geodesic_paths(graph, 0, half, space)))
+
+
+def _shifted_path_family():
+    """The geodesics 0-1-2, 1-2-3 and 2-3-4 of the path on 5 vertices: one
+    grid, but no common first parameter, so a bubble opens at the start."""
+    from testspaces.metric_core import apsp, enumerate_geodesic_paths, path_graph
+
+    graph = path_graph(5)
+    space = apsp(graph)
+    geos = (enumerate_geodesic_paths(graph, a, a + 2, space)[0] for a in range(3))
+    return GeodesicFamily(None, space, tuple(geos))
+
+
+def _late_bubble_family():
+    """The two geodesics from 0 to 11 of the path 0-1-...-11 with 12 beside
+    10: they part only at parameter 10, past a mask's first byte."""
+    from testspaces.metric_core import PointId, WeightedGraph, apsp, enumerate_geodesic_paths
+
+    edges = tuple((i, i + 1, F(1)) for i in range(11)) + ((9, 12, F(1)), (12, 11, F(1)))
+    graph = WeightedGraph(tuple(PointId(i) for i in range(13)), edges)
+    space = apsp(graph)
+    return GeodesicFamily(None, space, tuple(enumerate_geodesic_paths(graph, 0, 11, space)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda n=n: diamond_geodesic_family(n) for n in range(4)),
+        _shifted_path_family,
+        _late_bubble_family,
+        lambda: _long_cycle_family(40),  # uint64 masks, int16 totals
+        lambda: _long_cycle_family(70),  # Python-int masks
+        lambda: _long_cycle_family(40, 2**60),  # totals past int64: Python ints
+        lambda: _long_cycle_family(70, 2**60),
+    ],
+    ids=["D0", "D1", "D2", "D3", "shifted", "late-bubble", "C80", "C140", "C80-huge", "C140-huge"],
+)
+def test_pair_tables_match_the_parameter_loop(make):
+    # the masks, bubble totals and bubble counts of every pair, as the loop
+    # over parameters that first built them gives them, whatever types hold them
+    fam = make()
+    for got, want in zip((fam._common, fam._total, fam._nbubbles), pair_tables_by_parameter(fam)):
+        assert got.tolist() == want.tolist()
+        assert all(type(x) is int for x in got.ravel().tolist())
+
+
+def test_pair_table_types_are_narrow():
+    family = diamond_geodesic_family(3)
+    assert (family._total.dtype, family._common.dtype) == (np.int8, np.uint16)
+    huge = _long_cycle_family(40, 2**60)
+    assert huge._total.dtype == object and huge._common.dtype == np.uint64
+    assert _long_cycle_family(70)._common.dtype == object
 
 
 def test_thickness_d3_budget_profile(family3):
