@@ -13,8 +13,9 @@ that table.  Both modes read one distance table, the numerators between
 the points of the states reachable within the horizon (one breadth-first
 pass over the CSR), and take one p-th power per distinct distance.  The
 Monte Carlo stepper pads each row to a power-of-two width, holds each
-state as its row offset (state * width), and takes a move by a branchless
-binary search over the row's running sums.
+state as its row offset (state * width) in the narrowest unsigned type,
+takes a move by a branchless binary search over the row's running sums,
+and moves and sums MC_CHUNK samples at a time.
 
 Time window: t runs over 1..T and k over 0..ceil(log2 T) with the chain
 frozen at its start state for t <= 0.  The truncated left-hand sum is a
@@ -233,7 +234,7 @@ def exact_convexity(
     Past DP_BIT_WORK_CAP of (R^2 + b / 64) b it raises CapExceededError
     before any power is taken, and before any copy when every point is
     reached."""
-    if not isinstance(p, int) or p < 1:
+    if type(p) is not int or p < 1:
         raise ValidationError("exact mode needs integer p >= 1")
     reach, slot, num = _reached_table(chain, mmap, space)
     T = chain.horizon
@@ -302,19 +303,22 @@ def exact_convexity(
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-# cells (samples x (T + 1)) drawn per block of samples; this fixes both the
-# draws and the memory, O(T * block) whatever `samples` is
+# cells (samples x (T + 1)) drawn per block of samples: this fixes the
+# draws, and a block holds its states in the narrowest unsigned type and one
+# step's uniforms (at most T * block floats), whatever `samples` is
 MC_BLOCK_CELLS = 2**20
+# samples a block moves and sums at once: its intp and float temporaries are O(T * MC_CHUNK)
+MC_CHUNK = 2048
 MC_SAMPLE_CAP = 2**24  # samples of one estimate: their kept totals take about 0.5 GB
 
 
 def _check_mc_args(p: float, seed: int, samples: int) -> None:
-    if not p >= 1:
+    if type(p) is bool or not p >= 1:
         raise ValidationError("Monte Carlo mode needs p >= 1")
-    if seed < 0:
-        raise ValidationError("need seed >= 0")
-    if samples < 1:
-        raise ValidationError("need samples >= 1")
+    if type(seed) is not int or seed < 0:
+        raise ValidationError(f"need an int seed >= 0, got {seed!r}")
+    if type(samples) is not int or samples < 1:
+        raise ValidationError(f"need an int number of samples >= 1, got {samples!r}")
     check_cap(samples, MC_SAMPLE_CAP, "the number of Monte Carlo samples")
 
 
@@ -403,25 +407,28 @@ def mc_convexity(
     branch stops after the longest t - s its terms need.  Each block of
     samples (see _block_estimate) draws T uniform vectors for the base, then
     one uniform array per step for the branches still running, longest
-    first.  The d^p table takes one power per distinct distance between the
-    points of the states reachable within the horizon, and only those are
-    checked: a positive one whose p-th power leaves the float64 range raises
-    ValidationError (use `exact_convexity` there); a horizon past the term
-    table cap raises CapExceededError."""
+    first, into one buffer; the moves and sums then run MC_CHUNK samples at
+    a time, in each sample's order.  The d^p table takes one power per
+    distinct distance between the points of the states reachable within the
+    horizon, and only those are checked: a positive one whose p-th power
+    leaves the float64 range raises ValidationError (use `exact_convexity`
+    there); a horizon past the term table cap raises CapExceededError."""
     _check_mc_args(p, seed, samples)
     reach, slot, num = _reached_table(chain, mmap, space)
     T = chain.horizon
     terms = _split_terms(T)
     nbrs, cum, width = _sim_tables(chain)
-    # d^p, one correctly rounded x**p per distinct distance, each positive
-    # one in the float64 range; at[u * width] is the row of state u's point
+    # d^p, flat, one correctly rounded x**p per distinct distance, each
+    # positive one in the float64 range; at[u * width] is the row of state u's point
     values, inverse = np.unique(num, return_inverse=True)
     positive, scale = values[values > 0], space.scale
     if positive.size:
         _check_float_powers(int(positive[0]) / scale, int(positive[-1]) / scale, p)
-    dpow = np.array([(x / scale) ** p for x in values.tolist()])[inverse.reshape(len(num), -1)]
+    dpow = np.array([(x / scale) ** p for x in values.tolist()])[inverse.ravel()]
     at = np.zeros(chain.n_states * width, dtype=np.intp)
     at[reach * width] = slot
+    row = at * len(num)  # d^p of states u, v is dpow[row[u * width] + at[v * width]]
+    narrow = np.min_scalar_type(chain.n_states * width)  # holds every row offset
 
     # W[s, j] = sum of 2^(-kp) over the terms (k, t) with split time s and
     # t = s + j; the branch from X_s runs to the largest such j
@@ -438,19 +445,29 @@ def mc_convexity(
     used = [int(np.flatnonzero(W[:, j]).max(initial=-1)) + 1 for j in range(T + 1)]
 
     def draw(rng, size):
-        base = np.empty((T + 1, size), dtype=np.int64)
-        base[0] = chain.start * width
-        for i in range(1, T + 1):
-            base[i] = _move(base[i - 1], rng.random(size), nbrs, cum, width)
+        # column chunks; a 1-wide remainder joins the chunk before it, since
+        # numpy sums a (c, 1) column in another order than a wider one
+        chunks = list(itertools.pairwise([*range(0, max(size - 1, 1), MC_CHUNK), size]))
+        u = np.empty(T * size)  # one step's uniforms: T base vectors, then running[j] rows
+        base = np.empty((T + 1, size), dtype=narrow)
+        lhs, rhs = np.zeros(size), np.empty(size)
+        steps = rng.random(out=u.reshape(T, size))
+        for lo, hi in chunks:
+            base[0, lo:hi] = x = np.full(hi - lo, chain.start * width)
+            for i in range(T):
+                base[i + 1, lo:hi] = x = _move(x, steps[i, lo:hi], nbrs, cum, width)
+            rhs[lo:hi] = dpow.take(row.take(base[:-1, lo:hi]) + at.take(base[1:, lo:hi])).sum(axis=0)
         branch = base[split]
-        base = at[base]  # from here on only the base's points are read
-        lhs = np.zeros(size)
         for j in range(1, T + 1):
-            live = branch[: running[j]]
-            live[...] = _move(live, rng.random(live.shape), nbrs, cum, width)
-            c = used[j]
-            lhs += (W[:c, j, None] * dpow[base[split[:c] + j], at[branch[:c]]]).sum(axis=0)
-        return lhs, dpow[base[:-1], base[1:]].sum(axis=0)
+            n, c = running[j], used[j]
+            steps = rng.random(out=u[: n * size].reshape(n, size))
+            for lo, hi in chunks:
+                live = branch[:n, lo:hi]
+                live[...] = _move(live.astype(np.intp), steps[:, lo:hi], nbrs, cum, width)
+                pairs = row.take(base[split[:c] + j, lo:hi])
+                pairs += at.take(live[:c])
+                lhs[lo:hi] += (W[:c, j, None] * dpow.take(pairs)).sum(axis=0)
+        return lhs, rhs
 
     return _block_estimate(p, seed, samples, T, draw)
 
@@ -483,8 +500,8 @@ def downward_tree_walk(m: int) -> WalkBundle:
     CapExceededError points to the split-time analytic evaluators
     tree_walk_convexity_exact and tree_walk_convexity_mc.
     """
-    if m < 1:
-        raise ValidationError("need m >= 1")
+    if type(m) is not int or m < 1:
+        raise ValidationError(f"need an int m >= 1, got {m!r}")
     # T_(2^m)'s vertices, the depth 2^m clipped too, as check_cap asks
     order = tree_order(2 ** min(m, TABLE_ENTRY_CAP.bit_length()), TABLE_ENTRY_CAP)
     check_table_size(order, f"T_2^{m} (use the analytic mode, tree_walk_convexity_exact / _mc)")
@@ -512,8 +529,8 @@ def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
     b = T + q bits; reducing that lhs to lowest terms costs about b^2 / 64.
     Past TREE_BIT_WORK_CAP of T (b + q^2 / 64) + b^2 / 64 it raises
     CapExceededError before any arithmetic."""
-    if m < 1 or not isinstance(p, int) or p < 1:
-        raise ValidationError("need m >= 1 and integer p >= 1")
+    if type(m) is not int or m < 1 or type(p) is not int or p < 1:
+        raise ValidationError("need an int m >= 1 and an int p >= 1")
     # T = 2^m once the check passes: a clipped m exceeds the cap at once
     T = 2 ** min(m, TREE_BIT_WORK_CAP.bit_length())
     q = p * (m + 1)
@@ -544,8 +561,8 @@ def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> Convexi
     exactly 1, so rhs = T with standard error 0.  Raises CapExceededError
     past the table cap, checked from m before T is formed, then
     ValidationError when (2T)^p overflows float64."""
-    if m < 1:
-        raise ValidationError("need m >= 1")
+    if type(m) is not int or m < 1:
+        raise ValidationError(f"need an int m >= 1, got {m!r}")
     _check_mc_args(p, seed, samples)
     # the (T + 1)^2 term table, its exponent clipped as check_cap says
     check_table_size(2 ** min(m, TABLE_ENTRY_CAP.bit_length()) + 1, f"the time window 0..2^{m}")
@@ -561,8 +578,14 @@ def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> Convexi
     rows = np.arange(T)[:, None]
 
     def draw(rng, size):
-        first = np.minimum(rng.geometric(0.5, (T, size)), T + 1)
-        return gain[rows, first].sum(axis=0), np.full(size, float(T))
+        # the table in groups of about T * MC_CHUNK draws (one group up to
+        # MC_CHUNK samples), the running total the first row of each group's sum
+        group = max(1, T * MC_CHUNK // size)
+        lhs = np.empty((0, size))
+        for lo in range(0, T, group):
+            first = np.minimum(rng.geometric(0.5, (min(group, T - lo), size)), T + 1)
+            lhs = np.concatenate((lhs, gain[rows[lo : lo + group], first])).sum(axis=0, keepdims=True)
+        return lhs[0], np.full(size, float(T))
 
     return _block_estimate(p, seed, samples, T, draw)
 

@@ -11,7 +11,8 @@ Markov convexity sums, Fraction transition rows converted to a chain's
 integer table for the built-in walks, every (k, t) term re-simulated
 from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), a scan of every padded column for the
-Monte Carlo step, word-product enumeration for
+Monte Carlo step (and each block drawn whole, in int64 states and
+full-width sums, for the chunked estimators), word-product enumeration for
 Heisenberg balls, plain loops over entries for norms and over pairs and
 triples for distortion, vertex-map distortion and the metric axioms, an
 exact knockout tournament for the first maximal ratio, a table rebuilt
@@ -484,6 +485,79 @@ def tree_walk_convexity_mc_per_term(m, p, seed, samples):
 
     lhs, lhs_var = _mc_window(seed, 1, _k_max(T), T, p, split_pair)
     return lhs, float(T), math.sqrt(lhs_var), 0.0
+
+
+def mc_convexity_whole_block(chain, mmap, space, p, seed, samples):
+    """The library's Monte Carlo estimate with each block drawn whole: every
+    state an int64 row offset and every step's gathers and sums over all of
+    the block's samples at once, as the estimator did before it moved and
+    summed the samples in column chunks.  Same substreams, draw order and
+    per-sample summation order, so it returns the same ConvexityEstimate."""
+    from testspaces.markov import (
+        _block_estimate, _check_float_powers, _check_mc_args, _move, _reached_table, _sim_tables, _split_terms
+    )
+
+    _check_mc_args(p, seed, samples)
+    reach, slot, num = _reached_table(chain, mmap, space)
+    T = chain.horizon
+    terms = _split_terms(T)
+    nbrs, cum, width = _sim_tables(chain)
+    values, inverse = np.unique(num, return_inverse=True)
+    positive, scale = values[values > 0], space.scale
+    if positive.size:
+        _check_float_powers(int(positive[0]) / scale, int(positive[-1]) / scale, p)
+    dpow = np.array([(x / scale) ** p for x in values.tolist()])[inverse.reshape(len(num), -1)]
+    at = np.zeros(chain.n_states * width, dtype=np.intp)
+    at[reach * width] = slot
+
+    W = np.zeros((T, T + 1))
+    length = [0] * T
+    for k, s, j in terms:
+        W[s, j] += 2.0 ** (-k * p)
+        length[s] = max(length[s], j)
+    split = np.array(sorted(range(T), key=lambda s: (-length[s], s)))
+    W = W[split]
+    running = [sum(n >= j for n in length) for j in range(T + 1)]
+    used = [int(np.flatnonzero(W[:, j]).max(initial=-1)) + 1 for j in range(T + 1)]
+
+    def draw(rng, size):
+        base = np.empty((T + 1, size), dtype=np.int64)
+        base[0] = chain.start * width
+        for i in range(1, T + 1):
+            base[i] = _move(base[i - 1], rng.random(size), nbrs, cum, width)
+        branch = base[split]
+        base = at[base]  # from here on only the base's points are read
+        lhs = np.zeros(size)
+        for j in range(1, T + 1):
+            live = branch[: running[j]]
+            live[...] = _move(live, rng.random(live.shape), nbrs, cum, width)
+            c = used[j]
+            lhs += (W[:c, j, None] * dpow[base[split[:c] + j], at[branch[:c]]]).sum(axis=0)
+        return lhs, dpow[base[:-1], base[1:]].sum(axis=0)
+
+    return _block_estimate(p, seed, samples, T, draw)
+
+
+def tree_walk_convexity_mc_whole_block(m, p, seed, samples):
+    """The library's tree-walk Monte Carlo estimate with each block's (T,
+    size) geometric table drawn and summed whole, as the estimator did
+    before it drew the table in row groups: the same ConvexityEstimate."""
+    from testspaces.markov import _block_estimate, _check_float_powers, _check_mc_args, _split_terms
+
+    _check_mc_args(p, seed, samples)
+    T = 2**m
+    _check_float_powers(2.0, 2.0 * T, p)
+    dpow = (2.0 * np.arange(1, T + 1)) ** p
+    gain = np.zeros((T, T + 2))
+    for k, s, j in _split_terms(T):
+        gain[s, 1 : j + 1] += 2.0 ** (-k * p) * dpow[j - 1 :: -1]
+    rows = np.arange(T)[:, None]
+
+    def draw(rng, size):
+        first = np.minimum(rng.geometric(0.5, (T, size)), T + 1)
+        return gain[rows, first].sum(axis=0), np.full(size, float(T))
+
+    return _block_estimate(p, seed, samples, T, draw)
 
 
 def james_alpha_by_vectors(m, bound):

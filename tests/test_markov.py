@@ -37,8 +37,10 @@ from _oracles import (
     linear_move,
     linear_sim_tables,
     mc_convexity_per_term,
+    mc_convexity_whole_block,
     tree_walk_convexity_f_table,
     tree_walk_convexity_mc_per_term,
+    tree_walk_convexity_mc_whole_block,
     tree_walk_m1_exact,
     tree_walk_rows,
 )
@@ -516,13 +518,95 @@ def test_mc_spans_blocks(monkeypatch):
     assert abs(first.rhs - float(exact.rhs)) <= 3 * first.method.rhs_stderr
 
 
-@pytest.mark.parametrize("p, seed", [(0.5, 1), (0.0, 1), (-2.0, 1), (math.nan, 1), (2.0, -1)])
-def test_mc_rejects_bad_p_and_seed(p, seed):
+# the benchmark's Monte Carlo walks
+BENCHMARK_WALKS = {
+    "D3": lambda: downhill_walk(diamond(3, diamond_weighting())),
+    "L2": lambda: downhill_walk(laakso(2, laakso_weighting())),
+    "D4-T3": lambda: downhill_walk(diamond(4, diamond_weighting()), horizon=3),
+    "lazy-16": lambda: lazy_path_walk(16),
+    "lazy-20": lambda: lazy_path_walk(20),
+}
+CHUNK = markov.MC_CHUNK
+CHUNK_EDGES = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 10_000)
+
+
+@pytest.mark.parametrize("walk", list(BENCHMARK_WALKS))
+def test_mc_matches_the_whole_block_draw(walk, monkeypatch):
+    """The chunked sampler returns the estimate of the whole-block one, repr
+    for repr: on each walk's space and on it over 7 (non-dyadic distances,
+    whose sums see any change of order), at every chunk edge, and over
+    blocks of CHUNK + 1 samples, each one chunk with its 1-wide remainder."""
+    wb = BENCHMARK_WALKS[walk]()
+    spaces = (wb.space, MetricSpace(wb.space.num, 7 * wb.space.scale))
+    for space, p, samples in itertools.product(spaces, (1.5, 2.0, 3.5), CHUNK_EDGES):
+        args = (wb.chain, wb.metric_map, space, p, 5, samples)
+        assert repr(mc_convexity(*args)) == repr(mc_convexity_whole_block(*args)), (space.scale, p, samples)
+    monkeypatch.setattr(markov, "MC_BLOCK_CELLS", (wb.chain.horizon + 1) * (CHUNK + 1))
+    for space in spaces:
+        args = (wb.chain, wb.metric_map, space, 3.5, 5, 10_000)
+        assert repr(mc_convexity(*args)) == repr(mc_convexity_whole_block(*args))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_tree_mc_matches_the_whole_table_draw(m, monkeypatch):
+    """The geometric table drawn in row groups gives the whole table's
+    estimate, repr for repr, at every chunk edge and over blocks of CHUNK + 1
+    samples, whose groups are one row short of the table."""
+    for p, samples in itertools.product((1.5, 2.0, 3.5), CHUNK_EDGES):
+        args = (m, p, 5, samples)
+        assert repr(tree_walk_convexity_mc(*args)) == repr(tree_walk_convexity_mc_whole_block(*args))
+    monkeypatch.setattr(markov, "MC_BLOCK_CELLS", (2**m + 1) * (CHUNK + 1))
+    args = (m, 3.5, 5, 10_000)
+    assert repr(tree_walk_convexity_mc(*args)) == repr(tree_walk_convexity_mc_whole_block(*args))
+
+
+def test_mc_memory_is_bounded():
+    """A 100 000-sample run on L_2 draws blocks of 61 680 samples: the
+    narrow states, one step's uniforms and the chunk temporaries stay under
+    16 MiB; a whole-block draw, in int64 states and float tables, takes
+    about 40 MiB."""
+    wb = BENCHMARK_WALKS["L2"]()
+    tracemalloc.start()
+    try:
+        mc_convexity(wb.chain, wb.metric_map, wb.space, 2.0, 1, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+BAD_P_AND_SEED = [(0.5, 1), (0.0, 1), (-2.0, 1), (math.nan, 1), (2.0, -1)]
+
+
+@pytest.mark.parametrize(
+    "p, seed, samples, m",
+    [pytest.param(p, seed, 10, 1, id=f"{p}-{seed}") for p, seed in BAD_P_AND_SEED]
+    + [
+        pytest.param(2.0, 1.5, 10, 1, id="seed-1.5"),
+        pytest.param(2.0, True, 10, 1, id="seed-True"),
+        pytest.param(2.0, 1, 10.0, 1, id="samples-10.0"),
+        pytest.param(2.0, 1, True, 1, id="samples-True"),
+        pytest.param(True, 1, 10, 1, id="p-True"),
+        pytest.param(2.0, 1, 10, 2.0, id="m-2.0"),
+        pytest.param(2.0, 1, 10, True, id="m-True"),
+    ],
+)
+def test_mc_rejects_bad_p_and_seed(p, seed, samples, m):
+    """A p below 1, a negative seed and a seed, sample count or tree depth m
+    that is no int (a float or a bool) raise ValidationError in both Monte
+    Carlo estimators; a bad m or a p of True also in the exact ones."""
     wb = lazy_path_walk(2)
-    with pytest.raises(ValidationError):
-        mc_convexity(wb.chain, wb.metric_map, wb.space, p, seed, 10)
-    with pytest.raises(ValidationError):
-        tree_walk_convexity_mc(1, p, seed, 10)
+    refused = [lambda: tree_walk_convexity_mc(m, p, seed, samples)]
+    if type(m) is int:
+        refused.append(lambda: mc_convexity(wb.chain, wb.metric_map, wb.space, p, seed, samples))
+    else:
+        refused += [lambda: tree_walk_convexity_exact(m, 2), lambda: downward_tree_walk(m)]
+    if p is True:
+        refused.append(lambda: tree_walk_convexity_exact(1, p))
+        refused.append(lambda: exact_convexity(wb.chain, wb.metric_map, wb.space, p))
+    for call in refused:
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_mc_caps_its_samples(monkeypatch):
