@@ -431,11 +431,13 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     if space.labels is None:
         raise ValidationError("embedding space must carry tree labels")
     index = {lab: i for i, lab in enumerate(space.labels)}
-    # T_n's labels in heap order; a tree deeper than size.bit_length() has more
+    # T_n's rows in heap order; a tree deeper than size.bit_length() has more
     # vertices than the space has points, so the clipped one misses a label too
+    rows = []
     for lab in tree_labels(min(n, space.size.bit_length())):
         if lab not in index:
             raise ValidationError(f"embedding space has no point labelled {lab!r}, a vertex of T_{n}")
+        rows.append(index[lab])
     rep = distortion(emb)
     if float(rep.colip) > 1.0 + 1e-9:
         raise ValidationError(
@@ -444,39 +446,29 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
         )
     images = emb.entries.floats()
 
-    selected = {"": ""}
-    frontier = [""]
-    while frontier:
-        nxt = []
-        for old in frontier:
-            if len(old) + 2 > n:
-                continue
-            base = images[index[old]]
-            for bit, child in (("0", old + "0"), ("1", old + "1")):
-                cands = sorted([child + "0", child + "1"])
-                d0 = np.linalg.norm(images[index[cands[0]]] - base)
-                d1 = np.linalg.norm(images[index[cands[1]]] - base)
-                pick = cands[0] if d0 <= d1 else cands[1]
-                selected[pick] = selected[old] + bit
-                nxt.append(pick)
-        frontier = nxt
+    # vertex w of T_{n//2} is vertex picks[w] of T_n; below each child c of
+    # picks[w], the nearer grandchild 2c + 1 or 2c + 2 (ties to the first)
+    # is picked, so the picks arrive in T_{n//2}'s heap order
+    tree = apsp(binary_tree(n // 2))
+    picks = [0]
+    for v in (picks[w] for w in range(2 ** (n // 2) - 1)):  # T_{n//2}'s internal vertices
+        base = images[rows[v]]
+        for c in (2 * v + 1, 2 * v + 2):
+            d0, d1 = (np.linalg.norm(images[rows[h]] - base) for h in (2 * c + 1, 2 * c + 2))
+            picks.append(2 * c + 1 if d0 <= d1 else 2 * c + 2)
 
-    old_labels = sorted(selected, key=lambda L: (len(L), L))
-    new_labels = tuple(selected[L] for L in old_labels)
-    idxs = [index[L] for L in old_labels]
-    half_space = MetricSpace(space.restrict(idxs).table.rescaled(Fraction(1, 2)), 1, new_labels)
+    idxs = [rows[h] for h in picks]
+    half_space = MetricSpace(space.restrict(idxs).table.rescaled(Fraction(1, 2)), 1, tree.labels)
     sub = Embedding(half_space, read_only(emb.table[idxs]), emb.target, emb.scale)
 
     # structural exactness: half distances must equal T_{floor(n/2)} distances
-    tree = apsp(binary_tree(n // 2))
-    at = {lab: i for i, lab in enumerate(tree.labels)}
-    if half_space != tree.restrict([at[lab] for lab in new_labels]):
+    if half_space != tree:
         raise ValidationError("selected set is not isometric to the half tree")
 
     sub_rep = distortion(sub)
     return ForkSelection(
-        tuple(old_labels),
-        new_labels,
+        tuple(space.labels[i] for i in idxs),
+        tree.labels,
         sub,
         rep,
         sub_rep,

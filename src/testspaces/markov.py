@@ -628,8 +628,8 @@ def lazy_path_walk(T: int) -> WalkBundle:
     right end absorbing.  Maps onto a single geodesic segment; a recorded
     baseline that the functional stays bounded here (the line is Markov
     convex)."""
-    if T < 1:
-        raise ValidationError("need horizon >= 1")
+    if type(T) is not int or T < 1:
+        raise ValidationError(f"need an int horizon >= 1, got {T!r}")
     check_table_size(T + 1, "the graph")
     points = np.arange(T + 1)
     space = MetricSpace(read_only(abs(points[:, None] - points)), 1, (None,) * (T + 1))

@@ -523,8 +523,8 @@ def enumerate_geodesic_paths(
 
 def path_graph(n: int) -> WeightedGraph:
     """Path on n vertices with unit edges (used as a Markov-convex baseline)."""
-    if n < 1:
-        raise ValidationError("path needs at least one vertex")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"path needs at least one vertex, an int count; got {n!r}")
     verts = tuple(PointId(i) for i in range(n))
     edges = tuple((i, i + 1, Fraction(1)) for i in range(n - 1))
     return WeightedGraph(verts, edges)

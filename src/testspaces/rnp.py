@@ -75,8 +75,8 @@ def rademacher_tree(n: int) -> DeltaTree:
     """Product construction in discretized L1: the root is the constant-1
     vector over 2^n atoms and each step multiplies by (1 +- r_k), where r_k
     is the k-th Rademacher sign pattern.  All atom values are integers."""
-    if n < 1:
-        raise ValidationError("depth must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"depth must be an int >= 1, got {n!r}")
     check_cap(n, DELTA_TREE_DEPTH_CAP, f"the depth {n} of the delta-tree")
     atoms = 2**n
     table = np.ones((2 * atoms - 1, atoms), dtype=np.int64)  # entries stay <= 2^n
@@ -345,10 +345,10 @@ def broken_line_family(bush: DeltaBush, k: int) -> dict[str, BrokenLine]:
     vector into the convex combination through its children's midpoints, and
     the 0/1 pass splits each midpoint multiple into its two halves in one of
     the two orders.  Past LINE_SEGMENT_CAP, CapExceededError comes first."""
+    if type(k) is not int or k < 0:
+        raise ValidationError(f"label depth must be an int >= 0, got {k!r}")
     if k >= len(bush.sizes):
         raise ValidationError("label depth exceeds bush depth")
-    if k < 0:
-        raise ValidationError("label depth must be >= 0")
     if (bush.table.num.sum(axis=1) != bush.atoms * bush.table.scale).any():
         raise ValidationError("bush must lie on the mean-1 hyperplane before building lines")
     counts = np.diff(bush.offsets)
@@ -480,37 +480,27 @@ class GeodesicFamily:
             raise ValidationError("no geodesic of the family passes the control points")
         keys = zip((-self._total[g, cands]).tolist(), self._nbubbles[g, cands].tolist(), cands.tolist())
         best = min(keys)[2]
-        profile = self.space.num[self._points[:, g], self._points[:, best]].tolist()
+        profile = self.space.num[self._points[:, g], self._points[:, best]]
         np_ = len(self.params)
 
-        # q: endpoints, controls, and the common flanks of every bubble
-        q_idx = {0, np_ - 1}
-        q_idx.update(self.position[p] for p in controls)
-        t = 0
-        while t < np_:
-            if profile[t] != 0:
-                start = t
-                while t < np_ and profile[t] != 0:
-                    t += 1
-                q_idx.add(start - 1)
-                q_idx.add(t)
-            else:
-                t += 1
-        q_sorted = sorted(q_idx)
+        # q: the mask's endpoints and controls, and the flanks of each bubble (a
+        # run of parameters off the pair's mask, which holds both endpoints)
+        off = ((1 << np_) - 1) ^ int(self._common[g, best])
+        q = mask | (off & ~(off << 1)) >> 1 | (off & ~(off >> 1)) << 1
+        q_sorted = [t for t in range(np_) if q >> t & 1]
         q_params = tuple(self.params[i] for i in q_sorted)
         s_params: list[Fraction] = []
         deviations: list[Fraction] = []
         for a, b in zip(q_sorted, q_sorted[1:]):
-            inside = range(a + 1, b)
-            if not inside:
+            if b == a + 1:
                 # adjacent common vertices: both geodesics traverse the same
                 # edge, deviation identically 0 on the open gap
                 s_params.append((self.params[a] + self.params[b]) / 2)
                 deviations.append(Fraction(0))
                 continue
-            s_best = max(inside, key=lambda i: (profile[i], -i))
+            s_best = a + 1 + int(profile[a + 1 : b].argmax())  # the first maximum
             s_params.append(self.params[s_best])
-            deviations.append(Fraction(profile[s_best], self.space.scale))
+            deviations.append(Fraction(int(profile[s_best]), self.space.scale))
         total = sum(deviations, Fraction(0))
         if total != Fraction(int(self._total[g, best]), self.space.scale):
             raise ValidationError("internal error: bubble accounting mismatch")
@@ -618,20 +608,16 @@ def thickness_alpha(family: GeodesicFamily, control_budget: int) -> ThicknessCer
     ends = (1 << 0) | (1 << (len(family.params) - 1))
     masks = [ends | sum(1 << i for i in combo) for combo in sets]
     masks = np.array(masks, dtype=family._common.dtype)
-    alpha = None
-    worst = (0, ())
+    runs = []  # per run of geodesics: its least best, with the geodesic and set
     for g, best in _set_maxima(family, masks):
         # g itself (total 0) admits every set, so best >= 0
         k = best.argmin(axis=1)
         low = best[np.arange(len(best)), k]
         r = int(low.argmin())
-        if alpha is None or low[r] < alpha:
-            alpha = int(low[r])
-            worst = (g + r, tuple(family.params[i] for i in sets[k[r]]))
-    if alpha is None:
-        raise ValidationError("no admissible configuration found")
+        runs.append((int(low[r]), g + r, tuple(family.params[i] for i in sets[k[r]])))
+    alpha, worst, controls = min(runs)  # the geodesics differ, so ties go to the first
     alpha = Fraction(alpha, family.space.scale)
-    return ThicknessCertificate(alpha, control_budget, worst[0], worst[1], n_geo * len(sets), partial)
+    return ThicknessCertificate(alpha, control_budget, worst, controls, n_geo * len(sets), partial)
 
 
 # ---------------------------------------------------------------------------

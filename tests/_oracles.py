@@ -28,7 +28,8 @@ geodesics, one Fraction or float per entry (and csv.writer) for the file
 formats, a multi-start SLSQP search for the Hilbert fork gap, every vertex map
 (collapsing ones included) for the cycle-into-trees search,
 a loop over candidates for the thickness constant (and a pass per
-parameter for the geodesic pair tables it reads), a dense Fraction
+parameter for the geodesic pair tables it reads, and a scan of the
+deviation profile for the oracle's bubbles), a dense Fraction
 tableau for the exact simplex, and for the RNP pipeline: Fraction sums per
 vector for the delta-tree and bush checks, one Fraction tuple entry per
 (vertex, quadrilateral) for the tent embedding, a scan of the blocks for
@@ -1189,6 +1190,48 @@ def pair_tables_by_parameter(family):
         run *= ~z
     total += run
     return common, total, bubbles
+
+
+def respond_by_scan(family, g, control_params):
+    """`GeodesicFamily.respond` as first written: the same candidate choice
+    from the pair tables, then a scan of the deviation profile for the
+    flanks of every bubble and, per gap, the first parameter of largest
+    deviation."""
+    from testspaces.rnp import OracleResponse
+
+    controls = sorted(set(control_params) | {family.params[0], family.params[-1]})
+    mask = sum(1 << family.position[p] for p in controls)
+    cands = np.flatnonzero(family._common[g] & mask == mask)
+    keys = zip((-family._total[g, cands]).tolist(), family._nbubbles[g, cands].tolist(), cands.tolist())
+    best = min(keys)[2]
+    profile = family.space.num[family._points[:, g], family._points[:, best]].tolist()
+    np_ = len(family.params)
+    q_idx = {0, np_ - 1}
+    q_idx.update(family.position[p] for p in controls)
+    t = 0
+    while t < np_:
+        if profile[t] != 0:
+            start = t
+            while t < np_ and profile[t] != 0:
+                t += 1
+            q_idx.add(start - 1)
+            q_idx.add(t)
+        else:
+            t += 1
+    q_sorted = sorted(q_idx)
+    s_params, deviations = [], []
+    for a, b in zip(q_sorted, q_sorted[1:]):
+        inside = range(a + 1, b)
+        if not inside:
+            s_params.append((family.params[a] + family.params[b]) / 2)
+            deviations.append(Fraction(0))
+            continue
+        s_best = max(inside, key=lambda i: (profile[i], -i))
+        s_params.append(family.params[s_best])
+        deviations.append(Fraction(profile[s_best], family.space.scale))
+    q_params = tuple(family.params[i] for i in q_sorted)
+    total = sum(deviations, Fraction(0))
+    return OracleResponse(best, q_params, tuple(s_params), tuple(deviations), total)
 
 
 def solve_lp_fractions(A, b, c, basis=None):

@@ -5,7 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import testspaces.embeddings as embeddings
 import testspaces.generators as generators
+import testspaces.markov as markov
+import testspaces.metric_core as metric_core
+import testspaces.rnp as rnp
 from testspaces.errors import CapExceededError, ValidationError
 from testspaces.generators import (
     UNIT,
@@ -288,3 +292,36 @@ def test_caps(monkeypatch):
         binary_tree(8)
     with pytest.raises(CapExceededError):
         heisenberg_ball(9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: binary_tree(2.0), id="binary_tree-2.0"),
+        pytest.param(lambda: binary_tree(True), id="binary_tree-True"),
+        pytest.param(lambda: cycle(5.0), id="cycle-5.0"),
+        pytest.param(lambda: diamond(1.0), id="diamond-1.0"),
+        pytest.param(lambda: laakso(True), id="laakso-True"),
+        pytest.param(lambda: tree_product([1.0]), id="tree_product-1.0"),
+        pytest.param(lambda: heisenberg_ball(1.0), id="heisenberg_ball-1.0"),
+        pytest.param(lambda: metric_core.path_graph(2.0), id="path_graph-2.0"),
+        pytest.param(lambda: markov.lazy_path_walk(2.5), id="lazy_path_walk-2.5"),
+        pytest.param(lambda: embeddings.bourgain_labeling(2.0), id="bourgain_labeling-2.0"),
+        pytest.param(lambda: embeddings.bourgain_embed(2.0), id="bourgain_embed-2.0"),
+        pytest.param(lambda: embeddings.bourgain_distortion(2.0), id="bourgain_distortion-2.0"),
+        pytest.param(lambda: embeddings.james_alpha(2.5), id="james_alpha-m-2.5"),
+        pytest.param(lambda: embeddings.james_alpha(3, 1.5), id="james_alpha-bound-1.5"),
+        pytest.param(lambda: embeddings.cycle_tree_lower_oracle(6.0, 5), id="cycle_tree-m-6.0"),
+        pytest.param(lambda: embeddings.cycle_tree_lower_oracle(6, 5.0), id="cycle_tree-vertices-5.0"),
+        pytest.param(lambda: rnp.rademacher_tree(2.0), id="rademacher_tree-2.0"),
+        pytest.param(
+            lambda: rnp.broken_line_family(rnp.tree_to_bush(rnp.rademacher_tree(2)), 1.0),
+            id="broken_line_family-1.0",
+        ),
+    ],
+)
+def test_sizes_and_depths_are_ints(call):
+    # each float raised a bare TypeError from range, a shift or a slice, and
+    # True, or a float nothing choked on, was taken as its number
+    with pytest.raises(ValidationError, match="an int"):
+        call()

@@ -661,8 +661,9 @@ def test_one_cap_check():
 
 
 def tree_layout_copies(source: str) -> list[tuple[int, str]]:
-    """(line, what) for every clipped tree size 2 ** (min(...) + 1) and every
-    tree_labels list that is counted with len or indexed, by line."""
+    """(line, what) for every clipped tree size 2 ** (min(...) + 1), every
+    tree_labels list that is counted with len or indexed, and every label
+    built by appending a literal "0" or "1", by line."""
     tree = ast.parse(source)
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     found = []
@@ -678,13 +679,17 @@ def tree_layout_copies(source: str) -> list[tuple[int, str]]:
                 found.append((node.lineno, "indexed labels"))
             elif isinstance(parent, ast.Call) and getattr(parent.func, "id", None) == "len":
                 found.append((node.lineno, "counted labels"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            if isinstance(node.right, ast.Constant) and node.right.value in ("0", "1"):
+                found.append((node.lineno, "appended bit"))
     return sorted(found)
 
 
 def test_tree_layout_and_family_scale_live_in_generators():
     # T_n's heap layout and its clipped vertex count (tree_order) are stated
-    # once, in generators: no other module counts rows or finds a parent
-    # through tree_labels; and a scaled family's edge length f^(-n) comes
+    # once, in generators: no other module counts rows, finds a parent
+    # through tree_labels or walks to a child by appending a bit to its
+    # label; and a scaled family's edge length f^(-n) comes
     # from its gadget, so Weighting holds only the mode
     copies = {path.stem: tree_layout_copies(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     found = {stem: [what for _, what in hits] for stem, hits in copies.items() if hits}
@@ -697,8 +702,11 @@ def test_tree_layout_and_family_scale_live_in_generators():
         "    parent = tree_labels(depth)[(i - 1) // 2]\n"
         "order = 2 ** (min(n, CAP.bit_length()) + 1) - 1\n"
         "pairs = 2 ** min(m, CAP.bit_length()) + 1\n"
+        "child = lab + '0'\n"
+        "first = '1' + '0' * k\n"
     )
-    assert tree_layout_copies(sample) == [(1, "counted labels"), (3, "indexed labels"), (4, "clipped tree size")]
+    want = [(1, "counted labels"), (3, "indexed labels"), (4, "clipped tree size"), (6, "appended bit")]
+    assert tree_layout_copies(sample) == want
 
 
 # numpy functions newer than numpy 1.24, with the release that added them

@@ -601,6 +601,27 @@ def test_fork_select_frechet_input_gives_half_tree(n):
     ]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fork_select_reads_rows_out_of_heap_order(n):
+    # each tree vertex's row is found through its label, so a space whose
+    # rows are shuffled selects the same vertices; the noise makes the
+    # nearer grandchild differ from vertex to vertex
+    sp = apsp(binary_tree(n))
+    rng = np.random.default_rng(n)
+    rows = sp.floats() + rng.uniform(0, 0.5, (sp.size, sp.size))
+    emb = normalize_noncontractive(Embedding(sp, rows, NormedTarget("l2", sp.size)))[0]
+    perm = rng.permutation(sp.size).tolist()
+    shuffled = Embedding(sp.restrict(perm), emb.table[perm], emb.target, emb.scale)
+    want, got = fork_select(n, emb), fork_select(n, shuffled)
+    assert {lab[-1] for lab in want.selected_labels[1:]} == {"0", "1"}
+    assert (got.selected_labels, got.new_labels) == (want.selected_labels, want.new_labels)
+    assert got.report == want.report and got.embedding.space == want.embedding.space
+    # the input report's witnesses are pairs of rows, which the shuffle moves
+    values = lambda rep: (rep.lip, rep.colip, rep.distortion)
+    assert values(got.input_report) == values(want.input_report)
+    assert got.improvement == want.improvement
+
+
 def test_fork_select_rejects_non_l2_targets():
     # the nearer grandchild is chosen in l2, so an embedding into another
     # norm is refused, even one whose vectors are those of an l2 embedding

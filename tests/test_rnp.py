@@ -52,6 +52,7 @@ from _oracles import (
     martingale_l1_diff_fractions,
     normalized_l1,
     pair_tables_by_parameter,
+    respond_by_scan,
     tent_embedding_tuples,
     thickness_by_pairs,
     verify_bush_fractions,
@@ -315,6 +316,30 @@ def test_pair_table_types_are_narrow():
     huge = _long_cycle_family(40, 2**60)
     assert huge._total.dtype == object and huge._common.dtype == np.uint64
     assert _long_cycle_family(70)._common.dtype == object
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: diamond_geodesic_family(2),
+        lambda: diamond_geodesic_family(3),
+        _late_bubble_family,
+        lambda: _long_cycle_family(70),
+    ],
+    ids=["D2", "D3", "late-bubble", "C140"],
+)
+def test_oracle_matches_the_profile_scan(make):
+    # bubbles read off the pair mask and each gap's first argmax give every
+    # field the scan of the deviation profile gives, for every geodesic and
+    # control set (C140's 69 interior parameters: the sets of size <= 2, on
+    # Python-int masks)
+    fam = make()
+    interior = fam.params[1:-1]
+    sizes = range(len(interior) + 1) if len(interior) <= 10 else range(3)
+    sets = [combo for size in sizes for combo in itertools.combinations(interior, size)]
+    for g in range(len(fam.geodesics)):
+        for controls in sets:
+            assert repr(fam.respond(g, controls)) == repr(respond_by_scan(fam, g, controls))
 
 
 def test_thickness_d3_budget_profile(family3):
