@@ -29,6 +29,7 @@ from .metric_core import (
     _magnitude,
     apsp,
     check_cap,
+    check_int,
     check_table_size,
     read_only,
 )
@@ -275,10 +276,8 @@ def james_alpha(m: int, coeff_bound: int = 3) -> JamesAlphaResult:
     |S_k| and |S_m - S_j| <= 2 sup_k |S_k|.  A grid of more than
     JAMES_GRID_CAP vectors raises CapExceededError.
     """
-    if type(m) is not int or m < 2:
-        raise ValidationError(f"need an int m >= 2, got {m!r}")
-    if type(coeff_bound) is not int or coeff_bound < 1:
-        raise ValidationError(f"empty coefficient grid: need an int bound >= 1, got {coeff_bound!r}")
+    check_int(m, 2, "need an int m >= 2")
+    check_int(coeff_bound, 1, "empty coefficient grid: need an int bound >= 1")
     what = f"the number of coefficient vectors in [-{coeff_bound}, {coeff_bound}]^{m}"
     check_cap((2 * coeff_bound + 1) ** min(m, JAMES_GRID_CAP.bit_length()), JAMES_GRID_CAP, what)
     # partial sums S_1..S_m of every grid vector, rows in itertools.product
@@ -336,8 +335,7 @@ def _bourgain_tree(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def bourgain_labeling(n: int) -> BourgainLabeling:
-    if type(n) is not int or n < 0:
-        raise ValidationError(f"depth must be an int >= 0, got {n!r}")
+    check_int(n, 0, "depth must be an int >= 0")
     ranks = _bourgain_tree(n)[2].tolist()  # the table cap first, before any label
     phi = dict(zip(tree_labels(n), ranks))
     psi = {lab: Fraction(rank - 2**n, 2**n) for lab, rank in phi.items()}
@@ -347,8 +345,7 @@ def bourgain_labeling(n: int) -> BourgainLabeling:
 def bourgain_embed(n: int) -> Embedding:
     """Vertex t -> sum over ancestors s <= t of e_{phi(s)}, in the summing
     norm of dimension 2^{n+1} - 1."""
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"depth must be an int >= 1, got {n!r}")
+    check_int(n, 1, "depth must be an int >= 1")
     depth, _, phi = _bourgain_tree(n)
     space = apsp(binary_tree(n))  # its points in heap order, as _bourgain_tree's
     table = np.zeros((depth.size, depth.size), dtype=np.int64)
@@ -372,8 +369,7 @@ def bourgain_distortion(n: int) -> DistortionReport:
     nor the distance la + lb depends on c, so each class (la, lb, side) has
     its first pair in (a, b) order at c = '': lip and colip are the maxima
     over those n^2 + 2n pairs, ties to the first, found by `_first_max`."""
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"depth must be an int >= 1, got {n!r}")
+    check_int(n, 1, "depth must be an int >= 1")
     _bourgain_tree(n)  # the table cap, as bourgain_labeling and bourgain_embed meet it
     pairs = _bourgain_classes(n)
     sup, dist = np.array(list(zip(*pairs))[2:])
@@ -495,10 +491,8 @@ def cycle_tree_lower_oracle(m: int, max_tree_vertices: int) -> CycleTreeResult:
     """
     import networkx as nx
 
-    if type(m) is not int or m < 3:
-        raise ValidationError(f"cycle needs an int m >= 3, got {m!r}")
-    if type(max_tree_vertices) is not int or max_tree_vertices < 1:
-        raise ValidationError(f"need an int max_tree_vertices >= 1, got {max_tree_vertices!r}")
+    check_int(m, 3, "cycle needs an int m >= 3")
+    check_int(max_tree_vertices, 1, "need an int max_tree_vertices >= 1")
     trees = {}  # order -> edge lists of its unlabeled trees
     total_maps = 1  # the constant map into the one-vertex tree
     for order in range(2, max_tree_vertices + 1):

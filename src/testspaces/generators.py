@@ -29,6 +29,7 @@ from .metric_core import (
     WeightedGraph,
     apsp,
     check_cap,
+    check_int,
     check_table_size,
     read_only,
 )
@@ -86,8 +87,7 @@ def tree_labels(n: int) -> list[str]:
 def binary_tree(n: int) -> WeightedGraph:
     """Binary tree of depth n in heap layout: vertex i carries its label
     and a unit edge to its parent."""
-    if type(n) is not int or n < 0:
-        raise ValidationError(f"depth must be an int >= 0, got {n!r}")
+    check_int(n, 0, "depth must be an int >= 0")
     order = tree_order(n, VERTEX_CAP)
     check_cap(order, VERTEX_CAP, f"the number of vertices of the binary tree of depth {n}")
     vertices = tuple(PointId(i, lab) for i, lab in enumerate(tree_labels(n)))
@@ -104,8 +104,7 @@ def fork() -> WeightedGraph:
 
 def cycle(m: int) -> WeightedGraph:
     """Unit-length m-cycle."""
-    if type(m) is not int or m < 3:
-        raise ValidationError(f"cycle needs an int m >= 3, got {m!r}")
+    check_int(m, 3, "cycle needs an int m >= 3")
     check_cap(m, VERTEX_CAP, "the number of vertices of the cycle")
     vertices = tuple(PointId(i) for i in range(m))
     edges = tuple((i, (i + 1) % m, Fraction(1)) for i in range(m))
@@ -223,8 +222,7 @@ def _through_ends(table: np.ndarray, ends: np.ndarray, offsets: np.ndarray, out:
 def _replace_edges(kind: str, n: int, w: Weighting) -> RecursiveFamily:
     """Start from one edge 0-1 and replace every edge by the kind's pattern
     n times, appending each edge's new vertices after all existing ones."""
-    if type(n) is not int or n < 0:
-        raise ValidationError(f"level must be an int >= 0, got {n!r}")
+    check_int(n, 0, "level must be an int >= 0")
     sides, pattern, G = _GADGETS[kind]
     # edge record: (u, v, chain)
     edges: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 1, ())]
@@ -272,8 +270,8 @@ def tree_product(depths: list[int]) -> MetricSpace:
     """Cartesian product of binary trees with the l1 (sum) metric."""
     if not depths:
         raise ValidationError("need at least one tree depth")
-    if any(type(d) is not int or d < 0 for d in depths):
-        raise ValidationError(f"each depth must be an int >= 0, got {depths!r}")
+    for d in depths:
+        check_int(d, 0, "each depth must be an int >= 0")
     points = math.prod(tree_order(d, TREE_PRODUCT_CAP) for d in depths)
     check_cap(points, TREE_PRODUCT_CAP, f"the number of points of the product of trees of depths {depths}")
     spaces = [apsp(binary_tree(d)) for d in depths]  # unit edges: each scale is 1
@@ -306,6 +304,7 @@ def heis_inv(g: tuple[int, int, int]) -> tuple[int, int, int]:
 def heisenberg_word_lengths(radius: int) -> dict[tuple[int, int, int], int]:
     """Word lengths (w.r.t. x^{+-1}, y^{+-1}) of all elements within the
     given radius, by breadth-first search from the identity."""
+    check_int(radius, 0, "radius must be an int >= 0")
     lengths = {(0, 0, 0): 0}
     frontier = deque([(0, 0, 0)])
     while frontier:
@@ -328,8 +327,7 @@ def heisenberg_ball(r: int) -> MetricSpace:
     d(u, v) is the group word length of u^{-1} v, read off a BFS of radius
     2r (pairwise distances can leave the ball but never exceed 2r).
     """
-    if type(r) is not int or r < 0:
-        raise ValidationError(f"radius must be an int >= 0, got {r!r}")
+    check_int(r, 0, "radius must be an int >= 0")
     check_cap(r, HEISENBERG_RADIUS_CAP, f"the radius {r} of the Heisenberg ball (it grows ~ r^4)")
     lengths = heisenberg_word_lengths(2 * r)
     ball = sorted((g for g, d in lengths.items() if d <= r), key=lambda g: (lengths[g], g))

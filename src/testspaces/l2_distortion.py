@@ -36,7 +36,7 @@ import numpy as np
 from .embeddings import DistortionReport, Embedding, NormedTarget, distortion
 from .errors import UndecidedError, ValidationError
 from .generators import binary_tree, tree_labels
-from .metric_core import INT64_MAX, MetricSpace, apsp, read_only
+from .metric_core import INT64_MAX, MetricSpace, apsp, check_int, read_only
 
 STALL_REL = 1e-9
 STALL_WINDOW = 25
@@ -385,8 +385,7 @@ def kloeckner_bound(n: int, K: float) -> float:
     D^2 - D - bK = 0 (b = floor(log2 n)), as a float rounded down: the
     closed-form root is stepped down one ulp at a time until
     D (D - 1) <= bK holds exactly, so it never overstates the lower bound."""
-    if n < 1:
-        raise ValidationError("depth must be >= 1")
+    check_int(n, 1, "depth must be an int >= 1")
     if not 0 < K < math.inf:
         raise ValidationError("need finite K > 0")
     budget = int(math.floor(math.log2(n))) if n > 1 else 0
@@ -423,8 +422,7 @@ def fork_select(n: int, emb: Embedding) -> ForkSelection:
     label).  The selected set carries half the tree distance and is exactly
     isometric to T_{floor(n/2)}.  The embedding must map into l2, the norm
     the selection measures in."""
-    if n < 2:
-        raise ValidationError("need depth >= 2")
+    check_int(n, 2, "need an int depth >= 2")
     if emb.target.kind != "l2":
         raise ValidationError("fork selection needs an l2 embedding")
     space = emb.space

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ValidationError
 from .generators import RecursiveFamily, binary_tree, tree_order
 from .metric_core import (
-    INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_cap, check_table_size, read_only
+    INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_cap, check_int, check_table_size, read_only
 )
 
 # bit operations of the exact tree pass, T (b + q^2 / 64) + b^2 / 64 (see
@@ -234,8 +234,7 @@ def exact_convexity(
     Past DP_BIT_WORK_CAP of (R^2 + b / 64) b it raises CapExceededError
     before any power is taken, and before any copy when every point is
     reached."""
-    if type(p) is not int or p < 1:
-        raise ValidationError("exact mode needs integer p >= 1")
+    check_int(p, 1, "exact mode needs integer p >= 1")
     reach, slot, num = _reached_table(chain, mmap, space)
     T = chain.horizon
     K = _k_max(T)
@@ -315,10 +314,8 @@ MC_SAMPLE_CAP = 2**24  # samples of one estimate: their kept totals take about 0
 def _check_mc_args(p: float, seed: int, samples: int) -> None:
     if type(p) is bool or not p >= 1:
         raise ValidationError("Monte Carlo mode needs p >= 1")
-    if type(seed) is not int or seed < 0:
-        raise ValidationError(f"need an int seed >= 0, got {seed!r}")
-    if type(samples) is not int or samples < 1:
-        raise ValidationError(f"need an int number of samples >= 1, got {samples!r}")
+    check_int(seed, 0, "need an int seed >= 0")
+    check_int(samples, 1, "need an int number of samples >= 1")
     check_cap(samples, MC_SAMPLE_CAP, "the number of Monte Carlo samples")
 
 
@@ -500,8 +497,7 @@ def downward_tree_walk(m: int) -> WalkBundle:
     CapExceededError points to the split-time analytic evaluators
     tree_walk_convexity_exact and tree_walk_convexity_mc.
     """
-    if type(m) is not int or m < 1:
-        raise ValidationError(f"need an int m >= 1, got {m!r}")
+    check_int(m, 1, "need an int m >= 1")
     # T_(2^m)'s vertices, the depth 2^m clipped too, as check_cap asks
     order = tree_order(2 ** min(m, TABLE_ENTRY_CAP.bit_length()), TABLE_ENTRY_CAP)
     check_table_size(order, f"T_2^{m} (use the analytic mode, tree_walk_convexity_exact / _mc)")
@@ -529,8 +525,8 @@ def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
     b = T + q bits; reducing that lhs to lowest terms costs about b^2 / 64.
     Past TREE_BIT_WORK_CAP of T (b + q^2 / 64) + b^2 / 64 it raises
     CapExceededError before any arithmetic."""
-    if type(m) is not int or m < 1 or type(p) is not int or p < 1:
-        raise ValidationError("need an int m >= 1 and an int p >= 1")
+    check_int(m, 1, "need an int m >= 1")
+    check_int(p, 1, "need an int p >= 1")
     # T = 2^m once the check passes: a clipped m exceeds the cap at once
     T = 2 ** min(m, TREE_BIT_WORK_CAP.bit_length())
     q = p * (m + 1)
@@ -561,8 +557,7 @@ def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> Convexi
     exactly 1, so rhs = T with standard error 0.  Raises CapExceededError
     past the table cap, checked from m before T is formed, then
     ValidationError when (2T)^p overflows float64."""
-    if type(m) is not int or m < 1:
-        raise ValidationError(f"need an int m >= 1, got {m!r}")
+    check_int(m, 1, "need an int m >= 1")
     _check_mc_args(p, seed, samples)
     # the (T + 1)^2 term table, its exponent clipped as check_cap says
     check_table_size(2 ** min(m, TABLE_ENTRY_CAP.bit_length()) + 1, f"the time window 0..2^{m}")
@@ -628,8 +623,7 @@ def lazy_path_walk(T: int) -> WalkBundle:
     right end absorbing.  Maps onto a single geodesic segment; a recorded
     baseline that the functional stays bounded here (the line is Markov
     convex)."""
-    if type(T) is not int or T < 1:
-        raise ValidationError(f"need an int horizon >= 1, got {T!r}")
+    check_int(T, 1, "need an int horizon >= 1")
     check_table_size(T + 1, "the graph")
     points = np.arange(T + 1)
     space = MetricSpace(read_only(abs(points[:, None] - points)), 1, (None,) * (T + 1))

@@ -61,8 +61,7 @@ class RationalTable:
     scale: int
 
     def __init__(self, data, scale: int = 1, headroom: int = 1):
-        if type(scale) is not int or scale <= 0:
-            raise ValidationError(f"a table's scale must be a positive int, got {scale!r}")
+        check_int(scale, 1, "a table's scale must be a positive int")
         if isinstance(data, RationalTable):  # converted already
             data, scale = data.num, data.scale * scale
         elif not isinstance(data, np.ndarray) or data.dtype == object:
@@ -201,6 +200,14 @@ def check_cap(amount: int, cap: int, what: str) -> None:
     so no verdict changes and no amount grows much wider than the cap."""
     if amount > cap:
         raise CapExceededError(f"{what} exceeds cap {cap}")
+
+
+def check_int(value, least: int, need: str) -> None:
+    """The one integer-argument check: ValidationError "`need`, got
+    `value!r`" unless value is an int (not a bool, float or numpy integer)
+    and value >= least."""
+    if type(value) is not int or value < least:
+        raise ValidationError(f"{need}, got {value!r}")
 
 
 def check_table_size(n: int, what: str) -> None:
@@ -523,8 +530,7 @@ def enumerate_geodesic_paths(
 
 def path_graph(n: int) -> WeightedGraph:
     """Path on n vertices with unit edges (used as a Markov-convex baseline)."""
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"path needs at least one vertex, an int count; got {n!r}")
+    check_int(n, 1, "path needs at least one vertex, an int count")
     verts = tuple(PointId(i) for i in range(n))
     edges = tuple((i, i + 1, Fraction(1)) for i in range(n - 1))
     return WeightedGraph(verts, edges)

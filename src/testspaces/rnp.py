@@ -34,6 +34,7 @@ from .metric_core import (
     RationalTable,
     _magnitude,
     check_cap,
+    check_int,
     enumerate_geodesic_paths,
     read_only,
 )
@@ -75,8 +76,7 @@ def rademacher_tree(n: int) -> DeltaTree:
     """Product construction in discretized L1: the root is the constant-1
     vector over 2^n atoms and each step multiplies by (1 +- r_k), where r_k
     is the k-th Rademacher sign pattern.  All atom values are integers."""
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"depth must be an int >= 1, got {n!r}")
+    check_int(n, 1, "depth must be an int >= 1")
     check_cap(n, DELTA_TREE_DEPTH_CAP, f"the depth {n} of the delta-tree")
     atoms = 2**n
     table = np.ones((2 * atoms - 1, atoms), dtype=np.int64)  # entries stay <= 2^n
@@ -345,8 +345,7 @@ def broken_line_family(bush: DeltaBush, k: int) -> dict[str, BrokenLine]:
     vector into the convex combination through its children's midpoints, and
     the 0/1 pass splits each midpoint multiple into its two halves in one of
     the two orders.  Past LINE_SEGMENT_CAP, CapExceededError comes first."""
-    if type(k) is not int or k < 0:
-        raise ValidationError(f"label depth must be an int >= 0, got {k!r}")
+    check_int(k, 0, "label depth must be an int >= 0")
     if k >= len(bush.sizes):
         raise ValidationError("label depth exceeds bush depth")
     if (bush.table.num.sum(axis=1) != bush.atoms * bush.table.scale).any():
@@ -524,8 +523,7 @@ class GeodesicFamily:
 def diamond_geodesic_family(n: int) -> GeodesicFamily:
     """All source-sink geodesics of the weighted level-n diamond; more than
     metric_core.GEODESIC_CAP of them (D_3 has 128, D_4 32768) raise CapExceededError."""
-    if type(n) is not int or n < 0:
-        raise ValidationError(f"level must be an int >= 0, got {n!r}")
+    check_int(n, 0, "level must be an int >= 0")
     fam = diamond(n, diamond_weighting())
     geos = enumerate_geodesic_paths(fam.graph, fam.source, fam.sink, fam.metric_space())
     return GeodesicFamily(fam, fam.metric_space(), tuple(geos))
@@ -591,20 +589,18 @@ def thickness_alpha(family: GeodesicFamily, control_budget: int) -> ThicknessCer
     are first cut to the largest total per distinct mask.  Ties go to the
     first geodesic, then to the first control set; when n_geo^2 times the
     number of control sets exceeds THICKNESS_WORK_CAP, only the first sets
-    are tried and the certificate is partial.  No set holds more than the
-    P - 2 interior parameters, so a larger budget tries the same sets."""
-    if type(control_budget) is not int or control_budget < 0:
-        raise ValidationError(f"control budget must be an int >= 0, got {control_budget!r}")
+    are built and tried, and the certificate is partial.  No set holds
+    more than the P - 2 interior parameters, so a larger budget tries the
+    same sets."""
+    check_int(control_budget, 0, "control budget must be an int >= 0")
     n_geo, interior = len(family.geodesics), range(1, len(family.params) - 1)
-    sets = [
-        combo
-        for size in range(min(control_budget, len(interior)) + 1)
-        for combo in itertools.combinations(interior, size)
-    ]
-    partial = False
-    if n_geo * len(sets) * n_geo > THICKNESS_WORK_CAP:
-        sets = sets[: max(1, THICKNESS_WORK_CAP // (n_geo * n_geo))]
-        partial = True
+    sizes = range(min(control_budget, len(interior)) + 1)
+    sets = (combo for size in sizes for combo in itertools.combinations(interior, size))
+    # the sets the cap admits and one more, which tells that it cuts
+    keep = max(1, THICKNESS_WORK_CAP // (n_geo * n_geo))
+    sets = list(itertools.islice(sets, keep + 1))
+    partial = n_geo * n_geo * len(sets) > THICKNESS_WORK_CAP
+    sets = sets[:keep]
     ends = (1 << 0) | (1 << (len(family.params) - 1))
     masks = [ends | sum(1 << i for i in combo) for combo in sets]
     masks = np.array(masks, dtype=family._common.dtype)
@@ -768,8 +764,7 @@ def martingale_from_embedding(
     martingale with ||M_{2k} - M_{2k-1}|| >= ell * (total deviation) / 4.
     More than MARTINGALE_STEP_CAP double-steps raise CapExceededError
     before any work."""
-    if type(steps) is not int or steps < 1:
-        raise ValidationError(f"the double-step count must be an int >= 1, got {steps!r}")
+    check_int(steps, 1, "the double-step count must be an int >= 1")
     check_cap(steps, MARTINGALE_STEP_CAP, f"the double-step count {steps}")
     if emb.space.size != family.space.size:
         raise ValidationError("embedding must live on the family's host space")

@@ -1,12 +1,14 @@
 """Generator families: counts, labels, isometric injections, Heisenberg balls."""
 
 import hashlib
+import re
 from fractions import Fraction as F
 
 import pytest
 
 import testspaces.embeddings as embeddings
 import testspaces.generators as generators
+import testspaces.l2_distortion as l2_distortion
 import testspaces.markov as markov
 import testspaces.metric_core as metric_core
 import testspaces.rnp as rnp
@@ -294,34 +296,111 @@ def test_caps(monkeypatch):
         heisenberg_ball(9)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        pytest.param(lambda: binary_tree(2.0), id="binary_tree-2.0"),
-        pytest.param(lambda: binary_tree(True), id="binary_tree-True"),
-        pytest.param(lambda: cycle(5.0), id="cycle-5.0"),
-        pytest.param(lambda: diamond(1.0), id="diamond-1.0"),
-        pytest.param(lambda: laakso(True), id="laakso-True"),
-        pytest.param(lambda: tree_product([1.0]), id="tree_product-1.0"),
-        pytest.param(lambda: heisenberg_ball(1.0), id="heisenberg_ball-1.0"),
-        pytest.param(lambda: metric_core.path_graph(2.0), id="path_graph-2.0"),
-        pytest.param(lambda: markov.lazy_path_walk(2.5), id="lazy_path_walk-2.5"),
-        pytest.param(lambda: embeddings.bourgain_labeling(2.0), id="bourgain_labeling-2.0"),
-        pytest.param(lambda: embeddings.bourgain_embed(2.0), id="bourgain_embed-2.0"),
-        pytest.param(lambda: embeddings.bourgain_distortion(2.0), id="bourgain_distortion-2.0"),
-        pytest.param(lambda: embeddings.james_alpha(2.5), id="james_alpha-m-2.5"),
-        pytest.param(lambda: embeddings.james_alpha(3, 1.5), id="james_alpha-bound-1.5"),
-        pytest.param(lambda: embeddings.cycle_tree_lower_oracle(6.0, 5), id="cycle_tree-m-6.0"),
-        pytest.param(lambda: embeddings.cycle_tree_lower_oracle(6, 5.0), id="cycle_tree-vertices-5.0"),
-        pytest.param(lambda: rnp.rademacher_tree(2.0), id="rademacher_tree-2.0"),
-        pytest.param(
-            lambda: rnp.broken_line_family(rnp.tree_to_bush(rnp.rademacher_tree(2)), 1.0),
-            id="broken_line_family-1.0",
-        ),
-    ],
-)
-def test_sizes_and_depths_are_ints(call):
+def _t4_frechet():
+    """The Fréchet l2 embedding of T_4, made non-contractive."""
+    space = apsp(binary_tree(4))
+    rows = tuple(tuple(map(float, row)) for row in space.dist)
+    frechet = embeddings.Embedding(space, rows, embeddings.NormedTarget("l2", space.size))
+    return l2_distortion.normalize_noncontractive(frechet)[0]
+
+
+def _lazy_path():
+    walk = markov.lazy_path_walk(2)
+    return walk.chain, walk.metric_map, walk.space
+
+
+def _unit_diamond_martingale(steps):
+    family = rnp.diamond_geodesic_family(1)
+    return rnp.martingale_from_embedding(family, rnp.diamond_l1_embedding(family.family), steps)
+
+
+# every metric_core.check_int call, each with the full message it refuses with:
+# "<need>, got <value!r>"
+INT_ARGUMENTS = [
+    ("binary_tree-2.0", lambda: binary_tree(2.0), "depth must be an int >= 0, got 2.0"),
+    ("binary_tree-True", lambda: binary_tree(True), "depth must be an int >= 0, got True"),
+    ("cycle-5.0", lambda: cycle(5.0), "cycle needs an int m >= 3, got 5.0"),
+    ("diamond-1.0", lambda: diamond(1.0), "level must be an int >= 0, got 1.0"),
+    ("laakso-True", lambda: laakso(True), "level must be an int >= 0, got True"),
+    ("tree_product-1.0", lambda: tree_product([1.0]), "each depth must be an int >= 0, got 1.0"),
+    ("heisenberg_ball-1.0", lambda: heisenberg_ball(1.0), "radius must be an int >= 0, got 1.0"),
+    (
+        "heisenberg_word_lengths-True",
+        lambda: generators.heisenberg_word_lengths(True),
+        "radius must be an int >= 0, got True",
+    ),
+    (
+        "path_graph-2.0",
+        lambda: metric_core.path_graph(2.0),
+        "path needs at least one vertex, an int count, got 2.0",
+    ),
+    (
+        "RationalTable-scale-2.0",
+        lambda: metric_core.RationalTable([[0]], 2.0),
+        "a table's scale must be a positive int, got 2.0",
+    ),
+    ("lazy_path_walk-2.5", lambda: markov.lazy_path_walk(2.5), "need an int horizon >= 1, got 2.5"),
+    ("downward_tree_walk-1.0", lambda: markov.downward_tree_walk(1.0), "need an int m >= 1, got 1.0"),
+    (
+        "exact_convexity-p-2.0",
+        lambda: markov.exact_convexity(*_lazy_path(), 2.0),
+        "exact mode needs integer p >= 1, got 2.0",
+    ),
+    (
+        "mc_convexity-seed-1.0",
+        lambda: markov.mc_convexity(*_lazy_path(), 2, 1.0, 10),
+        "need an int seed >= 0, got 1.0",
+    ),
+    (
+        "mc_convexity-samples-10.0",
+        lambda: markov.mc_convexity(*_lazy_path(), 2, 1, 10.0),
+        "need an int number of samples >= 1, got 10.0",
+    ),
+    ("tree_walk_exact-m-1.0", lambda: markov.tree_walk_convexity_exact(1.0, 2), "need an int m >= 1, got 1.0"),
+    ("tree_walk_exact-p-2.0", lambda: markov.tree_walk_convexity_exact(1, 2.0), "need an int p >= 1, got 2.0"),
+    ("tree_walk_mc-m-1.0", lambda: markov.tree_walk_convexity_mc(1.0, 2, 0, 10), "need an int m >= 1, got 1.0"),
+    ("bourgain_labeling-2.0", lambda: embeddings.bourgain_labeling(2.0), "depth must be an int >= 0, got 2.0"),
+    ("bourgain_embed-2.0", lambda: embeddings.bourgain_embed(2.0), "depth must be an int >= 1, got 2.0"),
+    ("bourgain_distortion-2.0", lambda: embeddings.bourgain_distortion(2.0), "depth must be an int >= 1, got 2.0"),
+    ("james_alpha-m-2.5", lambda: embeddings.james_alpha(2.5), "need an int m >= 2, got 2.5"),
+    (
+        "james_alpha-bound-1.5",
+        lambda: embeddings.james_alpha(3, 1.5),
+        "empty coefficient grid: need an int bound >= 1, got 1.5",
+    ),
+    ("cycle_tree-m-6.0", lambda: embeddings.cycle_tree_lower_oracle(6.0, 5), "cycle needs an int m >= 3, got 6.0"),
+    (
+        "cycle_tree-vertices-5.0",
+        lambda: embeddings.cycle_tree_lower_oracle(6, 5.0),
+        "need an int max_tree_vertices >= 1, got 5.0",
+    ),
+    ("kloeckner_bound-4.0", lambda: l2_distortion.kloeckner_bound(4.0, 1.0), "depth must be an int >= 1, got 4.0"),
+    ("kloeckner_bound-True", lambda: l2_distortion.kloeckner_bound(True, 1.0), "depth must be an int >= 1, got True"),
+    ("fork_select-4.0", lambda: l2_distortion.fork_select(4.0, _t4_frechet()), "need an int depth >= 2, got 4.0"),
+    ("rademacher_tree-2.0", lambda: rnp.rademacher_tree(2.0), "depth must be an int >= 1, got 2.0"),
+    (
+        "broken_line_family-1.0",
+        lambda: rnp.broken_line_family(rnp.tree_to_bush(rnp.rademacher_tree(2)), 1.0),
+        "label depth must be an int >= 0, got 1.0",
+    ),
+    ("diamond_geodesic_family-1.0", lambda: rnp.diamond_geodesic_family(1.0), "level must be an int >= 0, got 1.0"),
+    (
+        "thickness_alpha-budget-1.0",
+        lambda: rnp.thickness_alpha(rnp.diamond_geodesic_family(1), 1.0),
+        "control budget must be an int >= 0, got 1.0",
+    ),
+    (
+        "martingale-steps-1.0",
+        lambda: _unit_diamond_martingale(1.0),
+        "the double-step count must be an int >= 1, got 1.0",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*case[1:], id=case[0]) for case in INT_ARGUMENTS])
+def test_sizes_and_depths_are_ints(call, message):
     # each float raised a bare TypeError from range, a shift or a slice, and
-    # True, or a float nothing choked on, was taken as its number
-    with pytest.raises(ValidationError, match="an int"):
+    # True, or a float nothing choked on, was taken as its number; now each
+    # refuses through metric_core.check_int with its full message
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -14,7 +14,8 @@ fallback, every library function the benchmark traces by name still
 exists, `norm` measures with the row kernels of `distortion`, no
 tree-label prefix formula stands beside the tree space, the Bourgain
 distortion sweeps no label pairs, caps are module constants, not
-per-call options, one function raises CapExceededError, and the binary
+per-call options, one function raises CapExceededError, one function
+checks an integer argument's type and least value, and the binary
 tree's heap layout and a scaled family's edge length are stated once, in
 `generators`, the geodesic pair tables are built by one loop over the
 parameters without packing bits, and no module calls a numpy function
@@ -658,6 +659,51 @@ def test_one_cap_check():
     assert {stem: found for stem, found in raises.items() if found} == {"metric_core": ["check_cap"]}
     sample = "def f(n):\n    if n:\n        raise CapExceededError('x')\n    raise CapExceededError\n"
     assert cap_refusals(sample) == ["f", "f"]
+
+
+def int_type_checks(source: str) -> list[str]:
+    """The enclosing scope, as Class.method or function, of every
+    `type(X) is not int` comparison in source."""
+    found = []
+
+    def visit(node, scope, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and getattr(getattr(child.left, "func", None), "id", None) == "type":
+                pairs = zip(child.ops, child.comparators)
+                if any(isinstance(op, ast.IsNot) and getattr(c, "id", None) == "int" for op, c in pairs):
+                    found.append(scope)
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, child.name)
+            elif isinstance(child, SCOPES):
+                visit(child, f"{cls}.{child.name}" if cls else child.name, None)
+            else:
+                visit(child, scope, cls)
+
+    visit(ast.parse(source), "<module>", None)
+    return found
+
+
+def test_one_int_check():
+    # every count, size, depth, level, radius, horizon, seed and exact
+    # exponent is refused through metric_core.check_int; the type checks
+    # left by hand test ranges, exactness or JSON types, not a least count
+    checks = {path.stem: set(int_type_checks(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert {stem: found for stem, found in checks.items() if found} == {
+        "formats": {"_json_int"},
+        "markov": {"MarkovChain.__post_init__", "MetricMap.__post_init__"},
+        "metric_core": {"WeightedGraph.__post_init__", "check_int"},
+        "rnp": {"DeltaTree.__post_init__", "DeltaBush.__post_init__", "GeodesicFamily._check_index"},
+    }
+    sample = (
+        "def f(n):\n"
+        "    if type(n) is not int or n < 1:\n"
+        "        raise ValidationError(f'need an int n >= 1, got {n!r}')\n"
+        "    return [d for d in n if type(d) is int]\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return any(type(x) is not int for x in self.xs)\n"
+    )
+    assert int_type_checks(sample) == ["f", "C.g"]
 
 
 def tree_layout_copies(source: str) -> list[tuple[int, str]]:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -316,6 +317,26 @@ def test_pair_table_types_are_narrow():
     huge = _long_cycle_family(40, 2**60)
     assert huge._total.dtype == object and huge._common.dtype == np.uint64
     assert _long_cycle_family(70)._common.dtype == object
+
+
+def test_thickness_builds_only_the_sets_the_cap_admits(monkeypatch):
+    # C140's 69 interior parameters give C(69, 3) = 52 394 sets of size 3
+    # and 864 501 of size 4; the cap admits 100 of them, all within size 2,
+    # and only those and one more are built (the full list took 263 MB at
+    # budget 4 and 1 GB at budget 5 before it was cut)
+    family = _long_cycle_family(70)
+    monkeypatch.setattr(rnp, "THICKNESS_WORK_CAP", 400)
+    want = repr(thickness_by_pairs(family, 2, 400))
+    for budget in (3, 4):
+        tracemalloc.start()
+        try:
+            cert = thickness_alpha(family, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert cert.partial and cert.configurations == 200
+        assert repr(cert) == want.replace("control_budget=2", f"control_budget={budget}")
 
 
 @pytest.mark.parametrize(
