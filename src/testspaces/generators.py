@@ -80,18 +80,20 @@ def tree_order(n: int, limit: int) -> int:
 
 def tree_labels(n: int) -> list[str]:
     """T_n's labels in heap order: the 0/1 strings of length <= n, by length
-    and then lexicographically."""
-    return [bin(i)[3:] for i in range(1, 2 ** (n + 1))]
+    and then lexicographically.  Past VERTEX_CAP of them it raises
+    CapExceededError before listing any."""
+    check_int(n, 0, "depth must be an int >= 0")
+    order = tree_order(n, VERTEX_CAP)
+    check_cap(order, VERTEX_CAP, f"the number of vertices of the binary tree of depth {n}")
+    return [bin(i)[3:] for i in range(1, order + 1)]
 
 
 def binary_tree(n: int) -> WeightedGraph:
     """Binary tree of depth n in heap layout: vertex i carries its label
-    and a unit edge to its parent."""
-    check_int(n, 0, "depth must be an int >= 0")
-    order = tree_order(n, VERTEX_CAP)
-    check_cap(order, VERTEX_CAP, f"the number of vertices of the binary tree of depth {n}")
-    vertices = tuple(PointId(i, lab) for i, lab in enumerate(tree_labels(n)))
-    edges = tuple(((i - 1) // 2, i, Fraction(1)) for i in range(1, order))
+    and a unit edge to its parent (n is checked by tree_labels)."""
+    labels = tree_labels(n)
+    vertices = tuple(PointId(i, lab) for i, lab in enumerate(labels))
+    edges = tuple(((i - 1) // 2, i, Fraction(1)) for i in range(1, len(labels)))
     return WeightedGraph(vertices, edges)
 
 
@@ -210,6 +212,15 @@ _GADGETS = {
 }
 
 
+def gadget_sides(kind: str) -> tuple[int, int]:
+    """(f, o) of the kind's gadget: its ends are f hops apart, and its two
+    sides, one new vertex each, part o hops after its first end and meet 2
+    hops later (the diamond's quadrilateral at once, the Laakso gadget after
+    its first stem)."""
+    sides, _, G = _GADGETS[kind]
+    return int(G[0, 1]), int(G[0, 2 + sides.index(0)]) - 1
+
+
 def _through_ends(table: np.ndarray, ends: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
     """out[i] = min over e in (0, 1) of offsets[i, e] + table[ends[i, e]]:
     the hops from a new vertex i that leaves its gadget through end e."""
@@ -303,8 +314,12 @@ def heis_inv(g: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def heisenberg_word_lengths(radius: int) -> dict[tuple[int, int, int], int]:
     """Word lengths (w.r.t. x^{+-1}, y^{+-1}) of all elements within the
-    given radius, by breadth-first search from the identity."""
+    given radius, by breadth-first search from the identity.  Raises
+    CapExceededError past 2 HEISENBERG_RADIUS_CAP, the largest radius
+    heisenberg_ball searches, before it searches."""
     check_int(radius, 0, "radius must be an int >= 0")
+    what = f"the radius {radius} of the Heisenberg word-length search (it grows ~ r^4)"
+    check_cap(radius, 2 * HEISENBERG_RADIUS_CAP, what)
     lengths = {(0, 0, 0): 0}
     frontier = deque([(0, 0, 0)])
     while frontier:

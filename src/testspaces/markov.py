@@ -1,10 +1,12 @@
 """Markov p-convexity functional: exact dynamic programming on integer
 rows (for the downward tree walk, one integer pass over the depths
-instead), Monte Carlo estimation (one shared base trajectory per sample
-with a branched copy per split time; for the downward tree walk, one
-first-disagreement draw per split time instead; both on blocks of samples
-with their own substreams), and the built-in walks (downward tree walk,
-downhill diamond/Laakso walks, lazy path walk).
+instead; for the downhill diamond/Laakso and lazy path walks, renewal
+sums over their construction, with no table), Monte Carlo estimation
+(one shared base trajectory per sample with a branched copy per split
+time; for the downward tree walk, one first-disagreement draw per split
+time instead; both on blocks of samples with their own substreams), and
+the built-in walks (downward tree walk, downhill diamond/Laakso walks,
+lazy path walk).
 A chain is one CSR table, checked once by its constructor: each state's
 moves, to increasing targets, with positive integer weights over one
 denominator D; the built-in walks, all uniform choices, build it in
@@ -27,15 +29,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .generators import RecursiveFamily, binary_tree, tree_order
+from .generators import RecursiveFamily, binary_tree, gadget_sides, tree_order
 from .metric_core import (
     INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_cap, check_int, check_table_size, read_only
 )
@@ -65,6 +68,9 @@ class MarkovChain:
     D: int
     start: int
     horizon: int
+    # (_Walk, metric map, space) of the built-in walk that made this chain,
+    # set by that walk, never by a caller: see exact_convexity
+    built_by: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         indptr, targets, weights = (np.array(a) for a in (self.indptr, self.targets, self.weights))
@@ -146,7 +152,8 @@ class ConvexityEstimate:
 
 
 def _k_max(T: int) -> int:
-    return max(0, math.ceil(math.log2(T))) if T > 1 else 0
+    """ceil(log2 T) for T >= 1, exact for every int."""
+    return (T - 1).bit_length()
 
 
 def _split_terms(T: int) -> list[tuple[int, int, int]]:
@@ -233,8 +240,15 @@ def exact_convexity(
     reducing the b-bit results to lowest terms costs about b^2 / 64 more.
     Past DP_BIT_WORK_CAP of (R^2 + b / 64) b it raises CapExceededError
     before any power is taken, and before any copy when every point is
-    reached."""
+    reached.
+
+    A chain made by downhill_walk or lazy_path_walk, given that walk's own
+    metric map and space (the same objects), is answered by the renewal
+    sums of downhill_convexity_exact / lazy_path_convexity_exact instead,
+    with the same Fractions; any other chain, map or space runs the DP."""
     check_int(p, 1, "exact mode needs integer p >= 1")
+    if chain.built_by is not None and chain.built_by[1] is mmap and chain.built_by[2] is space:
+        return _renewal_sums(chain.built_by[0], p)
     reach, slot, num = _reached_table(chain, mmap, space)
     T = chain.horizon
     K = _k_max(T)
@@ -585,14 +599,9 @@ def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> Convexi
     return _block_estimate(p, seed, samples, T, draw)
 
 
-def downhill_walk(
-    family: RecursiveFamily, horizon: Optional[int] = None
-) -> WalkBundle:
-    """From every non-sink vertex move uniformly to a neighbor strictly
-    closer to the sink; the sink is absorbing.  Default horizon is the hop
-    count of a source-to-sink geodesic, so every edge must have the same
-    length (ValidationError names the first edge that differs)."""
-    graph = family.graph
+def _edge_length(graph) -> Fraction:
+    """The one length of every edge of a downhill walk's graph
+    (ValidationError names the first edge that differs)."""
     edge_len = graph.edges[0][2]
     if (graph.lengths != graph.lengths[0]).any():  # name the first edge that differs
         u, v, w = next(e for e in graph.edges if e[2] != edge_len)
@@ -600,6 +609,20 @@ def downhill_walk(
             f"downhill walk needs uniform edge lengths: edge ({u},{v}) has "
             f"length {w}, edge 0 has {edge_len}"
         )
+    return edge_len
+
+
+def downhill_walk(
+    family: RecursiveFamily, horizon: Optional[int] = None
+) -> WalkBundle:
+    """From every non-sink vertex move uniformly to a neighbor strictly
+    closer to the sink; the sink is absorbing.  Default horizon is the hop
+    count of a source-to-sink geodesic, so every edge must have the same
+    length (ValidationError names the first edge that differs).  The chain
+    records the walk, so exact_convexity on this bundle's chain, map and
+    space runs downhill_convexity_exact's renewal sums, not the DP."""
+    graph = family.graph
+    edge_len = _edge_length(graph)
     space = family.metric_space()
     sink = family.sink
     n = graph.size
@@ -615,14 +638,15 @@ def downhill_walk(
         raise ValidationError(f"vertex {(count == 0).argmax()} has no neighbor closer to the sink")
     targets = np.insert(graph.targets[down], count[:sink].sum(), sink)
     chain = _uniform_chain(np.concatenate(([0], count.cumsum())), targets, family.source, T)
-    return WalkBundle(chain, MetricMap(tuple(range(n))), space)
+    return _built(_Walk(family.kind, family.level, edge_len, T), chain, space)
 
 
 def lazy_path_walk(T: int) -> WalkBundle:
     """Monotone lazy walk on a path: move right or stay with probability 1/2,
     right end absorbing.  Maps onto a single geodesic segment; a recorded
     baseline that the functional stays bounded here (the line is Markov
-    convex)."""
+    convex).  Like downhill_walk's, its chain records the walk for
+    exact_convexity (see lazy_path_convexity_exact)."""
     check_int(T, 1, "need an int horizon >= 1")
     check_table_size(T + 1, "the graph")
     points = np.arange(T + 1)
@@ -630,4 +654,164 @@ def lazy_path_walk(T: int) -> WalkBundle:
     # state i < T moves to i and i + 1, and T to itself
     indptr = np.append(np.arange(0, 2 * T + 1, 2), 2 * T + 1)
     chain = _uniform_chain(indptr, np.arange(1, 2 * T + 2) // 2, 0, T)
-    return WalkBundle(chain, MetricMap(tuple(range(T + 1))), space)
+    return _built(_Walk("path", T, 1, T), chain, space)
+
+
+def _built(walk: "_Walk", chain: MarkovChain, space: MetricSpace) -> WalkBundle:
+    """The bundle of a built-in walk, every state mapped to its own point,
+    with the walk recorded on its chain."""
+    bundle = WalkBundle(chain, MetricMap(tuple(range(space.size))), space)
+    object.__setattr__(chain, "built_by", (walk, bundle.metric_map, space))
+    return bundle
+
+
+# ---------------------------------------------------------------------------
+# Renewal sums: the built-in walks' exact convexity from their construction
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Walk:
+    """What the renewal sums read of a built-in walk: `kind` "diamond" or
+    "laakso" and the family's `level`, or "path" and the path's length; the
+    length of every edge (an int or Fraction); and the horizon."""
+
+    kind: str
+    level: int
+    edge: Fraction
+    horizon: int
+
+
+def downhill_convexity_exact(
+    family: RecursiveFamily, p: int, horizon: Optional[int] = None
+) -> ConvexityEstimate:
+    """exact_convexity of downhill_walk(family, horizon) at integer p, the
+    same Fractions, from the family's construction: no distance table, no
+    chain.  `family` is a diamond or Laakso family of uniform edge length.
+
+    Within the horizon the walk sits at hop t (the sink, hop H = f^n, from
+    t = H on), and at each gadget's parting vertex it picks one of the two
+    sides uniformly, independently of every other choice.  Two runs from
+    hop s are at hop t in different sides of the outermost level-l gadget
+    whose sides part at some b with s <= b < t < b + 2g and where their
+    choices differ, or at one vertex when there is none.  Their distance
+    is then 2 min(t - b, b + 2g - t) edges, and with i the rank of level l
+    among such levels, outermost first, this happens with probability
+    2^-i.  So each term is a short sum of powers (2u)^p, u <= H / f, with
+    dyadic weights; one pass over the terms counts the weights of each
+    power in integers, over 2^n.  Raises CapExceededError before any power
+    is taken past DP_BIT_WORK_CAP (see _renewal_sums)."""
+    edge = _edge_length(family.graph)
+    if horizon is not None:
+        check_int(horizon, 1, "need an int horizon >= 1")
+    T = gadget_sides(family.kind)[0] ** family.level if horizon is None else horizon
+    return _renewal_sums(_Walk(family.kind, family.level, edge, T), p)
+
+
+def lazy_path_convexity_exact(T: int, p: int) -> ConvexityEstimate:
+    """exact_convexity of lazy_path_walk(T) at integer p, the same
+    Fractions, with no table: the walk never reaches the path's end before
+    time T, so two runs j steps from a common point are |Bin(2j, 1/2) - j|
+    apart, and each term is E|Bin(2j, 1/2) - j|^p, a sum of binomials over
+    4^j.  Raises CapExceededError before any power is taken past
+    DP_BIT_WORK_CAP (see _renewal_sums)."""
+    check_int(T, 1, "need an int horizon >= 1")
+    return _renewal_sums(_Walk("path", T, 1, T), p)
+
+
+def _geometric(k: int, K: int, p: int) -> int:
+    """sum of 2^((K - k') p) over k' = k..K."""
+    return (2 ** ((K - k + 1) * p) - 1) // (2**p - 1)
+
+
+def _renewal_sums(walk: _Walk, p: int) -> ConvexityEstimate:
+    """The two sums of a built-in walk, the lhs lifted over 2^(K p) Q with Q
+    = 2^n (families) or 4^T (path).  The work, counted as the DP counts
+    its own: A multiply-adds and powers, each forming an integer of at most
+    b bits at about b bit operations, and reducing the b-bit lhs to lowest
+    terms at about b^2 / 64.  A is at most (last hop + 1)^2 and so below
+    the DP's R^2, and the count stays at or below the DP's on the same walk
+    and p, so the sums refuse no input the DP answers.  Past
+    DP_BIT_WORK_CAP of (A + b / 64) b they raise CapExceededError before
+    any power is taken."""
+    check_int(p, 1, "exact mode needs integer p >= 1")
+    T, K = walk.horizon, _k_max(walk.horizon)
+    name = "the lazy path" if walk.kind == "path" else f"{walk.kind} level {walk.level}"
+    what = f"the number of bit operations of the renewal sums of {name} at horizon {T}, p = {p}"
+    if walk.kind == "path":
+        lhs, Q, rhs = _lazy_path_lhs(T, K, p, what), 4**T, Fraction(T, 2)
+    else:
+        lhs, Q, rhs = _branch_sums(walk.kind, walk.level, T, K, p, what)
+    e = walk.edge**p
+    return ConvexityEstimate(
+        float(p),
+        Fraction(lhs * e.numerator, 2 ** (K * p) * Q * e.denominator),
+        rhs * e,
+        MethodInfo("exactDP"),
+    )
+
+
+def _branch_sums(kind: str, n: int, T: int, K: int, p: int, what: str) -> tuple[int, int, Fraction]:
+    """(2^(K p + n) lhs, 2^n, rhs) in hops of the downhill walk on a level-n
+    family (see downhill_convexity_exact).  A level-l gadget spans f g
+    hops, g = f^(n - l), from a multiple of f g, and its sides part o g
+    hops later, for 2 g hops (gadget_sides)."""
+    f, o = gadget_sides(kind)
+    H = f**n
+    last = min(T, H - 1)  # from hop H on both runs sit at the sink
+    top = _k_max(last) if last else 0  # every term of a k >= top splits at time 0
+    # two runs are at most 2G apart: by hop `last`, sides that part at o g
+    # are at most min(g, last - o g) hops from where they part or meet
+    G = max((min(f**i, last - o * f**i) for i in range(n) if last > o * f**i), default=0)
+    # the lhs is below 2^b: each row's weights total at most last 2^n, a
+    # power at most (2G)^p, and a row's multiplier 2^(K p + 1)
+    b = p * (2 * G).bit_length() + K * p + n + last.bit_length() + 2
+    check_cap(((top + 1) * G + G) * b + b * b // 64, DP_BIT_WORK_CAP, what)
+    t = np.arange(1, last + 1)
+    s = np.maximum(t - (1 << np.arange(top + 1))[:, None], 0)  # split time of term (k, t)
+    rank = np.zeros(s.shape, dtype=np.int64)  # levels so far where the runs may part
+    keys = [np.zeros(0, dtype=np.int64)]
+    for level in range(1, n + 1):
+        g = f ** (n - level)
+        part = t - t % (f * g) + o * g  # where the sides of t's gadget at this level part
+        may = (s <= part) & (part < t) & (t < part + 2 * g)
+        rank += may
+        k, i = np.nonzero(may)
+        u = g - abs(t[i] - part[i] - g)  # half the distance when they part here
+        keys.append((k * (n + 1) + rank[k, i]) * (G + 1) + u)
+    # count[k, i, u]: terms of row k where the i-th such level parts the runs u apart
+    count = np.bincount(np.concatenate(keys), minlength=(top + 1) * (n + 1) * (G + 1))
+    count = count.reshape(top + 1, n + 1, G + 1)
+    weight = (count << (n - np.arange(n + 1))[:, None]).sum(axis=1).tolist()  # over 2^n
+    power = [(2 * u) ** p for u in range(G + 1)]
+    lhs = 0
+    for k, row in enumerate(weight):
+        row_sum = sum(c * power[u] for u, c in enumerate(row) if c)
+        lhs += row_sum * (2 ** ((K - k) * p) if k < top else _geometric(top, K, p))
+    return lhs, 2**n, Fraction(min(T, H))  # every step before the sink's hop moves one edge
+
+
+def _lazy_path_lhs(T: int, K: int, p: int, what: str) -> int:
+    """2^(K p) 4^T times the lhs of the lazy path walk (see
+    lazy_path_convexity_exact): the terms that read j steps after their
+    split are those with split time 0, t = j and 2^k >= j, and for j = 2^k
+    the T - j with split time t - j > 0."""
+    # the lhs is below 2^b: a moment is at most 4^j j^p, its multiplier
+    # (T + 2) 2^(K p), and there are T of them
+    b = p * T.bit_length() + K * p + 2 * T + 2 * (T + 2).bit_length()
+    check_cap((T * (T + 1) // 2 + T) * b + b * b // 64, DP_BIT_WORK_CAP, what)
+    power = [m**p for m in range(T + 1)]
+    lhs = 0
+    row = [1, 0]  # C(2j, j + m) for m = 0..j + 1, at j = 0
+    for j in range(1, T + 1):
+        # row j from row j - 1, m = -1..j + 1, by two passes of Pascal's rule
+        row = [row[1], *row, 0]
+        row = list(map(operator.add, row, row[1:]))
+        row = list(map(operator.add, row, row[1:]))
+        moment = 2 * sum(map(operator.mul, row[1:], power[1:]))  # 4^j E|Bin(2j, 1/2) - j|^p
+        row.append(0)
+        k = _k_max(j)
+        c = _geometric(k, K, p)
+        if j == 1 << k:
+            c += (T - j) << ((K - k) * p)
+        lhs += c * moment << 2 * (T - j)
+    return lhs

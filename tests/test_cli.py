@@ -105,6 +105,21 @@ def test_markov_tree_mc_caps_its_term_table(capsys, n):
     assert "table entries" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "walk, n, lhs, rhs, pi",
+    [
+        ("diamond", "8", "51978073/2147483648", "1/256", 2.4892306350655105),
+        ("laakso", "5", "1433379345/549755813888", "1/1024", 1.633975851710207),
+    ],
+)
+def test_markov_exact_past_the_distance_table(capsys, walk, n, lhs, rhs, pi):
+    # D_8 (43 692 points) and L_5 (6 222) answer from the renewal sums;
+    # through the DP, D_8's table passed the table cap and L_5 the DP's bit work
+    code, rep = run_cli(capsys, "markov", "--walk", walk, "--n", n, "--p", "2", "--mode", "exact")
+    assert code == 0
+    assert rep["result"] == {"lhs": lhs, "rhs": rhs, "piLower": pi, "method": {"kind": "exactDP"}}
+
+
 @pytest.mark.parametrize("walk", ["tree", "path"])
 def test_markov_horizon_only_for_downhill_walks(capsys, walk):
     code, rep = run_cli(
@@ -428,20 +443,23 @@ def test_cap_exit_code(capsys):
     code, rep = run_cli(capsys, "rnp", "martingale", "--diamond", "3", "--steps", "257")
     assert code == 3
     assert rep["error"]["message"] == "the double-step count 257 exceeds cap 256"
-    # the exact DP on unit D_5 at p = 2e4 would run for minutes
-    code, rep = run_cli(capsys, "markov", "--walk", "diamond", "--n", "5", "--p", "20000", "--mode", "exact")
+    # the renewal sums on D_5 at p = 2e5 would take powers of 1.2e6 bits
+    code, rep = run_cli(capsys, "markov", "--walk", "diamond", "--n", "5", "--p", "200000", "--mode", "exact")
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
     assert rep["error"]["message"] == (
-        "the number of bit operations of the exact DP on 684 points at horizon 32, p = 20000 "
+        "the number of bit operations of the renewal sums of diamond level 5 at horizon 32, p = 200000 "
         "exceeds cap 8589934592"
     )
     # 7^20 ≈ 8e16 grid points: at 10^5 per second the search would never return
     code, rep = run_cli(capsys, "oracle", "james-alpha", "--m", "20")
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
-    # D_7 has 10 924 points: its distance table would hold 1.2e8 entries
-    code, rep = run_cli(capsys, "markov", "--walk", "diamond", "--n", "7", "--mode", "exact")
+    # D_7 has 10 924 points: its distance table, which Monte Carlo reads,
+    # would hold 1.2e8 entries
+    code, rep = run_cli(
+        capsys, "markov", "--walk", "diamond", "--n", "7", "--mode", "mc", "--seed", "1", "--samples", "10"
+    )
     assert code == 3
     assert rep["error"]["kind"] == "cap_exceeded"
     assert rep["error"]["message"] == "the number of table entries for diamond level 7 exceeds cap 67108864"

@@ -296,6 +296,26 @@ def test_caps(monkeypatch):
         heisenberg_ball(9)
 
 
+@pytest.mark.parametrize("n", [17, 10**9])
+def test_tree_labels_stop_at_the_vertex_cap(n):
+    # tree_labels listed 2^(n+1) - 1 strings for any n: it now stops where
+    # binary_tree does, before listing one (10^9 would never return)
+    want = f"the number of vertices of the binary tree of depth {n} exceeds cap {generators.VERTEX_CAP}"
+    with pytest.raises(CapExceededError, match=f"^{re.escape(want)}$"):
+        generators.tree_labels(n)
+    assert generators.tree_labels(2) == ["", "0", "1", "00", "01", "10", "11"]
+
+
+@pytest.mark.parametrize("radius", [2 * generators.HEISENBERG_RADIUS_CAP + 1, 10**6])
+def test_word_length_search_stops_past_the_ball_cap(radius):
+    # heisenberg_ball searches radius 2r <= 2 HEISENBERG_RADIUS_CAP; a larger
+    # search grew until memory ran out and is refused before it starts
+    want = f"the radius {radius} of the Heisenberg word-length search (it grows ~ r^4) exceeds cap 16"
+    with pytest.raises(CapExceededError, match=f"^{re.escape(want)}$"):
+        generators.heisenberg_word_lengths(radius)
+    assert len(generators.heisenberg_word_lengths(2)) == 17
+
+
 def _t4_frechet():
     """The Fréchet l2 embedding of T_4, made non-contractive."""
     space = apsp(binary_tree(4))
@@ -319,6 +339,8 @@ def _unit_diamond_martingale(steps):
 INT_ARGUMENTS = [
     ("binary_tree-2.0", lambda: binary_tree(2.0), "depth must be an int >= 0, got 2.0"),
     ("binary_tree-True", lambda: binary_tree(True), "depth must be an int >= 0, got True"),
+    ("tree_labels-2.0", lambda: generators.tree_labels(2.0), "depth must be an int >= 0, got 2.0"),
+    ("tree_labels-True", lambda: generators.tree_labels(True), "depth must be an int >= 0, got True"),
     ("cycle-5.0", lambda: cycle(5.0), "cycle needs an int m >= 3, got 5.0"),
     ("diamond-1.0", lambda: diamond(1.0), "level must be an int >= 0, got 1.0"),
     ("laakso-True", lambda: laakso(True), "level must be an int >= 0, got True"),
@@ -341,6 +363,18 @@ INT_ARGUMENTS = [
     ),
     ("lazy_path_walk-2.5", lambda: markov.lazy_path_walk(2.5), "need an int horizon >= 1, got 2.5"),
     ("downward_tree_walk-1.0", lambda: markov.downward_tree_walk(1.0), "need an int m >= 1, got 1.0"),
+    (
+        "downhill_exact-horizon-2.0",
+        lambda: markov.downhill_convexity_exact(diamond(1), 2, 2.0),
+        "need an int horizon >= 1, got 2.0",
+    ),
+    (
+        "downhill_exact-p-2.0",
+        lambda: markov.downhill_convexity_exact(diamond(1), 2.0),
+        "exact mode needs integer p >= 1, got 2.0",
+    ),
+    ("lazy_path_exact-T-2.5", lambda: markov.lazy_path_convexity_exact(2.5, 2), "need an int horizon >= 1, got 2.5"),
+    ("lazy_path_exact-p-0", lambda: markov.lazy_path_convexity_exact(2, 0), "exact mode needs integer p >= 1, got 0"),
     (
         "exact_convexity-p-2.0",
         lambda: markov.exact_convexity(*_lazy_path(), 2.0),

@@ -7,6 +7,7 @@ built-in walks build their chains without Fractions,
 the martingale code reads integer grids (no `Fraction` breaks, no scan of
 the parameters, no bisection), the simplex pivot does integer arithmetic only, the
 diamond and Laakso walks and embeddings never search for shortest paths,
+the built-in walks' renewal sums build and read no distance table,
 the Markov module seeds one Monte Carlo block loop and nothing else and
 cuts a distance table with `np.ix_` in one function only,
 numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
@@ -384,6 +385,44 @@ def test_family_tables_come_from_the_construction(module, function):
     calls = calls_in((SRC / module).read_text(), function)
     assert "metric_space" in calls and "apsp" not in calls
     assert calls_in("def f(g, mc):\n    return apsp(g), mc.apsp(g)\n", "f") == {"apsp"}
+
+
+def test_renewal_sums_read_no_table(monkeypatch):
+    """downhill_convexity_exact and lazy_path_convexity_exact work from the
+    walk's construction: no distance table is built or read, whether they
+    are called directly or through exact_convexity on a built-in walk."""
+    import tracemalloc
+    from fractions import Fraction as F
+
+    import numpy as np
+
+    markov = importlib.import_module("testspaces.markov")
+    generators = importlib.import_module("testspaces.generators")
+    families = [generators.diamond(3), generators.laakso(2, generators.laakso_weighting())]
+    built = [markov.downhill_walk(families[0]), markov.lazy_path_walk(8)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the renewal sums read a table")
+
+    monkeypatch.setattr(generators.RecursiveFamily, "metric_space", refuse)
+    monkeypatch.setattr(markov, "apsp", refuse)
+    monkeypatch.setattr(markov, "_reached_table", refuse)
+    monkeypatch.setattr(np, "unique", refuse)
+    for family in families:
+        markov.downhill_convexity_exact(family, 2)
+    markov.lazy_path_convexity_exact(8, 2)
+    for walk in built:
+        markov.exact_convexity(walk.chain, walk.metric_map, walk.space, 2)
+    # scaled D_8's int32 table would take 43 692^2 * 4 bytes, about 7.6 GB
+    d8 = generators.diamond(8, generators.diamond_weighting())
+    tracemalloc.start()
+    try:
+        est = markov.downhill_convexity_exact(d8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.lhs, est.rhs) == (F(51978073, 2147483648), F(1, 256))
+    assert peak < 5 * 2**20
 
 
 def _load_spans():

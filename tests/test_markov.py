@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from testspaces import markov
 from testspaces.errors import CapExceededError, ValidationError
-from testspaces.generators import UNIT, diamond, diamond_weighting, laakso, laakso_weighting
+from testspaces.generators import UNIT, diamond, diamond_weighting, gadget_sides, laakso, laakso_weighting
 from testspaces.markov import (
     MarkovChain,
     MetricMap,
@@ -269,22 +269,29 @@ def test_downward_walk_cap_instructs_analytic_mode():
         assert "analytic" in str(exc.value)
 
 
+def _caller_built(chain):
+    """A copy of a built-in walk's chain, as a caller would build it: it
+    carries no record of the walk, so exact_convexity runs the DP on it."""
+    return MarkovChain(chain.indptr, chain.targets, chain.weights, chain.D, chain.start, chain.horizon)
+
+
 def test_exact_dp_caps_its_bit_work(monkeypatch):
     # lazy walk on 0..2: R = 3 points, L = bitlen(2) = 2, T = 2, K = 1, D = 2,
     # so b = p (L + K) + 2 T bitlen(D) = 14 at p = 2 and the work is 9 * 14
     wb = lazy_path_walk(2)
+    chain = _caller_built(wb.chain)
     monkeypatch.setattr(markov, "DP_BIT_WORK_CAP", 126)
-    exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+    exact_convexity(chain, wb.metric_map, wb.space, 2)
     monkeypatch.setattr(markov, "DP_BIT_WORK_CAP", 125)
     want = "^the number of bit operations of the exact DP on 3 points at horizon 2, p = 2 exceeds cap 125$"
     with pytest.raises(CapExceededError, match=want):
-        exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+        exact_convexity(chain, wb.metric_map, wb.space, 2)
     monkeypatch.undo()
     # unit D_3 at p = 2e5, and a 1e6-bit power on three points, stop before any power is taken
     d3 = downhill_walk(diamond(3, UNIT))
     for walk, p in ((d3, 200_000), (wb, 10**6)):
-        with pytest.raises(CapExceededError, match="exceeds cap"):
-            exact_convexity(walk.chain, walk.metric_map, walk.space, p)
+        with pytest.raises(CapExceededError, match="^the number of bit operations of the exact DP on"):
+            exact_convexity(_caller_built(walk.chain), walk.metric_map, walk.space, p)
 
 
 def test_exact_dp_refuses_before_it_copies(monkeypatch):
@@ -292,11 +299,12 @@ def test_exact_dp_refuses_before_it_copies(monkeypatch):
     the space's own distance table: a refusal at the bit-work cap allocates
     far less than the table's bytes, where a copy would take all of them."""
     wb = downhill_walk(diamond(4, diamond_weighting()))
+    chain = _caller_built(wb.chain)
     monkeypatch.setattr(markov, "DP_BIT_WORK_CAP", 1)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="on 172 points"):
-            exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+            exact_convexity(chain, wb.metric_map, wb.space, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -660,9 +668,10 @@ def test_downhill_l1_positive_lhs():
     assert est.lhs > 0
 
 
-# exact p = 2 sums of the downhill walks on the scaled families, recorded
-# with Dijkstra distance tables: the paper's growth of Pi_2 on diamonds and
-# Laakso graphs
+# exact p = 2 sums of the downhill walks on the scaled families: the paper's
+# growth of Pi_2 on diamonds and Laakso graphs.  D_1-D_5 and L_1-L_4 were
+# recorded with Dijkstra distance tables, D_6-D_9 and L_5 by the renewal
+# sums (D_6 and L_4 also equal the DP's: test_renewal_sums_equal_the_dp)
 GROWTH = {
     diamond: [
         ("5/8", "1/2"),
@@ -670,12 +679,17 @@ GROWTH = {
         ("793/2048", "1/8"),
         ("7769/32768", "1/16"),
         ("72537/524288", "1/32"),
+        ("659289/8388608", "1/64"),
+        ("5889881/134217728", "1/128"),
+        ("51978073/2147483648", "1/256"),
+        ("454434649/34359738368", "1/512"),
     ],
     laakso: [
         ("21/128", "1/4"),
         ("2595/32768", "1/16"),
         ("232329/8388608", "1/64"),
         ("18706011/2147483648", "1/256"),
+        ("1433379345/549755813888", "1/1024"),
     ],
 }
 
@@ -684,8 +698,7 @@ def _growth(maker, weighting):
     """piLower per level after checking the pinned exact sums."""
     pi = []
     for n, (lhs, rhs) in enumerate(GROWTH[maker], start=1):
-        wb = downhill_walk(maker(n, weighting))
-        est = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+        est = markov.downhill_convexity_exact(maker(n, weighting), 2)
         assert (est.lhs, est.rhs) == (F(lhs), F(rhs)), n
         pi.append(est.pi_lower)
     return pi
@@ -699,6 +712,131 @@ def test_downhill_diamond_regression_and_monotonicity():
 def test_downhill_laakso_regression():
     pi = _growth(laakso, laakso_weighting())
     assert all(a < b for a, b in zip(pi, pi[1:])), pi
+
+
+def _dp_and_sums(wb, p):
+    """The DP on a caller-built copy of a built-in walk's chain, and
+    exact_convexity on the walk itself, which runs the renewal sums."""
+    dp = exact_convexity(_caller_built(wb.chain), wb.metric_map, wb.space, p)
+    return dp, exact_convexity(wb.chain, wb.metric_map, wb.space, p)
+
+
+@pytest.mark.parametrize("maker, top", [(diamond, 4), (laakso, 3)], ids=["D", "L"])
+@pytest.mark.parametrize("weighting", [UNIT, diamond_weighting()], ids=["unit", "scaled"])
+def test_renewal_sums_equal_the_dp(maker, top, weighting):
+    # the same Fractions (and "exactDP") at p = 1..4 and horizons default,
+    # 1, 3, H // 2 + 1 and H + 3, H the hops from source to sink
+    for n in range(top + 1):
+        family = maker(n, weighting)
+        H = gadget_sides(family.kind)[0] ** n
+        for horizon in (None, 1, 3, H // 2 + 1, H + 3):
+            wb = downhill_walk(family, horizon)
+            for p in (1, 2, 3, 4):
+                dp, sums = _dp_and_sums(wb, p)
+                assert repr(sums) == repr(dp), (n, horizon, p)
+                assert repr(markov.downhill_convexity_exact(family, p, horizon)) == repr(dp)
+
+
+@pytest.mark.parametrize(
+    "maker, n, weighting, ps",
+    [
+        (diamond, 5, diamond_weighting(), (1, 2, 3, 4)),
+        (diamond, 5, UNIT, (2,)),
+        (diamond, 6, diamond_weighting(), (2,)),
+        (laakso, 4, laakso_weighting(), (1, 2, 3, 4)),
+        (laakso, 4, UNIT, (2,)),
+    ],
+    ids=["D5s", "D5u", "D6s", "L4s", "L4u"],
+)
+def test_renewal_sums_equal_the_dp_on_larger_families(maker, n, weighting, ps):
+    wb = downhill_walk(maker(n, weighting))
+    for p in ps:
+        dp, sums = _dp_and_sums(wb, p)
+        assert repr(sums) == repr(dp), p
+
+
+def test_lazy_path_sums_equal_the_dp():
+    for T in range(1, 34):
+        wb = lazy_path_walk(T)
+        for p in (1, 2, 3, 4):
+            dp, sums = _dp_and_sums(wb, p)
+            assert repr(sums) == repr(dp), (T, p)
+            assert repr(markov.lazy_path_convexity_exact(T, p)) == repr(dp)
+
+
+def test_only_the_walks_own_chain_map_and_space_run_the_renewal_sums(monkeypatch):
+    wb = downhill_walk(diamond(2, diamond_weighting()))
+    calls = []
+    renewal = markov._renewal_sums
+    monkeypatch.setattr(markov, "_renewal_sums", lambda walk, p: calls.append(walk) or renewal(walk, p))
+    want = repr(exact_convexity(wb.chain, wb.metric_map, wb.space, 2))
+    assert len(calls) == 1
+    # equal copies carry no record: each runs the DP, to the same Fractions
+    space = MetricSpace(wb.space.num, wb.space.scale, wb.space.labels)
+    for args in (
+        (_caller_built(wb.chain), wb.metric_map, wb.space),
+        (dataclasses.replace(wb.chain), wb.metric_map, wb.space),
+        (wb.chain, MetricMap(wb.metric_map.point_of_state), wb.space),
+        (wb.chain, wb.metric_map, space),
+    ):
+        assert repr(exact_convexity(*args, 2)) == want
+    assert len(calls) == 1
+    assert "built_by" not in repr(wb.chain)
+    with pytest.raises(TypeError):
+        MarkovChain(*(getattr(wb.chain, f) for f in ("indptr", "targets", "weights", "D", "start", "horizon")), None)
+
+
+def test_renewal_sums_cap_their_bit_work():
+    # unit D_5 at p = 2e5 (its 32^p has 1e6 bits) and the lazy path of
+    # length 20 at p = 1e6 stop before any power is taken
+    d5 = diamond(5, UNIT)
+    cases = [
+        (lambda: markov.downhill_convexity_exact(d5, 200_000), "diamond level 5 at horizon 32, p = 200000"),
+        (lambda: markov.lazy_path_convexity_exact(20, 10**6), "the lazy path at horizon 20, p = 1000000"),
+    ]
+    for call, name in cases:
+        want = f"the number of bit operations of the renewal sums of {name} exceeds cap {markov.DP_BIT_WORK_CAP}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=f"^{want}$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: downhill_walk(diamond(3, UNIT)),
+        lambda: downhill_walk(diamond(3, diamond_weighting()), horizon=5),
+        lambda: downhill_walk(laakso(2, laakso_weighting())),
+        lambda: downhill_walk(laakso(3, UNIT), horizon=3),
+        lambda: lazy_path_walk(1),
+        lambda: lazy_path_walk(20),
+    ],
+    ids=["D3", "D3s-T5", "L2s", "L3-T3", "lazy-1", "lazy-20"],
+)
+def test_renewal_sums_refuse_no_input_the_dp_answers(make, monkeypatch):
+    # on the same walk and p the sums count no more bit work than the DP
+    wb = make()
+    amounts = []
+
+    def record(amount, cap, what):
+        amounts.append(amount)
+        raise CapExceededError(what)
+
+    monkeypatch.setattr(markov, "check_cap", record)
+
+    def work(chain, p):
+        with pytest.raises(CapExceededError):
+            exact_convexity(chain, wb.metric_map, wb.space, p)
+        return amounts[-1]
+
+    dp = _caller_built(wb.chain)
+    for p in (1, 2, 3, 10, 1000, 10**5, 10**6):
+        assert work(wb.chain, p) <= work(dp, p), p
 
 
 def test_rescaling_invariance():

@@ -6,7 +6,8 @@ spaces, the distortion of the Fréchet, Bourgain and tent embeddings,
 `bourgain_distortion` at depths 1-12 (witnesses included), the RNP
 pipelines of D_2 and D_3, the geodesic pair tables of D_0-D_3, the delta-tree pipeline at depths 1-5, two
 delta-bushes that are not trees, the submetric checks, the exact Markov convexity estimates (unit
-D_3 also at p = 20000, its integers in hex) and the CLI `result`
+D_3 also at p = 20000, its integers in hex; the renewal sums' lhs and rhs
+on unit and scaled D_6-D_8 and L_5) and the CLI `result`
 of the README commands (l2min and Monte Carlo left out) and of
 `rnp lines --depth 5`.  Tables are printed whole, not summarized.
 
@@ -261,6 +262,13 @@ def _markov_cases():
     est = mk.exact_convexity(w.chain, w.metric_map, w.space, 20_000)
     ints = (est.lhs.numerator, est.lhs.denominator, est.rhs.numerator, est.rhs.denominator)
     yield "markov/exact/D3u-p20000", (est.p, est.method, *map(hex, ints))
+    # the renewal sums past the DP's reach, on unit and scaled families
+    for maker, levels in ((gen.diamond, (6, 7, 8)), (gen.laakso, (5,))):
+        for n in levels:
+            for scaled in (False, True):
+                family = maker(n, gen.Weighting("scaled")) if scaled else maker(n)
+                est = mk.downhill_convexity_exact(family, 2)
+                yield f"markov/renewal/{family.kind}{n}{'s' if scaled else ''}", (est.lhs, est.rhs)
 
 
 README_COMMANDS = (
