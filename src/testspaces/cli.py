@@ -137,10 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
         "markov",
         help="Markov convexity functional of a built-in walk",
         description=(
-            "Markov p-convexity sums of a built-in walk.  --mode exact answers the tree walk "
-            "by its split-time pass and the diamond, laakso and path walks by renewal sums "
-            "over their construction, with no distance table: scaled D_9 (--n 9) takes about "
-            "1.6 s, 1.4 s of it building the family, and L_6 about 0.3 s.  In the library, "
+            "Markov p-convexity sums of a built-in walk.  --mode exact answers all four walks "
+            "by one exact front, renewal sums over their construction with no distance table, "
+            "and one bit-work cap: scaled D_9 (--n 9) takes about 1.6 s, 1.4 s of it building "
+            "the family, L_6 about 0.3 s, and the tree walk reaches --n 16 at p = 2 (about "
+            "0.3 s).  In the library, "
             "exact_convexity runs the exact DP on any chain the caller builds.  --mode mc "
             "samples a walk on its distance table, so --walk diamond --n 7 and --walk laakso "
             "--n 6 exit 3 there; the tree walk's sampler needs no table."

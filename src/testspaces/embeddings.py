@@ -44,8 +44,7 @@ class NormedTarget:
     def __post_init__(self):
         if self.kind not in ("l1", "l2", "linf", "summing"):
             raise ValidationError(f"unknown norm kind {self.kind!r}")
-        if self.dim <= 0:
-            raise ValidationError("dimension must be positive")
+        check_int(self.dim, 1, "dimension must be an int >= 1")
 
 
 # Row kernels: the norm of each row of a block of vectors, for `norm` (one

@@ -1,12 +1,14 @@
 """Markov p-convexity functional: exact dynamic programming on integer
-rows (for the downward tree walk, one integer pass over the depths
-instead; for the downhill diamond/Laakso and lazy path walks, renewal
-sums over their construction, with no table), Monte Carlo estimation
-(one shared base trajectory per sample with a branched copy per split
-time; for the downward tree walk, one first-disagreement draw per split
-time instead; both on blocks of samples with their own substreams), and
-the built-in walks (downward tree walk, downhill diamond/Laakso walks,
-lazy path walk).
+rows, with one exact front for the four built-in walks instead (renewal
+sums over their construction, with no table: a pass over the branch
+levels for the downhill diamond/Laakso walks, and one shared prefix pass
+over the steps after the split for the downward tree walk and the lazy
+path), Monte Carlo estimation (one shared base trajectory per sample with
+a branched copy per split time; for the downward tree walk, one
+first-disagreement draw per split time instead; both on blocks of samples
+with their own substreams), and the built-in walks (downward tree walk,
+downhill diamond/Laakso walks, lazy path walk).  Every exact pass checks
+its bit work against one cap, DP_BIT_WORK_CAP.
 A chain is one CSR table, checked once by its constructor: each state's
 moves, to increasing targets, with positive integer weights over one
 denominator D; the built-in walks, all uniform choices, build it in
@@ -43,13 +45,11 @@ from .metric_core import (
     INT64_MAX, TABLE_ENTRY_CAP, MetricSpace, RationalTable, apsp, check_cap, check_int, check_table_size, read_only
 )
 
-# bit operations of the exact tree pass, T (b + q^2 / 64) + b^2 / 64 (see
-# tree_walk_convexity_exact): at p = 2, m = 15 (1.09e9) runs and m = 16
-# (4.3e9) does not; m = 15 runs to p = 87, m = 3 to p = 2000 and beyond
-TREE_BIT_WORK_CAP = 2**31
-# bit operations of the exact DP, (R^2 + b / 64) b (see exact_convexity): at
-# p = 2, D_6 (6.9e9) runs and L_5 (1.6e11) does not; unit D_3 runs at
-# p = 6e4 (3.6e9) and not at p = 2e5 (3.3e10)
+# bit operations of every exact pass.  The DP's (R^2 + b / 64) b (see
+# exact_convexity): at p = 2, D_6 (6.9e9) runs and L_5 (1.6e11) does not;
+# unit D_3 runs at p = 6e4 (3.6e9) and not at p = 2e5 (3.3e10).  The tree
+# walk's T (b + q^2 / 64) + b^2 / 64 (see _prefix_sums): at p = 2, m = 16
+# (4.4e9) runs and m = 17 (1.7e10) does not; m = 16 runs to p = 117
 DP_BIT_WORK_CAP = 2**33
 
 
@@ -528,36 +528,13 @@ def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
     """Split-time analytic evaluator for the downward walk on T_{2^m}: within
     the horizon T = 2^m the walk sits at depth t, two copies split at time s
     first disagree at step r with probability 2^{s-r}, and their distance at
-    time t is then 2(t - r + 1).  Exact rationals, no tree materialized.
-
-    A term (k, t) reads only j = min(t, 2^k) steps after its split, with
-    E[d^p] = F[j] / 2^j, F[w] = sum_{i=1..w} 2^(i-1) (2i)^p.  So the lhs is
-    sum_k 2^(-kp) (sum_{w<=W} F[w] / 2^w + (T - W) F[W] / 2^W), W = 2^k, and
-    one pass over w = 1..T in Python ints builds it over 2^(T + mp).  Each
-    of its T steps takes a power (2w)^p of at most q = p ceil(log2 2T) bits,
-    about q^2 / 64 bit operations, and adds it into the lhs of at most
-    b = T + q bits; reducing that lhs to lowest terms costs about b^2 / 64.
-    Past TREE_BIT_WORK_CAP of T (b + q^2 / 64) + b^2 / 64 it raises
-    CapExceededError before any arithmetic."""
+    time t is then 2(t - r + 1).  Exact rationals, no tree materialized: the
+    renewal sums of _prefix_sums, which raise CapExceededError past
+    DP_BIT_WORK_CAP before any arithmetic and before 2^m is formed."""
     check_int(m, 1, "need an int m >= 1")
     check_int(p, 1, "need an int p >= 1")
-    # T = 2^m once the check passes: a clipped m exceeds the cap at once
-    T = 2 ** min(m, TREE_BIT_WORK_CAP.bit_length())
-    q = p * (m + 1)
-    b = T + q
-    what = f"the number of bit operations of the exact tree pass at T = 2^{m}, p = {p}"
-    check_cap(T * (b + q * q // 64) + b * b // 64, TREE_BIT_WORK_CAP, what)
-    # F = F[w]; A = sum_{i<=w} 2^(w-i) F[i], so sum_{i<=w} F[i] / 2^i = A / 2^w
-    F = A = lhs = 0
-    for w in range(1, T + 1):
-        F += (2 * w) ** p << (w - 1)
-        A = 2 * A + F
-        if w & (w - 1) == 0:  # w = W = 2^k: the terms of k, lifted to 2^(T + mp)
-            lhs += (A + (T - w) * F) << ((m - w.bit_length() + 1) * p + T - w)
-    rhs = Fraction(T)  # every step within the horizon moves distance exactly 1
-    return ConvexityEstimate(
-        float(p), Fraction(lhs, 2 ** (T + m * p)), rhs, MethodInfo("exactDP(analytic)")
-    )
+    # T = 2^m wherever the cap can admit it: a clipped m exceeds the cap at once
+    return _renewal_sums(_Walk("tree", m, 1, 2 ** min(m, DP_BIT_WORK_CAP.bit_length())), p)
 
 
 def tree_walk_convexity_mc(m: int, p: float, seed: int, samples: int) -> ConvexityEstimate:
@@ -672,8 +649,9 @@ def _built(walk: "_Walk", chain: MarkovChain, space: MetricSpace) -> WalkBundle:
 @dataclass(frozen=True)
 class _Walk:
     """What the renewal sums read of a built-in walk: `kind` "diamond" or
-    "laakso" and the family's `level`, or "path" and the path's length; the
-    length of every edge (an int or Fraction); and the horizon."""
+    "laakso" and the family's `level`, "tree" and m for T_{2^m}, or "path"
+    and the path's length; the length of every edge (an int or Fraction);
+    and the horizon."""
 
     kind: str
     level: int
@@ -713,32 +691,25 @@ def lazy_path_convexity_exact(T: int, p: int) -> ConvexityEstimate:
     time T, so two runs j steps from a common point are |Bin(2j, 1/2) - j|
     apart, and each term is E|Bin(2j, 1/2) - j|^p, a sum of binomials over
     4^j.  Raises CapExceededError before any power is taken past
-    DP_BIT_WORK_CAP (see _renewal_sums)."""
+    DP_BIT_WORK_CAP (see _prefix_sums)."""
     check_int(T, 1, "need an int horizon >= 1")
     return _renewal_sums(_Walk("path", T, 1, T), p)
 
 
-def _geometric(k: int, K: int, p: int) -> int:
-    """sum of 2^((K - k') p) over k' = k..K."""
-    return (2 ** ((K - k + 1) * p) - 1) // (2**p - 1)
-
-
 def _renewal_sums(walk: _Walk, p: int) -> ConvexityEstimate:
-    """The two sums of a built-in walk, the lhs lifted over 2^(K p) Q with Q
-    = 2^n (families) or 4^T (path).  The work, counted as the DP counts
-    its own: A multiply-adds and powers, each forming an integer of at most
-    b bits at about b bit operations, and reducing the b-bit lhs to lowest
-    terms at about b^2 / 64.  A is at most (last hop + 1)^2 and so below
-    the DP's R^2, and the count stays at or below the DP's on the same walk
-    and p, so the sums refuse no input the DP answers.  Past
-    DP_BIT_WORK_CAP of (A + b / 64) b they raise CapExceededError before
-    any power is taken."""
+    """The two sums of a built-in walk, the one exact front of all four, the
+    lhs lifted over 2^(K p) Q with Q = 2^n (families), 2^T (tree) or 4^T
+    (path).  Each pass counts its work as the DP counts its own (on the
+    walks that exact_convexity routes here, never more than the DP's count),
+    and raises CapExceededError past DP_BIT_WORK_CAP before any power is
+    taken."""
     check_int(p, 1, "exact mode needs integer p >= 1")
     T, K = walk.horizon, _k_max(walk.horizon)
-    name = "the lazy path" if walk.kind == "path" else f"{walk.kind} level {walk.level}"
-    what = f"the number of bit operations of the renewal sums of {name} at horizon {T}, p = {p}"
-    if walk.kind == "path":
-        lhs, Q, rhs = _lazy_path_lhs(T, K, p, what), 4**T, Fraction(T, 2)
+    name = {"path": "the lazy path", "tree": "the tree walk"}.get(walk.kind, f"{walk.kind} level {walk.level}")
+    at = f"2^{walk.level}" if walk.kind == "tree" else T  # the tree's T, clipped past the cap, is named by m
+    what = f"the number of bit operations of the renewal sums of {name} at horizon {at}, p = {p}"
+    if walk.kind in ("tree", "path"):
+        lhs, Q, rhs = _prefix_sums(walk.kind == "tree", T, K, p, what)
     else:
         lhs, Q, rhs = _branch_sums(walk.kind, walk.level, T, K, p, what)
     e = walk.edge**p
@@ -746,7 +717,7 @@ def _renewal_sums(walk: _Walk, p: int) -> ConvexityEstimate:
         float(p),
         Fraction(lhs * e.numerator, 2 ** (K * p) * Q * e.denominator),
         rhs * e,
-        MethodInfo("exactDP"),
+        MethodInfo("exactDP(analytic)" if walk.kind == "tree" else "exactDP"),
     )
 
 
@@ -786,32 +757,59 @@ def _branch_sums(kind: str, n: int, T: int, K: int, p: int, what: str) -> tuple[
     lhs = 0
     for k, row in enumerate(weight):
         row_sum = sum(c * power[u] for u, c in enumerate(row) if c)
-        lhs += row_sum * (2 ** ((K - k) * p) if k < top else _geometric(top, K, p))
+        # row k < top: 2^((K - k) p); row top: the sum of that over k = top..K
+        lhs += row_sum * (2 ** ((K - k) * p) if k < top else (2 ** ((K - k + 1) * p) - 1) // (2**p - 1))
     return lhs, 2**n, Fraction(min(T, H))  # every step before the sink's hop moves one edge
 
 
-def _lazy_path_lhs(T: int, K: int, p: int, what: str) -> int:
-    """2^(K p) 4^T times the lhs of the lazy path walk (see
-    lazy_path_convexity_exact): the terms that read j steps after their
-    split are those with split time 0, t = j and 2^k >= j, and for j = 2^k
-    the T - j with split time t - j > 0."""
-    # the lhs is below 2^b: a moment is at most 4^j j^p, its multiplier
-    # (T + 2) 2^(K p), and there are T of them
-    b = p * T.bit_length() + K * p + 2 * T + 2 * (T + 2).bit_length()
-    check_cap((T * (T + 1) // 2 + T) * b + b * b // 64, DP_BIT_WORK_CAP, what)
-    power = [m**p for m in range(T + 1)]
-    lhs = 0
-    row = [1, 0]  # C(2j, j + m) for m = 0..j + 1, at j = 0
+def _prefix_sums(tree: bool, T: int, K: int, p: int, what: str) -> tuple[int, int, Fraction]:
+    """(2^(K p) Q^T lhs, Q^T, rhs) of the tree walk (Q = 2) or the lazy path
+    (Q = 4).  A term (k, t) of either reads only j = min(t, 2^k) steps after
+    its split, where E[d^p] = M_j / Q^j (_tree_moments, _path_moments).  So
+    2^(K p) lhs = sum_k 2^((K - k) p) (sum_{j<=W} M_j / Q^j + (T - W) M_W / Q^W)
+    with W = min(2^k, T), and one pass over j = 1..T keeps the prefix
+    acc = sum_{i<=j} Q^(j-i) M_i and lifts it into the lhs at each W.
+    Each step forms M_j and adds it into acc, of at most b bits, and the
+    b-bit lhs is reduced at about b^2 / 64: a tree moment's power (2j)^p
+    has at most q = p (K + 1) bits (q^2 / 64 bit operations), and a path
+    moment takes j multiply-adds at b bits.  Past DP_BIT_WORK_CAP of
+    T b + (the moments' work) + b^2 / 64 it raises CapExceededError."""
+    if tree:
+        q = p * (K + 1)
+        b, work, shift, moments = T + q, T * (q * q // 64), 1, _tree_moments(T, p)
+    else:
+        # the lhs is below 2^b: a moment is at most 4^j j^p, its multiplier
+        # (T + 2) 2^(K p), and there are T of them
+        b = p * T.bit_length() + K * p + 2 * T + 2 * (T + 2).bit_length()
+        work, shift, moments = T * (T + 1) // 2 * b, 2, _path_moments(T, p)
+    check_cap(T * b + work + b * b // 64, DP_BIT_WORK_CAP, what)
+    acc = lhs = 0
+    for j, M in enumerate(moments, 1):
+        acc = (acc << shift) + M
+        if j & (j - 1) == 0 or j == T:  # j = W for k = log2 j, or for k = K at j = T
+            lhs += (acc + (T - j) * M) << (K - _k_max(j)) * p + shift * (T - j)
+    # every tree step within the horizon moves distance exactly 1, a lazy one 1/2 on average
+    return lhs, 1 << shift * T, Fraction(T) if tree else Fraction(T, 2)
+
+
+def _tree_moments(T: int, p: int):
+    """2^j E[d^p] j steps after a split on the tree (see
+    tree_walk_convexity_exact), F_j = sum_{i<=j} 2^(i-1) (2i)^p, j = 1..T."""
+    F = 0
     for j in range(1, T + 1):
+        F += (2 * j) ** p << (j - 1)
+        yield F
+
+
+def _path_moments(T: int, p: int):
+    """4^j E|Bin(2j, 1/2) - j|^p for j = 1..T (see lazy_path_convexity_exact),
+    from one row of binomials per j."""
+    power = [m**p for m in range(T + 1)]
+    row = [1, 0]  # C(2j, j + m) for m = 0..j + 1, at j = 0
+    for _ in range(T):
         # row j from row j - 1, m = -1..j + 1, by two passes of Pascal's rule
         row = [row[1], *row, 0]
         row = list(map(operator.add, row, row[1:]))
         row = list(map(operator.add, row, row[1:]))
-        moment = 2 * sum(map(operator.mul, row[1:], power[1:]))  # 4^j E|Bin(2j, 1/2) - j|^p
+        yield 2 * sum(map(operator.mul, row[1:], power[1:]))
         row.append(0)
-        k = _k_max(j)
-        c = _geometric(k, K, p)
-        if j == 1 << k:
-            c += (T - j) << ((K - k) * p)
-        lhs += c * moment << 2 * (T - j)
-    return lhs

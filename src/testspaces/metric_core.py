@@ -149,7 +149,8 @@ class MetricSpace:
 
     The distances are one exact RationalTable, `table`, at headroom 2 (int64
     when twice the largest numerator fits), built from an integer array
-    over `scale` or from rows (an object array included)."""
+    over `scale` or from rows (an object array included).  `labels`, when
+    given, is a tuple of one str or None per point."""
 
     table: RationalTable
     labels: Optional[tuple[Optional[str], ...]] = None
@@ -158,6 +159,10 @@ class MetricSpace:
         table = RationalTable(num, scale, headroom=2)
         if not table.exact or table.num.shape[0] != table.num.shape[1]:
             raise ValidationError("need a square table of exact distances (ints or Fractions)")
+        if labels is not None and not (
+            type(labels) is tuple and len(labels) == len(table.num) and set(map(type, labels)) <= {str, type(None)}
+        ):
+            raise ValidationError(f"labels must be None or a tuple of {len(table.num)} strs or Nones, one per point")
         vars(self).update(table=table, labels=labels)
 
     num = property(lambda self: self.table.num)

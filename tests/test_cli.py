@@ -77,12 +77,20 @@ def test_markov_tree_exact_past_the_mc_horizon_cap(capsys, n, pi):
     assert len(rep["result"]["lhs"]) > (4300 if n == 14 else 2000)
 
 
+def test_markov_tree_exact_answers_at_n_16(capsys):
+    # 4.4e9 bit operations at p = 2, within DP_BIT_WORK_CAP
+    code, rep = run_cli(capsys, "markov", "--walk", "tree", "--n", "16", "--mode", "exact")
+    assert code == 0
+    assert rep["result"]["rhs"] == str(2**16)
+    assert rep["result"]["method"]["kind"] == "exactDP(analytic)"
+
+
 def test_markov_tree_exact_caps_its_bit_work(capsys):
-    # T (T + p ceil(log2 2T)) = 4.3e9 bit operations at n = 16: the cap
-    # fires before any arithmetic
+    # T (b + q^2 / 64) + b^2 / 64 = 1.7e10 bit operations at n = 17, p = 2:
+    # the cap fires before any arithmetic
     tracemalloc.start()
     try:
-        code, rep = run_cli(capsys, "markov", "--walk", "tree", "--n", "16", "--mode", "exact")
+        code, rep = run_cli(capsys, "markov", "--walk", "tree", "--n", "17", "--mode", "exact")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

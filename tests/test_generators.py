@@ -393,6 +393,8 @@ INT_ARGUMENTS = [
     ("tree_walk_exact-m-1.0", lambda: markov.tree_walk_convexity_exact(1.0, 2), "need an int m >= 1, got 1.0"),
     ("tree_walk_exact-p-2.0", lambda: markov.tree_walk_convexity_exact(1, 2.0), "need an int p >= 1, got 2.0"),
     ("tree_walk_mc-m-1.0", lambda: markov.tree_walk_convexity_mc(1.0, 2, 0, 10), "need an int m >= 1, got 1.0"),
+    ("NormedTarget-dim-2.0", lambda: embeddings.NormedTarget("l1", 2.0), "dimension must be an int >= 1, got 2.0"),
+    ("NormedTarget-dim-True", lambda: embeddings.NormedTarget("l1", True), "dimension must be an int >= 1, got True"),
     ("bourgain_labeling-2.0", lambda: embeddings.bourgain_labeling(2.0), "depth must be an int >= 0, got 2.0"),
     ("bourgain_embed-2.0", lambda: embeddings.bourgain_embed(2.0), "depth must be an int >= 1, got 2.0"),
     ("bourgain_distortion-2.0", lambda: embeddings.bourgain_distortion(2.0), "depth must be an int >= 1, got 2.0"),

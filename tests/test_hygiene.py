@@ -556,6 +556,26 @@ def private_numpy_uses(source: str) -> list[tuple[int, bool]]:
     return sorted(found)
 
 
+def test_markov_has_one_exact_front_and_one_bit_work_cap(monkeypatch):
+    # the tree walk and the lazy path share one prefix pass, and every
+    # exact pass checks its bit work against the one cap
+    module = ast.parse((SRC / "markov.py").read_text())
+    assigned = {t.id for n in ast.walk(module) if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+    assert sorted(name for name in assigned if name.endswith("_BIT_WORK_CAP")) == ["DP_BIT_WORK_CAP"]
+    markov = importlib.import_module("testspaces.markov")
+    calls = []
+
+    def refuse(tree, *args):
+        calls.append(tree)
+        raise RuntimeError("the shared pass")
+
+    monkeypatch.setattr(markov, "_prefix_sums", refuse)
+    for call in (lambda: markov.tree_walk_convexity_exact(3, 2), lambda: markov.lazy_path_convexity_exact(5, 2)):
+        with pytest.raises(RuntimeError, match="the shared pass"):
+            call()
+    assert calls == [True, False]
+
+
 def test_private_numpy_only_behind_the_eigh_fallback():
     # the SDP loop takes eigh_lo straight from numpy's LAPACK gufuncs; a
     # numpy without that private name must still run on np.linalg.eigh

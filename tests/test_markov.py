@@ -343,14 +343,15 @@ def test_tree_pass_builds_no_term_table(monkeypatch):
 
 
 def test_tree_pass_caps_its_bit_work():
-    # T (b + q^2 / 64) + b^2 / 64 with q = p (m + 1) and b = T + q: 1.09e9 at
-    # m = 15, p = 2 and 4.3e9 at m = 16; the largest p is 87 at m = 15 and
-    # 107008 at m = 1, where T (T + q), the powers uncounted, passed far beyond
-    for m, p in [(15, 2), (15, 87), (1, 107008)]:
+    # T (b + q^2 / 64) + b^2 / 64 with q = p (m + 1) and b = T + q, against
+    # DP_BIT_WORK_CAP: 4.4e9 at m = 16, p = 2 and 1.7e10 at m = 17; the
+    # largest p is 117 at m = 16, 237 at m = 15 and 214028 at m = 1
+    for m, p in [(16, 117), (15, 237), (1, 214028)]:
         assert tree_walk_convexity_exact(m, p).rhs == 2**m
-    refused = [(16, 2), (15, 88), (13, 13122), (1, 107009), (1, 2_000_000), (10**12, 2), (3, 10**9)]
+    refused = [(16, 118), (17, 2), (15, 238), (1, 214029), (13, 13122), (1, 2_000_000), (10**12, 2), (3, 10**9)]
     for m, p in refused:  # 2^m is never formed for m = 10^12
-        with pytest.raises(CapExceededError, match="bit operations"):
+        want = rf"^the number of bit operations of the renewal sums of the tree walk at horizon 2\^{m}, p = {p} exceeds"
+        with pytest.raises(CapExceededError, match=want):
             tree_walk_convexity_exact(m, p)
 
 

@@ -608,6 +608,20 @@ def test_row_tables_refuse_floats_ragged_and_oblong_rows():
         MetricSpace(((0, 1, 2), (1, 0, 3)))
 
 
+def test_labels_are_one_str_or_none_per_point():
+    # a short label tuple was accepted, and restrict then raised a bare
+    # IndexError; int labels and a list passed too
+    rows = ((0, 1), (1, 0))
+    want = "^labels must be None or a tuple of 2 strs or Nones, one per point$"
+    for labels in (("a",), ("a", "b", "c"), (3, 4), ["a", "b"], ("a", 4), "ab"):
+        with pytest.raises(ValidationError, match=want):
+            MetricSpace(rows, 1, labels)
+    for labels in (None, ("a", "b"), ("a", None), (None, None)):
+        sp = MetricSpace(rows, 1, labels)
+        assert sp.labels == labels
+        assert sp.restrict([1]).labels == (None if labels is None else labels[1:])
+
+
 def test_object_tables_are_converted_exactly_or_refused():
     # a MetricSpace and an Embedding read an object table by one rule: exact
     # entries (int, Fraction, bool) give their exact value back, floats are

@@ -6,9 +6,9 @@ spaces, the distortion of the Fréchet, Bourgain and tent embeddings,
 `bourgain_distortion` at depths 1-12 (witnesses included), the RNP
 pipelines of D_2 and D_3, the geodesic pair tables of D_0-D_3, the delta-tree pipeline at depths 1-5, two
 delta-bushes that are not trees, the submetric checks, the exact Markov convexity estimates (unit
-D_3 also at p = 20000, its integers in hex; the renewal sums' lhs and rhs
-on unit and scaled D_6-D_8 and L_5) and the CLI `result`
-of the README commands (l2min and Monte Carlo left out) and of
+D_3 also at p = 20000 and the tree walk at m = 16, their integers in hex;
+the renewal sums' lhs and rhs on unit and scaled D_6-D_8 and L_5) and the
+CLI `result` of the README commands (l2min and Monte Carlo left out) and of
 `rnp lines --depth 5`.  Tables are printed whole, not summarized.
 
 After a deliberate change to any of these results, rewrite the file with
@@ -244,6 +244,12 @@ def _submetric_cases():
             yield f"submetric_check/{name}/{delta}/l2", check
 
 
+def _in_hex(est):
+    """An estimate with its integers in hex."""
+    ints = (est.lhs.numerator, est.lhs.denominator, est.rhs.numerator, est.rhs.denominator)
+    return (est.p, est.method, *map(hex, ints))
+
+
 def _markov_cases():
     walks = {
         "D3": lambda: mk.downhill_walk(gen.diamond(3, gen.diamond_weighting())),
@@ -257,11 +263,11 @@ def _markov_cases():
         yield f"markov/exact/{name}", mk.exact_convexity(w.chain, w.metric_map, w.space, 2)
     for m in (3, 4, 6):
         yield f"markov/tree/{m}", mk.tree_walk_convexity_exact(m, 2)
-    # the large-p path; its integers pass the int-to-str digit limit
+    # the tree walk at the cap's reach and the DP's large-p path: their
+    # integers pass the int-to-str digit limit
+    yield "markov/tree/16", _in_hex(mk.tree_walk_convexity_exact(16, 2))
     w = mk.downhill_walk(gen.diamond(3))
-    est = mk.exact_convexity(w.chain, w.metric_map, w.space, 20_000)
-    ints = (est.lhs.numerator, est.lhs.denominator, est.rhs.numerator, est.rhs.denominator)
-    yield "markov/exact/D3u-p20000", (est.p, est.method, *map(hex, ints))
+    yield "markov/exact/D3u-p20000", _in_hex(mk.exact_convexity(w.chain, w.metric_map, w.space, 20_000))
     # the renewal sums past the DP's reach, on unit and scaled families
     for maker, levels in ((gen.diamond, (6, 7, 8)), (gen.laakso, (5,))):
         for n in levels:
