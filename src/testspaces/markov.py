@@ -242,10 +242,11 @@ def exact_convexity(
     before any power is taken, and before any copy when every point is
     reached.
 
-    A chain made by downhill_walk or lazy_path_walk, given that walk's own
-    metric map and space (the same objects), is answered by the renewal
-    sums of downhill_convexity_exact / lazy_path_convexity_exact instead,
-    with the same Fractions; any other chain, map or space runs the DP."""
+    A chain made by downhill_walk, lazy_path_walk or downward_tree_walk,
+    given that walk's own metric map and space (the same objects), is
+    answered by the renewal sums of downhill_convexity_exact /
+    lazy_path_convexity_exact / tree_walk_convexity_exact instead, with the
+    same Fractions; any other chain, map or space runs the DP."""
     check_int(p, 1, "exact mode needs integer p >= 1")
     if chain.built_by is not None and chain.built_by[1] is mmap and chain.built_by[2] is space:
         return _renewal_sums(chain.built_by[0], p)
@@ -451,9 +452,11 @@ def mc_convexity(
     # branch rows run longest first, so the ones still running are a prefix
     split = np.array(sorted(range(T), key=lambda s: (-length[s], s)))
     W = W[split]
-    running = [sum(n >= j for n in length) for j in range(T + 1)]
+    running = np.bincount(length, minlength=T + 1)[::-1].cumsum()[::-1].tolist()
     # so are the rows weighted at step j: s = 0 at every j, the rest at powers of two
-    used = [int(np.flatnonzero(W[:, j]).max(initial=-1)) + 1 for j in range(T + 1)]
+    used = np.zeros(T + 1, dtype=np.intp)
+    rows, cols = np.nonzero(W)
+    np.maximum.at(used, cols, rows + 1)
 
     def draw(rng, size):
         # column chunks; a 1-wide remainder joins the chunk before it, since
@@ -509,7 +512,9 @@ def downward_tree_walk(m: int) -> WalkBundle:
     Explicit mode materializes the tree and its distance table, which
     passes TABLE_ENTRY_CAP from m = 4 (T_16, 131071 vertices) on: there
     CapExceededError points to the split-time analytic evaluators
-    tree_walk_convexity_exact and tree_walk_convexity_mc.
+    tree_walk_convexity_exact and tree_walk_convexity_mc.  Like
+    downhill_walk's, its chain records the walk, so exact_convexity on this
+    bundle runs tree_walk_convexity_exact's renewal sums, not the DP.
     """
     check_int(m, 1, "need an int m >= 1")
     # T_(2^m)'s vertices, the depth 2^m clipped too, as check_cap asks
@@ -521,7 +526,7 @@ def downward_tree_walk(m: int) -> WalkBundle:
     inner, n = 2**depth - 1, space.size
     indptr = np.concatenate((np.arange(0, 2 * inner, 2), np.arange(2 * inner, inner + n + 1)))
     targets = np.concatenate((np.arange(1, 2 * inner + 1), np.arange(inner, n)))
-    return WalkBundle(_uniform_chain(indptr, targets, 0, depth), MetricMap(tuple(range(n))), space)
+    return _built(_Walk("tree", m, 1, depth), _uniform_chain(indptr, targets, 0, depth), space)
 
 
 def tree_walk_convexity_exact(m: int, p: int) -> ConvexityEstimate:
@@ -598,6 +603,8 @@ def downhill_walk(
     length (ValidationError names the first edge that differs).  The chain
     records the walk, so exact_convexity on this bundle's chain, map and
     space runs downhill_convexity_exact's renewal sums, not the DP."""
+    if horizon is not None:
+        check_int(horizon, 1, "need an int horizon >= 1")
     graph = family.graph
     edge_len = _edge_length(graph)
     space = family.metric_space()

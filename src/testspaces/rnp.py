@@ -4,7 +4,9 @@ at construction), the gauge renorming (the normalized l1 norm for unit-ball
 generators, an exact LP otherwise), broken-line families of geodesics (each
 line integer coefficient numerators over one scale, built by a fan-out over
 the child table), thickness certification for diamond geodesic families
-(their parameters integer ticks), and the embedding-to-divergent-martingale
+(their parameters integer ticks; one block loop over the control sets, a
+block at a time, against each geodesic's candidates cut once to the
+largest total per distinct common mask), and the embedding-to-divergent-martingale
 construction, which reads the integer numerator table of the embedding
 (never its `vectors` view) and builds each martingale level as two exact
 tables, its breaks' integer ticks and its integer slope rows.
@@ -540,43 +542,6 @@ class ThicknessCertificate:
 
 
 _BLOCK = 1 << 15  # entries per thickness temporary: 256 KB of int64
-
-
-def _distinct_common(family: GeodesicFamily, g0: int, g1: int):
-    """Rows g0..g1-1 of the pair tables cut to one entry per distinct common
-    mask, the largest total with that mask, each row's entries contiguous:
-    (masks, totals, entries per row)."""
-    common, total = family._common[g0:g1], family._total[g0:g1]
-    order = np.lexsort((-total, common))
-    common = np.take_along_axis(common, order, axis=1)
-    keep = np.ones(common.shape, dtype=bool)
-    keep[:, 1:] = common[:, 1:] != common[:, :-1]
-    return common[keep], np.take_along_axis(total, order, axis=1)[keep], keep.sum(axis=1)
-
-
-def _set_maxima(family: GeodesicFamily, masks: np.ndarray):
-    """(g, best) per run of geodesics g, g + 1, ...: best[r, k] is the
-    largest total deviation of a candidate meeting geodesic g + r at every
-    parameter of masks[k], tested once per distinct common mask."""
-    n_geo = len(family.geodesics)
-    rows = max(1, _BLOCK // n_geo)
-    for g0 in range(0, n_geo, rows):
-        common, total, counts = _distinct_common(family, g0, min(g0 + rows, n_geo))
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        r0 = 0
-        while r0 < len(counts):
-            # rows r0..r1-1, whose [entries, sets] tables fit one block
-            r1 = int(np.searchsorted(ends, starts[r0] + _BLOCK // len(masks), side="right"))
-            r1 = max(r1, r0 + 1)
-            lo, hi = starts[r0], ends[r1 - 1]
-            # an inadmissible candidate counts as total 0, which g itself
-            # (every parameter common) attains under every set
-            admissible = (common[lo:hi, None] & masks == masks) * total[lo:hi, None]
-            yield g0 + r0, np.maximum.reduceat(admissible, starts[r0:r1] - lo, axis=0)
-            r0 = r1
-
-
 THICKNESS_WORK_CAP = 10**7
 
 
@@ -586,34 +551,45 @@ def thickness_alpha(family: GeodesicFamily, control_budget: int) -> ThicknessCer
 
     Admissibility of a candidate for a control set depends only on its
     common-parameter mask with the geodesic, so each geodesic's candidates
-    are first cut to the largest total per distinct mask.  Ties go to the
-    first geodesic, then to the first control set; when n_geo^2 times the
-    number of control sets exceeds THICKNESS_WORK_CAP, only the first sets
-    are built and tried, and the certificate is partial.  No set holds
-    more than the P - 2 interior parameters, so a larger budget tries the
-    same sets."""
+    are first cut to the largest total per distinct mask, padded with mask
+    0, which meets no set (every set holds both ends).  The control sets
+    are then taken in size-then-lexicographic order, as many at a time as
+    fill a block of _BLOCK entries.  Ties go to the first geodesic, then to
+    the first control set; when n_geo^2 times the number of control sets
+    exceeds THICKNESS_WORK_CAP, only the first sets are built and tried,
+    and the certificate is partial.  No set holds more than the P - 2
+    interior parameters, so a larger budget tries the same sets."""
     check_int(control_budget, 0, "control budget must be an int >= 0")
     n_geo, interior = len(family.geodesics), range(1, len(family.params) - 1)
     sizes = range(min(control_budget, len(interior)) + 1)
     sets = (combo for size in sizes for combo in itertools.combinations(interior, size))
-    # the sets the cap admits and one more, which tells that it cuts
-    keep = max(1, THICKNESS_WORK_CAP // (n_geo * n_geo))
-    sets = list(itertools.islice(sets, keep + 1))
-    partial = n_geo * n_geo * len(sets) > THICKNESS_WORK_CAP
-    sets = sets[:keep]
-    ends = (1 << 0) | (1 << (len(family.params) - 1))
-    masks = [ends | sum(1 << i for i in combo) for combo in sets]
-    masks = np.array(masks, dtype=family._common.dtype)
-    runs = []  # per run of geodesics: its least best, with the geodesic and set
-    for g, best in _set_maxima(family, masks):
-        # g itself (total 0) admits every set, so best >= 0
-        k = best.argmin(axis=1)
-        low = best[np.arange(len(best)), k]
-        r = int(low.argmin())
-        runs.append((int(low[r]), g + r, tuple(family.params[i] for i in sets[k[r]])))
-    alpha, worst, controls = min(runs)  # the geodesics differ, so ties go to the first
-    alpha = Fraction(alpha, family.space.scale)
-    return ThicknessCertificate(alpha, control_budget, worst, controls, n_geo * len(sets), partial)
+    # the sets the cap admits; one more tells that it cuts
+    taken = itertools.islice(sets, max(1, THICKNESS_WORK_CAP // (n_geo * n_geo)))
+    # each row by mask, largest total first; the first of each mask is kept
+    order = np.lexsort((-family._total, family._common))
+    common, total = (np.take_along_axis(a, order, axis=1) for a in (family._common, family._total))
+    new = np.ones(common.shape, dtype=bool)
+    new[:, 1:] = common[:, 1:] != common[:, :-1]
+    slot = np.cumsum(new, axis=1) - 1
+    # candidate-major: a block's temporaries run along rows of geodesics
+    masks, totals = (np.zeros((slot.max() + 1, n_geo), dtype=a.dtype) for a in (common, total))
+    at = slot[new], np.nonzero(new)[0]
+    masks[at], totals[at] = common[new], total[new]
+    bit = [1 << i for i in range(len(family.params))]
+    ends = bit[0] | bit[-1]
+    worst, tried = (math.inf,), 0
+    while block := list(itertools.islice(taken, max(1, _BLOCK // masks.size))):
+        want = np.array([sum(map(bit.__getitem__, combo), ends) for combo in block], dtype=masks.dtype)[:, None]
+        # best[k, g]: an inadmissible candidate counts as total 0, which g
+        # itself (every parameter common) attains under every set, so best >= 0
+        best = ((masks[:, None] & want == want) * totals[:, None]).max(axis=0)
+        g, k = divmod(int(best.T.argmin()), len(block))  # the first geodesic, then the first set
+        worst = min(worst, (int(best[k, g]), g, tried + k, block[k]))
+        tried += len(block)
+    partial = n_geo * n_geo * (tried + (next(sets, None) is not None)) > THICKNESS_WORK_CAP
+    alpha, g, _, combo = worst
+    alpha, controls = Fraction(alpha, family.space.scale), tuple(family.params[i] for i in combo)
+    return ThicknessCertificate(alpha, control_budget, g, controls, n_geo * tried, partial)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,16 @@ def test_markov_horizon_only_for_downhill_walks(capsys, walk):
     assert "--horizon" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("mode", [["exact"], ["mc", "--seed", "1", "--samples", "10"]], ids=["exact", "mc"])
+def test_markov_downhill_horizon_is_checked_once(capsys, mode):
+    # --mode mc said "horizon must be >= 1", the chain's own check, after
+    # the walk's tables were built
+    code, rep = run_cli(capsys, "markov", "--walk", "diamond", "--n", "2", "--horizon", "0", "--mode", *mode)
+    assert code == 2
+    assert rep["error"]["kind"] == "validation"
+    assert rep["error"]["message"] == "need an int horizon >= 1, got 0"
+
+
 def test_markov_mc_requires_seed(capsys):
     code, rep = run_cli(
         capsys, "markov", "--walk", "tree", "--n", "2", "--p", "2", "--mode", "mc"

@@ -364,6 +364,11 @@ INT_ARGUMENTS = [
     ("lazy_path_walk-2.5", lambda: markov.lazy_path_walk(2.5), "need an int horizon >= 1, got 2.5"),
     ("downward_tree_walk-1.0", lambda: markov.downward_tree_walk(1.0), "need an int m >= 1, got 1.0"),
     (
+        "downhill_walk-horizon-2.0",
+        lambda: markov.downhill_walk(diamond(1), 2.0),
+        "need an int horizon >= 1, got 2.0",
+    ),
+    (
         "downhill_exact-horizon-2.0",
         lambda: markov.downhill_convexity_exact(diamond(1), 2, 2.0),
         "need an int horizon >= 1, got 2.0",

@@ -9,7 +9,8 @@ the parameters, no bisection), the simplex pivot does integer arithmetic only, t
 diamond and Laakso walks and embeddings never search for shortest paths,
 the built-in walks' renewal sums build and read no distance table,
 the Markov module seeds one Monte Carlo block loop and nothing else and
-cuts a distance table with `np.ix_` in one function only,
+cuts a distance table with `np.ix_` in one function only, the thickness
+certificate takes its control sets in one block loop,
 numpy's private `_umath_linalg` is reached only behind an `np.linalg.eigh`
 fallback, every library function the benchmark traces by name still
 exists, `norm` measures with the row kernels of `distortion`, no
@@ -488,6 +489,24 @@ def test_markov_has_one_monte_carlo_engine():
     assert defined.isdisjoint({"_mc_window", "_rng_for"})
     sample = "import numpy as np\nnp.random.SeedSequence(1)\nSeedSequence(2)\n"
     assert calls_named(sample, "SeedSequence") == [2, 3]
+
+
+def test_thickness_takes_control_sets_in_one_block_loop():
+    # the candidates are cut once per geodesic and the sets taken a block at
+    # a time: no ragged sub-blocks (reduceat, searchsorted), and every list
+    # holds one block of the set generator, an islice bounded by _BLOCK
+    tree = ast.parse((SRC / "rnp.py").read_text())
+    defined = {n.name: n for n in ast.walk(tree) if isinstance(n, SCOPES)}
+    assert defined.keys().isdisjoint({"_distinct_common", "_set_maxima"})
+    kernel = defined["thickness_alpha"]
+    source = ast.unparse(kernel)
+    assert len([n for n in ast.walk(kernel) if isinstance(n, (ast.For, ast.While))]) == 1
+    assert calls_named(source, "reduceat") == calls_named(source, "searchsorted") == []
+    lists = [n for n in ast.walk(kernel) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "list"]
+    assert lists
+    for call in lists:
+        block = ast.unparse(call)
+        assert calls_named(block, "islice") and "_BLOCK" in block, block
 
 
 def test_markov_estimators_read_one_reached_table():

@@ -240,19 +240,23 @@ def test_downward_walk_m1_matches_enumeration_oracle():
     oracle_lhs, oracle_rhs = tree_walk_m1_exact(2)
     assert oracle_lhs == F(27, 4) and oracle_rhs == 2
     wb = downward_tree_walk(1)
-    est = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+    est = exact_convexity(_caller_built(wb.chain), wb.metric_map, wb.space, 2)  # the DP
     assert est.lhs == oracle_lhs and est.rhs == oracle_rhs
     ana = tree_walk_convexity_exact(1, 2)
     assert ana.lhs == oracle_lhs and ana.rhs == oracle_rhs
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_analytic_equals_explicit(m):
+    # the DP on a caller-built copy of the tree walk's chain; the walk's own
+    # bundle records the walk, so it is answered by the renewal sums
     wb = downward_tree_walk(m)
-    explicit = exact_convexity(wb.chain, wb.metric_map, wb.space, 2)
+    explicit = exact_convexity(_caller_built(wb.chain), wb.metric_map, wb.space, 2)
     analytic = tree_walk_convexity_exact(m, 2)
     assert explicit.lhs == analytic.lhs
     assert explicit.rhs == analytic.rhs
+    assert explicit.method.kind == "exactDP"
+    assert repr(exact_convexity(wb.chain, wb.metric_map, wb.space, 2)) == repr(analytic)
 
 
 def test_downward_walk_cap_instructs_analytic_mode():

@@ -6,6 +6,7 @@ import math
 import random
 import time
 import tracemalloc
+import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -337,6 +338,73 @@ def test_thickness_builds_only_the_sets_the_cap_admits(monkeypatch):
         assert peak < 2**20, peak
         assert cert.partial and cert.configurations == 200
         assert repr(cert) == want.replace("control_budget=2", f"control_budget={budget}")
+
+
+@pytest.mark.parametrize(
+    "make, budgets",
+    [
+        *((lambda n=n: diamond_geodesic_family(n), range(8)) for n in range(4)),
+        (_shifted_path_family, range(3)),
+        (_late_bubble_family, range(4)),
+        (lambda: _long_cycle_family(40), range(3)),
+        (lambda: _long_cycle_family(70), range(3)),
+        (lambda: _long_cycle_family(40, 2**60), range(3)),
+    ],
+    ids=["D0", "D1", "D2", "D3", "shifted", "late-bubble", "C80", "C140", "C80-huge"],
+)
+def test_thickness_matches_pair_loop_across_block_seams(make, budgets, monkeypatch):
+    # blocks of 1, 7 and 64 entries put seams between the control sets: ties
+    # still go to the first geodesic, then to the first set, and `partial`
+    # still counts the sets taken, at a full and at a truncating cap
+    fam = make()
+    for budget in budgets:
+        for cap in (10**7, 300):
+            monkeypatch.setattr(rnp, "THICKNESS_WORK_CAP", cap)
+            want = repr(thickness_by_pairs(fam, budget, cap))
+            for block in (1, 7, 64):
+                monkeypatch.setattr(rnp, "_BLOCK", block)
+                assert repr(thickness_alpha(fam, budget)) == want, (budget, cap, block)
+
+
+def test_thickness_ties_on_random_pair_tables(monkeypatch):
+    # small random masks and totals tie often, within a block and across its
+    # seams; each geodesic meets itself everywhere at total 0, as in a family
+    rng = random.Random(49)
+    for _ in range(300):
+        n_geo, n_params = rng.randint(1, 5), rng.randint(2, 6)
+        full = (1 << n_params) - 1
+        common = [[full if a == b else rng.randrange(full + 1) for b in range(n_geo)] for a in range(n_geo)]
+        total = [[0 if a == b else rng.randrange(4) for b in range(n_geo)] for a in range(n_geo)]
+        fam = types.SimpleNamespace(
+            geodesics=range(n_geo),
+            params=tuple(F(t, n_params - 1) for t in range(n_params)),
+            space=types.SimpleNamespace(scale=2),
+            _common=np.array(common, dtype=np.uint8),
+            _total=np.array(total, dtype=np.int8),
+        )
+        budget, cap = rng.randint(0, n_params), rng.choice([10**7, 3 * n_geo * n_geo])
+        monkeypatch.setattr(rnp, "THICKNESS_WORK_CAP", cap)
+        want = repr(thickness_by_pairs(fam, budget, cap))
+        for block in (1, 7, 64, 1 << 15):
+            monkeypatch.setattr(rnp, "_BLOCK", block)
+            assert repr(thickness_alpha(fam, budget)) == want, (common, total, budget, cap, block)
+
+
+def test_thickness_holds_one_block_of_sets_at_a_time(monkeypatch):
+    # the cap admits 10^5 of C140's sets, reaching into size 4; listing them
+    # all with their masks peaked at 20.5 MiB, and the default cap's
+    # 2.5 * 10^6 sets at 661 MB ru_maxrss
+    family = _long_cycle_family(70)
+    monkeypatch.setattr(rnp, "THICKNESS_WORK_CAP", 4 * 10**5)
+    tracemalloc.start()
+    try:
+        cert = thickness_alpha(family, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert cert.partial and cert.configurations == 2 * 10**5
+    assert (cert.alpha, cert.worst_geodesic, cert.worst_controls) == (0, 0, (F(1),))
 
 
 @pytest.mark.parametrize(
