@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Markov p-convexity sums of a built-in walk.  --mode exact answers all four walks "
             "by one exact front, renewal sums over their construction with no distance table, "
-            "and one bit-work cap: scaled D_9 (--n 9) takes about 1.6 s, 1.4 s of it building "
+            "and one bit-work cap: scaled D_9 (--n 9) takes about 1.0 s, 0.6 s of it building "
             "the family, L_6 about 0.3 s, and the tree walk reaches --n 16 at p = 2 (about "
             "0.3 s).  In the library, "
             "exact_convexity runs the exact DP on any chain the caller builds.  --mode mc "

@@ -3,12 +3,14 @@ Laakso graphs, cycles, l1 tree products, and Heisenberg word-metric balls.
 
 Diamonds and Laakso graphs come from one edge-replacement skeleton: each
 level replaces every edge by a fixed pattern (a quadrilateral, or the 6-vertex
-Laakso gadget) and records each replacement as a `Replacement` in
-`RecursiveFamily.units`.  Old vertex indices stay stable across levels, so
+Laakso gadget), built whole in numpy from the pattern.  A `RecursiveFamily`
+keeps its construction as read-only int arrays: each replaced edge (a unit)
+with its ends and the vertex whose chain it inherited, and each new vertex
+with its unit and side.  Old vertex indices stay stable across levels, so
 the level-(n-1) -> level-n injection is the identity on indices; that makes
 the weighted-family isometry checkable by index, not by search.  The same
-records give a family's one distance table without a shortest-path
-search (`RecursiveFamily.metric_space`, built once per family).
+arrays give a family's one distance table without a shortest-path search
+(`RecursiveFamily.metric_space`, built once per family).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -93,7 +95,8 @@ def binary_tree(n: int) -> WeightedGraph:
     and a unit edge to its parent (n is checked by tree_labels)."""
     labels = tree_labels(n)
     vertices = tuple(PointId(i, lab) for i, lab in enumerate(labels))
-    edges = tuple(((i - 1) // 2, i, Fraction(1)) for i in range(1, len(labels)))
+    one = Fraction(1)
+    edges = tuple(((i - 1) // 2, i, one) for i in range(1, len(labels)))
     return WeightedGraph(vertices, edges)
 
 
@@ -109,7 +112,8 @@ def cycle(m: int) -> WeightedGraph:
     check_int(m, 3, "cycle needs an int m >= 3")
     check_cap(m, VERTEX_CAP, "the number of vertices of the cycle")
     vertices = tuple(PointId(i) for i in range(m))
-    edges = tuple((i, (i + 1) % m, Fraction(1)) for i in range(m))
+    one = Fraction(1)
+    edges = tuple((i, (i + 1) % m, one) for i in range(m))
     return WeightedGraph(vertices, edges)
 
 
@@ -118,20 +122,19 @@ def cycle(m: int) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Replacement:
-    """One edge replaced at some level: `uid` names it in the vertex chains,
-    `ends` are the replaced edge's endpoints and `middle` the new vertices
-    put between them, in index order."""
-
-    uid: int
-    level: int
-    ends: tuple[int, int]
-    middle: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RecursiveFamily:
-    """A diamond or Laakso instance with its construction metadata."""
+    """A diamond or Laakso instance with its construction as read-only int
+    arrays.  Unit u is the u-th replaced edge, level by level in edge order:
+    `unit_ends[u]` are its ends, `unit_carriers[u]` is the vertex whose
+    chain it inherited (-1 for the first edge 0-1), and its new vertices
+    are 2 + width * u, ..., where width is the gadget's count of new
+    vertices; so level k's units are the (vertex_counts[k] -
+    vertex_counts[k - 1]) / width after level k - 1's.  Vertex v >= 2 lies
+    in unit `vertex_units[v]` on side `vertex_sides[v]` (both -1 at the
+    source and the sink).  v's chain, the (unit, side) of every gadget it
+    lies in, is read innermost first by walking v,
+    unit_carriers[vertex_units[v]], ... up to -1.  The arrays follow from
+    kind and level, so equality reads the graph."""
 
     kind: str  # "diamond" | "laakso"
     level: int
@@ -140,9 +143,10 @@ class RecursiveFamily:
     source: int
     sink: int
     vertex_counts: tuple[int, ...]  # V(0), V(1), ..., V(level)
-    units: tuple[Replacement, ...] = ()
-    # vertex index -> chain of (unit_id, side) from outermost to innermost
-    chains: tuple[tuple[tuple[int, int], ...], ...] = ()
+    unit_ends: np.ndarray = field(compare=False)  # (units, 2)
+    unit_carriers: np.ndarray = field(compare=False)  # (units,)
+    vertex_units: np.ndarray = field(compare=False)  # (vertices,)
+    vertex_sides: np.ndarray = field(compare=False)  # (vertices,)
 
     def metric_space(self) -> MetricSpace:
         """The exact shortest-path metric of `graph`, built once (`_space`)."""
@@ -171,7 +175,7 @@ class RecursiveFamily:
         for level in range(1, self.level + 1):
             old, total = self.vertex_counts[level - 1], self.vertex_counts[level]
             count = (total - old) // width
-            ends = np.repeat([u.ends for u in self.units[done : done + count]], width, axis=0)
+            ends = np.repeat(self.unit_ends[done : done + count], width, axis=0)
             offsets = np.tile(to_ends, (count, 1))  # (new vertex, end) -> in-gadget hops
             done += count
             nxt = np.empty((total, total), dtype=np.int32)
@@ -190,10 +194,11 @@ class RecursiveFamily:
 def _gadget(sides: tuple[int, ...], pattern) -> tuple:
     """(sides, pattern, G) of a replacement pattern: the sides of the new
     vertices in index order, and the edges put in place of one old edge x-y
-    as (end, end, carrier).  Slots 0 and 1 are x and y, slots 2, 3, ... the
-    new vertices; the carrier is the new vertex whose chain the edge
-    inherits.  G is the pattern's own hop table over its slots, and
-    f = G[0, 1], the hops from x to y, sets the scaled edge length f^(-n)."""
+    as the rows (end, end, carrier) of a read-only int array.  Slots 0 and 1
+    are x and y, slots 2, 3, ... the new vertices; the carrier is the new
+    vertex whose chain the edge inherits.  G is the pattern's own hop table
+    over its slots, and f = G[0, 1], the hops from x to y, sets the scaled
+    edge length f^(-n)."""
     width = len(sides)
     G = np.full((width + 2, width + 2), width + 2, dtype=np.int32)  # above any hop count
     np.fill_diagonal(G, 0)
@@ -201,7 +206,7 @@ def _gadget(sides: tuple[int, ...], pattern) -> tuple:
         G[a, b] = G[b, a] = 1
     for c in range(width + 2):
         np.minimum(G, G[:, c, None] + G[c], out=G)
-    return sides, pattern, read_only(G)
+    return sides, read_only(np.array(pattern, dtype=np.int32)), read_only(G)
 
 
 _GADGETS = {
@@ -232,33 +237,42 @@ def _through_ends(table: np.ndarray, ends: np.ndarray, offsets: np.ndarray, out:
 
 def _replace_edges(kind: str, n: int, w: Weighting) -> RecursiveFamily:
     """Start from one edge 0-1 and replace every edge by the kind's pattern
-    n times, appending each edge's new vertices after all existing ones."""
+    n times, appending each edge's new vertices after all existing ones.
+    Every level's size is known first, so the cap fires before any table is
+    allocated.  Level k's edges, with their carriers, are level k + 1's
+    units, so one table stacks them all from row (V(k) - 2) / width; a level
+    is built whole by reading the pattern's rows in its units' slot rows
+    (ends, then new vertices).  Indices are int32, below VERTEX_CAP."""
     check_int(n, 0, "level must be an int >= 0")
     sides, pattern, G = _GADGETS[kind]
-    # edge record: (u, v, chain)
-    edges: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 1, ())]
-    chains: list[tuple[tuple[int, int], ...]] = [(), ()]
+    width, spread = len(sides), len(pattern)  # new vertices and new edges per unit
     counts = [2]
-    units: list[Replacement] = []
-    for level in range(1, n + 1):
-        order = len(chains) + len(sides) * len(edges)
-        check_cap(order, VERTEX_CAP, f"the number of vertices of {kind} level {n}")
-        new_edges = []
-        for x, y, chain in edges:
-            uid = len(units)
-            middle = tuple(range(len(chains), len(chains) + len(sides)))
-            chains += [chain + ((uid, side),) for side in sides]
-            units.append(Replacement(uid, level, (x, y), middle))
-            slot = (x, y) + middle
-            new_edges += [(slot[a], slot[b], chains[slot[c]]) for a, b, c in pattern]
-        edges = new_edges
-        counts.append(len(chains))
+    for k in range(n):  # level k has spread^k edges
+        counts.append(counts[-1] + width * spread**k)
+        check_cap(counts[-1], VERTEX_CAP, f"the number of vertices of {kind} level {n}")
+    units = (counts[-1] - 2) // width
+    table = np.empty((units + spread**n, 3), dtype=np.int32)  # (end, end, carrier)
+    table[0] = 0, 1, -1
+    slot = np.empty((units, 2 + width), dtype=np.int32)
+    slot[:, 2:] = np.arange(2, counts[-1], dtype=np.int32).reshape(units, width)
+    for old, new in zip(counts, counts[1:]):
+        lo, hi = (old - 2) // width, (new - 2) // width  # the level's units
+        slot[lo:hi, :2] = table[lo:hi, :2]
+        level = table[hi : hi + spread * (hi - lo)].reshape(-1, spread, 3)
+        slot[lo:hi].take(pattern, axis=1, out=level)
     length = Fraction(1, int(G[0, 1]) ** n) if w.mode == "scaled" else Fraction(1)
     graph = WeightedGraph(
-        tuple(PointId(i) for i in range(len(chains))),
-        tuple((u, v, length) for u, v, _ in edges),
+        tuple(map(PointId, range(counts[-1]))),
+        tuple(zip(*table[units:, :2].T.tolist(), itertools.repeat(length))),
     )
-    return RecursiveFamily(kind, n, w, graph, 0, 1, tuple(counts), tuple(units), tuple(chains))
+    vertex_units = np.arange(-2, counts[-1] - 2, dtype=np.int32) // width  # -1 at the source and the sink
+    vertex_sides = np.full(counts[-1], -1, dtype=np.int32)
+    vertex_sides[2:].reshape(units, width)[:] = sides
+    table = read_only(table[:units].copy())  # the units: level n's edges are the graph's
+    return RecursiveFamily(
+        kind, n, w, graph, 0, 1, tuple(counts), table[:, :2], table[:, 2],
+        read_only(vertex_units), read_only(vertex_sides),
+    )
 
 
 def diamond(n: int, w: Weighting = UNIT) -> RecursiveFamily:

@@ -603,23 +603,28 @@ def diamond_l1_embedding(fam: RecursiveFamily) -> Embedding:
 
     Heights, quad spans and tents are integer numerators over the scale of
     the family's one distance table, written straight into the embedding's
-    table."""
+    table.  Every vertex walks up its chain at once, one unit per step from
+    its own to the outermost: step j fills the tents of the units j levels
+    above each vertex's own."""
     if fam.kind != "diamond":
         raise ValidationError("tent embedding is defined for diamonds")
     space = fam.metric_space()
-    h = space.num[fam.source].tolist()
-    spans = {}  # uid -> (coordinate, lo, hi)
-    for col, quad in enumerate(fam.units, start=1):
-        x, y = quad.ends
-        spans[quad.uid] = (col, min(h[x], h[y]), max(h[x], h[y]))
-    table = np.zeros((fam.graph.size, 1 + len(fam.units)), dtype=space.num.dtype)
-    table[:, 0] = space.num[fam.source]
-    for v, height in enumerate(h):
-        for uid, side in fam.chains[v]:
-            col, lo, hi = spans[uid]
-            if lo < height < hi:
-                tent = min(height - lo, hi - height)
-                table[v, col] = tent if side == 0 else -tent
+    h = space.num[fam.source]
+    ends = h[fam.unit_ends]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)  # each quad's height span
+    table = np.zeros((fam.graph.size, 1 + len(fam.unit_ends)), dtype=space.num.dtype)
+    table[:, 0] = h
+    rows = np.arange(2, fam.graph.size)  # every vertex but the source and the sink
+    at = rows  # the chain entry each row reads: its own, then its carriers'
+    while rows.size:
+        uid, height = fam.vertex_units[at], h[rows]
+        tent = np.minimum(height - lo[uid], hi[uid] - height)
+        inside = tent > 0  # lo < height < hi
+        signed = np.where(fam.vertex_sides[at] == 0, tent, -tent)
+        table[rows[inside], 1 + uid[inside]] = signed[inside]
+        at = fam.unit_carriers[uid]
+        keep = at >= 0
+        rows, at = rows[keep], at[keep]
     return Embedding(space, read_only(table), NormedTarget("l1", table.shape[1]), space.scale)
 
 

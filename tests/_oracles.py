@@ -13,8 +13,9 @@ from time 0 on its own substream for their Monte Carlo estimate and for the
 tree walk's (child choices as bits), a scan of every padded column for the
 Monte Carlo step (and each block drawn whole, in int64 states and
 full-width sums, for the chunked estimators), word-product enumeration for
-Heisenberg balls, plain loops over entries for norms and over pairs and
-triples for distortion, vertex-map distortion and the metric axioms, an
+Heisenberg balls, one edge record and one chain tuple per vertex, in
+Python, for the diamond and Laakso construction, plain loops over entries
+for norms and over pairs and triples for distortion, vertex-map distortion and the metric axioms, an
 exact knockout tournament for the first maximal ratio, a table rebuilt
 from nested tuples on every call for the distortion of stored vectors,
 per-entry products for rescaling, the
@@ -42,6 +43,7 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -1491,23 +1493,102 @@ def gauge_by_phase_one(gauge, v):
     return solve_lp_fractions(gauge._rows, v, gauge._costs)[0]
 
 
+@dataclass(frozen=True)
+class Replacement:
+    """One edge replaced at some level: `uid` names it in the vertex chains,
+    `ends` are the replaced edge's endpoints and `middle` the new vertices
+    put between them, in index order."""
+
+    uid: int
+    level: int
+    ends: tuple[int, int]
+    middle: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class FamilyRecord:
+    """A recursive family's construction as tuples: the vertex counts per
+    level, the edges (u, v, length), one `Replacement` per unit and each
+    vertex's chain of (uid, side) from outermost to innermost."""
+
+    vertex_counts: tuple[int, ...]
+    edges: tuple[tuple[int, int, Fraction], ...]
+    units: tuple[Replacement, ...]
+    chains: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def family_record_tuples(kind, n, w):
+    """`generators._replace_edges` as first written: one edge record
+    (u, v, chain) at a time, each unit a `Replacement` and each vertex's
+    chain a tuple, the edges made from the gadget's pattern in Python."""
+    from testspaces.generators import _GADGETS
+
+    sides, pattern, G = _GADGETS[kind]
+    edges = [(0, 1, ())]
+    chains = [(), ()]
+    counts = [2]
+    units = []
+    for level in range(1, n + 1):
+        new_edges = []
+        for x, y, chain in edges:
+            uid = len(units)
+            middle = tuple(range(len(chains), len(chains) + len(sides)))
+            chains += [chain + ((uid, side),) for side in sides]
+            units.append(Replacement(uid, level, (x, y), middle))
+            slot = (x, y) + middle
+            new_edges += [(slot[a], slot[b], chains[slot[c]]) for a, b, c in pattern.tolist()]
+        edges = new_edges
+        counts.append(len(chains))
+    length = Fraction(1, int(G[0, 1]) ** n) if w.mode == "scaled" else Fraction(1)
+    return FamilyRecord(
+        tuple(counts), tuple((u, v, length) for u, v, _ in edges), tuple(units), tuple(chains)
+    )
+
+
+def family_record_view(fam):
+    """The same record read from a `RecursiveFamily`'s arrays: a unit's
+    level and new vertices from `vertex_counts`, and a vertex's chain by
+    walking up the carriers of its units."""
+    from testspaces import generators
+
+    width = len(generators._GADGETS[fam.kind][0])  # new vertices per unit
+    units = []
+    for level in range(1, fam.level + 1):
+        lo, hi = fam.vertex_counts[level - 1], fam.vertex_counts[level]
+        for start in range(lo, hi, width):
+            uid = len(units)
+            ends = tuple(fam.unit_ends[uid].tolist())
+            units.append(Replacement(uid, level, ends, tuple(range(start, start + width))))
+    chains = []
+    for v in range(fam.graph.size):
+        chain = []
+        while v >= 0 and fam.vertex_units[v] >= 0:
+            uid = int(fam.vertex_units[v])
+            chain.append((uid, int(fam.vertex_sides[v])))
+            v = int(fam.unit_carriers[uid])
+        chains.append(tuple(reversed(chain)))
+    return FamilyRecord(fam.vertex_counts, fam.graph.edges, tuple(units), tuple(chains))
+
+
 def tent_embedding_tuples(fam, space=None):
     """`rnp.diamond_l1_embedding` as first written: Fraction heights and one
-    Fraction per (vertex, quadrilateral), looked up in each vertex's chain."""
+    Fraction per (vertex, quadrilateral), looked up in each vertex's chain
+    (read through `family_record_view`)."""
     from testspaces.embeddings import Embedding, NormedTarget
 
     if space is None:
         space = fam.metric_space()
+    record = family_record_view(fam)
     h = [Fraction(x, space.scale) for x in space.num[fam.source].tolist()]
     spans = []
-    for quad in fam.units:
+    for quad in record.units:
         x, y = quad.ends
         spans.append((min(h[x], h[y]), max(h[x], h[y])))
     vectors = []
     for v in range(fam.graph.size):
         coord = [h[v]]
-        chain = dict(fam.chains[v])
-        for quad, (lo, hi) in zip(fam.units, spans):
+        chain = dict(record.chains[v])
+        for quad, (lo, hi) in zip(record.units, spans):
             side = chain.get(quad.uid)
             if side is None or not (lo < h[v] < hi):
                 coord.append(Fraction(0))
@@ -1515,7 +1596,7 @@ def tent_embedding_tuples(fam, space=None):
                 tent = min(h[v] - lo, hi - h[v])
                 coord.append(tent if side == 0 else -tent)
         vectors.append(tuple(coord))
-    return Embedding(space, tuple(vectors), NormedTarget("l1", 1 + len(fam.units)))
+    return Embedding(space, tuple(vectors), NormedTarget("l1", 1 + len(record.units)))
 
 
 def broken_lines_by_scan(bush, k):

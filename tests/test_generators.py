@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,13 @@ from testspaces.generators import (
 )
 from testspaces.metric_core import apsp, verify_metric
 
-from _oracles import adjacency, dijkstra_fractions, heisenberg_ball_by_words
+from _oracles import (
+    adjacency,
+    dijkstra_fractions,
+    family_record_tuples,
+    family_record_view,
+    heisenberg_ball_by_words,
+)
 
 
 def test_binary_tree_counts_and_diameter():
@@ -154,6 +161,7 @@ FAMILY_DIGESTS = {
 
 
 def _structure_digest(fam) -> str:
+    record = family_record_view(fam)
     canon = (
         fam.kind,
         fam.level,
@@ -161,8 +169,8 @@ def _structure_digest(fam) -> str:
         fam.sink,
         fam.vertex_counts,
         tuple((u, v, str(w)) for u, v, w in fam.graph.edges),
-        fam.chains,
-        tuple((unit.level, unit.ends) for unit in fam.units),
+        record.chains,
+        tuple((unit.level, unit.ends) for unit in record.units),
     )
     return hashlib.sha256(repr(canon).encode()).hexdigest()
 
@@ -197,13 +205,46 @@ def test_metric_space_equals_apsp(maker, top, weighting):
 
 def test_replacement_units_match_chains():
     for fam, sides in ((diamond(3), (0, 1)), (laakso(2), (2, 0, 1, 2))):
-        assert [u.uid for u in fam.units] == list(range(len(fam.units)))
-        for unit in fam.units:
+        record = family_record_view(fam)
+        assert [u.uid for u in record.units] == list(range(len(record.units)))
+        for unit in record.units:
             lo, hi = fam.vertex_counts[unit.level - 1], fam.vertex_counts[unit.level]
             assert all(lo <= v < hi for v in unit.middle)
-            assert tuple(fam.chains[v][-1] for v in unit.middle) == tuple(
+            assert tuple(record.chains[v][-1] for v in unit.middle) == tuple(
                 (unit.uid, side) for side in sides
             )
+
+
+@pytest.mark.parametrize("maker,top", [(diamond, 7), (laakso, 5)], ids=["diamond", "laakso"])
+@pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+def test_array_record_equals_reference_construction(maker, top, weighting):
+    # the numpy build against the tuple-building construction it replaced:
+    # vertex counts, edges and their lengths, units and chains, on every level
+    for n in range(top + 1):
+        w = WEIGHTINGS[weighting](maker)
+        fam = maker(n, w)
+        assert family_record_view(fam) == family_record_tuples(maker.__name__, n, w), n
+        arrays = (fam.unit_ends, fam.unit_carriers, fam.vertex_units, fam.vertex_sides)
+        assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("maker,n", [(diamond, 10), (laakso, 7)])
+def test_family_cap_fires_before_the_level_is_built(maker, n):
+    # D_10 and L_7 are the first levels past VERTEX_CAP.  Every level's size
+    # is known up front, so no table is allocated: the refused level's edge
+    # table alone would take 4^10 (resp. 6^7) pairs of int32, 8 MiB (resp.
+    # 2.1 MiB), and the tuple-building construction peaked at 78 MiB (resp.
+    # 12 MiB) on these calls, holding every chain of the level below
+    want = f"the number of vertices of {maker.__name__} level {n} exceeds cap {generators.VERTEX_CAP}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=f"^{re.escape(want)}$"):
+            maker(n, Weighting("scaled"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
 
 def test_cycle_examples():
     sp = apsp(cycle(6))
